@@ -5,8 +5,11 @@
   utilization / message-count overload monitors (Sec 4.3);
 * :mod:`repro.core.experiment` — warm-up, failure injection, convergence
   measurement, multi-trial aggregation;
-* :mod:`repro.core.parallel` — trial-execution backends (serial, and a
-  persistent warm worker pool with per-worker topology caches) with
+* :mod:`repro.core.batch` — the one trial-batch pipeline (look up the
+  store, execute the misses, bank, fold) that ``run_trials``, campaigns
+  and the service all run;
+* :mod:`repro.core.parallel` — single-trial execution and the persistent
+  warm worker pool (per-worker topology caches) behind ``jobs > 1``, with
   deterministic seed fan-out;
 * :mod:`repro.core.sweep` — parameter sweeps producing the series behind
   every figure;
@@ -32,16 +35,12 @@ from repro.core.experiment import (
 )
 from repro.core.parallel import (
     PoolRunStats,
-    ProcessExecutor,
-    SerialExecutor,
     TrialExecutionError,
-    TrialExecutor,
     TrialTask,
     WorkerPool,
     derive_trial_seeds,
     get_default_jobs,
     get_worker_pool,
-    make_executor,
     parallel_jobs,
     pool_stats,
     set_default_jobs,
@@ -67,14 +66,11 @@ __all__ = [
     "ExperimentSpec",
     "MessageCountController",
     "PoolRunStats",
-    "ProcessExecutor",
     "Progress",
     "RoutingViolation",
-    "SerialExecutor",
     "Series",
     "SweepPoint",
     "TrialExecutionError",
-    "TrialExecutor",
     "TrialResult",
     "TrialTask",
     "UtilizationController",
@@ -84,7 +80,6 @@ __all__ = [
     "get_default_jobs",
     "get_worker_pool",
     "labovitz_clique_bound",
-    "make_executor",
     "mrai_sweep",
     "parallel_jobs",
     "pei_unloaded_bound",

@@ -36,7 +36,6 @@ from repro.obs.session import ObsSession, active_session
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.parallel import TrialExecutor
     from repro.store.result_store import ResultStore
 
 from repro.bgp.config import DEFAULT_PROCESSING_RANGE, BGPConfig
@@ -448,7 +447,6 @@ def run_trials(
     progress: Optional[ProgressFn] = None,
     obs: Optional[ObsSession] = None,
     jobs: Optional[int] = None,
-    executor: Optional["TrialExecutor"] = None,
     store: Optional["ResultStore"] = None,
 ) -> ExperimentResult:
     """Run one trial per seed, each on its own topology instance.
@@ -458,29 +456,35 @@ def run_trials(
     hold the topology constant and vary only the protocol randomness.
     ``progress`` (when given) is called after every completed trial with a
     :class:`Progress` carrying done/total counts, elapsed wall time and an
-    ETA; ``obs`` is forwarded to every :func:`run_experiment`.
+    ETA.
 
-    ``jobs`` (or an explicit ``executor``) selects the execution backend:
-    ``jobs > 1`` fans whole trials out over a process pool (see
+    ``jobs > 1`` fans whole trials out over the warm worker pool (see
     :mod:`repro.core.parallel`); ``None`` uses the process-wide default
     installed by :func:`repro.core.parallel.parallel_jobs`.  Whatever the
-    backend, results are folded in seed order, so the returned
-    :class:`ExperimentResult` is bit-identical across ``jobs`` values for
-    the same seeds.  Observed runs ship each worker's metrics, phase
+    value, every trial runs through the shared batch pipeline
+    (:func:`repro.core.batch.run_batch`) and results are folded in seed
+    order, so the returned :class:`ExperimentResult` is bit-identical
+    across ``jobs`` values for the same seeds.  Observed runs give each
+    trial its own worker-side session and ship its metrics, phase
     timings, probe samples and trace records back to ``obs`` (or the
-    active session) for aggregation.
+    active session) in seed order — in-process at ``jobs=1`` exactly as
+    across the pool, so what a session records does not depend on
+    ``jobs`` either.  The first trial that fails raises
+    :class:`repro.core.parallel.TrialExecutionError`.
 
     ``store`` (or the process-wide default installed by
     :func:`repro.store.result_store.use_store`) enables content-addressed
     trial caching: each trial's key is derived from (spec, built
     topology, seed) via :func:`repro.store.hashing.spec_hash`; stored
     trials are folded without re-running, fresh trials are written back —
-    always from this (parent) process — so an interrupted sweep resumes
-    where it stopped.  Cached and cold runs compare equal
-    (:class:`TrialResult` equality excludes wall-clock fields), and cached
-    trials contribute measurements but no new obs samples.
+    always from this (parent) process, as each one lands — so an
+    interrupted sweep resumes where it stopped.  Cached and cold runs
+    compare equal (:class:`TrialResult` equality excludes wall-clock
+    fields), and cached trials contribute measurements but no new obs
+    samples.
     """
-    from repro.core.parallel import get_default_jobs, make_executor
+    from repro.core.batch import BatchOutcome, PlannedTrial, run_batch
+    from repro.core.parallel import TrialExecutionError, get_default_jobs
 
     if obs is None:
         obs = active_session()
@@ -492,176 +496,37 @@ def run_trials(
         from repro.store.result_store import default_store
 
         store = default_store()
-    if executor is None:
-        resolved_jobs = jobs if jobs is not None else get_default_jobs()
-        if resolved_jobs <= 1:
-            # Inline serial fast path: no task/payload round-trip, the
-            # parent session observes every trial directly.
-            with span("trials.run", trials=len(seeds), jobs=1):
-                return _run_trials_inline(
-                    topology_factory, spec, seeds, progress, obs, store
-                )
-        executor = make_executor(resolved_jobs)
-    with span("trials.run", trials=len(seeds), jobs=executor.jobs) as sp:
-        result = _run_trials_executor(
-            topology_factory, spec, seeds, progress, obs, executor, store
-        )
-        # Pool-backed executors report what the warm pool reused; the
-        # attrs ride the span so bench_report's gap attribution can see
-        # cache hits and true spin-up without re-running anything.
-        stats = getattr(executor, "last_stats", None)
-        if stats is not None:
-            sp.set(
-                pool_run=stats.pool_run,
-                workers_reused=stats.workers_reused,
-                topology_cache_hit_rate=round(stats.cache_hit_rate, 4),
-                spinup_seconds=round(stats.spinup_seconds, 6),
+    if store is not None:
+        from repro.store.hashing import spec_hash
+    if jobs is None:
+        jobs = get_default_jobs()
+
+    def fail_fast(outcome: BatchOutcome) -> None:
+        if outcome.error is not None:
+            raise TrialExecutionError(
+                outcome.index, seeds[outcome.index], outcome.error
             )
+
+    with span("trials.run", trials=len(seeds), jobs=jobs):
+        planned = []
+        for seed in seeds:
+            with span("topology.build", seed=seed):
+                topology = topology_factory(seed)
+            key = spec_hash(spec, topology, seed) if store is not None else None
+            planned.append(PlannedTrial(topology, spec, seed, key))
+        batch = run_batch(
+            planned,
+            jobs=jobs,
+            store=store,
+            obs=obs,
+            on_outcome=fail_fast,
+            progress=progress,
+            label=spec.mrai.name,
+        )
+        # Fold in seed order, whatever order the trials completed in:
+        # the accumulators see the same sequence at every jobs value.
+        with span("trials.fold", trials=len(seeds)):
+            result = ExperimentResult(spec=spec)
+            for trial in batch.trials:
+                result.add(trial)
         return result
-
-
-def _run_trials_inline(
-    topology_factory: Callable[[int], Topology],
-    spec: ExperimentSpec,
-    seeds: Sequence[int],
-    progress: Optional[ProgressFn],
-    obs: Optional[ObsSession],
-    store: Optional["ResultStore"] = None,
-) -> ExperimentResult:
-    if store is not None:
-        from repro.store.hashing import spec_fingerprint, spec_hash
-
-    result = ExperimentResult(spec=spec)
-    start = time.perf_counter()
-    total = len(seeds)
-    busy = 0.0
-    for done, seed in enumerate(seeds, start=1):
-        with span("topology.build", seed=seed):
-            topology = topology_factory(seed)
-        trial = None
-        if store is not None:
-            key = spec_hash(spec, topology, seed)
-            trial = store.get(key)
-            if obs is not None:
-                obs.note_cache(trial is not None)
-        if trial is None:
-            with span("trial.execute", seed=seed):
-                trial = run_experiment(topology, spec, seed=seed, obs=obs)
-            busy += trial.warmup_wall + trial.convergence_wall
-            if store is not None:
-                store.put(
-                    key,
-                    trial,
-                    fingerprint=spec_fingerprint(spec, topology, seed),
-                )
-        result.add(trial)
-        if progress is not None:
-            progress(
-                Progress(
-                    done=done,
-                    total=total,
-                    elapsed=time.perf_counter() - start,
-                    label=spec.mrai.name,
-                    busy_seconds=busy,
-                )
-            )
-    return result
-
-
-def _run_trials_executor(
-    topology_factory: Callable[[int], Topology],
-    spec: ExperimentSpec,
-    seeds: Sequence[int],
-    progress: Optional[ProgressFn],
-    obs: Optional[ObsSession],
-    executor: "TrialExecutor",
-    store: Optional["ResultStore"] = None,
-) -> ExperimentResult:
-    from repro.core.parallel import TrialTask
-
-    if store is not None:
-        from repro.store.hashing import spec_fingerprint, spec_hash
-
-    obs_config = obs.worker_args() if obs is not None else None
-    start = time.perf_counter()
-    total = len(seeds)
-    # One slot per seed; cached trials fill theirs before execution.
-    trials: List[Optional[TrialResult]] = [None] * total
-    payloads: List[Optional[Dict[str, Any]]] = [None] * total
-    keys: List[Optional[str]] = [None] * total
-    fingerprints: Dict[int, Dict[str, Any]] = {}
-    tasks = []
-    for index, seed in enumerate(seeds):
-        with span("topology.build", seed=seed):
-            topology = topology_factory(seed)
-        if store is not None:
-            key = spec_hash(spec, topology, seed)
-            keys[index] = key
-            cached = store.get(key)
-            if obs is not None:
-                obs.note_cache(cached is not None)
-            if cached is not None:
-                trials[index] = cached
-                continue
-            fingerprints[index] = spec_fingerprint(spec, topology, seed)
-        tasks.append(
-            TrialTask(
-                index=index,
-                topology=topology,
-                spec=spec,
-                seed=seed,
-                obs_config=obs_config,
-            )
-        )
-    done_count = total - len(tasks)
-    if progress is not None and done_count:
-        progress(
-            Progress(
-                done=done_count,
-                total=total,
-                elapsed=time.perf_counter() - start,
-                label=spec.mrai.name,
-            )
-        )
-
-    busy = 0.0
-
-    def on_done(outcome) -> None:
-        # Completion ticks arrive in completion order (not seed order);
-        # the count is monotonic regardless.  Store writes happen here —
-        # in the parent, as trials land — so an interrupt loses only the
-        # trials still in flight.
-        nonlocal done_count, busy
-        index, trial, _payload = outcome
-        if store is not None:
-            store.put(
-                keys[index], trial, fingerprint=fingerprints.get(index)
-            )
-        done_count += 1
-        busy += trial.warmup_wall + trial.convergence_wall
-        if progress is not None:
-            progress(
-                Progress(
-                    done=done_count,
-                    total=total,
-                    elapsed=time.perf_counter() - start,
-                    label=spec.mrai.name,
-                    busy_seconds=busy,
-                )
-            )
-
-    outcomes = executor.run(tasks, on_done) if tasks else []
-    for index, trial, payload in outcomes:
-        trials[index] = trial
-        payloads[index] = payload
-    # Fold in submission (seed) order: the accumulators then see the
-    # exact sequence the serial path streams, bit for bit.
-    with span("trials.fold", trials=total):
-        result = ExperimentResult(spec=spec)
-        for index, trial in enumerate(trials):
-            assert trial is not None
-            result.add(trial)
-            if obs is not None and payloads[index] is not None:
-                with span("obs.absorb"):
-                    obs.absorb(payloads[index])
-    return result

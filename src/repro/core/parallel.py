@@ -4,28 +4,26 @@ Every figure in the paper is a sweep of many *independent* trials — each
 one a full warm-up + failure + convergence simulation with its own
 topology and seed — which makes the workload embarrassingly parallel the
 same way SSFNet's parallel event-driven substrate exploited.  This module
-provides the execution backends the serial drivers lack:
+provides the two pieces the batch pipeline (:mod:`repro.core.batch`)
+executes trials with:
 
-* :class:`TrialExecutor` — the backend interface: map a list of
-  :class:`TrialTask` objects to ``(index, TrialResult, obs payload)``
-  triples, reporting a completion tick per finished trial;
-* :class:`SerialExecutor` — runs tasks in-process, in order.  Exists so
-  the two backends are *symmetric*: both round-trip observability through
-  the same picklable payloads, so switching backends never changes what a
+* :func:`execute_trial` — run one :class:`TrialTask` and return
+  ``(index, TrialResult, obs payload)``.  Serial and parallel runs both
+  go through it, so both round-trip observability through the same
+  picklable payloads and switching ``jobs`` never changes what a
   session records;
-* :class:`ProcessExecutor` — fan-out over the process-wide
-  :class:`WorkerPool`.  Trials complete out of order; the caller folds
-  results back in submission (seed) order, which is what makes a parallel
+* :class:`WorkerPool` — the process-wide pool of warm workers behind
+  ``jobs > 1``.  Trials complete out of order; the caller folds results
+  back in submission (seed) order, which is what makes a parallel
   :class:`~repro.core.experiment.ExperimentResult` *bit-identical* to a
   serial one on the same master seed.
 
 The warm worker pool
 --------------------
-The first parallel backend spun up a cold ``ProcessPoolExecutor`` per
-``run()`` call and pickled the full built topology into every task — on
-short trials the fan-out lost to its own overhead (BENCH_sweep.json:
-0.8x at jobs=2).  :class:`WorkerPool` replaces it with long-lived
-workers that amortize every fixed cost:
+A cold ``ProcessPoolExecutor`` per run that pickles the full built
+topology into every task loses to its own overhead on short trials
+(BENCH_sweep.json: 0.8x at jobs=2).  :class:`WorkerPool` keeps
+long-lived workers that amortize every fixed cost:
 
 * **Persistent warm workers.**  One process-wide pool
   (:func:`get_worker_pool`), created on first use, reused by every
@@ -37,7 +35,7 @@ workers that amortize every fixed cost:
   topology (:func:`repro.store.hashing.topology_digest`).  The topology
   itself ships to a given worker at most once per digest; afterwards the
   worker replays trials against its cached copy.  Caches are bounded LRU
-  (``REPRO_POOL_TOPOLOGY_CACHE``, default 8 entries); the parent mirrors
+  (:data:`DEFAULT_TOPOLOGY_CACHE` entries); the parent mirrors
   each worker's cache state deterministically, so it always knows what
   to ship.
 * **Copy-on-write sharing on fork platforms.**  When the start method is
@@ -89,7 +87,6 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -108,12 +105,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: A finished trial: (submission index, measurement, obs payload or None).
 TrialOutcome = Tuple[int, "TrialResult", Optional[Dict[str, Any]]]
 
-#: Per-completion callback (called once per finished trial, any order).
-DoneFn = Callable[[TrialOutcome], None]
-
 #: A guarded outcome: (index, result or None, payload or None, error or
-#: None) — the campaign retry loop's wire format (errors reported, never
-#: raised).
+#: None) — errors are reported as ``"ExcType: message"`` strings, never
+#: raised.
 GuardedOutcome = Tuple[
     int, Optional["TrialResult"], Optional[Dict[str, Any]], Optional[str]
 ]
@@ -227,16 +221,13 @@ class _WireTask:
 
 
 class TrialExecutionError(RuntimeError):
-    """A trial failed inside an executor; carries which one and why."""
+    """A trial of a fail-fast batch failed; carries which one and why."""
 
-    def __init__(self, index: int, seed: int, cause: BaseException) -> None:
-        super().__init__(
-            f"trial {index} (seed {seed}) failed: "
-            f"{type(cause).__name__}: {cause}"
-        )
+    def __init__(self, index: int, seed: int, error: str) -> None:
+        super().__init__(f"trial {index} (seed {seed}) failed: {error}")
         self.index = index
         self.seed = seed
-        self.cause = cause
+        self.error = error
 
 
 def execute_trial(task: TrialTask) -> TrialOutcome:
@@ -272,46 +263,6 @@ def execute_trial(task: TrialTask) -> TrialOutcome:
     return task.index, result, payload
 
 
-class TrialExecutor:
-    """Backend interface: run trial tasks, stream completion ticks."""
-
-    #: Worker count the backend fans out to (1 for serial).
-    jobs: int = 1
-
-    def run(
-        self,
-        tasks: Sequence[TrialTask],
-        on_done: Optional[DoneFn] = None,
-    ) -> List[TrialOutcome]:
-        """Execute every task; return outcomes in *submission* order.
-
-        ``on_done`` is called once per finished trial, in completion
-        order (which for process backends is not submission order) —
-        it is the progress stream, not the result stream.
-        """
-        raise NotImplementedError
-
-
-class SerialExecutor(TrialExecutor):
-    """In-process execution, in submission order."""
-
-    def run(
-        self,
-        tasks: Sequence[TrialTask],
-        on_done: Optional[DoneFn] = None,
-    ) -> List[TrialOutcome]:
-        outcomes: List[TrialOutcome] = []
-        for task in tasks:
-            try:
-                outcome = execute_trial(task)
-            except Exception as exc:
-                raise TrialExecutionError(task.index, task.seed, exc) from exc
-            outcomes.append(outcome)
-            if on_done is not None:
-                on_done(outcome)
-        return outcomes
-
-
 # ---------------------------------------------------------------------------
 # The persistent warm worker pool
 # ---------------------------------------------------------------------------
@@ -331,17 +282,6 @@ def default_start_method() -> str:
         return override
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
-
-
-def topology_cache_capacity() -> int:
-    """Per-worker topology cache capacity (``REPRO_POOL_TOPOLOGY_CACHE``)."""
-    raw = os.environ.get("REPRO_POOL_TOPOLOGY_CACHE")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_TOPOLOGY_CACHE
 
 
 def _topology_digest(topology: Any) -> str:
@@ -528,7 +468,7 @@ class _WorkerHandle:
 
 @dataclass
 class PoolRunStats:
-    """What one :meth:`WorkerPool.run` call cost and reused."""
+    """What one :meth:`WorkerPool.run_guarded` call cost and reused."""
 
     jobs: int = 0
     tasks: int = 0
@@ -578,7 +518,7 @@ class WorkerPool:
     :func:`get_worker_pool`); tests construct private pools to control
     ``start_method`` and ``cache_capacity``.  Workers are spawned on
     demand (up to the largest ``jobs`` ever requested), survive across
-    ``run()`` calls, and are reaped by :meth:`close` or at interpreter
+    runs, and are reaped by :meth:`close` or at interpreter
     exit.
     """
 
@@ -592,7 +532,7 @@ class WorkerPool:
         self.cache_capacity = (
             cache_capacity
             if cache_capacity is not None
-            else topology_cache_capacity()
+            else DEFAULT_TOPOLOGY_CACHE
         )
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
@@ -649,7 +589,7 @@ class WorkerPool:
     def prewarm(self, jobs: int, timeout: float = 30.0) -> int:
         """Spawn up to ``jobs`` workers now; wait for their handshakes.
 
-        Normally workers boot lazily on the first ``run()``.  The
+        Normally workers boot lazily on the first run.  The
         campaign service prewarms instead: under the ``fork`` start
         method children must be forked before the daemon starts its HTTP
         handler threads (forking a multi-threaded process risks
@@ -725,55 +665,26 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        tasks: Sequence[TrialTask],
-        jobs: int,
-        on_done: Optional[DoneFn] = None,
-        chunk_size: Optional[int] = None,
-    ) -> Tuple[List[TrialOutcome], PoolRunStats]:
-        """Execute every task; fail fast on the first trial error.
-
-        Returns outcomes in submission order plus this run's
-        :class:`PoolRunStats`.  The first worker-reported failure raises
-        :class:`TrialExecutionError`; chunks already in worker pipes
-        finish harmlessly (their stale results are drained by the next
-        run).
-        """
-        if not tasks:
-            return [], PoolRunStats(jobs=jobs)
-        position = {task.index: i for i, task in enumerate(tasks)}
-        outcomes: List[Optional[TrialOutcome]] = [None] * len(tasks)
-        stats = PoolRunStats()
-        for event in self._stream(tasks, jobs, chunk_size, stats):
-            kind = event[0]
-            if kind == "done":
-                outcome = event[1]
-                outcomes[position[outcome[0]]] = outcome
-                if on_done is not None:
-                    on_done(outcome)
-            else:
-                _, index, seed, cause = event
-                if not isinstance(cause, BaseException):
-                    cause = RuntimeError(str(cause))
-                raise TrialExecutionError(index, seed, cause) from cause
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes, stats  # type: ignore[return-value]
-
     def run_guarded(
         self,
         tasks: Sequence[TrialTask],
         jobs: int,
         chunk_size: Optional[int] = None,
+        stats: Optional[PoolRunStats] = None,
     ) -> Iterator[GuardedOutcome]:
         """Execute every task, yielding failures instead of raising.
 
-        The campaign retry loop's backend: outcomes stream in completion
-        order as ``(index, result, payload, error)`` with exactly one
-        entry per task — worker-side exceptions and worker deaths become
-        error strings on the affected trials, never pool-wide aborts.
+        Outcomes stream in completion order as ``(index, result,
+        payload, error)`` with exactly one entry per task — worker-side
+        exceptions and worker deaths become error strings on the
+        affected trials, never pool-wide aborts.  A consumer that stops
+        iterating abandons the run: chunks already in worker pipes
+        finish harmlessly and the next run drains their stale results.
+        ``stats``, when given, is filled in with what this run cost and
+        reused (complete once the stream is exhausted).
         """
-        stats = PoolRunStats()
+        if stats is None:
+            stats = PoolRunStats()
         for event in self._stream(tasks, jobs, chunk_size, stats):
             if event[0] == "done":
                 index, result, payload = event[1]
@@ -788,12 +699,6 @@ class WorkerPool:
 
     # -- scheduling internals -------------------------------------------
     def _auto_chunk_size(self, n_tasks: int, workers: int) -> int:
-        override = os.environ.get("REPRO_POOL_CHUNK")
-        if override:
-            try:
-                return max(1, int(override))
-            except ValueError:
-                pass
         # ~4 chunks per worker balances stragglers against per-message
         # overhead; tiny runs degrade to one trial per chunk.
         return max(1, math.ceil(n_tasks / (workers * 4)))
@@ -1171,62 +1076,3 @@ def pool_stats() -> Dict[str, float]:
             "workers_alive": 0,
         }
     return _POOL.stats_snapshot()
-
-
-class ProcessExecutor(TrialExecutor):
-    """Whole-trial fan-out over the persistent :class:`WorkerPool`.
-
-    Per-trial work segregation (one worker owns one trial end to end,
-    FRR-style) means workers never share simulator state; the only
-    cross-process traffic is the lean wire task going out (topology
-    shipped once per worker per digest, or inherited copy-on-write under
-    fork) and the ``(result, obs payload)`` coming back.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        pool: Optional[WorkerPool] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        self._pool = pool
-        self.chunk_size = chunk_size
-        #: Stats of the most recent :meth:`run` (None before the first).
-        self.last_stats: Optional[PoolRunStats] = None
-
-    @property
-    def pool(self) -> WorkerPool:
-        return self._pool if self._pool is not None else get_worker_pool()
-
-    def run(
-        self,
-        tasks: Sequence[TrialTask],
-        on_done: Optional[DoneFn] = None,
-    ) -> List[TrialOutcome]:
-        if not tasks:
-            return []
-        pool = self.pool
-        workers = min(self.jobs, len(tasks))
-        with span("pool.run", jobs=workers, tasks=len(tasks)) as pool_span:
-            with span("pool.collect", tasks=len(tasks)):
-                outcomes, stats = pool.run(
-                    tasks,
-                    jobs=self.jobs,
-                    on_done=on_done,
-                    chunk_size=self.chunk_size,
-                )
-            self.last_stats = stats
-            pool_span.set(**stats.as_dict())
-        return outcomes
-
-
-def make_executor(jobs: int) -> TrialExecutor:
-    """The standard backend for a worker count: serial at 1, processes above."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return SerialExecutor()
-    return ProcessExecutor(jobs)

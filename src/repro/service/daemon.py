@@ -191,12 +191,11 @@ class CampaignService:
             self._shutdown_done = True
         self.stop_event.set()
         if self._executor_thread is not None:
-            # The executor finishes (at most) its in-flight batch, then
-            # its serial path / next poll sees the stop flag.
+            # The executor settles the outcome it is waiting on, sees
+            # the stop flag and releases the rest of its batch.
             self._executor_thread.join(self.config.drain_timeout)
-        # Anything still leased by us but unexecuted goes straight back
-        # to pending for the next executor (ours released its own in
-        # the serial path; the pool path completes whole batches).
+        # Anything still leased by us (the join timed out) goes straight
+        # back to pending for the next executor.
         try:
             self.backend.release_tasks(self.executor.config.owner)
         except Exception:  # noqa: BLE001 - shutdown must not throw

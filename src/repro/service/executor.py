@@ -2,12 +2,14 @@
 
 One :class:`QueueExecutor` repeatedly leases a batch of cold trials from
 the backend, rebuilds each trial from its declarative payload (topology
-parameter block + explicit spec dict + seed), runs the batch on the
-process-wide warm :class:`~repro.core.parallel.WorkerPool` — which does
-digest-affinity chunk scheduling, so a batch of same-topology trials
-lands on workers already holding that topology — and banks every result
-the moment it streams back, exactly the parent-side-write discipline
-``run_campaign`` uses.  Folding banked trials therefore produces output
+parameter block + explicit spec dict + seed) and hands the batch to
+:func:`repro.core.batch.run_batch` — the same function ``run_trials``
+and ``run_campaign`` run — with the backend as its store and the queue
+bookkeeping in its per-outcome hook.  So the batch runs on the
+process-wide warm :class:`~repro.core.parallel.WorkerPool` (digest-
+affinity chunk scheduling lands same-topology trials on workers already
+holding that topology), every result is banked from this process the
+moment it streams back, and folding banked trials produces output
 bit-identical to :func:`repro.core.experiment.run_trials`.
 
 Any number of executor processes may drain one store: the lease
@@ -34,11 +36,11 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.batch import BatchOutcome, PlannedTrial, run_batch
 from repro.core.experiment import Progress
-from repro.core.parallel import TrialTask, get_worker_pool
 from repro.specs.serialize import build_spec
 from repro.specs.topology import topology_factory
-from repro.store.hashing import spec_fingerprint, spec_hash
+from repro.store.hashing import spec_hash
 from repro.store.queue import QueueTask
 
 from repro.service.backend import StoreBackend
@@ -59,8 +61,9 @@ class ExecutorConfig:
     owner: Optional[str] = None
     #: Worker-pool fan-out per batch (1 = run trials in-process).
     jobs: int = 1
-    #: Max tasks leased per batch — also the graceful-drain bound: a
-    #: shutdown waits for at most one batch to finish.
+    #: Max tasks leased per batch.  A shutdown never waits for the
+    #: whole batch: it ends after the next outcome and the rest of the
+    #: leases are released.
     batch_size: int = 16
     #: How long a lease protects a claimed task.  Must comfortably
     #: exceed one trial's wall time; heartbeats extend it while the
@@ -72,6 +75,10 @@ class ExecutorConfig:
     max_attempts: int = 3
     #: First retry delay; doubles per subsequent attempt.
     backoff_seconds: float = 2.0
+
+
+class _DrainStopped(Exception):
+    """Raised out of the batch by the outcome hook on a graceful stop."""
 
 
 class QueueExecutor:
@@ -113,8 +120,8 @@ class QueueExecutor:
         self,
         task: QueueTask,
         topo_cache: Dict[Tuple[str, int], Any],
-    ) -> Tuple[Any, Any, Dict[str, Any]]:
-        """Rebuild (topology, spec, fingerprint) from a queue payload.
+    ) -> PlannedTrial:
+        """Rebuild the trial a queue payload describes.
 
         Raises ``ValueError`` when the recomputed content hash differs
         from the queued key — the one failure the retry loop must treat
@@ -135,7 +142,7 @@ class QueueExecutor:
                 f"payload rebuilds to hash {key[:12]}..., queued as "
                 f"{task.key[:12]}... (code/schema drift?)"
             )
-        return topology, spec, spec_fingerprint(spec, topology, seed)
+        return PlannedTrial(topology, spec, seed, key)
 
     # ------------------------------------------------------------------
     # Drain
@@ -148,7 +155,9 @@ class QueueExecutor:
         Zero means the queue had nothing runnable.  Results are banked
         (and tasks completed/failed) one by one as they stream back, so
         a crash mid-batch loses only in-flight trials — and even those
-        only until the lease expires.
+        only until the lease expires.  When ``stop`` is set the batch
+        ends after the outcome being settled and the tasks not yet
+        settled go straight back to pending.
         """
         cfg = self.config
         batch = self.backend.lease_tasks(
@@ -158,75 +167,55 @@ class QueueExecutor:
             return 0
         self.batches += 1
         topo_cache: Dict[Tuple[str, int], Any] = {}
-        by_id: Dict[int, Tuple[QueueTask, Any, Any, Dict[str, Any]]] = {}
-        trial_tasks: List[TrialTask] = []
-        obs_config = (
-            self.obs.worker_args() if self.obs is not None else None
-        )
+        leased: List[QueueTask] = []
+        planned: List[PlannedTrial] = []
         for task in batch:
             try:
-                topology, spec, fingerprint = self._materialize(
-                    task, topo_cache
-                )
+                planned.append(self._materialize(task, topo_cache))
             except Exception as exc:  # noqa: BLE001 - permanent failure
                 self.backend.fail_task(
                     task.id, f"materialize: {type(exc).__name__}: {exc}"
                 )
                 self.failed_terminal += 1
-                continue
-            by_id[task.id] = (task, topology, spec, fingerprint)
-            trial_tasks.append(
-                TrialTask(
-                    index=task.id,
-                    topology=topology,
-                    spec=spec,
-                    seed=int(task.payload["seed"]),
-                    obs_config=obs_config,
-                )
-            )
-        if not trial_tasks:
+            else:
+                leased.append(task)
+        if not planned:
             return len(batch)
 
-        total_hint = self._total_hint(len(trial_tasks))
-        outstanding = set(by_id)
+        total_hint = self._total_hint(len(planned))
+        outstanding = {task.id for task in leased}
         last_beat = time.monotonic()
         beat_every = max(1.0, cfg.lease_seconds / 3.0)
 
-        def beat() -> None:
+        def settle(outcome: BatchOutcome) -> None:
             nonlocal last_beat
+            task = leased[outcome.index]
+            self._settle(task, outcome, total_hint)
+            outstanding.discard(task.id)
+            if not outstanding:
+                return
+            if stop is not None and stop.is_set():
+                raise _DrainStopped
             now = time.monotonic()
-            if outstanding and now - last_beat >= beat_every:
+            if now - last_beat >= beat_every:
                 self.backend.heartbeat_tasks(
                     cfg.owner, outstanding, cfg.lease_seconds
                 )
                 last_beat = now
 
-        if cfg.jobs > 1 and len(trial_tasks) > 1:
-            outcomes = get_worker_pool().run_guarded(
-                trial_tasks, jobs=cfg.jobs
+        try:
+            run_batch(
+                planned,
+                jobs=cfg.jobs,
+                store=self.backend,
+                obs=self.obs,
+                on_outcome=settle,
             )
-            for index, trial, payload, error in outcomes:
-                self._settle(
-                    by_id[index], trial, payload, error, total_hint
-                )
-                outstanding.discard(index)
-                beat()
-        else:
-            for trial_task in trial_tasks:
-                if stop is not None and stop.is_set():
-                    # Graceful drain: hand unexecuted tasks straight
-                    # back instead of making the next claimant wait out
-                    # our lease.
-                    released = self.backend.release_tasks(
-                        cfg.owner, outstanding
-                    )
-                    return len(batch) - released
-                index, trial, payload, error = _guarded(trial_task)
-                self._settle(
-                    by_id[index], trial, payload, error, total_hint
-                )
-                outstanding.discard(index)
-                beat()
+        except _DrainStopped:
+            # Graceful drain: hand unexecuted tasks straight back
+            # instead of making the next claimant wait out our lease.
+            released = self.backend.release_tasks(cfg.owner, outstanding)
+            return len(batch) - released
         return len(batch)
 
     def drain(
@@ -263,45 +252,33 @@ class QueueExecutor:
         return done_so_far + batch_len + counts.get("pending", 0)
 
     def _settle(
-        self,
-        entry: Tuple[QueueTask, Any, Any, Dict[str, Any]],
-        trial: Optional[Any],
-        payload: Optional[Dict[str, Any]],
-        error: Optional[str],
-        total_hint: int,
+        self, task: QueueTask, outcome: BatchOutcome, total_hint: int
     ) -> None:
-        """Bank one streamed outcome and advance the queue row."""
-        task, _topology, _spec, fingerprint = entry
+        """Advance the queue row of one settled (already banked) trial."""
         cfg = self.config
-        if error is not None:
+        if outcome.error is not None:
             attempts_after = task.attempts + 1
             if attempts_after >= cfg.max_attempts:
-                self.backend.fail_task(task.id, error)
+                self.backend.fail_task(task.id, outcome.error)
                 self.failed_terminal += 1
             else:
                 delay = cfg.backoff_seconds * (2 ** task.attempts)
                 self.backend.fail_task(
-                    task.id, error, retry_at=time.time() + delay
+                    task.id, outcome.error, retry_at=time.time() + delay
                 )
                 self.retried += 1
             self.failed_attempts += 1
         else:
-            # Parent-side write, durable the moment the trial lands —
-            # then the queue row flips, so a crash between the two
-            # re-runs a banked trial (idempotent) rather than losing one.
-            self.backend.put(task.key, trial, fingerprint=fingerprint)
+            # The trial was banked before this hook ran; the queue row
+            # flips second, so a crash between the two leaves a banked
+            # trial behind a live lease — the next claimant's lookup
+            # finds it and only completes the row.
             self.backend.complete_task(task.id)
-            if payload is not None and self.obs is not None:
-                try:
-                    self.obs.absorb(payload)
-                except Exception:  # noqa: BLE001 - telemetry only
-                    pass
-            if self.obs is not None:
-                self.obs.note_cache(False)
-            self.executed += 1
-            self.busy_seconds += (
-                trial.warmup_wall + trial.convergence_wall
-            )
+            if not outcome.cached:
+                self.executed += 1
+                self.busy_seconds += (
+                    outcome.trial.warmup_wall + outcome.trial.convergence_wall
+                )
         if self.monitor is not None:
             self.monitor(
                 Progress(
@@ -326,16 +303,3 @@ class QueueExecutor:
             "busy_seconds": round(self.busy_seconds, 3),
             "batches": self.batches,
         }
-
-
-def _guarded(
-    task: TrialTask,
-) -> Tuple[int, Optional[Any], Optional[Dict[str, Any]], Optional[str]]:
-    """Serial one-task execution with the pool's guarded contract."""
-    from repro.core.parallel import execute_trial
-
-    try:
-        index, trial, payload = execute_trial(task)
-        return index, trial, payload, None
-    except Exception as exc:  # noqa: BLE001 - reported to the retry loop
-        return task.index, None, None, f"{type(exc).__name__}: {exc}"

@@ -30,7 +30,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -39,20 +38,14 @@ from typing import (
 )
 
 from repro.bgp.mrai import ConstantMRAI
+from repro.core.batch import PlannedTrial, run_batch
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
-    Progress,
     ProgressFn,
     TrialResult,
 )
-from repro.core.parallel import (
-    TrialTask,
-    derive_trial_seeds,
-    execute_trial,
-    get_default_jobs,
-    get_worker_pool,
-)
+from repro.core.parallel import derive_trial_seeds, get_default_jobs
 from repro.core.sweep import Series
 from repro.obs.live import default_progress
 from repro.obs.session import ObsSession, active_session
@@ -66,7 +59,7 @@ from repro.specs.topology import (
     DISTRIBUTIONS,
     topology_factory as resolve_topology_block,
 )
-from repro.store.hashing import spec_fingerprint, spec_hash
+from repro.store.hashing import spec_hash
 from repro.store.result_store import ResultStore, git_revision
 from repro.topology.graph import Topology
 
@@ -415,22 +408,6 @@ def campaign_status(
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-def _guarded_execute(
-    task: TrialTask,
-) -> Tuple[int, Optional[TrialResult], Optional[Dict[str, Any]], Optional[str]]:
-    """Worker entry point that reports failures instead of raising.
-
-    The campaign runner retries individual trials, so one dead trial
-    must not poison the pool the way
-    :class:`~repro.core.parallel.ProcessExecutor`'s fail-fast does.
-    """
-    try:
-        index, trial, payload = execute_trial(task)
-        return index, trial, payload, None
-    except Exception as exc:  # noqa: BLE001 - reported to the retry loop
-        return task.index, None, None, f"{type(exc).__name__}: {exc}"
-
-
 @dataclass
 class CampaignResult:
     """Everything one campaign run produced (cached + fresh, folded)."""
@@ -442,7 +419,6 @@ class CampaignResult:
     cache_misses: int
     executed: int
     retried: int
-    failed: int = 0
     wall_seconds: float = 0.0
 
     @property
@@ -485,15 +461,21 @@ def run_campaign(
     sweep's.  The run is recorded as a manifest row in the store, and
     ``obs`` (or the active session) gets cache hit/miss counters.
     """
-    own_store = store is None
-    if own_store:
+    if store is None:
         if campaign.store_path is None:
             raise ValueError(
                 "campaign has no store path; pass store= or set 'store' "
                 "in the campaign definition"
             )
-        store = ResultStore(campaign.store_path)
-    assert store is not None
+        with ResultStore(campaign.store_path) as own_store:
+            return run_campaign(
+                campaign,
+                own_store,
+                jobs=jobs,
+                retry=retry,
+                progress=progress,
+                obs=obs,
+            )
     if obs is None:
         obs = active_session()
     if jobs is None:
@@ -501,178 +483,68 @@ def run_campaign(
     if progress is None:
         progress = default_progress()
     start = time.perf_counter()
-    campaign_span = span(
+    with span(
         "campaign.run",
         campaign=campaign.name,
         trials=campaign.total_trials,
         jobs=jobs,
-    )
-    try:
-        campaign_span.__enter__()
+    ):
         keyed = _campaign_keys(campaign)
         total = len(keyed)
-        results: Dict[int, TrialResult] = {}
-        key_by_ordinal: Dict[int, str] = {}
-        fingerprints: Dict[int, Dict[str, Any]] = {}
-        pending: List[Tuple[CampaignTask, str, Topology]] = []
-        for task, key, topology in keyed:
-            key_by_ordinal[task.ordinal] = key
-            cached = store.get(key)
-            if cached is not None:
-                results[task.ordinal] = cached
-                if obs is not None:
-                    obs.note_cache(True)
-            else:
-                fingerprints[task.ordinal] = spec_fingerprint(
-                    task.spec, topology, task.seed
-                )
-                pending.append((task, key, topology))
-        hits = len(results)
-        done_count = hits
-        busy = 0.0
-        failed_now = 0
-        if progress is not None and hits:
-            progress(
-                Progress(
-                    done=done_count,
-                    total=total,
-                    elapsed=time.perf_counter() - start,
-                    label=f"{campaign.name} (cached)",
-                )
-            )
-
-        obs_config = obs.worker_args() if obs is not None else None
-        executed = 0
-        retried = 0
-        payloads: Dict[int, Dict[str, Any]] = {}
-        attempt = 1
-        failures: List[Tuple[CampaignTask, str, Topology, str]] = []
-        while pending:
-            failures = []
-            failed_now = 0
-            trial_tasks = [
-                TrialTask(
-                    index=task.ordinal,
-                    topology=topology,
-                    spec=task.spec,
-                    seed=task.seed,
-                    obs_config=obs_config,
-                )
-                for task, _key, topology in pending
-            ]
-            by_ordinal = {
-                task.ordinal: (task, key, topology)
-                for task, key, topology in pending
-            }
-            with span(
-                "campaign.attempt", attempt=attempt, tasks=len(pending)
-            ):
-                for ordinal, trial, payload, error in _run_batch(
-                    trial_tasks, jobs
-                ):
-                    task, key, topology = by_ordinal[ordinal]
-                    if error is not None:
-                        failures.append((task, key, topology, error))
-                        failed_now += 1
-                        if progress is not None:
-                            progress(
-                                Progress(
-                                    done=done_count,
-                                    total=total,
-                                    elapsed=time.perf_counter() - start,
-                                    label=campaign.name,
-                                    busy_seconds=busy,
-                                    failed=failed_now,
-                                )
-                            )
-                        continue
-                    assert trial is not None
-                    # Parent-side write, durable the moment the trial lands.
-                    store.put(key, trial, fingerprint=fingerprints[ordinal])
-                    results[ordinal] = trial
-                    if payload is not None:
-                        payloads[ordinal] = payload
-                    if obs is not None:
-                        obs.note_cache(False)
-                    executed += 1
-                    done_count += 1
-                    busy += trial.warmup_wall + trial.convergence_wall
-                    if progress is not None:
-                        progress(
-                            Progress(
-                                done=done_count,
-                                total=total,
-                                elapsed=time.perf_counter() - start,
-                                label=campaign.name,
-                                busy_seconds=busy,
-                                failed=failed_now,
-                            )
-                        )
-            if not failures:
-                break
-            if attempt >= retry.max_attempts:
-                # Record the failure manifest *before* raising so
-                # `campaign status --check` can attribute the gap to
-                # specific cells (cleared automatically once a retry
-                # lands the trials in the store).
-                store.record_campaign(
-                    campaign.name,
-                    {
-                        "campaign": campaign.to_dict(),
-                        "total_trials": total,
-                        "cache_hits": hits,
-                        "executed": executed,
-                        "retried": retried,
-                        "jobs": jobs,
-                        "wall_seconds": round(
-                            time.perf_counter() - start, 3
-                        ),
-                        "failures": [
-                            {
-                                "label": t.label,
-                                "x": t.x,
-                                "seed": t.seed,
-                                "error": err,
-                            }
-                            for t, _k, _topo, err in failures
-                        ],
-                    },
-                )
-                raise CampaignError(
-                    f"{len(failures)} trial(s) failed after "
-                    f"{retry.max_attempts} attempt(s): "
-                    + "; ".join(
-                        f"{t.label}/x={t.x:g}/seed={t.seed}: {err}"
-                        for t, _k, _topo, err in failures[:5]
-                    ),
-                    [(t, err) for t, _k, _topo, err in failures],
-                )
-            attempt += 1
-            retried += len(failures)
-            pending = [
-                (task, key, topology)
-                for task, key, topology, _err in failures
-            ]
-
-        # Absorb worker observability in ordinal (fold) order.
-        if obs is not None:
-            with span("obs.absorb", payloads=len(payloads)):
-                for ordinal in sorted(payloads):
-                    obs.absorb(payloads[ordinal])
-
-        with span("campaign.fold", trials=total):
-            series_list, point_results = _fold(campaign, results)
-        wall = time.perf_counter() - start
+        batch = run_batch(
+            [
+                PlannedTrial(topology, task.spec, task.seed, key)
+                for task, key, topology in keyed
+            ],
+            jobs=jobs,
+            store=store,
+            obs=obs,
+            max_attempts=retry.max_attempts,
+            progress=progress,
+            label=campaign.name,
+            attempt_span="campaign.attempt",
+        )
         manifest = {
             "campaign": campaign.to_dict(),
             "total_trials": total,
-            "cache_hits": hits,
-            "executed": executed,
-            "retried": retried,
+            "cache_hits": batch.hits,
+            "executed": batch.executed,
+            "retried": batch.retried,
             "jobs": jobs,
-            "wall_seconds": round(wall, 3),
-            "schema_git_rev": git_revision(),
         }
+        if batch.failures:
+            # Record the failure manifest *before* raising so
+            # `campaign status --check` can attribute the gap to
+            # specific cells (cleared automatically once a retry lands
+            # the trials in the store).
+            failures = [
+                (keyed[index][0], error)
+                for index, error in batch.failures.items()
+            ]
+            manifest.update(
+                wall_seconds=round(time.perf_counter() - start, 3),
+                failures=[
+                    {"label": t.label, "x": t.x, "seed": t.seed, "error": err}
+                    for t, err in failures
+                ],
+            )
+            store.record_campaign(campaign.name, manifest)
+            raise CampaignError(
+                f"{len(failures)} trial(s) failed after "
+                f"{retry.max_attempts} attempt(s): "
+                + "; ".join(
+                    f"{t.label}/x={t.x:g}/seed={t.seed}: {err}"
+                    for t, err in failures[:5]
+                ),
+                failures,
+            )
+
+        with span("campaign.fold", trials=total):
+            series_list, point_results = _fold(campaign, batch.trials)
+        wall = time.perf_counter() - start
+        manifest.update(
+            wall_seconds=round(wall, 3), schema_git_rev=git_revision()
+        )
         store.record_campaign(campaign.name, manifest)
         if obs is not None:
             obs.note_campaign(campaign.name, manifest)
@@ -680,46 +552,19 @@ def run_campaign(
             campaign=campaign,
             series=series_list,
             results=point_results,
-            cache_hits=hits,
-            cache_misses=executed,
-            executed=executed,
-            retried=retried,
+            cache_hits=batch.hits,
+            cache_misses=total - batch.hits,
+            executed=batch.executed,
+            retried=batch.retried,
             wall_seconds=wall,
         )
-    finally:
-        campaign_span.__exit__(None, None, None)
-        if own_store:
-            store.close()
-
-
-def _run_batch(
-    tasks: List[TrialTask], jobs: int
-) -> Iterator[
-    Tuple[int, Optional[TrialResult], Optional[Dict[str, Any]], Optional[str]]
-]:
-    """One attempt over a task batch; failures yielded, never raised.
-
-    Outcomes stream back as each trial completes — the caller commits
-    them to the store one by one, so an interrupt anywhere in the batch
-    loses only the trials still in flight, never finished ones.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield _guarded_execute(task)
-        return
-    # The persistent warm pool: workers (and their topology caches)
-    # survive across batches and retry rounds, and campaigns group
-    # trials by grid cell, so after the first batch nearly every chunk
-    # lands on a worker that already holds its topology.  Trial failures
-    # and worker deaths come back as error outcomes, which is exactly
-    # the contract the retry loop wants.
-    yield from get_worker_pool().run_guarded(tasks, jobs=jobs)
 
 
 def _fold(
-    campaign: Campaign, results: Dict[int, TrialResult]
+    campaign: Campaign, results: Sequence[TrialResult]
 ) -> Tuple[List[Series], Dict[Tuple[str, float], ExperimentResult]]:
-    """Seed-order fold into per-point results and per-scheme series."""
+    """Seed-order fold of the grid's trials (indexed by task ordinal)
+    into per-point results and per-scheme series."""
     point_results: Dict[Tuple[str, float], ExperimentResult] = {}
     for task in campaign.tasks():
         point = point_results.get((task.label, task.x))
@@ -747,14 +592,14 @@ def load_campaign_results(
     grid is missing — ``export`` must never silently average over a
     partial seed set.
     """
-    results: Dict[int, TrialResult] = {}
+    results: List[TrialResult] = []
     missing: List[CampaignTask] = []
     for task, key, _topology in _campaign_keys(campaign):
         row = store.get(key)
         if row is None:
             missing.append(task)
         else:
-            results[task.ordinal] = row
+            results.append(row)
     if missing:
         raise CampaignError(
             f"campaign {campaign.name} is incomplete: "

@@ -10,16 +10,17 @@ import multiprocessing
 import pytest
 
 from repro.bgp.mrai import ConstantMRAI
-from repro.core.experiment import ExperimentSpec, run_trials
+from repro.core.experiment import (
+    ExperimentResult,
+    ExperimentSpec,
+    run_trials,
+)
 from repro.core.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
     TrialExecutionError,
     TrialTask,
     WorkerPool,
     derive_trial_seeds,
     get_default_jobs,
-    make_executor,
     parallel_jobs,
 )
 from repro.core.sweep import failure_size_sweep
@@ -35,6 +36,25 @@ def factory(seed):
 
 def spec_05():
     return ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
+
+
+def pool_trials(pool, spec, jobs=2, **kwargs):
+    """One trial per SEEDS entry on a private pool, folded in seed order.
+
+    Returns ``(ExperimentResult, lifetime-counter deltas of this run)``.
+    """
+    tasks = [
+        TrialTask(index=i, topology=factory(seed), spec=spec, seed=seed)
+        for i, seed in enumerate(SEEDS)
+    ]
+    before = pool.stats_snapshot()
+    outcomes = sorted(pool.run_guarded(tasks, jobs=jobs, **kwargs))
+    after = pool.stats_snapshot()
+    assert [error for *_, error in outcomes] == [None] * len(SEEDS)
+    result = ExperimentResult(spec=spec)
+    for _index, trial, _payload, _error in outcomes:
+        result.add(trial)
+    return result, {key: after[key] - before[key] for key in before}
 
 
 def result_signature(result):
@@ -61,13 +81,6 @@ def test_parallel_matches_serial_bitwise():
     assert serial.mean_delay == parallel.mean_delay
     assert serial.mean_messages == parallel.mean_messages
     assert result_signature(serial) == result_signature(parallel)
-
-
-def test_serial_executor_matches_inline():
-    spec = spec_05()
-    inline = run_trials(factory, spec, SEEDS)
-    explicit = run_trials(factory, spec, SEEDS, executor=SerialExecutor())
-    assert result_signature(inline) == result_signature(explicit)
 
 
 def test_sweep_parallel_identical():
@@ -103,7 +116,7 @@ def test_derive_trial_seeds_depend_on_master():
 # ----------------------------------------------------------------------
 def test_worker_failure_surfaces():
     # An impossibly small warm-up budget makes every trial raise inside
-    # the worker; the executor must surface which trial and why.
+    # the worker; run_trials must surface which trial and why.
     spec = spec_05().with_(max_warmup_time=1e-6)
     with pytest.raises(TrialExecutionError) as exc_info:
         run_trials(factory, spec, (7, 8), jobs=2)
@@ -113,8 +126,9 @@ def test_worker_failure_surfaces():
 
 def test_serial_failure_surfaces_too():
     spec = spec_05().with_(max_warmup_time=1e-6)
-    with pytest.raises(TrialExecutionError):
-        run_trials(factory, spec, (7,), executor=SerialExecutor())
+    with pytest.raises(TrialExecutionError) as exc_info:
+        run_trials(factory, spec, (7,), jobs=1)
+    assert exc_info.value.seed == 7
 
 
 # ----------------------------------------------------------------------
@@ -134,13 +148,6 @@ def test_parallel_jobs_context_scopes_default():
     with parallel_jobs(3):
         assert get_default_jobs() == 3
     assert get_default_jobs() == 1
-
-
-def test_make_executor_backends():
-    assert isinstance(make_executor(1), SerialExecutor)
-    assert make_executor(4).jobs == 4
-    with pytest.raises(ValueError):
-        make_executor(0)
 
 
 # ----------------------------------------------------------------------
@@ -178,14 +185,9 @@ def test_obs_aggregation_roundtrip():
     )
     assert parallel_obs.last_exploration == serial_obs.last_exploration
 
-    # Metrics: counters and gauges are exact; histogram means can drift
-    # by float-summation order (serial folds observations one by one,
-    # parallel merges per-trial sums), so compare approximately.
-    serial_snap = serial_obs.registry.snapshot()
-    parallel_snap = parallel_obs.registry.snapshot()
-    assert sorted(serial_snap) == sorted(parallel_snap)
-    for name, value in serial_snap.items():
-        assert parallel_snap[name] == pytest.approx(value, rel=1e-9), name
+    # Metrics: both runs merge the same per-trial sums in seed order,
+    # so counters, gauges and histogram means are all exact.
+    assert parallel_obs.registry.snapshot() == serial_obs.registry.snapshot()
 
     # Profiler: identical event counts per run (wall time differs).
     assert (
@@ -210,28 +212,25 @@ def test_unobserved_parallel_run_has_no_payload_cost():
 # The persistent warm worker pool
 # ----------------------------------------------------------------------
 def test_warm_pool_reuse_bitwise_across_runs():
-    # Two consecutive run_trials calls against the same pool: the
-    # second must reuse every worker (no respawn, no spin-up) and both
-    # must match the serial baseline bit for bit.
+    # Two consecutive runs against the same pool: the second must reuse
+    # every worker (no respawn, no spin-up) and both must match the
+    # serial baseline bit for bit.
     spec = spec_05()
     serial = run_trials(factory, spec, SEEDS, jobs=1)
     pool = WorkerPool()
     try:
-        executor = ProcessExecutor(2, pool=pool)
-        first = run_trials(factory, spec, SEEDS, executor=executor)
-        stats1 = executor.last_stats
-        assert stats1.workers_spawned == 2
-        assert stats1.workers_reused == 0
-        second = run_trials(factory, spec, SEEDS, executor=executor)
-        stats2 = executor.last_stats
-        assert stats2.workers_spawned == 0
-        assert stats2.workers_reused == 2
-        assert stats2.spinup_seconds == 0.0
+        first, stats1 = pool_trials(pool, spec)
+        assert stats1["workers_spawned"] == 2
+        assert stats1["workers_reused"] == 0
+        second, stats2 = pool_trials(pool, spec)
+        assert stats2["workers_spawned"] == 0
+        assert stats2["workers_reused"] == 2
+        assert stats2["spinup_seconds"] == 0.0
         # The warm pool already holds every topology: all cache hits,
         # nothing re-shipped.
-        assert stats2.cache_hits == len(SEEDS)
-        assert stats2.cache_misses == 0
-        assert stats2.shipped_topologies == 0
+        assert stats2["cache_hits"] == len(SEEDS)
+        assert stats2["cache_misses"] == 0
+        assert stats2["shipped_topologies"] == 0
         assert result_signature(first) == result_signature(serial)
         assert result_signature(second) == result_signature(serial)
     finally:
@@ -250,8 +249,7 @@ def test_fork_and_spawn_start_methods_identical():
     for method in methods:
         pool = WorkerPool(start_method=method)
         try:
-            executor = ProcessExecutor(2, pool=pool)
-            result = run_trials(factory, spec, SEEDS, executor=executor)
+            result, _stats = pool_trials(pool, spec)
             assert result_signature(result) == result_signature(
                 serial
             ), method
@@ -267,17 +265,15 @@ def test_topology_cache_eviction_on_digest_change():
     serial = run_trials(factory, spec, SEEDS, jobs=1)
     pool = WorkerPool(start_method="spawn", cache_capacity=1)
     try:
-        executor = ProcessExecutor(2, pool=pool)
-        result = run_trials(factory, spec, SEEDS, executor=executor)
-        stats = executor.last_stats
+        result, stats = pool_trials(pool, spec)
         assert result_signature(result) == result_signature(serial)
-        assert stats.unique_topologies == len(SEEDS)
-        assert stats.cache_misses == len(SEEDS)  # each shipped once
-        assert stats.evictions >= 1  # capacity 1 cannot hold two
+        assert stats["shipped_topologies"] == len(SEEDS)  # all distinct
+        assert stats["cache_misses"] == len(SEEDS)  # each shipped once
+        assert stats["evictions"] >= 1  # capacity 1 cannot hold two
         # Re-running re-ships whatever was evicted; the parent's mirror
         # of each worker cache must stay exact (a divergence would
         # surface as a "worker lost topology" trial error).
-        again = run_trials(factory, spec, SEEDS, executor=executor)
+        again, _stats = pool_trials(pool, spec)
         assert result_signature(again) == result_signature(serial)
     finally:
         pool.close()
@@ -285,8 +281,9 @@ def test_topology_cache_eviction_on_digest_change():
 
 def test_midchunk_failure_surfaces_trial_execution_error():
     # All three trials ride ONE chunk (chunk_size=3, same topology);
-    # the poisoned middle trial must surface as TrialExecutionError
-    # with its index and seed, even though the chunk started fine.
+    # the poisoned middle trial must surface as an error on its own
+    # index, even though the chunk started fine, and its chunk-mates
+    # must still complete.
     topology = factory(1)
     good = spec_05()
     poisoned = good.with_(max_warmup_time=1e-6)
@@ -297,18 +294,27 @@ def test_midchunk_failure_surfaces_trial_execution_error():
     ]
     pool = WorkerPool()
     try:
-        executor = ProcessExecutor(2, pool=pool, chunk_size=3)
-        with pytest.raises(TrialExecutionError) as exc_info:
-            executor.run(tasks)
-        assert exc_info.value.index == 1
-        assert exc_info.value.seed == 12
+        before = pool.stats_snapshot()
+        outcomes = sorted(pool.run_guarded(tasks, jobs=2, chunk_size=3))
+        assert pool.stats_snapshot()["chunks"] - before["chunks"] == 1
+        assert [index for index, *_ in outcomes] == [0, 1, 2]
+        assert [error is None for *_, error in outcomes] == [
+            True,
+            False,
+            True,
+        ]
+        assert "RuntimeError" in outcomes[1][3]
         # The pool survives the failure: the next run works and reuses
         # the same workers.
-        outcomes = executor.run(
-            [TrialTask(index=0, topology=topology, spec=good, seed=11)]
+        spawned = pool.stats_snapshot()["workers_spawned"]
+        outcomes = list(
+            pool.run_guarded(
+                [TrialTask(index=0, topology=topology, spec=good, seed=11)],
+                jobs=2,
+            )
         )
-        assert len(outcomes) == 1
-        assert executor.last_stats.workers_spawned == 0
+        assert len(outcomes) == 1 and outcomes[0][3] is None
+        assert pool.stats_snapshot()["workers_spawned"] == spawned
     finally:
         pool.close()
 

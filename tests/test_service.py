@@ -11,6 +11,7 @@ fold, then a warm resubmit answered entirely from the store.
 
 import json
 import sqlite3
+import threading
 
 import pytest
 
@@ -231,20 +232,60 @@ def test_executor_banks_bit_identical_to_run_trials(store):
     )
 
 
+def test_executor_completes_an_already_banked_task_without_rerunning(
+    store, monkeypatch
+):
+    import repro.core.batch as batch_mod
+
+    campaign = small_campaign(seeds=[1])
+    receipt = plan_submission(campaign, store)
+    # Another drainer banked the trial and died before flipping the row.
+    [(task, key, _topology)] = campaign_keys(campaign)
+    banked = run_trials(
+        campaign.topology_factory(), task.spec, [task.seed]
+    ).trials[0]
+    store.put(key, banked)
+
+    def must_not_run(task):
+        raise AssertionError("a banked trial was executed again")
+
+    monkeypatch.setattr(batch_mod, "execute_trial", must_not_run)
+    executor = QueueExecutor(store, ExecutorConfig(jobs=1, batch_size=8))
+    drain_fully(executor)
+    assert executor.executed == 0 and executor.failed_attempts == 0
+    assert ticket_status(receipt.ticket, store)["state"] == "done"
+
+
+def test_drain_once_stops_after_the_current_outcome_and_releases_the_rest(
+    store,
+):
+    plan_submission(small_campaign(seeds=[1, 2, 3]), store)
+    stop = threading.Event()
+    executor = QueueExecutor(
+        store,
+        ExecutorConfig(jobs=1, batch_size=8),
+        monitor=lambda tick: stop.set(),  # ticks once per settled trial
+    )
+    assert executor.drain_once(stop=stop) == 1
+    assert executor.executed == 1
+    counts = store.queue_counts()
+    assert (counts["done"], counts["pending"], counts["running"]) == (1, 2, 0)
+
+
 def test_executor_retries_with_backoff_then_succeeds(store, monkeypatch):
-    import repro.service.executor as executor_mod
+    import repro.core.batch as batch_mod
 
     receipt = plan_submission(small_campaign(), store)
-    real = executor_mod._guarded
+    real = batch_mod.execute_trial
     calls = {"n": 0}
 
     def flaky(task):
         calls["n"] += 1
         if calls["n"] == 1:
-            return task.index, None, None, "RuntimeError: injected"
+            raise RuntimeError("injected")
         return real(task)
 
-    monkeypatch.setattr(executor_mod, "_guarded", flaky)
+    monkeypatch.setattr(batch_mod, "execute_trial", flaky)
     executor = QueueExecutor(
         store,
         ExecutorConfig(
@@ -260,16 +301,16 @@ def test_executor_retries_with_backoff_then_succeeds(store, monkeypatch):
 
 
 def test_executor_parks_task_after_max_attempts(store, monkeypatch):
-    import repro.service.executor as executor_mod
+    import repro.core.batch as batch_mod
 
     receipt = plan_submission(
         small_campaign(), store
     )
 
     def always_fails(task):
-        return task.index, None, None, "RuntimeError: injected"
+        raise RuntimeError("injected")
 
-    monkeypatch.setattr(executor_mod, "_guarded", always_fails)
+    monkeypatch.setattr(batch_mod, "execute_trial", always_fails)
     executor = QueueExecutor(
         store,
         ExecutorConfig(

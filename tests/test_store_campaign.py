@@ -6,11 +6,13 @@ plain uncached sweep; worker failures retry per-trial instead of
 aborting siblings; and export refuses partial grids.
 """
 
+import os
 import sqlite3
 
 import pytest
 
-import repro.store.campaign as campaign_mod
+import repro.core.batch as batch_mod
+import repro.core.parallel as parallel_mod
 from repro.bgp.mrai import ConstantMRAI
 from repro.core.experiment import ExperimentSpec
 from repro.core.sweep import failure_size_sweep
@@ -229,7 +231,7 @@ def test_obs_session_sees_campaign(store):
 def flaky_executor(fail_times):
     """Wrap execute_trial to fail each trial's first ``fail_times`` calls."""
     calls = {}
-    real = campaign_mod.execute_trial
+    real = batch_mod.execute_trial
 
     def wrapped(task):
         n = calls.get(task.index, 0)
@@ -248,7 +250,7 @@ def test_worker_failures_retry_until_success(store, monkeypatch):
         seeds=[1, 2],
     )
     monkeypatch.setattr(
-        campaign_mod, "execute_trial", flaky_executor(fail_times=1)
+        batch_mod, "execute_trial", flaky_executor(fail_times=1)
     )
     result = run_campaign(campaign, store, retry=RetryPolicy(max_attempts=3))
     assert result.executed == 2
@@ -263,7 +265,7 @@ def test_exhausted_retries_raise_campaign_error(store, monkeypatch):
         seeds=[1, 2],
     )
     monkeypatch.setattr(
-        campaign_mod, "execute_trial", flaky_executor(fail_times=99)
+        batch_mod, "execute_trial", flaky_executor(fail_times=99)
     )
     with pytest.raises(CampaignError, match="failed after 2 attempt"):
         run_campaign(campaign, store, retry=RetryPolicy(max_attempts=2))
@@ -276,21 +278,21 @@ def test_partial_failure_stores_the_successes(store, monkeypatch):
         axis={"name": "failure_fraction", "values": [0.1]},
         seeds=[1, 2],
     )
-    real = campaign_mod.execute_trial
+    real = batch_mod.execute_trial
 
     def second_trial_dies(task):
         if task.index == 1:
             raise RuntimeError("injected permanent failure")
         return real(task)
 
-    monkeypatch.setattr(campaign_mod, "execute_trial", second_trial_dies)
+    monkeypatch.setattr(batch_mod, "execute_trial", second_trial_dies)
     with pytest.raises(CampaignError) as excinfo:
         run_campaign(campaign, store, retry=RetryPolicy(max_attempts=2))
     # The healthy sibling was committed before the error surfaced ...
     assert len(store) == 1
     assert len(excinfo.value.failures) == 1
     # ... so the re-run (healed) is incremental.
-    monkeypatch.setattr(campaign_mod, "execute_trial", real)
+    monkeypatch.setattr(batch_mod, "execute_trial", real)
     healed = run_campaign(campaign, store)
     assert healed.executed == 1 and healed.cache_hits == 1
 
@@ -305,21 +307,67 @@ def test_trials_commit_as_they_land_not_at_batch_end(store, monkeypatch):
         axis={"name": "failure_fraction", "values": [0.1]},
         seeds=[1, 2, 3],
     )
-    real = campaign_mod.execute_trial
+    real = batch_mod.execute_trial
 
     def interrupt_third(task):
         if task.index == 2:
             raise KeyboardInterrupt
         return real(task)
 
-    monkeypatch.setattr(campaign_mod, "execute_trial", interrupt_third)
+    monkeypatch.setattr(batch_mod, "execute_trial", interrupt_third)
     with pytest.raises(KeyboardInterrupt):
         run_campaign(campaign, store)
     assert len(store) == 2
 
-    monkeypatch.setattr(campaign_mod, "execute_trial", real)
+    monkeypatch.setattr(batch_mod, "execute_trial", real)
     resumed = run_campaign(campaign, store)
     assert resumed.executed == 1 and resumed.cache_hits == 2
+
+
+def test_worker_killing_trial_is_retried_in_a_worker_not_the_parent(
+    store, monkeypatch
+):
+    # A trial that takes its worker process down with it.  Its retry
+    # round is a one-trial batch; at jobs=2 that round too must run on
+    # the pool — in the parent, the second attempt would take the whole
+    # campaign (here: the test run) down instead of failing one trial.
+    if parallel_mod.default_start_method() != "fork":
+        pytest.skip("the patched execute_trial reaches workers by fork")
+    campaign = make_campaign(
+        schemes={"fifo-0.5": {"mrai": 0.5}},
+        axis={"name": "failure_fraction", "values": [0.1]},
+        seeds=[1, 2],
+    )
+    parent = os.getpid()
+    real = parallel_mod.execute_trial
+
+    def second_trial_kills_its_process(task):
+        if task.index == 1:
+            if os.getpid() == parent:
+                raise AssertionError("retried in the parent process")
+            os._exit(13)
+        return real(task)
+
+    # Workers forked from here on inherit the patched module.
+    parallel_mod.shutdown_worker_pool()
+    monkeypatch.setattr(
+        parallel_mod, "execute_trial", second_trial_kills_its_process
+    )
+    monkeypatch.setattr(
+        batch_mod, "execute_trial", second_trial_kills_its_process
+    )
+    try:
+        with pytest.raises(CampaignError) as excinfo:
+            run_campaign(
+                campaign, store, jobs=2, retry=RetryPolicy(max_attempts=2)
+            )
+    finally:
+        parallel_mod.shutdown_worker_pool()
+    [(task, error)] = excinfo.value.failures
+    assert (task.label, task.seed) == ("fifo-0.5", 2)
+    assert "worker process died" in error
+    assert "fifo-0.5/x=0.1/seed=2" in str(excinfo.value)
+    assert len(store) == 1  # the healthy sibling was banked
 
 
 # ----------------------------------------------------------------------
