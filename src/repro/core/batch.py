@@ -1,7 +1,9 @@
 """The one trial-batch pipeline: plan -> execute -> bank -> fold.
 
-Every number the paper reports is a mean over repeated trials, so every
-driver in this repo — :func:`repro.core.experiment.run_trials`,
+Every number the paper reports is a mean over repeated trials, and every
+figure is a grid of them — cells ``(label, x, spec)`` x seeds — so every
+driver in this repo — :func:`repro.core.experiment.run_trials`, the
+sweeps of :mod:`repro.core.sweep`,
 :func:`repro.store.campaign.run_campaign` and the service's
 :class:`repro.service.executor.QueueExecutor` — runs the same loop: look
 each planned trial up in the store, execute what is missing (failures
@@ -9,6 +11,11 @@ reported, never raised), bank every success from the parent the moment
 it lands, and hand worker observability back in plan order.  This module
 is that loop, once:
 
+* :func:`plan_grid` / :func:`fold_grid` — the single grid expansion
+  (one topology per seed, trials in (cell, seed) order) and the single
+  seed-order fold back into one ``ExperimentResult`` per cell;
+  :func:`run_grid` runs a whole grid as one batch with the sweep policy
+  (one attempt, fail fast);
 * :func:`run_tasks` — the single way to execute tasks: in this process
   through :func:`~repro.core.parallel.execute_trial` when ``jobs <= 1``,
   on the process-wide warm :class:`~repro.core.parallel.WorkerPool`
@@ -35,18 +42,31 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
-from repro.core.experiment import Progress, ProgressFn, TrialResult
+from repro.core.experiment import (
+    ExperimentResult,
+    ExperimentSpec,
+    Progress,
+    ProgressFn,
+    TrialResult,
+)
 from repro.core.parallel import (
     GuardedOutcome,
     PoolRunStats,
+    TrialExecutionError,
     TrialTask,
     execute_trial,
+    get_default_jobs,
     get_worker_pool,
 )
-from repro.obs.session import ObsSession
+from repro.obs.live import default_progress
+from repro.obs.session import ObsSession, active_session
 from repro.obs.spans import span
+
+#: One cell of a trial grid: (series label, swept value, point spec).
+GridCell = Tuple[str, float, ExperimentSpec]
 
 
 def run_tasks(
@@ -96,6 +116,56 @@ class PlannedTrial:
     spec: Any
     seed: int
     key: Optional[str] = None
+
+
+def plan_grid(
+    topology_factory: Callable[[int], Any],
+    cells: Sequence[GridCell],
+    seeds: Sequence[int],
+    *,
+    keyed: bool,
+) -> List[PlannedTrial]:
+    """Expand cells x seeds into planned trials, in (cell, seed) order.
+
+    Each seed's topology is built once, however many cells share it.
+    ``keyed`` computes the content keys; only a store-backed batch (or a
+    store lookup) reads them.
+    """
+    if keyed:
+        from repro.store.hashing import spec_hash
+    topologies = {}
+    for seed in seeds:
+        with span("topology.build", seed=seed):
+            topologies[seed] = topology_factory(seed)
+    return [
+        PlannedTrial(
+            topologies[seed],
+            spec,
+            seed,
+            spec_hash(spec, topologies[seed], seed) if keyed else None,
+        )
+        for _label, _x, spec in cells
+        for seed in seeds
+    ]
+
+
+def fold_grid(
+    cells: Sequence[GridCell],
+    seeds: Sequence[int],
+    trials: Sequence[TrialResult],
+) -> List[ExperimentResult]:
+    """Fold plan-ordered trials into one result per cell, in seed order.
+
+    Whatever order the trials completed in — and whether they came from
+    the store or a worker — each cell's accumulators see the same
+    sequence, so the folded results are bit-identical across ``jobs``
+    values and between cold and warm runs.
+    """
+    n = len(seeds)
+    return [
+        ExperimentResult(spec=spec, trials=list(trials[i * n : (i + 1) * n]))
+        for i, (_label, _x, spec) in enumerate(cells)
+    ]
 
 
 @dataclass(frozen=True)
@@ -258,3 +328,61 @@ def run_batch(
             for index in sorted(payloads):
                 obs.absorb(payloads[index])
     return result
+
+
+def run_grid(
+    topology_factory: Callable[[int], Any],
+    cells: Sequence[GridCell],
+    seeds: Sequence[int],
+    *,
+    progress: Optional[ProgressFn] = None,
+    obs: Optional[ObsSession] = None,
+    jobs: Optional[int] = None,
+    store: Optional[Any] = None,
+    label: str = "",
+) -> List[ExperimentResult]:
+    """Run every (cell, seed) trial as one batch; one result per cell.
+
+    This is ``run_trials`` and the sweeps: one attempt per trial, and the
+    first failure raises :class:`~repro.core.parallel.TrialExecutionError`
+    carrying the trial's plan position and seed.  ``progress``, ``obs``,
+    ``jobs`` and ``store`` fall back to the process-wide defaults
+    (``live_progress``, ``observe``, ``parallel_jobs``, ``use_store``), so
+    progress ticks count the whole grid and a ``jobs > 1`` grid is a
+    single pool run however many cells it has.
+    """
+    if obs is None:
+        obs = active_session()
+    if progress is None:
+        # The process-wide live monitor, if one is installed (this is
+        # how `sweep --progress` reaches sweeps inside the figures).
+        progress = default_progress()
+    if store is None:
+        from repro.store.result_store import default_store
+
+        store = default_store()
+    if jobs is None:
+        jobs = get_default_jobs()
+    total = len(cells) * len(seeds)
+    with span("trials.run", trials=total, jobs=jobs):
+        planned = plan_grid(
+            topology_factory, cells, seeds, keyed=store is not None
+        )
+
+        def fail_fast(outcome: BatchOutcome) -> None:
+            if outcome.error is not None:
+                raise TrialExecutionError(
+                    outcome.index, planned[outcome.index].seed, outcome.error
+                )
+
+        batch = run_batch(
+            planned,
+            jobs=jobs,
+            store=store,
+            obs=obs,
+            on_outcome=fail_fast,
+            progress=progress,
+            label=label,
+        )
+        with span("trials.fold", trials=total):
+            return fold_grid(cells, seeds, batch.trials)

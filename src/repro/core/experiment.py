@@ -31,7 +31,6 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.live import default_progress
 from repro.obs.session import ObsSession, active_session
 from repro.obs.spans import span
 
@@ -192,15 +191,15 @@ class ExperimentResult:
             attr: OnlineStats() for attr in _TRACKED_STATS
         }
         for trial in self.trials:
-            self._fold(trial)
+            self._accumulate(trial)
 
-    def _fold(self, trial: TrialResult) -> None:
+    def _accumulate(self, trial: TrialResult) -> None:
         for attr in _TRACKED_STATS:
             self._acc[attr].add(getattr(trial, attr))
 
     def add(self, trial: TrialResult) -> None:
         self.trials.append(trial)
-        self._fold(trial)
+        self._accumulate(trial)
 
     def merge(self, other: "ExperimentResult") -> "ExperimentResult":
         """A new result covering both trial sets (specs must match)."""
@@ -461,8 +460,8 @@ def run_trials(
     ``jobs > 1`` fans whole trials out over the warm worker pool (see
     :mod:`repro.core.parallel`); ``None`` uses the process-wide default
     installed by :func:`repro.core.parallel.parallel_jobs`.  Whatever the
-    value, every trial runs through the shared batch pipeline
-    (:func:`repro.core.batch.run_batch`) and results are folded in seed
+    value, this is the one-cell case of the shared grid pipeline
+    (:func:`repro.core.batch.run_grid`) and results are folded in seed
     order, so the returned :class:`ExperimentResult` is bit-identical
     across ``jobs`` values for the same seeds.  Observed runs give each
     trial its own worker-side session and ship its metrics, phase
@@ -483,50 +482,17 @@ def run_trials(
     fields), and cached trials contribute measurements but no new obs
     samples.
     """
-    from repro.core.batch import BatchOutcome, PlannedTrial, run_batch
-    from repro.core.parallel import TrialExecutionError, get_default_jobs
+    from repro.core.batch import run_grid
 
-    if obs is None:
-        obs = active_session()
-    if progress is None:
-        # The process-wide live monitor, if one is installed (this is
-        # how `sweep --progress` reaches sweeps inside the figures).
-        progress = default_progress()
-    if store is None:
-        from repro.store.result_store import default_store
-
-        store = default_store()
-    if store is not None:
-        from repro.store.hashing import spec_hash
-    if jobs is None:
-        jobs = get_default_jobs()
-
-    def fail_fast(outcome: BatchOutcome) -> None:
-        if outcome.error is not None:
-            raise TrialExecutionError(
-                outcome.index, seeds[outcome.index], outcome.error
-            )
-
-    with span("trials.run", trials=len(seeds), jobs=jobs):
-        planned = []
-        for seed in seeds:
-            with span("topology.build", seed=seed):
-                topology = topology_factory(seed)
-            key = spec_hash(spec, topology, seed) if store is not None else None
-            planned.append(PlannedTrial(topology, spec, seed, key))
-        batch = run_batch(
-            planned,
-            jobs=jobs,
-            store=store,
-            obs=obs,
-            on_outcome=fail_fast,
-            progress=progress,
-            label=spec.mrai.name,
-        )
-        # Fold in seed order, whatever order the trials completed in:
-        # the accumulators see the same sequence at every jobs value.
-        with span("trials.fold", trials=len(seeds)):
-            result = ExperimentResult(spec=spec)
-            for trial in batch.trials:
-                result.add(trial)
-        return result
+    label = spec.mrai.name
+    [result] = run_grid(
+        topology_factory,
+        [(label, spec.failure_fraction, spec)],
+        seeds,
+        progress=progress,
+        obs=obs,
+        jobs=jobs,
+        store=store,
+        label=label,
+    )
+    return result

@@ -29,7 +29,7 @@ long-lived workers that amortize every fixed cost:
   (:func:`get_worker_pool`), created on first use, reused by every
   ``run_trials`` / sweep / campaign call, reaped at interpreter exit
   (or explicitly via :func:`shutdown_worker_pool`).  Spin-up is paid
-  once per process, not once per sweep point.
+  once per process, not once per batch.
 * **Per-worker topology cache.**  Tasks cross the pipe as a lean wire
   record — spec, seed, obs recipe and a *content digest* of the built
   topology (:func:`repro.store.hashing.topology_digest`).  The topology

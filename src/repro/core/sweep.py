@@ -4,83 +4,27 @@ Each figure in the paper is a family of *series*: convergence delay (or
 message count) as a function of failure size or MRAI, one series per scheme
 or topology.  :func:`failure_size_sweep` and :func:`mrai_sweep` produce
 :class:`Series` objects; :mod:`repro.analysis.report` renders them as the
-text tables recorded in EXPERIMENTS.md.
+text tables recorded in EXPERIMENTS.md.  A sweep is a grid of
+``(label, x, spec)`` cells x seeds and runs as one batch
+(:func:`sweep_cells` over :func:`repro.core.batch.run_grid`).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.bgp.mrai import ConstantMRAI
+from repro.core.batch import GridCell, run_grid
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
-    Progress,
     ProgressFn,
-    run_trials,
 )
-from repro.obs.live import default_progress
-from repro.obs.spans import span
 from repro.topology.graph import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.result_store import ResultStore
-
-
-def _sweep_reporter(
-    progress: Optional[ProgressFn], total: int, label: str
-) -> Optional[ProgressFn]:
-    """Adapt a sweep-wide progress callback to per-trial ticks.
-
-    ``run_trials`` reports done/total *within one point*; the closure
-    returned here re-bases those ticks onto the whole sweep so the ETA
-    covers every remaining trial, not just the current point's.  With no
-    explicit callback the process-wide default
-    (:func:`repro.obs.live.default_progress`, installed by ``sweep
-    --progress``) is used, so a whole figure harness reports sweep-wide
-    ticks without any figure module threading a parameter.
-    """
-    if progress is None:
-        progress = default_progress()
-    if progress is None:
-        return None
-    state = {"done": 0, "busy_total": 0.0, "point_busy": 0.0}
-    lock = threading.Lock()
-    start = time.perf_counter()
-
-    def tick(point_progress: Progress) -> None:
-        # Completion callbacks may arrive out of order (and, with a
-        # threaded executor, concurrently): count them in the parent
-        # under a lock so ``done`` is monotonic and never exceeds the
-        # sweep total, instead of trusting the per-point tick.
-        with lock:
-            state["done"] = done = min(state["done"] + 1, total)
-            # Per-point busy_seconds is cumulative within a point and
-            # resets between points; fold the increments into a
-            # sweep-wide total (a decrease marks a new point's first
-            # tick).
-            if point_progress.busy_seconds >= state["point_busy"]:
-                state["busy_total"] += (
-                    point_progress.busy_seconds - state["point_busy"]
-                )
-            else:
-                state["busy_total"] += point_progress.busy_seconds
-            state["point_busy"] = point_progress.busy_seconds
-            progress(
-                Progress(
-                    done=done,
-                    total=total,
-                    elapsed=time.perf_counter() - start,
-                    label=label or point_progress.label,
-                    busy_seconds=state["busy_total"],
-                    failed=point_progress.failed,
-                )
-            )
-
-    return tick
 
 
 @dataclass
@@ -166,6 +110,56 @@ class Series:
         return min(self.points, key=lambda p: p.delay).x
 
 
+def grid_series(
+    cells: Sequence[GridCell],
+    results: Sequence[ExperimentResult],
+    x_name: str,
+) -> List[Series]:
+    """One :class:`Series` per cell label (first-appearance order), each
+    holding its cells' folded results in grid order."""
+    by_label: Dict[str, Series] = {}
+    for (label, x, _spec), result in zip(cells, results):
+        if label not in by_label:
+            by_label[label] = Series(label=label, x_name=x_name)
+        by_label[label].add(x, result)
+    return list(by_label.values())
+
+
+def sweep_cells(
+    topology_factory: Callable[[int], Topology],
+    cells: Sequence[GridCell],
+    seeds: Sequence[int],
+    x_name: str,
+    label: str = "",
+    progress: Optional[ProgressFn] = None,
+    jobs: Optional[int] = None,
+    store: Optional["ResultStore"] = None,
+) -> List[Series]:
+    """Run a grid of ``(label, x, spec)`` cells as one batch.
+
+    ``progress`` receives one :class:`Progress` tick per completed trial
+    (and one for all the store hits), with totals and ETA covering the
+    whole grid.  ``jobs`` selects the trial-execution backend (see
+    :func:`repro.core.experiment.run_trials`); results are bit-identical
+    across ``jobs`` values.  The whole grid is one
+    :func:`repro.core.batch.run_grid` call: each seed's topology is built
+    once, and at ``jobs > 1`` every trial of every cell is in the same
+    pool run, so a one-seed sweep still keeps all workers busy.
+    ``store`` enables content-addressed trial caching: already-stored
+    trials are folded without re-running (see :mod:`repro.store`).
+    """
+    results = run_grid(
+        topology_factory,
+        cells,
+        seeds,
+        progress=progress,
+        jobs=jobs,
+        store=store,
+        label=label,
+    )
+    return grid_series(cells, results, x_name)
+
+
 def failure_size_sweep(
     topology_factory: Callable[[int], Topology],
     spec: ExperimentSpec,
@@ -178,33 +172,24 @@ def failure_size_sweep(
 ) -> Series:
     """Sweep the failure size, holding the scheme fixed (Figs 1/2/6-11).
 
-    ``progress`` receives one :class:`Progress` tick per completed trial,
-    with totals and ETA covering the whole sweep.  ``jobs`` selects the
-    trial-execution backend (see :func:`repro.core.experiment.run_trials`);
-    results are bit-identical across ``jobs`` values.  Successive points
-    share the process-wide warm :class:`repro.core.parallel.WorkerPool`,
-    so worker startup is paid once for the whole sweep and each point's
-    topology ships to a given worker at most once.  ``store`` enables
-    content-addressed trial caching: already-stored points are folded
-    without re-running (see :mod:`repro.store`).
+    One batch for the whole sweep; see :func:`sweep_cells` for
+    ``progress``, ``jobs`` and ``store``.
     """
-    series = Series(
-        label=label or spec.mrai.name, x_name="failure_fraction"
+    label = label or spec.mrai.name
+    cells = [
+        (label, fraction, spec.with_(failure_fraction=fraction))
+        for fraction in fractions
+    ]
+    [series] = sweep_cells(
+        topology_factory,
+        cells,
+        seeds,
+        "failure_fraction",
+        label=label,
+        progress=progress,
+        jobs=jobs,
+        store=store,
     )
-    tick = _sweep_reporter(
-        progress, len(fractions) * len(seeds), series.label
-    )
-    for fraction in fractions:
-        with span("sweep.point", label=series.label, x=fraction):
-            result = run_trials(
-                topology_factory,
-                spec.with_(failure_fraction=fraction),
-                seeds,
-                progress=tick,
-                jobs=jobs,
-                store=store,
-            )
-        series.add(fraction, result)
     return series
 
 
@@ -219,54 +204,19 @@ def mrai_sweep(
     store: Optional["ResultStore"] = None,
 ) -> Series:
     """Sweep a constant MRAI, holding the failure fixed (Figs 3/4/5/12)."""
-    series = Series(label=label or "delay-vs-mrai", x_name="mrai")
-    tick = _sweep_reporter(
-        progress, len(mrai_values) * len(seeds), series.label
+    label = label or "delay-vs-mrai"
+    cells = [
+        (label, value, spec.with_(mrai=ConstantMRAI(value)))
+        for value in mrai_values
+    ]
+    [series] = sweep_cells(
+        topology_factory,
+        cells,
+        seeds,
+        "mrai",
+        label=label,
+        progress=progress,
+        jobs=jobs,
+        store=store,
     )
-    for value in mrai_values:
-        with span("sweep.point", label=series.label, x=value):
-            result = run_trials(
-                topology_factory,
-                spec.with_(mrai=ConstantMRAI(value)),
-                seeds,
-                progress=tick,
-                jobs=jobs,
-                store=store,
-            )
-        series.add(value, result)
     return series
-
-
-def scheme_comparison(
-    topology_factory: Callable[[int], Topology],
-    specs: Dict[str, ExperimentSpec],
-    fractions: Sequence[float],
-    seeds: Sequence[int],
-    progress: Optional[ProgressFn] = None,
-    jobs: Optional[int] = None,
-    store: Optional["ResultStore"] = None,
-) -> List[Series]:
-    """Several schemes swept over failure sizes (Figs 6/7/10/13).
-
-    Progress ticks span all schemes: done/total count every trial of
-    every scheme's sweep.
-    """
-    tick = _sweep_reporter(
-        progress, len(specs) * len(fractions) * len(seeds), ""
-    )
-    out = []
-    for label, spec in specs.items():
-        series = Series(label=label, x_name="failure_fraction")
-        for fraction in fractions:
-            with span("sweep.point", label=label, x=fraction):
-                result = run_trials(
-                    topology_factory,
-                    spec.with_(failure_fraction=fraction),
-                    seeds,
-                    progress=tick,
-                    jobs=jobs,
-                    store=store,
-                )
-            series.add(fraction, result)
-        out.append(series)
-    return out

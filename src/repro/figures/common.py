@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.report import format_figure
-from repro.core.sweep import Series, failure_size_sweep, mrai_sweep
+from repro.core.sweep import Series, mrai_sweep, sweep_cells
 from repro.specs import build_spec, scheme_set_specs
 from repro.topology.degree import SkewedDegreeSpec
 from repro.topology.graph import Topology
@@ -219,22 +219,23 @@ def scheme_set_failure_sweep(
     topology: Topology | None = None,
 ) -> Tuple[Series, ...]:
     """Failure-size sweep of a registered scheme set, one series per
-    scheme, labels taken from the set declaration.
+    scheme, labels taken from the set declaration; the whole set runs as
+    one batch.
 
     ``topology`` is only needed for sets with topology-resolved schemes
     (adaptive/theory MRAI, inferred policy relationships).
     """
     factory = factory if factory is not None else skewed_factory(profile)
-    specs = scheme_set_specs(name, profile, topology=topology)
+    fractions = fractions if fractions is not None else profile.fractions
+    cells = [
+        (label, fraction, spec.with_(failure_fraction=fraction))
+        for label, spec in scheme_set_specs(name, profile, topology=topology)
+        for fraction in fractions
+    ]
     return tuple(
-        failure_size_sweep(
-            factory,
-            spec,
-            tuple(fractions) if fractions is not None else profile.fractions,
-            profile.seeds,
-            label=label,
+        sweep_cells(
+            factory, cells, profile.seeds, "failure_fraction", label=name
         )
-        for label, spec in specs
     )
 
 

@@ -35,7 +35,6 @@ from repro.obs.profiling import EventLoopProfiler, HandlerStats, handler_categor
 from repro.obs.export import (
     write_aggregates_csv,
     write_jsonl,
-    write_manifest,
     write_metrics_jsonl,
     write_timeseries_csv,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "watch_campaign",
     "write_aggregates_csv",
     "write_jsonl",
-    "write_manifest",
     "write_metrics_jsonl",
     "write_timeseries_csv",
 ]

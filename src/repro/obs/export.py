@@ -1,4 +1,4 @@
-"""Exporters: metrics to JSONL, probe series to CSV, manifests to JSON.
+"""Exporters: metrics to JSONL, probe series to CSV.
 
 File formats are deliberately boring:
 
@@ -7,7 +7,7 @@ File formats are deliberately boring:
   metric state greps and streams;
 * ``timeseries.csv`` — per-node probe rows, one per (run, sample, node);
 * ``aggregates.csv`` — network-wide roll-ups, one row per (run, sample);
-* ``manifest.json`` — the :class:`~repro.obs.manifest.RunManifest`.
+* ``manifest.json`` — written by :meth:`repro.obs.manifest.RunManifest.save`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Union
 
-from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import NetworkProbe
 
@@ -134,7 +133,3 @@ def write_aggregates_csv(
                     ]
                 )
     return path
-
-
-def write_manifest(manifest: RunManifest, path: Union[str, Path]) -> Path:
-    return manifest.save(path)

@@ -6,8 +6,8 @@ warm worker pool (:mod:`repro.core.parallel`) — exactly the ingredients
 of a results-serving backend.  This package assembles them into one:
 
 * :mod:`repro.service.backend` — :class:`StoreBackend`, the storage
-  protocol the service is written against (SQLite's ``ResultStore`` is
-  one registered implementation; the service never touches SQL);
+  protocol the service is written against (SQLite's ``ResultStore``
+  implements it; the service never touches SQL);
 * :mod:`repro.service.submission` — turns a submitted campaign grid or
   single spec into per-trial content keys, splits cache hits from cold
   trials, and enqueues the cold ones under a ticket;
@@ -24,11 +24,7 @@ CLI entry points: ``repro-bgp serve`` / ``submit`` / ``result`` /
 ``queue status`` / ``store stats``.  See ``docs/SERVICE.md``.
 """
 
-from repro.service.backend import (
-    StoreBackend,
-    open_backend,
-    register_store_backend,
-)
+from repro.service.backend import StoreBackend
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.executor import ExecutorConfig, QueueExecutor
@@ -49,9 +45,7 @@ __all__ = [
     "ServiceError",
     "StoreBackend",
     "SubmissionReceipt",
-    "open_backend",
     "plan_submission",
-    "register_store_backend",
     "submission_campaign",
     "ticket_results",
     "ticket_status",

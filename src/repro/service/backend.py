@@ -5,31 +5,23 @@ SQL — every persistent effect goes through :class:`StoreBackend`, a
 :class:`typing.Protocol` describing exactly the store surface the
 service consumes: trial cache reads/writes, the durable work queue, and
 tickets.  :class:`repro.store.ResultStore` satisfies it structurally
-(no inheritance needed) and is the registered ``sqlite`` backend.
-
-Alternative backends — an in-memory store for tests, a client/server
-store, a different database — plug in via
-:func:`register_store_backend`; :func:`open_backend` resolves a
-``scheme://path`` URL (bare paths mean ``sqlite``) so daemon
-configuration stays a single string.
+(no inheritance needed) and is what :class:`CampaignService` opens from
+its configured store path; tests pass a fake through its ``backend=``
+argument.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Protocol,
     Sequence,
     Tuple,
-    Union,
     runtime_checkable,
 )
 
@@ -123,50 +115,3 @@ class StoreBackend(Protocol):
     def stats(self) -> Dict[str, Any]: ...
 
     def close(self) -> None: ...
-
-
-BackendFactory = Callable[[str], StoreBackend]
-
-_BACKENDS: Dict[str, BackendFactory] = {}
-
-
-def register_store_backend(scheme: str, factory: BackendFactory) -> None:
-    """Register ``factory`` for ``scheme://...`` backend URLs.
-
-    The factory receives the URL remainder (everything after
-    ``scheme://``) and returns an open :class:`StoreBackend`.
-    Re-registering a scheme replaces it (tests swap in fakes).
-    """
-    _BACKENDS[scheme.lower()] = factory
-
-
-def open_backend(url: Union[str, Path]) -> StoreBackend:
-    """Open the backend a URL names; bare paths mean ``sqlite``.
-
-    ``results/store.db`` and ``sqlite://results/store.db`` open the same
-    SQLite store.  Unknown schemes raise ``ValueError`` listing what is
-    registered.
-    """
-    text = str(url)
-    if "://" in text:
-        scheme, _, rest = text.partition("://")
-        scheme = scheme.lower()
-    else:
-        scheme, rest = "sqlite", text
-    factory = _BACKENDS.get(scheme)
-    if factory is None:
-        known = ", ".join(sorted(_BACKENDS)) or "none"
-        raise ValueError(
-            f"unknown store backend scheme {scheme!r} "
-            f"(registered: {known})"
-        )
-    return factory(rest)
-
-
-def _open_sqlite(path: str) -> StoreBackend:
-    from repro.store.result_store import ResultStore
-
-    return ResultStore(path)
-
-
-register_store_backend("sqlite", _open_sqlite)

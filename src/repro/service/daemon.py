@@ -41,9 +41,10 @@ from repro.obs.live import LiveMonitor
 from repro.obs.session import ObsSession
 
 from repro.service.api import make_handler
-from repro.service.backend import StoreBackend, open_backend
+from repro.service.backend import StoreBackend
 from repro.service.executor import ExecutorConfig, QueueExecutor
 from repro.service.submission import SubmissionReceipt
+from repro.store.result_store import ResultStore
 
 
 @dataclass
@@ -85,8 +86,8 @@ class CampaignService:
         backend: Optional[StoreBackend] = None,
     ) -> None:
         self.config = config
-        self.backend = backend if backend is not None else open_backend(
-            config.store
+        self.backend = (
+            backend if backend is not None else ResultStore(config.store)
         )
         self.stop_event = threading.Event()
         self.started_at = time.time()

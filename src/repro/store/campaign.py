@@ -22,6 +22,7 @@ a cold run bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -38,7 +39,13 @@ from typing import (
 )
 
 from repro.bgp.mrai import ConstantMRAI
-from repro.core.batch import PlannedTrial, run_batch
+from repro.core.batch import (
+    GridCell,
+    PlannedTrial,
+    fold_grid,
+    plan_grid,
+    run_batch,
+)
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
@@ -46,7 +53,7 @@ from repro.core.experiment import (
     TrialResult,
 )
 from repro.core.parallel import derive_trial_seeds, get_default_jobs
-from repro.core.sweep import Series
+from repro.core.sweep import Series, grid_series
 from repro.obs.live import default_progress
 from repro.obs.session import ObsSession, active_session
 from repro.obs.spans import span
@@ -59,7 +66,6 @@ from repro.specs.topology import (
     DISTRIBUTIONS,
     topology_factory as resolve_topology_block,
 )
-from repro.store.hashing import spec_hash
 from repro.store.result_store import ResultStore, git_revision
 from repro.topology.graph import Topology
 
@@ -250,26 +256,18 @@ class Campaign:
             return spec.with_(failure_fraction=x)
         return spec.with_(mrai=ConstantMRAI(x))
 
+    def cells(self) -> List[GridCell]:
+        """The grid's ``(label, x, point spec)`` cells, scheme-major."""
+        return [
+            (label, x, self.point_spec(label, x))
+            for label in self.schemes
+            for x in self.values
+        ]
+
     def tasks(self) -> List[CampaignTask]:
         """The flat trial grid, in (scheme, axis value, seed) order —
-        the fold order an uncached nested sweep would use."""
-        out: List[CampaignTask] = []
-        ordinal = 0
-        for label in self.schemes:
-            for x in self.values:
-                spec = self.point_spec(label, x)
-                for seed in self.seeds:
-                    out.append(
-                        CampaignTask(
-                            ordinal=ordinal,
-                            label=label,
-                            x=x,
-                            seed=seed,
-                            spec=spec,
-                        )
-                    )
-                    ordinal += 1
-        return out
+        the fold order an uncached sweep uses."""
+        return _cell_tasks(self.cells(), self.seeds)
 
     @property
     def total_trials(self) -> int:
@@ -333,34 +331,47 @@ class CampaignStatus:
         return "\n".join(lines)
 
 
-def _campaign_keys(
-    campaign: Campaign,
-) -> List[Tuple[CampaignTask, str, Topology]]:
-    """Expand + content-address the grid (topologies built once per seed)."""
-    with span("campaign.expand", trials=campaign.total_trials):
-        factory = campaign.topology_factory()
-        topologies = {}
-        for seed in campaign.seeds:
-            with span("topology.build", seed=seed):
-                topologies[seed] = factory(seed)
-        return [
-            (task, spec_hash(task.spec, topologies[task.seed], task.seed),
-             topologies[task.seed])
-            for task in campaign.tasks()
-        ]
+def _cell_tasks(
+    cells: Sequence[GridCell], seeds: Sequence[int]
+) -> List[CampaignTask]:
+    return [
+        CampaignTask(ordinal, label, x, seed, spec)
+        for ordinal, ((label, x, spec), seed) in enumerate(
+            itertools.product(cells, seeds)
+        )
+    ]
 
 
 def campaign_keys(
     campaign: Campaign,
 ) -> List[Tuple[CampaignTask, str, Topology]]:
-    """Public grid expansion: ``(task, content key, topology)`` triples.
+    """Grid expansion: ``(task, content key, topology)`` triples.
 
-    The campaign service submission planner uses this to decide, per
-    trial, cache-hit vs enqueue — the same expansion ``run_campaign``
-    and ``campaign_status`` use internally, so all three always agree on
-    keys.
+    The one expansion (:func:`repro.core.batch.plan_grid`, topologies
+    built once per seed) behind ``run_campaign``, ``campaign_status``,
+    ``load_campaign_results`` and the service's submission planner, so
+    all of them always agree on keys.
     """
-    return _campaign_keys(campaign)
+    with span("campaign.expand", trials=campaign.total_trials):
+        cells = campaign.cells()
+        planned = plan_grid(
+            campaign.topology_factory(), cells, campaign.seeds, keyed=True
+        )
+        return [
+            (task, trial.key, trial.topology)
+            for task, trial in zip(_cell_tasks(cells, campaign.seeds), planned)
+        ]
+
+
+def _campaign_results(
+    campaign: Campaign, trials: Sequence[TrialResult]
+) -> Tuple[List[Series], Dict[Tuple[str, float], ExperimentResult]]:
+    """Per-scheme series and per-point results of plan-ordered trials."""
+    cells = campaign.cells()
+    results = fold_grid(cells, campaign.seeds, trials)
+    return grid_series(cells, results, campaign.axis), {
+        (label, x): result for (label, x, _spec), result in zip(cells, results)
+    }
 
 
 def campaign_status(
@@ -385,7 +396,7 @@ def campaign_status(
             ] = True
     per_point: Dict[Tuple[str, float], List[int]] = {}
     cached = 0
-    for task, key, _topology in _campaign_keys(campaign):
+    for task, key, _topology in campaign_keys(campaign):
         cell = per_point.setdefault((task.label, task.x), [0, 0, 0])
         cell[1] += 1
         if store.has(key):
@@ -489,7 +500,7 @@ def run_campaign(
         trials=campaign.total_trials,
         jobs=jobs,
     ):
-        keyed = _campaign_keys(campaign)
+        keyed = campaign_keys(campaign)
         total = len(keyed)
         batch = run_batch(
             [
@@ -540,7 +551,9 @@ def run_campaign(
             )
 
         with span("campaign.fold", trials=total):
-            series_list, point_results = _fold(campaign, batch.trials)
+            series_list, point_results = _campaign_results(
+                campaign, batch.trials
+            )
         wall = time.perf_counter() - start
         manifest.update(
             wall_seconds=round(wall, 3), schema_git_rev=git_revision()
@@ -560,29 +573,6 @@ def run_campaign(
         )
 
 
-def _fold(
-    campaign: Campaign, results: Sequence[TrialResult]
-) -> Tuple[List[Series], Dict[Tuple[str, float], ExperimentResult]]:
-    """Seed-order fold of the grid's trials (indexed by task ordinal)
-    into per-point results and per-scheme series."""
-    point_results: Dict[Tuple[str, float], ExperimentResult] = {}
-    for task in campaign.tasks():
-        point = point_results.get((task.label, task.x))
-        if point is None:
-            point = point_results[(task.label, task.x)] = ExperimentResult(
-                spec=task.spec
-            )
-        point.add(results[task.ordinal])
-    x_name = campaign.axis
-    series_list = []
-    for label in campaign.schemes:
-        series = Series(label=label, x_name=x_name)
-        for x in campaign.values:
-            series.add(x, point_results[(label, x)])
-        series_list.append(series)
-    return series_list, point_results
-
-
 def load_campaign_results(
     campaign: Campaign, store: ResultStore
 ) -> Tuple[List[Series], Dict[Tuple[str, float], ExperimentResult]]:
@@ -594,7 +584,7 @@ def load_campaign_results(
     """
     results: List[TrialResult] = []
     missing: List[CampaignTask] = []
-    for task, key, _topology in _campaign_keys(campaign):
+    for task, key, _topology in campaign_keys(campaign):
         row = store.get(key)
         if row is None:
             missing.append(task)
@@ -607,4 +597,4 @@ def load_campaign_results(
             f"(run `repro-bgp campaign resume` first)",
             [(t, "missing") for t in missing],
         )
-    return _fold(campaign, results)
+    return _campaign_results(campaign, results)

@@ -2,7 +2,7 @@
 
 Covers the durable queue's lease protocol (exclusivity, expiry
 re-dispatch, heartbeat, backoff gates, release), ticket persistence,
-the :class:`StoreBackend` protocol + URL registry, and the multi-writer
+the :class:`StoreBackend` protocol, and the multi-writer
 hardening of :class:`ResultStore` (thread sharing, busy-timeout
 wait-out of a competing writer's lock).
 """
@@ -14,11 +14,7 @@ import time
 import pytest
 
 from repro.core.experiment import TrialResult
-from repro.service.backend import (
-    StoreBackend,
-    open_backend,
-    register_store_backend,
-)
+from repro.service.backend import StoreBackend
 from repro.store import QUEUE_STATES, ResultStore
 
 
@@ -184,43 +180,10 @@ def test_ticket_roundtrip_with_campaign_doc(store):
 
 
 # ----------------------------------------------------------------------
-# StoreBackend protocol + registry
+# StoreBackend protocol
 # ----------------------------------------------------------------------
 def test_result_store_satisfies_backend_protocol(store):
     assert isinstance(store, StoreBackend)
-
-
-def test_open_backend_resolves_bare_path_and_scheme(tmp_path):
-    for url in (str(tmp_path / "a.db"), f"sqlite://{tmp_path / 'b.db'}"):
-        backend = open_backend(url)
-        try:
-            assert isinstance(backend, ResultStore)
-        finally:
-            backend.close()
-
-
-def test_open_backend_rejects_unknown_scheme(tmp_path):
-    with pytest.raises(ValueError, match="unknown store backend"):
-        open_backend("postgres://nope")
-
-
-def test_register_store_backend_plugs_in(tmp_path):
-    opened = []
-
-    def factory(rest):
-        store = ResultStore(tmp_path / rest)
-        opened.append(store)
-        return store
-
-    register_store_backend("testmem", factory)
-    try:
-        backend = open_backend("testmem://x.db")
-        assert backend is opened[0]
-        backend.close()
-    finally:
-        from repro.service import backend as backend_mod
-
-        backend_mod._BACKENDS.pop("testmem", None)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ plain uncached sweep; worker failures retry per-trial instead of
 aborting siblings; and export refuses partial grids.
 """
 
+import dataclasses
+import itertools
 import os
 import sqlite3
 
@@ -15,7 +17,9 @@ import repro.core.batch as batch_mod
 import repro.core.parallel as parallel_mod
 from repro.bgp.mrai import ConstantMRAI
 from repro.core.experiment import ExperimentSpec
-from repro.core.sweep import failure_size_sweep
+from repro.core.parallel import parallel_jobs
+from repro.core.sweep import failure_size_sweep, mrai_sweep
+from repro.figures.common import QUICK, scheme_set_failure_sweep
 from repro.obs.session import ObsSession
 from repro.store import (
     Campaign,
@@ -165,20 +169,83 @@ def test_cold_resume_warm_cycle(store):
     assert [r["manifest"]["executed"] for r in status.history] == [8, 3, 0]
 
 
-def test_campaign_matches_uncached_sweep(store):
-    campaign = make_campaign(
-        schemes={"fifo-0.5": {"mrai": 0.5}}, seeds=[1, 2]
+def sweep_factory(seed):
+    return skewed_topology(24, seed=seed)
+
+
+def failure_grid():
+    series = failure_size_sweep(
+        sweep_factory, ExperimentSpec(mrai=ConstantMRAI(0.5)), (0.1, 0.2), (1, 2)
     )
-    result = run_campaign(campaign, store)
-    direct = failure_size_sweep(
-        lambda seed: skewed_topology(24, seed=seed),
-        ExperimentSpec(mrai=ConstantMRAI(0.5)),
-        (0.1, 0.2),
+    return [series], {
+        "schemes": {"fifo-0.5": {"mrai": 0.5}},
+        "axis": {"name": "failure_fraction", "values": [0.1, 0.2]},
+    }
+
+
+def mrai_grid():
+    series = mrai_sweep(
+        sweep_factory,
+        ExperimentSpec(mrai=ConstantMRAI(99.0), failure_fraction=0.1),
+        (0.5, 2.0),
         (1, 2),
     )
-    assert len(result.series) == 1
-    assert result.series[0].delays == direct.delays
-    assert result.series[0].message_counts == direct.message_counts
+    return [series], {
+        "schemes": {"any": {"mrai": 99.0, "failure_fraction": 0.1}},
+        "axis": {"name": "mrai", "values": [0.5, 2.0]},
+    }
+
+
+def mrai_three_grid():
+    profile = dataclasses.replace(
+        QUICK, name="unit", nodes=24, seeds=(1, 2), fractions=(0.1, 0.2)
+    )
+    return list(scheme_set_failure_sweep("mrai_three", profile)), {
+        "schemes": {
+            f"MRAI={v:g}s": {"mrai": v} for v in profile.mrai_three
+        },
+        "axis": {"name": "failure_fraction", "values": [0.1, 0.2]},
+    }
+
+
+#: (delays, message_counts) per series, recorded from the per-point
+#: run_trials loops these sweeps used before they became one batch.
+SWEEP_GOLDEN = {
+    "failure": [
+        ([1.531314812944769, 1.3260964622243931], [511.5, 564.5]),
+    ],
+    "mrai": [
+        ([1.531314812944769, 3.1217268077034843], [511.5, 328.5]),
+    ],
+    "mrai_three": [
+        ([1.531314812944769, 1.3260964622243931], [511.5, 564.5]),
+        ([3.372416931262919, 1.889199345642957], [469.0, 399.5]),
+        ([3.3882109456529834, 3.347130629816788], [317.0, 380.0]),
+    ],
+}
+
+
+def test_campaign_matches_uncached_sweep(tmp_path):
+    grids = {
+        "failure": failure_grid,
+        "mrai": mrai_grid,
+        "mrai_three": mrai_three_grid,
+    }
+    for (name, grid), jobs in itertools.product(grids.items(), (1, 2)):
+        with parallel_jobs(jobs), ResultStore(
+            tmp_path / f"{name}-{jobs}.db"
+        ) as store:
+            direct, overrides = grid()
+            result = run_campaign(
+                make_campaign(seeds=[1, 2], **overrides), store
+            )
+            assert result.executed == result.campaign.total_trials
+        assert [
+            (s.delays, s.message_counts) for s in direct
+        ] == SWEEP_GOLDEN[name], (name, jobs)
+        assert [
+            (s.xs, s.delays, s.message_counts) for s in result.series
+        ] == [(s.xs, s.delays, s.message_counts) for s in direct], (name, jobs)
 
 
 def test_parallel_campaign_matches_serial(tmp_path):
