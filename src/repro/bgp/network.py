@@ -366,6 +366,23 @@ class BGPNetwork:
             self.speakers[b].peer_down(a, failure_uid)
         return t0
 
+    def close(self) -> None:
+        """Release the simulation so this network is freed by reference
+        counting, not by a later pass of the cycle collector.
+
+        Speakers, peer states, timers, sessions and queued events all
+        point at one another and back at this object, so a finished
+        network is otherwise cyclic garbage that overlaps the next
+        trial's live one.  Stops every timer, resets the simulator
+        (pending events dropped, clock rewound) and forgets the speakers;
+        counters and ``last_activity`` stay readable.  Idempotent.
+        """
+        for speaker in self.speakers.values():
+            speaker.close()
+        self.speakers = {}
+        self.dataplane = None
+        self.sim.reset()
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -49,7 +49,9 @@ class AdjRibIn:
         if route.peer is None:
             raise ValueError("Adj-RIB-In only holds peer-learned routes")
         dest = route.dest
-        peers = self._table.setdefault(dest, {})
+        peers = self._table.get(dest)
+        if peers is None:
+            peers = self._table[dest] = {}
         old = peers.get(route.peer)
         peers[route.peer] = route
         best = self._best.get(dest)

@@ -20,40 +20,19 @@ tie-breaks so simulations are exactly reproducible:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-#: Canonical instances of AS-path tuples (see :func:`intern_path`).
-_PATH_INTERN: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-
-#: Epoch-reset bound: distinct live paths in any one simulation are far
-#: below this, so the table only resets across very long sweep processes.
-_PATH_INTERN_MAX = 1 << 18
-
-
-def intern_path(path: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The canonical instance of an AS-path tuple.
-
-    Simulations re-create the same few thousand paths millions of times
-    (every UPDATE carries one, every RIB slot stores one).  Interning
-    collapses them to one object each, which shrinks resident RIB state
-    and makes the hot equality checks (``existing.path == msg.path``,
-    ``export == last``) hit CPython's identity fast path.  Purely an
-    object-level dedup: values are unchanged, so trajectories stay
-    bit-identical.
-    """
-    cached = _PATH_INTERN.get(path)
-    if cached is not None:
-        return cached
-    if len(_PATH_INTERN) >= _PATH_INTERN_MAX:
-        _PATH_INTERN.clear()
-    _PATH_INTERN[path] = path
-    return path
+#: Field widths of the packed preference key: AS-path length, and the
+#: advertising peer id + 1 (0 = locally originated).  Both are far above
+#: anything a simulated topology can reach; the rank sits on top, unbounded.
+_LEN_BITS = 24
+_PEER_BITS = 32
 
 
 class Route:
     """A single RIB entry for one destination."""
 
-    __slots__ = ("dest", "path", "peer", "ebgp", "rank", "_key")
+    __slots__ = ("dest", "path", "peer", "ebgp", "export", "_key")
 
     def __init__(
         self,
@@ -67,10 +46,22 @@ class Route:
         self.path = path
         self.peer = peer
         self.ebgp = ebgp
-        self.rank = rank
-        #: Memoized preference key; routes are immutable once built, so
-        #: the first comparison computes it and every later one reuses it.
-        self._key: Optional[Tuple[int, int, int, int, int]] = None
+        #: The eBGP export form ``(asn,) + path``, built by the owning
+        #: speaker the first time it advertises this route as its best.
+        #: A route sits in exactly one speaker's RIBs, so this one tuple
+        #: is what every peer's UPDATE, the sender's Adj-RIB-Out and the
+        #: receivers' Adj-RIB-In share — the hot equality checks
+        #: (``export == last``, ``existing.path == msg.path``) hit
+        #: CPython's identity fast path, and the path dies with the last
+        #: RIB slot that holds it.
+        self.export: Optional[Tuple[int, ...]] = None
+        # Routes are immutable once built: pack the five criteria of the
+        # module docstring, most significant first, into one int.
+        learned = peer is not None
+        self._key = (
+            ((rank << _LEN_BITS | len(path)) << 2 | learned << 1 | (not ebgp))
+            << _PEER_BITS
+        ) | (peer + 1 if learned else 0)
 
     @property
     def is_local(self) -> bool:
@@ -81,30 +72,19 @@ class Route:
     def path_length(self) -> int:
         return len(self.path)
 
-    def preference_key(self) -> Tuple[int, int, int, int, int]:
+    def preference_key(self) -> int:
         """Sort key: lower is better.  Total order over candidates.
 
-        The last component (advertising peer id) makes the order strict
+        The lowest field (advertising peer id) makes the order strict
         over any candidate set — no two distinct candidates for the same
         destination compare equal — so the best route is independent of
         iteration order.
         """
-        key = self._key
-        if key is None:
-            key = self._key = (
-                self.rank,
-                len(self.path),
-                0 if self.peer is None else 1,
-                0 if self.ebgp else 1,
-                -1 if self.peer is None else self.peer,
-            )
-        return key
+        return self._key
 
     def better_than(self, other: Optional["Route"]) -> bool:
         """Strictly preferred over ``other`` (``None`` = no route)."""
-        if other is None:
-            return True
-        return self.preference_key() < other.preference_key()
+        return other is None or self._key < other._key
 
     def same_selection(self, other: Optional["Route"]) -> bool:
         """Whether this and ``other`` denote the identical selection.

@@ -208,3 +208,7 @@ class Session:
         self.hold_timer.stop()
         self.keepalive_timer.stop()
         self.retry_timer.stop()
+
+    def close(self) -> None:
+        """Drop the (stopped) timers, whose callbacks point back here."""
+        self.hold_timer = self.keepalive_timer = self.retry_timer = None

@@ -27,7 +27,7 @@ from repro.bgp.mrai import MRAIController
 from repro.bgp.session import Session, SessionMessage
 from repro.bgp.queues import QueueDiscipline, make_queue
 from repro.bgp.rib import AdjRibIn, LocRib, run_decision
-from repro.bgp.routes import Route, intern_path
+from repro.bgp.routes import Route
 from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -133,9 +133,9 @@ class BGPSpeaker:
         #: from that context.  Only maintained while causal tracing is
         #: enabled; stays -1 (and costs nothing) otherwise.
         self._cause_uid = -1
-        #: Flap-damping penalty per (peer, dest); only populated when the
-        #: config enables damping.
-        self._damping: Dict[Tuple[int, int], DampingState] = {}
+        #: Flap-damping penalty, dest -> peer -> state; only populated when
+        #: the config enables damping.
+        self._damping: Dict[int, Dict[int, DampingState]] = {}
         #: Explicit sessions (per peer), populated only in explicit mode.
         self.sessions: Dict[int, Session] = {}
 
@@ -297,7 +297,7 @@ class BGPSpeaker:
                 return self.adj_rib_in.withdraw(msg.dest, msg.sender)
             rank = imported
         self.adj_rib_in.store(
-            Route(msg.dest, intern_path(msg.path), msg.sender, ps.ebgp, rank=rank)
+            Route(msg.dest, msg.path, msg.sender, ps.ebgp, rank=rank)
         )
         return True
 
@@ -305,11 +305,10 @@ class BGPSpeaker:
     # Route flap damping (RFC 2439)
     # ------------------------------------------------------------------
     def _record_flap(self, ps: PeerState, dest: int, withdrawal: bool) -> None:
-        key = (ps.peer_id, dest)
-        state = self._damping.get(key)
+        states = self._damping.setdefault(dest, {})
+        state = states.get(ps.peer_id)
         if state is None:
-            state = DampingState(self.config.damping)
-            self._damping[key] = state
+            state = states[ps.peer_id] = DampingState(self.config.damping)
         was_suppressed = state.suppressed
         now = self.sim.now
         if withdrawal:
@@ -326,7 +325,7 @@ class BGPSpeaker:
     def _reuse_check(self, peer_id: int, dest: int) -> None:
         if not self.alive:
             return
-        state = self._damping.get((peer_id, dest))
+        state = self._damping.get(dest, {}).get(peer_id)
         if state is None:
             return
         if state.maybe_reuse(self.sim.now):
@@ -339,12 +338,12 @@ class BGPSpeaker:
 
     def _suppressed_peers(self, dest: int) -> Optional[Set[int]]:
         """Peers whose route for ``dest`` is currently damped."""
-        if self.config.damping is None or not self._damping:
+        if not self._damping:
             return None
         excluded = {
             peer_id
-            for (peer_id, d), state in self._damping.items()
-            if d == dest and state.suppressed
+            for peer_id, state in self._damping.get(dest, {}).items()
+            if state.suppressed
         }
         return excluded or None
 
@@ -404,7 +403,10 @@ class BGPSpeaker:
                     self.asn, learned_from, ps.asn
                 ):
                     return None
-            return intern_path((self.asn,) + best.path)
+            export = best.export
+            if export is None:
+                export = best.export = (self.asn,) + best.path
+            return export
         # iBGP export: local and eBGP-learned routes only (full-mesh rule:
         # a route learned over iBGP is never re-advertised over iBGP).
         if not best.is_local and not best.ebgp:
@@ -649,6 +651,16 @@ class BGPSpeaker:
             ps.dest_timers.clear()
             ps.pending.clear()
             ps.pending_cause = None
+
+    def close(self) -> None:
+        """Stop every timer and drop the links that point back at this
+        speaker (network teardown, see :meth:`BGPNetwork.close`)."""
+        self.fail()
+        for ps in self.peers.values():
+            ps.timer = None
+        for session in self.sessions.values():
+            session.close()
+        self.sessions = {}
 
     def revive(self) -> None:
         """Bring a failed router back with a cold control plane.

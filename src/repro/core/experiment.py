@@ -353,90 +353,94 @@ def run_experiment(
         tracer=tracer,
         metrics=metrics,
     )
-    if obs is not None:
-        obs.attach(network)
+    try:
+        if obs is not None:
+            obs.attach(network)
 
-    wall0 = time.perf_counter()
-    with span("trial.warmup", seed=seed):
-        network.start()
-        network.run_until_quiet(max_time=spec.max_warmup_time)
-    warmup_wall = time.perf_counter() - wall0
-    if not network.is_quiescent():
-        raise RuntimeError(
-            f"warm-up did not converge within {spec.max_warmup_time}s "
-            f"of simulated time"
-        )
-    warmup_time = network.last_activity
-    warmup_events = network.sim.events_executed
-    warmup_snapshot = network.counters.snapshot()
-    if obs is not None:
-        obs.record_phase(
-            "warmup", warmup_wall, sim_seconds=warmup_time, events=warmup_events
-        )
-    if spec.validate:
-        validate_routing(network)
+        wall0 = time.perf_counter()
+        with span("trial.warmup", seed=seed):
+            network.start()
+            network.run_until_quiet(max_time=spec.max_warmup_time)
+        warmup_wall = time.perf_counter() - wall0
+        if not network.is_quiescent():
+            raise RuntimeError(
+                f"warm-up did not converge within {spec.max_warmup_time}s "
+                f"of simulated time"
+            )
+        warmup_time = network.last_activity
+        warmup_events = network.sim.events_executed
+        warmup_snapshot = network.counters.snapshot()
+        if obs is not None:
+            obs.record_phase(
+                "warmup", warmup_wall, sim_seconds=warmup_time, events=warmup_events
+            )
+        if spec.validate:
+            validate_routing(network)
 
-    if scenario is None:
-        scenario = build_scenario(topology, spec, seed)
-    wall1 = time.perf_counter()
-    with span("trial.failure"):
-        t0 = network.fail_nodes(
-            scenario.nodes,
-            detection_delay=spec.detection_delay,
-            detection_jitter=spec.detection_jitter,
-        )
-    if obs is not None:
-        obs.record_phase("failure", time.perf_counter() - wall1)
-        obs.on_failure(network)
+        if scenario is None:
+            scenario = build_scenario(topology, spec, seed)
+        wall1 = time.perf_counter()
+        with span("trial.failure"):
+            t0 = network.fail_nodes(
+                scenario.nodes,
+                detection_delay=spec.detection_delay,
+                detection_jitter=spec.detection_jitter,
+            )
+        if obs is not None:
+            obs.record_phase("failure", time.perf_counter() - wall1)
+            obs.on_failure(network)
 
-    wall2 = time.perf_counter()
-    with span("trial.convergence"):
-        network.run_until_quiet(max_time=t0 + spec.max_convergence_time)
-    convergence_wall = time.perf_counter() - wall2
-    truncated = not network.is_quiescent()
-    if obs is not None:
-        obs.record_phase(
-            "convergence",
-            convergence_wall,
-            sim_seconds=network.last_activity - t0,
-            events=network.sim.events_executed - warmup_events,
-        )
-    if spec.validate and not truncated:
-        validate_routing(network)
+        wall2 = time.perf_counter()
+        with span("trial.convergence"):
+            network.run_until_quiet(max_time=t0 + spec.max_convergence_time)
+        convergence_wall = time.perf_counter() - wall2
+        truncated = not network.is_quiescent()
+        if obs is not None:
+            obs.record_phase(
+                "convergence",
+                convergence_wall,
+                sim_seconds=network.last_activity - t0,
+                events=network.sim.events_executed - warmup_events,
+            )
+        if spec.validate and not truncated:
+            validate_routing(network)
 
-    diff = network.counters.diff(warmup_snapshot)
-    dataplane_summary = (
-        obs.finish_dataplane(network, t0=t0, seed=seed)
-        if obs is not None
-        else None
-    )
-    result = TrialResult(
-        convergence_delay=network.last_activity - t0,
-        messages_sent=diff.get("updates_sent", 0),
-        withdrawals_sent=diff.get("withdrawals_sent", 0),
-        updates_processed=diff.get("updates_processed", 0),
-        stale_dropped=diff.get("updates_dropped_stale", 0),
-        route_changes=diff.get("route_changes", 0),
-        failure_size=scenario.size,
-        failure_time=t0,
-        warmup_time=warmup_time,
-        warmup_messages=warmup_snapshot.get("updates_sent", 0),
-        events_executed=network.sim.events_executed,
-        seed=seed,
-        truncated=truncated,
-        warmup_wall=warmup_wall,
-        convergence_wall=convergence_wall,
-        dataplane=dataplane_summary,
-    )
-    if obs is not None:
-        obs.note_trial(
-            spec=spec,
+        diff = network.counters.diff(warmup_snapshot)
+        dataplane_summary = (
+            obs.finish_dataplane(network, t0=t0, seed=seed)
+            if obs is not None
+            else None
+        )
+        result = TrialResult(
+            convergence_delay=network.last_activity - t0,
+            messages_sent=diff.get("updates_sent", 0),
+            withdrawals_sent=diff.get("withdrawals_sent", 0),
+            updates_processed=diff.get("updates_processed", 0),
+            stale_dropped=diff.get("updates_dropped_stale", 0),
+            route_changes=diff.get("route_changes", 0),
+            failure_size=scenario.size,
+            failure_time=t0,
+            warmup_time=warmup_time,
+            warmup_messages=warmup_snapshot.get("updates_sent", 0),
+            events_executed=network.sim.events_executed,
             seed=seed,
-            topology=topology.summary(),
-            counters=network.counters.snapshot(),
-            result=result,
+            truncated=truncated,
+            warmup_wall=warmup_wall,
+            convergence_wall=convergence_wall,
+            dataplane=dataplane_summary,
         )
-    return result
+        if obs is not None:
+            obs.note_trial(
+                spec=spec,
+                seed=seed,
+                topology=topology.summary(),
+                counters=network.counters.snapshot(),
+                result=result,
+            )
+        return result
+    finally:
+        # Also on the "did not converge" path: see BGPNetwork.close.
+        network.close()
 
 
 def run_trials(

@@ -102,7 +102,8 @@ class NetworkProbe:
     Parameters
     ----------
     network:
-        The network to observe.
+        The network to observe; the session sets the attribute to None
+        once the trial has finished, so the samples outlive the network.
     interval:
         Sampling period in simulated seconds.
     nodes:
@@ -121,7 +122,7 @@ class NetworkProbe:
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
-        self.network = network
+        self.network: Optional["BGPNetwork"] = network
         self.interval = interval
         self.tracked = frozenset(nodes) if nodes is not None else None
         self.keep_node_samples = keep_node_samples

@@ -309,6 +309,10 @@ class ObsSession:
         if result is not None and getattr(result, "dataplane", None):
             snapshot["dataplane"] = result.dataplane
         self.trial_snapshots.append(snapshot)
+        if self.probes:
+            # The samples are the session's to keep; the trial's network
+            # is not (it would pin every trial's RIBs for the session).
+            self.probes[-1].network = None
 
     def finish_dataplane(
         self,

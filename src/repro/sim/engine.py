@@ -113,8 +113,7 @@ class Simulator:
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event.  Idempotent."""
-        if not event.cancelled:
-            self._queue.note_cancelled(event)
+        event.cancel()
 
     # ------------------------------------------------------------------
     # Execution

@@ -24,7 +24,7 @@ class Event:
     user code normally only holds on to them in order to :meth:`cancel`.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled")
+    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "_queue")
 
     def __init__(
         self,
@@ -40,10 +40,21 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
+        #: The queue whose heap holds this event; None before it is pushed
+        #: and once it has fired or been dropped, so only a cancellation
+        #: that leaves a dead heap entry behind is counted.
+        self._queue: Optional["EventQueue"] = None
 
     def cancel(self) -> None:
-        """Mark the event so the engine skips it.  Idempotent."""
+        """Mark the event so the engine skips it.  Idempotent, and a no-op
+        for the queue's accounting once the event has fired."""
+        if self.cancelled:
+            return
         self.cancelled = True
+        queue = self._queue
+        if queue is not None:
+            queue._cancelled += 1
+            queue._maybe_compact()
 
     # Heap ordering ------------------------------------------------------
     def __lt__(self, other: "Event") -> bool:
@@ -87,6 +98,7 @@ class EventQueue:
     ) -> Event:
         """Schedule ``fn(*args)`` at ``time`` and return the event handle."""
         event = Event(time, priority, self._seq, fn, args)
+        event._queue = self
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event
@@ -101,6 +113,7 @@ class EventQueue:
             if event.cancelled:
                 self._cancelled -= 1
                 continue
+            event._queue = None
             return event
         raise IndexError("pop from empty EventQueue")
 
@@ -112,13 +125,6 @@ class EventQueue:
         if self._heap:
             return self._heap[0].time
         return None
-
-    def note_cancelled(self, event: Event) -> None:
-        """Record that ``event`` (still in the heap) has been cancelled."""
-        if not event.cancelled:
-            event.cancel()
-        self._cancelled += 1
-        self._maybe_compact()
 
     def _maybe_compact(self) -> None:
         if (
@@ -135,6 +141,8 @@ class EventQueue:
 
     def clear(self) -> None:
         """Drop every pending event."""
+        for event in self._heap:
+            event._queue = None
         self._heap.clear()
         self._cancelled = 0
 

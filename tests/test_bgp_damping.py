@@ -172,7 +172,7 @@ def test_suppressed_route_not_selected():
     state.record_withdrawal(0.0)
     state.record_withdrawal(0.0)
     assert state.suppressed
-    speaker._damping[(1, 2)] = state
+    speaker._damping[2] = {1: state}
     speaker._reselect(2)
     # Destination 2 was only reachable via peer 1 -> now unselected.
     assert speaker.best_route(2) is None

@@ -1,0 +1,230 @@
+"""Memory behaviour of the simulator core.
+
+Three things are pinned here, each with its measured value printed (run
+with ``-s`` to see them; CI does, once per Python version):
+
+* a finished trial frees itself by reference counting — the cycle
+  collector finds nothing to reclaim after ``run_experiment``;
+* nothing per-simulation outlives the simulation — live traced memory
+  does not grow from trial to trial, whatever the topology;
+* resident bytes per stored route stay under a budget, with AS-path
+  tuples shared between RIBs by construction (no intern table).
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.bgp.config import BGPConfig
+from repro.bgp.damping import DampingConfig
+from repro.bgp.mrai import ConstantMRAI
+from repro.bgp.network import BGPNetwork
+from repro.bgp.routes import Route
+from repro.bgp.session import SessionConfig
+from repro.core.dynamic_mrai import DynamicMRAI
+from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.topology.skewed import skewed_topology
+from tests.conftest import converged_network
+
+SPECS = {
+    "fifo": ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2),
+    "dest_batch": ExperimentSpec(
+        mrai=ConstantMRAI(0.5), queue_discipline="dest_batch", failure_fraction=0.2
+    ),
+    "dynamic_mrai": ExperimentSpec(
+        mrai=DynamicMRAI(), queue_discipline="dest_batch", failure_fraction=0.2
+    ),
+    "per_destination_mrai": ExperimentSpec(
+        mrai=ConstantMRAI(0.5), per_destination_mrai=True, failure_fraction=0.2
+    ),
+    "damping": ExperimentSpec(
+        mrai=ConstantMRAI(0.5),
+        damping=DampingConfig(half_life=2.0),
+        failure_fraction=0.2,
+    ),
+}
+
+
+def cyclic_garbage(fn) -> int:
+    """Objects only the cycle collector could reclaim after ``fn()``."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+# ----------------------------------------------------------------------
+# (a) A finished trial is freed by reference counting
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_finished_trial_leaves_no_cyclic_garbage(name):
+    topology = skewed_topology(30, seed=3)
+    reclaimed = cyclic_garbage(
+        lambda: run_experiment(topology, SPECS[name], seed=1)
+    )
+    print(f"\n{name}: gc.collect() after run_experiment reclaimed {reclaimed}")
+    assert reclaimed == 0
+
+
+def test_closed_explicit_session_network_leaves_no_cyclic_garbage():
+    # ExperimentSpec cannot express explicit sessions, whose keepalive
+    # timers are still armed (timer <-> event <-> session) at close().
+    topology = skewed_topology(30, seed=3)
+    config = BGPConfig(mrai_policy=ConstantMRAI(0.5), session=SessionConfig())
+
+    def trial():
+        network = BGPNetwork(topology, config, seed=1)
+        try:
+            network.start()
+            network.run_until_converged(idle_window=3.0)
+            assert network.total_loc_rib_routes() == 30 * 30
+            network.fail_nodes([0, 1, 2])
+            network.run_until_converged(idle_window=12.0)
+        finally:
+            network.close()
+
+    reclaimed = cyclic_garbage(trial)
+    print(f"\nexplicit sessions: gc.collect() after close() reclaimed {reclaimed}")
+    assert reclaimed == 0
+
+
+# ----------------------------------------------------------------------
+# (b) Nothing per-simulation outlives the simulation
+# ----------------------------------------------------------------------
+def test_live_memory_is_flat_across_trials_on_different_topologies():
+    spec = SPECS["dynamic_mrai"]
+    topologies = [skewed_topology(40, seed=s) for s in (11, 12, 13, 14, 15)]
+    run_experiment(topologies[0], spec, seed=0)  # lazy imports, caches
+    tracemalloc.start()
+    try:
+        live = []
+        for seed, topology in enumerate(topologies, start=1):
+            run_experiment(topology, spec, seed=seed)
+            gc.collect()
+            live.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    drift = [after - live[0] for after in live[1:]]
+    print(f"\nlive bytes after trial 1: {live[0]}; drift after trials 2-5: {drift}")
+    assert max(abs(d) for d in drift) <= 64 * 1024
+
+
+# ----------------------------------------------------------------------
+# (c) Bytes per stored route
+# ----------------------------------------------------------------------
+def test_bytes_per_adj_rib_in_route_budget():
+    # 347 B on CPython 3.11 (403 with the intern table and tuple keys);
+    # the budget leaves ~9% for allocator and dict-sizing differences
+    # between CI Pythons and is not tuned per version.
+    topology = skewed_topology(120, seed=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        network = BGPNetwork(topology, SPECS["dynamic_mrai"].to_bgp_config(), seed=1)
+        network.start()
+        network.run_until_quiet()
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    routes = sum(s.adj_rib_in.route_count() for s in network.speakers.values())
+    per_route = live / routes
+    print(
+        f"\n120 nodes at warm-up quiescence: {routes} Adj-RIB-In routes, "
+        f"{live / 1e6:.2f} MB live, {per_route:.1f} B/route (budget 380)"
+    )
+    assert per_route <= 380
+
+
+# ----------------------------------------------------------------------
+# (d) The packed preference key is the documented 5-tuple order
+# ----------------------------------------------------------------------
+def documented_key(route: Route, rank: int):
+    """The strict total order of the ``repro.bgp.routes`` docstring."""
+    return (
+        rank,
+        len(route.path),
+        0 if route.peer is None else 1,
+        0 if route.ebgp else 1,
+        -1 if route.peer is None else route.peer,
+    )
+
+
+ranked_routes = st.builds(
+    lambda rank, length, peer, ebgp: (
+        Route(1, tuple(range(length)), peer, ebgp, rank=rank),
+        rank,
+    ),
+    rank=st.integers(min_value=0, max_value=2),
+    length=st.integers(min_value=0, max_value=40),
+    peer=st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
+    ebgp=st.booleans(),
+)
+
+
+@given(ranked_routes, ranked_routes)
+def test_packed_key_orders_exactly_like_the_documented_tuple(a, b):
+    (route_a, rank_a), (route_b, rank_b) = a, b
+    key_a, key_b = documented_key(route_a, rank_a), documented_key(route_b, rank_b)
+    assert route_a.better_than(route_b) == (key_a < key_b)
+    assert route_b.better_than(route_a) == (key_b < key_a)
+    # Strict: only identical criteria tie.
+    assert (route_a.preference_key() == route_b.preference_key()) == (
+        key_a == key_b
+    )
+
+
+# ----------------------------------------------------------------------
+# (e) Paths are shared between RIBs without a table
+# ----------------------------------------------------------------------
+def test_path_objects_are_shared_between_sender_and_receiver():
+    network = converged_network(skewed_topology(40, seed=1))
+    objects, values = set(), set()
+
+    def note(path):
+        objects.add(id(path))
+        values.add(path)
+
+    loc_rib_size = 0
+    for receiver in network.speakers.values():
+        for dest, best in receiver.loc_rib.items():
+            loc_rib_size += 1
+            note(best.path)
+            if best.export is not None:
+                note(best.export)
+        for peer_id, ps in receiver.peers.items():
+            sender = network.speakers[peer_id]
+            for dest, sent in sender.peers[receiver.node_id].adj_rib_out.items():
+                if sent is None:
+                    continue
+                note(sent)
+                stored = receiver.adj_rib_in.get(dest, peer_id)
+                if stored is not None:
+                    note(stored.path)
+                    assert ps.ebgp and stored.path is sent
+    print(
+        f"\n40 nodes: {len(objects)} path objects, {len(values)} path values, "
+        f"{loc_rib_size} Loc-RIB entries"
+    )
+    assert len(objects) <= len(values) + loc_rib_size
+
+
+# ----------------------------------------------------------------------
+# (f) close()
+# ----------------------------------------------------------------------
+def test_close_is_idempotent_and_leaves_a_harmless_shell():
+    network = converged_network(skewed_topology(20, seed=1))
+    assert network.total_loc_rib_routes() == 20 * 20
+    network.close()
+    network.close()
+    assert network.is_quiescent()
+    assert network.sim.pending_events == 0
+    assert network.alive_speakers() == []
+    assert "BGPNetwork" in repr(network)
+    assert network.counters.snapshot()["updates_sent"] > 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bgp.mrai import ConstantMRAI
+from repro.bgp.network import BGPNetwork
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.obs.probes import NetworkProbe, percentile
@@ -38,8 +39,7 @@ def test_percentile_nearest_rank():
 # Probe construction / arming
 # ----------------------------------------------------------------------
 def test_probe_rejects_bad_interval():
-    obs, _ = observed_run(ExperimentSpec(mrai=ConstantMRAI(0.5)))
-    net = obs.probe.network
+    net = BGPNetwork(small_topo())
     with pytest.raises(ValueError):
         NetworkProbe(net, interval=0.0)
 
@@ -59,6 +59,25 @@ def test_probe_detaches_at_quiescence():
     assert not probe.armed
     assert not result.truncated
     assert len(probe.aggregates) > 2
+
+
+def test_session_does_not_pin_finished_networks():
+    # One sampled session across many trials keeps every trial's samples
+    # but must not keep every trial's RIBs alive through its probes.
+    import gc
+
+    def reachable_networks():
+        gc.collect()
+        return sum(isinstance(o, BGPNetwork) for o in gc.get_objects())
+
+    before = reachable_networks()
+    obs = ObsSession(sample_interval=0.25)
+    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
+    for seed in range(4):
+        run_experiment(small_topo(), spec, seed=seed, obs=obs)
+    assert reachable_networks() - before <= 1
+    assert len(obs.probes) == 4
+    assert all(len(probe.aggregates) > 2 for probe in obs.probes)
 
 
 def test_probe_samples_cover_both_phases():
@@ -85,8 +104,7 @@ def test_probe_node_filter():
 
 
 def test_probe_aggregates_only_mode():
-    obs, _ = observed_run(ExperimentSpec(mrai=ConstantMRAI(0.5)))
-    net = obs.probe.network
+    net = BGPNetwork(small_topo())
     probe = NetworkProbe(net, interval=0.5, keep_node_samples=False)
     probe._sample()
     assert probe.node_samples == []

@@ -50,7 +50,7 @@ def test_event_queue_cancellation_accounting(items):
     for time, cancel in items:
         event = q.push(time, lambda: None)
         if cancel:
-            q.note_cancelled(event)
+            event.cancel()
         else:
             live += 1
     assert len(q) == live

@@ -119,6 +119,44 @@ def test_cancel_is_idempotent():
     assert sim.pending_events == 0
 
 
+def test_cancelling_a_fired_event_does_not_hide_later_events():
+    # The handle of an event that already ran no longer occupies a heap
+    # slot, so cancelling it must not be counted against the live events.
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1.0, fired.append, "f")
+    sim.run()
+    sim.schedule(1.0, fired.append, "g")
+    sim.cancel(first)
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == ["f", "g"]
+
+
+def test_event_cancel_called_directly_keeps_the_count_exact():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, fired.append, "x")
+    sim.schedule(2.0, fired.append, "y")
+    event.cancel()
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == ["y"]
+    assert sim.pending_events == 0
+
+
+def test_cancel_after_reset_is_not_counted():
+    sim = Simulator()
+    stale = sim.schedule(1.0, lambda: None)
+    sim.reset()
+    fired = []
+    sim.schedule(1.0, fired.append, "g")
+    sim.cancel(stale)
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == ["g"]
+
+
 def test_step_executes_single_event():
     sim = Simulator()
     fired = []

@@ -38,7 +38,7 @@ def test_len_excludes_cancelled():
     e1 = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
     assert len(q) == 2
-    q.note_cancelled(e1)
+    e1.cancel()
     assert len(q) == 1
 
 
@@ -46,7 +46,7 @@ def test_cancelled_events_are_skipped_on_pop():
     q = EventQueue()
     e1 = q.push(1.0, lambda: None)
     e2 = q.push(2.0, lambda: None)
-    q.note_cancelled(e1)
+    e1.cancel()
     assert q.pop() is e2
 
 
@@ -60,7 +60,7 @@ def test_peek_time_skips_cancelled():
     q = EventQueue()
     e1 = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
-    q.note_cancelled(e1)
+    e1.cancel()
     assert q.peek_time() == 2.0
 
 
@@ -74,7 +74,7 @@ def test_bool_reflects_live_events():
     assert not q
     e = q.push(1.0, lambda: None)
     assert q
-    q.note_cancelled(e)
+    e.cancel()
     assert not q
 
 
@@ -91,7 +91,7 @@ def test_compact_removes_garbage():
     q = EventQueue()
     events = [q.push(float(i), lambda: None) for i in range(100)]
     for e in events[:50]:
-        q.note_cancelled(e)
+        e.cancel()
     q.compact()
     assert len(q) == 50
     assert q.pop().time == 50.0
@@ -101,7 +101,7 @@ def test_iter_pending_excludes_cancelled():
     q = EventQueue()
     e1 = q.push(1.0, lambda: None)
     e2 = q.push(2.0, lambda: None)
-    q.note_cancelled(e1)
+    e1.cancel()
     pending = list(q.iter_pending())
     assert pending == [e2]
 
@@ -113,12 +113,27 @@ def test_event_cancel_is_idempotent():
     assert e.cancelled
 
 
+def test_cancel_counts_only_events_still_in_the_heap():
+    q = EventQueue()
+    popped = q.push(1.0, lambda: None)
+    assert q.pop() is popped
+    live = q.push(2.0, lambda: None)
+    popped.cancel()
+    assert len(q) == 1
+    assert q.peek_time() == 2.0
+    live.cancel()
+    live.cancel()
+    assert len(q) == 0
+    assert not q
+    assert q.peek_time() is None
+
+
 def test_auto_compaction_under_heavy_cancellation():
     q = EventQueue()
     q.MIN_COMPACT_SIZE = 8
     live = q.push(100.0, lambda: None)
     for i in range(64):
         e = q.push(float(i), lambda: None)
-        q.note_cancelled(e)
+        e.cancel()
     assert len(q) == 1
     assert q.pop() is live
