@@ -5,12 +5,13 @@
   utilization / message-count overload monitors (Sec 4.3);
 * :mod:`repro.core.experiment` — warm-up, failure injection, convergence
   measurement, multi-trial aggregation;
-* :mod:`repro.core.batch` — the one trial-batch pipeline (look up the
-  store, execute the misses, bank, fold) that ``run_trials``, campaigns
-  and the service all run;
+* :mod:`repro.core.batch` — the one trial-batch pipeline (plan, look up
+  the store, execute the misses, bank, fold) that ``run_trials``,
+  campaigns and the service all run, over the one record of a trial to
+  run, :class:`~repro.core.batch.PlannedTrial`;
 * :mod:`repro.core.parallel` — single-trial execution and the persistent
-  warm worker pool (per-worker topology caches) behind ``jobs > 1``, with
-  deterministic seed fan-out;
+  warm worker pool (one topology cache per worker) behind ``jobs > 1``,
+  with deterministic seed fan-out;
 * :mod:`repro.core.sweep` — parameter sweeps producing the series behind
   every figure;
 * :mod:`repro.core.validation` — post-convergence routing correctness
@@ -36,7 +37,6 @@ from repro.core.experiment import (
 from repro.core.parallel import (
     PoolRunStats,
     TrialExecutionError,
-    TrialTask,
     WorkerPool,
     derive_trial_seeds,
     get_default_jobs,
@@ -72,7 +72,6 @@ __all__ = [
     "SweepPoint",
     "TrialExecutionError",
     "TrialResult",
-    "TrialTask",
     "UtilizationController",
     "WorkerPool",
     "derive_trial_seeds",

@@ -11,16 +11,20 @@ reported, never raised), bank every success from the parent the moment
 it lands, and hand worker observability back in plan order.  This module
 is that loop, once:
 
+* :class:`PlannedTrial` — the one record of a trial to run, from the
+  planner to the worker pipe: what to run, the topology's content
+  digest, the key it banks under and the grid cell it came from;
 * :func:`plan_grid` / :func:`fold_grid` — the single grid expansion
-  (one topology per seed, trials in (cell, seed) order) and the single
-  seed-order fold back into one ``ExperimentResult`` per cell;
-  :func:`run_grid` runs a whole grid as one batch with the sweep policy
-  (one attempt, fail fast);
-* :func:`run_tasks` — the single way to execute tasks: in this process
-  through :func:`~repro.core.parallel.execute_trial` when ``jobs <= 1``,
-  on the process-wide warm :class:`~repro.core.parallel.WorkerPool`
-  otherwise — a one-task batch included, so a retry of a trial that just
-  killed its worker never runs inside the parent;
+  (one topology and one digest per seed, trials in (cell, seed) order)
+  and the single seed-order fold back into one ``ExperimentResult`` per
+  cell; :func:`run_grid` runs a whole grid as one batch with the sweep
+  policy (one attempt, fail fast);
+* :func:`run_tasks` — the single way to execute planned trials: in this
+  process through :func:`~repro.core.parallel.execute_trial` when
+  ``jobs <= 1``, on the process-wide warm
+  :class:`~repro.core.parallel.WorkerPool` otherwise — a one-trial batch
+  included, so a retry of a trial that just killed its worker never runs
+  inside the parent;
 * :func:`run_batch` — lookup, execute misses, bank, absorb, progress.
   Its plug points are the store, the attempt budget and a per-outcome
   hook; the callers differ only in those (``run_trials``: one attempt,
@@ -53,10 +57,7 @@ from repro.core.experiment import (
     TrialResult,
 )
 from repro.core.parallel import (
-    GuardedOutcome,
-    PoolRunStats,
     TrialExecutionError,
-    TrialTask,
     execute_trial,
     get_default_jobs,
     get_worker_pool,
@@ -69,53 +70,88 @@ from repro.obs.spans import span
 GridCell = Tuple[str, float, ExperimentSpec]
 
 
-def run_tasks(
-    tasks: Sequence[TrialTask], jobs: int
-) -> Iterator[GuardedOutcome]:
-    """Execute every task; stream ``(index, trial, payload, error)``.
-
-    Exactly one outcome per task, in completion order.  A trial that
-    raises — or whose worker dies — comes back as an error string
-    (``"ExcType: message"``), never as an exception, so the consumer
-    decides between fail-fast and retry.  ``jobs <= 1`` runs in this
-    process, lazily (the next trial starts only when the consumer asks
-    for the next outcome); ``jobs > 1`` runs on the warm pool, under
-    ``pool.run``/``pool.collect`` spans carrying the run's
-    :class:`~repro.core.parallel.PoolRunStats`.
-    """
-    if jobs <= 1:
-        for task in tasks:
-            try:
-                index, trial, payload = execute_trial(task)
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                yield task.index, None, None, f"{type(exc).__name__}: {exc}"
-            else:
-                yield index, trial, payload, None
-        return
-    stats = PoolRunStats()
-    with span(
-        "pool.run", jobs=min(jobs, len(tasks)), tasks=len(tasks)
-    ) as pool_span:
-        with span("pool.collect", tasks=len(tasks)):
-            yield from get_worker_pool().run_guarded(
-                tasks, jobs=jobs, stats=stats
-            )
-        pool_span.set(**stats.as_dict())
-
-
 @dataclass(frozen=True)
 class PlannedTrial:
-    """One trial of a batch: what to run and the key it banks under.
+    """One trial to run — the only shape a trial takes before it runs.
 
-    ``key`` is the trial's content address
-    (:func:`repro.store.hashing.spec_hash`); it is only read when the
-    batch runs against a store.
+    ``digest`` is the content digest of ``topology``
+    (:func:`repro.store.hashing.topology_digest`): the pool groups and
+    caches by it and ``key`` (:func:`repro.store.hashing.trial_key`) is
+    derived from it, so the planner computes it once per built topology,
+    when the batch is store-backed or pooled.  ``label`` and ``x`` name
+    the grid cell the trial came from; its index is its plan position.
     """
 
     topology: Any
     spec: Any
     seed: int
+    digest: Optional[str] = None
     key: Optional[str] = None
+    label: str = ""
+    x: float = 0.0
+
+
+def run_tasks(
+    planned: Sequence[PlannedTrial],
+    indices: Sequence[int],
+    jobs: int,
+    obs_config: Optional[Dict[str, Any]] = None,
+) -> Iterator[
+    Tuple[int, Optional[TrialResult], Optional[Dict[str, Any]], Optional[str]]
+]:
+    """Execute ``planned[i]`` for every i in ``indices``; stream outcomes.
+
+    Exactly one ``(index, trial, payload, error)`` per index, in
+    completion order.  A trial that raises — or whose worker dies —
+    comes back as an error string (``"ExcType: message"``), never as an
+    exception, so the consumer decides between fail-fast and retry.
+    ``jobs <= 1`` runs in this process, lazily (the next trial starts
+    only when the consumer asks for the next outcome); ``jobs > 1`` runs
+    on the warm pool, under ``pool.run``/``pool.collect`` spans carrying
+    the run's :class:`~repro.core.parallel.PoolRunStats`.  ``obs_config``
+    is the batch's picklable session recipe
+    (:meth:`repro.obs.session.ObsSession.worker_args`), or None when the
+    run is unobserved.
+    """
+    if jobs <= 1:
+        for index in indices:
+            trial = planned[index]
+            try:
+                result, payload = execute_trial(
+                    index, trial.topology, trial.spec, trial.seed, obs_config
+                )
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                yield index, None, None, f"{type(exc).__name__}: {exc}"
+            else:
+                yield index, result, payload, None
+        return
+    with span(
+        "pool.run", jobs=min(jobs, len(indices)), tasks=len(indices)
+    ) as pool_span:
+        with span("pool.collect", tasks=len(indices)):
+            stats = yield from get_worker_pool().run_guarded(
+                planned, indices, jobs, obs_config
+            )
+        pool_span.set(**stats.as_dict())
+
+
+def build_topology(
+    topology_factory: Callable[[int], Any], seed: int, *, digest: bool
+) -> Tuple[Any, Optional[str]]:
+    """Build one seed's topology and, on request, its content digest.
+
+    The one place a built topology is digested: every key, fingerprint
+    and pool cache entry of the trials that share it derives from this
+    value.
+    """
+    with span("topology.build", seed=seed):
+        topology = topology_factory(seed)
+    if not digest:
+        return topology, None
+    # Imported here: repro.store imports this module at its top.
+    from repro.store.hashing import topology_digest
+
+    return topology, topology_digest(topology)
 
 
 def plan_grid(
@@ -128,25 +164,26 @@ def plan_grid(
     """Expand cells x seeds into planned trials, in (cell, seed) order.
 
     Each seed's topology is built once, however many cells share it.
-    ``keyed`` computes the content keys; only a store-backed batch (or a
-    store lookup) reads them.
+    ``keyed`` also digests it once and derives every trial's content key
+    from that digest; a store-backed batch (or a store lookup) reads the
+    keys, a pooled one the digests (the ~80 us a key a pooled batch
+    without a store spends unread buys one flag instead of two).
     """
     if keyed:
-        from repro.store.hashing import spec_hash
-    topologies = {}
-    for seed in seeds:
-        with span("topology.build", seed=seed):
-            topologies[seed] = topology_factory(seed)
-    return [
-        PlannedTrial(
-            topologies[seed],
-            spec,
-            seed,
-            spec_hash(spec, topologies[seed], seed) if keyed else None,
-        )
-        for _label, _x, spec in cells
+        from repro.store.hashing import trial_key
+    built = {
+        seed: build_topology(topology_factory, seed, digest=keyed)
         for seed in seeds
-    ]
+    }
+    planned = []
+    for label, x, spec in cells:
+        for seed in seeds:
+            topology, digest = built[seed]
+            key = trial_key(spec, digest, seed) if keyed else None
+            planned.append(
+                PlannedTrial(topology, spec, seed, digest, key, label, x)
+            )
+    return planned
 
 
 def fold_grid(
@@ -236,7 +273,7 @@ def run_batch(
     execution round.
     """
     if store is not None:
-        from repro.store.hashing import spec_fingerprint
+        from repro.store.hashing import trial_fingerprint
 
     start = time.perf_counter()
     total = len(planned)
@@ -278,24 +315,16 @@ def run_batch(
     attempt = 1
     while pending:
         result.failures = {}
-        tasks = [
-            TrialTask(
-                index=index,
-                topology=planned[index].topology,
-                spec=planned[index].spec,
-                seed=planned[index].seed,
-                obs_config=obs_config,
-            )
-            for index in pending
-        ]
         round_span = (
-            span(attempt_span, attempt=attempt, tasks=len(tasks))
+            span(attempt_span, attempt=attempt, tasks=len(pending))
             if attempt_span
             else nullcontext()
         )
         # closing(): a hook that raises must unwind the pool spans now,
         # not whenever the abandoned generator is collected.
-        with round_span, closing(run_tasks(tasks, jobs)) as outcomes:
+        with round_span, closing(
+            run_tasks(planned, pending, jobs, obs_config)
+        ) as outcomes:
             for index, trial, payload, error in outcomes:
                 if error is None:
                     item = planned[index]
@@ -303,8 +332,8 @@ def run_batch(
                         store.put(
                             item.key,
                             trial,
-                            fingerprint=spec_fingerprint(
-                                item.spec, item.topology, item.seed
+                            fingerprint=trial_fingerprint(
+                                item.spec, item.digest, item.seed
                             ),
                         )
                     trials[index] = trial
@@ -366,7 +395,10 @@ def run_grid(
     total = len(cells) * len(seeds)
     with span("trials.run", trials=total, jobs=jobs):
         planned = plan_grid(
-            topology_factory, cells, seeds, keyed=store is not None
+            topology_factory,
+            cells,
+            seeds,
+            keyed=store is not None or jobs > 1,
         )
 
         def fail_fast(outcome: BatchOutcome) -> None:

@@ -5,13 +5,12 @@ one a full warm-up + failure + convergence simulation with its own
 topology and seed — which makes the workload embarrassingly parallel the
 same way SSFNet's parallel event-driven substrate exploited.  This module
 provides the two pieces the batch pipeline (:mod:`repro.core.batch`)
-executes trials with:
+executes its :class:`~repro.core.batch.PlannedTrial` records with:
 
-* :func:`execute_trial` — run one :class:`TrialTask` and return
-  ``(index, TrialResult, obs payload)``.  Serial and parallel runs both
-  go through it, so both round-trip observability through the same
-  picklable payloads and switching ``jobs`` never changes what a
-  session records;
+* :func:`execute_trial` — run one planned trial and return ``(TrialResult,
+  obs payload)``.  Serial and parallel runs both go through it, so both
+  round-trip observability through the same picklable payloads and
+  switching ``jobs`` never changes what a session records;
 * :class:`WorkerPool` — the process-wide pool of warm workers behind
   ``jobs > 1``.  Trials complete out of order; the caller folds results
   back in submission (seed) order, which is what makes a parallel
@@ -30,40 +29,36 @@ long-lived workers that amortize every fixed cost:
   ``run_trials`` / sweep / campaign call, reaped at interpreter exit
   (or explicitly via :func:`shutdown_worker_pool`).  Spin-up is paid
   once per process, not once per batch.
-* **Per-worker topology cache.**  Tasks cross the pipe as a lean wire
-  record — spec, seed, obs recipe and a *content digest* of the built
-  topology (:func:`repro.store.hashing.topology_digest`).  The topology
-  itself ships to a given worker at most once per digest; afterwards the
-  worker replays trials against its cached copy.  Caches are bounded LRU
-  (:data:`DEFAULT_TOPOLOGY_CACHE` entries); the parent mirrors
-  each worker's cache state deterministically, so it always knows what
-  to ship.
-* **Copy-on-write sharing on fork platforms.**  When the start method is
-  ``fork`` (the Linux default), topologies already built at spawn time
-  are published in a module global the forked children inherit — those
-  workers start with the run's topologies pre-pinned at zero
-  serialization cost.  ``spawn`` falls back to ship-once semantics with
-  identical results.
-* **Digest-affinity chunk scheduling.**  Tasks are grouped by topology
-  digest and dispatched as chunks (batches of trials per message); free
-  workers prefer chunks whose topology they already hold, so campaigns —
-  which group trials by grid cell — keep hitting warm caches.
-* **Streamed, compact results.**  Workers send one ``(index, result,
-  obs payload)`` message per finished trial (progress ticks stream), and
-  observed sessions prune empty payload sections before pickling
+* **One per-worker topology cache.**  A chunk crosses the pipe as a lean
+  message (:func:`chunk_message`): the *content digest* of its topology
+  — computed once by the planner and carried on every record — the
+  batch's obs recipe, and its trials as ``(index, spec, seed)``.  The
+  topology itself ships to a given worker at most once per cache
+  residency, on every start method; afterwards the worker replays
+  trials against its cached copy.  Caches are bounded LRU
+  (:data:`DEFAULT_TOPOLOGY_CACHE` entries); the parent mirrors each
+  worker's cache state deterministically, so it always knows what to
+  ship.
+* **Digest-affinity chunk scheduling.**  Trials are grouped by topology
+  digest and dispatched as chunks (:func:`plan_chunks`); free workers
+  prefer chunks whose topology they already hold
+  (:func:`choose_chunk`), so campaigns — which group trials by grid
+  cell — keep hitting warm caches.
+* **Streamed, compact results.**  Workers send one message per finished
+  trial (progress ticks stream), and observed sessions prune empty
+  payload sections before pickling
   (:meth:`repro.obs.session.ObsSession.worker_payload`).
 
 Determinism contract
 --------------------
 A trial is a pure function of ``(topology, spec, seed)``: random streams
 are derived via BLAKE2b (process-independent, ``PYTHONHASHSEED``-immune),
-topologies are built in the parent exactly as the serial path does (and
-reach workers either by fork-inherited reference or by one pickled
-round-trip — the same bytes the cold pool shipped per trial), and results
-are folded in task order regardless of completion order.  Workers
-therefore produce the identical :class:`TrialResult` the parent would
-have, and ``jobs=N`` equals ``jobs=1`` bit for bit, warm pool or cold,
-fork or spawn.
+topologies are built in the parent exactly as the serial path does (so
+factories never need to be picklable) and reach a worker by one pickled
+round-trip, and results are folded in plan order regardless of
+completion order.  Workers therefore produce the identical
+:class:`TrialResult` the parent would have, and ``jobs=N`` equals
+``jobs=1`` bit for bit, warm pool or cold, fork or spawn.
 
 The ``--jobs`` default used by the sweep drivers is a module-level
 setting so deep call stacks (the figure harness) pick it up without
@@ -82,12 +77,14 @@ import os
 import time
 from collections import OrderedDict, deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
+    Generator,
     Iterator,
     List,
     Optional,
@@ -100,25 +97,14 @@ from repro.obs.spans import record_spans, span
 from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.batch import PlannedTrial
     from repro.core.experiment import TrialResult
-
-#: A finished trial: (submission index, measurement, obs payload or None).
-TrialOutcome = Tuple[int, "TrialResult", Optional[Dict[str, Any]]]
-
-#: A guarded outcome: (index, result or None, payload or None, error or
-#: None) — errors are reported as ``"ExcType: message"`` strings, never
-#: raised.
-GuardedOutcome = Tuple[
-    int, Optional["TrialResult"], Optional[Dict[str, Any]], Optional[str]
-]
 
 #: Module-level default for ``jobs`` when callers pass None (see
 #: :func:`parallel_jobs`); 1 keeps every entry point serial by default.
 _DEFAULT_JOBS = 1
 
-#: Per-worker topology cache capacity (entries, LRU).  Pinned
-#: fork-inherited topologies live outside this bound (they cost no
-#: serialization and stay copy-on-write shared until written).
+#: Per-worker topology cache capacity (entries, LRU).
 DEFAULT_TOPOLOGY_CACHE = 8
 
 #: How many chunks a worker may have queued at once.  2 keeps a worker's
@@ -183,43 +169,6 @@ def derive_trial_seeds(
         return seeds
 
 
-@dataclass(frozen=True)
-class TrialTask:
-    """Everything one worker needs to run one trial.
-
-    The topology is built *in the parent* (exactly as the serial path
-    does), so topology factories never need to be picklable and
-    factory-side global state behaves identically under both backends.
-    The pool backend ships it to each worker at most once per content
-    digest (see :class:`WorkerPool`).  ``obs_config`` is the picklable
-    session recipe from
-    :meth:`repro.obs.session.ObsSession.worker_args`, or None when the
-    run is unobserved.
-    """
-
-    index: int
-    topology: Any
-    spec: Any
-    seed: int
-    obs_config: Optional[Dict[str, Any]] = None
-
-
-@dataclass(frozen=True)
-class _WireTask:
-    """The lean cross-process form of a :class:`TrialTask`.
-
-    Carries the topology's content digest instead of the topology; the
-    worker resolves it against its cache (or the chunk's shipped
-    entries).
-    """
-
-    index: int
-    spec: Any
-    seed: int
-    obs_config: Optional[Dict[str, Any]]
-    digest: str
-
-
 class TrialExecutionError(RuntimeError):
     """A trial of a fail-fast batch failed; carries which one and why."""
 
@@ -230,15 +179,22 @@ class TrialExecutionError(RuntimeError):
         self.error = error
 
 
-def execute_trial(task: TrialTask) -> TrialOutcome:
-    """Run one trial (the worker entry point; also used serially).
+def execute_trial(
+    index: int,
+    topology: Any,
+    spec: Any,
+    seed: int,
+    obs_config: Optional[Dict[str, Any]] = None,
+) -> Tuple["TrialResult", Optional[Dict[str, Any]]]:
+    """Run one planned trial (the worker entry point; also used serially).
 
-    When the task carries an obs recipe, a fresh worker-local
-    :class:`~repro.obs.session.ObsSession` observes the run and its
-    entire state — metrics, phase timings, probe samples, profiler rows,
-    exploration summaries and (when the parent has a trace sink)
-    the raw trace records — is returned as a picklable payload for the
-    parent session to absorb.
+    Takes the record's fields, not the record: that is what a worker
+    holds once it has unpacked a chunk.  When the batch carries an obs
+    recipe, a fresh worker-local :class:`~repro.obs.session.ObsSession`
+    observes the run and its entire state — metrics, phase timings,
+    probe samples, profiler rows, exploration summaries and (when the
+    parent has a trace sink) the raw trace records — is returned beside
+    the result as a picklable payload for the parent session to absorb.
     """
     # Imported here, not at module level: experiment.py imports this
     # module at its top, and workers only pay the import once per process.
@@ -246,32 +202,23 @@ def execute_trial(task: TrialTask) -> TrialOutcome:
 
     obs = None
     spans_ctx = nullcontext()
-    if task.obs_config is not None:
+    if obs_config is not None:
         from repro.obs.session import ObsSession
 
-        obs = ObsSession.for_worker(task.obs_config)
+        obs = ObsSession.for_worker(obs_config)
         if obs.span_recorder is not None:
             # Worker-local span recording: the records ride home in the
             # obs payload and the parent grafts them under "workers/".
             spans_ctx = record_spans(obs.span_recorder)
     with spans_ctx:
-        with span("trial.execute", index=task.index, seed=task.seed):
-            result = run_experiment(
-                task.topology, task.spec, seed=task.seed, obs=obs
-            )
-    payload = obs.worker_payload() if obs is not None else None
-    return task.index, result, payload
+        with span("trial.execute", index=index, seed=seed):
+            result = run_experiment(topology, spec, seed=seed, obs=obs)
+    return result, (obs.worker_payload() if obs is not None else None)
 
 
 # ---------------------------------------------------------------------------
 # The persistent warm worker pool
 # ---------------------------------------------------------------------------
-
-#: Topologies published for fork-inherited copy-on-write sharing.  Set
-#: immediately before spawning a worker under the ``fork`` start method
-#: and cleared right after (the child's memory snapshot keeps its copy);
-#: always empty in steady state.
-_FORK_TOPOLOGIES: Dict[str, Any] = {}
 
 
 def default_start_method() -> str:
@@ -284,28 +231,20 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def _topology_digest(topology: Any) -> str:
-    # Imported lazily: store.hashing pulls in the spec layer, which the
-    # serial fast path never needs.
-    from repro.store.hashing import topology_digest
-
-    return topology_digest(topology)
-
-
 def _worker_main(conn: Any, cache_capacity: int) -> None:
     """Worker process loop: receive chunks, run trials, stream results.
 
-    Protocol (parent -> worker): ``("chunk", run_id, chunk_id,
-    [wire_tasks], {digest: topology})`` and ``("close",)``.
-    Worker -> parent: ``("ready", pid, [pinned digests])`` once at boot,
-    then per chunk one ``("done", run_id, outcome)`` or ``("err",
-    run_id, index, seed, exception)`` per trial followed by
-    ``("chunk_done", run_id, chunk_id, stats)``.
+    Protocol (parent -> worker): :func:`chunk_message` and
+    ``("close",)``.  Worker -> parent: ``("ready",)`` once at boot, then
+    per chunk one ``("outcome", run_id, chunk_id, index, result,
+    payload, error)`` per trial — exactly one of result / error set, the
+    error an ``"ExcType: message"`` string — followed by
+    ``("chunk_done", run_id, chunk_id, hits, misses, evictions)``.
     """
     # A forked child inherits the parent's live span recorder, active
     # obs sessions and open span path — none of which mean anything
     # here.  Reset them so worker observability comes only from each
-    # task's obs recipe (exactly what a spawned worker sees).
+    # chunk's obs recipe (exactly what a spawned worker sees).
     from repro.obs import session as _session_mod
     from repro.obs import spans as _spans_mod
 
@@ -313,93 +252,44 @@ def _worker_main(conn: Any, cache_capacity: int) -> None:
     _spans_mod._PATH.set("")
     _session_mod._ACTIVE.clear()
 
-    pinned: Dict[str, Any] = dict(_FORK_TOPOLOGIES)
     cache: "OrderedDict[str, Any]" = OrderedDict()
     try:
-        conn.send(("ready", os.getpid(), sorted(pinned)))
+        conn.send(("ready",))
         while True:
             message = conn.recv()
-            kind = message[0]
-            if kind == "close":
+            if message[0] == "close":
                 break
-            if kind != "chunk":  # pragma: no cover - future protocol room
-                continue
-            _, run_id, chunk_id, wire_tasks, shipped = message
-            stats = {
-                "cache_hits": 0,
-                "cache_misses": 0,
-                "evictions": 0,
-                "shipped": len(shipped),
-                "trials": 0,
-            }
-            for digest, topology in shipped.items():
-                cache[digest] = topology
-                cache.move_to_end(digest)
+            _, run_id, chunk_id, digest, shipped, obs_config, trials = message
+            hits, misses, evictions = len(trials), 0, 0
+            if shipped is not None:
+                # The chunk's first trial pays for the shipment.
+                hits, misses = hits - 1, 1
+                cache[digest] = shipped
                 while len(cache) > cache_capacity:
                     cache.popitem(last=False)
-                    stats["evictions"] += 1
-            fresh: Set[str] = set(shipped)
-            for wire in wire_tasks:
-                digest = wire.digest
-                topology = pinned.get(digest)
-                if topology is None:
-                    topology = cache.get(digest)
-                    if topology is not None:
-                        cache.move_to_end(digest)
-                if digest in fresh:
-                    fresh.discard(digest)
-                    stats["cache_misses"] += 1
-                else:
-                    stats["cache_hits"] += 1
-                if topology is None:
-                    # Parent/worker cache models diverged — a protocol
-                    # bug, surfaced as a per-trial error so the run
-                    # fails loudly instead of hanging.
-                    conn.send(
-                        (
-                            "err",
-                            run_id,
-                            wire.index,
-                            wire.seed,
-                            RuntimeError(
-                                f"worker lost topology {digest} "
-                                f"(cache capacity {cache_capacity})"
-                            ),
-                        )
-                    )
-                    continue
-                task = TrialTask(
-                    index=wire.index,
-                    topology=topology,
-                    spec=wire.spec,
-                    seed=wire.seed,
-                    obs_config=wire.obs_config,
-                )
+                    evictions += 1
+            topology = cache.get(digest)
+            if topology is not None:
+                cache.move_to_end(digest)
+            for index, spec, seed in trials:
                 try:
-                    outcome = execute_trial(task)
+                    if topology is None:
+                        # Parent/worker cache models diverged — a
+                        # protocol bug, surfaced as a per-trial error so
+                        # the run fails loudly instead of hanging.
+                        raise RuntimeError(
+                            f"worker lost topology {digest} "
+                            f"(cache capacity {cache_capacity})"
+                        )
+                    outcome = execute_trial(
+                        index, topology, spec, seed, obs_config
+                    ) + (None,)
                 except Exception as exc:
-                    try:
-                        conn.send(
-                            ("err", run_id, wire.index, wire.seed, exc)
-                        )
-                    except Exception:
-                        # The exception itself would not pickle; ship a
-                        # faithful textual stand-in instead.
-                        conn.send(
-                            (
-                                "err",
-                                run_id,
-                                wire.index,
-                                wire.seed,
-                                RuntimeError(
-                                    f"{type(exc).__name__}: {exc}"
-                                ),
-                            )
-                        )
-                else:
-                    conn.send(("done", run_id, outcome))
-                stats["trials"] += 1
-            conn.send(("chunk_done", run_id, chunk_id, stats))
+                    outcome = (None, None, f"{type(exc).__name__}: {exc}")
+                conn.send(("outcome", run_id, chunk_id, index) + outcome)
+            conn.send(
+                ("chunk_done", run_id, chunk_id, hits, misses, evictions)
+            )
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
         pass
     finally:
@@ -407,63 +297,150 @@ def _worker_main(conn: Any, cache_capacity: int) -> None:
 
 
 class _WorkerHandle:
-    """Parent-side bookkeeping for one pool worker."""
+    """Parent-side record of one pool worker.
+
+    Plain data: the scheduling functions below read and update it
+    without touching ``process`` or ``conn``, so they run (and are
+    tested) without either.
+    """
 
     __slots__ = (
         "process",
         "conn",
-        "pinned",
         "holds",
         "ready",
         "spawned_at",
         "spinup_seconds",
-        "runs_served",
-        "inflight",
         "remaining",
         "alive",
     )
 
-    def __init__(self, process: Any, conn: Any, pinned: Set[str]) -> None:
+    def __init__(self, process: Any = None, conn: Any = None) -> None:
         self.process = process
         self.conn = conn
-        #: Digests pinned by fork inheritance (never evicted).
-        self.pinned = pinned
         #: Mirror of the worker's LRU cache (insertion == recency order).
         self.holds: "OrderedDict[str, bool]" = OrderedDict()
         self.ready = False
         self.spawned_at = time.perf_counter()
         self.spinup_seconds: Optional[float] = None
-        self.runs_served = 0
-        #: Chunks sent but not yet chunk_done-acknowledged.
-        self.inflight = 0
-        #: (run_id, chunk_id) -> {index: seed} still unanswered.
-        self.remaining: Dict[Tuple[int, int], Dict[int, int]] = {}
+        #: (run_id, chunk_id) -> plan indices still unanswered, for every
+        #: chunk sent and not yet chunk_done-acknowledged.
+        self.remaining: Dict[Tuple[int, int], List[int]] = {}
         self.alive = True
 
-    def holds_digest(self, digest: str) -> bool:
-        return digest in self.pinned or digest in self.holds
-
-    def model_use(
-        self, digest: str, shipped: bool, capacity: int
-    ) -> None:
+    def note_chunk(self, digest: str, capacity: int) -> None:
         """Mirror the worker's cache update for one dispatched chunk."""
-        if digest in self.pinned:
-            return
+        shipped = digest not in self.holds
         self.holds[digest] = True
         self.holds.move_to_end(digest)
         if shipped:
             while len(self.holds) > capacity:
                 self.holds.popitem(last=False)
 
-    def take_remaining(self) -> List[Tuple[int, int]]:
-        """All unanswered (index, seed) pairs (worker-death recovery)."""
-        lost = [
-            (index, seed)
-            for chunk in self.remaining.values()
-            for index, seed in chunk.items()
-        ]
-        self.remaining.clear()
-        return lost
+
+#: One message's worth of trials sharing a topology:
+#: (chunk id, topology digest, plan indices in submission order).
+Chunk = Tuple[int, str, List[int]]
+
+
+def _chunk_size(n_trials: int, workers: int) -> int:
+    # ~4 chunks per worker balances stragglers against per-message
+    # overhead; tiny runs degrade to one trial per chunk.
+    return max(1, math.ceil(n_trials / (workers * 4)))
+
+
+def plan_chunks(
+    keyed: Sequence[Tuple[int, Optional[str]]], workers: int
+) -> List[Chunk]:
+    """Chunk ``(plan index, topology digest)`` pairs for ``workers``.
+
+    Trials are grouped by digest (submission order preserved within a
+    group) so one message's trials share one topology.
+    """
+    size = _chunk_size(len(keyed), workers)
+    groups: Dict[str, List[int]] = {}
+    for index, digest in keyed:
+        if digest is None:
+            raise ValueError(
+                f"trial {index} was planned without a topology digest; "
+                f"a pooled batch needs plan_grid(keyed=True)"
+            )
+        groups.setdefault(digest, []).append(index)
+    chunks: List[Chunk] = []
+    for digest, members in groups.items():
+        for start in range(0, len(members), size):
+            chunks.append((len(chunks), digest, members[start : start + size]))
+    return chunks
+
+
+def choose_chunk(
+    pending: Sequence[Chunk], workers: Sequence[_WorkerHandle]
+) -> Optional[Tuple[_WorkerHandle, int]]:
+    """The next ``(worker, position in pending)`` to dispatch, or None.
+
+    Free workers (fewest chunks in flight first) prefer the first queued
+    chunk whose topology they already hold.  A worker with no warm chunk
+    takes the head chunk only if no *other* free worker is warm for it
+    (that one claims it in its own turn).
+    """
+    free = sorted(
+        (
+            w
+            for w in workers
+            if w.alive and len(w.remaining) < _MAX_INFLIGHT_CHUNKS
+        ),
+        key=lambda w: len(w.remaining),
+    )
+    for worker in free:
+        for position, (_chunk_id, digest, _members) in enumerate(pending):
+            if digest in worker.holds:
+                return worker, position
+        head = pending[0][1]
+        if not any(w is not worker and head in w.holds for w in free):
+            return worker, 0
+    return None
+
+
+def chunk_message(
+    run_id: int,
+    chunk: Chunk,
+    planned: Sequence["PlannedTrial"],
+    obs_config: Optional[Dict[str, Any]],
+    ship: bool,
+) -> Tuple[Any, ...]:
+    """What crosses the pipe for one chunk.
+
+    The chunk's digest and the batch's obs recipe once, its trials as
+    ``(index, spec, seed)``, and the topology itself only when the
+    worker's cache does not hold it (``ship``).
+    """
+    chunk_id, digest, members = chunk
+    return (
+        "chunk",
+        run_id,
+        chunk_id,
+        digest,
+        planned[members[0]].topology if ship else None,
+        obs_config,
+        [(i, planned[i].spec, planned[i].seed) for i in members],
+    )
+
+
+def lost_trials(worker: _WorkerHandle, run_id: Optional[int]) -> List[int]:
+    """Mark ``worker`` dead; the plan indices of ``run_id`` it still owed.
+
+    Chunks of earlier, abandoned runs that the worker had not finished
+    are dropped with it: their indices mean nothing to the current run.
+    """
+    worker.alive = False
+    lost = [
+        index
+        for (chunk_run, _chunk_id), unanswered in worker.remaining.items()
+        if chunk_run == run_id
+        for index in unanswered
+    ]
+    worker.remaining.clear()
+    return lost
 
 
 @dataclass
@@ -511,6 +488,88 @@ class PoolRunStats:
         }
 
 
+#: The pool's lifetime counters, all zero (``pool_stats()`` before first
+#: use; every pool starts from a copy).
+_ZERO_TOTALS: Dict[str, float] = {
+    "runs": 0,
+    "tasks": 0,
+    "chunks": 0,
+    "cache_hits": 0,
+    "cache_misses": 0,
+    "evictions": 0,
+    "shipped_topologies": 0,
+    "workers_spawned": 0,
+    "workers_reused": 0,
+    "spinup_seconds": 0.0,
+}
+
+#: PoolRunStats fields a finished run adds to the same-named totals.
+_RUN_COUNTERS = (
+    "tasks",
+    "chunks",
+    "cache_hits",
+    "cache_misses",
+    "evictions",
+    "shipped_topologies",
+    "workers_reused",
+)
+
+
+@dataclass
+class _Run:
+    """One ``run_guarded`` call's scheduling state."""
+
+    id: int
+    planned: Sequence["PlannedTrial"]
+    obs_config: Optional[Dict[str, Any]]
+    #: Chunks not yet sent, in dispatch order.
+    pending: "deque[Chunk]"
+    #: The workers this run dispatches to (replacements appended).
+    workers: List[_WorkerHandle]
+    stats: PoolRunStats
+
+
+def collect(
+    worker: _WorkerHandle,
+    message: Tuple[Any, ...],
+    run: Optional[_Run],
+    totals: Dict[str, float],
+) -> Optional[Tuple[Any, ...]]:
+    """Fold one worker message into pool state.
+
+    Returns the ``(index, result, payload, error)`` outcome the message
+    carries for ``run``, if any.  Handshakes and chunk acknowledgements
+    are folded in whatever run they belong to (that is what lets an
+    abandoned run's stragglers settle); an acknowledgement of a run that
+    is over counts into ``totals`` directly, its run's stats having been
+    folded when it ended.
+    """
+    kind = message[0]
+    if kind == "ready":
+        worker.ready = True
+        worker.spinup_seconds = time.perf_counter() - worker.spawned_at
+        totals["spinup_seconds"] += worker.spinup_seconds
+        return None
+    current = run is not None and message[1] == run.id
+    if kind == "chunk_done":
+        _, msg_run, chunk_id, hits, misses, evictions = message
+        worker.remaining.pop((msg_run, chunk_id), None)
+        if current:
+            run.stats.cache_hits += hits
+            run.stats.cache_misses += misses
+            run.stats.evictions += evictions
+        else:
+            totals["cache_hits"] += hits
+            totals["cache_misses"] += misses
+            totals["evictions"] += evictions
+        return None
+    if not current:
+        return None
+    msg_run, chunk_id, index = message[1:4]
+    worker.remaining[(msg_run, chunk_id)].remove(index)
+    return message[3:]
+
+
 class WorkerPool:
     """A persistent pool of warm trial workers with topology caches.
 
@@ -540,18 +599,7 @@ class WorkerPool:
         self._run_counter = 0
         self.closed = False
         #: Lifetime counters (the bench reads deltas around each run).
-        self.totals: Dict[str, float] = {
-            "runs": 0,
-            "tasks": 0,
-            "chunks": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "evictions": 0,
-            "shipped_topologies": 0,
-            "workers_spawned": 0,
-            "workers_reused": 0,
-            "spinup_seconds": 0.0,
-        }
+        self.totals = dict(_ZERO_TOTALS)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -560,28 +608,17 @@ class WorkerPool:
     def workers_alive(self) -> int:
         return sum(1 for w in self._workers if w.alive)
 
-    def _spawn_worker(self, fork_topologies: Dict[str, Any]) -> _WorkerHandle:
-        global _FORK_TOPOLOGIES
+    def _spawn_worker(self) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        publish = fork_topologies if self.start_method == "fork" else {}
-        _FORK_TOPOLOGIES = publish
-        try:
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(child_conn, self.cache_capacity),
-                daemon=True,
-                name="repro-pool-worker",
-            )
-            process.start()
-        finally:
-            # The forked child snapshotted the dict at start(); the
-            # parent must not keep topologies alive beyond the run.
-            _FORK_TOPOLOGIES = {}
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self.cache_capacity),
+            daemon=True,
+            name="repro-pool-worker",
+        )
+        process.start()
         child_conn.close()
-        # Under fork the inheritance is certain, so the parent can plan
-        # around it before the ready handshake arrives; the handshake
-        # corrects the model under spawn (where nothing is inherited).
-        handle = _WorkerHandle(process, parent_conn, set(publish))
+        handle = _WorkerHandle(process, parent_conn)
         self._workers.append(handle)
         self.totals["workers_spawned"] += 1
         return handle
@@ -602,24 +639,11 @@ class WorkerPool:
         if self.closed:
             raise RuntimeError("cannot prewarm a closed WorkerPool")
         while self.workers_alive < jobs:
-            self._spawn_worker({})
+            self._spawn_worker()
         deadline = time.monotonic() + timeout
-        while True:
-            waiting = [w for w in self._workers if w.alive and not w.ready]
-            if not waiting:
+        while (left := deadline - time.monotonic()) > 0:
+            if self._pump(lambda w: not w.ready, timeout=left) is None:
                 break
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            for conn in _connection_wait(
-                [w.conn for w in waiting], timeout=remaining
-            ):
-                worker = next(w for w in waiting if w.conn is conn)
-                try:
-                    self._bookkeep(worker, conn.recv(), None, None)
-                except (EOFError, OSError):
-                    worker.alive = False
-                    worker.take_remaining()
         return sum(1 for w in self._workers if w.alive and w.ready)
 
     def close(self, timeout: float = 5.0) -> None:
@@ -667,358 +691,213 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def run_guarded(
         self,
-        tasks: Sequence[TrialTask],
+        planned: Sequence["PlannedTrial"],
+        indices: Sequence[int],
         jobs: int,
-        chunk_size: Optional[int] = None,
-        stats: Optional[PoolRunStats] = None,
-    ) -> Iterator[GuardedOutcome]:
-        """Execute every task, yielding failures instead of raising.
+        obs_config: Optional[Dict[str, Any]] = None,
+    ) -> Generator[Tuple[Any, ...], None, PoolRunStats]:
+        """Execute ``planned[i]`` for every i in ``indices``, yielding
+        failures instead of raising.
 
         Outcomes stream in completion order as ``(index, result,
-        payload, error)`` with exactly one entry per task — worker-side
+        payload, error)`` with exactly one entry per index — worker-side
         exceptions and worker deaths become error strings on the
         affected trials, never pool-wide aborts.  A consumer that stops
-        iterating abandons the run: chunks already in worker pipes
-        finish harmlessly and the next run drains their stale results.
-        ``stats``, when given, is filled in with what this run cost and
-        reused (complete once the stream is exhausted).
-        """
-        if stats is None:
-            stats = PoolRunStats()
-        for event in self._stream(tasks, jobs, chunk_size, stats):
-            if event[0] == "done":
-                index, result, payload = event[1]
-                yield index, result, payload, None
-            else:
-                _, index, seed, cause = event
-                yield index, None, None, (
-                    f"{type(cause).__name__}: {cause}"
-                    if isinstance(cause, BaseException)
-                    else str(cause)
-                )
-
-    # -- scheduling internals -------------------------------------------
-    def _auto_chunk_size(self, n_tasks: int, workers: int) -> int:
-        # ~4 chunks per worker balances stragglers against per-message
-        # overhead; tiny runs degrade to one trial per chunk.
-        return max(1, math.ceil(n_tasks / (workers * 4)))
-
-    def _select_workers(
-        self, want: int, digests: Sequence[str]
-    ) -> List[_WorkerHandle]:
-        """Up to ``want`` alive workers, warmest-cache first."""
-        alive = [w for w in self._workers if w.alive]
-        wanted = set(digests)
-        ranked = sorted(
-            range(len(alive)),
-            key=lambda i: (
-                -sum(1 for d in wanted if alive[i].holds_digest(d)),
-                i,
-            ),
-        )
-        return [alive[i] for i in ranked[:want]]
-
-    def _drain_stale(self) -> None:
-        """Consume leftover messages from aborted runs (bookkeeping only)."""
-        for worker in self._workers:
-            if not worker.alive:
-                continue
-            try:
-                while worker.conn.poll(0):
-                    self._bookkeep(worker, worker.conn.recv(), None, None)
-            except (EOFError, OSError):
-                worker.alive = False
-
-    def _bookkeep(
-        self,
-        worker: _WorkerHandle,
-        message: Tuple[Any, ...],
-        run_id: Optional[int],
-        stats: Optional[PoolRunStats],
-    ) -> Optional[Tuple[Any, ...]]:
-        """Process one worker message; return an event for live results.
-
-        Handshakes and chunk acknowledgements are folded into pool state
-        whatever run they belong to (that is what lets an aborted run's
-        stragglers settle); ``done``/``err`` messages are returned to the
-        scheduler only when they belong to the current run.
-        """
-        kind = message[0]
-        if kind == "ready":
-            worker.ready = True
-            worker.spinup_seconds = time.perf_counter() - worker.spawned_at
-            worker.pinned = set(message[2])
-            self.totals["spinup_seconds"] += worker.spinup_seconds
-            return None
-        if kind == "chunk_done":
-            _, msg_run, chunk_id, chunk_stats = message
-            worker.inflight = max(0, worker.inflight - 1)
-            worker.remaining.pop((msg_run, chunk_id), None)
-            self.totals["cache_hits"] += chunk_stats["cache_hits"]
-            self.totals["cache_misses"] += chunk_stats["cache_misses"]
-            self.totals["evictions"] += chunk_stats["evictions"]
-            if stats is not None and msg_run == run_id:
-                stats.cache_hits += chunk_stats["cache_hits"]
-                stats.cache_misses += chunk_stats["cache_misses"]
-                stats.evictions += chunk_stats["evictions"]
-            return None
-        if kind == "done":
-            _, msg_run, outcome = message
-            if msg_run != run_id:
-                return None
-            worker_remaining = worker.remaining
-            for key in list(worker_remaining):
-                if key[0] == msg_run:
-                    worker_remaining[key].pop(outcome[0], None)
-            return ("done", outcome)
-        if kind == "err":
-            _, msg_run, index, seed, cause = message
-            if msg_run != run_id:
-                return None
-            for key in list(worker.remaining):
-                if key[0] == msg_run:
-                    worker.remaining[key].pop(index, None)
-            return ("err", index, seed, cause)
-        return None  # pragma: no cover - unknown message kind
-
-    def _stream(
-        self,
-        tasks: Sequence[TrialTask],
-        jobs: int,
-        chunk_size: Optional[int],
-        stats: PoolRunStats,
-    ) -> Iterator[Tuple[Any, ...]]:
-        """The scheduler: dispatch chunks with affinity, stream events.
-
-        Yields exactly one ``("done", outcome)`` or ``("err", index,
-        seed, cause)`` event per task.
+        iterating abandons the run: chunks already in worker pipes still
+        run to completion, the next run ignores their results, and a
+        worker that dies holding them takes them with it.  The
+        generator's return value (``stats = yield from ...``) is what
+        the run cost and reused.
         """
         if self.closed:
             raise RuntimeError("worker pool is closed")
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self._run_counter += 1
-        run_id = self._run_counter
-        self.totals["runs"] += 1
-        self.totals["tasks"] += len(tasks)
-
-        # Content digests, memoized per topology object within the run
-        # (campaigns reuse one object per seed; sweeps rebuild per
-        # fraction but identical content still shares a digest).
-        digest_memo: Dict[int, str] = {}
-        topology_by_digest: "OrderedDict[str, Any]" = OrderedDict()
-        task_digests: List[str] = []
-        with span("pool.digest", tasks=len(tasks)):
-            for task in tasks:
-                digest = digest_memo.get(id(task.topology))
-                if digest is None:
-                    digest = _topology_digest(task.topology)
-                    digest_memo[id(task.topology)] = digest
-                topology_by_digest.setdefault(digest, task.topology)
-                task_digests.append(digest)
-
-        want = max(1, min(jobs, len(tasks)))
-        alive_before = self.workers_alive
-        spawned_this_run: List[_WorkerHandle] = []
-        while self.workers_alive < want:
-            spawned_this_run.append(
-                self._spawn_worker(dict(topology_by_digest))
-            )
-        workers = self._select_workers(want, list(topology_by_digest))
-        for worker in workers:
-            worker.runs_served += 1
-        stats.jobs = want
-        stats.tasks = len(tasks)
-        stats.unique_topologies = len(topology_by_digest)
-        stats.workers_spawned = max(0, want - alive_before)
-        stats.workers_reused = min(want, alive_before)
-        stats.pool_run = run_id
-        self.totals["workers_reused"] += stats.workers_reused
-
-        self._drain_stale()
-
-        # Chunk the grid: group by digest (submission order preserved
-        # within a group) so one message's trials share one topology.
-        if chunk_size is None:
-            chunk_size = self._auto_chunk_size(len(tasks), want)
-        stats.chunk_size = chunk_size
-        groups: "OrderedDict[str, List[TrialTask]]" = OrderedDict()
-        for task, digest in zip(tasks, task_digests):
-            groups.setdefault(digest, []).append(task)
-        pending: deque = deque()
-        chunk_id = 0
-        for digest, members in groups.items():
-            for i in range(0, len(members), chunk_size):
-                pending.append((chunk_id, digest, members[i : i + chunk_size]))
-                chunk_id += 1
-        stats.chunks = chunk_id
-        self.totals["chunks"] += chunk_id
-
-        def dispatch() -> None:
-            """Send queued chunks to free workers, warm caches first."""
-            while pending:
-                free = [
-                    w
-                    for w in workers
-                    if w.alive and w.inflight < _MAX_INFLIGHT_CHUNKS
-                ]
-                if not free:
-                    return
-                free.sort(key=lambda w: w.inflight)
-                sent = False
-                for worker in free:
-                    chosen = None
-                    for i, chunk in enumerate(pending):
-                        if worker.holds_digest(chunk[1]):
-                            chosen = i
-                            break
-                    if chosen is None:
-                        # No warm chunk for this worker: only take the
-                        # head chunk if no *other* free worker is warm
-                        # for it (it will claim it in its own turn).
-                        head = pending[0]
-                        if any(
-                            w is not worker and w.holds_digest(head[1])
-                            for w in free
-                        ):
-                            continue
-                        chosen = 0
-                    cid, digest, members = pending[chosen]
-                    del pending[chosen]
-                    shipped: Dict[str, Any] = {}
-                    if not worker.holds_digest(digest):
-                        shipped[digest] = topology_by_digest[digest]
-                        stats.shipped_topologies += 1
-                        self.totals["shipped_topologies"] += 1
-                    worker.model_use(
-                        digest, bool(shipped), self.cache_capacity
-                    )
-                    wire_tasks = [
-                        _WireTask(
-                            index=t.index,
-                            spec=t.spec,
-                            seed=t.seed,
-                            obs_config=t.obs_config,
-                            digest=digest,
-                        )
-                        for t in members
-                    ]
-                    with span(
-                        "pool.submit", chunk=cid, trials=len(members)
-                    ):
-                        try:
-                            worker.conn.send(
-                                ("chunk", run_id, cid, wire_tasks, shipped)
-                            )
-                        except (OSError, ValueError):
-                            worker.alive = False
-                            pending.appendleft((cid, digest, members))
-                            break
-                    worker.inflight += 1
-                    worker.remaining[(run_id, cid)] = {
-                        t.index: t.seed for t in members
-                    }
-                    sent = True
-                    break
-                if not sent:
-                    return
-
-        emitted = 0
-        total = len(tasks)
-        dispatch()
-        while emitted < total:
-            watched = [
-                w
-                for w in self._workers
-                if w.alive and (w.inflight > 0 or not w.ready)
-            ]
-            if not watched:
-                if pending and not self.closed:
-                    # Every worker died with chunks still queued: spawn
-                    # a replacement and keep going (campaign retries
-                    # decide whether the failure was environmental).
-                    replacement = self._spawn_worker(
-                        dict(topology_by_digest)
-                    )
-                    workers.append(replacement)
-                    spawned_this_run.append(replacement)
-                    stats.workers_spawned += 1
-                    dispatch()
-                    continue
-                # Nothing running and nothing to dispatch: the missing
-                # outcomes are unrecoverable.
-                for cid, digest, members in list(pending):
-                    for t in members:
-                        emitted += 1
-                        yield (
-                            "err",
-                            t.index,
-                            t.seed,
-                            RuntimeError("worker pool lost the trial"),
-                        )
-                pending.clear()
-                if emitted < total:
-                    return
-                break
-            ready_conns = _connection_wait([w.conn for w in watched])
-            by_conn = {w.conn: w for w in watched}
-            for conn in ready_conns:
-                worker = by_conn[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    worker.alive = False
-                    lost = worker.take_remaining()
-                    dead = RuntimeError(
-                        f"worker process died "
-                        f"(pid {worker.process.pid}, exit "
-                        f"{worker.process.exitcode})"
-                    )
-                    for index, seed in lost:
-                        emitted += 1
-                        yield ("err", index, seed, dead)
-                    dispatch()
-                    continue
-                event = self._bookkeep(worker, message, run_id, stats)
-                dispatch()
-                if event is not None:
-                    emitted += 1
-                    yield event
-        # Every outcome is out, but the trailing chunk_done
-        # acknowledgements (sent right after each chunk's last result)
-        # may still sit in the pipes; settle them so this run's cache
-        # stats are complete and inflight bookkeeping is exact.  Bounded
-        # wait: a worker still crunching an *aborted* earlier run must
-        # not stall this one.
-        settle_deadline = time.monotonic() + 2.0
-        while time.monotonic() < settle_deadline:
-            owing = [
-                w
-                for w in self._workers
-                if w.alive
-                and any(key[0] == run_id for key in w.remaining)
-            ]
-            if not owing:
-                break
-            for conn in _connection_wait(
-                [w.conn for w in owing], timeout=0.05
-            ):
-                worker = next(w for w in owing if w.conn is conn)
-                try:
-                    self._bookkeep(worker, conn.recv(), run_id, stats)
-                except (EOFError, OSError):
-                    worker.alive = False
-                    worker.take_remaining()
-        # True warm-up cost of this run: spawn-to-ready of the slowest
-        # worker it had to boot (0.0 when the whole pool was warm).
-        stats.spinup_seconds = max(
-            (
-                w.spinup_seconds
-                for w in spawned_this_run
-                if w.spinup_seconds is not None
-            ),
-            default=0.0,
+        want = max(1, min(jobs, len(indices)))
+        chunks = plan_chunks([(i, planned[i].digest) for i in indices], want)
+        digests = {digest for _chunk_id, digest, _members in chunks}
+        stats = PoolRunStats(
+            jobs=want,
+            tasks=len(indices),
+            chunks=len(chunks),
+            chunk_size=_chunk_size(len(indices), want),
+            unique_topologies=len(digests),
+            workers_reused=min(want, self.workers_alive),
+            pool_run=self._run_counter,
         )
+        first_booted = len(self._workers)
+        while self.workers_alive < want:
+            self._spawn_worker()
+        run = _Run(
+            id=self._run_counter,
+            planned=planned,
+            obs_config=obs_config,
+            pending=deque(chunks),
+            workers=self._select_workers(want, digests),
+            stats=stats,
+        )
+        self._drain_stale()
+        try:
+            owed = len(indices)
+            outcomes = self._dispatch(run)
+            while outcomes is not None:
+                yield from outcomes
+                owed -= len(outcomes)
+                if not owed:
+                    self._settle(run)
+                    break
+                outcomes = self._advance(run)
+        finally:
+            # The one place a run's stats enter the lifetime totals.
+            booted = self._workers[first_booted:]
+            stats.workers_spawned = len(booted)
+            # True warm-up cost of this run: spawn-to-ready of the
+            # slowest worker it had to boot (0.0 when all were warm).
+            stats.spinup_seconds = max(
+                (
+                    w.spinup_seconds
+                    for w in booted
+                    if w.spinup_seconds is not None
+                ),
+                default=0.0,
+            )
+            self.totals["runs"] += 1
+            for name in _RUN_COUNTERS:
+                self.totals[name] += getattr(stats, name)
+        return stats
+
+    # -- scheduling internals -------------------------------------------
+    def _select_workers(
+        self, want: int, digests: Set[str]
+    ) -> List[_WorkerHandle]:
+        """Up to ``want`` alive workers, warmest-cache first."""
+        alive = [w for w in self._workers if w.alive]
+        # Stable: equally warm workers keep their spawn order.
+        alive.sort(key=lambda w: -len(digests.intersection(w.holds)))
+        return alive[:want]
+
+    def _bury(
+        self, worker: _WorkerHandle, run: Optional[_Run]
+    ) -> List[Tuple[Any, ...]]:
+        """A dead worker's unanswered trials of ``run``, as error outcomes."""
+        error = (
+            f"RuntimeError: worker process died "
+            f"(pid {worker.process.pid}, exit {worker.process.exitcode})"
+        )
+        return [
+            (index, None, None, error)
+            for index in lost_trials(worker, run.id if run else None)
+        ]
+
+    def _receive(
+        self, worker: _WorkerHandle, run: Optional[_Run] = None
+    ) -> List[Tuple[Any, ...]]:
+        """Read one message from ``worker``; the outcomes of ``run`` it
+        settles (bookkeeping only when there is no current run)."""
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            return self._bury(worker, run)
+        outcome = collect(worker, message, run, self.totals)
+        return [] if outcome is None else [outcome]
+
+    def _pump(
+        self,
+        watch: Callable[[_WorkerHandle], Any],
+        run: Optional[_Run] = None,
+        timeout: Optional[float] = None,
+    ) -> Optional[List[Tuple[Any, ...]]]:
+        """Wait once on the alive workers ``watch`` selects and receive
+        from those with a message; None when it selects no worker."""
+        watched = {w.conn: w for w in self._workers if w.alive and watch(w)}
+        if not watched:
+            return None
+        outcomes: List[Tuple[Any, ...]] = []
+        for conn in _connection_wait(list(watched), timeout):
+            outcomes += self._receive(watched[conn], run)
+        return outcomes
+
+    def _drain_stale(self) -> None:
+        """Consume leftover messages from abandoned runs."""
+        for worker in self._workers:
+            try:
+                while worker.alive and worker.conn.poll(0):
+                    self._receive(worker)
+            except OSError:
+                lost_trials(worker, None)
+
+    def _dispatch(self, run: _Run) -> List[Tuple[Any, ...]]:
+        """Send queued chunks to free workers, warm caches first.
+
+        Returns error outcomes for the trials of workers found dead on
+        the way (normally none).
+        """
+        lost: List[Tuple[Any, ...]] = []
+        while run.pending:
+            choice = choose_chunk(run.pending, run.workers)
+            if choice is None:
+                break
+            worker, position = choice
+            chunk_id, digest, members = chunk = run.pending[position]
+            ship = digest not in worker.holds
+            message = chunk_message(
+                run.id, chunk, run.planned, run.obs_config, ship
+            )
+            with span("pool.submit", chunk=chunk_id, trials=len(members)):
+                try:
+                    worker.conn.send(message)
+                except (OSError, ValueError):
+                    # The chunk stays queued for a live worker.
+                    lost += self._bury(worker, run)
+                    continue
+            del run.pending[position]
+            worker.note_chunk(digest, self.cache_capacity)
+            worker.remaining[(run.id, chunk_id)] = list(members)
+            run.stats.shipped_topologies += ship
+        return lost
+
+    def _advance(self, run: _Run) -> Optional[List[Tuple[Any, ...]]]:
+        """Wait for worker messages once and dispatch behind them.
+
+        Returns the outcomes that settled (possibly none yet), or None
+        when the run can make no further progress.
+        """
+        outcomes = self._pump(lambda w: w.remaining or not w.ready, run)
+        if outcomes is not None:
+            return outcomes + self._dispatch(run)
+        if run.pending and not self.closed:
+            # Every worker died with chunks still queued: spawn a
+            # replacement and keep going (campaign retries decide
+            # whether the failure was environmental).
+            run.workers.append(self._spawn_worker())
+            return self._dispatch(run)
+        # Nothing running and nothing to dispatch to: whatever is still
+        # queued is unrecoverable.
+        lost = [
+            (index, None, None, "RuntimeError: worker pool lost the trial")
+            for _chunk_id, _digest, members in run.pending
+            for index in members
+        ]
+        run.pending.clear()
+        return lost or None
+
+    def _settle(self, run: _Run) -> None:
+        """Collect the run's trailing chunk acknowledgements.
+
+        Every outcome is out, but the ``chunk_done`` sent right after
+        each chunk's last result may still sit in the pipes; settling
+        them completes this run's cache stats and the in-flight
+        bookkeeping.  Bounded wait: a worker still crunching an
+        *abandoned* earlier run must not stall this one.
+        """
+        def owes(worker: _WorkerHandle) -> bool:
+            return any(key[0] == run.id for key in worker.remaining)
+
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            if self._pump(owes, run, timeout=0.05) is None:
+                break
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1062,17 +941,5 @@ def _shutdown_at_exit() -> None:  # pragma: no cover - interpreter teardown
 def pool_stats() -> Dict[str, float]:
     """Cumulative stats of the process-wide pool (zeros before first use)."""
     if _POOL is None:
-        return {
-            "runs": 0,
-            "tasks": 0,
-            "chunks": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "evictions": 0,
-            "shipped_topologies": 0,
-            "workers_spawned": 0,
-            "workers_reused": 0,
-            "spinup_seconds": 0.0,
-            "workers_alive": 0,
-        }
+        return dict(_ZERO_TOTALS, workers_alive=0)
     return _POOL.stats_snapshot()

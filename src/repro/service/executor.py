@@ -18,7 +18,8 @@ long batches owned, and a crashed executor's leases expire so its tasks
 re-dispatch (see :mod:`repro.store.queue`).
 
 Before running, each task's content hash is recomputed from the
-rebuilt (topology, spec, seed) and compared to its queue key; a
+rebuilt (topology, spec, seed) — each rebuilt topology digested once
+per batch, like a planned grid's — and compared to its queue key; a
 mismatch — wrong code version, corrupted payload — fails the task
 permanently rather than banking a result under a key it doesn't match.
 Trial failures retry with exponential backoff up to
@@ -36,11 +37,16 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.batch import BatchOutcome, PlannedTrial, run_batch
+from repro.core.batch import (
+    BatchOutcome,
+    PlannedTrial,
+    build_topology,
+    run_batch,
+)
 from repro.core.experiment import Progress
 from repro.specs.serialize import build_spec
 from repro.specs.topology import topology_factory
-from repro.store.hashing import spec_hash
+from repro.store.hashing import trial_key
 from repro.store.queue import QueueTask
 
 from repro.service.backend import StoreBackend
@@ -119,7 +125,7 @@ class QueueExecutor:
     def _materialize(
         self,
         task: QueueTask,
-        topo_cache: Dict[Tuple[str, int], Any],
+        topo_cache: Dict[Tuple[str, int], Tuple[Any, str]],
     ) -> PlannedTrial:
         """Rebuild the trial a queue payload describes.
 
@@ -131,18 +137,20 @@ class QueueExecutor:
         block = payload["topology"]
         seed = int(payload["seed"])
         cache_key = (json.dumps(block, sort_keys=True), seed)
-        topology = topo_cache.get(cache_key)
-        if topology is None:
-            topology = topology_factory(block)(seed)
-            topo_cache[cache_key] = topology
+        built = topo_cache.get(cache_key)
+        if built is None:
+            built = topo_cache[cache_key] = build_topology(
+                topology_factory(block), seed, digest=True
+            )
+        topology, digest = built
         spec = build_spec(payload["scheme"], topology=topology)
-        key = spec_hash(spec, topology, seed)
+        key = trial_key(spec, digest, seed)
         if key != task.key:
             raise ValueError(
                 f"payload rebuilds to hash {key[:12]}..., queued as "
                 f"{task.key[:12]}... (code/schema drift?)"
             )
-        return PlannedTrial(topology, spec, seed, key)
+        return PlannedTrial(topology, spec, seed, digest, key)
 
     # ------------------------------------------------------------------
     # Drain
@@ -166,7 +174,7 @@ class QueueExecutor:
         if not batch:
             return 0
         self.batches += 1
-        topo_cache: Dict[Tuple[str, int], Any] = {}
+        topo_cache: Dict[Tuple[str, int], Tuple[Any, str]] = {}
         leased: List[QueueTask] = []
         planned: List[PlannedTrial] = []
         for task in batch:

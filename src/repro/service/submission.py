@@ -7,7 +7,7 @@ normalized into a one-cell campaign so every downstream path — content
 keys, queueing, folding — is the campaign path.
 
 Planning is where the serving economics happen: the grid is expanded to
-``(task, content key)`` pairs via the same
+keyed :class:`~repro.core.batch.PlannedTrial` records via the same
 :func:`repro.store.campaign.campaign_keys` expansion the batch runner
 uses, each key is looked up in the backend, and only the misses are
 enqueued.  A warm resubmission therefore touches zero simulation; a
@@ -22,12 +22,18 @@ content hash — which it verifies before running.
 
 from __future__ import annotations
 
+import dataclasses
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.specs.serialize import spec_to_dict
-from repro.store.campaign import Campaign, campaign_keys
+from repro.store.campaign import (
+    Campaign,
+    CampaignError,
+    campaign_keys,
+    fold_stored,
+)
 
 from repro.service.backend import StoreBackend
 
@@ -123,23 +129,29 @@ def plan_submission(
     under a fresh ticket (an open task for the same key — e.g. from a
     concurrent identical submission — deduplicates instead of queueing
     twice).  The ticket's ordered key list is persisted so status and
-    folding survive daemon restarts.
+    folding survive daemon restarts.  The grid is planned with its
+    schemes in label order — the order of the campaign document as the
+    ticket persists it (JSON with sorted keys) — so the persisted keys
+    line up with the persisted document and :func:`ticket_results` can
+    fold them without planning again.
     """
     ticket = ticket or uuid.uuid4().hex[:12]
-    keyed = campaign_keys(campaign)
+    campaign = dataclasses.replace(
+        campaign, schemes=dict(sorted(campaign.schemes.items()))
+    )
     keys: List[str] = []
     cached = enqueued = deduplicated = 0
-    for task, key, _topology in keyed:
-        keys.append(key)
-        if backend.has(key):
+    for trial in campaign_keys(campaign):
+        keys.append(trial.key)
+        if backend.has(trial.key):
             cached += 1
             continue
         payload = {
             "topology": dict(campaign.topology),
-            "scheme": spec_to_dict(task.spec),
-            "seed": task.seed,
+            "scheme": spec_to_dict(trial.spec),
+            "seed": trial.seed,
         }
-        _task_id, created = backend.enqueue(key, payload, ticket=ticket)
+        _task_id, created = backend.enqueue(trial.key, payload, ticket=ticket)
         if created:
             enqueued += 1
         else:
@@ -215,13 +227,16 @@ def ticket_status(ticket: str, backend: StoreBackend) -> Dict[str, Any]:
 def ticket_results(ticket: str, backend: StoreBackend) -> Dict[str, Any]:
     """Fold a completed ticket's campaign into JSON-ready series.
 
-    Uses the campaign document persisted with the ticket, so it works
-    across daemon restarts and from any process sharing the store.
-    Raises ``KeyError`` for unknown tickets and ``ValueError`` while
-    trials are still missing (callers should poll status first).
+    Folds the ordered keys persisted with the ticket — what
+    :func:`ticket_status` reads — against the campaign document
+    persisted beside them (:func:`repro.store.campaign.fold_stored`), so
+    it plans nothing (no topology is built or digested unless a scheme
+    is topology-resolved) and works across daemon restarts and from any
+    process sharing the store.  Raises ``KeyError`` for unknown tickets
+    and ``ValueError`` while trials are still missing (callers should
+    poll status first) or when keys and document disagree on the size
+    of the grid.
     """
-    from repro.store.campaign import CampaignError, load_campaign_results
-
     info = backend.ticket_info(ticket)
     if info is None:
         raise KeyError(f"unknown ticket {ticket!r}")
@@ -232,7 +247,7 @@ def ticket_results(ticket: str, backend: StoreBackend) -> Dict[str, Any]:
         )
     campaign = Campaign.from_dict(info["campaign"])
     try:
-        series_list, _points = load_campaign_results(campaign, backend)
+        series_list, _points = fold_stored(campaign, backend, info["keys"])
     except CampaignError as exc:
         raise ValueError(str(exc)) from exc
     return {

@@ -3,9 +3,11 @@
 The biggest speedup available to a sweep that has already run is not
 running it again.  This package provides:
 
-* :mod:`repro.store.hashing` — :func:`spec_hash`, the stable keyed-BLAKE2b
-  content address of one trial's inputs (spec, built topology, seed,
-  schema version);
+* :mod:`repro.store.hashing` — the stable keyed-BLAKE2b content address
+  of one trial's inputs (spec, built topology, seed, schema version):
+  :func:`~repro.store.hashing.trial_key` over a :func:`topology_digest`
+  the planner computes once per built topology, and :func:`spec_hash`,
+  its one-trial form that digests the topology itself;
 * :mod:`repro.store.result_store` — :class:`ResultStore`, an SQLite (WAL)
   trial cache with provenance, plus :func:`use_store` for scoping a
   process-wide default the way ``parallel_jobs`` scopes ``--jobs``;
@@ -23,7 +25,6 @@ from repro.store.campaign import (
     CampaignError,
     CampaignResult,
     CampaignStatus,
-    CampaignTask,
     RetryPolicy,
     build_spec,
     campaign_keys,
@@ -53,7 +54,6 @@ __all__ = [
     "CampaignError",
     "CampaignResult",
     "CampaignStatus",
-    "CampaignTask",
     "QUEUE_STATES",
     "QueueTask",
     "ResultStore",

@@ -3,10 +3,11 @@
 A :class:`Campaign` is the *whole sweep as data*: topology parameters,
 one :class:`~repro.core.experiment.ExperimentSpec` per scheme, a swept
 axis (failure fraction or constant MRAI), and the trial seeds.  It
-expands to a flat list of trial tasks, each content-addressed via
-:func:`repro.store.hashing.spec_hash`, which buys three things at once:
+expands to a flat plan of :class:`~repro.core.batch.PlannedTrial`
+records (:func:`campaign_keys`), each content-addressed
+(:func:`repro.store.hashing.trial_key`), which buys three things at once:
 
-* **Caching** — a task whose key is already in the store never runs;
+* **Caching** — a trial whose key is already in the store never runs;
 * **Resume** — a crashed or Ctrl-C'd campaign re-run executes only the
   missing trials (every completed trial was committed as it finished);
 * **Retry** — a trial that dies in a worker (OOM-killed process, flaky
@@ -22,7 +23,6 @@ a cold run bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -74,12 +74,12 @@ __all__ = [
     "Campaign",
     "CampaignError",
     "CampaignResult",
-    "CampaignTask",
     "DISTRIBUTIONS",  # re-exported from repro.specs for compatibility
     "RetryPolicy",
     "build_spec",  # re-exported from repro.specs for compatibility
     "campaign_keys",
     "campaign_status",
+    "fold_stored",
     "load_campaign_results",
     "run_campaign",
 ]
@@ -89,10 +89,10 @@ AXES = ("failure_fraction", "mrai")
 
 
 class CampaignError(RuntimeError):
-    """A campaign could not complete; carries the per-task failures."""
+    """A campaign could not complete; carries the per-trial failures."""
 
     def __init__(
-        self, message: str, failures: Sequence[Tuple["CampaignTask", str]]
+        self, message: str, failures: Sequence[Tuple[PlannedTrial, str]]
     ) -> None:
         super().__init__(message)
         self.failures = list(failures)
@@ -114,17 +114,6 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-
-
-@dataclass(frozen=True)
-class CampaignTask:
-    """One expanded (scheme, axis value, seed) trial of a campaign."""
-
-    ordinal: int
-    label: str
-    x: float
-    seed: int
-    spec: ExperimentSpec
 
 
 @dataclass
@@ -264,11 +253,6 @@ class Campaign:
             for x in self.values
         ]
 
-    def tasks(self) -> List[CampaignTask]:
-        """The flat trial grid, in (scheme, axis value, seed) order —
-        the fold order an uncached sweep uses."""
-        return _cell_tasks(self.cells(), self.seeds)
-
     @property
     def total_trials(self) -> int:
         return len(self.schemes) * len(self.values) * len(self.seeds)
@@ -331,36 +315,22 @@ class CampaignStatus:
         return "\n".join(lines)
 
 
-def _cell_tasks(
-    cells: Sequence[GridCell], seeds: Sequence[int]
-) -> List[CampaignTask]:
-    return [
-        CampaignTask(ordinal, label, x, seed, spec)
-        for ordinal, ((label, x, spec), seed) in enumerate(
-            itertools.product(cells, seeds)
-        )
-    ]
-
-
-def campaign_keys(
-    campaign: Campaign,
-) -> List[Tuple[CampaignTask, str, Topology]]:
-    """Grid expansion: ``(task, content key, topology)`` triples.
+def campaign_keys(campaign: Campaign) -> List[PlannedTrial]:
+    """The campaign's keyed plan, in (scheme, axis value, seed) order —
+    the fold order an uncached sweep uses.
 
     The one expansion (:func:`repro.core.batch.plan_grid`, topologies
-    built once per seed) behind ``run_campaign``, ``campaign_status``,
-    ``load_campaign_results`` and the service's submission planner, so
-    all of them always agree on keys.
+    built and digested once per seed) behind ``run_campaign``,
+    ``campaign_status``, ``load_campaign_results`` and the service's
+    submission planner, so all of them always agree on keys.
     """
     with span("campaign.expand", trials=campaign.total_trials):
-        cells = campaign.cells()
-        planned = plan_grid(
-            campaign.topology_factory(), cells, campaign.seeds, keyed=True
+        return plan_grid(
+            campaign.topology_factory(),
+            campaign.cells(),
+            campaign.seeds,
+            keyed=True,
         )
-        return [
-            (task, trial.key, trial.topology)
-            for task, trial in zip(_cell_tasks(cells, campaign.seeds), planned)
-        ]
 
 
 def _campaign_results(
@@ -396,13 +366,13 @@ def campaign_status(
             ] = True
     per_point: Dict[Tuple[str, float], List[int]] = {}
     cached = 0
-    for task, key, _topology in campaign_keys(campaign):
-        cell = per_point.setdefault((task.label, task.x), [0, 0, 0])
+    for trial in campaign_keys(campaign):
+        cell = per_point.setdefault((trial.label, trial.x), [0, 0, 0])
         cell[1] += 1
-        if store.has(key):
+        if store.has(trial.key):
             cell[0] += 1
             cached += 1
-        elif recorded_failures.get((task.label, task.x, task.seed)):
+        elif recorded_failures.get((trial.label, trial.x, trial.seed)):
             cell[2] += 1
     return CampaignStatus(
         name=campaign.name,
@@ -500,13 +470,10 @@ def run_campaign(
         trials=campaign.total_trials,
         jobs=jobs,
     ):
-        keyed = campaign_keys(campaign)
-        total = len(keyed)
+        planned = campaign_keys(campaign)
+        total = len(planned)
         batch = run_batch(
-            [
-                PlannedTrial(topology, task.spec, task.seed, key)
-                for task, key, topology in keyed
-            ],
+            planned,
             jobs=jobs,
             store=store,
             obs=obs,
@@ -529,7 +496,7 @@ def run_campaign(
             # specific cells (cleared automatically once a retry lands
             # the trials in the store).
             failures = [
-                (keyed[index][0], error)
+                (planned[index], error)
                 for index, error in batch.failures.items()
             ]
             manifest.update(
@@ -573,28 +540,38 @@ def run_campaign(
         )
 
 
-def load_campaign_results(
-    campaign: Campaign, store: ResultStore
+def fold_stored(
+    campaign: Campaign, store: ResultStore, keys: Sequence[str]
 ) -> Tuple[List[Series], Dict[Tuple[str, float], ExperimentResult]]:
     """Fold a campaign purely from the store (no simulation).
 
-    Raises :class:`CampaignError` listing the gap when any trial of the
-    grid is missing — ``export`` must never silently average over a
-    partial seed set.
+    ``keys`` are the grid's content keys in plan order.  Raises
+    :class:`CampaignError` naming the gap when they do not cover the
+    grid or any of them is not banked — a fold must never silently
+    average over a partial seed set.
     """
-    results: List[TrialResult] = []
-    missing: List[CampaignTask] = []
-    for task, key, _topology in campaign_keys(campaign):
-        row = store.get(key)
-        if row is None:
-            missing.append(task)
-        else:
-            results.append(row)
+    if len(keys) != campaign.total_trials:
+        raise CampaignError(
+            f"campaign {campaign.name}: {len(keys)} keys for a grid of "
+            f"{campaign.total_trials} trials",
+            [],
+        )
+    trials = [store.get(key) for key in keys]
+    missing = trials.count(None)
     if missing:
         raise CampaignError(
             f"campaign {campaign.name} is incomplete: "
-            f"{len(missing)}/{campaign.total_trials} trials missing "
+            f"{missing}/{campaign.total_trials} trials missing "
             f"(run `repro-bgp campaign resume` first)",
-            [(t, "missing") for t in missing],
+            [],
         )
-    return _campaign_results(campaign, results)
+    return _campaign_results(campaign, trials)
+
+
+def load_campaign_results(
+    campaign: Campaign, store: ResultStore
+) -> Tuple[List[Series], Dict[Tuple[str, float], ExperimentResult]]:
+    """Plan the campaign's keys, then :func:`fold_stored` them."""
+    return fold_stored(
+        campaign, store, [trial.key for trial in campaign_keys(campaign)]
+    )

@@ -128,35 +128,52 @@ def _spec_payload(spec: "ExperimentSpec") -> Any:
         return canonical(spec)
 
 
-def spec_fingerprint(
-    spec: "ExperimentSpec", topology: "Topology", seed: int
+def trial_fingerprint(
+    spec: "ExperimentSpec", digest: str, seed: int
 ) -> Dict[str, Any]:
-    """The canonical pre-image of :func:`spec_hash` (stored for audits)."""
+    """The canonical pre-image of :func:`trial_key` (stored for audits).
+
+    ``digest`` is the :func:`topology_digest` of the trial's built
+    topology, which a planner computes once per topology however many
+    trials share it.
+    """
     return {
         "schema": SCHEMA_VERSION,
         "seed": seed,
         "spec": _spec_payload(spec),
-        "topology": topology_digest(topology),
+        "topology": digest,
     }
 
 
-def spec_hash(
-    spec: "ExperimentSpec", topology: "Topology", seed: int
-) -> str:
+def trial_key(spec: "ExperimentSpec", digest: str, seed: int) -> str:
     """The content-addressed store key for one trial.
 
     64 hex characters (256-bit keyed BLAKE2b) over the canonical JSON of
-    :func:`spec_fingerprint` — collision-free for all practical purposes,
+    :func:`trial_fingerprint` — collision-free for all practical purposes,
     stable forever unless :data:`SCHEMA_VERSION` is bumped.
     """
     from repro.obs.spans import span
 
     with span("store.spec_hash"):
         payload = json.dumps(
-            spec_fingerprint(spec, topology, seed),
+            trial_fingerprint(spec, digest, seed),
             sort_keys=True,
             separators=(",", ":"),
         )
         return hashlib.blake2b(
             payload.encode("utf-8"), key=_HASH_KEY, digest_size=32
         ).hexdigest()
+
+
+def spec_fingerprint(
+    spec: "ExperimentSpec", topology: "Topology", seed: int
+) -> Dict[str, Any]:
+    """:func:`trial_fingerprint` of one trial given its built topology."""
+    return trial_fingerprint(spec, topology_digest(topology), seed)
+
+
+def spec_hash(
+    spec: "ExperimentSpec", topology: "Topology", seed: int
+) -> str:
+    """:func:`trial_key` of one trial given its built topology."""
+    return trial_key(spec, topology_digest(topology), seed)

@@ -8,9 +8,17 @@ a scripted outcome stream, so ordering guarantees can be pinned exactly.
 import pytest
 
 import repro.core.batch as batch_mod
-from repro.core.batch import BatchOutcome, PlannedTrial, run_batch, run_tasks
+from repro.core.batch import (
+    BatchOutcome,
+    PlannedTrial,
+    plan_grid,
+    run_batch,
+    run_tasks,
+)
 from repro.core.experiment import ExperimentSpec, TrialResult
-from repro.core.parallel import TrialTask
+from repro.core.parallel import PoolRunStats
+from repro.specs import TOPOLOGY_KINDS, build_spec, topology_factory
+from repro.store.hashing import spec_fingerprint, spec_hash
 from repro.topology.skewed import skewed_topology
 
 TOPOLOGY = skewed_topology(8, seed=1)
@@ -38,7 +46,10 @@ def fake_trial(seed):
 
 
 def plan(seeds):
-    return [PlannedTrial(TOPOLOGY, SPEC, seed, f"key-{seed}") for seed in seeds]
+    return [
+        PlannedTrial(TOPOLOGY, SPEC, seed, digest="topo", key=f"key-{seed}")
+        for seed in seeds
+    ]
 
 
 class StubStore:
@@ -71,17 +82,17 @@ class StubObs:
 
 def scripted(monkeypatch, order=reversed, errors=()):
     """Replace run_tasks with a stream completing in ``order``; returns
-    the list of task batches it was asked to run."""
+    the list of index batches it was asked to run."""
     rounds = []
 
-    def stream(tasks, jobs):
-        rounds.append([task.index for task in tasks])
-        for task in order(tasks):
-            if task.index in errors:
-                yield task.index, None, None, "RuntimeError: scripted"
+    def stream(planned, indices, jobs, obs_config):
+        rounds.append(list(indices))
+        for index in order(indices):
+            if index in errors:
+                yield index, None, None, "RuntimeError: scripted"
             else:
-                yield task.index, fake_trial(task.seed), {
-                    "from": task.index
+                yield index, fake_trial(planned[index].seed), {
+                    "from": index
                 }, None
 
     monkeypatch.setattr(batch_mod, "run_tasks", stream)
@@ -108,10 +119,10 @@ def test_success_is_banked_before_the_next_outcome_is_consumed(monkeypatch):
     store = StubStore()
     banked_at_yield = []
 
-    def stream(tasks, jobs):
-        for task in tasks:
+    def stream(planned, indices, jobs, obs_config):
+        for index in indices:
             banked_at_yield.append(sorted(store.rows))
-            yield task.index, fake_trial(task.seed), None, None
+            yield index, fake_trial(planned[index].seed), None, None
 
     monkeypatch.setattr(batch_mod, "run_tasks", stream)
     banked_at_hook = []
@@ -175,21 +186,44 @@ def test_payloads_absorbed_in_plan_order_not_completion_order(monkeypatch):
     assert ticks[-1].busy_seconds == pytest.approx(2.25)
 
 
+@pytest.mark.parametrize("kind", TOPOLOGY_KINDS.names())
+def test_planned_keys_and_banked_fingerprints_equal_the_one_trial_forms(
+    kind, monkeypatch
+):
+    # The planner derives keys and fingerprints from one digest per
+    # seed; they must be what spec_hash / spec_fingerprint compute from
+    # an independently rebuilt topology, for every registered kind.
+    scripted(monkeypatch)
+    factory = topology_factory({"kind": kind, "nodes": 12})
+    schemes = {
+        "constant": {"mrai": 0.5},
+        "dynamic": {"mrai_scheme": "dynamic", "levels": [0.5, 1.25, 2.25]},
+        "batching": {"mrai": 0.5, "queue": "dest_batch"},
+    }
+    cells = [(label, 0.1, build_spec(s)) for label, s in schemes.items()]
+    planned = plan_grid(factory, cells, [1, 2], keyed=True)
+    store = StubStore()
+    run_batch(planned, jobs=1, store=store)
+    assert len({trial.key for trial in planned}) == len(planned) == 6
+    for trial in planned:
+        rebuilt = factory(trial.seed)
+        assert trial.key == spec_hash(trial.spec, rebuilt, trial.seed)
+        assert store.fingerprints[trial.key] == spec_fingerprint(
+            trial.spec, rebuilt, trial.seed
+        )
+
+
 def test_run_tasks_in_process_is_lazy_and_reports_errors(monkeypatch):
     started = []
 
-    def execute(task):
-        started.append(task.index)
-        if task.index == 1:
+    def execute(index, topology, spec, seed, obs_config):
+        started.append(index)
+        if index == 1:
             raise ValueError("bad trial")
-        return task.index, fake_trial(task.seed), None
+        return fake_trial(seed), None
 
     monkeypatch.setattr(batch_mod, "execute_trial", execute)
-    tasks = [
-        TrialTask(index=i, topology=TOPOLOGY, spec=SPEC, seed=10 + i)
-        for i in range(3)
-    ]
-    stream = run_tasks(tasks, jobs=1)
+    stream = run_tasks(plan([10, 11, 12]), range(3), jobs=1)
     assert next(stream)[0] == 0
     assert started == [0]  # nothing runs ahead of the consumer
     assert next(stream) == (1, None, None, "ValueError: bad trial")
@@ -203,16 +237,16 @@ def test_run_tasks_sends_even_one_task_to_the_pool_when_jobs_gt_1(
     calls = []
 
     class StubPool:
-        def run_guarded(self, tasks, jobs, stats=None):
-            calls.append((len(tasks), jobs))
-            for task in tasks:
-                yield task.index, fake_trial(task.seed), None, None
+        def run_guarded(self, planned, indices, jobs, obs_config):
+            calls.append((len(indices), jobs))
+            for index in indices:
+                yield index, fake_trial(planned[index].seed), None, None
+            return PoolRunStats()
 
-    def in_parent(task):
+    def in_parent(*trial):
         raise AssertionError("a jobs=2 task ran in the parent process")
 
     monkeypatch.setattr(batch_mod, "get_worker_pool", StubPool)
     monkeypatch.setattr(batch_mod, "execute_trial", in_parent)
-    task = TrialTask(index=0, topology=TOPOLOGY, spec=SPEC, seed=5)
-    assert [o[0] for o in run_tasks([task], jobs=2)] == [0]
+    assert [o[0] for o in run_tasks(plan([5]), [0], jobs=2)] == [0]
     assert calls == [(1, 2)]

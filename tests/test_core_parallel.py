@@ -15,16 +15,24 @@ from repro.core.experiment import (
     ExperimentSpec,
     run_trials,
 )
+from repro.core.batch import PlannedTrial, plan_grid
 from repro.core.parallel import (
+    PoolRunStats,
     TrialExecutionError,
-    TrialTask,
     WorkerPool,
+    _Run,
+    _WorkerHandle,
+    choose_chunk,
+    collect,
     derive_trial_seeds,
     get_default_jobs,
+    lost_trials,
     parallel_jobs,
+    plan_chunks,
 )
 from repro.core.sweep import failure_size_sweep
 from repro.obs.session import ObsSession
+from repro.store.hashing import topology_digest
 from repro.topology.skewed import skewed_topology
 
 SEEDS = (1, 2, 3)
@@ -38,23 +46,30 @@ def spec_05():
     return ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
 
 
-def pool_trials(pool, spec, jobs=2, **kwargs):
+def pool_trials(pool, spec, jobs=2):
     """One trial per SEEDS entry on a private pool, folded in seed order.
 
     Returns ``(ExperimentResult, lifetime-counter deltas of this run)``.
     """
-    tasks = [
-        TrialTask(index=i, topology=factory(seed), spec=spec, seed=seed)
-        for i, seed in enumerate(SEEDS)
-    ]
+    planned = plan_grid(factory, [("", 0.0, spec)], SEEDS, keyed=True)
     before = pool.stats_snapshot()
-    outcomes = sorted(pool.run_guarded(tasks, jobs=jobs, **kwargs))
+    outcomes = sorted(pool.run_guarded(planned, range(len(SEEDS)), jobs))
     after = pool.stats_snapshot()
     assert [error for *_, error in outcomes] == [None] * len(SEEDS)
     result = ExperimentResult(spec=spec)
     for _index, trial, _payload, _error in outcomes:
         result.add(trial)
     return result, {key: after[key] - before[key] for key in before}
+
+
+def one_topology_plan(specs, first_seed):
+    """One trial per spec, all on ``factory(1)``, seeds counting up."""
+    topology = factory(1)
+    digest = topology_digest(topology)
+    return [
+        PlannedTrial(topology, spec, first_seed + i, digest)
+        for i, spec in enumerate(specs)
+    ]
 
 
 def result_signature(result):
@@ -259,8 +274,7 @@ def test_fork_and_spawn_start_methods_identical():
 
 def test_topology_cache_eviction_on_digest_change():
     # A capacity-1 cache with three distinct topologies forces
-    # evictions (spawn: nothing is fork-pinned, every topology goes
-    # through the LRU) — results must stay correct throughout.
+    # evictions — results must stay correct throughout.
     spec = spec_05()
     serial = run_trials(factory, spec, SEEDS, jobs=1)
     pool = WorkerPool(start_method="spawn", cache_capacity=1)
@@ -280,39 +294,27 @@ def test_topology_cache_eviction_on_digest_change():
 
 
 def test_midchunk_failure_surfaces_trial_execution_error():
-    # All three trials ride ONE chunk (chunk_size=3, same topology);
-    # the poisoned middle trial must surface as an error on its own
-    # index, even though the chunk started fine, and its chunk-mates
-    # must still complete.
-    topology = factory(1)
+    # Eight same-topology trials at jobs=1 ride four chunks of two; the
+    # poisoned trial opens the second chunk.  It must surface as an
+    # error on its own index, even though the run started fine, and its
+    # chunk-mate (and everything behind it) must still complete.
     good = spec_05()
     poisoned = good.with_(max_warmup_time=1e-6)
-    tasks = [
-        TrialTask(index=0, topology=topology, spec=good, seed=11),
-        TrialTask(index=1, topology=topology, spec=poisoned, seed=12),
-        TrialTask(index=2, topology=topology, spec=good, seed=13),
-    ]
+    planned = one_topology_plan([good, good, poisoned] + [good] * 5, 11)
     pool = WorkerPool()
     try:
         before = pool.stats_snapshot()
-        outcomes = sorted(pool.run_guarded(tasks, jobs=2, chunk_size=3))
-        assert pool.stats_snapshot()["chunks"] - before["chunks"] == 1
-        assert [index for index, *_ in outcomes] == [0, 1, 2]
+        outcomes = sorted(pool.run_guarded(planned, range(8), jobs=1))
+        assert pool.stats_snapshot()["chunks"] - before["chunks"] == 4
+        assert [index for index, *_ in outcomes] == list(range(8))
         assert [error is None for *_, error in outcomes] == [
-            True,
-            False,
-            True,
+            index != 2 for index in range(8)
         ]
-        assert "RuntimeError" in outcomes[1][3]
+        assert "RuntimeError" in outcomes[2][3]
         # The pool survives the failure: the next run works and reuses
         # the same workers.
         spawned = pool.stats_snapshot()["workers_spawned"]
-        outcomes = list(
-            pool.run_guarded(
-                [TrialTask(index=0, topology=topology, spec=good, seed=11)],
-                jobs=2,
-            )
-        )
+        outcomes = list(pool.run_guarded(planned, [0], jobs=1))
         assert len(outcomes) == 1 and outcomes[0][3] is None
         assert pool.stats_snapshot()["workers_spawned"] == spawned
     finally:
@@ -322,17 +324,12 @@ def test_midchunk_failure_surfaces_trial_execution_error():
 def test_run_guarded_reports_errors_without_aborting():
     # The campaign backend: failures come back as error outcomes, the
     # healthy trials still complete.
-    topology = factory(1)
     good = spec_05()
     poisoned = good.with_(max_warmup_time=1e-6)
-    tasks = [
-        TrialTask(index=0, topology=topology, spec=good, seed=21),
-        TrialTask(index=1, topology=topology, spec=poisoned, seed=22),
-        TrialTask(index=2, topology=topology, spec=good, seed=23),
-    ]
+    planned = one_topology_plan([good, poisoned, good], 21)
     pool = WorkerPool()
     try:
-        outcomes = sorted(pool.run_guarded(tasks, jobs=2))
+        outcomes = sorted(pool.run_guarded(planned, range(3), jobs=2))
         assert [index for index, *_ in outcomes] == [0, 1, 2]
         by_index = {index: rest for index, *rest in outcomes}
         assert by_index[0][0] is not None and by_index[0][2] is None
@@ -341,6 +338,118 @@ def test_run_guarded_reports_errors_without_aborting():
         assert by_index[1][2]  # the error string names the exception
     finally:
         pool.close()
+
+
+# ----------------------------------------------------------------------
+# The scheduler's pure pieces: plain data in, plain data out, no process
+# ----------------------------------------------------------------------
+def handle(holds=(), remaining=None):
+    worker = _WorkerHandle()
+    for digest in holds:
+        worker.note_chunk(digest, capacity=8)
+    worker.remaining.update(remaining or {})
+    return worker
+
+
+def test_plan_chunks_groups_by_digest_in_submission_order():
+    # The ledger's grid: 36 trials in (cell, seed) order over 4 seeds'
+    # topologies, 2 workers -> ceil(36 / 8) = 5 a chunk, 9 a digest.
+    keyed = [(index, f"topo-{index % 4}") for index in range(36)]
+    chunks = plan_chunks(keyed, workers=2)
+    assert [chunk_id for chunk_id, _, _ in chunks] == list(range(8))
+    assert [len(members) for _, _, members in chunks] == [5, 4] * 4
+    for k in range(4):
+        mine = [m for _, digest, m in chunks if digest == f"topo-{k}"]
+        assert sum(mine, []) == list(range(k, 36, 4))
+    # Tiny runs degrade to one trial per chunk.
+    tiny = plan_chunks(keyed[:3], workers=2)
+    assert [members for _, _, members in tiny] == [[0], [1], [2]]
+    with pytest.raises(ValueError, match="without a topology digest"):
+        plan_chunks([(0, "topo-0"), (1, None)], workers=2)
+
+
+@pytest.mark.parametrize(
+    "pending, workers, expected",
+    [
+        pytest.param(
+            ["a", "b", "b"],
+            [dict(holds=["b"])],
+            (0, 1),
+            id="a free worker takes its first warm chunk, not the head",
+        ),
+        pytest.param(
+            ["a", "b"],
+            [dict(remaining={(1, 7): [0]}), dict()],
+            (1, 0),
+            id="nobody warm: the least loaded worker takes the head",
+        ),
+        pytest.param(
+            ["a"],
+            [dict(), dict(holds=["a"], remaining={(1, 7): [0]})],
+            (1, 0),
+            id="a cold worker leaves the head to the worker warm for it",
+        ),
+        pytest.param(
+            ["a"],
+            [dict(holds=["a"], remaining={(1, 7): [0], (1, 8): [1]})],
+            None,
+            id="two chunks in flight is a full worker",
+        ),
+    ],
+)
+def test_choose_chunk_affinity(pending, workers, expected):
+    workers = [handle(**spec) for spec in workers]
+    chunks = [(i, digest, [i]) for i, digest in enumerate(pending)]
+    choice = choose_chunk(chunks, workers)
+    if choice is not None:
+        choice = (workers.index(choice[0]), choice[1])
+    assert choice == expected
+
+
+def test_dispatching_until_nobody_is_free_caps_chunks_in_flight():
+    workers = [handle(), handle(holds=["a"]), handle()]
+    workers[2].alive = False
+    pending = [(i, "ab"[i % 2], [i]) for i in range(10)]
+    while (choice := choose_chunk(pending, workers)) is not None:
+        worker, position = choice
+        chunk_id, digest, members = pending.pop(position)
+        worker.note_chunk(digest, capacity=8)
+        worker.remaining[(1, chunk_id)] = members
+    assert [len(w.remaining) for w in workers] == [2, 2, 0]
+    assert len(pending) == 6
+
+
+def test_dead_worker_loses_only_the_current_runs_trials():
+    # The worker still owed chunks of run 1, which its consumer
+    # abandoned, when it died during run 2: only run 2's unanswered
+    # trial is lost to run 2, and the stale entries go with the worker.
+    worker = handle(remaining={(1, 0): [1], (1, 1): [2, 3], (2, 0): [0]})
+    assert lost_trials(worker, run_id=2) == [0]
+    assert not worker.alive and worker.remaining == {}
+    # Nothing of the current run in flight: nothing to report.
+    stale_only = handle(remaining={(1, 0): [1], (1, 1): [2, 3]})
+    assert lost_trials(stale_only, run_id=2) == []
+    assert stale_only.remaining == {}
+
+
+def test_collect_routes_outcomes_and_acknowledgements_by_run():
+    totals = {"cache_hits": 0, "cache_misses": 0, "evictions": 0}
+    run = _Run(2, [], None, [], [], PoolRunStats())
+    worker = handle(remaining={(1, 4): [9], (2, 0): [0, 1]})
+    # A result of the abandoned run 1 is dropped; its acknowledgement
+    # frees the slot and counts into the lifetime totals only.
+    stale = ("outcome", 1, 4, 9, "result", None, None)
+    assert collect(worker, stale, run, totals) is None
+    assert collect(worker, ("chunk_done", 1, 4, 1, 0, 0), run, totals) is None
+    assert (totals["cache_hits"], run.stats.cache_hits) == (1, 0)
+    # The current run's messages settle its trials and its stats.
+    failed = ("outcome", 2, 0, 1, None, None, "E: x")
+    assert collect(worker, failed, run, totals) == (1, None, None, "E: x")
+    assert worker.remaining == {(2, 0): [0]}
+    assert collect(worker, ("chunk_done", 2, 0, 1, 1, 2), run, totals) is None
+    assert worker.remaining == {}
+    assert (run.stats.cache_hits, run.stats.cache_misses) == (1, 1)
+    assert (run.stats.evictions, totals["cache_hits"]) == (2, 1)
 
 
 def test_obs_spans_dataplane_roundtrip_jobs2():

@@ -111,10 +111,10 @@ def test_store_backed_sweep_progress_ends_complete_cold_and_warm(tmp_path):
 def test_sweep_failure_names_the_failing_seed_and_plan_position(monkeypatch):
     real = batch_mod.execute_trial
 
-    def flaky(task):
-        if task.seed == 2 and task.spec.failure_fraction == 0.2:
+    def flaky(index, topology, spec, seed, obs_config):
+        if seed == 2 and spec.failure_fraction == 0.2:
             raise RuntimeError("boom")
-        return real(task)
+        return real(index, topology, spec, seed, obs_config)
 
     monkeypatch.setattr(batch_mod, "execute_trial", flaky)
     with pytest.raises(TrialExecutionError) as exc_info:

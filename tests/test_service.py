@@ -15,7 +15,9 @@ import threading
 
 import pytest
 
+import repro.store.hashing as hashing
 from repro.core.experiment import run_trials
+from repro.obs.spans import record_spans
 from repro.service import (
     CampaignService,
     ExecutorConfig,
@@ -125,9 +127,9 @@ def test_single_spec_wraps_into_equivalent_campaign_cell():
         seeds=[3],
         name="adhoc",
     )
-    [(_, wrapped_key, _t)] = campaign_keys(wrapped)
-    [(_, grid_key, _t)] = campaign_keys(grid)
-    assert wrapped_key == grid_key
+    [wrapped_trial] = campaign_keys(wrapped)
+    [grid_trial] = campaign_keys(grid)
+    assert wrapped_trial.key == grid_trial.key
 
 
 def test_single_spec_defaults_failure_fraction():
@@ -200,8 +202,56 @@ def test_ticket_results_gates_on_completion(store):
     receipt = plan_submission(small_campaign(), store)
     with pytest.raises(KeyError):
         ticket_results("nope", store)
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError, match="2/2 trials missing"):
         ticket_results(receipt.ticket, store)
+    # A ticket whose keys and campaign document disagree is a fault.
+    store.record_ticket(
+        "short", "svc", receipt.keys[:1], campaign=small_campaign().to_dict()
+    )
+    with pytest.raises(ValueError, match="1 keys .* 2 trials"):
+        ticket_results("short", store)
+
+
+def test_topology_digested_once_per_seed_and_result_replans_nothing(
+    store, monkeypatch
+):
+    calls = []
+    real = hashing.topology_digest
+
+    def counted(topology):
+        calls.append(topology)
+        return real(topology)
+
+    def digests_of(fn):
+        del calls[:]
+        fn()
+        return len(calls)
+
+    monkeypatch.setattr(hashing, "topology_digest", counted)
+    campaign = make_campaign(
+        axis={"name": "failure_fraction", "values": [0.1, 0.2]}
+    )
+    seeds = len(campaign.seeds)
+    assert campaign.total_trials == 2 * 2 * seeds
+    run = lambda: run_campaign(campaign, store, jobs=2)  # noqa: E731
+    assert digests_of(run) == seeds  # cold: planned, banked and pooled
+    assert digests_of(run) == seeds  # warm: planned only
+    receipt = plan_submission(campaign, store)
+    assert receipt.complete
+    folded = {}
+    with record_spans() as recorder:
+        assert digests_of(
+            lambda: folded.update(ticket_results(receipt.ticket, store))
+        ) == 0
+    assert not [
+        r for r in recorder.records if r["name"] == "topology.build"
+    ]
+    # Folded from the ticket's own keys, in the order of the ticket's
+    # own document (labels sorted), to what a planned fold gives.
+    assert [s["label"] for s in folded["series"]] == sorted(campaign.schemes)
+    assert json_signature(folded["series"]) == folded_signature(
+        load_campaign_results(campaign, store)[0]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -218,13 +268,13 @@ def test_executor_banks_bit_identical_to_run_trials(store):
     assert ticket_status(receipt.ticket, store)["state"] == "done"
 
     # The exact trials run_trials would produce for the same cell.
-    keyed = campaign_keys(campaign)
+    planned = campaign_keys(campaign)
     serial = run_trials(
-        campaign.topology_factory(), keyed[0][0].spec, campaign.seeds
+        campaign.topology_factory(), planned[0].spec, campaign.seeds
     )
     by_seed = {t.seed: t for t in serial.trials}
-    for task, key, _topology in keyed:
-        assert store.get(key) == by_seed[task.seed]
+    for trial in planned:
+        assert store.get(trial.key) == by_seed[trial.seed]
 
     folded = ticket_results(receipt.ticket, store)
     assert json_signature(folded["series"]) == folded_signature(
@@ -240,13 +290,13 @@ def test_executor_completes_an_already_banked_task_without_rerunning(
     campaign = small_campaign(seeds=[1])
     receipt = plan_submission(campaign, store)
     # Another drainer banked the trial and died before flipping the row.
-    [(task, key, _topology)] = campaign_keys(campaign)
+    [trial] = campaign_keys(campaign)
     banked = run_trials(
-        campaign.topology_factory(), task.spec, [task.seed]
+        campaign.topology_factory(), trial.spec, [trial.seed]
     ).trials[0]
-    store.put(key, banked)
+    store.put(trial.key, banked)
 
-    def must_not_run(task):
+    def must_not_run(*trial):
         raise AssertionError("a banked trial was executed again")
 
     monkeypatch.setattr(batch_mod, "execute_trial", must_not_run)
@@ -279,11 +329,11 @@ def test_executor_retries_with_backoff_then_succeeds(store, monkeypatch):
     real = batch_mod.execute_trial
     calls = {"n": 0}
 
-    def flaky(task):
+    def flaky(*trial):
         calls["n"] += 1
         if calls["n"] == 1:
             raise RuntimeError("injected")
-        return real(task)
+        return real(*trial)
 
     monkeypatch.setattr(batch_mod, "execute_trial", flaky)
     executor = QueueExecutor(
@@ -307,7 +357,7 @@ def test_executor_parks_task_after_max_attempts(store, monkeypatch):
         small_campaign(), store
     )
 
-    def always_fails(task):
+    def always_fails(*trial):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(batch_mod, "execute_trial", always_fails)

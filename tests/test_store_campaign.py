@@ -27,6 +27,7 @@ from repro.store import (
     ResultStore,
     RetryPolicy,
     build_spec,
+    campaign_keys,
     campaign_status,
     load_campaign_results,
     run_campaign,
@@ -94,9 +95,8 @@ def test_seeds_expand_from_master_count():
 
 def test_tasks_enumerate_in_scheme_x_seed_order():
     campaign = make_campaign()
-    tasks = campaign.tasks()
+    tasks = campaign_keys(campaign)
     assert len(tasks) == campaign.total_trials == 8
-    assert [t.ordinal for t in tasks] == list(range(8))
     assert [(t.label, t.x, t.seed) for t in tasks[:4]] == [
         ("fifo-0.5", 0.1, 1),
         ("fifo-0.5", 0.1, 2),
@@ -300,12 +300,12 @@ def flaky_executor(fail_times):
     calls = {}
     real = batch_mod.execute_trial
 
-    def wrapped(task):
-        n = calls.get(task.index, 0)
-        calls[task.index] = n + 1
+    def wrapped(index, *trial):
+        n = calls.get(index, 0)
+        calls[index] = n + 1
         if n < fail_times:
             raise RuntimeError(f"injected failure #{n + 1}")
-        return real(task)
+        return real(index, *trial)
 
     return wrapped
 
@@ -347,10 +347,10 @@ def test_partial_failure_stores_the_successes(store, monkeypatch):
     )
     real = batch_mod.execute_trial
 
-    def second_trial_dies(task):
-        if task.index == 1:
+    def second_trial_dies(index, *trial):
+        if index == 1:
             raise RuntimeError("injected permanent failure")
-        return real(task)
+        return real(index, *trial)
 
     monkeypatch.setattr(batch_mod, "execute_trial", second_trial_dies)
     with pytest.raises(CampaignError) as excinfo:
@@ -376,10 +376,10 @@ def test_trials_commit_as_they_land_not_at_batch_end(store, monkeypatch):
     )
     real = batch_mod.execute_trial
 
-    def interrupt_third(task):
-        if task.index == 2:
+    def interrupt_third(index, *trial):
+        if index == 2:
             raise KeyboardInterrupt
-        return real(task)
+        return real(index, *trial)
 
     monkeypatch.setattr(batch_mod, "execute_trial", interrupt_third)
     with pytest.raises(KeyboardInterrupt):
@@ -408,12 +408,12 @@ def test_worker_killing_trial_is_retried_in_a_worker_not_the_parent(
     parent = os.getpid()
     real = parallel_mod.execute_trial
 
-    def second_trial_kills_its_process(task):
-        if task.index == 1:
+    def second_trial_kills_its_process(index, *trial):
+        if index == 1:
             if os.getpid() == parent:
                 raise AssertionError("retried in the parent process")
             os._exit(13)
-        return real(task)
+        return real(index, *trial)
 
     # Workers forked from here on inherit the patched module.
     parallel_mod.shutdown_worker_pool()

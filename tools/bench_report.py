@@ -225,7 +225,6 @@ def render_attribution(path: Path, jobs: Optional[int] = None) -> str:
     # the sum over the trace is the run's true one-off warm-up cost.
     spinup = sum(_attrs_from_trace(path, "spinup_seconds"))
     submit = _total(rollup, "pool.submit")
-    digest = _total(rollup, "pool.digest")
     collect = _total(rollup, "pool.collect")
     fold = _total(rollup, "trials.fold", "campaign.fold")
     absorb = _total(rollup, "obs.absorb")
@@ -260,7 +259,6 @@ def render_attribution(path: Path, jobs: Optional[int] = None) -> str:
         "  gap attribution:",
         f"    pool spin-up        {spinup:9.3f} s  {pct(spinup)}",
         f"    task submit/pickle  {submit:9.3f} s  {pct(submit)}",
-        f"    topology digest     {digest:9.3f} s  {pct(digest)}",
         f"    collect idle        {collect_idle:9.3f} s  {pct(collect_idle)}",
         f"    result fold         {fold:9.3f} s  {pct(fold)}",
         f"    obs absorb          {absorb:9.3f} s  {pct(absorb)}",
