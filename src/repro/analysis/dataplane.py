@@ -288,7 +288,7 @@ def load_dataplane_trials(
     """Split a data-plane sink JSONL file into per-trial record groups.
 
     ``dataplane_trial`` meta records (written by
-    :meth:`ObsSession.finish_dataplane`) delimit trials and carry
+    :meth:`TrialObserver.finish_dataplane`) delimit trials and carry
     ``t0``/``end``/``trial``/``seed``; a file without them is treated
     as a single anonymous trial.
     """

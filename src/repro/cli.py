@@ -106,19 +106,14 @@ def _make_obs_session(
     if not wants_obs:
         return None
     from repro.obs.session import ObsSession
+    from repro.sim.trace import JsonlSink
 
     trace_sink = None
     if trace_out:
-        from repro.sim.trace import jsonl_sink
-
-        trace_sink = stack.enter_context(jsonl_sink(trace_out))
+        trace_sink = stack.enter_context(JsonlSink(trace_out))
     dataplane_sink = None
     if dataplane_out:
-        from repro.obs.dataplane import dataplane_jsonl_sink
-
-        dataplane_sink = stack.enter_context(
-            dataplane_jsonl_sink(dataplane_out)
-        )
+        dataplane_sink = stack.enter_context(JsonlSink(dataplane_out))
     obs = ObsSession(
         sample_interval=args.sample_interval,
         profile=args.profile,

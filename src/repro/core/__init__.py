@@ -4,14 +4,16 @@
 * :mod:`repro.core.dynamic_mrai` — the dynamic MRAI scheme with queue /
   utilization / message-count overload monitors (Sec 4.3);
 * :mod:`repro.core.experiment` — warm-up, failure injection, convergence
-  measurement, multi-trial aggregation;
+  measurement (``simulate_trial``, observed by at most one
+  :class:`~repro.obs.session.TrialObserver`), multi-trial aggregation;
 * :mod:`repro.core.batch` — the one trial-batch pipeline (plan, look up
   the store, execute the misses, bank, fold) that ``run_trials``,
   campaigns and the service all run, over the one record of a trial to
   run, :class:`~repro.core.batch.PlannedTrial`;
-* :mod:`repro.core.parallel` — single-trial execution and the persistent
-  warm worker pool (one topology cache per worker) behind ``jobs > 1``,
-  with deterministic seed fan-out;
+* :mod:`repro.core.parallel` — single-trial execution (``execute_trial``
+  returns the result beside the trial's observation record, at every
+  ``jobs`` value) and the persistent warm worker pool (one topology cache
+  per worker) behind ``jobs > 1``, with deterministic seed fan-out;
 * :mod:`repro.core.sweep` — parameter sweeps producing the series behind
   every figure;
 * :mod:`repro.core.validation` — post-convergence routing correctness

@@ -111,7 +111,8 @@ def run_tasks(
     the run's :class:`~repro.core.parallel.PoolRunStats`.  ``obs_config``
     is the batch's picklable session recipe
     (:meth:`repro.obs.session.ObsSession.worker_args`), or None when the
-    run is unobserved.
+    run is unobserved; ``payload`` is the trial's observation record
+    (:meth:`repro.obs.session.TrialObserver.record`).
     """
     if jobs <= 1:
         for index in indices:
@@ -266,11 +267,12 @@ def run_batch(
     raises propagates and abandons the rest of the batch (that is
     ``run_trials``' fail-fast and the service's graceful stop).
 
-    Worker observability payloads are absorbed into ``obs`` in plan
-    order once execution is over, whatever order the trials completed
-    in.  ``progress`` receives one tick for the cached trials and one per
-    executed outcome; ``attempt_span`` names a span opened around each
-    execution round.
+    Observation records are absorbed into ``obs`` in plan order once
+    execution is over, whatever order the trials completed in, each
+    beside the spec and topology summary it was planned with.
+    ``progress`` receives one tick for the cached trials and one per
+    executed outcome, every one carrying the batch's own cached count;
+    ``attempt_span`` names a span opened around each execution round.
     """
     if store is not None:
         from repro.store.hashing import trial_fingerprint
@@ -304,6 +306,7 @@ def run_batch(
                     label=tick_label,
                     busy_seconds=busy,
                     failed=len(result.failures),
+                    cached=result.hits,
                 )
             )
 
@@ -355,7 +358,12 @@ def run_batch(
     if obs is not None and payloads:
         with span("obs.absorb", payloads=len(payloads)):
             for index in sorted(payloads):
-                obs.absorb(payloads[index])
+                item = planned[index]
+                obs.absorb(
+                    payloads[index],
+                    spec=item.spec,
+                    topology=item.topology.summary(),
+                )
     return result
 
 

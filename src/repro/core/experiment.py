@@ -31,7 +31,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.session import ObsSession, active_session
+from repro.obs.session import ObsSession, TrialObserver, active_session
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -284,6 +284,10 @@ class Progress:
     busy_seconds: float = 0.0
     #: Trials that have failed at least one attempt (campaign retries).
     failed: int = 0
+    #: How many of ``done`` were served by this batch's store lookup
+    #: instead of executed (the service executor's ticks count executed
+    #: trials only, so theirs is 0).
+    cached: int = 0
 
     @property
     def fraction(self) -> float:
@@ -330,11 +334,13 @@ def run_experiment(
 ) -> TrialResult:
     """One full warm-up + failure + convergence measurement.
 
-    ``obs`` wires an :class:`~repro.obs.session.ObsSession` through the
-    run: the network's counters mirror into the session's metrics
-    registry, a probe samples per-node time series, the profiler (when
-    enabled) accounts event-loop wall time, and warm-up / failure /
-    convergence phase timings are recorded.  When ``obs`` is None the
+    ``obs`` observes the run for an :class:`~repro.obs.session.ObsSession`:
+    a :class:`~repro.obs.session.TrialObserver` built from the session's
+    recipe mirrors the network's counters into a metrics registry, samples
+    per-node time series, accounts event-loop wall time (when profiling)
+    and times the warm-up / failure / convergence phases, and its record
+    enters the session through :meth:`~repro.obs.session.ObsSession.absorb`
+    — the same way a batch trial's does.  When ``obs`` is None the
     session installed by :func:`repro.obs.session.observe` (if any) is
     used, so sweeps deep inside the figure harness can be observed
     without threading a parameter through every layer.  A session with
@@ -344,18 +350,38 @@ def run_experiment(
     """
     if obs is None:
         obs = active_session()
-    metrics = obs.registry if obs is not None else None
-    tracer = obs.make_tracer() if obs is not None else None
+    if obs is None:
+        return simulate_trial(topology, spec, seed, scenario)
+    observer = TrialObserver(obs.worker_args(), trace_sink=obs.trace_sink)
+    result = simulate_trial(topology, spec, seed, scenario, observer)
+    obs.absorb(observer.record(), spec=spec, topology=topology.summary())
+    return result
+
+
+def simulate_trial(
+    topology: Topology,
+    spec: ExperimentSpec,
+    seed: int = 0,
+    scenario: Optional[FailureScenario] = None,
+    observer: Optional[TrialObserver] = None,
+) -> TrialResult:
+    """The measurement itself, observed by ``observer`` and nothing else.
+
+    What :func:`run_experiment` and the batch pipeline's
+    :func:`~repro.core.parallel.execute_trial` both run; the active
+    session is not consulted here, so a trial is observed exactly once
+    whichever of the two started it.
+    """
     network = BGPNetwork(
         topology,
         spec.to_bgp_config(),
         seed=seed,
-        tracer=tracer,
-        metrics=metrics,
+        tracer=observer.tracer if observer is not None else None,
+        metrics=observer.registry if observer is not None else None,
     )
     try:
-        if obs is not None:
-            obs.attach(network)
+        if observer is not None:
+            observer.attach(network)
 
         wall0 = time.perf_counter()
         with span("trial.warmup", seed=seed):
@@ -370,8 +396,8 @@ def run_experiment(
         warmup_time = network.last_activity
         warmup_events = network.sim.events_executed
         warmup_snapshot = network.counters.snapshot()
-        if obs is not None:
-            obs.record_phase(
+        if observer is not None:
+            observer.record_phase(
                 "warmup", warmup_wall, sim_seconds=warmup_time, events=warmup_events
             )
         if spec.validate:
@@ -386,17 +412,17 @@ def run_experiment(
                 detection_delay=spec.detection_delay,
                 detection_jitter=spec.detection_jitter,
             )
-        if obs is not None:
-            obs.record_phase("failure", time.perf_counter() - wall1)
-            obs.on_failure(network)
+        if observer is not None:
+            observer.record_phase("failure", time.perf_counter() - wall1)
+            observer.on_failure()
 
         wall2 = time.perf_counter()
         with span("trial.convergence"):
             network.run_until_quiet(max_time=t0 + spec.max_convergence_time)
         convergence_wall = time.perf_counter() - wall2
         truncated = not network.is_quiescent()
-        if obs is not None:
-            obs.record_phase(
+        if observer is not None:
+            observer.record_phase(
                 "convergence",
                 convergence_wall,
                 sim_seconds=network.last_activity - t0,
@@ -407,8 +433,8 @@ def run_experiment(
 
         diff = network.counters.diff(warmup_snapshot)
         dataplane_summary = (
-            obs.finish_dataplane(network, t0=t0, seed=seed)
-            if obs is not None
+            observer.finish_dataplane(network, t0=t0)
+            if observer is not None
             else None
         )
         result = TrialResult(
@@ -429,14 +455,8 @@ def run_experiment(
             convergence_wall=convergence_wall,
             dataplane=dataplane_summary,
         )
-        if obs is not None:
-            obs.note_trial(
-                spec=spec,
-                seed=seed,
-                topology=topology.summary(),
-                counters=network.counters.snapshot(),
-                result=result,
-            )
+        if observer is not None:
+            observer.note_trial(result, network.counters.snapshot())
         return result
     finally:
         # Also on the "did not converge" path: see BGPNetwork.close.

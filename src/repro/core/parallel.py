@@ -8,9 +8,9 @@ provides the two pieces the batch pipeline (:mod:`repro.core.batch`)
 executes its :class:`~repro.core.batch.PlannedTrial` records with:
 
 * :func:`execute_trial` — run one planned trial and return ``(TrialResult,
-  obs payload)``.  Serial and parallel runs both go through it, so both
-  round-trip observability through the same picklable payloads and
-  switching ``jobs`` never changes what a session records;
+  observation record)``.  Serial and parallel runs both go through it, so
+  both hand the session the same picklable records and switching ``jobs``
+  never changes what a session records;
 * :class:`WorkerPool` — the process-wide pool of warm workers behind
   ``jobs > 1``.  Trials complete out of order; the caller folds results
   back in submission (seed) order, which is what makes a parallel
@@ -45,9 +45,9 @@ long-lived workers that amortize every fixed cost:
   (:func:`choose_chunk`), so campaigns — which group trials by grid
   cell — keep hitting warm caches.
 * **Streamed, compact results.**  Workers send one message per finished
-  trial (progress ticks stream), and observed sessions prune empty
-  payload sections before pickling
-  (:meth:`repro.obs.session.ObsSession.worker_payload`).
+  trial (progress ticks stream), and an observed trial's record states
+  each fact once and omits what no recorder filled
+  (:meth:`repro.obs.session.TrialObserver.record`).
 
 Determinism contract
 --------------------
@@ -188,32 +188,35 @@ def execute_trial(
 ) -> Tuple["TrialResult", Optional[Dict[str, Any]]]:
     """Run one planned trial (the worker entry point; also used serially).
 
-    Takes the record's fields, not the record: that is what a worker
-    holds once it has unpacked a chunk.  When the batch carries an obs
-    recipe, a fresh worker-local :class:`~repro.obs.session.ObsSession`
-    observes the run and its entire state — metrics, phase timings,
-    probe samples, profiler rows, exploration summaries and (when the
-    parent has a trace sink) the raw trace records — is returned beside
-    the result as a picklable payload for the parent session to absorb.
+    Takes the planned trial's fields, not the record: that is what a
+    worker holds once it has unpacked a chunk.  When the batch carries
+    an obs recipe, a :class:`~repro.obs.session.TrialObserver` built
+    from it observes the run, and its observation record — metrics,
+    phase timings, probe samples, profiler rows, the trial snapshot and
+    (when the session has sinks) the raw trace and data-plane records —
+    is returned beside the result for the session to absorb.  The
+    recipe is the only thing consulted: an active session in this
+    process (a ``jobs=1`` batch under ``observe()``, a forked worker
+    that inherited one) plays no part.
     """
     # Imported here, not at module level: experiment.py imports this
     # module at its top, and workers only pay the import once per process.
-    from repro.core.experiment import run_experiment
+    from repro.core.experiment import simulate_trial
 
-    obs = None
+    observer = None
     spans_ctx = nullcontext()
     if obs_config is not None:
-        from repro.obs.session import ObsSession
+        from repro.obs.session import TrialObserver
 
-        obs = ObsSession.for_worker(obs_config)
-        if obs.span_recorder is not None:
-            # Worker-local span recording: the records ride home in the
-            # obs payload and the parent grafts them under "workers/".
-            spans_ctx = record_spans(obs.span_recorder)
+        observer = TrialObserver(obs_config)
+        if observer.span_recorder is not None:  # (an empty one is falsy)
+            # Trial-local span recording: the rows ride home in the
+            # record and the session grafts them under "workers/".
+            spans_ctx = record_spans(observer.span_recorder)
     with spans_ctx:
         with span("trial.execute", index=index, seed=seed):
-            result = run_experiment(topology, spec, seed=seed, obs=obs)
-    return result, (obs.worker_payload() if obs is not None else None)
+            result = simulate_trial(topology, spec, seed, observer=observer)
+    return result, (observer.record() if observer is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +244,15 @@ def _worker_main(conn: Any, cache_capacity: int) -> None:
     error an ``"ExcType: message"`` string — followed by
     ``("chunk_done", run_id, chunk_id, hits, misses, evictions)``.
     """
-    # A forked child inherits the parent's live span recorder, active
-    # obs sessions and open span path — none of which mean anything
-    # here.  Reset them so worker observability comes only from each
-    # chunk's obs recipe (exactly what a spawned worker sees).
-    from repro.obs import session as _session_mod
+    # A forked child inherits the parent's live span recorder and open
+    # span path, which mean nothing here.  Reset them so worker spans
+    # come only from each chunk's obs recipe (exactly what a spawned
+    # worker sees).  An inherited active session needs no reset:
+    # execute_trial never consults it.
     from repro.obs import spans as _spans_mod
 
     _spans_mod._RECORDER = None
     _spans_mod._PATH.set("")
-    _session_mod._ACTIVE.clear()
 
     cache: "OrderedDict[str, Any]" = OrderedDict()
     try:

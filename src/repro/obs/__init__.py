@@ -4,15 +4,14 @@ The package the ROADMAP's perf work stands on: every signal the paper's
 dynamic-MRAI argument rests on (unfinished work, queue depth, MRAI ladder
 level) is exposed as a per-node time series; every run can emit a metrics
 registry, a provenance manifest with wall-clock phase timings, and an
-event-loop hotspot profile.  See docs/OBSERVABILITY.md for the catalogue.
+event-loop hotspot profile.  One :class:`TrialObserver` per trial holds
+the recorders, in whichever process runs it; its observation record is
+the only thing an :class:`ObsSession` absorbs.  See
+docs/OBSERVABILITY.md for the catalogue and the record's schema.
 """
 
 from repro.obs.causality import CausalEvent, CausalGraph, load_trace
-from repro.obs.dataplane import (
-    DataPlaneJsonlSink,
-    DataPlaneMonitor,
-    dataplane_jsonl_sink,
-)
+from repro.obs.dataplane import DataPlaneMonitor
 from repro.obs.live import (
     LiveMonitor,
     default_progress,
@@ -30,7 +29,13 @@ from repro.obs.metrics import (
     MetricsRegistry,
     format_metric_name,
 )
-from repro.obs.probes import AggregateSample, NetworkProbe, NodeSample, percentile
+from repro.obs.probes import (
+    AggregateSample,
+    NetworkProbe,
+    NodeSample,
+    ProbeSamples,
+    percentile,
+)
 from repro.obs.profiling import EventLoopProfiler, HandlerStats, handler_category
 from repro.obs.export import (
     write_aggregates_csv,
@@ -38,7 +43,12 @@ from repro.obs.export import (
     write_metrics_jsonl,
     write_timeseries_csv,
 )
-from repro.obs.session import ObsSession, active_session, observe
+from repro.obs.session import (
+    ObsSession,
+    TrialObserver,
+    active_session,
+    observe,
+)
 from repro.obs.spans import (
     NOOP_SPAN,
     RollupRow,
@@ -56,7 +66,6 @@ __all__ = [
     "CounterMetric",
     "DEFAULT_COUNT_BUCKETS",
     "DEFAULT_TIME_BUCKETS",
-    "DataPlaneJsonlSink",
     "DataPlaneMonitor",
     "EventLoopProfiler",
     "Gauge",
@@ -69,12 +78,13 @@ __all__ = [
     "NodeSample",
     "ObsSession",
     "PhaseTiming",
+    "ProbeSamples",
     "RollupRow",
     "RunManifest",
     "Span",
     "SpanRecorder",
+    "TrialObserver",
     "active_session",
-    "dataplane_jsonl_sink",
     "default_progress",
     "format_metric_name",
     "handler_category",

@@ -43,8 +43,6 @@ unavailability windows, episode counts, and path-stretch statistics.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -54,7 +52,6 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,11 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "BLACKHOLE",
     "DOWN",
-    "DataPlaneJsonlSink",
     "DataPlaneMonitor",
     "LOOP",
     "OK",
-    "dataplane_jsonl_sink",
 ]
 
 #: Pair statuses (see module docstring).
@@ -206,7 +201,7 @@ class DataPlaneMonitor:
         return self._status.get((node_id, dest))
 
     def records(self) -> List[Dict[str, Any]]:
-        """Transitions as JSON-ready dicts (for sinks and worker payloads)."""
+        """Transitions as JSON-ready dicts (for sinks and trial records)."""
         return [
             {
                 "kind": "dataplane",
@@ -309,40 +304,3 @@ class DataPlaneMonitor:
         self._status[key] = status
         self._hops[key] = hops
         self.transitions.append((t, node_id, dest, status, hops))
-
-
-class DataPlaneJsonlSink:
-    """Append data-plane records (plain dicts) to a JSONL file.
-
-    The dict-based sibling of :class:`repro.sim.trace.JsonlSink` (which
-    serializes :class:`TraceRecord` objects): ``dataplane report`` and
-    :func:`repro.analysis.dataplane.analyze_dataplane_file` read these
-    files back.  Usable as a context manager; the CLI registers it on
-    its ``ExitStack``.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        if self.path.parent != Path(""):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = self.path.open("w", encoding="utf-8")
-        self.records_written = 0
-
-    def __call__(self, record: Dict[str, Any]) -> None:
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
-        self.records_written += 1
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
-
-    def __enter__(self) -> "DataPlaneJsonlSink":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def dataplane_jsonl_sink(path: Union[str, Path]) -> DataPlaneJsonlSink:
-    """Convenience constructor mirroring :func:`repro.sim.trace.jsonl_sink`."""
-    return DataPlaneJsonlSink(path)

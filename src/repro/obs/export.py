@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.probes import NetworkProbe
+from repro.obs.probes import ProbeSamples
 
 TIMESERIES_FIELDS = [
     "run",
@@ -77,7 +77,7 @@ def write_metrics_jsonl(
 
 
 def write_timeseries_csv(
-    probes: Sequence[NetworkProbe], path: Union[str, Path]
+    probes: Sequence[ProbeSamples], path: Union[str, Path]
 ) -> Path:
     """Per-node probe samples, with a ``run`` column indexing the probe."""
     path = Path(path)
@@ -102,7 +102,7 @@ def write_timeseries_csv(
 
 
 def write_aggregates_csv(
-    probes: Sequence[NetworkProbe], path: Union[str, Path]
+    probes: Sequence[ProbeSamples], path: Union[str, Path]
 ) -> Path:
     """Network-wide aggregate samples, one row per (run, sample)."""
     path = Path(path)

@@ -101,9 +101,9 @@ class LiveMonitor:
     jobs:
         Worker count of the run (for the utilization denominator).
     session:
-        Optional :class:`~repro.obs.session.ObsSession` supplying
-        cache hit/miss counters (without one, cached counts read 0
-        unless the ticks carry a ``(cached)`` label).
+        Optional :class:`~repro.obs.session.ObsSession` supplying the
+        lifetime store hit rate.  The cached *count* is the current
+        batch's, read from the tick (:attr:`Progress.cached`).
     stream:
         Where the status line goes (default ``sys.stderr``; pass None
         for heartbeat-only monitoring with no terminal output).  On a
@@ -173,7 +173,7 @@ class LiveMonitor:
     # -- derived telemetry ---------------------------------------------
     @property
     def cached(self) -> int:
-        return self.session.cache_hits if self.session is not None else 0
+        return self.last.cached if self.last is not None else 0
 
     @property
     def failed(self) -> int:

@@ -25,7 +25,7 @@ warm-up and failure injection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,25 +75,42 @@ class AggregateSample:
     mrai_levels: Dict[int, int]
 
 
-class ProbeData:
-    """Detached probe samples — e.g. shipped back from a worker process.
+@dataclass
+class ProbeSamples:
+    """One trial's probe samples, as plain picklable data.
 
-    Quacks like a finished :class:`NetworkProbe` for the exporters (which
-    only read ``node_samples`` and ``aggregates``); ``network`` is None
-    because the network that produced the samples lived in another
-    process.
+    The one form probe output takes: a :class:`NetworkProbe` fills it
+    while the trial runs, the trial's observation record carries it to
+    the session (across the process boundary or not), and
+    ``ObsSession.probes`` holds one per sampled trial.
     """
 
-    __slots__ = ("node_samples", "aggregates", "network")
+    node_samples: List[NodeSample] = field(default_factory=list)
+    aggregates: List[AggregateSample] = field(default_factory=list)
 
-    def __init__(
-        self,
-        node_samples: Sequence[NodeSample],
-        aggregates: Sequence[AggregateSample],
-    ) -> None:
-        self.node_samples: List[NodeSample] = list(node_samples)
-        self.aggregates: List[AggregateSample] = list(aggregates)
-        self.network = None
+    @property
+    def times(self) -> List[float]:
+        return [a.time for a in self.aggregates]
+
+    def node_series(self, node: int, field: str) -> List[float]:
+        """One node's attribute over time, e.g. ``("unfinished_work")``."""
+        return [
+            getattr(s, field) for s in self.node_samples if s.node == node
+        ]
+
+    def aggregate_series(self, field: str) -> List[float]:
+        """One aggregate attribute over time, e.g. ``("work_p95")``."""
+        return [getattr(a, field) for a in self.aggregates]
+
+    def sampled_nodes(self) -> List[int]:
+        return sorted({s.node for s in self.node_samples})
+
+    def peak(self, field: str = "work_max") -> float:
+        series = self.aggregate_series(field)
+        return max(series) if series else 0.0
+
+    def __len__(self) -> int:
+        return len(self.aggregates)
 
 
 class NetworkProbe:
@@ -102,8 +119,8 @@ class NetworkProbe:
     Parameters
     ----------
     network:
-        The network to observe; the session sets the attribute to None
-        once the trial has finished, so the samples outlive the network.
+        The network to observe.  The probe lives and dies with it; what
+        outlives both is :attr:`samples`.
     interval:
         Sampling period in simulated seconds.
     nodes:
@@ -122,12 +139,15 @@ class NetworkProbe:
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
-        self.network: Optional["BGPNetwork"] = network
+        self.network = network
         self.interval = interval
         self.tracked = frozenset(nodes) if nodes is not None else None
         self.keep_node_samples = keep_node_samples
-        self.node_samples: List[NodeSample] = []
-        self.aggregates: List[AggregateSample] = []
+        #: Everything sampled so far: the part of the probe that outlives
+        #: the network (``node_samples`` / ``aggregates`` are its lists).
+        self.samples = ProbeSamples()
+        self.node_samples = self.samples.node_samples
+        self.aggregates = self.samples.aggregates
         self._armed = False
 
     # ------------------------------------------------------------------
@@ -211,30 +231,3 @@ class NetworkProbe:
                 mrai_levels=levels,
             )
         )
-
-    # ------------------------------------------------------------------
-    # Derived series
-    # ------------------------------------------------------------------
-    @property
-    def times(self) -> List[float]:
-        return [a.time for a in self.aggregates]
-
-    def node_series(self, node: int, field: str) -> List[float]:
-        """One node's attribute over time, e.g. ``("unfinished_work")``."""
-        return [
-            getattr(s, field) for s in self.node_samples if s.node == node
-        ]
-
-    def aggregate_series(self, field: str) -> List[float]:
-        """One aggregate attribute over time, e.g. ``("work_p95")``."""
-        return [getattr(a, field) for a in self.aggregates]
-
-    def sampled_nodes(self) -> List[int]:
-        return sorted({s.node for s in self.node_samples})
-
-    def peak(self, field: str = "work_max") -> float:
-        series = self.aggregate_series(field)
-        return max(series) if series else 0.0
-
-    def __len__(self) -> int:
-        return len(self.aggregates)

@@ -1,18 +1,24 @@
-"""The observation session: one object that bundles the whole obs layer.
+"""The observation session and the per-trial observer that feeds it.
 
-:class:`ObsSession` owns a :class:`~repro.obs.metrics.MetricsRegistry`, an
-optional :class:`~repro.obs.profiling.EventLoopProfiler`, the per-trial
-:class:`~repro.obs.probes.NetworkProbe` instances, phase timings and the
-final :class:`~repro.obs.manifest.RunManifest`.  The experiment layer only
-ever talks to the session:
+Observation is split along the one line it has:
 
-* :func:`repro.core.experiment.run_experiment` accepts ``obs=`` and calls
-  :meth:`attach` / :meth:`on_failure` / :meth:`record_phase` /
-  :meth:`note_trial` at the right points;
-* deeper call stacks (figure sweeps) are reached through the *active
-  session*: ``with observe(session): compute_figure(...)`` makes every
-  experiment run inside the block pick the session up implicitly.
+* :class:`TrialObserver` owns everything that exists for a single trial
+  — its metrics registry, profiler, tracer, probe, data-plane monitor
+  and raw phase timings.  It is built from a session's picklable recipe
+  (:meth:`ObsSession.worker_args`) in whichever process runs the trial,
+  takes the experiment layer's hooks, and returns one observation
+  record (:meth:`TrialObserver.record`) of plain data.
+* :class:`ObsSession` owns everything that spans trials — the merged
+  registry and profiler, the sinks, the per-trial snapshots, phases and
+  probe samples, the final :class:`~repro.obs.manifest.RunManifest` —
+  and :meth:`ObsSession.absorb` is the only way a trial's observations
+  enter it.  A session cannot tell which process, or which entry point
+  (``run_experiment(obs=)``, a ``jobs=1`` batch, a pooled batch), ran a
+  trial.
 
+Deeper call stacks (figure sweeps) are reached through the *active
+session*: ``with observe(session): compute_figure(...)`` makes every
+experiment run inside the block pick the session up implicitly.
 ``ObsSession.export(dir)`` then writes ``manifest.json``,
 ``metrics.jsonl``, ``timeseries.csv`` and ``aggregates.csv`` (plus
 ``profile.txt`` when profiling).
@@ -31,6 +37,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
     Union,
 )
 
@@ -41,12 +48,13 @@ from repro.obs.export import (
 )
 from repro.obs.manifest import PhaseTiming, RunManifest, jsonable
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.probes import NetworkProbe, ProbeData
+from repro.obs.probes import NetworkProbe, ProbeSamples
 from repro.obs.profiling import EventLoopProfiler
 from repro.obs.spans import SpanRecorder, record_spans, span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
+    from repro.core.experiment import TrialResult
     from repro.obs.dataplane import DataPlaneMonitor
     from repro.sim.trace import TraceRecord, Tracer
 
@@ -82,13 +90,177 @@ def observe(session: "ObsSession"):
         _ACTIVE.pop()
 
 
+class TrialObserver:
+    """Everything that observes one trial, in the process that runs it.
+
+    Built from a session's recipe (:meth:`ObsSession.worker_args`).  The
+    experiment layer hands :attr:`registry` and :attr:`tracer` to the
+    network it builds, calls :meth:`attach` / :meth:`record_phase` /
+    :meth:`on_failure` / :meth:`finish_dataplane` / :meth:`note_trial`
+    at the right points, and :meth:`record` is then everything observed,
+    as plain picklable data for :meth:`ObsSession.absorb`.
+
+    ``trace_sink`` is the whole difference between in-process and worker
+    observation: given the session's own sink (``run_experiment(obs=)``),
+    trace records stream straight into it while the trial runs; without
+    it — a sink cannot cross the process boundary — they are buffered
+    into the record for ``absorb`` to replay, when the recipe says the
+    session has a sink at all.
+    """
+
+    def __init__(
+        self,
+        recipe: Dict[str, Any],
+        trace_sink: Optional[Callable[["TraceRecord"], None]] = None,
+    ) -> None:
+        self.recipe = recipe
+        self.registry = MetricsRegistry()
+        self.profiler: Optional[EventLoopProfiler] = (
+            EventLoopProfiler() if recipe["profile"] else None
+        )
+        #: Installed around the trial by ``execute_trial``; stays empty
+        #: when the caller's own recorder is the active one.
+        self.span_recorder: Optional[SpanRecorder] = (
+            SpanRecorder() if recipe["spans"] else None
+        )
+        self.tracer: Optional["Tracer"] = None
+        self._trace_records: Optional[List["TraceRecord"]] = None
+        if recipe["trace"]:
+            from repro.sim.trace import Tracer
+
+            if trace_sink is None and recipe["trace_sink"]:
+                self._trace_records = []
+                trace_sink = self._trace_records.append
+            self.tracer = Tracer(
+                categories=set(recipe["trace_categories"]),
+                sink=trace_sink,
+                max_records=recipe["trace_max_records"],
+            )
+        self.probe: Optional[NetworkProbe] = None
+        self.monitor: Optional["DataPlaneMonitor"] = None
+        self._phases: List[Tuple[str, float, float, int]] = []
+        self._snapshot: Dict[str, Any] = {}
+        self._dataplane_records: Optional[List[Dict[str, Any]]] = None
+
+    def attach(self, network: "BGPNetwork") -> None:
+        """Wire the recorders into the trial's freshly built network."""
+        if self.profiler is not None:
+            self.profiler.attach(network.sim)
+        if self.recipe["sample_interval"] is not None:
+            self.probe = NetworkProbe(
+                network,
+                self.recipe["sample_interval"],
+                nodes=self.recipe["probe_nodes"],
+            )
+            self.probe.start()
+        if self.recipe["dataplane"]:
+            from repro.obs.dataplane import DataPlaneMonitor
+
+            self.monitor = DataPlaneMonitor()
+            self.monitor.attach(network)
+
+    def on_failure(self) -> None:
+        """Re-arm the probe after failure injection (it detaches at
+        quiescence, which the end of warm-up is)."""
+        if self.probe is not None:
+            self.probe.start()
+
+    def record_phase(
+        self,
+        name: str,
+        wall_seconds: float,
+        sim_seconds: float = 0.0,
+        events: int = 0,
+    ) -> None:
+        self._phases.append((name, wall_seconds, sim_seconds, events))
+
+    def finish_dataplane(
+        self, network: "BGPNetwork", t0: float
+    ) -> Optional[Dict[str, Any]]:
+        """Finalize the data-plane monitor and fold its timeline.
+
+        Called after convergence, before the :class:`TrialResult` is
+        built.  Returns the headline summary (the
+        ``TrialResult.dataplane`` payload) or None when monitors are
+        off.  When the session has a data-plane sink the transition
+        records join the observation record behind a ``dataplane_trial``
+        delimiter (:meth:`ObsSession.absorb` stamps it with the trial
+        index and seed), so offline reports can split multi-trial files.
+        """
+        monitor = self.monitor
+        if monitor is None:
+            return None
+        end = max(network.last_activity, t0)
+        monitor.finalize(end)
+        from repro.analysis.dataplane import DataPlaneTimeline
+
+        timeline = DataPlaneTimeline.from_transitions(
+            monitor.transitions, t0=t0, end=end
+        )
+        if self.recipe["dataplane_sink"]:
+            meta = {"kind": "dataplane_trial", "t0": t0, "end": end}
+            self._dataplane_records = [meta, *monitor.records()]
+        network.dataplane = None
+        return timeline.headline()
+
+    def note_trial(
+        self, result: "TrialResult", counters: Dict[str, Any]
+    ) -> None:
+        """Fold the finished trial into the record's one snapshot."""
+        snapshot: Dict[str, Any] = {
+            "seed": result.seed,
+            "counters": dict(counters),
+            "convergence_delay": result.convergence_delay,
+            "messages_sent": result.messages_sent,
+            "warmup_wall": result.warmup_wall,
+            "convergence_wall": result.convergence_wall,
+        }
+        if self.tracer is not None:
+            from repro.analysis.convergence import ConvergenceTimeline
+
+            timeline = ConvergenceTimeline.from_records(
+                self.tracer.records, t0=result.failure_time
+            )
+            exploration = timeline.summary()
+            exploration["trace_dropped"] = self.tracer.dropped
+            snapshot["exploration"] = exploration
+        if result.dataplane:
+            snapshot["dataplane"] = result.dataplane
+        self._snapshot = snapshot
+
+    def record(self) -> Dict[str, Any]:
+        """Everything observed about the trial, each fact stated once.
+
+        Seed, counters, exploration and data-plane headline live in the
+        snapshot only; phases are raw (the session labels them with its
+        own trial index); the spec and topology are not here at all —
+        whoever calls :meth:`ObsSession.absorb` holds them.  Sections a
+        recorder never filled are pruned, so the pickled message is as
+        small as what was actually observed.
+        """
+        record: Dict[str, Any] = {
+            "snapshot": self._snapshot,
+            "phases": self._phases,
+            "metrics": self.registry.records(),
+            "trace_records": self._trace_records,
+            "dataplane_records": self._dataplane_records,
+        }
+        if self.profiler is not None:
+            record["profile"] = self.profiler.records()
+        if self.span_recorder is not None:
+            record["spans"] = self.span_recorder.records
+        if self.probe is not None:
+            record["probe"] = self.probe.samples
+        return {key: value for key, value in record.items() if value}
+
+
 class ObsSession:
     """Everything observed about one run (or one sweep of runs).
 
     Parameters
     ----------
     sample_interval:
-        When set, each attached network gets a :class:`NetworkProbe` with
+        When set, each trial's network gets a :class:`NetworkProbe` with
         this simulated-seconds period.
     profile:
         When True, an :class:`EventLoopProfiler` is attached to every
@@ -96,14 +268,13 @@ class ObsSession:
     probe_nodes:
         Optional node-id filter for per-node probe rows.
     trace:
-        When True, every trial runs with a causal tracer attached
-        (:meth:`make_tracer`) and its path-exploration / settle-time
-        summary is recorded alongside the delay in the trial snapshot
-        and manifest.
+        When True, every trial runs with a causal tracer attached and
+        its path-exploration / settle-time summary is recorded alongside
+        the delay in the trial snapshot and manifest.
     trace_sink:
         Optional per-record callable (e.g. a
-        :class:`~repro.sim.trace.JsonlSink`) forwarded to every trial
-        tracer; implies ``trace``.
+        :class:`~repro.sim.trace.JsonlSink`) receiving every trial's
+        trace records, in trial order; implies ``trace``.
     trace_categories:
         Category filter for trial tracers; defaults to
         ``{"causality", "route_change"}`` (what the analysis consumes).
@@ -114,17 +285,17 @@ class ObsSession:
         When True, the session owns a
         :class:`~repro.obs.spans.SpanRecorder`; :func:`observe` installs
         it so instrumented orchestration code records hierarchical
-        wall-clock spans, worker sessions round-trip theirs home, and
-        :meth:`export` writes ``spans.json`` (Chrome trace format).
+        wall-clock spans, batch trials graft theirs under ``workers/``,
+        and :meth:`export` writes ``spans.json`` (Chrome trace format).
     dataplane:
-        When True, every attached network gets a
+        When True, every trial's network gets a
         :class:`~repro.obs.dataplane.DataPlaneMonitor`; the trial's
         unavailability summary lands on ``TrialResult.dataplane``, the
         trial snapshot, and the manifest rollup.  Trajectory-neutral
         (the monitor only reads simulator state).
     dataplane_sink:
         Optional per-record callable (e.g. a
-        :class:`~repro.obs.dataplane.DataPlaneJsonlSink`) receiving
+        :class:`~repro.sim.trace.JsonlSink`) receiving
         every transition record plus per-trial ``dataplane_trial``
         delimiters, for offline ``dataplane report``; implies
         ``dataplane``.
@@ -159,7 +330,6 @@ class ObsSession:
         #: Per-trial exploration summaries (ConvergenceTimeline.summary()).
         self.exploration_summaries: List[Dict[str, Any]] = []
         self.last_exploration: Optional[Dict[str, Any]] = None
-        self._tracer: Optional["Tracer"] = None
         self.profiler: Optional[EventLoopProfiler] = (
             EventLoopProfiler() if profile else None
         )
@@ -167,11 +337,11 @@ class ObsSession:
         self.span_recorder: Optional[SpanRecorder] = (
             SpanRecorder() if spans else None
         )
-        self.probes: List[NetworkProbe] = []
+        #: One entry per sampled trial, in trial order.
+        self.probes: List[ProbeSamples] = []
         self.phases: List[PhaseTiming] = []
         self.trial_snapshots: List[Dict[str, Any]] = []
         self.manifest: Optional[RunManifest] = None
-        self._trial_index = -1
         #: Trial-cache outcomes observed via :meth:`note_cache` (also
         #: mirrored into the registry as ``store_cache_hits`` /
         #: ``store_cache_misses`` counters).
@@ -180,186 +350,22 @@ class ObsSession:
         #: Manifests of campaigns run under this session (name, payload).
         self.campaigns: List[Dict[str, Any]] = []
         self._last_spec: Any = None
-        self._seeds: List[int] = []
         self._last_topology: str = ""
-        self._last_counters: Dict[str, Any] = {}
-        #: Raw trace records captured for the parent (worker sessions
-        #: built by :meth:`for_worker` with ``capture_trace`` only).
-        self._captured_trace: Optional[List["TraceRecord"]] = None
         self.dataplane_enabled = bool(dataplane) or dataplane_sink is not None
         self.dataplane_sink = dataplane_sink
         #: Per-trial data-plane impact summaries (headline dicts).
         self.dataplane_summaries: List[Dict[str, Any]] = []
         self.last_dataplane: Optional[Dict[str, Any]] = None
-        self._dataplane_monitor: Optional["DataPlaneMonitor"] = None
-        #: Raw data-plane records captured for the parent (worker
-        #: sessions with ``capture_dataplane`` only).
-        self._captured_dataplane: Optional[List[Dict[str, Any]]] = None
 
-    # ------------------------------------------------------------------
-    # Hooks called by the experiment layer
-    # ------------------------------------------------------------------
     @property
     def trial_index(self) -> int:
-        """Index of the trial currently attached (-1 before the first)."""
-        return self._trial_index
+        """Index of the last trial absorbed (-1 before the first)."""
+        return len(self.trial_snapshots) - 1
 
     @property
-    def probe(self) -> Optional[NetworkProbe]:
-        """The probe of the most recently attached network, if any."""
+    def probe(self) -> Optional[ProbeSamples]:
+        """The probe samples of the most recent sampled trial, if any."""
         return self.probes[-1] if self.probes else None
-
-    def make_tracer(self) -> Optional["Tracer"]:
-        """A fresh causal tracer for the next trial, or None if untraced.
-
-        The experiment layer calls this while *constructing* the trial's
-        network (the tracer must exist before the simulator does); the
-        session holds on to it so :meth:`note_trial` can fold the trial's
-        exploration statistics once the run finishes.
-        """
-        if not self.trace:
-            return None
-        from repro.sim.trace import Tracer
-
-        self._tracer = Tracer(
-            categories=self.trace_categories,
-            sink=self.trace_sink,
-            max_records=self.trace_max_records,
-        )
-        return self._tracer
-
-    def attach(self, network: "BGPNetwork") -> None:
-        """Wire this session into a freshly built network (one per trial)."""
-        self._trial_index += 1
-        if self.profiler is not None:
-            self.profiler.attach(network.sim)
-        if self.sample_interval is not None:
-            probe = NetworkProbe(
-                network, self.sample_interval, nodes=self.probe_nodes
-            )
-            probe.start()
-            self.probes.append(probe)
-        if self.dataplane_enabled:
-            from repro.obs.dataplane import DataPlaneMonitor
-
-            monitor = DataPlaneMonitor()
-            monitor.attach(network)
-            self._dataplane_monitor = monitor
-
-    def on_failure(self, network: "BGPNetwork") -> None:
-        """Re-arm the probe after failure injection (it detaches at
-        quiescence, which the end of warm-up is)."""
-        probe = self.probe
-        if probe is not None and probe.network is network:
-            probe.start()
-
-    def record_phase(
-        self,
-        name: str,
-        wall_seconds: float,
-        sim_seconds: float = 0.0,
-        events: int = 0,
-    ) -> None:
-        label = name if self._trial_index <= 0 else f"{name}[{self._trial_index}]"
-        self.phases.append(
-            PhaseTiming(label, wall_seconds, sim_seconds, events)
-        )
-
-    def note_trial(
-        self,
-        *,
-        spec: Any,
-        seed: int,
-        topology: str,
-        counters: Dict[str, Any],
-        result: Any = None,
-    ) -> None:
-        """Record one finished trial's context and metric snapshot."""
-        self._last_spec = spec
-        self._seeds.append(seed)
-        self._last_topology = topology
-        self._last_counters = dict(counters)
-        snapshot: Dict[str, Any] = {
-            "kind": "trial",
-            "trial": self._trial_index,
-            "seed": seed,
-            "counters": dict(counters),
-        }
-        if result is not None:
-            snapshot["convergence_delay"] = result.convergence_delay
-            snapshot["messages_sent"] = result.messages_sent
-            snapshot["warmup_wall"] = result.warmup_wall
-            snapshot["convergence_wall"] = result.convergence_wall
-        if self._tracer is not None:
-            # Fold the trial's causal trace into exploration analytics,
-            # then release the records (the sink, if any, has them all).
-            from repro.analysis.convergence import ConvergenceTimeline
-
-            t0 = result.failure_time if result is not None else None
-            timeline = ConvergenceTimeline.from_records(
-                self._tracer.records, t0=t0
-            )
-            exploration = timeline.summary()
-            exploration["trace_dropped"] = self._tracer.dropped
-            snapshot["exploration"] = exploration
-            self.exploration_summaries.append(exploration)
-            self.last_exploration = exploration
-            self._tracer.clear()
-            self._tracer = None
-        if result is not None and getattr(result, "dataplane", None):
-            snapshot["dataplane"] = result.dataplane
-        self.trial_snapshots.append(snapshot)
-        if self.probes:
-            # The samples are the session's to keep; the trial's network
-            # is not (it would pin every trial's RIBs for the session).
-            self.probes[-1].network = None
-
-    def finish_dataplane(
-        self,
-        network: "BGPNetwork",
-        t0: float,
-        seed: Optional[int] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """Finalize the trial's data-plane monitor and fold its timeline.
-
-        Called by the experiment layer after convergence, before the
-        :class:`TrialResult` is built.  Returns the headline summary
-        (the ``TrialResult.dataplane`` payload) or None when monitors
-        are off.  Transition records stream to :attr:`dataplane_sink`
-        (or the worker capture buffer) behind a ``dataplane_trial``
-        delimiter so offline reports can split multi-trial files.
-        """
-        monitor = self._dataplane_monitor
-        if monitor is None or network.dataplane is not monitor:
-            return None
-        end = max(network.last_activity, t0)
-        monitor.finalize(end)
-        from repro.analysis.dataplane import DataPlaneTimeline
-
-        timeline = DataPlaneTimeline.from_transitions(
-            monitor.transitions, t0=t0, end=end
-        )
-        summary = timeline.headline()
-        self.dataplane_summaries.append(summary)
-        self.last_dataplane = summary
-        meta: Dict[str, Any] = {
-            "kind": "dataplane_trial",
-            "trial": self._trial_index,
-            "t0": t0,
-            "end": end,
-        }
-        if seed is not None:
-            meta["seed"] = seed
-        if self.dataplane_sink is not None:
-            self.dataplane_sink(meta)
-            for record in monitor.records():
-                self.dataplane_sink(record)
-        elif self._captured_dataplane is not None:
-            self._captured_dataplane.append(meta)
-            self._captured_dataplane.extend(monitor.records())
-        network.dataplane = None
-        self._dataplane_monitor = None
-        return summary
 
     def note_cache(self, hit: bool) -> None:
         """Record one trial-cache lookup outcome (store-backed runs)."""
@@ -388,22 +394,20 @@ class ObsSession:
             "cache_hit_rate": (
                 round(self.cache_hits / looked_up, 4) if looked_up else 0.0
             ),
-            "trials_observed": self._trial_index + 1,
+            "trials_observed": len(self.trial_snapshots),
             "campaigns": len(self.campaigns),
         }
 
     # ------------------------------------------------------------------
-    # Worker round-trip (parallel trial execution)
+    # Trial round-trip: recipe out, observation record in
     # ------------------------------------------------------------------
     def worker_args(self) -> Dict[str, Any]:
-        """A picklable recipe for building equivalent worker sessions.
+        """The picklable recipe a :class:`TrialObserver` is built from.
 
-        The parallel backend (:mod:`repro.core.parallel`) ships this to
-        each worker process, where :meth:`for_worker` rebuilds a session
-        observing exactly what this one would have observed inline.  The
-        trace sink itself cannot cross the process boundary, so when one
-        is installed the recipe asks workers to *capture* raw records for
-        replay into the parent's sink by :meth:`absorb`.
+        The constructor arguments as plain data, with each sink reduced
+        to whether there is one: a sink cannot cross the process
+        boundary, so an observer that is not handed it buffers the raw
+        records for :meth:`absorb` to replay.
         """
         return {
             "sample_interval": self.sample_interval,
@@ -412,142 +416,65 @@ class ObsSession:
                 list(self.probe_nodes) if self.probe_nodes is not None else None
             ),
             "trace": self.trace,
+            "trace_sink": self.trace_sink is not None,
             "trace_categories": sorted(self.trace_categories),
             "trace_max_records": self.trace_max_records,
-            "capture_trace": self.trace_sink is not None,
             "spans": self.span_recorder is not None,
             "dataplane": self.dataplane_enabled,
-            "capture_dataplane": self.dataplane_sink is not None,
+            "dataplane_sink": self.dataplane_sink is not None,
         }
 
-    @classmethod
-    def for_worker(cls, config: Dict[str, Any]) -> "ObsSession":
-        """Build a worker-local session from a :meth:`worker_args` recipe."""
-        captured: Optional[List["TraceRecord"]] = (
-            [] if config.get("capture_trace") else None
-        )
-        session = cls(
-            sample_interval=config.get("sample_interval"),
-            profile=bool(config.get("profile")),
-            probe_nodes=config.get("probe_nodes"),
-            trace=bool(config.get("trace")),
-            trace_sink=captured.append if captured is not None else None,
-            trace_categories=(
-                set(config["trace_categories"])
-                if config.get("trace_categories") is not None
-                else None
-            ),
-            trace_max_records=config.get("trace_max_records"),
-            spans=bool(config.get("spans")),
-            dataplane=bool(config.get("dataplane")),
-        )
-        session._captured_trace = captured
-        if config.get("capture_dataplane"):
-            session._captured_dataplane = []
-        return session
+    def absorb(self, record: Dict[str, Any], spec: Any, topology: str) -> None:
+        """Fold one trial's observation record into this session.
 
-    def worker_payload(self) -> Dict[str, Any]:
-        """Everything this (single-trial) worker session observed.
-
-        Returned as plain picklable data; the parent session folds it in
-        with :meth:`absorb`.  Phase names are raw (``warmup`` etc.)
-        because a worker session only ever sees trial 0 — the parent
-        relabels them with the global trial index.
-
-        Sections the session never recorded (no profiler, no probes, no
-        trace sink, …) are pruned before pickling — :meth:`absorb` reads
-        every key with a default, so an absent section and an empty one
-        fold identically, and the cross-process message stays as small
-        as what was actually observed.
+        The only way a trial's observations enter a session, whichever
+        process or entry point ran it: trial numbering, phase labels,
+        snapshot and ``dataplane_trial`` stamping and sink replay happen
+        here and nowhere else.  Callers absorb in plan (seed) order, so
+        trial indices, gauge final values and sink sequences do not
+        depend on completion order.  ``spec`` and ``topology`` (its
+        summary line) are what the caller ran the trial with; the
+        manifest reports the last ones seen.
         """
-        payload = {
-            "seed": self._seeds[-1] if self._seeds else None,
-            "spec": self._last_spec,
-            "topology": self._last_topology,
-            "counters": dict(self._last_counters),
-            "snapshots": list(self.trial_snapshots),
-            "phases": [
-                (p.name, p.wall_seconds, p.sim_seconds, p.events)
-                for p in self.phases
-            ],
-            "explorations": list(self.exploration_summaries),
-            "metrics": self.registry.records(),
-            "profile": (
-                self.profiler.records() if self.profiler is not None else []
-            ),
-            "probes": [
-                (list(p.node_samples), list(p.aggregates))
-                for p in self.probes
-            ],
-            "trace_records": self._captured_trace,
-            "spans": (
-                list(self.span_recorder.records)
-                if self.span_recorder is not None
-                else []
-            ),
-            "dataplane": list(self.dataplane_summaries),
-            "dataplane_records": self._captured_dataplane,
-        }
-        return {
-            key: value
-            for key, value in payload.items()
-            if value or key in ("seed", "spec")
-        }
-
-    def absorb(self, payload: Dict[str, Any]) -> None:
-        """Fold one worker trial's payload into this (parent) session.
-
-        Called in seed order by the experiment layer, so trial indices,
-        gauge final values and trace replay order all match what the
-        inline serial path would have produced.
-        """
-        self._trial_index += 1
-        index = self._trial_index
-        seed = payload.get("seed")
-        if seed is not None:
-            self._seeds.append(seed)
-        if payload.get("spec") is not None:
-            self._last_spec = payload["spec"]
-        if payload.get("topology"):
-            self._last_topology = payload["topology"]
-        if payload.get("counters"):
-            self._last_counters = dict(payload["counters"])
-        for name, wall, sim_seconds, events in payload.get("phases", ()):
-            label = name if index <= 0 else f"{name}[{index}]"
+        index = len(self.trial_snapshots)
+        snapshot = record["snapshot"]
+        self._last_spec = spec
+        self._last_topology = topology
+        for name, wall, sim_seconds, events in record["phases"]:
+            label = f"{name}[{index}]" if index else name
             self.phases.append(
                 PhaseTiming(label, wall, sim_seconds, events)
             )
-        for snapshot in payload.get("snapshots", ()):
-            renumbered = dict(snapshot)
-            renumbered["trial"] = index
-            self.trial_snapshots.append(renumbered)
-        for exploration in payload.get("explorations", ()):
-            self.exploration_summaries.append(exploration)
-            self.last_exploration = exploration
-        self.registry.absorb_records(payload.get("metrics", ()))
+        self.trial_snapshots.append(
+            {"kind": "trial", "trial": index, **snapshot}
+        )
+        if "exploration" in snapshot:
+            self.last_exploration = snapshot["exploration"]
+            self.exploration_summaries.append(self.last_exploration)
+        if "dataplane" in snapshot:
+            self.last_dataplane = snapshot["dataplane"]
+            self.dataplane_summaries.append(self.last_dataplane)
+        self.registry.absorb_records(record["metrics"])
         if self.profiler is not None:
-            self.profiler.absorb_records(payload.get("profile", ()))
-        for node_samples, aggregates in payload.get("probes", ()):
-            self.probes.append(ProbeData(node_samples, aggregates))
+            self.profiler.absorb_records(record.get("profile", ()))
+        if "probe" in record:
+            self.probes.append(record["probe"])
         if self.trace_sink is not None:
-            for record in payload.get("trace_records") or ():
-                self.trace_sink(record)
+            for trace_record in record.get("trace_records", ()):
+                self.trace_sink(trace_record)
         if self.span_recorder is not None:
-            # Worker spans graft under "workers/" so the rollup keeps
-            # parent orchestration time and worker busy time apart.
+            # Trial-local spans graft under "workers/" so the rollup
+            # keeps orchestration time and trial busy time apart.
             self.span_recorder.absorb_records(
-                payload.get("spans") or (), prefix="workers"
+                record.get("spans", ()), prefix="workers"
             )
-        for summary in payload.get("dataplane") or ():
-            self.dataplane_summaries.append(summary)
-            self.last_dataplane = summary
         if self.dataplane_sink is not None:
-            for record in payload.get("dataplane_records") or ():
-                if record.get("kind") == "dataplane_trial":
-                    # Worker trial indices are all 0; relabel with the
-                    # parent's, like phase names and snapshots above.
-                    record = dict(record, trial=index)
-                self.dataplane_sink(record)
+            for dp_record in record.get("dataplane_records", ()):
+                if dp_record["kind"] == "dataplane_trial":
+                    dp_record = dict(
+                        dp_record, trial=index, seed=snapshot["seed"]
+                    )
+                self.dataplane_sink(dp_record)
 
     # ------------------------------------------------------------------
     # Finalization + export
@@ -564,10 +491,11 @@ class ObsSession:
     ) -> RunManifest:
         """Build (and remember) the manifest for this session."""
         spec = spec if spec is not None else self._last_spec
+        snapshots = self.trial_snapshots
         if seeds is None:
             # Every seed observed, in trial order, deduplicated (sweeps
             # reuse the same seed list across points).
-            seeds = list(dict.fromkeys(self._seeds))
+            seeds = list(dict.fromkeys(s["seed"] for s in snapshots))
         manifest = RunManifest.create(
             kind=kind,
             command=command,
@@ -575,10 +503,10 @@ class ObsSession:
             seeds=seeds,
             topology=topology or self._last_topology,
             phases=list(self.phases),
-            counters=dict(self._last_counters),
+            counters=dict(snapshots[-1]["counters"]) if snapshots else {},
             extra=extra,
         )
-        manifest.extra.setdefault("trials", self._trial_index + 1)
+        manifest.extra.setdefault("trials", len(snapshots))
         if self.profiler is not None:
             manifest.extra.setdefault(
                 "profiled_events", self.profiler.total_events
@@ -704,7 +632,7 @@ class ObsSession:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<ObsSession trials={self._trial_index + 1} "
+            f"<ObsSession trials={len(self.trial_snapshots)} "
             f"metrics={len(self.registry)} probes={len(self.probes)} "
             f"profile={self.profiler is not None}>"
         )

@@ -59,10 +59,14 @@ class TraceRecord:
 
 
 class JsonlSink:
-    """A tracer sink writing each record as one JSON line.
+    """A record sink writing each record as one JSON line.
 
-    Usable directly as the ``sink=`` argument of :class:`Tracer` and as a
-    context manager::
+    Takes :class:`TraceRecord` objects or plain dicts (the data-plane
+    monitor's records), so it serves as the ``sink=`` argument of
+    :class:`Tracer` and as either sink of an
+    :class:`~repro.obs.session.ObsSession`; ``trace analyze`` and
+    ``dataplane report`` read the files back.  Usable as a context
+    manager::
 
         with JsonlSink("trace.jsonl") as sink:
             tracer = Tracer(sink=sink, keep=False)
@@ -75,8 +79,10 @@ class JsonlSink:
         self._fh = self.path.open("w", encoding="utf-8")
         self.records_written = 0
 
-    def __call__(self, record: TraceRecord) -> None:
-        self._fh.write(json.dumps(record.to_dict(), sort_keys=True))
+    def __call__(self, record: Union[TraceRecord, Dict[str, Any]]) -> None:
+        if isinstance(record, TraceRecord):
+            record = record.to_dict()
+        self._fh.write(json.dumps(record, sort_keys=True))
         self._fh.write("\n")
         self.records_written += 1
 
@@ -89,11 +95,6 @@ class JsonlSink:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def jsonl_sink(path: Union[str, Path]) -> JsonlSink:
-    """Open a :class:`JsonlSink` at ``path`` (convenience constructor)."""
-    return JsonlSink(path)
 
 
 class Tracer:

@@ -10,7 +10,7 @@ from repro.analysis.dataplane import (
     load_dataplane_trials,
     render_dataplane_report,
 )
-from repro.obs.dataplane import DataPlaneJsonlSink
+from repro.sim.trace import JsonlSink
 
 
 def _timeline(transitions, t0=0.0, end=None):
@@ -124,7 +124,7 @@ def test_dict_transitions_accepted():
 # JSONL loading + file-level analysis
 # ----------------------------------------------------------------------
 def _write_sink(path, trials):
-    with DataPlaneJsonlSink(path) as sink:
+    with JsonlSink(path) as sink:
         for meta, transitions in trials:
             sink(meta)
             for t, node, dest, status, hops in transitions:

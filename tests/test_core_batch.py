@@ -76,8 +76,10 @@ class StubObs:
     def worker_args(self):
         return {"stub": True}
 
-    def absorb(self, payload):
-        self.absorbed.append(payload)
+    def absorb(self, record, spec, topology):
+        # The record beside the data run_batch holds for it.
+        assert spec is SPEC and topology == TOPOLOGY.summary()
+        self.absorbed.append(record)
 
 
 def scripted(monkeypatch, order=reversed, errors=()):
@@ -104,11 +106,19 @@ def test_hits_are_skipped_and_every_lookup_counted_once(monkeypatch):
     store = StubStore([("key-2", fake_trial(2))])
     obs = StubObs()
     seen = []
+    ticks = []
     result = run_batch(
-        plan([1, 2, 3]), jobs=1, store=store, obs=obs, on_outcome=seen.append
+        plan([1, 2, 3]),
+        jobs=1,
+        store=store,
+        obs=obs,
+        on_outcome=seen.append,
+        progress=ticks.append,
     )
     assert rounds == [[0, 2]]  # the hit never reaches execution
     assert obs.lookups == [False, True, False]
+    # Every tick says how many of its ``done`` the lookup served.
+    assert [(t.done, t.cached) for t in ticks] == [(1, 1), (2, 1), (3, 1)]
     assert (result.hits, result.executed, result.retried) == (1, 2, 0)
     assert [t.seed for t in result.trials] == [1, 2, 3]
     assert seen[0] == BatchOutcome(1, trial=fake_trial(2), cached=True)

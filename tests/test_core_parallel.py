@@ -6,13 +6,17 @@ session records.
 """
 
 import multiprocessing
+import pickle
+from contextlib import nullcontext
 
 import pytest
 
 from repro.bgp.mrai import ConstantMRAI
+from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
+    run_experiment,
     run_trials,
 )
 from repro.core.batch import PlannedTrial, plan_grid
@@ -25,14 +29,17 @@ from repro.core.parallel import (
     choose_chunk,
     collect,
     derive_trial_seeds,
+    execute_trial,
     get_default_jobs,
     lost_trials,
     parallel_jobs,
     plan_chunks,
+    shutdown_worker_pool,
 )
 from repro.core.sweep import failure_size_sweep
-from repro.obs.session import ObsSession
+from repro.obs.session import ObsSession, observe
 from repro.store.hashing import topology_digest
+from repro.topology.degree import SkewedDegreeSpec
 from repro.topology.skewed import skewed_topology
 
 SEEDS = (1, 2, 3)
@@ -44,6 +51,12 @@ def factory(seed):
 
 def spec_05():
     return ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
+
+
+def spec_dynamic_batch():
+    return ExperimentSpec(
+        mrai=DynamicMRAI(), failure_fraction=0.1, queue_discipline="dest_batch"
+    )
 
 
 def pool_trials(pool, spec, jobs=2):
@@ -168,16 +181,57 @@ def test_parallel_jobs_context_scopes_default():
 # ----------------------------------------------------------------------
 # Observability round-trip
 # ----------------------------------------------------------------------
-def observed_run(jobs):
-    records = []
-    obs = ObsSession(trace=True, profile=True, trace_sink=records.append)
-    result = run_trials(factory, spec_05(), SEEDS, obs=obs, jobs=jobs)
-    return obs, result, records
+def observed_run(mode, implicit=False):
+    """SEEDS under every recorder and both sinks.
+
+    ``mode`` is ``"inline"`` — a loop of ``run_experiment`` — or a
+    ``jobs`` value for ``run_trials``; ``implicit`` hands the session
+    over through ``observe()`` instead of ``obs=``.
+    """
+    trace, dataplane = [], []
+    obs = ObsSession(
+        sample_interval=0.25,
+        profile=True,
+        trace_sink=trace.append,
+        spans=True,
+        dataplane_sink=dataplane.append,
+    )
+    spec = spec_dynamic_batch()
+    passed = None if implicit else obs
+    with observe(obs) if implicit else nullcontext():
+        if mode == "inline":
+            result = ExperimentResult(spec=spec)
+            for seed in SEEDS:
+                result.add(
+                    run_experiment(factory(seed), spec, seed=seed, obs=passed)
+                )
+        else:
+            result = run_trials(factory, spec, SEEDS, obs=passed, jobs=mode)
+    return obs, result, trace, dataplane
+
+
+def observed_facts(obs, trace, dataplane):
+    """Everything a session holds that is simulation state, by section."""
+    walls = ("warmup_wall", "convergence_wall")
+    return {
+        "registry": obs.registry.records(),  # histogram sums included
+        "phases": [(p.name, p.sim_seconds, p.events) for p in obs.phases],
+        "snapshots": [
+            {k: v for k, v in snapshot.items() if k not in walls}
+            for snapshot in obs.trial_snapshots
+        ],
+        "probes": obs.probes,
+        "explorations": obs.exploration_summaries,
+        "dataplane": obs.dataplane_summaries,
+        "profile": {r.category: r.events for r in obs.profiler.report()},
+        "trace_sink": trace,
+        "dataplane_sink": dataplane,
+    }
 
 
 def test_obs_aggregation_roundtrip():
-    serial_obs, serial_result, serial_trace = observed_run(1)
-    parallel_obs, parallel_result, parallel_trace = observed_run(2)
+    serial_obs, serial_result, serial_trace, _ = observed_run(1)
+    parallel_obs, parallel_result, parallel_trace, _ = observed_run(2)
 
     assert result_signature(serial_result) == result_signature(
         parallel_result
@@ -215,6 +269,93 @@ def test_obs_aggregation_roundtrip():
     assert [r.category for r in parallel_trace] == [
         r.category for r in serial_trace
     ]
+
+    # The contract: a session cannot tell which entry point, or which
+    # process, ran a trial.  Once with the session passed as obs=, once
+    # picked up from observe() — there the pool is restarted first, so
+    # its workers are created inside the block and (under fork) inherit
+    # the active session, which must play no part.
+    for implicit in (False, True):
+        if implicit:
+            shutdown_worker_pool()
+        expected = None
+        for mode in ("inline", 1, 2):
+            obs, result, trace, dataplane = observed_run(mode, implicit)
+            facts = observed_facts(obs, trace, dataplane)
+            assert len(facts["probes"]) == len(SEEDS)
+            assert facts["trace_sink"] and facts["dataplane_sink"]
+            if expected is None:
+                expected = facts
+            for section, value in facts.items():
+                assert value == expected[section], (implicit, mode, section)
+            assert result_signature(result) == result_signature(serial_result)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_probe_series_helpers_survive_run_trials(jobs):
+    # session.probes holds the same data class whichever way the trial
+    # ran: the series helpers work after a batch, pooled or not.
+    obs = ObsSession(sample_interval=0.25)
+    run_trials(factory, spec_05(), SEEDS, obs=obs, jobs=jobs)
+    assert len(obs.probes) == len(SEEDS)
+    probe = obs.probe
+    assert len(probe) == len(probe.times) > 2
+    assert probe.times == sorted(probe.times)
+    assert probe.peak() == max(probe.aggregate_series("work_max")) > 0.0
+    node = probe.sampled_nodes()[0]
+    assert len(probe.node_series(node, "unfinished_work")) == sum(
+        1 for s in probe.node_samples if s.node == node
+    )
+
+
+#: Pickled-size ceilings of the observation record of one fixed trial
+#: (40 nodes, dynamic MRAI + dest_batch, seed 1), per session config.
+#: Before the record stated each fact once: 3 969 / 4 699 / 154 427 B.
+RECORD_SIZE_CEILINGS = [
+    ("default", {}, 3_200),
+    ("profile+spans", {"profile": True, "spans": True}, 3_900),
+    (
+        "every recorder",
+        {
+            "sample_interval": 0.25,
+            "profile": True,
+            "trace": True,
+            "spans": True,
+            "dataplane": True,
+        },
+        154_427,
+    ),
+    (
+        "every recorder + both sinks",
+        {
+            "sample_interval": 0.25,
+            "profile": True,
+            "trace_sink": print,
+            "spans": True,
+            "dataplane_sink": print,
+        },
+        None,
+    ),
+]
+
+
+def test_observation_record_is_plain_data_stating_each_fact_once():
+    topology = skewed_topology(40, SkewedDegreeSpec.paper_70_30(), seed=1)
+    spec = spec_dynamic_batch()
+    for name, config, ceiling in RECORD_SIZE_CEILINGS:
+        recipe = ObsSession(**config).worker_args()
+        _result, record = execute_trial(0, topology, spec, 1, recipe)
+        blob = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+        print(f"observation record, {name}: {len(blob)} B pickled")
+        assert pickle.loads(blob) == record
+        # Seed, counters, exploration and data-plane headline live in
+        # the snapshot only; spec and topology are not shipped at all.
+        assert not set(record["snapshot"]) & set(record)
+        assert not {"spec", "topology"} & set(record)
+        assert ("trace_records" in record) == ("trace_sink" in config)
+        assert ("dataplane_records" in record) == ("dataplane_sink" in config)
+        if ceiling is not None:
+            assert len(blob) <= ceiling, name
 
 
 def test_unobserved_parallel_run_has_no_payload_cost():

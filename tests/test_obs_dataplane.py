@@ -14,11 +14,11 @@ from repro.obs.dataplane import (
     DOWN,
     LOOP,
     OK,
-    DataPlaneJsonlSink,
     DataPlaneMonitor,
 )
-from repro.obs.session import ObsSession, observe
+from repro.obs.session import ObsSession, TrialObserver, observe
 from repro.sim.timers import Jitter
+from repro.sim.trace import JsonlSink
 from repro.store.result_store import trial_from_dict, trial_to_dict
 from repro.topology.graph import Router, Topology
 from repro.topology.skewed import skewed_topology
@@ -142,7 +142,7 @@ def test_destination_withdrawn_everywhere_is_all_blackhole():
     permanently (pairs_never_recovered counts them)."""
     topo = line_topology(3)
     net = converged_network(topo)
-    obs = ObsSession(dataplane=True)
+    obs = TrialObserver(ObsSession(dataplane=True).worker_args())
     obs.attach(net)
     t0 = net.fail_nodes([2])
     net.run_until_quiet(max_time=3600)
@@ -159,7 +159,7 @@ def test_single_node_topology():
     topo.add_router(Router(node_id=0, asn=0, x=0.0, y=0.0))
     config = BGPConfig(mrai_policy=ConstantMRAI(0.5))
     net = BGPNetwork(topo, config, seed=1)
-    obs = ObsSession(dataplane=True)
+    obs = TrialObserver(ObsSession(dataplane=True).worker_args())
     obs.attach(net)
     net.start()
     net.run_until_quiet(max_time=60)
@@ -260,12 +260,17 @@ def test_worker_args_carry_dataplane_flags():
     obs = ObsSession(dataplane=True, dataplane_sink=lambda r: None)
     config = obs.worker_args()
     assert config["dataplane"] is True
-    assert config["capture_dataplane"] is True
-    worker = ObsSession.for_worker(config)
-    assert worker.dataplane_enabled
-    assert worker._captured_dataplane == []
+    assert config["dataplane_sink"] is True
+    # An observer built from the recipe monitors its trial and, the
+    # session having a sink it cannot reach, buffers the raw records.
+    net = converged_network(line_topology(3))
+    worker = TrialObserver(config)
+    worker.attach(net)
+    assert net.dataplane is worker.monitor
+    worker.finish_dataplane(net, t0=net.fail_nodes([2]))
+    assert worker.record()["dataplane_records"][0]["kind"] == "dataplane_trial"
     off = ObsSession().worker_args()
-    assert off["dataplane"] is False and off["capture_dataplane"] is False
+    assert off["dataplane"] is False and off["dataplane_sink"] is False
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +300,7 @@ def test_jsonl_sink_writes_trial_delimited_records(tmp_path):
     path = tmp_path / "dp.jsonl"
     topo = skewed_topology(20, seed=1)
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
-    with DataPlaneJsonlSink(path) as sink:
+    with JsonlSink(path) as sink:
         obs = ObsSession(dataplane_sink=sink)
         assert obs.dataplane_enabled  # sink implies enable
         with observe(obs):

@@ -15,7 +15,7 @@ from repro.obs.live import (
 )
 
 
-def _tick(done, total, elapsed=10.0, busy=0.0, failed=0, label="t"):
+def _tick(done, total, elapsed=10.0, busy=0.0, failed=0, label="t", **extra):
     return Progress(
         done=done,
         total=total,
@@ -23,6 +23,7 @@ def _tick(done, total, elapsed=10.0, busy=0.0, failed=0, label="t"):
         label=label,
         busy_seconds=busy,
         failed=failed,
+        **extra,
     )
 
 
@@ -76,14 +77,33 @@ def test_monitor_eta_all_cached_with_stray_busy_seconds():
     cache hit) must not extrapolate from a zero divisor; it falls back
     to the tick's elapsed/done estimate."""
 
-    class _Session:
-        cache_hits = 3
-        cache_misses = 0
-
-    mon = LiveMonitor(jobs=2, stream=None, session=_Session())
-    tick = _tick(3, 10, elapsed=1.0, busy=5.0)
+    mon = LiveMonitor(jobs=2, stream=None)
+    tick = _tick(3, 10, elapsed=1.0, busy=5.0, cached=3)
     mon(tick)
     assert mon.eta_seconds() == pytest.approx(tick.eta)
+    assert "cached 3" in mon.status_line()
+
+
+def test_monitor_eta_ignores_the_sessions_lifetime_cache_hits():
+    """The daemon's lifetime session counts every warm /submit hit, while
+    the executor's ticks count executed trials only: after one warm
+    36-trial submission the ETA used to read executed = 36 - 36 = 0 and
+    fall back to uptime / done (1000 s here).  The cached count is the
+    batch's own, carried on the tick."""
+
+    class _Session:
+        cache_hits = 36
+        cache_misses = 36
+
+    tick = _tick(36, 72, elapsed=1000.0, busy=36.0)  # executor tick: cached=0
+    before = LiveMonitor(jobs=2, stream=None)
+    after = LiveMonitor(jobs=2, stream=None, session=_Session())
+    before(tick)
+    after(tick)
+    assert before.eta_seconds() == pytest.approx(18.0)
+    assert after.eta_seconds() == pytest.approx(18.0)
+    assert after.snapshot()["cached"] == 0
+    assert after.snapshot()["hit_rate"] == 0.5  # still the session's
 
 
 def test_monitor_failed_and_no_stream():

@@ -53,12 +53,18 @@ def test_probe_detaches_at_quiescence():
     obs, result = observed_run(
         ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
     )
-    probe = obs.probe
     # The run finished (twice quiescent: warm-up then convergence), so the
-    # probe must have detached itself rather than keep the sim alive.
-    assert not probe.armed
+    # sampler must have detached itself rather than keep the sim alive —
+    # a session holds samples, never the sampler, so that is its evidence.
     assert not result.truncated
-    assert len(probe.aggregates) > 2
+    assert len(obs.probe.aggregates) > 2
+    # ``armed`` is the sampler's own: it drops at the first quiet tick.
+    net = BGPNetwork(small_topo())
+    sampler = NetworkProbe(net, interval=0.25)
+    sampler.start()
+    net.start()
+    net.run_until_quiet(max_time=3600)
+    assert net.is_quiescent() and not sampler.armed
 
 
 def test_session_does_not_pin_finished_networks():
@@ -86,7 +92,7 @@ def test_probe_samples_cover_both_phases():
     )
     times = obs.probe.times
     # Samples exist both before and after failure injection (the probe is
-    # re-armed by ObsSession.on_failure between the phases).
+    # re-armed by TrialObserver.on_failure between the phases).
     assert any(t <= result.failure_time for t in times)
     assert any(t > result.failure_time for t in times)
     assert times == sorted(times)

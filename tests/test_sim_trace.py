@@ -11,7 +11,6 @@ from repro.sim.trace import (
     NullTracer,
     Tracer,
     TraceRecord,
-    jsonl_sink,
 )
 
 
@@ -156,14 +155,18 @@ def test_record_to_dict_json_ready():
 
 def test_jsonl_sink_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"
-    with jsonl_sink(path) as sink:
+    plain = {"kind": "dataplane", "time": 3.0, "node": 1, "hops": None}
+    with JsonlSink(path) as sink:
         tracer = Tracer(sink=sink, keep=False)
         tracer.emit(1.0, "update_sent", 3, "dest", 7)
         tracer.emit(2.0, "route_change", 4)
-        assert sink.records_written == 2
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r["category"] for r in rows] == ["update_sent", "route_change"]
+        sink(plain)  # data-plane records arrive as plain dicts
+        assert sink.records_written == 3
+    lines = path.read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert [r["category"] for r in rows[:2]] == ["update_sent", "route_change"]
     assert rows[0]["detail"] == ["dest", 7]
+    assert lines[2] == json.dumps(plain, sort_keys=True)
 
 
 def test_jsonl_sink_creates_parent_directories(tmp_path):
