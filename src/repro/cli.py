@@ -348,22 +348,24 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace_analyze(args: argparse.Namespace) -> int:
-    """Offline causal + convergence analysis of a JSONL trace."""
+def _offline_report(args: argparse.Namespace, analyze, render) -> int:
+    """Analyze the JSONL file at ``args.path``; print and/or write the report.
+
+    The one body of ``trace analyze`` and ``dataplane report``, which
+    differ only in the analysis and its text rendering.
+    """
     import json
     from pathlib import Path
 
-    from repro.analysis.convergence import analyze_trace_file, render_report
-
     try:
-        report = analyze_trace_file(args.path, t0=args.t0, top=args.top)
+        report = analyze(args.path, t0=args.t0, top=args.top)
     except (OSError, ValueError) as exc:
         print(f"cannot analyze {args.path}: {exc}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(render_report(report))
+        print(render(report))
     if args.out:
         Path(args.out).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n",
@@ -373,37 +375,52 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_trace_analyze(args: argparse.Namespace) -> int:
+    """Offline causal + convergence analysis of a JSONL trace."""
+    from repro.analysis.convergence import analyze_trace_file, render_report
+
+    return _offline_report(args, analyze_trace_file, render_report)
+
+
 def cmd_dataplane_report(args: argparse.Namespace) -> int:
     """Offline unavailability/loop/blackhole report of a dataplane JSONL."""
-    import json
-    from pathlib import Path
-
     from repro.analysis.dataplane import (
         analyze_dataplane_file,
         render_dataplane_report,
     )
 
-    try:
-        report = analyze_dataplane_file(args.path, t0=args.t0, top=args.top)
-    except (OSError, ValueError) as exc:
-        print(f"cannot analyze {args.path}: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_dataplane_report(report))
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    return _offline_report(
+        args, analyze_dataplane_file, render_dataplane_report
+    )
 
 
-def _campaign_store_path(args: argparse.Namespace, campaign) -> Optional[str]:
-    """CLI --store overrides the campaign file's own store path."""
-    return args.store or campaign.store_path
+def _campaign_verb(verb):
+    """Run ``verb(args, campaign, store_path)`` for the file ``args`` names.
+
+    An unreadable or malformed file gets the line ``campaign validate``
+    prints for it, a campaign with neither ``--store`` nor its own
+    ``store`` one saying so; both exit 2 before the verb runs.
+    """
+
+    def cmd(args: argparse.Namespace) -> int:
+        from repro.store.campaign import Campaign
+
+        try:
+            campaign = Campaign.from_file(args.file)
+        except (OSError, ValueError) as exc:
+            print(f"{args.file}: INVALID — {exc}", file=sys.stderr)
+            return 2
+        store_path = args.store or campaign.store_path
+        if store_path is None:
+            print(
+                "no store: pass --store PATH or set 'store' in the "
+                "campaign file",
+                file=sys.stderr,
+            )
+            return 2
+        return verb(args, campaign, store_path)
+
+    return cmd
 
 
 def _export_campaign_series(series, directory, name):
@@ -420,23 +437,15 @@ def _export_campaign_series(series, directory, name):
     return paths
 
 
-def cmd_campaign_run(args: argparse.Namespace) -> int:
+@_campaign_verb
+def cmd_campaign_run(args: argparse.Namespace, campaign, store_path) -> int:
     """Run (or resume) a campaign: execute missing trials, fold, report."""
     from pathlib import Path
 
     from repro.analysis.report import format_series_table
-    from repro.store.campaign import Campaign, CampaignError, run_campaign
+    from repro.store.campaign import CampaignError, run_campaign
     from repro.store.result_store import ResultStore
 
-    campaign = Campaign.from_file(args.file)
-    store_path = _campaign_store_path(args, campaign)
-    if store_path is None:
-        print(
-            "no store: pass --store PATH or set 'store' in the campaign "
-            "file",
-            file=sys.stderr,
-        )
-        return 2
     resuming = args.campaign_command == "resume"
     if resuming and not Path(store_path).exists():
         print(
@@ -497,18 +506,14 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_campaign_status(args: argparse.Namespace) -> int:
+@_campaign_verb
+def cmd_campaign_status(args: argparse.Namespace, campaign, store_path) -> int:
     """Report grid completeness and recorded campaign runs."""
     from pathlib import Path
 
-    from repro.store.campaign import Campaign, campaign_status
+    from repro.store.campaign import campaign_status
     from repro.store.result_store import ResultStore
 
-    campaign = Campaign.from_file(args.file)
-    store_path = _campaign_store_path(args, campaign)
-    if store_path is None:
-        print("no store: pass --store PATH or set 'store'", file=sys.stderr)
-        return 2
     if not Path(store_path).exists():
         print(
             f"campaign {campaign.name}: 0/{campaign.total_trials} trials "
@@ -521,7 +526,8 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
     return 0 if status.complete or not args.check else 1
 
 
-def cmd_campaign_watch(args: argparse.Namespace) -> int:
+@_campaign_verb
+def cmd_campaign_watch(args: argparse.Namespace, campaign, store_path) -> int:
     """Live view of a campaign: per-cell state + latest heartbeat.
 
     One render by default; ``--follow`` re-renders every ``--interval``
@@ -532,14 +538,8 @@ def cmd_campaign_watch(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.obs.live import watch_campaign
-    from repro.store.campaign import Campaign
     from repro.store.result_store import ResultStore
 
-    campaign = Campaign.from_file(args.file)
-    store_path = _campaign_store_path(args, campaign)
-    if store_path is None:
-        print("no store: pass --store PATH or set 'store'", file=sys.stderr)
-        return 2
     if not Path(store_path).exists():
         print(
             f"campaign {campaign.name}: store {store_path} does not exist "
@@ -562,20 +562,21 @@ def cmd_campaign_watch(args: argparse.Namespace) -> int:
         print()
 
 
-def cmd_campaign_export(args: argparse.Namespace) -> int:
+@_campaign_verb
+def cmd_campaign_export(args: argparse.Namespace, campaign, store_path) -> int:
     """Fold a fully-cached campaign from its store; no simulation."""
-    from repro.store.campaign import (
-        Campaign,
-        CampaignError,
-        load_campaign_results,
-    )
+    from pathlib import Path
+
+    from repro.store.campaign import CampaignError, load_campaign_results
     from repro.store.result_store import ResultStore
 
-    campaign = Campaign.from_file(args.file)
-    store_path = _campaign_store_path(args, campaign)
-    if store_path is None:
-        print("no store: pass --store PATH or set 'store'", file=sys.stderr)
-        return 2
+    if not Path(store_path).exists():
+        # Read-only verb: opening the store would create it.
+        print(
+            f"cannot export: store {store_path} does not exist",
+            file=sys.stderr,
+        )
+        return 1
     with ResultStore(store_path) as store:
         try:
             series, _results = load_campaign_results(campaign, store)
@@ -596,8 +597,6 @@ def cmd_campaign_validate(args: argparse.Namespace) -> int:
     first seed's topology — that adaptive/theory/inferred-policy schemes
     actually build.  Exit 2 if any file fails.
     """
-    import json
-
     from repro.store.campaign import Campaign
 
     failures = 0
@@ -606,7 +605,7 @@ def cmd_campaign_validate(args: argparse.Namespace) -> int:
             campaign = Campaign.from_file(path)
             for label in campaign.schemes:
                 campaign.base_spec(label)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"{path}: INVALID — {exc}", file=sys.stderr)
             failures += 1
             continue
@@ -626,10 +625,38 @@ def _service_url(args: argparse.Namespace) -> str:
     ready = getattr(args, "ready_file", None)
     if ready:
         import json
+        from pathlib import Path
 
-        info = json.loads(open(ready, encoding="utf-8").read())
-        return f"http://{info['host']}:{info['port']}"
+        from repro.service import ServiceError
+
+        try:
+            info = json.loads(Path(ready).read_text(encoding="utf-8"))
+            return f"http://{info['host']}:{info['port']}"
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ServiceError(
+                0, f"--ready-file {ready}: {type(exc).__name__}: {exc}"
+            ) from exc
     return "http://127.0.0.1:8351"
+
+
+def _client_verb(verb):
+    """Run ``verb(args, client)`` against the daemon ``args`` names.
+
+    A :class:`~repro.service.ServiceError` — the daemon's answer, an
+    unreachable daemon or an unusable ``--ready-file`` — is one stderr
+    line and exit 1.
+    """
+
+    def cmd(args: argparse.Namespace) -> int:
+        from repro.service import ServiceClient, ServiceError
+
+        try:
+            return verb(args, ServiceClient(_service_url(args)))
+        except ServiceError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
+
+    return cmd
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -651,56 +678,37 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return CampaignService(config).run()
 
 
-def _receipt_line(receipt: dict) -> str:
-    total = receipt["total"]
-    pct = round(100.0 * receipt["cached"] / total) if total else 100
-    return (
-        f"ticket {receipt['ticket']}: campaign {receipt['name']} — "
-        f"{total} trials, {receipt['cached']} cached ({pct}%), "
-        f"{receipt['enqueued']} enqueued, "
-        f"{receipt['deduplicated']} deduplicated"
-    )
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
+@_client_verb
+def cmd_submit(args: argparse.Namespace, client) -> int:
     """Submit a campaign grid (or single spec) to a running daemon."""
     import json
 
-    from repro.service import ServiceClient, ServiceError
+    from repro.service import SubmissionReceipt
 
     if args.file == "-":
         body = json.load(sys.stdin)
     else:
         with open(args.file, encoding="utf-8") as handle:
             body = json.load(handle)
-    client = ServiceClient(_service_url(args))
-    try:
-        receipt = client.submit(body)
-        print(_receipt_line(receipt))
-        if args.wait and not receipt["complete"]:
-            status = client.wait(receipt["ticket"], timeout=args.timeout)
-            print(
-                f"ticket {receipt['ticket']} done: "
-                f"{status['done']}/{status['total']} trials banked"
-            )
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    document = client.submit(body)
+    document.pop("complete", None)  # derived: the receipt recomputes it
+    receipt = SubmissionReceipt(**document)
+    print(receipt.summary())
+    if args.wait and not receipt.complete:
+        status = client.wait(receipt.ticket, timeout=args.timeout)
+        print(
+            f"ticket {receipt.ticket} done: "
+            f"{status['done']}/{status['total']} trials banked"
+        )
     return 0
 
 
-def cmd_result(args: argparse.Namespace) -> int:
+@_client_verb
+def cmd_result(args: argparse.Namespace, client) -> int:
     """Fetch and print a completed ticket's folded series."""
     import json
 
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(_service_url(args))
-    try:
-        result = client.result(args.ticket)
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    result = client.result(args.ticket)
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
@@ -718,18 +726,12 @@ def cmd_result(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_queue_status(args: argparse.Namespace) -> int:
+@_client_verb
+def cmd_queue_status(args: argparse.Namespace, client) -> int:
     """Queue depth + drain counters of a running daemon."""
     import json
 
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(_service_url(args))
-    try:
-        status = client.queue_status()
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    status = client.queue_status()
     if args.json:
         print(json.dumps(status, indent=2, sort_keys=True))
         return 0
@@ -753,9 +755,14 @@ def cmd_queue_status(args: argparse.Namespace) -> int:
 def cmd_store_stats(args: argparse.Namespace) -> int:
     """Inspect a store file without opening SQLite by hand."""
     import json
+    from pathlib import Path
 
     from repro.store.result_store import ResultStore
 
+    if not Path(args.store).exists():
+        # Read-only verb: opening the store would create it.
+        print(f"store {args.store} does not exist", file=sys.stderr)
+        return 2
     with ResultStore(args.store) as store:
         stats = store.stats()
     if args.json:
@@ -886,6 +893,20 @@ def make_parser() -> argparse.ArgumentParser:
             "--topology-file",
             metavar="PATH",
             help="load a saved topology JSON instead of generating one",
+        )
+
+    def add_report_args(parser_, path_help, top_help, t0_help):
+        """The arguments `trace analyze` and `dataplane report` share."""
+        parser_.add_argument("path", help=path_help)
+        parser_.add_argument(
+            "--json",
+            action="store_true",
+            help="print the report as JSON instead of text",
+        )
+        parser_.add_argument("--top", type=int, default=5, help=top_help)
+        parser_.add_argument("--t0", type=float, default=None, help=t0_help)
+        parser_.add_argument(
+            "--out", metavar="PATH", help="also write the JSON report to PATH"
         )
 
     run_p = sub.add_parser("run", help="run one convergence experiment")
@@ -1224,29 +1245,16 @@ def make_parser() -> argparse.ArgumentParser:
         "analyze",
         help="causal-chain + path-exploration report from a JSONL trace",
     )
-    analyze_p.add_argument("path", help="trace file written by --trace-out")
-    analyze_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the report as JSON instead of text",
-    )
-    analyze_p.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="how many amplifiers/chains/destinations to list (default 5)",
-    )
-    analyze_p.add_argument(
-        "--t0",
-        type=float,
-        default=None,
-        help=(
+    add_report_args(
+        analyze_p,
+        path_help="trace file written by --trace-out",
+        top_help=(
+            "how many amplifiers/chains/destinations to list (default 5)"
+        ),
+        t0_help=(
             "failure time to measure settling from (default: the first "
             "failure-injection record in the trace)"
         ),
-    )
-    analyze_p.add_argument(
-        "--out", metavar="PATH", help="also write the JSON report to PATH"
     )
     analyze_p.set_defaults(func=cmd_trace_analyze)
 
@@ -1263,31 +1271,14 @@ def make_parser() -> argparse.ArgumentParser:
             "written by --dataplane-out"
         ),
     )
-    report_p.add_argument(
-        "path", help="data-plane file written by --dataplane-out"
-    )
-    report_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the report as JSON instead of text",
-    )
-    report_p.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="how many worst destinations to list per trial (default 5)",
-    )
-    report_p.add_argument(
-        "--t0",
-        type=float,
-        default=None,
-        help=(
+    add_report_args(
+        report_p,
+        path_help="data-plane file written by --dataplane-out",
+        top_help="how many worst destinations to list per trial (default 5)",
+        t0_help=(
             "observation-window start override (default: each trial's "
             "recorded failure time)"
         ),
-    )
-    report_p.add_argument(
-        "--out", metavar="PATH", help="also write the JSON report to PATH"
     )
     report_p.set_defaults(func=cmd_dataplane_report)
 

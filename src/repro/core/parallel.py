@@ -20,9 +20,9 @@ executes its :class:`~repro.core.batch.PlannedTrial` records with:
 The warm worker pool
 --------------------
 A cold ``ProcessPoolExecutor`` per run that pickles the full built
-topology into every task loses to its own overhead on short trials
-(BENCH_sweep.json: 0.8x at jobs=2).  :class:`WorkerPool` keeps
-long-lived workers that amortize every fixed cost:
+topology into every task loses to its own overhead on short trials.
+:class:`WorkerPool` keeps long-lived workers that amortize every fixed
+cost:
 
 * **Persistent warm workers.**  One process-wide pool
   (:func:`get_worker_pool`), created on first use, reused by every

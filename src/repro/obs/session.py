@@ -511,8 +511,8 @@ class ObsSession:
             manifest.extra.setdefault(
                 "profiled_events", self.profiler.total_events
             )
-            # Throughput inline, so BENCH_sweep.json and the manifest
-            # agree on the events/s number without re-deriving it.
+            # Throughput inline, so readers of the manifest need not
+            # re-derive the events/s number from the profile.
             manifest.extra.setdefault(
                 "events_per_second",
                 round(self.profiler.events_per_second, 1),

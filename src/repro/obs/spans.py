@@ -3,11 +3,11 @@
 The event-loop profiler (:mod:`repro.obs.profiling`) only sees time spent
 *inside* simulation handlers; everything around the simulations — pool
 spin-up, topology pickling, store lookups, obs payload round-trips, fold
-time — was invisible, which is exactly where the parallel backend has
-been losing its speedup (BENCH_sweep.json: 0.9x at jobs=4).  This module
-is the paper's convergence-*delay* discipline applied to the repo's own
-runtime: every orchestration step runs inside a named span, and a single
-run can answer "where did the wall clock go?".
+time — was invisible, which is exactly where a parallel run loses its
+speedup.  This module is the paper's convergence-*delay* discipline
+applied to the repo's own runtime: every orchestration step runs inside
+a named span, and a single run can answer "where did the wall clock
+go?".
 
 Usage::
 
@@ -38,9 +38,9 @@ Design points:
   system-wide ``CLOCK_MONOTONIC`` — worker and parent spans share a
   timeline on the platforms the benchmarks run on.
 * **Two exports.**  :meth:`~SpanRecorder.rollup` aggregates per-path
-  count / total / mean / %-of-parent (the attribution table
-  ``tools/bench_report.py`` consumes); :meth:`~SpanRecorder.chrome_trace`
-  emits Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``.
+  count / total / mean / %-of-parent (the table ``--spans-out``
+  prints); :meth:`~SpanRecorder.chrome_trace` emits Chrome trace-event
+  JSON loadable in Perfetto / ``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -329,9 +329,7 @@ class SpanRecorder:
 
         Complete ``"X"`` (duration) events with microsecond timestamps
         rebased to the earliest span; one ``process_name`` metadata row
-        per pid so worker lanes are labeled in the viewer.  The document
-        also carries the rollup under a ``"rollup"`` key (ignored by
-        trace viewers, consumed by ``tools/bench_report.py``).
+        per pid so worker lanes are labeled in the viewer.
         """
         t0 = min((r["start"] for r in self.records), default=0.0)
         events: List[Dict[str, Any]] = []
@@ -364,20 +362,7 @@ class SpanRecorder:
                     "args": args,
                 }
             )
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "rollup": [
-                {
-                    "path": row.path,
-                    "count": row.count,
-                    "total_seconds": row.total_seconds,
-                    "mean_ms": row.mean_ms,
-                    "share_of_parent": row.share_of_parent,
-                }
-                for row in self.rollup()
-            ],
-        }
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def write_chrome_trace(self, path: Union[str, Path]) -> Path:
         path = Path(path)

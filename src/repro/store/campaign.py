@@ -160,30 +160,51 @@ class Campaign:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Campaign":
-        seeds = data.get("seeds")
-        if isinstance(seeds, dict):
-            seeds = derive_trial_seeds(
-                int(seeds.get("master", 0)), int(seeds["count"])
-            )
-        elif seeds is not None:
-            seeds = [int(s) for s in seeds]
-        else:
-            raise ValueError(
-                "campaign needs 'seeds': a list or {'master': M, 'count': N}"
-            )
-        axis = data.get("axis", {})
-        if not isinstance(axis, dict) or "name" not in axis:
+        """Parse a campaign document — a file or a ``/submit`` body, so
+        its shape is checked here: a malformed one is a ``ValueError``
+        naming the field, which every caller handles."""
+        if not isinstance(data, dict):
+            raise ValueError("a campaign document must be a JSON object")
+        axis = data.get("axis")
+        values = axis.get("values") if isinstance(axis, dict) else None
+        if not isinstance(values, list) or "name" not in axis:
             raise ValueError(
                 "campaign needs 'axis': {'name': ..., 'values': [...]}"
             )
+        topology = data.get("topology", {"kind": "skewed"})
+        schemes = data.get("schemes", {})
+        if not isinstance(topology, dict):
+            raise ValueError("campaign 'topology' must be an object")
+        if not isinstance(schemes, dict) or not all(
+            isinstance(scheme, dict) for scheme in schemes.values()
+        ):
+            raise ValueError(
+                "campaign 'schemes' must be an object of scheme objects"
+            )
+        seeds = data.get("seeds")
+        try:
+            if isinstance(seeds, dict) and "count" in seeds:
+                seeds = derive_trial_seeds(
+                    int(seeds.get("master", 0)), int(seeds["count"])
+                )
+            elif isinstance(seeds, list):
+                seeds = [int(s) for s in seeds]
+            else:
+                raise ValueError(
+                    "campaign needs 'seeds': a list or "
+                    "{'master': M, 'count': N}"
+                )
+            values = [float(v) for v in values]
+        except TypeError as exc:
+            raise ValueError(
+                f"campaign seeds and axis values must be numbers: {exc}"
+            ) from exc
         return cls(
             name=str(data.get("name", "campaign")),
-            topology=dict(data.get("topology", {"kind": "skewed"})),
-            schemes={
-                str(k): dict(v) for k, v in data.get("schemes", {}).items()
-            },
+            topology=dict(topology),
+            schemes={str(k): dict(v) for k, v in schemes.items()},
             axis=str(axis["name"]),
-            values=[float(v) for v in axis["values"]],
+            values=values,
             seeds=seeds,
             store_path=data.get("store"),
         )

@@ -201,3 +201,61 @@ def test_cli_campaign_store_flag_overrides_file(tmp_path, capsys):
     )
     assert code == 0
     assert override.exists()
+
+
+# ----------------------------------------------------------------------
+# A bad path or file is one stderr line and an exit code
+# ----------------------------------------------------------------------
+def test_cli_campaign_verbs_reject_an_unloadable_file(tmp_path, capsys):
+    """`validate` and every verb that loads a campaign file: exit 2 and
+    the one `PATH: INVALID — reason` line, for a missing file and for
+    each malformed document."""
+    from tests.test_store_campaign import MALFORMED
+
+    cases = [(tmp_path / "missing.json", "No such file")]
+    for document, field in MALFORMED:
+        path = tmp_path / f"bad{len(cases)}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        cases.append((path, field))
+    export = ["export", "--out", str(tmp_path / "series")]
+    for path, field in cases:
+        for verb, *extra in (
+            ["validate"], ["run"], ["resume"], ["status"], ["watch"], export
+        ):
+            assert main(["campaign", verb, str(path), *extra]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{path}: INVALID") and field in err
+            assert len(err.splitlines()) == 1
+
+
+def test_cli_read_only_verbs_do_not_create_the_store(tmp_path, capsys):
+    store = tmp_path / "absent.db"
+    assert main(["store", "stats", str(store)]) == 2
+    assert f"store {store} does not exist" in capsys.readouterr().err
+    assert not store.exists()
+
+    cfile = write_campaign(tmp_path, store=store)
+    out_dir = tmp_path / "series"
+    assert (
+        main(["campaign", "export", str(cfile), "--out", str(out_dir)]) == 1
+    )
+    assert f"store {store} does not exist" in capsys.readouterr().err
+    assert not store.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json", '{"host": "127.0.0.1"}', "[1]"],
+    ids=["missing", "unparsable", "key-less", "not-an-object"],
+)
+def test_cli_client_verbs_report_an_unusable_ready_file(
+    content, tmp_path, capsys
+):
+    ready = tmp_path / "ready.json"
+    if content is not None:
+        ready.write_text(content, encoding="utf-8")
+    cfile = write_campaign(tmp_path)
+    for verb in (["queue", "status"], ["result", "t1"], ["submit", str(cfile)]):
+        assert main([*verb, "--ready-file", str(ready)]) == 1
+        err = capsys.readouterr().err
+        assert str(ready) in err and len(err.splitlines()) == 1

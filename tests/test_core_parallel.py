@@ -112,11 +112,20 @@ def test_parallel_matches_serial_bitwise():
 
 
 def test_sweep_parallel_identical():
+    """A whole sweep is bit-identical at jobs = 1 / 2 / 4: every measured
+    number of every trial of every point, not only the folded means."""
     spec = spec_05()
     serial = failure_size_sweep(factory, spec, (0.1, 0.2), (1, 2), jobs=1)
-    parallel = failure_size_sweep(factory, spec, (0.1, 0.2), (1, 2), jobs=2)
-    assert serial.delays == parallel.delays
-    assert serial.message_counts == parallel.message_counts
+    for jobs in (2, 4):
+        parallel = failure_size_sweep(
+            factory, spec, (0.1, 0.2), (1, 2), jobs=jobs
+        )
+        assert serial.delays == parallel.delays
+        assert serial.message_counts == parallel.message_counts
+        assert serial.xs == parallel.xs
+        assert [result_signature(p.result) for p in serial.points] == [
+            result_signature(p.result) for p in parallel.points
+        ]
 
 
 # ----------------------------------------------------------------------

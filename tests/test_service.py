@@ -464,6 +464,14 @@ def test_service_http_error_mapping(service):
     with pytest.raises(ServiceError) as err:
         client.submit({"bogus": True})
     assert err.value.status == 400
+    # A body of the wrong shape is the submitter's error, not the server's.
+    with pytest.raises(ServiceError) as err:
+        client.submit(dict(CAMPAIGN, schemes=[1]))
+    assert err.value.status == 400
+    assert "'schemes'" in err.value.message
+    with pytest.raises(ServiceError) as err:
+        client.submit(dict(CAMPAIGN, axis={"name": "failure_fraction"}))
+    assert "'axis'" in err.value.message
     with pytest.raises(ServiceError) as err:
         client.trial("0" * 32)
     assert err.value.status == 404
@@ -476,3 +484,35 @@ def test_service_rejects_submissions_while_draining(service):
         client.submit(CAMPAIGN)
     assert err.value.status == 503
     assert client.health()["status"] == "draining"
+
+
+def test_cli_client_verbs_over_http(service, tmp_path, capsys):
+    """`submit --wait`, `result` and `queue status` against a live daemon."""
+    from repro.cli import main
+
+    url = f"http://127.0.0.1:{service.port}"
+    cfile = tmp_path / "campaign.json"
+    cfile.write_text(json.dumps(CAMPAIGN), encoding="utf-8")
+    assert main(["submit", str(cfile), "--url", url, "--wait"]) == 0
+    receipt_line, done_line = capsys.readouterr().out.splitlines()
+    ticket = receipt_line.split()[1].rstrip(":")
+    assert receipt_line == (
+        f"ticket {ticket}: campaign svc — 4 trials, 0 cached (0%), "
+        f"4 enqueued, 0 deduplicated"
+    )
+    assert done_line == f"ticket {ticket} done: 4/4 trials banked"
+
+    assert main(["submit", str(cfile), "--url", url]) == 0
+    assert "4 cached (100%), 0 enqueued" in capsys.readouterr().out
+    assert main(["result", ticket, "--url", url]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("campaign svc (axis failure_fraction, 2 seed(s))")
+    assert "  dynamic: failure_fraction=0.1 delay=" in out
+    assert main(["queue", "status", "--url", url, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["executor"]["executed"] == 4
+    assert main(["queue", "status", "--url", url]) == 0
+    assert "queue: 0 pending, 0 running, 4 done" in capsys.readouterr().out
+
+    # The daemon's errors are one stderr line and exit 1.
+    assert main(["result", "not-a-ticket", "--url", url]) == 1
+    assert "service error 404" in capsys.readouterr().err

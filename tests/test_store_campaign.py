@@ -119,6 +119,29 @@ def test_campaign_validation(overrides, match):
         make_campaign(**overrides)
 
 
+#: Documents of the wrong *shape* — what a hand-written file or a
+#: ``/submit`` body can contain — and the field the error must name.
+MALFORMED = [
+    ([1, 2], "JSON object"),
+    (dict(CAMPAIGN, axis={"name": "mrai"}), "'axis'"),
+    (dict(CAMPAIGN, seeds={"master": 1}), "'seeds'"),
+    (dict(CAMPAIGN, seeds=[None]), "seeds"),
+    (dict(CAMPAIGN, schemes=[1]), "'schemes'"),
+    (dict(CAMPAIGN, schemes={"a": 3}), "'schemes'"),
+    (dict(CAMPAIGN, topology=5), "'topology'"),
+]
+
+
+@pytest.mark.parametrize("document, field", MALFORMED)
+def test_malformed_document_is_a_value_error_naming_the_field(
+    document, field
+):
+    """Not the KeyError / AttributeError / TypeError of whichever line
+    first trips over it: ValueError is what every caller handles."""
+    with pytest.raises(ValueError, match=field):
+        Campaign.from_dict(document)
+
+
 def test_build_spec_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown scheme keys"):
         build_spec({"mrai": 0.5, "mria": 2.0})
