@@ -56,7 +56,6 @@ from repro.obs import (
     NetworkProbe,
     ObsSession,
     RunManifest,
-    observe,
 )
 from repro.topology import (
     InternetDegreeDistribution,
@@ -106,7 +105,6 @@ __all__ = [
     "internet_like_topology",
     "mrai_sweep",
     "multi_router_topology",
-    "observe",
     "random_failure",
     "recommend_ladder",
     "recommend_mrai",

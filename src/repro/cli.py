@@ -124,8 +124,7 @@ def _make_obs_session(
     )
     if obs.span_recorder is not None:
         # Install the recorder for the rest of the command so parent-side
-        # spans (seed derivation, store lookups, pool management) record
-        # even on paths that never enter observe().
+        # spans (seed derivation, store lookups, pool management) record.
         from repro.obs.spans import record_spans
 
         stack.enter_context(record_spans(obs.span_recorder))
@@ -157,7 +156,7 @@ def _finish_obs(obs, args: argparse.Namespace, command: str) -> None:
 def _make_live_monitor(
     args: argparse.Namespace, stack: contextlib.ExitStack, obs, jobs: int
 ):
-    """Install a LiveMonitor as the default progress hook when asked.
+    """A LiveMonitor to pass as ``progress=`` when asked, else None.
 
     ``--progress`` renders the status line; ``--heartbeat PATH`` streams
     one JSON line per tick (either flag alone activates the monitor —
@@ -167,7 +166,7 @@ def _make_live_monitor(
     heartbeat = getattr(args, "heartbeat", None)
     if not progress and not heartbeat:
         return None
-    from repro.obs.live import LiveMonitor, live_progress
+    from repro.obs.live import LiveMonitor
 
     monitor = LiveMonitor(
         jobs=jobs,
@@ -175,9 +174,7 @@ def _make_live_monitor(
         stream=sys.stderr if progress else None,
         heartbeat=heartbeat,
     )
-    stack.enter_context(monitor)
-    stack.enter_context(live_progress(monitor))
-    return monitor
+    return stack.enter_context(monitor)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -268,6 +265,7 @@ def _print_pool_summary(jobs: int) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Imported lazily: the figure registry lives with the benchmarks.
     from repro.figures import FIGURES, compute_figure
+    from repro.obs.spans import span
 
     if args.figure not in FIGURES:
         print(
@@ -283,14 +281,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("--resume requires --store PATH", file=sys.stderr)
         return 2
     with contextlib.ExitStack() as stack:
-        from repro.core.parallel import parallel_jobs
-
-        stack.enter_context(parallel_jobs(args.jobs))
         store = None
         if args.store:
             from pathlib import Path
 
-            from repro.store.result_store import use_store
+            from repro.store.result_store import ResultStore
 
             if args.resume and not Path(args.store).exists():
                 print(
@@ -299,25 +294,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            store = stack.enter_context(use_store(args.store))
+            store = stack.enter_context(ResultStore(args.store))
         obs = _make_obs_session(args, stack)
         monitor = _make_live_monitor(args, stack, obs, jobs=args.jobs)
+        with span("sweep.figure", figure=args.figure, scale=args.scale):
+            output = compute_figure(
+                args.figure,
+                scale=args.scale,
+                jobs=args.jobs,
+                store=store,
+                obs=obs,
+                progress=monitor,
+            )
         if obs is not None:
-            from repro.obs.session import observe
-            from repro.obs.spans import span
-
-            with observe(obs):
-                with span(
-                    "sweep.figure", figure=args.figure, scale=args.scale
-                ):
-                    output = compute_figure(args.figure, scale=args.scale)
             obs.finalize(
                 kind="repro-sweep",
                 command=f"sweep --figure {args.figure} --scale {args.scale}",
                 extra={"figure": args.figure, "scale": args.scale},
             )
-        else:
-            output = compute_figure(args.figure, scale=args.scale)
         if monitor is not None:
             monitor.finish()
         print(output.render())
@@ -344,7 +338,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     from repro.figures import FIGURES
 
     for figure_id in sorted(FIGURES):
-        print(f"{figure_id:22s} {FIGURES[figure_id].CAPTION}")
+        print(f"{figure_id:22s} {FIGURES[figure_id].caption}")
     return 0
 
 
@@ -463,7 +457,7 @@ def cmd_campaign_run(args: argparse.Namespace, campaign, store_path) -> int:
         store = stack.enter_context(ResultStore(store_path))
         try:
             result = run_campaign(
-                campaign, store, jobs=args.jobs, obs=obs
+                campaign, store, jobs=args.jobs, obs=obs, progress=monitor
             )
         except CampaignError as exc:
             print(f"campaign failed: {exc}", file=sys.stderr)
@@ -685,11 +679,15 @@ def cmd_submit(args: argparse.Namespace, client) -> int:
 
     from repro.service import SubmissionReceipt
 
-    if args.file == "-":
-        body = json.load(sys.stdin)
-    else:
-        with open(args.file, encoding="utf-8") as handle:
-            body = json.load(handle)
+    try:
+        if args.file == "-":
+            body = json.load(sys.stdin)
+        else:
+            with open(args.file, encoding="utf-8") as handle:
+                body = json.load(handle)
+    except (OSError, ValueError) as exc:
+        print(f"{args.file}: INVALID — {exc}", file=sys.stderr)
+        return 2
     document = client.submit(body)
     document.pop("complete", None)  # derived: the receipt recomputes it
     receipt = SubmissionReceipt(**document)

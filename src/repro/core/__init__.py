@@ -41,11 +41,8 @@ from repro.core.parallel import (
     TrialExecutionError,
     WorkerPool,
     derive_trial_seeds,
-    get_default_jobs,
     get_worker_pool,
-    parallel_jobs,
     pool_stats,
-    set_default_jobs,
     shutdown_worker_pool,
 )
 from repro.core.sweep import Series, SweepPoint, failure_size_sweep, mrai_sweep
@@ -78,18 +75,15 @@ __all__ = [
     "WorkerPool",
     "derive_trial_seeds",
     "failure_size_sweep",
-    "get_default_jobs",
     "get_worker_pool",
     "labovitz_clique_bound",
     "mrai_sweep",
-    "parallel_jobs",
     "pei_unloaded_bound",
     "pool_stats",
     "recommend_ladder",
     "recommend_mrai",
     "run_experiment",
     "run_trials",
-    "set_default_jobs",
     "saturation_mrai_ratio",
     "shutdown_worker_pool",
     "validate_routing",

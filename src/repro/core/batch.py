@@ -59,11 +59,9 @@ from repro.core.experiment import (
 from repro.core.parallel import (
     TrialExecutionError,
     execute_trial,
-    get_default_jobs,
     get_worker_pool,
 )
-from repro.obs.live import default_progress
-from repro.obs.session import ObsSession, active_session
+from repro.obs.session import ObsSession
 from repro.obs.spans import span
 
 #: One cell of a trial grid: (series label, swept value, point spec).
@@ -258,9 +256,13 @@ def run_batch(
     its key first (``obs.note_cache`` counts each lookup, hit or miss,
     exactly once) and every successful execution is written back from
     this process before the next outcome is consumed, so an interrupt
-    loses only the trials still in flight.  Failed executions are re-run
-    until ``max_attempts`` rounds have been spent; what still fails is
-    returned in :attr:`BatchResult.failures`, never raised.
+    loses only the trials still in flight.  A batch whose session
+    monitors the data plane looks up with ``get(key, dataplane=True)``:
+    a trial banked without the monitor carries no data-plane summary,
+    so it is a miss, and the re-execution's ``put`` overwrites the row
+    under the same key with the superset record.  Failed executions are
+    re-run until ``max_attempts`` rounds have been spent; what still
+    fails is returned in :attr:`BatchResult.failures`, never raised.
 
     ``on_outcome`` sees every settled trial — store hits during lookup,
     then executions in completion order, after banking.  An exception it
@@ -281,10 +283,13 @@ def run_batch(
     total = len(planned)
     trials: List[Optional[TrialResult]] = [None] * total
     pending: List[int] = []
+    obs_config = obs.worker_args() if obs is not None else None
+    monitored = bool(obs_config and obs_config.get("dataplane"))
+    lookup = {"dataplane": True} if monitored else {}
     for index, item in enumerate(planned):
         cached = None
         if store is not None:
-            cached = store.get(item.key)
+            cached = store.get(item.key, **lookup)
             if obs is not None:
                 obs.note_cache(cached is not None)
         if cached is None:
@@ -313,7 +318,6 @@ def run_batch(
     if result.hits:
         tick(f"{label} (cached)")
 
-    obs_config = obs.worker_args() if obs is not None else None
     payloads: Dict[int, Dict[str, Any]] = {}
     attempt = 1
     while pending:
@@ -374,7 +378,7 @@ def run_grid(
     *,
     progress: Optional[ProgressFn] = None,
     obs: Optional[ObsSession] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     store: Optional[Any] = None,
     label: str = "",
 ) -> List[ExperimentResult]:
@@ -382,24 +386,12 @@ def run_grid(
 
     This is ``run_trials`` and the sweeps: one attempt per trial, and the
     first failure raises :class:`~repro.core.parallel.TrialExecutionError`
-    carrying the trial's plan position and seed.  ``progress``, ``obs``,
-    ``jobs`` and ``store`` fall back to the process-wide defaults
-    (``live_progress``, ``observe``, ``parallel_jobs``, ``use_store``), so
-    progress ticks count the whole grid and a ``jobs > 1`` grid is a
-    single pool run however many cells it has.
+    carrying the trial's plan position and seed.  The four keywords are
+    the only way the batch learns how to run — without them it is serial
+    (``jobs=1``), uncached, silent and unobserved — so progress ticks
+    count the whole grid and a ``jobs > 1`` grid is a single pool run
+    however many cells it has.
     """
-    if obs is None:
-        obs = active_session()
-    if progress is None:
-        # The process-wide live monitor, if one is installed (this is
-        # how `sweep --progress` reaches sweeps inside the figures).
-        progress = default_progress()
-    if store is None:
-        from repro.store.result_store import default_store
-
-        store = default_store()
-    if jobs is None:
-        jobs = get_default_jobs()
     total = len(cells) * len(seeds)
     with span("trials.run", trials=total, jobs=jobs):
         planned = plan_grid(

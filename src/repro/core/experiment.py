@@ -31,7 +31,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.session import ObsSession, TrialObserver, active_session
+from repro.obs.session import ObsSession, TrialObserver
 from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -340,16 +340,12 @@ def run_experiment(
     per-node time series, accounts event-loop wall time (when profiling)
     and times the warm-up / failure / convergence phases, and its record
     enters the session through :meth:`~repro.obs.session.ObsSession.absorb`
-    — the same way a batch trial's does.  When ``obs`` is None the
-    session installed by :func:`repro.obs.session.observe` (if any) is
-    used, so sweeps deep inside the figure harness can be observed
-    without threading a parameter through every layer.  A session with
-    ``trace=True`` additionally attaches a causal tracer to the trial and
-    records its path-exploration / settle-time summary.  Observation is
-    passive: the protocol trajectory is bit-identical with or without it.
+    — the same way a batch trial's does.  Without ``obs`` the run is
+    unobserved.  A session with ``trace=True`` additionally attaches a
+    causal tracer to the trial and records its path-exploration /
+    settle-time summary.  Observation is passive: the protocol
+    trajectory is bit-identical with or without it.
     """
-    if obs is None:
-        obs = active_session()
     if obs is None:
         return simulate_trial(topology, spec, seed, scenario)
     observer = TrialObserver(obs.worker_args(), trace_sink=obs.trace_sink)
@@ -368,9 +364,8 @@ def simulate_trial(
     """The measurement itself, observed by ``observer`` and nothing else.
 
     What :func:`run_experiment` and the batch pipeline's
-    :func:`~repro.core.parallel.execute_trial` both run; the active
-    session is not consulted here, so a trial is observed exactly once
-    whichever of the two started it.
+    :func:`~repro.core.parallel.execute_trial` both run, so a trial is
+    observed exactly once whichever of the two started it.
     """
     network = BGPNetwork(
         topology,
@@ -469,7 +464,7 @@ def run_trials(
     seeds: Sequence[int],
     progress: Optional[ProgressFn] = None,
     obs: Optional[ObsSession] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     store: Optional["ResultStore"] = None,
 ) -> ExperimentResult:
     """Run one trial per seed, each on its own topology instance.
@@ -482,29 +477,26 @@ def run_trials(
     ETA.
 
     ``jobs > 1`` fans whole trials out over the warm worker pool (see
-    :mod:`repro.core.parallel`); ``None`` uses the process-wide default
-    installed by :func:`repro.core.parallel.parallel_jobs`.  Whatever the
+    :mod:`repro.core.parallel`); the default is serial.  Whatever the
     value, this is the one-cell case of the shared grid pipeline
     (:func:`repro.core.batch.run_grid`) and results are folded in seed
     order, so the returned :class:`ExperimentResult` is bit-identical
     across ``jobs`` values for the same seeds.  Observed runs give each
-    trial its own worker-side session and ship its metrics, phase
-    timings, probe samples and trace records back to ``obs`` (or the
-    active session) in seed order — in-process at ``jobs=1`` exactly as
-    across the pool, so what a session records does not depend on
-    ``jobs`` either.  The first trial that fails raises
+    trial its own :class:`~repro.obs.session.TrialObserver` and ship its
+    metrics, phase timings, probe samples and trace records back to
+    ``obs`` in seed order — in-process at ``jobs=1`` exactly as across
+    the pool, so what a session records does not depend on ``jobs``
+    either.  The first trial that fails raises
     :class:`repro.core.parallel.TrialExecutionError`.
 
-    ``store`` (or the process-wide default installed by
-    :func:`repro.store.result_store.use_store`) enables content-addressed
-    trial caching: each trial's key is derived from (spec, built
-    topology, seed) via :func:`repro.store.hashing.spec_hash`; stored
-    trials are folded without re-running, fresh trials are written back —
-    always from this (parent) process, as each one lands — so an
-    interrupted sweep resumes where it stopped.  Cached and cold runs
-    compare equal (:class:`TrialResult` equality excludes wall-clock
-    fields), and cached trials contribute measurements but no new obs
-    samples.
+    ``store`` enables content-addressed trial caching: each trial's key
+    is derived from (spec, built topology, seed) via
+    :func:`repro.store.hashing.spec_hash`; stored trials are folded
+    without re-running, fresh trials are written back — always from this
+    (parent) process, as each one lands — so an interrupted sweep
+    resumes where it stopped.  Cached and cold runs compare equal
+    (:class:`TrialResult` equality excludes wall-clock fields), and
+    cached trials contribute measurements but no new obs samples.
     """
     from repro.core.batch import run_grid
 

@@ -60,12 +60,9 @@ completion order.  Workers therefore produce the identical
 :class:`TrialResult` the parent would have, and ``jobs=N`` equals
 ``jobs=1`` bit for bit, warm pool or cold, fork or spawn.
 
-The ``--jobs`` default used by the sweep drivers is a module-level
-setting so deep call stacks (the figure harness) pick it up without
-threading a parameter through thirteen figure modules::
-
-    with parallel_jobs(4):
-        compute_figure("fig03")
+The worker count is a plain argument: every driver — ``run_trials``, the
+sweeps, ``run_campaign``, ``compute_figure`` — takes ``jobs=`` and runs
+serially without it.
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ import multiprocessing
 import os
 import time
 from collections import OrderedDict, deque
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import (
@@ -85,7 +82,6 @@ from typing import (
     Callable,
     Dict,
     Generator,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -100,10 +96,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.batch import PlannedTrial
     from repro.core.experiment import TrialResult
 
-#: Module-level default for ``jobs`` when callers pass None (see
-#: :func:`parallel_jobs`); 1 keeps every entry point serial by default.
-_DEFAULT_JOBS = 1
-
 #: Per-worker topology cache capacity (entries, LRU).
 DEFAULT_TOPOLOGY_CACHE = 8
 
@@ -112,34 +104,6 @@ DEFAULT_TOPOLOGY_CACHE = 8
 #: leaving the rest of the queue schedulable on whichever worker frees
 #: up first.
 _MAX_INFLIGHT_CHUNKS = 2
-
-
-def get_default_jobs() -> int:
-    """The process-wide default worker count (1 = serial)."""
-    return _DEFAULT_JOBS
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Set the process-wide default worker count."""
-    global _DEFAULT_JOBS
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _DEFAULT_JOBS = jobs
-
-
-@contextmanager
-def parallel_jobs(jobs: int) -> Iterator[int]:
-    """Scope the default worker count to a ``with`` block.
-
-    This is how the CLI's ``--jobs`` reaches sweeps buried inside the
-    figure harness without changing every figure module's signature.
-    """
-    previous = get_default_jobs()
-    set_default_jobs(jobs)
-    try:
-        yield jobs
-    finally:
-        set_default_jobs(previous)
 
 
 def derive_trial_seeds(
@@ -195,9 +159,8 @@ def execute_trial(
     phase timings, probe samples, profiler rows, the trial snapshot and
     (when the session has sinks) the raw trace and data-plane records —
     is returned beside the result for the session to absorb.  The
-    recipe is the only thing consulted: an active session in this
-    process (a ``jobs=1`` batch under ``observe()``, a forked worker
-    that inherited one) plays no part.
+    recipe is the only thing consulted, so a trial is observed the same
+    way in this process as in a worker.
     """
     # Imported here, not at module level: experiment.py imports this
     # module at its top, and workers only pay the import once per process.

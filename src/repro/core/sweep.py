@@ -24,6 +24,7 @@ from repro.core.experiment import (
 from repro.topology.graph import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.session import ObsSession
     from repro.store.result_store import ResultStore
 
 
@@ -47,8 +48,7 @@ class SweepPoint:
         """Mean data-plane unreachability (node-seconds) per trial.
 
         Averaged over the trials that carry a data-plane summary; 0.0
-        when the point ran with monitors off (e.g. cached results from
-        an unmonitored sweep).
+        when the point ran with monitors off.
         """
         values = [
             t.dataplane["unreachable_seconds_total"]
@@ -132,8 +132,9 @@ def sweep_cells(
     x_name: str,
     label: str = "",
     progress: Optional[ProgressFn] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     store: Optional["ResultStore"] = None,
+    obs: Optional["ObsSession"] = None,
 ) -> List[Series]:
     """Run a grid of ``(label, x, spec)`` cells as one batch.
 
@@ -147,6 +148,8 @@ def sweep_cells(
     pool run, so a one-seed sweep still keeps all workers busy.
     ``store`` enables content-addressed trial caching: already-stored
     trials are folded without re-running (see :mod:`repro.store`).
+    ``obs`` observes every executed trial (see
+    :class:`repro.obs.session.ObsSession`).
     """
     results = run_grid(
         topology_factory,
@@ -155,6 +158,7 @@ def sweep_cells(
         progress=progress,
         jobs=jobs,
         store=store,
+        obs=obs,
         label=label,
     )
     return grid_series(cells, results, x_name)
@@ -167,13 +171,14 @@ def failure_size_sweep(
     seeds: Sequence[int],
     label: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     store: Optional["ResultStore"] = None,
+    obs: Optional["ObsSession"] = None,
 ) -> Series:
     """Sweep the failure size, holding the scheme fixed (Figs 1/2/6-11).
 
     One batch for the whole sweep; see :func:`sweep_cells` for
-    ``progress``, ``jobs`` and ``store``.
+    ``progress``, ``jobs``, ``store`` and ``obs``.
     """
     label = label or spec.mrai.name
     cells = [
@@ -189,6 +194,7 @@ def failure_size_sweep(
         progress=progress,
         jobs=jobs,
         store=store,
+        obs=obs,
     )
     return series
 
@@ -200,8 +206,9 @@ def mrai_sweep(
     seeds: Sequence[int],
     label: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     store: Optional["ResultStore"] = None,
+    obs: Optional["ObsSession"] = None,
 ) -> Series:
     """Sweep a constant MRAI, holding the failure fixed (Figs 3/4/5/12)."""
     label = label or "delay-vs-mrai"
@@ -218,5 +225,6 @@ def mrai_sweep(
         progress=progress,
         jobs=jobs,
         store=store,
+        obs=obs,
     )
     return series

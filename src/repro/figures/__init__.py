@@ -1,113 +1,112 @@
-"""The figure-reproduction registry.
+"""The figure-reproduction registry and its one runner.
 
-One module per figure of the paper (the DSN 2006 paper has 13 figures and
-no tables).  Each module exposes ``FIGURE_ID``, ``CAPTION`` and
-``compute(profile) -> FigureOutput``; this package maps ids to modules and
-offers :func:`compute_figure` / :func:`run_figure`, used by both the CLI
-(``repro-bgp sweep --figure fig03``) and the benchmark suite.
+A figure is a :class:`~repro.figures.common.Figure` declaration — id,
+caption, plotted metrics, the grids of trials behind it and the paper's
+claims about the resulting series (:mod:`repro.figures.paper` holds the
+paper's 13 figures and the data-plane companion,
+:mod:`repro.figures.ablations` the ablations).  :func:`compute_figure`
+is the only code that runs one; the CLI (``repro-bgp sweep --figure
+fig03``) and the benchmark suite both call it, and tell it how to run
+through its keywords.
 """
 
 from __future__ import annotations
 
-import functools
-from types import ModuleType
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from repro.figures import (
-    fig01,
-    fig02,
-    fig03,
-    fig04,
-    fig05,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    figdp01,
-)
+from repro.core.experiment import ProgressFn
+from repro.core.sweep import Series, sweep_cells
+from repro.figures import ablations, paper
 from repro.figures.common import (
     FULL,
     PROFILES,
     QUICK,
     Check,
+    Figure,
     FigureOutput,
     ScaleProfile,
     resolve_profile,
 )
+from repro.obs.session import ObsSession
 
-_MODULES = (
-    fig01,
-    fig02,
-    fig03,
-    fig04,
-    fig05,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    figdp01,
-)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.store.result_store import ResultStore
 
-FIGURES: Dict[str, ModuleType] = {m.FIGURE_ID: m for m in _MODULES}
-
-
-class _AblationModule:
-    """Adapter presenting an ablation function with the module interface."""
-
-    def __init__(self, figure_id: str, fn) -> None:
-        self.FIGURE_ID = figure_id
-        self.CAPTION = f"ablation: {figure_id[3:].replace('_', ' ')}"
-        self.compute = fn
-
-
-def _register_ablations() -> None:
-    from repro.figures.ablations import ABLATIONS
-
-    for figure_id, fn in ABLATIONS.items():
-        FIGURES[figure_id] = _AblationModule(figure_id, fn)
-
-
-_register_ablations()
-
-
-@functools.lru_cache(maxsize=None)
-def _compute_cached(figure_id: str, profile: ScaleProfile) -> FigureOutput:
-    return FIGURES[figure_id].compute(profile)
+#: Every declared figure by id: the paper's in figure order, then the
+#: ablations (the section order of EXPERIMENTS.md).
+FIGURES: Dict[str, Figure] = {
+    entry.figure_id: entry
+    for module in (paper, ablations)
+    for entry in vars(module).values()
+    if isinstance(entry, Figure)
+}
 
 
 def compute_figure(
-    figure_id: str, scale: Optional[str] = None
+    figure_id: str,
+    scale: Union[str, ScaleProfile, None] = None,
+    *,
+    jobs: int = 1,
+    store: Optional["ResultStore"] = None,
+    obs: Optional[ObsSession] = None,
+    progress: Optional[ProgressFn] = None,
 ) -> FigureOutput:
-    """Compute (with in-process caching) one figure's reproduction."""
+    """Run one figure's grids and evaluate the paper's claims on them.
+
+    ``scale`` is a profile, a profile name, or None for
+    ``REPRO_BENCH_SCALE`` / the quick default.  Each grid runs as one
+    :func:`~repro.core.sweep.sweep_cells` batch with the four keywords
+    handed through, so figures that share trials (Figs 1/2, 10/11, every
+    constant-0.5 column) share them through ``store``.
+
+    A figure that plots data-plane unreachability needs a session that
+    monitors the data plane: the caller's when it does (so its sink sees
+    the transitions), a private one otherwise.
+    """
     if figure_id not in FIGURES:
         raise KeyError(
             f"unknown figure {figure_id!r}; choose from {sorted(FIGURES)}"
         )
-    return _compute_cached(figure_id, resolve_profile(scale))
-
-
-def run_figure(figure_id: str, scale: Optional[str] = None) -> str:
-    """Compute one figure and render its table + shape checks."""
-    return compute_figure(figure_id, scale).render()
+    figure = FIGURES[figure_id]
+    profile = (
+        scale if isinstance(scale, ScaleProfile) else resolve_profile(scale)
+    )
+    if "unreachable" in figure.metrics and not (
+        obs is not None and obs.dataplane_enabled
+    ):
+        obs = ObsSession(dataplane=True)
+    series: List[Series] = []
+    for factory, cells, x_name in figure.grids(profile):
+        series += sweep_cells(
+            factory,
+            cells,
+            profile.seeds,
+            x_name,
+            label=figure_id,
+            progress=progress,
+            jobs=jobs,
+            store=store,
+            obs=obs,
+        )
+    return FigureOutput(
+        figure_id=figure_id,
+        caption=figure.caption,
+        series=series,
+        metrics=figure.metrics,
+        checks=figure.checks(profile, series),
+        profile_name=profile.name,
+    )
 
 
 __all__ = [
     "Check",
     "FIGURES",
     "FULL",
+    "Figure",
     "FigureOutput",
     "PROFILES",
     "QUICK",
     "ScaleProfile",
     "compute_figure",
     "resolve_profile",
-    "run_figure",
 ]

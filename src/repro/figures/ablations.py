@@ -1,7 +1,8 @@
 """Ablation experiments.
 
 Beyond the 13 figures, the paper makes several side claims and design
-choices in prose.  Each ablation here isolates one of them:
+choices in prose.  Each ablation here isolates one of them, declared the
+same way as the figures of :mod:`repro.figures.paper`:
 
 * ``ab_per_dest_mrai`` — per-peer vs per-destination MRAI timers (Sec 2:
   per-destination is the "straightforward" but unscalable design).
@@ -27,21 +28,25 @@ from __future__ import annotations
 
 from repro.figures.common import (
     Check,
-    FigureOutput,
-    ScaleProfile,
     check_le,
     check_ratio,
-    scheme_set_failure_sweep,
+    figure,
+    scheme_set_grid,
+    scheme_set_grids,
     skewed_factory,
 )
 
 
-# ---------------------------------------------------------------------------
-def compute_per_dest_mrai(profile: ScaleProfile) -> FigureOutput:
-    series = list(scheme_set_failure_sweep("ab_per_dest_mrai", profile))
+@figure(
+    "ab_per_dest_mrai",
+    "Ablation: per-peer vs per-destination MRAI timers",
+    ("delay", "messages"),
+    scheme_set_grids("ab_per_dest_mrai"),
+)
+def ab_per_dest_mrai(profile, series):
     per_peer, per_dest = series
     f_large = profile.largest_fraction
-    checks = [
+    return [
         Check(
             "both timer granularities converge at every failure size",
             all(d > 0 for d in per_peer.delays + per_dest.delays),
@@ -55,22 +60,18 @@ def compute_per_dest_mrai(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_per_dest_mrai",
-        caption="Ablation: per-peer vs per-destination MRAI timers",
-        series=series,
-        metrics=("delay", "messages"),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-# ---------------------------------------------------------------------------
-def compute_tcp_batch(profile: ScaleProfile) -> FigureOutput:
-    series = list(scheme_set_failure_sweep("ab_tcp_batch", profile))
+@figure(
+    "ab_tcp_batch",
+    "Ablation: FIFO vs TCP-buffer batching vs per-destination batching",
+    ("delay",),
+    scheme_set_grids("ab_tcp_batch"),
+)
+def ab_tcp_batch(profile, series):
     fifo, tcp, dest = series
     f_large = profile.largest_fraction
-    checks = [
+    return [
         check_le(
             "per-destination batching beats router-style TCP batching "
             "for the largest failure",
@@ -93,22 +94,18 @@ def compute_tcp_batch(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_tcp_batch",
-        caption="Ablation: FIFO vs TCP-buffer batching vs per-destination batching",
-        series=series,
-        metrics=("delay",),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-# ---------------------------------------------------------------------------
-def compute_monitors(profile: ScaleProfile) -> FigureOutput:
-    series = list(scheme_set_failure_sweep("ab_monitors", profile))
+@figure(
+    "ab_monitors",
+    "Ablation: dynamic-MRAI overload monitors (queue / utilization / msgcount)",
+    ("delay",),
+    scheme_set_grids("ab_monitors"),
+)
+def ab_monitors(profile, series):
     queue, util, msg, static_low = series
     f_large = profile.largest_fraction
-    checks = [
+    return [
         check_le(
             "queue-based dynamic MRAI beats the static low constant "
             "for the largest failure",
@@ -123,23 +120,19 @@ def compute_monitors(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_monitors",
-        caption="Ablation: dynamic-MRAI overload monitors (queue / utilization / msgcount)",
-        series=series,
-        metrics=("delay",),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-# ---------------------------------------------------------------------------
-def compute_high_degree_only(profile: ScaleProfile) -> FigureOutput:
-    series = list(scheme_set_failure_sweep("ab_high_degree_only", profile))
+@figure(
+    "ab_high_degree_only",
+    "Ablation: dynamic MRAI at all nodes vs high-degree nodes only",
+    ("delay",),
+    scheme_set_grids("ab_high_degree_only"),
+)
+def ab_high_degree_only(profile, series):
     everywhere, high_only = series
     f_large = profile.largest_fraction
     ratio = high_only.delay_at(f_large) / everywhere.delay_at(f_large)
-    checks = [
+    return [
         Check(
             "restricting the dynamic scheme to high-degree nodes is "
             "effectively the same (paper Sec 4.3)",
@@ -148,40 +141,32 @@ def compute_high_degree_only(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_high_degree_only",
-        caption="Ablation: dynamic MRAI at all nodes vs high-degree nodes only",
-        series=series,
-        metrics=("delay",),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-# ---------------------------------------------------------------------------
-def compute_failure_geometry(profile: ScaleProfile) -> FigureOutput:
-    series = list(scheme_set_failure_sweep("ab_failure_geometry", profile))
-    checks = [
+@figure(
+    "ab_failure_geometry",
+    "Ablation: contiguous geographic vs scattered random failures",
+    ("delay", "messages"),
+    scheme_set_grids("ab_failure_geometry"),
+)
+def ab_failure_geometry(profile, series):
+    return [
         Check(
             "both geometries converge and grow with failure size",
             all(d > 0 for s in series for d in s.delays),
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_failure_geometry",
-        caption="Ablation: contiguous geographic vs scattered random failures",
-        series=series,
-        metrics=("delay", "messages"),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-# ---------------------------------------------------------------------------
-def compute_withdrawal_rl(profile: ScaleProfile) -> FigureOutput:
-    series = list(scheme_set_failure_sweep("ab_withdrawal_rl", profile))
+@figure(
+    "ab_withdrawal_rl",
+    "Ablation: immediate (RFC default) vs rate-limited withdrawals",
+    ("delay", "messages"),
+    scheme_set_grids("ab_withdrawal_rl"),
+)
+def ab_withdrawal_rl(profile, series):
     immediate, limited = series
-    checks = [
+    return [
         Check(
             "rate-limiting withdrawals changes message counts",
             any(
@@ -191,19 +176,15 @@ def compute_withdrawal_rl(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_withdrawal_rl",
-        caption="Ablation: immediate (RFC default) vs rate-limited withdrawals",
-        series=series,
-        metrics=("delay", "messages"),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-# ---------------------------------------------------------------------------
-def compute_processing(profile: ScaleProfile) -> FigureOutput:
-    series = list(scheme_set_failure_sweep("ab_processing", profile))
+@figure(
+    "ab_processing",
+    "Ablation: the processing-overhead model is what the schemes fix",
+    ("delay",),
+    scheme_set_grids("ab_processing"),
+)
+def ab_processing(profile, series):
     loaded_fifo, loaded_batch, free_fifo, free_batch = series
     f_large = profile.largest_fraction
     free_ratio = (
@@ -211,7 +192,7 @@ def compute_processing(profile: ScaleProfile) -> FigureOutput:
         if free_fifo.delay_at(f_large)
         else 1.0
     )
-    checks = [
+    return [
         check_ratio(
             "with processing overhead, batching helps at the largest failure",
             loaded_fifo.delay_at(f_large),
@@ -230,17 +211,29 @@ def compute_processing(profile: ScaleProfile) -> FigureOutput:
             loaded_fifo.delay_at(f_large),
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_processing",
-        caption="Ablation: the processing-overhead model is what the schemes fix",
-        series=series,
-        metrics=("delay",),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-def compute_future_work(profile: ScaleProfile) -> FigureOutput:
+def _future_work_grids(profile):
+    # The adaptive/theory schemes resolve against the seed[0] topology
+    # (failure extents and recommended ladders are topology properties).
+    factory = skewed_factory(profile)
+    return [
+        scheme_set_grid(
+            "ab_future_work",
+            profile,
+            factory,
+            topology=factory(profile.seeds[0]),
+        )
+    ]
+
+
+@figure(
+    "ab_future_work",
+    "Ablation: the paper's future-work schemes, implemented",
+    ("delay", "messages"),
+    _future_work_grids,
+)
+def ab_future_work(profile, series):
     """The paper's Sec-5 future-work schemes, implemented and measured.
 
     * failure-extent-adaptive MRAI ("a scheme that can accurately and
@@ -251,19 +244,9 @@ def compute_future_work(profile: ScaleProfile) -> FigureOutput:
       necessary to develop a suitable theory for choosing various
       parameters"), feeding the paper's own dynamic scheme.
     """
-    # The adaptive/theory schemes resolve against the seed[0] topology
-    # (failure extents and recommended ladders are topology properties).
-    factory = skewed_factory(profile)
-    sample_topology = factory(profile.seeds[0])
-    series = list(
-        scheme_set_failure_sweep(
-            "ab_future_work", profile, topology=sample_topology
-        )
-    )
     const_low, dynamic, batching, adaptive, wf_batch, theory = series
-    f_small = profile.smallest_fraction
     f_large = profile.largest_fraction
-    checks = [
+    return [
         check_le(
             "adaptive-extent MRAI beats the constant-low meltdown",
             adaptive.delay_at(f_large),
@@ -292,17 +275,15 @@ def compute_future_work(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_future_work",
-        caption="Ablation: the paper's future-work schemes, implemented",
-        series=series,
-        metrics=("delay", "messages"),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-def compute_detection_delay(profile: ScaleProfile) -> FigureOutput:
+@figure(
+    "ab_detection_delay",
+    "Ablation: instantaneous vs hold-timer failure detection",
+    ("delay",),
+    scheme_set_grids("ab_detection_delay"),
+)
+def ab_detection_delay(profile, series):
     """Hold-timer failure detection vs the paper's instantaneous model.
 
     The paper starts its convergence clock at the failure instant with
@@ -310,10 +291,9 @@ def compute_detection_delay(profile: ScaleProfile) -> FigureOutput:
     ablation shows the detection delay adds roughly additively and does
     not change which scheme wins.
     """
-    series = list(scheme_set_failure_sweep("ab_detection_delay", profile))
     instant, one_second, three_seconds = series
     f_small = profile.smallest_fraction
-    checks = [
+    return [
         check_le(
             "hold-timer detection adds roughly its own delay for small "
             "failures",
@@ -329,17 +309,15 @@ def compute_detection_delay(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_detection_delay",
-        caption="Ablation: instantaneous vs hold-timer failure detection",
-        series=series,
-        metrics=("delay",),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-def compute_flap_damping(profile: ScaleProfile) -> FigureOutput:
+@figure(
+    "ab_flap_damping",
+    "Ablation: RFC-2439 flap damping vs the paper's schemes",
+    ("delay", "messages"),
+    scheme_set_grids("ab_flap_damping"),
+)
+def ab_flap_damping(profile, series):
     """RFC-2439 route flap damping vs the paper's schemes.
 
     Damping was the deployed answer to update storms in the paper's era.
@@ -352,10 +330,9 @@ def compute_flap_damping(profile: ScaleProfile) -> FigureOutput:
     at all, which is what the strict check pins down.  Damping half-life
     is scaled to the simulation's seconds-scale dynamics.
     """
-    series = list(scheme_set_failure_sweep("ab_flap_damping", profile))
     plain, damped, batching = series
     f_large = profile.largest_fraction
-    checks = [
+    return [
         check_le(
             "batching beats flap damping for large-scale failures "
             "(and without damping's suppression blackholes)",
@@ -371,17 +348,30 @@ def compute_flap_damping(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_flap_damping",
-        caption="Ablation: RFC-2439 flap damping vs the paper's schemes",
-        series=series,
-        metrics=("delay", "messages"),
-        checks=checks,
-        profile_name=profile.name,
-    )
 
 
-def compute_policy_routing(profile: ScaleProfile) -> FigureOutput:
+def _policy_routing_grids(profile):
+    # The topology is pinned so the inferred relationships stay valid for
+    # every trial; the scheme set's inferred-policy block resolves
+    # against the same pinned topology.
+    fixed_topology = skewed_factory(profile)(profile.seeds[0])
+    return [
+        scheme_set_grid(
+            "ab_policy_routing",
+            profile,
+            lambda seed: fixed_topology,
+            topology=fixed_topology,
+        )
+    ]
+
+
+@figure(
+    "ab_policy_routing",
+    "Ablation: Gao-Rexford policies vs unrestricted shortest-path",
+    ("delay", "messages"),
+    _policy_routing_grids,
+)
+def ab_policy_routing(profile, series):
     """Policy routing vs the paper's "no policy restrictions" setting.
 
     The paper selects routes by path length alone.  Under Gao-Rexford
@@ -392,21 +382,9 @@ def compute_policy_routing(profile: ScaleProfile) -> FigureOutput:
     consistent; relationships are inferred hierarchically, which keeps
     valley-free reachability complete and the comparison apples-to-apples.
     """
-    # The topology is pinned so the inferred relationships stay valid for
-    # every trial; the scheme set's inferred-policy block resolves
-    # against the same pinned topology.
-    fixed_topology = skewed_factory(profile)(profile.seeds[0])
-    series = list(
-        scheme_set_failure_sweep(
-            "ab_policy_routing",
-            profile,
-            factory=lambda seed: fixed_topology,
-            topology=fixed_topology,
-        )
-    )
     unrestricted, policied = series
     f_large = profile.largest_fraction
-    checks = [
+    return [
         Check(
             "policies shrink the exploration space: fewer update messages "
             "at the largest failure",
@@ -423,26 +401,3 @@ def compute_policy_routing(profile: ScaleProfile) -> FigureOutput:
             strict=False,
         ),
     ]
-    return FigureOutput(
-        figure_id="ab_policy_routing",
-        caption="Ablation: Gao-Rexford policies vs unrestricted shortest-path",
-        series=series,
-        metrics=("delay", "messages"),
-        checks=checks,
-        profile_name=profile.name,
-    )
-
-
-ABLATIONS = {
-    "ab_future_work": compute_future_work,
-    "ab_detection_delay": compute_detection_delay,
-    "ab_flap_damping": compute_flap_damping,
-    "ab_policy_routing": compute_policy_routing,
-    "ab_per_dest_mrai": compute_per_dest_mrai,
-    "ab_tcp_batch": compute_tcp_batch,
-    "ab_monitors": compute_monitors,
-    "ab_high_degree_only": compute_high_degree_only,
-    "ab_failure_geometry": compute_failure_geometry,
-    "ab_withdrawal_rl": compute_withdrawal_rl,
-    "ab_processing": compute_processing,
-}

@@ -10,23 +10,26 @@ A :class:`ScaleProfile` fixes the experiment scale:
   grids.  Expect an hour or more for the complete suite; enable with
   ``REPRO_BENCH_SCALE=full``.
 
-Each figure module computes a :class:`FigureOutput`: the series behind the
-plot, plus named *shape checks* encoding the paper's qualitative claims
-(who wins, by roughly what factor, where the crossover falls).  Strict
-checks are asserted by the benchmark suite; soft checks are recorded but
-tolerated, since single-trial quick runs are noisy the same way the
-paper's individual runs were.
+A figure is a :class:`Figure` declaration: the grids of trials behind
+the plot (``grids(profile)``) and the paper's qualitative claims about
+the resulting series (``checks(profile, series)`` — who wins, by roughly
+what factor, where the crossover falls).  Neither runs a trial;
+:func:`repro.figures.compute_figure` does, and builds the
+:class:`FigureOutput`.  Strict checks are asserted by the benchmark
+suite; soft checks are recorded but tolerated, since single-trial quick
+runs are noisy the same way the paper's individual runs were.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.report import format_figure
-from repro.core.sweep import Series, mrai_sweep, sweep_cells
+from repro.bgp.mrai import ConstantMRAI
+from repro.core.batch import GridCell
+from repro.core.sweep import Series
 from repro.specs import build_spec, scheme_set_specs
 from repro.topology.degree import SkewedDegreeSpec
 from repro.topology.graph import Topology
@@ -209,19 +212,55 @@ def check_le(
 
 
 # ---------------------------------------------------------------------------
-# Shared (memoized) sweeps — several figures reuse the same computation
+# Figure declarations
 # ---------------------------------------------------------------------------
-def scheme_set_failure_sweep(
+#: One grid of trials: (topology factory, ``(label, x, spec)`` cells,
+#: name of the swept axis).  A grid runs as one batch, its topology
+#: built once per seed.
+Grid = Tuple[Callable[[int], Topology], List[GridCell], str]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure as data: what to run and what the paper claims of it.
+
+    ``grids(profile)`` returns the grids whose series, concatenated in
+    order, are the figure's curves; ``checks(profile, series)`` is a
+    pure function of those series.  Neither executes a trial nor reads
+    process state — how the grids run (jobs, store, session, progress)
+    is :func:`repro.figures.compute_figure`'s arguments.
+    """
+
+    figure_id: str
+    caption: str
+    #: Series columns the figure plots: "delay", "messages", "unreachable".
+    metrics: Tuple[str, ...]
+    grids: Callable[[ScaleProfile], Sequence[Grid]]
+    checks: Callable[[ScaleProfile, Sequence[Series]], List[Check]]
+
+
+def figure(
+    figure_id: str,
+    caption: str,
+    metrics: Tuple[str, ...],
+    grids: Callable[[ScaleProfile], Sequence[Grid]],
+) -> Callable[[Callable], Figure]:
+    """Declare a figure: decorates its ``checks(profile, series)``
+    function, which becomes the :class:`Figure`."""
+    return lambda checks: Figure(figure_id, caption, metrics, grids, checks)
+
+
+def scheme_set_grid(
     name: str,
     profile: ScaleProfile,
     factory: Callable[[int], Topology] | None = None,
     fractions: Sequence[float] | None = None,
     topology: Topology | None = None,
-) -> Tuple[Series, ...]:
-    """Failure-size sweep of a registered scheme set, one series per
-    scheme, labels taken from the set declaration; the whole set runs as
-    one batch.
+) -> Grid:
+    """Failure-size grid of a registered scheme set: one series per
+    scheme, labels taken from the set declaration.
 
+    Defaults: the profile's 70-30 topologies and failure fractions.
     ``topology`` is only needed for sets with topology-resolved schemes
     (adaptive/theory MRAI, inferred policy relationships).
     """
@@ -232,45 +271,27 @@ def scheme_set_failure_sweep(
         for label, spec in scheme_set_specs(name, profile, topology=topology)
         for fraction in fractions
     ]
-    return tuple(
-        sweep_cells(
-            factory, cells, profile.seeds, "failure_fraction", label=name
-        )
-    )
+    return factory, cells, "failure_fraction"
 
 
-@functools.lru_cache(maxsize=None)
-def three_mrai_failure_sweep(profile: ScaleProfile) -> Tuple[Series, ...]:
-    """Delay+messages vs failure size for the three headline MRAIs.
-
-    Shared by Fig 1 (delay) and Fig 2 (messages); the scheme list is the
-    registered ``mrai_three`` set.
-    """
-    return scheme_set_failure_sweep("mrai_three", profile)
+def scheme_set_grids(name: str) -> Callable[[ScaleProfile], List[Grid]]:
+    """``grids`` of the usual figure: one :func:`scheme_set_grid` at its
+    defaults."""
+    return lambda profile: [scheme_set_grid(name, profile)]
 
 
-@functools.lru_cache(maxsize=None)
-def batching_scheme_sweep(profile: ScaleProfile) -> Tuple[Series, ...]:
-    """Delay+messages vs failure size for the Fig 10/11 scheme set."""
-    return scheme_set_failure_sweep("batching", profile)
-
-
-def series_for_mrai_grid(
+def mrai_cells(
     profile: ScaleProfile,
-    factory: Callable[[int], Topology],
-    fraction: float,
     label: str,
+    fraction: float,
     queue_discipline: str = "fifo",
-    grid: Sequence[float] | None = None,
-) -> Series:
-    """One delay-vs-MRAI curve at a fixed failure size."""
+) -> List[GridCell]:
+    """One delay-vs-MRAI curve at a fixed failure size: a constant MRAI
+    per value of the profile's grid."""
     spec = build_spec(
         {"failure_fraction": fraction, "queue": queue_discipline}
     )
-    return mrai_sweep(
-        factory,
-        spec,
-        grid if grid is not None else profile.mrai_grid,
-        profile.seeds,
-        label=label,
-    )
+    return [
+        (label, value, spec.with_(mrai=ConstantMRAI(value)))
+        for value in profile.mrai_grid
+    ]

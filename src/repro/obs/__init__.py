@@ -12,13 +12,7 @@ docs/OBSERVABILITY.md for the catalogue and the record's schema.
 
 from repro.obs.causality import CausalEvent, CausalGraph, load_trace
 from repro.obs.dataplane import DataPlaneMonitor
-from repro.obs.live import (
-    LiveMonitor,
-    default_progress,
-    last_heartbeat,
-    live_progress,
-    watch_campaign,
-)
+from repro.obs.live import LiveMonitor, last_heartbeat, watch_campaign
 from repro.obs.manifest import PhaseTiming, RunManifest, host_fingerprint
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
@@ -43,12 +37,7 @@ from repro.obs.export import (
     write_metrics_jsonl,
     write_timeseries_csv,
 )
-from repro.obs.session import (
-    ObsSession,
-    TrialObserver,
-    active_session,
-    observe,
-)
+from repro.obs.session import ObsSession, TrialObserver
 from repro.obs.spans import (
     NOOP_SPAN,
     RollupRow,
@@ -84,15 +73,11 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "TrialObserver",
-    "active_session",
-    "default_progress",
     "format_metric_name",
     "handler_category",
     "host_fingerprint",
     "last_heartbeat",
-    "live_progress",
     "load_trace",
-    "observe",
     "percentile",
     "record_spans",
     "span",

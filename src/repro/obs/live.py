@@ -9,11 +9,8 @@ operator-facing layer:
   that renders a terminal status line (trials done/cached/failed, store
   hit rate, worker utilization, ETA extrapolated from completed-trial
   wall times) and optionally appends one JSON line per tick to a
-  *heartbeat* file other processes can tail;
-* :func:`live_progress` / :func:`default_progress` — a process-wide
-  default progress hook, the same scoping pattern as
-  :func:`repro.core.parallel.parallel_jobs`: installing a monitor once
-  makes every sweep buried inside the figure harness report to it;
+  *heartbeat* file other processes can tail; hand it to a driver as
+  ``progress=monitor``;
 * :func:`watch_campaign` — the render behind ``repro-bgp campaign
   watch``: per-cell cached/missing/failed counts against the store plus
   the latest heartbeat, re-renderable until the grid completes.
@@ -31,15 +28,12 @@ import json
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     IO,
-    Iterator,
     List,
     Optional,
     Union,
@@ -53,41 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "LiveMonitor",
-    "default_progress",
     "last_heartbeat",
-    "live_progress",
     "watch_campaign",
 ]
-
-#: Process-wide default progress hook (None = run silently).  Installed
-#: by :func:`live_progress`; consulted by ``run_trials``/``run_campaign``
-#: when the caller passes no explicit callback.
-_DEFAULT_PROGRESS: Optional[Callable[["Progress"], None]] = None
-
-
-def default_progress() -> Optional[Callable[["Progress"], None]]:
-    """The progress hook installed by the innermost :func:`live_progress`."""
-    return _DEFAULT_PROGRESS
-
-
-@contextmanager
-def live_progress(
-    fn: Callable[["Progress"], None]
-) -> Iterator[Callable[["Progress"], None]]:
-    """Scope the default progress hook to a ``with`` block.
-
-    This is how ``sweep --progress`` reaches the ``run_trials`` calls
-    buried inside the figure harness without threading a callback
-    through thirteen figure modules.
-    """
-    global _DEFAULT_PROGRESS
-    previous = _DEFAULT_PROGRESS
-    _DEFAULT_PROGRESS = fn
-    try:
-        yield fn
-    finally:
-        _DEFAULT_PROGRESS = previous
-
 
 class LiveMonitor:
     """Terminal status line + heartbeat JSONL from progress ticks.

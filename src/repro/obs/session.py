@@ -16,9 +16,12 @@ Observation is split along the one line it has:
   (``run_experiment(obs=)``, a ``jobs=1`` batch, a pooled batch), ran a
   trial.
 
-Deeper call stacks (figure sweeps) are reached through the *active
-session*: ``with observe(session): compute_figure(...)`` makes every
-experiment run inside the block pick the session up implicitly.
+A session reaches a run as the ``obs=`` argument every driver takes
+(``run_experiment``, ``run_trials``, the sweeps, ``run_campaign``,
+``compute_figure``); nothing is observed without it.  A session that
+records spans does not install its recorder — span sites are
+everywhere, like a logger — so the caller does, with
+``record_spans(session.span_recorder)``.
 ``ObsSession.export(dir)`` then writes ``manifest.json``,
 ``metrics.jsonl``, ``timeseries.csv`` and ``aggregates.csv`` (plus
 ``profile.txt`` when profiling).
@@ -26,7 +29,6 @@ experiment run inside the block pick the session up implicitly.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -50,7 +52,7 @@ from repro.obs.manifest import PhaseTiming, RunManifest, jsonable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import NetworkProbe, ProbeSamples
 from repro.obs.profiling import EventLoopProfiler
-from repro.obs.spans import SpanRecorder, record_spans, span
+from repro.obs.spans import SpanRecorder, span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
@@ -61,33 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Categories a session tracer records by default: exactly what the
 #: causal/convergence analysis consumes.
 DEFAULT_TRACE_CATEGORIES = frozenset({"causality", "route_change"})
-
-#: Stack of active sessions; the innermost one wins.
-_ACTIVE: List["ObsSession"] = []
-
-
-def active_session() -> Optional["ObsSession"]:
-    """The session installed by the innermost :func:`observe` block."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def observe(session: "ObsSession"):
-    """Make ``session`` the implicit obs sink for nested experiment runs.
-
-    When the session records spans, its recorder is installed as the
-    active one for the block, so instrumented orchestration code
-    (:func:`repro.obs.spans.span` call sites) reports to it implicitly.
-    """
-    _ACTIVE.append(session)
-    try:
-        if session.span_recorder is not None:
-            with record_spans(session.span_recorder):
-                yield session
-        else:
-            yield session
-    finally:
-        _ACTIVE.pop()
 
 
 class TrialObserver:
@@ -283,10 +258,11 @@ class ObsSession:
         :class:`~repro.sim.trace.Tracer`).
     spans:
         When True, the session owns a
-        :class:`~repro.obs.spans.SpanRecorder`; :func:`observe` installs
-        it so instrumented orchestration code records hierarchical
-        wall-clock spans, batch trials graft theirs under ``workers/``,
-        and :meth:`export` writes ``spans.json`` (Chrome trace format).
+        :class:`~repro.obs.spans.SpanRecorder`; installed by the caller
+        (:func:`~repro.obs.spans.record_spans`), it records the
+        orchestration code's hierarchical wall-clock spans, batch trials
+        graft theirs under ``workers/``, and :meth:`export` writes
+        ``spans.json`` (Chrome trace format).
     dataplane:
         When True, every trial's network gets a
         :class:`~repro.obs.dataplane.DataPlaneMonitor`; the trial's

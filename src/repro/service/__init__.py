@@ -5,9 +5,6 @@ with content-addressed caching (:mod:`repro.store`) and a persistent
 warm worker pool (:mod:`repro.core.parallel`) — exactly the ingredients
 of a results-serving backend.  This package assembles them into one:
 
-* :mod:`repro.service.backend` — :class:`StoreBackend`, the storage
-  protocol the service is written against (SQLite's ``ResultStore``
-  implements it; the service never touches SQL);
 * :mod:`repro.service.submission` — turns a submitted campaign grid or
   single spec into per-trial content keys, splits cache hits from cold
   trials, and enqueues the cold ones under a ticket;
@@ -24,7 +21,6 @@ CLI entry points: ``repro-bgp serve`` / ``submit`` / ``result`` /
 ``queue status`` / ``store stats``.  See ``docs/SERVICE.md``.
 """
 
-from repro.service.backend import StoreBackend
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.executor import ExecutorConfig, QueueExecutor
@@ -43,7 +39,6 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
-    "StoreBackend",
     "SubmissionReceipt",
     "plan_submission",
     "submission_campaign",

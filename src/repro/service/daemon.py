@@ -2,8 +2,9 @@
 
 :class:`CampaignService` wires the pieces into one long-running process:
 
-* one :class:`StoreBackend` handle, shared (it is internally locked)
-  between the HTTP handler threads and the executor thread;
+* one :class:`~repro.store.result_store.ResultStore` handle, shared (it
+  is internally locked) between the HTTP handler threads and the
+  executor thread;
 * the process-wide warm :class:`~repro.core.parallel.WorkerPool`,
   prewarmed *before* any server thread starts — under the ``fork``
   start method children must not be forked from a multi-threaded
@@ -41,7 +42,6 @@ from repro.obs.live import LiveMonitor
 from repro.obs.session import ObsSession
 
 from repro.service.api import make_handler
-from repro.service.backend import StoreBackend
 from repro.service.executor import ExecutorConfig, QueueExecutor
 from repro.service.submission import SubmissionReceipt
 from repro.store.result_store import ResultStore
@@ -83,7 +83,7 @@ class CampaignService:
     def __init__(
         self,
         config: ServiceConfig,
-        backend: Optional[StoreBackend] = None,
+        backend: Optional[ResultStore] = None,
     ) -> None:
         self.config = config
         self.backend = (

@@ -48,8 +48,7 @@ from repro.specs.serialize import build_spec
 from repro.specs.topology import topology_factory
 from repro.store.hashing import trial_key
 from repro.store.queue import QueueTask
-
-from repro.service.backend import StoreBackend
+from repro.store.result_store import ResultStore
 
 
 def default_owner() -> str:
@@ -99,7 +98,7 @@ class QueueExecutor:
 
     def __init__(
         self,
-        backend: StoreBackend,
+        backend: ResultStore,
         config: Optional[ExecutorConfig] = None,
         obs: Optional[Any] = None,
         monitor: Optional[Any] = None,

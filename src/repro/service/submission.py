@@ -34,8 +34,7 @@ from repro.store.campaign import (
     campaign_keys,
     fold_stored,
 )
-
-from repro.service.backend import StoreBackend
+from repro.store.result_store import ResultStore
 
 #: ExperimentSpec's own default; a single-spec submission without an
 #: explicit failure_fraction lands on the same spec a direct
@@ -120,7 +119,7 @@ class SubmissionReceipt:
 
 def plan_submission(
     campaign: Campaign,
-    backend: StoreBackend,
+    backend: ResultStore,
     ticket: Optional[str] = None,
 ) -> SubmissionReceipt:
     """Split a grid into cache hits and enqueued cold trials.
@@ -170,7 +169,7 @@ def plan_submission(
     )
 
 
-def ticket_status(ticket: str, backend: StoreBackend) -> Dict[str, Any]:
+def ticket_status(ticket: str, backend: ResultStore) -> Dict[str, Any]:
     """Progress of one ticket, derived purely from persistent state.
 
     ``state`` is ``done`` when every key is banked, ``failed`` when at
@@ -224,7 +223,7 @@ def ticket_status(ticket: str, backend: StoreBackend) -> Dict[str, Any]:
     }
 
 
-def ticket_results(ticket: str, backend: StoreBackend) -> Dict[str, Any]:
+def ticket_results(ticket: str, backend: ResultStore) -> Dict[str, Any]:
     """Fold a completed ticket's campaign into JSON-ready series.
 
     Folds the ordered keys persisted with the ticket — what

@@ -8,8 +8,8 @@ back through :func:`spec_to_dict`, so
 
 * a campaign JSON can express every scheme the ``run`` subcommand can,
 * new MRAI schemes / policy kinds / topology kinds are registered once
-  (:func:`register_mrai_scheme`, :func:`register_policy_block`,
-  :func:`register_topology_kind`) and become usable everywhere, and
+  (:func:`register_mrai_scheme`, ``POLICY_BLOCKS.register``,
+  ``TOPOLOGY_KINDS.register``) and become usable everywhere, and
 * two construction paths meaning the same experiment share one cache
   fingerprint.
 
@@ -25,7 +25,6 @@ from repro.specs.blocks import (
     damping_to_block,
     policy_needs_topology,
     policy_to_block,
-    register_policy_block,
     validate_policy_block,
 )
 from repro.specs.mrai import (
@@ -56,7 +55,6 @@ from repro.specs.topology import (
     DISTRIBUTIONS,
     TOPOLOGY_KINDS,
     distribution_spec,
-    register_topology_kind,
     topology_factory,
 )
 
@@ -75,7 +73,6 @@ __all__ = [
     "build_damping",
     "damping_to_block",
     "POLICY_BLOCKS",
-    "register_policy_block",
     "validate_policy_block",
     "build_policy",
     "policy_to_block",
@@ -83,7 +80,6 @@ __all__ = [
     # topology blocks
     "DISTRIBUTIONS",
     "TOPOLOGY_KINDS",
-    "register_topology_kind",
     "topology_factory",
     "distribution_spec",
     # spec round-trip

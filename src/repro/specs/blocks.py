@@ -96,10 +96,6 @@ def damping_to_block(config: DampingConfig) -> Dict[str, Any]:
 POLICY_BLOCKS = Registry("routing policy")
 
 
-def register_policy_block(name: str, entry: Any, **kw: Any) -> Any:
-    return POLICY_BLOCKS.register(name, entry, **kw)
-
-
 class _PolicyBlockEntry:
     """One policy kind: allowed keys, builder, optional serializer."""
 
@@ -156,7 +152,7 @@ def policy_to_block(policy: RoutingPolicy) -> Dict[str, Any]:
     raise SpecSerializationError(
         f"no registered policy block serializes "
         f"{type(policy).__module__}.{type(policy).__qualname__}; "
-        f"register_policy_block() it to make this spec declarative"
+        f"register it in POLICY_BLOCKS to make this spec declarative"
     )
 
 
@@ -167,7 +163,7 @@ def policy_needs_topology(block: Dict[str, Any]) -> bool:
     return entry.needs_topology(block)
 
 
-register_policy_block(
+POLICY_BLOCKS.register(
     "shortest-path",
     _PolicyBlockEntry(
         keys=(),
@@ -211,7 +207,7 @@ def _build_gao_rexford(
     return GaoRexfordPolicy(rels)
 
 
-register_policy_block(
+POLICY_BLOCKS.register(
     "gao-rexford",
     _PolicyBlockEntry(
         keys=("relationships", "infer", "peer_degree_ratio"),

@@ -3,10 +3,10 @@
 Every comparison the figure harness draws — "three constant MRAIs",
 "batching vs dynamic vs constants", each ablation's scheme list — is a
 registered function from a scale profile to ``(label, scheme-dict)``
-pairs.  Figure modules fetch built specs with :func:`scheme_set_specs`
-instead of constructing :class:`ExperimentSpec` lists inline, so adding
-a scheme to a comparison (or a whole new comparison) is a data change
-here, not an edit across fig modules.
+pairs.  Figure declarations fetch built specs with
+:func:`scheme_set_specs` instead of constructing :class:`ExperimentSpec`
+lists inline, so adding a scheme to a comparison (or a whole new
+comparison) is a data change here.
 
 Profiles are duck-typed: anything with the attributes a set reads
 (``mrai_three``, ``dynamic_levels``, ...) works, keeping this module

@@ -7,7 +7,7 @@ the store layer), plus the registry resolving a declarative topology
 block — ``{"kind": "skewed", "nodes": 60, "distribution": "70-30"}`` —
 into a per-seed factory.
 
-Register a new kind with :func:`register_topology_kind`; campaign files
+Register a new kind with ``TOPOLOGY_KINDS.register``; campaign files
 and the figure harness can then name it with no further code changes.
 """
 
@@ -34,12 +34,6 @@ TOPOLOGY_KINDS = Registry("topology kind")
 
 #: A registered kind: block dict -> (seed -> Topology) factory.
 TopologyKindBuilder = Callable[[Dict[str, Any]], Callable[[int], Topology]]
-
-
-def register_topology_kind(
-    name: str, builder: TopologyKindBuilder, *, replace: bool = False
-) -> TopologyKindBuilder:
-    return TOPOLOGY_KINDS.register(name, builder, replace=replace)
 
 
 def distribution_spec(name: str) -> SkewedDegreeSpec:
@@ -74,6 +68,6 @@ def _multirouter_builder(block: Dict[str, Any]) -> Callable[[int], Topology]:
     return lambda seed: multi_router_topology(spec, seed=seed)
 
 
-register_topology_kind("skewed", _skewed_builder)
-register_topology_kind("internet", _internet_builder)
-register_topology_kind("multirouter", _multirouter_builder)
+TOPOLOGY_KINDS.register("skewed", _skewed_builder)
+TOPOLOGY_KINDS.register("internet", _internet_builder)
+TOPOLOGY_KINDS.register("multirouter", _multirouter_builder)

@@ -9,8 +9,7 @@ running it again.  This package provides:
   the planner computes once per built topology, and :func:`spec_hash`,
   its one-trial form that digests the topology itself;
 * :mod:`repro.store.result_store` — :class:`ResultStore`, an SQLite (WAL)
-  trial cache with provenance, plus :func:`use_store` for scoping a
-  process-wide default the way ``parallel_jobs`` scopes ``--jobs``;
+  trial cache with provenance; every driver takes one as ``store=``;
 * :mod:`repro.store.campaign` — :class:`Campaign`, a declarative sweep
   grid that runs incrementally against a store: cached trials are
   skipped, failures retried, interruptions resumed, and the folded
@@ -26,7 +25,6 @@ from repro.store.campaign import (
     CampaignResult,
     CampaignStatus,
     RetryPolicy,
-    build_spec,
     campaign_keys,
     campaign_status,
     load_campaign_results,
@@ -42,11 +40,9 @@ from repro.store.hashing import (
 )
 from repro.store.result_store import (
     ResultStore,
-    default_store,
     git_revision,
     trial_from_dict,
     trial_to_dict,
-    use_store,
 )
 
 __all__ = [
@@ -59,11 +55,9 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "SCHEMA_VERSION",
-    "build_spec",
     "campaign_keys",
     "campaign_status",
     "canonical",
-    "default_store",
     "git_revision",
     "load_campaign_results",
     "run_campaign",
@@ -72,5 +66,4 @@ __all__ = [
     "topology_digest",
     "trial_from_dict",
     "trial_to_dict",
-    "use_store",
 ]

@@ -52,20 +52,16 @@ from repro.core.experiment import (
     ProgressFn,
     TrialResult,
 )
-from repro.core.parallel import derive_trial_seeds, get_default_jobs
+from repro.core.parallel import derive_trial_seeds
 from repro.core.sweep import Series, grid_series
-from repro.obs.live import default_progress
-from repro.obs.session import ObsSession, active_session
+from repro.obs.session import ObsSession
 from repro.obs.spans import span
 from repro.specs.serialize import (
     build_spec,
     scheme_requires_topology,
     validate_scheme,
 )
-from repro.specs.topology import (
-    DISTRIBUTIONS,
-    topology_factory as resolve_topology_block,
-)
+from repro.specs.topology import topology_factory as resolve_topology_block
 from repro.store.result_store import ResultStore, git_revision
 from repro.topology.graph import Topology
 
@@ -74,9 +70,7 @@ __all__ = [
     "Campaign",
     "CampaignError",
     "CampaignResult",
-    "DISTRIBUTIONS",  # re-exported from repro.specs for compatibility
     "RetryPolicy",
-    "build_spec",  # re-exported from repro.specs for compatibility
     "campaign_keys",
     "campaign_status",
     "fold_stored",
@@ -443,7 +437,7 @@ def run_campaign(
     campaign: Campaign,
     store: Optional[ResultStore] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     retry: RetryPolicy = RetryPolicy(),
     progress: Optional[ProgressFn] = None,
     obs: Optional[ObsSession] = None,
@@ -461,7 +455,7 @@ def run_campaign(
     Every trial enters its point's :class:`ExperimentResult` in seed
     order, cached and fresh alike — the folded series equal an uncached
     sweep's.  The run is recorded as a manifest row in the store, and
-    ``obs`` (or the active session) gets cache hit/miss counters.
+    ``obs`` (when given) gets cache hit/miss counters.
     """
     if store is None:
         if campaign.store_path is None:
@@ -478,12 +472,6 @@ def run_campaign(
                 progress=progress,
                 obs=obs,
             )
-    if obs is None:
-        obs = active_session()
-    if jobs is None:
-        jobs = get_default_jobs()
-    if progress is None:
-        progress = default_progress()
     start = time.perf_counter()
     with span(
         "campaign.run",

@@ -127,8 +127,7 @@ class QueueOps:
     Relies on the host class for ``_read`` / ``_write`` (locked,
     retry-on-locked database access) and ``_now`` timestamps; contains
     every piece of queue SQL so callers above the store (the service
-    API, the executor) never touch SQL directly — the
-    :class:`repro.service.backend.StoreBackend` contract.
+    API, the executor) never touch SQL directly.
     """
 
     # ------------------------------------------------------------------

@@ -39,7 +39,6 @@ import subprocess
 import threading
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -261,21 +260,29 @@ class ResultStore(QueueOps):
             is not None
         )
 
-    def get(self, key: str) -> Optional["TrialResult"]:
-        """The cached trial for ``key``, or None (counted hit/miss)."""
+    def get(
+        self, key: str, *, dataplane: bool = False
+    ) -> Optional["TrialResult"]:
+        """The cached trial for ``key``, or None (counted hit/miss).
+
+        ``dataplane=True`` asks for a trial that carries a data-plane
+        summary; a row banked by an unmonitored run is a miss for it.
+        """
         with span("store.get") as s:
             row = self._read(
                 lambda conn: conn.execute(
                     "SELECT result FROM trials WHERE key=?", (key,)
                 ).fetchone()
             )
-            if row is None:
+            trial = trial_from_dict(json.loads(row[0])) if row else None
+            if trial is not None and dataplane and trial.dataplane is None:
+                trial = None
+            if trial is None:
                 self.misses += 1
-                s.set(hit=False)
-                return None
-            self.hits += 1
-            s.set(hit=True)
-            return trial_from_dict(json.loads(row[0]))
+            else:
+                self.hits += 1
+            s.set(hit=trial is not None)
+            return trial
 
     def put(
         self,
@@ -499,39 +506,3 @@ class ResultStore(QueueOps):
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-#: Process-wide default store consulted by run_trials when ``store=None``
-#: (see :func:`use_store`); mirrors ``repro.core.parallel._DEFAULT_JOBS``.
-_DEFAULT_STORE: Optional[ResultStore] = None
-
-
-def default_store() -> Optional[ResultStore]:
-    """The store installed by the innermost :func:`use_store` block."""
-    return _DEFAULT_STORE
-
-
-@contextmanager
-def use_store(
-    store: Union[ResultStore, str, Path]
-) -> Iterator[ResultStore]:
-    """Make ``store`` the implicit trial cache for nested sweeps.
-
-    This is how the CLI's ``sweep --store`` reaches the ``run_trials``
-    calls buried inside the figure harness without threading a parameter
-    through thirteen figure modules — the exact pattern ``--jobs`` uses
-    via :func:`repro.core.parallel.parallel_jobs`.  A path argument is
-    opened (and closed on exit); an already-open store is left open.
-    """
-    global _DEFAULT_STORE
-    opened = None
-    if not isinstance(store, ResultStore):
-        store = opened = ResultStore(store)
-    previous = _DEFAULT_STORE
-    _DEFAULT_STORE = store
-    try:
-        yield store
-    finally:
-        _DEFAULT_STORE = previous
-        if opened is not None:
-            opened.close()

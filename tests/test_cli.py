@@ -259,3 +259,17 @@ def test_cli_client_verbs_report_an_unusable_ready_file(
         assert main([*verb, "--ready-file", str(ready)]) == 1
         err = capsys.readouterr().err
         assert str(ready) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content", [None, "not json"], ids=["missing", "unparsable"]
+)
+def test_cli_submit_rejects_an_unreadable_file(content, tmp_path, capsys):
+    path = tmp_path / "body.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    # Nothing listens on the URL: exit 2, not the client's 1, shows no
+    # request was attempted.
+    assert main(["submit", str(path), "--url", "http://127.0.0.1:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: INVALID") and len(err.splitlines()) == 1

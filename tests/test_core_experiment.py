@@ -67,6 +67,28 @@ def test_run_experiment_fifo_never_drops_stale():
     assert result.stale_dropped == 0
 
 
+@pytest.mark.parametrize("queue_discipline", ["fifo", "dest_batch"])
+def test_one_level_dynamic_mrai_is_the_constant_scheme(queue_discipline):
+    # A free oracle: a ladder with one rung can never step, so the whole
+    # trajectory — delay, message counts, events — must be the constant
+    # scheme's, not merely close to it.
+    topo = small_topo()
+    results = [
+        run_experiment(
+            topo,
+            ExperimentSpec(
+                mrai=mrai,
+                failure_fraction=0.1,
+                queue_discipline=queue_discipline,
+            ),
+            seed=5,
+        )
+        for mrai in (DynamicMRAI(levels=(0.5,)), ConstantMRAI(0.5))
+    ]
+    assert results[0] == results[1]  # every measured field, events included
+    assert results[0].events_executed > 0
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(failure_fraction=0.0)

@@ -7,7 +7,6 @@ session records.
 
 import multiprocessing
 import pickle
-from contextlib import nullcontext
 
 import pytest
 
@@ -30,14 +29,11 @@ from repro.core.parallel import (
     collect,
     derive_trial_seeds,
     execute_trial,
-    get_default_jobs,
     lost_trials,
-    parallel_jobs,
     plan_chunks,
-    shutdown_worker_pool,
 )
 from repro.core.sweep import failure_size_sweep
-from repro.obs.session import ObsSession, observe
+from repro.obs.session import ObsSession
 from repro.store.hashing import topology_digest
 from repro.topology.degree import SkewedDegreeSpec
 from repro.topology.skewed import skewed_topology
@@ -180,22 +176,14 @@ def test_progress_ticks_monotonic_and_complete():
     assert all(t.total == len(SEEDS) for t in ticks)
 
 
-def test_parallel_jobs_context_scopes_default():
-    assert get_default_jobs() == 1
-    with parallel_jobs(3):
-        assert get_default_jobs() == 3
-    assert get_default_jobs() == 1
-
-
 # ----------------------------------------------------------------------
 # Observability round-trip
 # ----------------------------------------------------------------------
-def observed_run(mode, implicit=False):
+def observed_run(mode):
     """SEEDS under every recorder and both sinks.
 
     ``mode`` is ``"inline"`` — a loop of ``run_experiment`` — or a
-    ``jobs`` value for ``run_trials``; ``implicit`` hands the session
-    over through ``observe()`` instead of ``obs=``.
+    ``jobs`` value for ``run_trials``.
     """
     trace, dataplane = [], []
     obs = ObsSession(
@@ -206,16 +194,14 @@ def observed_run(mode, implicit=False):
         dataplane_sink=dataplane.append,
     )
     spec = spec_dynamic_batch()
-    passed = None if implicit else obs
-    with observe(obs) if implicit else nullcontext():
-        if mode == "inline":
-            result = ExperimentResult(spec=spec)
-            for seed in SEEDS:
-                result.add(
-                    run_experiment(factory(seed), spec, seed=seed, obs=passed)
-                )
-        else:
-            result = run_trials(factory, spec, SEEDS, obs=passed, jobs=mode)
+    if mode == "inline":
+        result = ExperimentResult(spec=spec)
+        for seed in SEEDS:
+            result.add(
+                run_experiment(factory(seed), spec, seed=seed, obs=obs)
+            )
+    else:
+        result = run_trials(factory, spec, SEEDS, obs=obs, jobs=mode)
     return obs, result, trace, dataplane
 
 
@@ -280,24 +266,18 @@ def test_obs_aggregation_roundtrip():
     ]
 
     # The contract: a session cannot tell which entry point, or which
-    # process, ran a trial.  Once with the session passed as obs=, once
-    # picked up from observe() — there the pool is restarted first, so
-    # its workers are created inside the block and (under fork) inherit
-    # the active session, which must play no part.
-    for implicit in (False, True):
-        if implicit:
-            shutdown_worker_pool()
-        expected = None
-        for mode in ("inline", 1, 2):
-            obs, result, trace, dataplane = observed_run(mode, implicit)
-            facts = observed_facts(obs, trace, dataplane)
-            assert len(facts["probes"]) == len(SEEDS)
-            assert facts["trace_sink"] and facts["dataplane_sink"]
-            if expected is None:
-                expected = facts
-            for section, value in facts.items():
-                assert value == expected[section], (implicit, mode, section)
-            assert result_signature(result) == result_signature(serial_result)
+    # process, ran a trial.
+    expected = None
+    for mode in ("inline", 1, 2):
+        obs, result, trace, dataplane = observed_run(mode)
+        facts = observed_facts(obs, trace, dataplane)
+        assert len(facts["probes"]) == len(SEEDS)
+        assert facts["trace_sink"] and facts["dataplane_sink"]
+        if expected is None:
+            expected = facts
+        for section, value in facts.items():
+            assert value == expected[section], (mode, section)
+        assert result_signature(result) == result_signature(serial_result)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

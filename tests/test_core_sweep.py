@@ -9,7 +9,7 @@ from repro.bgp.mrai import ConstantMRAI
 from repro.core.experiment import ExperimentSpec
 from repro.core.parallel import TrialExecutionError, get_worker_pool
 from repro.core.sweep import Series, failure_size_sweep, mrai_sweep
-from repro.obs.session import ObsSession, observe
+from repro.obs.session import ObsSession
 from repro.store import ResultStore
 from repro.topology.skewed import skewed_topology
 
@@ -133,14 +133,14 @@ def test_sweep_failure_names_the_failing_seed_and_plan_position(monkeypatch):
 def test_observed_sweep_exports_identically_at_any_jobs(tmp_path):
     def observed(jobs):
         obs = ObsSession()
-        with observe(obs):
-            mrai_sweep(
-                factory,
-                ExperimentSpec(failure_fraction=0.1),
-                (0.5, 2.0),
-                (1, 2),
-                jobs=jobs,
-            )
+        mrai_sweep(
+            factory,
+            ExperimentSpec(failure_fraction=0.1),
+            (0.5, 2.0),
+            (1, 2),
+            jobs=jobs,
+            obs=obs,
+        )
         obs.export(tmp_path / f"jobs{jobs}")
         records = [
             json.loads(line)

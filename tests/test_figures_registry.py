@@ -5,6 +5,9 @@ that.  Registry wiring, profile resolution and the output container are
 covered here, plus one real end-to-end figure at a tiny custom profile.
 """
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.core.sweep import Series
@@ -14,7 +17,6 @@ from repro.figures import (
     QUICK,
     compute_figure,
     resolve_profile,
-    run_figure,
 )
 from repro.figures.common import (
     Check,
@@ -36,7 +38,7 @@ def test_all_thirteen_figures_registered():
 
 def test_dataplane_figure_registered():
     assert "figdp01" in FIGURES
-    assert "unreachab" in FIGURES["figdp01"].CAPTION.lower()
+    assert "unreachab" in FIGURES["figdp01"].caption.lower()
 
 
 def test_ablations_registered():
@@ -57,10 +59,21 @@ def test_ablations_registered():
 
 
 def test_modules_expose_required_api():
-    for fid, module in FIGURES.items():
-        assert module.FIGURE_ID == fid
-        assert isinstance(module.CAPTION, str) and module.CAPTION
-        assert callable(module.compute)
+    for fid, figure in FIGURES.items():
+        assert figure.figure_id == fid
+        assert isinstance(figure.caption, str) and figure.caption
+        assert set(figure.metrics) <= {"delay", "messages", "unreachable"}
+        assert callable(figure.grids) and callable(figure.checks)
+
+
+def test_experiments_md_commentary_covers_the_registry():
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location(
+        "generate_experiments_md", path / "generate_experiments_md.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert set(tool.COMMENTARY) == set(FIGURES)
 
 
 def test_resolve_profile_explicit():
@@ -136,7 +149,7 @@ def test_check_helpers():
 
 
 def test_end_to_end_tiny_figure():
-    # A miniature profile proves a real compute() runs end to end quickly.
+    # A miniature profile proves a real figure runs end to end quickly.
     tiny = ScaleProfile(
         name="tiny",
         nodes=20,
@@ -148,7 +161,7 @@ def test_end_to_end_tiny_figure():
         fig3_fractions=(0.1, 0.3),
         multirouter_ases=8,
     )
-    out = FIGURES["fig01"].compute(tiny)
+    out = compute_figure("fig01", tiny)
     assert isinstance(out, FigureOutput)
     assert len(out.series) == 3
     assert all(isinstance(s, Series) for s in out.series)

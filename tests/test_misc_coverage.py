@@ -12,7 +12,6 @@ from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.queues import WithdrawalFirstBatchQueue
 from repro.cli import main
-from repro.figures.bench import results_dir
 from repro.sim.engine import Simulator
 from tests.conftest import converged_network, line_topology, ring_topology
 
@@ -151,12 +150,6 @@ def test_cli_run_new_schemes(capsys):
         == 0
     )
     assert "convergence delay" in capsys.readouterr().out
-
-
-def test_results_dir_is_repo_root():
-    path = results_dir()
-    assert path.name == "results"
-    assert (path.parent / "pyproject.toml").exists()
 
 
 # ---------------------------------------------------------------------------

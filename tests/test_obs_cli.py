@@ -5,7 +5,6 @@ import json
 
 from repro.cli import main
 from repro.obs.manifest import RunManifest
-from repro.obs.session import active_session
 
 
 def run_cli(tmp_path, *extra):
@@ -151,13 +150,11 @@ def test_sweep_with_metrics_out(tmp_path, capsys):
     assert manifest.kind == "repro-sweep"
     assert manifest.extra["figure"] == "fig03"
     assert manifest.extra["trials"] > 1
-    # Trial snapshots from deep inside the figure harness made it out
-    # through the active-session mechanism.
+    # Trial snapshots of every executed trial of the figure made it out
+    # through the session the command passed as obs=.
     trials = [
         json.loads(line)
         for line in (out / "metrics.jsonl").read_text().splitlines()
         if json.loads(line).get("kind") == "trial"
     ]
     assert len(trials) == manifest.extra["trials"]
-    # The observe() block restored the previous (empty) session state.
-    assert active_session() is None

@@ -16,7 +16,7 @@ from repro.obs.dataplane import (
     OK,
     DataPlaneMonitor,
 )
-from repro.obs.session import ObsSession, TrialObserver, observe
+from repro.obs.session import ObsSession, TrialObserver
 from repro.sim.timers import Jitter
 from repro.sim.trace import JsonlSink
 from repro.store.result_store import trial_from_dict, trial_to_dict
@@ -176,8 +176,7 @@ def test_monitored_experiment_counts_transient_damage():
     topo = skewed_topology(30, seed=1)
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
     obs = ObsSession(dataplane=True)
-    with observe(obs):
-        result = run_experiment(topo, spec, seed=1)
+    result = run_experiment(topo, spec, seed=1, obs=obs)
     dp = result.dataplane
     assert dp is not None
     assert dp["pairs"] > 0
@@ -212,8 +211,7 @@ def test_monitor_does_not_change_experiment_results():
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
     bare = run_experiment(topo, spec, seed=3)
     obs = ObsSession(dataplane=True)
-    with observe(obs):
-        monitored = run_experiment(topo, spec, seed=3)
+    monitored = run_experiment(topo, spec, seed=3, obs=obs)
     assert monitored == bare  # dataplane field excluded from equality
     assert monitored.dataplane is not None and bare.dataplane is None
 
@@ -227,19 +225,16 @@ def test_dataplane_worker_round_trip_parallel():
     seeds = [1, 2, 3]
 
     serial_obs = ObsSession(dataplane=True)
-    with observe(serial_obs):
-        serial = run_trials(factory, spec, seeds, jobs=1)
+    serial = run_trials(factory, spec, seeds, jobs=1, obs=serial_obs)
     serial_records = []
     sink_obs = ObsSession(dataplane=True, dataplane_sink=serial_records.append)
-    with observe(sink_obs):
-        run_trials(factory, spec, seeds, jobs=1)
+    run_trials(factory, spec, seeds, jobs=1, obs=sink_obs)
 
     parallel_records = []
     par_obs = ObsSession(
         dataplane=True, dataplane_sink=parallel_records.append
     )
-    with observe(par_obs):
-        parallel = run_trials(factory, spec, seeds, jobs=2)
+    parallel = run_trials(factory, spec, seeds, jobs=2, obs=par_obs)
 
     assert parallel.trials == serial.trials
     assert [t.dataplane for t in parallel.trials] == [
@@ -280,8 +275,7 @@ def test_trial_dict_round_trip_preserves_dataplane():
     topo = skewed_topology(20, seed=1)
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
     obs = ObsSession(dataplane=True)
-    with observe(obs):
-        trial = run_experiment(topo, spec, seed=1)
+    trial = run_experiment(topo, spec, seed=1, obs=obs)
     data = json.loads(json.dumps(trial_to_dict(trial)))  # via real JSON
     rebuilt = trial_from_dict(data)
     assert rebuilt == trial
@@ -303,8 +297,7 @@ def test_jsonl_sink_writes_trial_delimited_records(tmp_path):
     with JsonlSink(path) as sink:
         obs = ObsSession(dataplane_sink=sink)
         assert obs.dataplane_enabled  # sink implies enable
-        with observe(obs):
-            run_experiment(topo, spec, seed=1)
+        run_experiment(topo, spec, seed=1, obs=obs)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["kind"] == "dataplane_trial"
     assert lines[0]["seed"] == 1

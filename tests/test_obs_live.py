@@ -1,4 +1,4 @@
-"""Live telemetry: monitor, heartbeat stream, default hook, campaign watch."""
+"""Live telemetry: monitor, heartbeat stream, campaign watch."""
 
 import io
 import json
@@ -6,13 +6,7 @@ import json
 import pytest
 
 from repro.core.experiment import Progress
-from repro.obs.live import (
-    LiveMonitor,
-    default_progress,
-    last_heartbeat,
-    live_progress,
-    watch_campaign,
-)
+from repro.obs.live import LiveMonitor, last_heartbeat, watch_campaign
 
 
 def _tick(done, total, elapsed=10.0, busy=0.0, failed=0, label="t", **extra):
@@ -154,30 +148,22 @@ def test_monitor_interval_throttles_but_final_tick_renders():
 
 
 # ----------------------------------------------------------------------
-# Process-wide default hook
+# Ticks from a real batch
 # ----------------------------------------------------------------------
-def test_live_progress_scoping():
-    assert default_progress() is None
-    seen = []
-    with live_progress(seen.append) as installed:
-        assert default_progress() is installed
-        with live_progress(lambda p: None):
-            assert default_progress() is not installed
-        assert default_progress() is installed
-    assert default_progress() is None
-
-
-def test_run_trials_uses_default_progress():
+def test_run_trials_progress_ticks_carry_busy_seconds():
     from repro.bgp.mrai import ConstantMRAI
     from repro.core.experiment import ExperimentSpec, run_trials
     from repro.topology.skewed import skewed_topology
 
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2)
     ticks = []
-    with live_progress(ticks.append):
-        run_trials(
-            lambda s: skewed_topology(10, seed=s), spec, [1, 2], jobs=1
-        )
+    run_trials(
+        lambda s: skewed_topology(10, seed=s),
+        spec,
+        [1, 2],
+        jobs=1,
+        progress=ticks.append,
+    )
     assert [t.done for t in ticks] == [1, 2]
     assert ticks[-1].busy_seconds > 0.0
 
@@ -231,8 +217,7 @@ def test_watch_campaign_heartbeat_line(tmp_path):
     hb = tmp_path / "hb.jsonl"
     with ResultStore(store_path) as store:
         with LiveMonitor(jobs=1, stream=None, heartbeat=hb) as mon:
-            with live_progress(mon):
-                run_campaign(campaign, store)
+            run_campaign(campaign, store, progress=mon)
         rendered = watch_campaign(campaign, store, heartbeat=hb)
         missing = watch_campaign(
             campaign, store, heartbeat=tmp_path / "none.jsonl"

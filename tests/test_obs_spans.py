@@ -9,7 +9,7 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.core.experiment import ExperimentSpec, run_experiment, run_trials
-from repro.obs.session import ObsSession, observe
+from repro.obs.session import ObsSession
 from repro.obs.spans import (
     NOOP_SPAN,
     SpanRecorder,
@@ -239,7 +239,7 @@ def test_span_worker_round_trip_parallel():
     factory = lambda s: skewed_topology(12, seed=s)  # noqa: E731
     seeds = [1, 2, 3, 4]
     obs = ObsSession(spans=True)
-    with observe(obs):
+    with record_spans(obs.span_recorder):
         parallel = run_trials(factory, spec, seeds, jobs=2, obs=obs)
     serial = run_trials(factory, spec, seeds, jobs=1)
     # Observability never perturbs the simulation.

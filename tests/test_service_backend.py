@@ -1,10 +1,9 @@
 """Tests for the store backend layer under the campaign service.
 
 Covers the durable queue's lease protocol (exclusivity, expiry
-re-dispatch, heartbeat, backoff gates, release), ticket persistence,
-the :class:`StoreBackend` protocol, and the multi-writer
-hardening of :class:`ResultStore` (thread sharing, busy-timeout
-wait-out of a competing writer's lock).
+re-dispatch, heartbeat, backoff gates, release), ticket persistence
+and the multi-writer hardening of :class:`ResultStore` (thread sharing,
+busy-timeout wait-out of a competing writer's lock).
 """
 
 import sqlite3
@@ -14,7 +13,6 @@ import time
 import pytest
 
 from repro.core.experiment import TrialResult
-from repro.service.backend import StoreBackend
 from repro.store import QUEUE_STATES, ResultStore
 
 
@@ -177,13 +175,6 @@ def test_ticket_roundtrip_with_campaign_doc(store):
     assert info["campaign"] == doc
     assert store.ticket_info("nope") is None
     assert store.ticket_count() == 1
-
-
-# ----------------------------------------------------------------------
-# StoreBackend protocol
-# ----------------------------------------------------------------------
-def test_result_store_satisfies_backend_protocol(store):
-    assert isinstance(store, StoreBackend)
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,7 @@ import pytest
 from repro.bgp.mrai import ConstantMRAI
 from repro.core.experiment import ExperimentSpec, run_trials
 from repro.obs.session import ObsSession
-from repro.store import (
-    ResultStore,
-    default_store,
-    spec_fingerprint,
-    spec_hash,
-    use_store,
-)
+from repro.store import ResultStore, spec_fingerprint, spec_hash
 from repro.store.hashing import SCHEMA_VERSION
 from repro.topology.skewed import skewed_topology
 
@@ -80,6 +74,20 @@ def test_put_get_roundtrip(store):
     assert store.hits == 1 and store.misses == 1
 
 
+def test_get_dataplane_misses_a_row_banked_without_the_monitor(store):
+    bare = one_trial()
+    store.put("k", bare)
+    assert store.get("k") == bare
+    assert store.get("k", dataplane=True) is None
+    assert (store.hits, store.misses) == (1, 1)
+    monitored = run_trials(
+        factory, spec_05(), (1,), obs=ObsSession(dataplane=True)
+    ).trials[0]
+    store.put("k", monitored)  # same key, superset record
+    assert store.get("k", dataplane=True).dataplane == monitored.dataplane
+    assert len(store) == 1 and (store.hits, store.misses) == (2, 1)
+
+
 def test_provenance_records_writer(store):
     trial = one_trial()
     key = spec_hash(spec_05(), factory(1), 1)
@@ -138,33 +146,6 @@ def test_campaign_manifest_rows(store):
 
 
 # ----------------------------------------------------------------------
-# The default-store scope (sweep --store plumbing)
-# ----------------------------------------------------------------------
-def test_use_store_scopes_default(tmp_path):
-    assert default_store() is None
-    with use_store(tmp_path / "store.db") as store:
-        assert default_store() is store
-        with use_store(store) as inner:
-            assert inner is store
-        assert default_store() is store
-    assert default_store() is None
-
-
-def test_use_store_closes_only_what_it_opened(tmp_path):
-    store = ResultStore(tmp_path / "store.db")
-    with use_store(store):
-        pass
-    # Passed-in instance stays open ...
-    assert len(store) == 0
-    store.close()
-    # ... while a path argument is closed on exit.
-    with use_store(tmp_path / "other.db") as opened:
-        pass
-    with pytest.raises(sqlite3.ProgrammingError):
-        len(opened)
-
-
-# ----------------------------------------------------------------------
 # run_trials caching: cold == warm, serial == parallel, bit for bit
 # ----------------------------------------------------------------------
 def test_cached_run_bitwise_identical(store):
@@ -204,15 +185,6 @@ def test_partial_cache_mixes_cached_and_fresh(store):
     assert result_signature(mixed) == result_signature(
         run_trials(factory, spec, SEEDS)
     )
-
-
-def test_default_store_reaches_run_trials(tmp_path):
-    spec = spec_05()
-    with use_store(tmp_path / "store.db") as store:
-        run_trials(factory, spec, SEEDS)
-        assert len(store) == len(SEEDS)
-        run_trials(factory, spec, SEEDS)
-        assert store.hits == len(SEEDS)
 
 
 def test_obs_session_counts_cache_lookups(store):

@@ -17,16 +17,15 @@ import repro.core.batch as batch_mod
 import repro.core.parallel as parallel_mod
 from repro.bgp.mrai import ConstantMRAI
 from repro.core.experiment import ExperimentSpec
-from repro.core.parallel import parallel_jobs
-from repro.core.sweep import failure_size_sweep, mrai_sweep
-from repro.figures.common import QUICK, scheme_set_failure_sweep
+from repro.core.sweep import failure_size_sweep, mrai_sweep, sweep_cells
+from repro.figures.common import QUICK, scheme_set_grid
 from repro.obs.session import ObsSession
+from repro.specs import build_spec
 from repro.store import (
     Campaign,
     CampaignError,
     ResultStore,
     RetryPolicy,
-    build_spec,
     campaign_keys,
     campaign_status,
     load_campaign_results,
@@ -196,9 +195,13 @@ def sweep_factory(seed):
     return skewed_topology(24, seed=seed)
 
 
-def failure_grid():
+def failure_grid(jobs):
     series = failure_size_sweep(
-        sweep_factory, ExperimentSpec(mrai=ConstantMRAI(0.5)), (0.1, 0.2), (1, 2)
+        sweep_factory,
+        ExperimentSpec(mrai=ConstantMRAI(0.5)),
+        (0.1, 0.2),
+        (1, 2),
+        jobs=jobs,
     )
     return [series], {
         "schemes": {"fifo-0.5": {"mrai": 0.5}},
@@ -206,12 +209,13 @@ def failure_grid():
     }
 
 
-def mrai_grid():
+def mrai_grid(jobs):
     series = mrai_sweep(
         sweep_factory,
         ExperimentSpec(mrai=ConstantMRAI(99.0), failure_fraction=0.1),
         (0.5, 2.0),
         (1, 2),
+        jobs=jobs,
     )
     return [series], {
         "schemes": {"any": {"mrai": 99.0, "failure_fraction": 0.1}},
@@ -219,11 +223,12 @@ def mrai_grid():
     }
 
 
-def mrai_three_grid():
+def mrai_three_grid(jobs):
     profile = dataclasses.replace(
         QUICK, name="unit", nodes=24, seeds=(1, 2), fractions=(0.1, 0.2)
     )
-    return list(scheme_set_failure_sweep("mrai_three", profile)), {
+    factory, cells, x_name = scheme_set_grid("mrai_three", profile)
+    return sweep_cells(factory, cells, profile.seeds, x_name, jobs=jobs), {
         "schemes": {
             f"MRAI={v:g}s": {"mrai": v} for v in profile.mrai_three
         },
@@ -255,12 +260,10 @@ def test_campaign_matches_uncached_sweep(tmp_path):
         "mrai_three": mrai_three_grid,
     }
     for (name, grid), jobs in itertools.product(grids.items(), (1, 2)):
-        with parallel_jobs(jobs), ResultStore(
-            tmp_path / f"{name}-{jobs}.db"
-        ) as store:
-            direct, overrides = grid()
+        with ResultStore(tmp_path / f"{name}-{jobs}.db") as store:
+            direct, overrides = grid(jobs)
             result = run_campaign(
-                make_campaign(seeds=[1, 2], **overrides), store
+                make_campaign(seeds=[1, 2], **overrides), store, jobs=jobs
             )
             assert result.executed == result.campaign.total_trials
         assert [

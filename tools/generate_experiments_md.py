@@ -5,14 +5,21 @@ Run after ``pytest benchmarks/ --benchmark-only`` so the embedded tables
 match the latest measured series::
 
     python tools/generate_experiments_md.py
+
+One section per registered figure, in registry order.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
+
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.figures import FIGURES  # noqa: E402 (needs src/ on the path)
 
 #: figure id -> (section title, the paper's claim, our verdict).
 COMMENTARY = {
@@ -131,6 +138,19 @@ COMMENTARY = {
         "while matching it for small failures; constant-3.5 shows the same "
         "good-for-large / bad-for-small tradeoff as on flat topologies.",
     ),
+    "figdp01": (
+        "Fig DP1 — Data-plane unreachability vs failure size "
+        "(companion, not in the paper)",
+        "Not a figure of the paper, which argues that a shorter "
+        "convergence delay shrinks the window in which packets are "
+        "blackholed or loop; Fig 7's grid re-run with the data-plane "
+        "monitor on measures that window as unreachable node-seconds.",
+        "Consistent with the argument. Unreachability tracks the delay "
+        "curves of Fig 7 (same trials, bit-identical delays), and summed "
+        "over the sweep the dynamic scheme undercuts every constant: "
+        "about 3.5x below constant-0.5, 1.35x below constant-1.25 and "
+        "level with constant-2.25, whose small-failure padding it avoids.",
+    ),
     "ab_per_dest_mrai": (
         "Ablation — per-peer vs per-destination MRAI timers",
         "Paper Sec 2 notes per-destination timers are the straightforward "
@@ -228,20 +248,6 @@ COMMENTARY = {
     ),
 }
 
-ORDER = [f"fig{i:02d}" for i in range(1, 14)] + [
-    "ab_per_dest_mrai",
-    "ab_tcp_batch",
-    "ab_monitors",
-    "ab_high_degree_only",
-    "ab_failure_geometry",
-    "ab_withdrawal_rl",
-    "ab_processing",
-    "ab_future_work",
-    "ab_detection_delay",
-    "ab_flap_damping",
-    "ab_policy_routing",
-]
-
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Reproduction record for every figure of *Improving BGP Convergence Delay
@@ -251,10 +257,11 @@ adds.  The paper's evaluation consists of 13 figures and no tables.
 ## Methodology
 
 * Every table below is regenerated by `pytest benchmarks/ --benchmark-only`
-  through the shared harness in `repro.figures`; the raw outputs (text +
-  CSV) live in `results/`, and `repro-bgp sweep --figure <id>` reproduces
-  any single one.  This file itself is regenerated by
-  `python tools/generate_experiments_md.py`.
+  — one test parametrised over the `repro.figures` registry, all figures
+  sharing one trial store; the raw outputs (text + CSV) live in
+  `results/`, and `pytest benchmarks/ --benchmark-only -k <id>` or
+  `repro-bgp sweep --figure <id>` reproduces any single one.  This file
+  itself is regenerated by `python tools/generate_experiments_md.py`.
 * Numbers shown are from the **quick** profile: 60-node topologies
   (48-AS multi-router for Fig 13), one trial per point, coarse sweep
   grids, deterministic seeds.  `REPRO_BENCH_SCALE=full` re-runs everything
@@ -325,7 +332,7 @@ models the paper cites (see `tests/test_integration_models.py` and
 
 def main() -> None:
     parts = [HEADER]
-    for figure_id in ORDER:
+    for figure_id in FIGURES:
         title, paper_claim, verdict = COMMENTARY[figure_id]
         parts.append(f"## {title}\n")
         parts.append(f"**Paper:** {paper_claim}\n")
