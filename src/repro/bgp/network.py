@@ -44,10 +44,10 @@ class BGPNetwork:
         self.topology = topology
         self.config = config if config is not None else BGPConfig()
         self.sim = Simulator(seed=seed, tracer=tracer)
-        #: Optional structured-metrics registry; when present the legacy
-        #: counters mirror into it and speakers record gauges/histograms.
+        #: Optional structured-metrics registry; when present speakers
+        #: record gauges/histograms into it.
         self.metrics = metrics
-        self.counters = Counter(registry=metrics)
+        self.counters = Counter()
         if metrics is not None:
             self._g_in_flight = metrics.gauge("updates_in_flight")
         else:
@@ -112,9 +112,9 @@ class BGPNetwork:
         self, sender_id: int, receiver_id: int, msg: Update, delay: float
     ) -> None:
         """Put one update on the wire (called by speakers)."""
-        self.counters.incr("updates_sent")
+        self.counters["updates_sent"] += 1
         if msg.is_withdrawal:
-            self.counters.incr("withdrawals_sent")
+            self.counters["withdrawals_sent"] += 1
         if self.sim.tracer.enabled:
             self.sim.tracer.emit(
                 self.sim.now,
@@ -136,7 +136,7 @@ class BGPNetwork:
             self._g_in_flight.set(self._in_flight_updates)
         speaker = self.speakers[receiver_id]
         if not speaker.alive:
-            self.counters.incr("updates_lost")
+            self.counters["updates_lost"] += 1
             return
         speaker.receive(msg)
 
@@ -144,7 +144,7 @@ class BGPNetwork:
         self, sender_id: int, receiver_id: int, msg, delay: float
     ) -> None:
         """Put a session (OPEN/KEEPALIVE/NOTIFICATION) message on the wire."""
-        self.counters.incr("session_messages_sent")
+        self.counters["session_messages_sent"] += 1
         self.sim.schedule(delay, self._deliver_session, receiver_id, msg)
 
     def _deliver_session(self, receiver_id: int, msg) -> None:
@@ -323,7 +323,7 @@ class BGPNetwork:
                     self.dataplane.on_node_recovered(node_id, t0)
                 speaker.revive()
                 self._failed.discard(node_id)
-                self.counters.incr("nodes_recovered")
+                self.counters["nodes_recovered"] += 1
         for node_id in recovering:
             speaker = self.speakers[node_id]
             for peer_id in speaker.peers:

@@ -4,8 +4,9 @@ The paper's second contribution (Sec 4.4) is a change to how the update
 queue at a router is organized:
 
 * :class:`FIFOQueue` — the BGP default: messages processed strictly in
-  arrival order, one decision per message.  This is what generates invalid
-  transient advertisements under overload.
+  arrival order, one decision per message (a ``deque`` with the interface
+  below).  This is what generates invalid transient advertisements under
+  overload.
 * :class:`DestinationBatchQueue` — the paper's scheme: a logical queue per
   destination.  The server drains *all* queued updates for the head
   destination as one batch; within the batch, only the newest update from
@@ -52,23 +53,14 @@ class QueueDiscipline:
         raise NotImplementedError
 
 
-class FIFOQueue(QueueDiscipline):
-    """Strict arrival-order processing, one message at a time."""
+class FIFOQueue(deque, QueueDiscipline):
+    """Strict arrival-order processing, one message at a time: a ``deque``
+    (``len`` and ``clear`` are its own)."""
 
-    def __init__(self) -> None:
-        self._queue: Deque[Update] = deque()
-
-    def push(self, msg: Update) -> None:
-        self._queue.append(msg)
+    push = deque.append
 
     def pop_batch(self) -> Tuple[List[Update], int]:
-        return [self._queue.popleft()], 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def clear(self) -> None:
-        self._queue.clear()
+        return [self.popleft()], 0
 
 
 class DestinationBatchQueue(QueueDiscipline):

@@ -178,7 +178,7 @@ class Session:
         self.hold_timer.stop()
         self.keepalive_timer.stop()
         if was_established:
-            self.speaker.network.counters.incr("sessions_hold_expired")
+            self.speaker.network.counters["sessions_hold_expired"] += 1
             self.speaker.peer_down(self.peer_id)
         if self.speaker.alive:
             # Retry later: the peer may come back (or never — dead peers

@@ -18,7 +18,7 @@ re-selects affected destinations; ``fail`` silences the node itself.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.damping import DampingState
@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Sentinel distinguishing "never advertised" from "advertised a withdrawal".
 _NEVER_SENT = object()
 
+#: Timer scope of per-peer MRAI: one timer governs every destination.  In
+#: per-destination mode the scope is the destination itself.
+_PEER_SCOPE = -1
+
 
 class PeerState:
     """Per-peer session state held by a speaker."""
@@ -46,8 +50,7 @@ class PeerState:
         "delay",
         "ebgp",
         "session_up",
-        "timer",
-        "dest_timers",
+        "timers",
         "pending",
         "pending_cause",
         "adj_rib_out",
@@ -59,10 +62,10 @@ class PeerState:
         self.delay = delay
         self.ebgp = ebgp
         self.session_up = True
-        #: Per-peer MRAI timer (the Internet-prevalent mode).
-        self.timer: Optional[Timer] = None
-        #: Per-destination timers, populated lazily in that mode.
-        self.dest_timers: Dict[int, Timer] = {}
+        #: MRAI timers by scope, created on first start: the single
+        #: ``_PEER_SCOPE`` entry in per-peer mode (the Internet-prevalent
+        #: one), one entry per destination in per-destination mode.
+        self.timers: Dict[int, Timer] = {}
         #: Destinations with a change waiting for the MRAI to expire.
         self.pending: Set[int] = set()
         #: Provenance of pending changes (dest -> cause uid).  Allocated
@@ -71,6 +74,16 @@ class PeerState:
         self.pending_cause: Optional[Dict[int, int]] = None
         #: What was last sent: dest -> path tuple, or None for "withdrawn".
         self.adj_rib_out: Dict[int, Optional[Tuple[int, ...]]] = {}
+
+    def reset(self) -> None:
+        """Forget the routing exchange with this peer: timers stopped and
+        dropped, nothing pending, nothing remembered as sent."""
+        for timer in self.timers.values():
+            timer.stop()
+        self.timers.clear()
+        self.pending.clear()
+        self.pending_cause = None
+        self.adj_rib_out.clear()
 
 
 class BGPSpeaker:
@@ -183,9 +196,9 @@ class BGPSpeaker:
             return
         ps = self.peers.get(msg.sender)
         if ps is None or not ps.session_up:
-            self.network.counters.incr("updates_dropped_dead_session")
+            self.network.counters["updates_dropped_dead_session"] += 1
             return
-        self.network.counters.incr("updates_received")
+        self.network.counters["updates_received"] += 1
         self.queue.push(msg)
         now = self.sim.now
         self.controller.on_update_received(now)
@@ -198,7 +211,7 @@ class BGPSpeaker:
     def _begin_service(self) -> None:
         batch, dropped = self.queue.pop_batch()
         if dropped:
-            self.network.counters.incr("updates_dropped_stale", dropped)
+            self.network.counters["updates_dropped_stale"] += dropped
         lo, hi = self.config.processing_delay_range
         if hi <= 0.0:
             service = 0.0
@@ -223,26 +236,19 @@ class BGPSpeaker:
         self.controller.on_busy_interval(self._busy_since, now)
         affected: Set[int] = set()
         if batch:
-            self.network.counters.incr("updates_processed", len(batch))
-        if self.sim.tracer.enabled:
-            # Traced twin of the loop below: remember, per destination,
-            # which received update last changed the RIB-In, so the
-            # advertisements the reselection emits carry their cause.
-            cause_by_dest: Dict[int, int] = {}
-            for msg in batch:
-                if self._apply_update(msg):
-                    affected.add(msg.dest)
-                    cause_by_dest[msg.dest] = msg.uid
-            for dest in affected:
-                self._cause_uid = cause_by_dest[dest]
-                self._reselect(dest)
-            self._cause_uid = -1
-        else:
-            for msg in batch:
-                if self._apply_update(msg):
-                    affected.add(msg.dest)
-            for dest in affected:
-                self._reselect(dest)
+            self.network.counters["updates_processed"] += len(batch)
+        # Per destination, the received update that last changed the RIB-In
+        # (uid -1 throughout when untraced), so the advertisements the
+        # reselection emits carry their cause.
+        cause_by_dest: Dict[int, int] = {}
+        for msg in batch:
+            if self._apply_update(msg):
+                affected.add(msg.dest)
+                cause_by_dest[msg.dest] = msg.uid
+        for dest in affected:
+            self._cause_uid = cause_by_dest[dest]
+            self._reselect(dest)
+        self._cause_uid = -1
         self.controller.on_queue_sample(len(self.queue), now)
         if self._m_processed is not None:
             self._m_processed.inc(len(batch))
@@ -256,7 +262,7 @@ class BGPSpeaker:
         ps = self.peers.get(msg.sender)
         if ps is None or not ps.session_up:
             # The session died while the message sat in the queue.
-            self.network.counters.incr("updates_dropped_dead_session")
+            self.network.counters["updates_dropped_dead_session"] += 1
             return False
         if msg.is_withdrawal:
             changed = self.adj_rib_in.withdraw(msg.dest, msg.sender)
@@ -267,7 +273,7 @@ class BGPSpeaker:
         if ps.ebgp and self.asn in msg.path:
             # Receiver-side AS-path loop detection: infeasible route; any
             # previous route from this peer is implicitly replaced.
-            self.network.counters.incr("updates_loop_rejected")
+            self.network.counters["updates_loop_rejected"] += 1
             return self.adj_rib_in.withdraw(msg.dest, msg.sender)
         existing = self.adj_rib_in.get(msg.dest, msg.sender)
         if (
@@ -293,7 +299,7 @@ class BGPSpeaker:
                 Route(msg.dest, msg.path, msg.sender, ps.ebgp),
             )
             if imported is None:
-                self.network.counters.incr("updates_policy_rejected")
+                self.network.counters["updates_policy_rejected"] += 1
                 return self.adj_rib_in.withdraw(msg.dest, msg.sender)
             rank = imported
         self.adj_rib_in.store(
@@ -316,7 +322,7 @@ class BGPSpeaker:
         else:
             state.record_readvertisement(now)
         if state.suppressed and not was_suppressed:
-            self.network.counters.incr("routes_suppressed")
+            self.network.counters["routes_suppressed"] += 1
             delay = state.time_until_reuse(now)
             assert delay is not None
             # Small epsilon so the decayed penalty is strictly below reuse.
@@ -329,7 +335,7 @@ class BGPSpeaker:
         if state is None:
             return
         if state.maybe_reuse(self.sim.now):
-            self.network.counters.incr("routes_reused")
+            self.network.counters["routes_reused"] += 1
             self._reselect(dest)
         elif state.suppressed:
             delay = state.time_until_reuse(self.sim.now)
@@ -366,7 +372,7 @@ class BGPSpeaker:
         dataplane = self.network.dataplane
         if dataplane is not None:
             dataplane.on_best_route(self.node_id, dest, new, self.sim.now)
-        self.network.counters.incr("route_changes")
+        self.network.counters["route_changes"] += 1
         if self.sim.tracer.enabled:
             self.sim.tracer.emit(
                 self.sim.now,
@@ -414,119 +420,88 @@ class BGPSpeaker:
         return best.path
 
     def _schedule_advertisements(self, dest: int) -> None:
+        scope = dest if self.config.per_destination_mrai else _PEER_SCOPE
         for ps in self.peers.values():
-            if not ps.session_up:
-                continue
-            export = self.export_route(ps, dest)
-            last = ps.adj_rib_out.get(dest, _NEVER_SENT)
-            if export == last:
-                ps.pending.discard(dest)
-                continue
-            if export is None:
-                if last is _NEVER_SENT:
-                    # Nothing was ever advertised: nothing to withdraw.
-                    ps.pending.discard(dest)
-                    continue
-                if not self.config.withdrawal_rate_limiting:
-                    # RFC 1771: MinRouteAdvertisementInterval does not
-                    # apply to withdrawals.
-                    self._send(ps, dest, None)
-                    ps.pending.discard(dest)
-                    continue
-            timer = self._timer_for(ps, dest)
-            if timer is not None and timer.running:
-                ps.pending.add(dest)
-                if self.sim.tracer.enabled:
-                    if ps.pending_cause is None:
-                        ps.pending_cause = {}
-                    ps.pending_cause[dest] = self._cause_uid
-            else:
-                self._send(ps, dest, export)
-                ps.pending.discard(dest)
-                # Advertisements always (re)arm the MRAI; withdrawals only
-                # do so when withdrawal rate limiting is enabled.
-                if export is not None or self.config.withdrawal_rate_limiting:
-                    self._start_timer(ps, dest)
+            if ps.session_up and self._advertise(ps, dest, defer=True):
+                self._start_timer(ps, scope)
 
-    def _timer_for(self, ps: PeerState, dest: int) -> Optional[Timer]:
-        """The (existing) MRAI timer governing ``dest`` towards ``ps``."""
-        if self.config.per_destination_mrai:
-            return ps.dest_timers.get(dest)
-        return ps.timer
+    def _advertise(self, ps: PeerState, dest: int, defer: bool) -> bool:
+        """Bring what ``ps`` was last sent for ``dest`` up to date.
 
-    def _start_timer(self, ps: PeerState, dest: int) -> None:
+        The content is computed now, against Adj-RIB-Out, so superseded
+        changes collapse and no-op updates are suppressed.  With ``defer``
+        a change that finds its MRAI timer running waits as pending for
+        the expiry; MRAI expiry and table transfer pass False — they send
+        a whole burst and arm the timer after it.  Returns whether a
+        message was sent that the caller must (re)arm the MRAI for:
+        advertisements always, withdrawals only under withdrawal rate
+        limiting (RFC 1771: MinRouteAdvertisementInterval does not apply
+        to withdrawals).
+        """
+        export = self.export_route(ps, dest)
+        last = ps.adj_rib_out.get(dest, _NEVER_SENT)
+        if export == last or (export is None and last is _NEVER_SENT):
+            # Nothing new to say, or nothing ever advertised to withdraw.
+            ps.pending.discard(dest)
+            return False
+        limited = export is not None or self.config.withdrawal_rate_limiting
+        if defer:
+            if limited:
+                timer = ps.timers.get(
+                    dest if self.config.per_destination_mrai else _PEER_SCOPE
+                )
+                if timer is not None and timer.running:
+                    ps.pending.add(dest)
+                    if self.sim.tracer.enabled:
+                        if ps.pending_cause is None:
+                            ps.pending_cause = {}
+                        ps.pending_cause[dest] = self._cause_uid
+                    return False
+        elif ps.pending_cause is not None:
+            # A deferred send is caused by whatever last marked the
+            # destination pending while the timer ran.
+            self._cause_uid = ps.pending_cause.pop(dest, -1)
+        self._send(ps, dest, export)
+        ps.pending.discard(dest)
+        return limited
+
+    def _advertise_burst(self, ps: PeerState, dests: Iterable[int]) -> None:
+        """Send what is due for ``dests`` now, then arm each MRAI scope
+        that sent once — the burst counts as one advertisement."""
+        per_destination = self.config.per_destination_mrai
+        scopes: Dict[int, None] = {}
+        for dest in dests:
+            if self._advertise(ps, dest, defer=False):
+                scopes[dest if per_destination else _PEER_SCOPE] = None
+        for scope in scopes:
+            self._start_timer(ps, scope)
+
+    def _start_timer(self, ps: PeerState, scope: int) -> None:
         base = self.controller.value()
         if base <= 0.0:
             return
-        if self.config.per_destination_mrai:
-            timer = ps.dest_timers.get(dest)
-            if timer is None:
-                timer = Timer(
-                    self.sim,
-                    self._mrai_expired_dest,
-                    ps,
-                    dest,
-                    jitter=self.config.mrai_jitter,
-                    rng=self._jitter_rng,
-                )
-                ps.dest_timers[dest] = timer
-            timer.start(base)
-        else:
-            if ps.timer is None:
-                ps.timer = Timer(
-                    self.sim,
-                    self._mrai_expired_peer,
-                    ps,
-                    jitter=self.config.mrai_jitter,
-                    rng=self._jitter_rng,
-                )
-            ps.timer.start(base)
+        timer = ps.timers.get(scope)
+        if timer is None:
+            timer = ps.timers[scope] = Timer(
+                self.sim,
+                self._mrai_expired,
+                ps,
+                scope,
+                jitter=self.config.mrai_jitter,
+                rng=self._jitter_rng,
+            )
+        timer.start(base)
 
-    def _mrai_expired_peer(self, ps: PeerState) -> None:
-        if not self.alive or not ps.session_up or not ps.pending:
+    def _mrai_expired(self, ps: PeerState, scope: int) -> None:
+        """Send what waited on ``scope``: everything pending under the
+        per-peer scope, the one destination otherwise."""
+        if not self.alive or not ps.session_up:
             return
-        tracing = self.sim.tracer.enabled
-        restart = False
-        for dest in sorted(ps.pending):
-            export = self.export_route(ps, dest)
-            last = ps.adj_rib_out.get(dest, _NEVER_SENT)
-            if export == last:
-                continue
-            if export is None and last is _NEVER_SENT:
-                continue
-            if tracing and ps.pending_cause is not None:
-                # A deferred send is caused by whatever last marked the
-                # destination pending while the timer ran.
-                self._cause_uid = ps.pending_cause.get(dest, -1)
-            self._send(ps, dest, export)
-            if export is not None or self.config.withdrawal_rate_limiting:
-                restart = True
-        ps.pending.clear()
-        if ps.pending_cause is not None:
-            ps.pending_cause.clear()
-        if tracing:
-            self._cause_uid = -1
-        if restart:
-            self._start_timer(ps, -1)
-
-    def _mrai_expired_dest(self, ps: PeerState, dest: int) -> None:
-        if not self.alive or not ps.session_up or dest not in ps.pending:
-            return
-        ps.pending.discard(dest)
-        export = self.export_route(ps, dest)
-        last = ps.adj_rib_out.get(dest, _NEVER_SENT)
-        if export == last:
-            return
-        if export is None and last is _NEVER_SENT:
-            return
-        if self.sim.tracer.enabled and ps.pending_cause is not None:
-            self._cause_uid = ps.pending_cause.pop(dest, -1)
-            self._send(ps, dest, export)
-            self._cause_uid = -1
-        else:
-            self._send(ps, dest, export)
-        if export is not None or self.config.withdrawal_rate_limiting:
-            self._start_timer(ps, dest)
+        if scope == _PEER_SCOPE:
+            self._advertise_burst(ps, sorted(ps.pending))
+        elif scope in ps.pending:
+            self._advertise_burst(ps, (scope,))
+        self._cause_uid = -1
 
     def _send(
         self, ps: PeerState, dest: int, export: Optional[Tuple[int, ...]]
@@ -575,22 +550,12 @@ class BGPSpeaker:
     def session_established(self, peer_id: int) -> None:
         """Callback from the FSM: (re)open the routing exchange."""
         ps = self.peers[peer_id]
+        ps.reset()
         ps.session_up = True
-        ps.adj_rib_out.clear()
-        ps.pending.clear()
-        ps.pending_cause = None
-        self.network.counters.incr("sessions_established")
+        self.network.counters["sessions_established"] += 1
         self.network.note_activity()
-        # Full table transfer: advertise everything eligible, then arm the
-        # MRAI once for the whole initial burst.
-        sent_any = False
-        for dest in sorted(self.loc_rib.destinations()):
-            export = self.export_route(ps, dest)
-            if export is not None:
-                self._send(ps, dest, export)
-                sent_any = True
-        if sent_any:
-            self._start_timer(ps, -1)
+        # Full table transfer: advertise everything eligible.
+        self._advertise_burst(ps, sorted(self.loc_rib))
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -611,15 +576,8 @@ class BGPSpeaker:
             # The teardown originated outside the FSM (e.g. an injected
             # failure with implicit detection): bring the FSM along.
             session.force_down()
-        if ps.timer is not None:
-            ps.timer.stop()
-        for timer in ps.dest_timers.values():
-            timer.stop()
-        ps.dest_timers.clear()
-        ps.pending.clear()
-        ps.pending_cause = None
-        ps.adj_rib_out.clear()
-        self.network.counters.incr("sessions_down")
+        ps.reset()
+        self.network.counters["sessions_down"] += 1
         if self.sim.tracer.enabled:
             self._cause_uid = cause_uid
             self.sim.tracer.emit(
@@ -644,20 +602,12 @@ class BGPSpeaker:
             session.shutdown()
         for ps in self.peers.values():
             ps.session_up = False
-            if ps.timer is not None:
-                ps.timer.stop()
-            for timer in ps.dest_timers.values():
-                timer.stop()
-            ps.dest_timers.clear()
-            ps.pending.clear()
-            ps.pending_cause = None
+            ps.reset()
 
     def close(self) -> None:
         """Stop every timer and drop the links that point back at this
         speaker (network teardown, see :meth:`BGPNetwork.close`)."""
         self.fail()
-        for ps in self.peers.values():
-            ps.timer = None
         for session in self.sessions.values():
             session.close()
         self.sessions = {}
@@ -666,10 +616,11 @@ class BGPSpeaker:
         """Bring a failed router back with a cold control plane.
 
         RIBs, damping history and queue state are wiped (a rebooted router
-        remembers nothing); own prefixes are re-originated.  Session
-        re-establishment is the network's job (implicit mode marks both
-        ends up and triggers full-table exchanges; explicit mode restarts
-        the FSMs).
+        remembers nothing; :meth:`fail` already reset every peer's state
+        and left its session down); own prefixes are re-originated.
+        Session re-establishment is the network's job (implicit mode marks
+        both ends up and triggers full-table exchanges; explicit mode
+        restarts the FSMs).
         """
         if self.alive:
             return
@@ -679,11 +630,6 @@ class BGPSpeaker:
         self.adj_rib_in = AdjRibIn()
         self.loc_rib = LocRib()
         self._damping.clear()
-        for ps in self.peers.values():
-            ps.session_up = False
-            ps.pending.clear()
-            ps.pending_cause = None
-            ps.adj_rib_out.clear()
         for prefix in sorted(self.own_prefixes):
             self._reselect(prefix)
 

@@ -336,7 +336,7 @@ def run_experiment(
 
     ``obs`` observes the run for an :class:`~repro.obs.session.ObsSession`:
     a :class:`~repro.obs.session.TrialObserver` built from the session's
-    recipe mirrors the network's counters into a metrics registry, samples
+    recipe copies the network's counters into a metrics registry, samples
     per-node time series, accounts event-loop wall time (when profiling)
     and times the warm-up / failure / convergence phases, and its record
     enters the session through :meth:`~repro.obs.session.ObsSession.absorb`

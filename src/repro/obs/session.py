@@ -181,7 +181,10 @@ class TrialObserver:
     def note_trial(
         self, result: "TrialResult", counters: Dict[str, Any]
     ) -> None:
-        """Fold the finished trial into the record's one snapshot."""
+        """Fold the finished trial into the record's one snapshot, and
+        its network-wide counter totals into the registry."""
+        for name, value in counters.items():
+            self.registry.counter(name).inc(value)
         snapshot: Dict[str, Any] = {
             "seed": result.seed,
             "counters": dict(counters),

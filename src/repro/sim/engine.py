@@ -52,7 +52,9 @@ class Simulator:
         tracer: Optional[Tracer] = None,
         on_event: Optional[OnEventHook] = None,
     ) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds; advanced by the event loop
+        #: only.
+        self.now = 0.0
         self._queue = EventQueue()
         self.rng = RandomStreams(seed)
         self.tracer = tracer if tracer is not None else NullTracer()
@@ -63,11 +65,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock & introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Total number of events executed so far."""
@@ -95,7 +92,7 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push(self._now + delay, fn, args, priority)
+        return self._queue.push(self.now + delay, fn, args, priority)
 
     def schedule_at(
         self,
@@ -105,9 +102,9 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, clock already at {self._now!r}"
+                f"cannot schedule at {time!r}, clock already at {self.now!r}"
             )
         return self._queue.push(time, fn, args, priority)
 
@@ -135,37 +132,38 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         hook = self.on_event
+        queue = self._queue
+        # One decrement per event reaches zero only from a positive budget.
+        budget = max_events if max_events is not None else -1
         try:
-            budget = max_events if max_events is not None else -1
-            while self._queue:
-                next_time = self._queue.peek_time()
-                assert next_time is not None
-                if until is not None and next_time > until:
-                    self._now = max(self._now, until)
-                    return self._now
-                if budget == 0:
-                    return self._now
-                event = self._queue.pop()
-                self._now = event.time
+            while budget != 0:
+                event = queue.pop_due(until)
+                if event is None:
+                    break
+                self.now = event.time
                 self._events_executed += 1
-                if budget > 0:
-                    budget -= 1
+                budget -= 1
                 if hook is None:
                     event.fn(*event.args)
                 else:
                     start = perf_counter()
                     event.fn(*event.args)
                     hook(event, perf_counter() - start)
-            return self._now
+            # The horizon wins over a spent budget: whenever the next
+            # event lies beyond it, the clock advances to it.
+            next_time = queue.peek_time()
+            if until is not None and next_time is not None and next_time > until:
+                self.now = max(self.now, until)
+            return self.now
         finally:
             self._running = False
 
     def step(self) -> bool:
         """Execute a single event.  Returns ``False`` when quiescent."""
-        if not self._queue:
+        event = self._queue.pop_due()
+        if event is None:
             return False
-        event = self._queue.pop()
-        self._now = event.time
+        self.now = event.time
         self._events_executed += 1
         hook = self.on_event
         if hook is None:
@@ -183,5 +181,5 @@ class Simulator:
         statistically independent run.
         """
         self._queue.clear()
-        self._now = 0.0
+        self.now = 0.0
         self._events_executed = 0

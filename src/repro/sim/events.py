@@ -3,7 +3,10 @@
 Events are ordered by ``(time, priority, sequence)``.  The sequence number is
 a monotonically increasing integer assigned at scheduling time, which makes
 the simulation fully deterministic: two events scheduled for the same instant
-fire in scheduling order, regardless of heap internals.
+fire in scheduling order, regardless of heap internals.  The heap holds
+``(time, priority, seq, event)`` tuples, so :mod:`heapq` orders them with
+C-level tuple comparison; ``seq`` is unique, so the comparison never reaches
+the :class:`Event` itself.
 
 Cancellation is *lazy*: a cancelled event stays in the heap but is skipped
 when popped.  This is the standard trick for binary-heap event queues; it
@@ -56,14 +59,6 @@ class Event:
             queue._cancelled += 1
             queue._maybe_compact()
 
-    # Heap ordering ------------------------------------------------------
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
@@ -79,7 +74,7 @@ class EventQueue:
     MIN_COMPACT_SIZE = 4096
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._cancelled = 0
 
@@ -97,34 +92,47 @@ class EventQueue:
         priority: int = 0,
     ) -> Event:
         """Schedule ``fn(*args)`` at ``time`` and return the event handle."""
-        event = Event(time, priority, self._seq, fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, priority, seq, fn, args)
         event._queue = self
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
+
+    def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
+        """Remove and return the earliest live event, or ``None`` when no
+        live event remains or the earliest lies beyond ``until``."""
+        heap = self._heap
+        while heap:
+            time, _, _, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                self._cancelled -= 1
+            elif until is not None and time > until:
+                return None
+            else:
+                heapq.heappop(heap)
+                event._queue = None
+                return event
+        return None
 
     def pop(self) -> Event:
         """Remove and return the earliest live event.
 
         Raises :class:`IndexError` when no live events remain.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event._queue = None
-            return event
-        raise IndexError("pop from empty EventQueue")
+        event = self.pop_due()
+        if event is None:
+            raise IndexError("pop from empty EventQueue")
+        return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
             self._cancelled -= 1
-        if self._heap:
-            return self._heap[0].time
-        return None
+        return heap[0][0] if heap else None
 
     def _maybe_compact(self) -> None:
         if (
@@ -135,17 +143,17 @@ class EventQueue:
 
     def compact(self) -> None:
         """Physically remove cancelled events and re-heapify."""
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [e for e in self._heap if not e[3].cancelled]
         self._cancelled = 0
         heapq.heapify(self._heap)
 
     def clear(self) -> None:
         """Drop every pending event."""
-        for event in self._heap:
-            event._queue = None
+        for entry in self._heap:
+            entry[3]._queue = None
         self._heap.clear()
         self._cancelled = 0
 
     def iter_pending(self) -> Iterator[Event]:
         """Iterate over live events in arbitrary (heap) order."""
-        return (e for e in self._heap if not e.cancelled)
+        return (e[3] for e in self._heap if not e[3].cancelled)

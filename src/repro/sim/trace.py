@@ -2,8 +2,8 @@
 
 The experiments in the paper report two kinds of observables: *times* (the
 convergence delay) and *counts* (update messages generated).  The tracer
-records timestamped protocol events when enabled; :class:`Counter` provides
-cheap named counters that are always on.
+records timestamped protocol events when enabled; :class:`Counter` is the
+always-on bag of named counters — a ``dict``, bumped with ``+=``.
 
 Tracing is structured (records, not strings) so tests can assert on protocol
 behaviour without parsing log text.
@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Deque,
@@ -27,9 +26,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import CounterMetric, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,10 @@ class Tracer:
         everything.
     """
 
+    #: Whether emitting is worth the caller's while; hot paths test this
+    #: before building the arguments of :meth:`emit`.
+    enabled = True
+
     def __init__(
         self,
         categories: Optional[set[str]] = None,
@@ -135,10 +135,6 @@ class Tracer:
         self.records: Union[List[TraceRecord], Deque[TraceRecord]] = (
             [] if max_records is None else deque(maxlen=max_records)
         )
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def emit(
         self,
@@ -176,66 +172,37 @@ class Tracer:
 class NullTracer(Tracer):
     """A tracer that drops everything; the default for production runs."""
 
+    enabled = False
+
     def __init__(self) -> None:
         super().__init__(keep=False)
-
-    @property
-    def enabled(self) -> bool:
-        return False
 
     def emit(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
         return
 
 
-class Counter:
-    """A bag of named integer counters.
+class Counter(dict):
+    """Named integer counters: a ``dict`` whose missing names read 0.
 
     >>> c = Counter()
-    >>> c.incr("updates_sent")
-    >>> c.incr("updates_sent", 2)
+    >>> c["updates_sent"] += 1
+    >>> c["updates_sent"] += 2
     >>> c["updates_sent"]
     3
-
-    When constructed with a :class:`~repro.obs.metrics.MetricsRegistry`,
-    every increment is mirrored into a registry counter of the same name,
-    so the legacy network-wide counters and the structured metrics layer
-    stay in lock-step.  ``reset`` only clears the local view — registry
-    counters are cumulative by design.
+    >>> c["never_bumped"]
+    0
     """
 
-    __slots__ = ("values", "_registry", "_mirror")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        values: Optional[Dict[str, int]] = None,
-        registry: Optional["MetricsRegistry"] = None,
-    ) -> None:
-        self.values: Dict[str, int] = dict(values) if values else {}
-        self._registry = registry
-        #: Cache of registry children, so the hot path skips the registry
-        #: lookup after the first increment of each name.
-        self._mirror: Dict[str, "CounterMetric"] = {}
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        self.values[name] = self.values.get(name, 0) + amount
-        if self._registry is not None:
-            child = self._mirror.get(name)
-            if child is None:
-                child = self._registry.counter(name)
-                self._mirror[name] = child
-            child.inc(amount)
-
-    def __getitem__(self, name: str) -> int:
-        return self.values.get(name, 0)
+    def __missing__(self, name: str) -> int:
+        return 0
 
     def snapshot(self) -> Dict[str, int]:
         """A copy of the current counter values."""
-        return dict(self.values)
+        return dict(self)
 
     def diff(self, baseline: Dict[str, int]) -> Dict[str, int]:
         """Per-counter difference against an earlier :meth:`snapshot`."""
-        keys = set(self.values) | set(baseline)
-        return {k: self.values.get(k, 0) - baseline.get(k, 0) for k in keys}
-
-    def reset(self) -> None:
-        self.values.clear()
+        keys = set(self) | set(baseline)
+        return {k: self[k] - baseline.get(k, 0) for k in keys}

@@ -91,6 +91,43 @@ def test_recovery_with_explicit_sessions():
     assert net.speakers[3].loc_rib.destinations() == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize(
+    "session", [None, SessionConfig(hold_time=3.0, keepalive_time=1.0)],
+    ids=["implicit", "explicit"],
+)
+def test_table_transfer_arms_the_timers_of_what_it_sent(session):
+    """Per-destination MRAI: a (re-)established session's table transfer
+    arms the timer of every destination it advertised — not one phantom
+    timer keyed by no destination, which let the first change after the
+    transfer escape the MRAI."""
+    config = BGPConfig(
+        mrai_policy=ConstantMRAI(10.0),
+        mrai_jitter=Jitter.none(),
+        per_destination_mrai=True,
+        session=session,
+    )
+    topology = skewed_topology(20, seed=3)
+    net = BGPNetwork(topology, config, seed=1)
+    net.start()
+    net.run_until_converged(idle_window=12.0, max_time=600.0)
+    hub = max(topology.node_ids(), key=topology.degree)
+    net.fail_nodes([hub])
+    net.run_until_converged(idle_window=12.0, max_time=net.sim.now + 600.0)
+    net.recover_nodes([hub])
+    # Long enough for every handshake (an OPEN race can wait for the next
+    # keepalive) and transfer, shorter than the MRAI.
+    net.sim.run(until=net.sim.now + 3.0)
+    destinations = set(net.alive_prefixes())
+    recovered = net.speakers[hub]
+    assert recovered.peers
+    for peer_id, ps in recovered.peers.items():
+        for end in (ps, net.speakers[peer_id].peers[hub]):
+            assert end.session_up and end.adj_rib_out
+            assert set(end.timers) <= destinations
+            for dest in end.adj_rib_out:
+                assert end.timers[dest].running, (peer_id, dest)
+
+
 def test_flapping_prefix_gets_damped_for_real():
     """The RFC 2439 use case: a genuinely flapping router.
 

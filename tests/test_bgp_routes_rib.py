@@ -1,6 +1,8 @@
 """Unit tests for routes, route comparison and the RIBs."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bgp.rib import AdjRibIn, LocRib, run_decision
 from repro.bgp.routes import Route, local_route
@@ -134,3 +136,60 @@ def test_decision_prefers_local_origin():
 
 def test_decision_none_when_no_candidates():
     assert run_decision(AdjRibIn(), 1, own_prefixes=set()) is None
+
+
+_PEERS = st.integers(min_value=0, max_value=5)
+_DESTS = st.integers(min_value=1, max_value=3)
+_OPERATIONS = st.one_of(
+    st.tuples(
+        st.just("store"),
+        _DESTS,
+        _PEERS,
+        st.lists(st.integers(min_value=10, max_value=14), max_size=4).map(tuple),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2),
+    ),
+    st.tuples(st.just("withdraw"), _DESTS, _PEERS),
+    st.tuples(st.just("drop_peer"), _PEERS),
+)
+
+
+@given(st.lists(_OPERATIONS, max_size=40), st.sets(_PEERS), st.booleans())
+def test_decision_is_the_brute_force_minimum(operations, excluded, own):
+    """After any store / withdraw / drop_peer sequence, the decision is the
+    minimum of ``preference_key()`` over the surviving candidates — with
+    and without exclusions, with and without the local route."""
+    rib = AdjRibIn()
+    model = {}  # (dest, peer) -> Route: the surviving candidates
+    for op, *args in operations:
+        if op == "store":
+            dest, peer, path, ebgp, rank = args
+            route = Route(dest, path, peer, ebgp, rank=rank)
+            rib.store(route)
+            model[dest, peer] = route
+        elif op == "withdraw":
+            dest, peer = args
+            assert rib.withdraw(dest, peer) == ((dest, peer) in model)
+            model.pop((dest, peer), None)
+        else:
+            (peer,) = args
+            dropped = sorted(d for d, p in model if p == peer)
+            assert sorted(rib.drop_peer(peer)) == dropped
+            model = {k: r for k, r in model.items() if k[1] != peer}
+    for dest in (1, 2, 3):
+        own_prefixes = {dest} if own else set()
+        for excluded_peers in (None, excluded):
+            survivors = [
+                route
+                for (d, peer), route in model.items()
+                if d == dest and peer not in (excluded_peers or ())
+            ]
+            if own:
+                survivors.append(local_route(dest))
+            best = run_decision(rib, dest, own_prefixes, excluded_peers)
+            if not survivors:
+                assert best is None
+            else:
+                expected = min(r.preference_key() for r in survivors)
+                assert best.preference_key() == expected
+                assert best.is_local or rib.get(dest, best.peer) is best

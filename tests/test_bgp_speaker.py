@@ -218,7 +218,7 @@ def test_zero_mrai_sends_immediately_without_timers():
     net.run_until_quiet()
     for speaker in net.speakers.values():
         for ps in speaker.peers.values():
-            assert ps.timer is None or not ps.timer.running
+            assert not any(timer.running for timer in ps.timers.values())
         assert speaker.loc_rib.destinations() == {0, 1, 2}
 
 
@@ -251,7 +251,7 @@ def test_per_destination_timers_are_independent():
     middle = net.speakers[1]
     ps = middle.peers[0]
     # Two destinations were advertised to peer 0: each got its own timer.
-    assert len(ps.dest_timers) >= 1
+    assert set(ps.timers) == {1, 2}
 
 
 def test_has_pending_work_lifecycle():

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.bgp.mrai import ConstantMRAI
+from repro.bgp.network import BGPNetwork
+from repro.core.adaptive import AdaptiveExtentMRAI
+from repro.core.degree_mrai import DegreeDependentMRAI
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import (
     ExperimentResult,
@@ -67,26 +70,86 @@ def test_run_experiment_fifo_never_drops_stale():
     assert result.stale_dropped == 0
 
 
-@pytest.mark.parametrize("queue_discipline", ["fifo", "dest_batch"])
-def test_one_level_dynamic_mrai_is_the_constant_scheme(queue_discipline):
-    # A free oracle: a ladder with one rung can never step, so the whole
-    # trajectory — delay, message counts, events — must be the constant
-    # scheme's, not merely close to it.
-    topo = small_topo()
-    results = [
-        run_experiment(
-            topo,
-            ExperimentSpec(
-                mrai=mrai,
-                failure_fraction=0.1,
-                queue_discipline=queue_discipline,
-            ),
-            seed=5,
+def _trial(**fields):
+    def run():
+        spec = ExperimentSpec(failure_fraction=0.1, **fields)
+        result = run_experiment(small_topo(), spec, seed=5)
+        assert result.events_executed > 0
+        return result
+
+    return run
+
+
+def _single_origin(per_destination_mrai):
+    """Only AS 0 originates; warm up, fail it, and read what the network
+    did (``run_experiment`` always originates everywhere)."""
+
+    def run():
+        spec = ExperimentSpec(per_destination_mrai=per_destination_mrai)
+        net = BGPNetwork(small_topo(), spec.to_bgp_config(), seed=5)
+        net.speakers[0].originate(0)
+        net.run_until_quiet()
+        net.fail_nodes([0])
+        net.run_until_quiet()
+        assert net.counters["withdrawals_sent"] > 0
+        return net.counters.snapshot(), net.last_activity, net.sim.events_executed
+
+    return run
+
+
+#: Schemes that can never leave 0.5 s: a ladder with one rung cannot step,
+#: a two-class scheme with equal values or a threshold above every degree
+#: has one class, a one-row calibration table has one answer.
+_DEGENERATE_MRAI = {
+    "one_level_dynamic": DynamicMRAI(levels=(0.5,)),
+    "degree_equal_values": DegreeDependentMRAI(0.5, 0.5),
+    "degree_threshold_above_every_degree": DegreeDependentMRAI(
+        0.5, 2.25, degree_threshold=1000
+    ),
+    "one_row_adaptive": AdaptiveExtentMRAI(30, calibration=((0.0, 0.5),)),
+}
+
+
+@pytest.mark.parametrize(
+    "degenerate, plain",
+    [
+        pytest.param(
+            _trial(mrai=mrai, queue_discipline=queue),
+            _trial(mrai=ConstantMRAI(0.5), queue_discipline=queue),
+            id=f"{name}-{queue}",
         )
-        for mrai in (DynamicMRAI(levels=(0.5,)), ConstantMRAI(0.5))
+        for name, mrai in _DEGENERATE_MRAI.items()
+        for queue in ("fifo", "dest_batch")
     ]
-    assert results[0] == results[1]  # every measured field, events included
-    assert results[0].events_executed > 0
+    + [
+        pytest.param(
+            _trial(queue_discipline="tcp_batch", tcp_batch_size=1),
+            _trial(queue_discipline="fifo"),
+            id="tcp_batch_of_one-fifo",
+        ),
+        pytest.param(
+            _single_origin(per_destination_mrai=True),
+            _single_origin(per_destination_mrai=False),
+            id="per_destination_mrai-single_origin",
+        ),
+    ],
+)
+def test_degenerate_configuration_is_the_plain_scheme(degenerate, plain):
+    # Free oracles: each degenerate setting must give the plain scheme's
+    # whole trajectory — delay, message counts, events — not merely one
+    # close to it.
+    assert degenerate() == plain()  # every measured field, events included
+
+
+def test_warmup_sends_withdrawals():
+    # Why ``dest_batch_wf`` is *not* ``dest_batch`` over a warm-up
+    # (docs/MODEL.md §8): sender-side loop suppression turns "my best now
+    # runs through you" into an explicit withdrawal, and the
+    # withdrawal-first queue serves those ahead of arrival order.
+    net = BGPNetwork(small_topo(), ExperimentSpec().to_bgp_config(), seed=5)
+    net.start()
+    net.run_until_quiet()
+    assert net.counters["withdrawals_sent"] > 0
 
 
 def test_spec_validation():

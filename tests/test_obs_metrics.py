@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bgp.mrai import ConstantMRAI
+from repro.core.experiment import ExperimentSpec, simulate_trial
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
     DEFAULT_TIME_BUCKETS,
@@ -9,6 +11,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     format_metric_name,
 )
+from repro.obs.session import ObsSession, TrialObserver
+from repro.topology.skewed import skewed_topology
 
 
 # ----------------------------------------------------------------------
@@ -200,3 +204,25 @@ def test_histogram_default_buckets_applied():
     reg = MetricsRegistry()
     h = reg.histogram("svc")
     assert h.buckets == DEFAULT_TIME_BUCKETS
+
+
+# ----------------------------------------------------------------------
+# The network's counters enter the registry once per trial
+# ----------------------------------------------------------------------
+def test_observed_trial_copies_its_counters_into_the_registry():
+    observer = TrialObserver(ObsSession().worker_args())
+    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
+    result = simulate_trial(
+        skewed_topology(20, seed=3), spec, seed=1, observer=observer
+    )
+    record = observer.record()
+    network_counters = record["snapshot"]["counters"]
+    assert network_counters["updates_sent"] == (
+        result.warmup_messages + result.messages_sent
+    )
+    unlabelled = {
+        row["name"]: row["value"]
+        for row in record["metrics"]
+        if row["kind"] == "counter" and not row["labels"]
+    }
+    assert unlabelled == network_counters

@@ -231,6 +231,55 @@ def test_span_sites_per_trial_are_an_exact_count(nodes, tmp_path):
     )
 
 
+def test_hot_path_calls_the_language_not_wrappers():
+    """Interpreter calls per executed event, as a count (cProfile of one
+    20-node ``fifo`` trial).
+
+    The per-event wrappers the event loop and the speaker used to go
+    through — ``Event.__lt__``, the ``now`` / ``enabled`` properties,
+    ``Counter.incr``, ``AdjRibIn.best_candidate`` — must not come back as
+    frames of ``repro/``; the event queue's ``__bool__`` / ``__len__`` /
+    ``peek_time`` run a constant number of times per ``Simulator.run()``
+    (two runs per trial) with one ``pop_due`` per event; and the total
+    stays under a bound: 35.8 calls per event on 3.10-3.13 (62.3 before
+    the wrappers went).  A ``<=`` because comprehension inlining moves the
+    exact number between interpreter versions.  ``-s`` prints the numbers.
+    """
+    import cProfile
+    import pstats
+
+    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
+    topology = skewed_topology(20, seed=7)
+    profile = cProfile.Profile()
+    profile.enable()
+    result = run_experiment(topology, spec, seed=3)
+    profile.disable()
+    stats = pstats.Stats(profile)
+    frames = Counter()  # by function name, over every repro/ file
+    queue = Counter()  # the same, sim/events.py only
+    for (filename, _, name), (_, ncalls, *_) in stats.stats.items():
+        if "repro" in filename:
+            frames[name] += ncalls
+            if filename.endswith("events.py"):
+                queue[name] += ncalls
+    gone = {
+        name: frames[name]
+        for name in ("__lt__", "now", "enabled", "incr", "best_candidate")
+    }
+    per_run = {name: queue[name] for name in ("__bool__", "__len__", "peek_time")}
+    per_event = stats.total_calls / result.events_executed
+    print(
+        f"\n{stats.total_calls} calls / {result.events_executed} events = "
+        f"{per_event:.2f} per event; never: {gone}; per run: {per_run}; "
+        f"pop_due {queue['pop_due']}"
+    )
+    assert not any(gone.values())
+    runs = 2  # warm-up and convergence, each followed by one is_quiescent()
+    assert all(n <= runs for n in per_run.values())
+    assert queue["pop_due"] == result.events_executed + runs
+    assert per_event <= 40.0
+
+
 # ----------------------------------------------------------------------
 # Worker round-trip under jobs > 1
 # ----------------------------------------------------------------------

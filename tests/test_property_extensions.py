@@ -20,6 +20,7 @@ from repro.bgp.session import (
 )
 from repro.core.adaptive import PAPER_CALIBRATION, FailureExtentController
 from repro.core.theory import recommend_mrai
+from repro.sim.trace import Counter
 from repro.topology.skewed import skewed_topology
 
 
@@ -90,10 +91,7 @@ class _FakeTimerHost:
         self.down_events = 0
 
         class _Net:
-            class counters:
-                @staticmethod
-                def incr(name, amount=1):
-                    pass
+            counters = Counter()
 
         self.network = _Net()
 

@@ -97,9 +97,19 @@ def test_max_events_budget():
     fired = []
     for i in range(10):
         sim.schedule(float(i + 1), fired.append, i)
-    sim.run(max_events=4)
+    # A spent budget alone leaves the clock at the last executed event.
+    assert sim.run(max_events=4) == 4.0
     assert fired == [0, 1, 2, 3]
     assert sim.pending_events == 6
+    # Both limits live, the budget spent short of the horizon: likewise.
+    assert sim.run(until=8.5, max_events=2) == 6.0
+    assert fired == [0, 1, 2, 3, 4, 5]
+    # Both reached together (next event at 9.0): the horizon wins and
+    # advances the clock, as it does on a budget that was never touched.
+    assert sim.run(until=8.5, max_events=2) == 8.5
+    assert fired == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert sim.run(until=8.75, max_events=0) == sim.now == 8.75
+    assert sim.pending_events == 2
 
 
 def test_cancel_prevents_execution():

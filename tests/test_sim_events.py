@@ -50,6 +50,20 @@ def test_cancelled_events_are_skipped_on_pop():
     assert q.pop() is e2
 
 
+def test_pop_due_stops_at_the_horizon_and_skips_cancelled():
+    q = EventQueue()
+    dead = q.push(1.0, lambda: None)
+    due = q.push(2.0, lambda: None)
+    later = q.push(5.0, lambda: None)
+    dead.cancel()
+    assert q.pop_due(3.0) is due
+    # Beyond the horizon: nothing is removed, and the count stays exact.
+    assert q.pop_due(3.0) is None
+    assert len(q) == 1
+    assert q.pop_due(5.0) is later  # the horizon itself is due
+    assert q.pop_due() is None and len(q) == 0
+
+
 def test_pop_empty_raises():
     q = EventQueue()
     with pytest.raises(IndexError):

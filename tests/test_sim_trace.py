@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.trace import (
     Counter,
     JsonlSink,
@@ -110,34 +109,35 @@ def test_record_str_contains_fields():
 
 def test_counter_incr_and_get():
     counter = Counter()
-    counter.incr("a")
-    counter.incr("a", 2)
+    counter["a"] += 1
+    counter["a"] += 2
     assert counter["a"] == 3
     assert counter["missing"] == 0
+    assert "missing" not in counter  # reading a missing name creates nothing
 
 
 def test_counter_snapshot_is_a_copy():
     counter = Counter()
-    counter.incr("a")
+    counter["a"] += 1
     snap = counter.snapshot()
-    counter.incr("a")
+    counter["a"] += 1
     assert snap == {"a": 1}
     assert counter["a"] == 2
 
 
 def test_counter_diff():
     counter = Counter()
-    counter.incr("a", 5)
+    counter["a"] += 5
     snap = counter.snapshot()
-    counter.incr("a", 3)
-    counter.incr("b")
+    counter["a"] += 3
+    counter["b"] += 1
     assert counter.diff(snap) == {"a": 3, "b": 1}
 
 
 def test_counter_reset():
     counter = Counter()
-    counter.incr("a")
-    counter.reset()
+    counter["a"] += 1
+    counter.clear()
     assert counter["a"] == 0
 
 
@@ -180,24 +180,3 @@ def test_jsonl_sink_close_idempotent(tmp_path):
     sink = JsonlSink(tmp_path / "x.jsonl")
     sink.close()
     sink.close()
-
-
-def test_counter_mirrors_into_registry():
-    registry = MetricsRegistry()
-    counter = Counter(registry=registry)
-    counter.incr("updates_sent")
-    counter.incr("updates_sent", 2)
-    counter.incr("route_changes")
-    assert registry.get("updates_sent").value == 3
-    assert registry.get("route_changes").value == 1
-    # reset clears the local view only; registry counters are cumulative.
-    counter.reset()
-    counter.incr("updates_sent")
-    assert counter["updates_sent"] == 1
-    assert registry.get("updates_sent").value == 4
-
-
-def test_counter_without_registry_has_no_mirror():
-    counter = Counter()
-    counter.incr("a")
-    assert counter._mirror == {}
