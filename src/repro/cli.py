@@ -262,6 +262,18 @@ def _print_pool_summary(jobs: int) -> None:
     )
 
 
+def _warn_truncated(series) -> None:
+    """One stderr line when trials behind ``series`` never converged."""
+    results = [point.result for s in series for point in s.points]
+    cut = sum(r.truncated for r in results)
+    if cut:
+        print(
+            f"WARNING: {cut} of {sum(r.n for r in results)} trial(s) truncated"
+            f" at max_convergence_time — their delays are lower bounds",
+            file=sys.stderr,
+        )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Imported lazily: the figure registry lives with the benchmarks.
     from repro.figures import FIGURES, compute_figure
@@ -315,6 +327,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if monitor is not None:
             monitor.finish()
         print(output.render())
+        _warn_truncated(output.series)
         if args.export:
             from repro.analysis.export import figure_to_files
 
@@ -472,6 +485,7 @@ def cmd_campaign_run(args: argparse.Namespace, campaign, store_path) -> int:
         if monitor is not None:
             monitor.finish()
         print(result.summary())
+        _warn_truncated(result.series)
         for metric in ("delay", "messages"):
             unit = (
                 "convergence delay (s)"

@@ -37,7 +37,6 @@ from repro.core.experiment import (
     run_trials,
 )
 from repro.core.parallel import (
-    PoolRunStats,
     TrialExecutionError,
     WorkerPool,
     derive_trial_seeds,
@@ -64,7 +63,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "MessageCountController",
-    "PoolRunStats",
     "Progress",
     "RoutingViolation",
     "Series",

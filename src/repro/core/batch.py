@@ -105,8 +105,9 @@ def run_tasks(
     exception, so the consumer decides between fail-fast and retry.
     ``jobs <= 1`` runs in this process, lazily (the next trial starts
     only when the consumer asks for the next outcome); ``jobs > 1`` runs
-    on the warm pool, under ``pool.run``/``pool.collect`` spans carrying
-    the run's :class:`~repro.core.parallel.PoolRunStats`.  ``obs_config``
+    on the warm pool, under ``pool.run``/``pool.collect`` spans; the
+    ``pool.run`` span carries the run's delta of the pool's counters
+    (:func:`~repro.core.parallel.pool_stats` names).  ``obs_config``
     is the batch's picklable session recipe
     (:meth:`repro.obs.session.ObsSession.worker_args`), or None when the
     run is unobserved; ``payload`` is the trial's observation record
@@ -131,7 +132,7 @@ def run_tasks(
             stats = yield from get_worker_pool().run_guarded(
                 planned, indices, jobs, obs_config
             )
-        pool_span.set(**stats.as_dict())
+        pool_span.set(**stats)
 
 
 def build_topology(

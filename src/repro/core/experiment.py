@@ -164,66 +164,38 @@ class TrialResult:
         )
 
 
-#: TrialResult attributes tracked incrementally by ExperimentResult.
-_TRACKED_STATS = (
-    "convergence_delay",
-    "messages_sent",
-    "warmup_wall",
-    "convergence_wall",
-)
-
-
 @dataclass
 class ExperimentResult:
     """Aggregate over trials of the same spec.
 
-    Headline statistics (delay, messages, wall clocks) are maintained as
-    :class:`OnlineStats` accumulators folded in :meth:`add`, so two
-    results can be combined with :meth:`merge` — via
-    :meth:`OnlineStats.merge` — without re-streaming every trial.
+    ``trials`` is the only state: every statistic (delay, messages, wall
+    clocks) is folded from it on demand, in order, so a result is the
+    same however its trials got there.
     """
 
     spec: ExperimentSpec
     trials: List[TrialResult] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        self._acc: Dict[str, OnlineStats] = {
-            attr: OnlineStats() for attr in _TRACKED_STATS
-        }
-        for trial in self.trials:
-            self._accumulate(trial)
-
-    def _accumulate(self, trial: TrialResult) -> None:
-        for attr in _TRACKED_STATS:
-            self._acc[attr].add(getattr(trial, attr))
-
     def add(self, trial: TrialResult) -> None:
         self.trials.append(trial)
-        self._accumulate(trial)
 
     def merge(self, other: "ExperimentResult") -> "ExperimentResult":
         """A new result covering both trial sets (specs must match)."""
         if self.spec is not other.spec and self.spec != other.spec:
             raise ValueError("cannot merge results of different specs")
-        merged = ExperimentResult(spec=self.spec)
-        merged.trials = [*self.trials, *other.trials]
-        for attr in _TRACKED_STATS:
-            merged._acc[attr] = self._acc[attr].merge(other._acc[attr])
-        return merged
+        return ExperimentResult(self.spec, [*self.trials, *other.trials])
 
     @property
     def n(self) -> int:
         return len(self.trials)
 
-    def _stats(self, attr: str) -> OnlineStats:
-        """Statistics over any TrialResult attribute.
+    @property
+    def truncated(self) -> int:
+        """Trials cut off at ``max_convergence_time``: lower-bound delays."""
+        return sum(t.truncated for t in self.trials)
 
-        Tracked attributes come from the incremental accumulators; others
-        are computed on demand.  Treat the returned object as read-only.
-        """
-        cached = self._acc.get(attr)
-        if cached is not None:
-            return cached
+    def _stats(self, attr: str) -> OnlineStats:
+        """Statistics over any TrialResult attribute, in trial order."""
         stats = OnlineStats()
         stats.extend(getattr(t, attr) for t in self.trials)
         return stats
@@ -255,11 +227,7 @@ class ExperimentResult:
     @property
     def total_wall(self) -> float:
         """Total wall-clock seconds spent simulating these trials."""
-        return (
-            self._acc["warmup_wall"].mean * self._acc["warmup_wall"].n
-            + self._acc["convergence_wall"].mean
-            * self._acc["convergence_wall"].n
-        )
+        return sum(t.warmup_wall + t.convergence_wall for t in self.trials)
 
     def __str__(self) -> str:
         d = self.delay

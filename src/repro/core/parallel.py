@@ -36,18 +36,21 @@ cost:
   topology itself ships to a given worker at most once per cache
   residency, on every start method; afterwards the worker replays
   trials against its cached copy.  Caches are bounded LRU
-  (:data:`DEFAULT_TOPOLOGY_CACHE` entries); the parent mirrors each
-  worker's cache state deterministically, so it always knows what to
-  ship.
+  (:data:`DEFAULT_TOPOLOGY_CACHE` entries); the parent keeps a mirror
+  of each worker's cache and both ends update through one routine
+  (:func:`cache_touch`), once per chunk each, so the mirror decides
+  what to ship *and* is the cache accounting: hits, misses and
+  evictions are counted at dispatch, not reported back.
 * **Digest-affinity chunk scheduling.**  Trials are grouped by topology
   digest and dispatched as chunks (:func:`plan_chunks`); free workers
   prefer chunks whose topology they already hold
   (:func:`choose_chunk`), so campaigns — which group trials by grid
   cell — keep hitting warm caches.
-* **Streamed, compact results.**  Workers send one message per finished
-  trial (progress ticks stream), and an observed trial's record states
-  each fact once and omits what no recorder filled
-  (:meth:`repro.obs.session.TrialObserver.record`).
+* **Streamed, compact results.**  After its ``ready`` handshake a
+  worker sends one message per finished trial and nothing else
+  (progress ticks stream; a chunk is over when its last outcome lands),
+  and an observed trial's record states each fact once and omits what
+  no recorder filled (:meth:`repro.obs.session.TrialObserver.record`).
 
 Determinism contract
 --------------------
@@ -197,15 +200,33 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
+def cache_touch(
+    cache: "OrderedDict[str, Any]", digest: str, value: Any, capacity: int
+) -> int:
+    """Insert or refresh ``digest`` as the most recent entry of an LRU
+    ``cache``; returns how many entries fell off the old end.
+
+    The one cache update of the pool: a worker applies it to its
+    topologies and the parent to its mirror of them, once per chunk
+    each, which is what keeps the two in step.
+    """
+    cache[digest] = value
+    cache.move_to_end(digest)
+    evictions = 0
+    while len(cache) > capacity:
+        cache.popitem(last=False)
+        evictions += 1
+    return evictions
+
+
 def _worker_main(conn: Any, cache_capacity: int) -> None:
     """Worker process loop: receive chunks, run trials, stream results.
 
     Protocol (parent -> worker): :func:`chunk_message` and
     ``("close",)``.  Worker -> parent: ``("ready",)`` once at boot, then
-    per chunk one ``("outcome", run_id, chunk_id, index, result,
-    payload, error)`` per trial — exactly one of result / error set, the
-    error an ``"ExcType: message"`` string — followed by
-    ``("chunk_done", run_id, chunk_id, hits, misses, evictions)``.
+    one ``("outcome", run_id, chunk_id, index, result, payload, error)``
+    per trial — exactly one of result / error set, the error an
+    ``"ExcType: message"`` string — and nothing else.
     """
     # A forked child inherits the parent's live span recorder and open
     # span path, which mean nothing here.  Reset them so worker spans
@@ -225,17 +246,8 @@ def _worker_main(conn: Any, cache_capacity: int) -> None:
             if message[0] == "close":
                 break
             _, run_id, chunk_id, digest, shipped, obs_config, trials = message
-            hits, misses, evictions = len(trials), 0, 0
-            if shipped is not None:
-                # The chunk's first trial pays for the shipment.
-                hits, misses = hits - 1, 1
-                cache[digest] = shipped
-                while len(cache) > cache_capacity:
-                    cache.popitem(last=False)
-                    evictions += 1
-            topology = cache.get(digest)
-            if topology is not None:
-                cache.move_to_end(digest)
+            topology = shipped if shipped is not None else cache.get(digest)
+            cache_touch(cache, digest, topology, cache_capacity)
             for index, spec, seed in trials:
                 try:
                     if topology is None:
@@ -252,9 +264,6 @@ def _worker_main(conn: Any, cache_capacity: int) -> None:
                 except Exception as exc:
                     outcome = (None, None, f"{type(exc).__name__}: {exc}")
                 conn.send(("outcome", run_id, chunk_id, index) + outcome)
-            conn.send(
-                ("chunk_done", run_id, chunk_id, hits, misses, evictions)
-            )
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
         pass
     finally:
@@ -283,24 +292,15 @@ class _WorkerHandle:
     def __init__(self, process: Any = None, conn: Any = None) -> None:
         self.process = process
         self.conn = conn
-        #: Mirror of the worker's LRU cache (insertion == recency order).
+        #: Mirror of the worker's LRU cache, oldest first (cache_touch).
         self.holds: "OrderedDict[str, bool]" = OrderedDict()
         self.ready = False
         self.spawned_at = time.perf_counter()
         self.spinup_seconds: Optional[float] = None
         #: (run_id, chunk_id) -> plan indices still unanswered, for every
-        #: chunk sent and not yet chunk_done-acknowledged.
+        #: chunk sent whose last outcome has not landed.
         self.remaining: Dict[Tuple[int, int], List[int]] = {}
         self.alive = True
-
-    def note_chunk(self, digest: str, capacity: int) -> None:
-        """Mirror the worker's cache update for one dispatched chunk."""
-        shipped = digest not in self.holds
-        self.holds[digest] = True
-        self.holds.move_to_end(digest)
-        if shipped:
-            while len(self.holds) > capacity:
-                self.holds.popitem(last=False)
 
 
 #: One message's worth of trials sharing a topology:
@@ -408,53 +408,11 @@ def lost_trials(worker: _WorkerHandle, run_id: Optional[int]) -> List[int]:
     return lost
 
 
-@dataclass
-class PoolRunStats:
-    """What one :meth:`WorkerPool.run_guarded` call cost and reused."""
-
-    jobs: int = 0
-    tasks: int = 0
-    chunks: int = 0
-    chunk_size: int = 0
-    unique_topologies: int = 0
-    shipped_topologies: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    evictions: int = 0
-    workers_spawned: int = 0
-    workers_reused: int = 0
-    #: True warm-up: seconds from spawning the slowest new worker to its
-    #: ready handshake (0.0 when every worker was reused).
-    spinup_seconds: float = 0.0
-    #: 1-based index of this run in the pool's lifetime (reuse counter).
-    pool_run: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "tasks": self.tasks,
-            "chunks": self.chunks,
-            "chunk_size": self.chunk_size,
-            "unique_topologies": self.unique_topologies,
-            "shipped_topologies": self.shipped_topologies,
-            "topology_cache_hits": self.cache_hits,
-            "topology_cache_misses": self.cache_misses,
-            "topology_cache_hit_rate": round(self.cache_hit_rate, 4),
-            "evictions": self.evictions,
-            "workers_spawned": self.workers_spawned,
-            "workers_reused": self.workers_reused,
-            "spinup_seconds": round(self.spinup_seconds, 6),
-            "pool_run": self.pool_run,
-        }
-
-
-#: The pool's lifetime counters, all zero (``pool_stats()`` before first
-#: use; every pool starts from a copy).
+#: The pool's counters, all zero (``pool_stats()`` before first use; every
+#: pool starts from a copy).  ``runs`` / ``tasks`` / ``workers_reused``
+#: move when a run starts; ``chunks``, ``shipped_topologies`` and the
+#: cache counts when a chunk is sent (its first trial pays for a
+#: shipment, the rest hit); the last two as a worker boots and reports in.
 _ZERO_TOTALS: Dict[str, float] = {
     "runs": 0,
     "tasks": 0,
@@ -468,17 +426,6 @@ _ZERO_TOTALS: Dict[str, float] = {
     "spinup_seconds": 0.0,
 }
 
-#: PoolRunStats fields a finished run adds to the same-named totals.
-_RUN_COUNTERS = (
-    "tasks",
-    "chunks",
-    "cache_hits",
-    "cache_misses",
-    "evictions",
-    "shipped_topologies",
-    "workers_reused",
-)
-
 
 @dataclass
 class _Run:
@@ -491,7 +438,6 @@ class _Run:
     pending: "deque[Chunk]"
     #: The workers this run dispatches to (replacements appended).
     workers: List[_WorkerHandle]
-    stats: PoolRunStats
 
 
 def collect(
@@ -503,35 +449,23 @@ def collect(
     """Fold one worker message into pool state.
 
     Returns the ``(index, result, payload, error)`` outcome the message
-    carries for ``run``, if any.  Handshakes and chunk acknowledgements
-    are folded in whatever run they belong to (that is what lets an
-    abandoned run's stragglers settle); an acknowledgement of a run that
-    is over counts into ``totals`` directly, its run's stats having been
-    folded when it ended.
+    carries for ``run``, if any.  A handshake is folded in whatever run
+    it lands in, and an outcome leaves its chunk's ``remaining`` entry —
+    closing it with the chunk's last one — whichever run it belongs to:
+    that is what frees the in-flight slots an abandoned run held.
     """
-    kind = message[0]
-    if kind == "ready":
+    if message[0] == "ready":
         worker.ready = True
         worker.spinup_seconds = time.perf_counter() - worker.spawned_at
         totals["spinup_seconds"] += worker.spinup_seconds
         return None
-    current = run is not None and message[1] == run.id
-    if kind == "chunk_done":
-        _, msg_run, chunk_id, hits, misses, evictions = message
-        worker.remaining.pop((msg_run, chunk_id), None)
-        if current:
-            run.stats.cache_hits += hits
-            run.stats.cache_misses += misses
-            run.stats.evictions += evictions
-        else:
-            totals["cache_hits"] += hits
-            totals["cache_misses"] += misses
-            totals["evictions"] += evictions
+    chunk, index = message[1:3], message[3]
+    unanswered = worker.remaining[chunk]
+    unanswered.remove(index)
+    if not unanswered:
+        del worker.remaining[chunk]
+    if run is None or chunk[0] != run.id:
         return None
-    if not current:
-        return None
-    msg_run, chunk_id, index = message[1:4]
-    worker.remaining[(msg_run, chunk_id)].remove(index)
     return message[3:]
 
 
@@ -561,9 +495,9 @@ class WorkerPool:
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
         self._workers: List[_WorkerHandle] = []
-        self._run_counter = 0
         self.closed = False
-        #: Lifetime counters (the bench reads deltas around each run).
+        #: The pool's only bookkeeping, incremented in place; pool_stats()
+        #: is a copy and what a run cost is the difference of two copies.
         self.totals = dict(_ZERO_TOTALS)
 
     # ------------------------------------------------------------------
@@ -646,10 +580,8 @@ class WorkerPool:
     # Stats
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> Dict[str, float]:
-        """Cumulative lifetime counters (copy; see also PoolRunStats)."""
-        snapshot = dict(self.totals)
-        snapshot["workers_alive"] = self.workers_alive
-        return snapshot
+        """Cumulative lifetime counters (a copy) plus ``workers_alive``."""
+        return dict(self.totals, workers_alive=self.workers_alive)
 
     # ------------------------------------------------------------------
     # Execution
@@ -660,7 +592,7 @@ class WorkerPool:
         indices: Sequence[int],
         jobs: int,
         obs_config: Optional[Dict[str, Any]] = None,
-    ) -> Generator[Tuple[Any, ...], None, PoolRunStats]:
+    ) -> Generator[Tuple[Any, ...], None, Dict[str, float]]:
         """Execute ``planned[i]`` for every i in ``indices``, yielding
         failures instead of raising.
 
@@ -672,65 +604,36 @@ class WorkerPool:
         run to completion, the next run ignores their results, and a
         worker that dies holding them takes them with it.  The
         generator's return value (``stats = yield from ...``) is what
-        the run cost and reused.
+        the run cost and reused: how far it moved each of ``totals``.
         """
         if self.closed:
             raise RuntimeError("worker pool is closed")
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self._run_counter += 1
+        before = dict(self.totals)
         want = max(1, min(jobs, len(indices)))
         chunks = plan_chunks([(i, planned[i].digest) for i in indices], want)
         digests = {digest for _chunk_id, digest, _members in chunks}
-        stats = PoolRunStats(
-            jobs=want,
-            tasks=len(indices),
-            chunks=len(chunks),
-            chunk_size=_chunk_size(len(indices), want),
-            unique_topologies=len(digests),
-            workers_reused=min(want, self.workers_alive),
-            pool_run=self._run_counter,
-        )
-        first_booted = len(self._workers)
+        self.totals["runs"] += 1
+        self.totals["tasks"] += len(indices)
+        self.totals["workers_reused"] += min(want, self.workers_alive)
         while self.workers_alive < want:
             self._spawn_worker()
         run = _Run(
-            id=self._run_counter,
+            id=self.totals["runs"],
             planned=planned,
             obs_config=obs_config,
             pending=deque(chunks),
             workers=self._select_workers(want, digests),
-            stats=stats,
         )
         self._drain_stale()
-        try:
-            owed = len(indices)
-            outcomes = self._dispatch(run)
-            while outcomes is not None:
-                yield from outcomes
-                owed -= len(outcomes)
-                if not owed:
-                    self._settle(run)
-                    break
-                outcomes = self._advance(run)
-        finally:
-            # The one place a run's stats enter the lifetime totals.
-            booted = self._workers[first_booted:]
-            stats.workers_spawned = len(booted)
-            # True warm-up cost of this run: spawn-to-ready of the
-            # slowest worker it had to boot (0.0 when all were warm).
-            stats.spinup_seconds = max(
-                (
-                    w.spinup_seconds
-                    for w in booted
-                    if w.spinup_seconds is not None
-                ),
-                default=0.0,
-            )
-            self.totals["runs"] += 1
-            for name in _RUN_COUNTERS:
-                self.totals[name] += getattr(stats, name)
-        return stats
+        owed = len(indices)
+        outcomes = self._dispatch(run)
+        while outcomes is not None:
+            yield from outcomes
+            owed -= len(outcomes)
+            outcomes = self._advance(run) if owed else None
+        return {name: self.totals[name] - was for name, was in before.items()}
 
     # -- scheduling internals -------------------------------------------
     def _select_workers(
@@ -817,9 +720,14 @@ class WorkerPool:
                     lost += self._bury(worker, run)
                     continue
             del run.pending[position]
-            worker.note_chunk(digest, self.cache_capacity)
             worker.remaining[(run.id, chunk_id)] = list(members)
-            run.stats.shipped_topologies += ship
+            self.totals["chunks"] += 1
+            self.totals["shipped_topologies"] += ship
+            self.totals["cache_misses"] += ship
+            self.totals["cache_hits"] += len(members) - ship
+            self.totals["evictions"] += cache_touch(
+                worker.holds, digest, True, self.cache_capacity
+            )
         return lost
 
     def _advance(self, run: _Run) -> Optional[List[Tuple[Any, ...]]]:
@@ -846,23 +754,6 @@ class WorkerPool:
         ]
         run.pending.clear()
         return lost or None
-
-    def _settle(self, run: _Run) -> None:
-        """Collect the run's trailing chunk acknowledgements.
-
-        Every outcome is out, but the ``chunk_done`` sent right after
-        each chunk's last result may still sit in the pipes; settling
-        them completes this run's cache stats and the in-flight
-        bookkeeping.  Bounded wait: a worker still crunching an
-        *abandoned* earlier run must not stall this one.
-        """
-        def owes(worker: _WorkerHandle) -> bool:
-            return any(key[0] == run.id for key in worker.remaining)
-
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline:
-            if self._pump(owes, run, timeout=0.05) is None:
-                break
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

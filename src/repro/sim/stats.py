@@ -44,9 +44,8 @@ class OnlineStats:
         """Combine two accumulators without re-streaming their samples.
 
         Chan et al.'s parallel update: the result is numerically the same
-        accumulator that would have seen both sample streams.  Used by the
-        experiment layer to fold per-trial statistics into sweep-level
-        aggregates.  Neither operand is modified.
+        accumulator that would have seen both sample streams.  Neither
+        operand is modified.
         """
         merged = OnlineStats()
         n = self.n + other.n

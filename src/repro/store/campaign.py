@@ -423,12 +423,14 @@ class CampaignResult:
         return self.cache_hits / total if total else 1.0
 
     def summary(self) -> str:
+        truncated = sum(r.truncated for r in self.results.values())
         return (
             f"campaign {self.campaign.name}: "
             f"{self.cache_hits + self.cache_misses} trials — "
             f"{self.cache_hits} cached ({self.cache_hit_rate:.0%}), "
             f"{self.executed} executed"
             + (f", {self.retried} retried" if self.retried else "")
+            + (f", {truncated} truncated" if truncated else "")
             + f" in {self.wall_seconds:.1f}s"
         )
 

@@ -203,6 +203,37 @@ def test_cli_campaign_store_flag_overrides_file(tmp_path, capsys):
     assert override.exists()
 
 
+def test_cli_campaign_says_when_trials_were_truncated(tmp_path, capsys):
+    """A trial cut off at max_convergence_time is banked and folded like
+    any other (its delay is a lower bound): `campaign run` and `resume`
+    say how many there are, on stderr and in the summary line; a grid
+    without one (test_cli_campaign_cycle's) prints neither."""
+    data = json.loads(write_campaign(tmp_path).read_text(encoding="utf-8"))
+    data["topology"]["nodes"] = 30
+    data["schemes"] = {
+        "cut": {"mrai": 2.25, "max_convergence_time": 1.0},
+        "full": {"mrai": 2.25},
+    }
+    cfile = tmp_path / "truncated.json"
+    cfile.write_text(json.dumps(data), encoding="utf-8")
+    store = str(tmp_path / "store.db")
+    warning = (
+        "WARNING: 2 of 4 trial(s) truncated at max_convergence_time — "
+        "their delays are lower bounds\n"
+    )
+    for verb, counted in (("run", "4 executed"), ("resume", "0 executed")):
+        assert main(["campaign", verb, str(cfile), "--store", store]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == warning
+        summary = captured.out.splitlines()[0]
+        assert f"{counted}, 2 truncated in " in summary
+
+    assert main(["campaign", "run", str(write_campaign(tmp_path)),
+                 "--store", str(tmp_path / "clean.db")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "truncated" not in captured.out
+
+
 # ----------------------------------------------------------------------
 # A bad path or file is one stderr line and an exit code
 # ----------------------------------------------------------------------

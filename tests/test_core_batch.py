@@ -16,7 +16,6 @@ from repro.core.batch import (
     run_tasks,
 )
 from repro.core.experiment import ExperimentSpec, TrialResult
-from repro.core.parallel import PoolRunStats
 from repro.specs import TOPOLOGY_KINDS, build_spec, topology_factory
 from repro.store.hashing import spec_fingerprint, spec_hash
 from repro.topology.skewed import skewed_topology
@@ -251,7 +250,7 @@ def test_run_tasks_sends_even_one_task_to_the_pool_when_jobs_gt_1(
             calls.append((len(indices), jobs))
             for index in indices:
                 yield index, fake_trial(planned[index].seed), None, None
-            return PoolRunStats()
+            return {}
 
     def in_parent(*trial):
         raise AssertionError("a jobs=2 task ran in the parent process")

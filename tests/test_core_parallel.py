@@ -7,8 +7,11 @@ session records.
 
 import multiprocessing
 import pickle
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bgp.mrai import ConstantMRAI
 from repro.core.dynamic_mrai import DynamicMRAI
@@ -20,11 +23,11 @@ from repro.core.experiment import (
 )
 from repro.core.batch import PlannedTrial, plan_grid
 from repro.core.parallel import (
-    PoolRunStats,
     TrialExecutionError,
     WorkerPool,
     _Run,
     _WorkerHandle,
+    cache_touch,
     choose_chunk,
     collect,
     derive_trial_seeds,
@@ -34,6 +37,7 @@ from repro.core.parallel import (
 )
 from repro.core.sweep import failure_size_sweep
 from repro.obs.session import ObsSession
+from repro.obs.spans import record_spans
 from repro.store.hashing import topology_digest
 from repro.topology.degree import SkewedDegreeSpec
 from repro.topology.skewed import skewed_topology
@@ -58,17 +62,28 @@ def spec_dynamic_batch():
 def pool_trials(pool, spec, jobs=2):
     """One trial per SEEDS entry on a private pool, folded in seed order.
 
-    Returns ``(ExperimentResult, lifetime-counter deltas of this run)``.
+    Returns ``(ExperimentResult, what the run moved the pool's counters
+    by)`` — the generator's return value, which must be the difference
+    of the snapshots around it.
     """
     planned = plan_grid(factory, [("", 0.0, spec)], SEEDS, keyed=True)
+    stats = {}
+
+    def run():
+        stats.update(
+            (yield from pool.run_guarded(planned, range(len(SEEDS)), jobs))
+        )
+
     before = pool.stats_snapshot()
-    outcomes = sorted(pool.run_guarded(planned, range(len(SEEDS)), jobs))
+    outcomes = sorted(run())
     after = pool.stats_snapshot()
+    assert stats == {key: after[key] - before[key] for key in stats}
+    assert set(stats) == set(before) - {"workers_alive"}
     assert [error for *_, error in outcomes] == [None] * len(SEEDS)
     result = ExperimentResult(spec=spec)
     for _index, trial, _payload, _error in outcomes:
         result.add(trial)
-    return result, {key: after[key] - before[key] for key in before}
+    return result, stats
 
 
 def one_topology_plan(specs, first_seed):
@@ -421,6 +436,33 @@ def test_topology_cache_eviction_on_digest_change():
         assert result_signature(again) == result_signature(serial)
     finally:
         pool.close()
+    # One worker, room for two of the three topologies, two runs: the
+    # counters the parent takes at dispatch are those of a brute-force
+    # LRU fed the chunks in the order they were sent, and no trial finds
+    # its topology gone (pool_trials checks every error is None) — the
+    # mirror is the worker's cache.
+    digests = [topology_digest(factory(seed)) for seed in SEEDS]
+    pool = WorkerPool(cache_capacity=2)
+    held = []
+    try:
+        for _run in range(2):
+            with record_spans() as rec:
+                result, stats = pool_trials(pool, spec, jobs=1)
+            assert result_signature(result) == result_signature(serial)
+            # One trial a chunk, so chunk i carries SEEDS[i]'s topology.
+            sent = [
+                digests[r["attrs"]["chunk"]]
+                for r in rec.records
+                if r["name"] == "pool.submit"
+            ]
+            assert sorted(sent) == sorted(digests)
+            held, misses, evictions = list_lru(sent, 2, held)
+            assert stats["cache_misses"] == misses
+            assert stats["shipped_topologies"] == misses
+            assert stats["evictions"] == evictions >= 1
+            assert stats["cache_hits"] + misses == stats["tasks"] == 3
+    finally:
+        pool.close()
 
 
 def test_midchunk_failure_surfaces_trial_execution_error():
@@ -473,10 +515,39 @@ def test_run_guarded_reports_errors_without_aborting():
 # ----------------------------------------------------------------------
 # The scheduler's pure pieces: plain data in, plain data out, no process
 # ----------------------------------------------------------------------
+def list_lru(digests, capacity, held=()):
+    """Brute-force LRU over a plain list, oldest first: the final order
+    and how many of ``digests`` missed / how many entries were evicted."""
+    order, misses, evictions = list(held), 0, 0
+    for digest in digests:
+        if digest in order:
+            order.remove(digest)
+        else:
+            misses += 1
+        order.append(digest)
+        while len(order) > capacity:
+            del order[0]
+            evictions += 1
+    return order, misses, evictions
+
+
+@given(
+    digests=st.lists(st.sampled_from("abcdef")),
+    capacity=st.integers(min_value=1, max_value=4),
+)
+def test_cache_touch_is_a_brute_force_lru(digests, capacity):
+    cache, evictions = OrderedDict(), 0
+    for digest in digests:
+        evictions += cache_touch(cache, digest, digest.upper(), capacity)
+    order, _misses, evicted = list_lru(digests, capacity)
+    assert (list(cache), evictions) == (order, evicted)
+    assert all(value == digest.upper() for digest, value in cache.items())
+
+
 def handle(holds=(), remaining=None):
     worker = _WorkerHandle()
     for digest in holds:
-        worker.note_chunk(digest, capacity=8)
+        cache_touch(worker.holds, digest, True, capacity=8)
     worker.remaining.update(remaining or {})
     return worker
 
@@ -543,7 +614,7 @@ def test_dispatching_until_nobody_is_free_caps_chunks_in_flight():
     while (choice := choose_chunk(pending, workers)) is not None:
         worker, position = choice
         chunk_id, digest, members = pending.pop(position)
-        worker.note_chunk(digest, capacity=8)
+        cache_touch(worker.holds, digest, True, capacity=8)
         worker.remaining[(1, chunk_id)] = members
     assert [len(w.remaining) for w in workers] == [2, 2, 0]
     assert len(pending) == 6
@@ -562,24 +633,31 @@ def test_dead_worker_loses_only_the_current_runs_trials():
     assert stale_only.remaining == {}
 
 
-def test_collect_routes_outcomes_and_acknowledgements_by_run():
-    totals = {"cache_hits": 0, "cache_misses": 0, "evictions": 0}
-    run = _Run(2, [], None, [], [], PoolRunStats())
-    worker = handle(remaining={(1, 4): [9], (2, 0): [0, 1]})
-    # A result of the abandoned run 1 is dropped; its acknowledgement
-    # frees the slot and counts into the lifetime totals only.
-    stale = ("outcome", 1, 4, 9, "result", None, None)
-    assert collect(worker, stale, run, totals) is None
-    assert collect(worker, ("chunk_done", 1, 4, 1, 0, 0), run, totals) is None
-    assert (totals["cache_hits"], run.stats.cache_hits) == (1, 0)
-    # The current run's messages settle its trials and its stats.
-    failed = ("outcome", 2, 0, 1, None, None, "E: x")
-    assert collect(worker, failed, run, totals) == (1, None, None, "E: x")
+def test_collect_closes_a_chunk_with_its_last_outcome_whichever_run():
+    totals = {}
+    run = _Run(2, [], None, [], [])
+    worker = handle(remaining={(1, 4): [8, 9], (2, 0): [0, 1]})
+
+    def lands(run_id, chunk_id, index, error=None, current=run):
+        message = ("outcome", run_id, chunk_id, index, "r", "p", error)
+        return collect(worker, message, current, totals)
+
+    # Results of the abandoned run 1 are dropped but still answer their
+    # chunk: its last one frees the in-flight slot.
+    assert lands(1, 4, 9) is None
+    assert worker.remaining == {(1, 4): [8], (2, 0): [0, 1]}
+    assert lands(1, 4, 8) is None
+    assert worker.remaining == {(2, 0): [0, 1]}
+    # The current run's outcomes come back, failed or not, and close
+    # their chunk the same way.
+    assert lands(2, 0, 1, error="E: x") == (1, "r", "p", "E: x")
     assert worker.remaining == {(2, 0): [0]}
-    assert collect(worker, ("chunk_done", 2, 0, 1, 1, 2), run, totals) is None
+    assert lands(2, 0, 0) == (0, "r", "p", None)
     assert worker.remaining == {}
-    assert (run.stats.cache_hits, run.stats.cache_misses) == (1, 1)
-    assert (run.stats.evictions, totals["cache_hits"]) == (2, 1)
+    # Draining stale pipes between runs, there is no current run at all.
+    worker.remaining[(2, 1)] = [5]
+    assert lands(2, 1, 5, current=None) is None
+    assert worker.remaining == {} and totals == {}
 
 
 def test_obs_spans_dataplane_roundtrip_jobs2():

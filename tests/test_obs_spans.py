@@ -9,6 +9,7 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.core.experiment import ExperimentSpec, run_experiment, run_trials
+from repro.core.parallel import pool_stats
 from repro.obs.session import ObsSession
 from repro.obs.spans import (
     NOOP_SPAN,
@@ -288,8 +289,10 @@ def test_span_worker_round_trip_parallel():
     factory = lambda s: skewed_topology(12, seed=s)  # noqa: E731
     seeds = [1, 2, 3, 4]
     obs = ObsSession(spans=True)
+    before = pool_stats()
     with record_spans(obs.span_recorder):
         parallel = run_trials(factory, spec, seeds, jobs=2, obs=obs)
+    moved = {k: v - before[k] for k, v in pool_stats().items()}
     serial = run_trials(factory, spec, seeds, jobs=1)
     # Observability never perturbs the simulation.
     assert parallel.trials == serial.trials
@@ -315,10 +318,14 @@ def test_span_worker_round_trip_parallel():
     }
     assert {"trials.run", "pool.run", "pool.submit", "pool.collect",
             "trials.fold", "obs.absorb"} <= parent_names
-    # The pool span records its spin-up cost.
+    # The pool span carries what the run moved the pool's counters by,
+    # under their own names (spin-up cost included).
     pool = next(r for r in rec.records if r["name"] == "pool.run")
     assert pool["attrs"]["jobs"] == 2
     assert pool["attrs"]["spinup_seconds"] >= 0.0
+    del moved["workers_alive"]
+    assert pool["attrs"] == {"jobs": 2, **moved}
+    assert (moved["runs"], moved["tasks"]) == (1, len(seeds))
     # Everything survives a manifest/export round-trip.
     summary = obs.finalize(kind="test", command="test")
     assert summary.extra["spans"]["count"] == len(rec.records)

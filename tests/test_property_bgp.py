@@ -11,6 +11,7 @@ from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.queues import DestinationBatchQueue, TCPBatchQueue
 from repro.bgp.routes import Route
+from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.validation import validate_routing
 from repro.topology.skewed import skewed_topology
 
@@ -117,12 +118,32 @@ def test_tcp_batch_conserves_messages(messages, batch_size):
 # ---------------------------------------------------------------------------
 # End-to-end routing invariants on random small networks
 # ---------------------------------------------------------------------------
+def assert_peers_hold_what_was_last_sent(net):
+    """At quiescence nothing is in flight, so over every session that is
+    up the receiver's Adj-RIB-In is the sender's Adj-RIB-Out: the same
+    path, and nothing where a withdrawal was last sent."""
+    for sender in net.alive_speakers():
+        for peer_id, ps in sender.peers.items():
+            if not ps.session_up:
+                continue
+            rib_in = net.speakers[peer_id].adj_rib_in
+            for dest, sent in ps.adj_rib_out.items():
+                held = rib_in.get(dest, sender.node_id)
+                assert (held.path if held is not None else None) == sent, (
+                    sender.node_id, peer_id, dest
+                )
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     topo_seed=st.integers(min_value=0, max_value=1000),
     sim_seed=st.integers(min_value=0, max_value=1000),
-    mrai=st.sampled_from([0.0, 0.5, 2.25]),
-    discipline=st.sampled_from(["fifo", "dest_batch"]),
+    mrai=st.sampled_from(
+        [*map(ConstantMRAI, (0.0, 0.5, 2.25)), DynamicMRAI()]
+    ),
+    discipline=st.sampled_from(
+        ["fifo", "dest_batch", "dest_batch_wf", "tcp_batch"]
+    ),
     failure_seed=st.integers(min_value=0, max_value=1000),
     failure_count=st.integers(min_value=1, max_value=6),
 )
@@ -130,14 +151,13 @@ def test_random_failures_always_converge_to_valid_routing(
     topo_seed, sim_seed, mrai, discipline, failure_seed, failure_count
 ):
     topo = skewed_topology(20, seed=topo_seed)
-    config = BGPConfig(
-        mrai_policy=ConstantMRAI(mrai), queue_discipline=discipline
-    )
+    config = BGPConfig(mrai_policy=mrai, queue_discipline=discipline)
     net = BGPNetwork(topo, config, seed=sim_seed)
     net.start()
     net.run_until_quiet(max_time=3600)
     assert net.is_quiescent()
     validate_routing(net)
+    assert_peers_hold_what_was_last_sent(net)
     victims = random.Random(failure_seed).sample(
         topo.node_ids(), failure_count
     )
@@ -145,3 +165,4 @@ def test_random_failures_always_converge_to_valid_routing(
     net.run_until_quiet(max_time=7200)
     assert net.is_quiescent()
     validate_routing(net)
+    assert_peers_hold_what_was_last_sent(net)
