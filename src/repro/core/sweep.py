@@ -28,6 +28,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.result_store import ResultStore
 
 
+#: The axes a grid can sweep; :func:`point_spec` is what each one means.
+AXES = ("failure_fraction", "mrai")
+
+
+def point_spec(spec: ExperimentSpec, axis: str, x: float) -> ExperimentSpec:
+    """``spec`` at one value of a swept axis: ``x`` replaces the failure
+    fraction, or the MRAI policy with ``ConstantMRAI(x)``."""
+    if axis == "failure_fraction":
+        return spec.with_(failure_fraction=x)
+    if axis == "mrai":
+        return spec.with_(mrai=ConstantMRAI(x))
+    raise ValueError(f"unknown axis {axis!r}; choose from {AXES}")
+
+
 @dataclass
 class SweepPoint:
     """One x-position of a series with its aggregated result."""
@@ -182,7 +196,7 @@ def failure_size_sweep(
     """
     label = label or spec.mrai.name
     cells = [
-        (label, fraction, spec.with_(failure_fraction=fraction))
+        (label, fraction, point_spec(spec, "failure_fraction", fraction))
         for fraction in fractions
     ]
     [series] = sweep_cells(
@@ -213,7 +227,7 @@ def mrai_sweep(
     """Sweep a constant MRAI, holding the failure fixed (Figs 3/4/5/12)."""
     label = label or "delay-vs-mrai"
     cells = [
-        (label, value, spec.with_(mrai=ConstantMRAI(value)))
+        (label, value, point_spec(spec, "mrai", value))
         for value in mrai_values
     ]
     [series] = sweep_cells(

@@ -1,8 +1,10 @@
 """The figure-reproduction registry and its one runner.
 
 A figure is a :class:`~repro.figures.common.Figure` declaration — id,
-caption, plotted metrics, the grids of trials behind it and the paper's
-claims about the resulting series (:mod:`repro.figures.paper` holds the
+caption, plotted metrics, the grids of trials behind it (campaign
+documents: ``FIGURES["fig01"].grids(QUICK)[0].to_dict()`` is what
+``repro-bgp campaign run`` and the service take) and the paper's claims
+about the resulting series (:mod:`repro.figures.paper` holds the
 paper's 13 figures and the data-plane companion,
 :mod:`repro.figures.ablations` the ablations).  :func:`compute_figure`
 is the only code that runs one; the CLI (``repro-bgp sweep --figure
@@ -76,12 +78,12 @@ def compute_figure(
     ):
         obs = ObsSession(dataplane=True)
     series: List[Series] = []
-    for factory, cells, x_name in figure.grids(profile):
+    for campaign in figure.grids(profile):
         series += sweep_cells(
-            factory,
-            cells,
-            profile.seeds,
-            x_name,
+            campaign.topology_factory(),
+            campaign.cells(),
+            campaign.seeds,
+            campaign.axis,
             label=figure_id,
             progress=progress,
             jobs=jobs,

@@ -31,9 +31,8 @@ from repro.figures.common import (
     check_le,
     check_ratio,
     figure,
-    scheme_set_grid,
+    grid,
     scheme_set_grids,
-    skewed_factory,
 )
 
 
@@ -213,25 +212,11 @@ def ab_processing(profile, series):
     ]
 
 
-def _future_work_grids(profile):
-    # The adaptive/theory schemes resolve against the seed[0] topology
-    # (failure extents and recommended ladders are topology properties).
-    factory = skewed_factory(profile)
-    return [
-        scheme_set_grid(
-            "ab_future_work",
-            profile,
-            factory,
-            topology=factory(profile.seeds[0]),
-        )
-    ]
-
-
 @figure(
     "ab_future_work",
     "Ablation: the paper's future-work schemes, implemented",
     ("delay", "messages"),
-    _future_work_grids,
+    scheme_set_grids("ab_future_work"),
 )
 def ab_future_work(profile, series):
     """The paper's Sec-5 future-work schemes, implemented and measured.
@@ -350,19 +335,10 @@ def ab_flap_damping(profile, series):
     ]
 
 
-def _policy_routing_grids(profile):
+def _policy_routing_grids(name, profile):
     # The topology is pinned so the inferred relationships stay valid for
-    # every trial; the scheme set's inferred-policy block resolves
-    # against the same pinned topology.
-    fixed_topology = skewed_factory(profile)(profile.seeds[0])
-    return [
-        scheme_set_grid(
-            "ab_policy_routing",
-            profile,
-            lambda seed: fixed_topology,
-            topology=fixed_topology,
-        )
-    ]
+    # every trial.
+    return [grid(name, profile, "ab_policy_routing", seed=profile.seeds[0])]
 
 
 @figure(

@@ -11,9 +11,12 @@ A :class:`ScaleProfile` fixes the experiment scale:
   ``REPRO_BENCH_SCALE=full``.
 
 A figure is a :class:`Figure` declaration: the grids of trials behind
-the plot (``grids(profile)``) and the paper's qualitative claims about
-the resulting series (``checks(profile, series)`` — who wins, by roughly
-what factor, where the crossover falls).  Neither runs a trial;
+the plot (``grids(profile)`` — each a
+:class:`~repro.store.campaign.Campaign`, the same document ``campaign
+run`` and the service take, built by :func:`grid`) and the paper's
+qualitative claims about the resulting series (``checks(profile,
+series)`` — who wins, by roughly what factor, where the crossover
+falls).  Neither builds a topology nor runs a trial;
 :func:`repro.figures.compute_figure` does, and builds the
 :class:`FigureOutput`.  Strict checks are asserted by the benchmark
 suite; soft checks are recorded but tolerated, since single-trial quick
@@ -24,17 +27,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.analysis.report import format_figure
-from repro.bgp.mrai import ConstantMRAI
-from repro.core.batch import GridCell
 from repro.core.sweep import Series
-from repro.specs import build_spec, scheme_set_specs
-from repro.topology.degree import SkewedDegreeSpec
-from repro.topology.graph import Topology
-from repro.topology.multirouter import MultiRouterSpec, multi_router_topology
-from repro.topology.skewed import skewed_topology
+from repro.specs import scheme_set
+from repro.store.campaign import Campaign
 
 #: Environment variable selecting the default scale.
 SCALE_ENV_VAR = "REPRO_BENCH_SCALE"
@@ -104,31 +103,6 @@ def resolve_profile(scale: str | None = None) -> ScaleProfile:
         raise ValueError(
             f"unknown scale {scale!r}; choose from {sorted(PROFILES)}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# Topology factories
-# ---------------------------------------------------------------------------
-def skewed_factory(
-    profile: ScaleProfile, spec: SkewedDegreeSpec | None = None
-) -> Callable[[int], Topology]:
-    """Factory for the paper's skewed flat topologies at profile scale."""
-    the_spec = spec if spec is not None else SkewedDegreeSpec.paper_70_30()
-
-    def build(seed: int) -> Topology:
-        return skewed_topology(profile.nodes, the_spec, seed=seed)
-
-    return build
-
-
-def multirouter_factory(profile: ScaleProfile) -> Callable[[int], Topology]:
-    """Factory for the Fig 13 realistic topologies at profile scale."""
-    spec = MultiRouterSpec(num_ases=profile.multirouter_ases)
-
-    def build(seed: int) -> Topology:
-        return multi_router_topology(spec, seed=seed)
-
-    return build
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +188,12 @@ def check_le(
 # ---------------------------------------------------------------------------
 # Figure declarations
 # ---------------------------------------------------------------------------
-#: One grid of trials: (topology factory, ``(label, x, spec)`` cells,
-#: name of the swept axis).  A grid runs as one batch, its topology
-#: built once per seed.
-Grid = Tuple[Callable[[int], Topology], List[GridCell], str]
-
-
 @dataclass(frozen=True)
 class Figure:
     """One figure as data: what to run and what the paper claims of it.
 
-    ``grids(profile)`` returns the grids whose series, concatenated in
-    order, are the figure's curves; ``checks(profile, series)`` is a
+    ``grids(profile)`` returns the campaigns whose series, concatenated
+    in order, are the figure's curves; ``checks(profile, series)`` is a
     pure function of those series.  Neither executes a trial nor reads
     process state — how the grids run (jobs, store, session, progress)
     is :func:`repro.figures.compute_figure`'s arguments.
@@ -235,7 +203,7 @@ class Figure:
     caption: str
     #: Series columns the figure plots: "delay", "messages", "unreachable".
     metrics: Tuple[str, ...]
-    grids: Callable[[ScaleProfile], Sequence[Grid]]
+    grids: Callable[[ScaleProfile], Sequence[Campaign]]
     checks: Callable[[ScaleProfile, Sequence[Series]], List[Check]]
 
 
@@ -243,55 +211,54 @@ def figure(
     figure_id: str,
     caption: str,
     metrics: Tuple[str, ...],
-    grids: Callable[[ScaleProfile], Sequence[Grid]],
+    grids: Callable[[str, ScaleProfile], Sequence[Campaign]],
 ) -> Callable[[Callable], Figure]:
     """Declare a figure: decorates its ``checks(profile, series)``
-    function, which becomes the :class:`Figure`."""
-    return lambda checks: Figure(figure_id, caption, metrics, grids, checks)
+    function, which becomes the :class:`Figure`.  ``grids(name,
+    profile)`` is handed the figure id to name its campaigns with."""
+    return lambda checks: Figure(
+        figure_id, caption, metrics, partial(grids, figure_id), checks
+    )
 
 
-def scheme_set_grid(
+def grid(
     name: str,
     profile: ScaleProfile,
-    factory: Callable[[int], Topology] | None = None,
-    fractions: Sequence[float] | None = None,
-    topology: Topology | None = None,
-) -> Grid:
-    """Failure-size grid of a registered scheme set: one series per
-    scheme, labels taken from the set declaration.
+    schemes: Union[str, Mapping[str, Dict[str, Any]]],
+    *,
+    axis: str = "failure_fraction",
+    values: Sequence[float] | None = None,
+    **topology_keys: Any,
+) -> Campaign:
+    """One grid of a figure, as a campaign document: one series per
+    scheme (``schemes`` is a ``label -> scheme dict`` mapping or the
+    name of a registered scheme set) over the swept ``axis``.
 
-    Defaults: the profile's 70-30 topologies and failure fractions.
-    ``topology`` is only needed for sets with topology-resolved schemes
-    (adaptive/theory MRAI, inferred policy relationships).
+    Defaults: the profile's skewed (70-30) topologies — ``topology_keys``
+    override or extend the block — its failure fractions or MRAI grid,
+    and its seeds.
     """
-    factory = factory if factory is not None else skewed_factory(profile)
-    fractions = fractions if fractions is not None else profile.fractions
-    cells = [
-        (label, fraction, spec.with_(failure_fraction=fraction))
-        for label, spec in scheme_set_specs(name, profile, topology=topology)
-        for fraction in fractions
-    ]
-    return factory, cells, "failure_fraction"
-
-
-def scheme_set_grids(name: str) -> Callable[[ScaleProfile], List[Grid]]:
-    """``grids`` of the usual figure: one :func:`scheme_set_grid` at its
-    defaults."""
-    return lambda profile: [scheme_set_grid(name, profile)]
-
-
-def mrai_cells(
-    profile: ScaleProfile,
-    label: str,
-    fraction: float,
-    queue_discipline: str = "fifo",
-) -> List[GridCell]:
-    """One delay-vs-MRAI curve at a fixed failure size: a constant MRAI
-    per value of the profile's grid."""
-    spec = build_spec(
-        {"failure_fraction": fraction, "queue": queue_discipline}
+    if isinstance(schemes, str):
+        schemes = scheme_set(schemes, profile)
+    if values is None:
+        values = (
+            profile.fractions
+            if axis == "failure_fraction"
+            else profile.mrai_grid
+        )
+    return Campaign(
+        name=name,
+        topology={"kind": "skewed", "nodes": profile.nodes, **topology_keys},
+        schemes=dict(schemes),
+        axis=axis,
+        values=list(values),
+        seeds=list(profile.seeds),
     )
-    return [
-        (label, value, spec.with_(mrai=ConstantMRAI(value)))
-        for value in profile.mrai_grid
-    ]
+
+
+def scheme_set_grids(
+    set_name: str,
+) -> Callable[[str, ScaleProfile], List[Campaign]]:
+    """``grids`` of the usual figure: one :func:`grid` of a registered
+    scheme set at its defaults."""
+    return lambda name, profile: [grid(name, profile, set_name)]

@@ -14,13 +14,9 @@ from repro.figures.common import (
     check_le,
     check_ratio,
     figure,
-    mrai_cells,
-    multirouter_factory,
-    scheme_set_grid,
+    grid,
     scheme_set_grids,
-    skewed_factory,
 )
-from repro.specs import distribution_spec
 
 
 @figure(
@@ -110,13 +106,12 @@ def fig02(profile, series):
     ]
 
 
-def _fig03_grids(profile):
-    cells = [
-        cell
+def _fig03_grids(name, profile):
+    curves = {
+        f"{fraction:.1%} failure": {"failure_fraction": fraction}
         for fraction in profile.fig3_fractions
-        for cell in mrai_cells(profile, f"{fraction:.1%} failure", fraction)
-    ]
-    return [(skewed_factory(profile), cells, "mrai")]
+    }
+    return [grid(name, profile, curves, axis="mrai")]
 
 
 @figure(
@@ -161,12 +156,14 @@ def _distribution_grids(*curves):
     """One delay-vs-MRAI grid at 5% failure per ``(label, named degree
     distribution)`` curve — each distribution is its own topology."""
 
-    def grids(profile):
+    def grids(name, profile):
         return [
-            (
-                skewed_factory(profile, distribution_spec(distribution)),
-                mrai_cells(profile, label, 0.05),
-                "mrai",
+            grid(
+                name,
+                profile,
+                {label: {"failure_fraction": 0.05}},
+                axis="mrai",
+                distribution=distribution,
             )
             for label, distribution in curves
         ]
@@ -510,11 +507,12 @@ def fig11(profile, series):
     ]
 
 
-def _fig12_grids(profile):
-    cells = mrai_cells(profile, "FIFO", 0.05) + mrai_cells(
-        profile, "batching", 0.05, queue_discipline="dest_batch"
-    )
-    return [(skewed_factory(profile), cells, "mrai")]
+def _fig12_grids(name, profile):
+    curves = {
+        "FIFO": {"failure_fraction": 0.05},
+        "batching": {"failure_fraction": 0.05, "queue": "dest_batch"},
+    }
+    return [grid(name, profile, curves, axis="mrai")]
 
 
 @figure(
@@ -567,13 +565,15 @@ def _fig13_fractions(profile):
     return (0.05, 0.10, profile.largest_fraction)
 
 
-def _fig13_grids(profile):
+def _fig13_grids(name, profile):
     return [
-        scheme_set_grid(
-            "realistic",
+        grid(
+            name,
             profile,
-            multirouter_factory(profile),
-            _fig13_fractions(profile),
+            "realistic",
+            values=_fig13_fractions(profile),
+            kind="multirouter",
+            nodes=profile.multirouter_ases,
         )
     ]
 

@@ -40,7 +40,6 @@ from repro.specs.scheme_sets import (
     SCHEME_SETS,
     register_scheme_set,
     scheme_set,
-    scheme_set_specs,
 )
 from repro.specs.serialize import (
     SpecSerializationError,
@@ -56,6 +55,7 @@ from repro.specs.topology import (
     TOPOLOGY_KINDS,
     distribution_spec,
     topology_factory,
+    validate_topology_block,
 )
 
 __all__ = [
@@ -82,6 +82,7 @@ __all__ = [
     "TOPOLOGY_KINDS",
     "topology_factory",
     "distribution_spec",
+    "validate_topology_block",
     # spec round-trip
     "build_spec",
     "spec_from_dict",
@@ -94,5 +95,4 @@ __all__ = [
     "SCHEME_SETS",
     "register_scheme_set",
     "scheme_set",
-    "scheme_set_specs",
 ]

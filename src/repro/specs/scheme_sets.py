@@ -3,10 +3,10 @@
 Every comparison the figure harness draws — "three constant MRAIs",
 "batching vs dynamic vs constants", each ablation's scheme list — is a
 registered function from a scale profile to ``(label, scheme-dict)``
-pairs.  Figure declarations fetch built specs with
-:func:`scheme_set_specs` instead of constructing :class:`ExperimentSpec`
-lists inline, so adding a scheme to a comparison (or a whole new
-comparison) is a data change here.
+pairs.  Figure declarations name a set as the ``schemes`` of a campaign
+(:func:`repro.figures.common.grid`) instead of constructing
+:class:`ExperimentSpec` lists inline, so adding a scheme to a comparison
+(or a whole new comparison) is a data change here.
 
 Profiles are duck-typed: anything with the attributes a set reads
 (``mrai_three``, ``dynamic_levels``, ...) works, keeping this module
@@ -15,14 +15,9 @@ independent of :mod:`repro.figures`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.specs.registry import Registry
-from repro.specs.serialize import build_spec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.experiment import ExperimentSpec
-    from repro.topology.graph import Topology
 
 #: One scheme set: profile -> ((label, scheme dict), ...).
 SchemeSetFn = Callable[[Any], Tuple[Tuple[str, Dict[str, Any]], ...]]
@@ -45,20 +40,6 @@ def scheme_set(
 ) -> Tuple[Tuple[str, Dict[str, Any]], ...]:
     """The declarative ``(label, scheme dict)`` pairs of a named set."""
     return SCHEME_SETS.get(name)(profile)
-
-
-def scheme_set_specs(
-    name: str, profile: Any, topology: Optional["Topology"] = None
-) -> List[Tuple[str, "ExperimentSpec"]]:
-    """The built ``(label, ExperimentSpec)`` pairs of a named set.
-
-    ``topology`` is required only for sets containing topology-resolved
-    schemes (adaptive/theory MRAI, inferred policy relationships).
-    """
-    return [
-        (label, build_spec(scheme, topology=topology))
-        for label, scheme in scheme_set(name, profile)
-    ]
 
 
 def _constant(mrai: float, **extra: Any) -> Dict[str, Any]:

@@ -38,7 +38,6 @@ from typing import (
     Union,
 )
 
-from repro.bgp.mrai import ConstantMRAI
 from repro.core.batch import (
     GridCell,
     PlannedTrial,
@@ -53,20 +52,23 @@ from repro.core.experiment import (
     TrialResult,
 )
 from repro.core.parallel import derive_trial_seeds
-from repro.core.sweep import Series, grid_series
+from repro.core.sweep import AXES, Series, grid_series, point_spec
 from repro.obs.session import ObsSession
 from repro.obs.spans import span
+from repro.specs.blocks import policy_needs_topology
 from repro.specs.serialize import (
     build_spec,
     scheme_requires_topology,
     validate_scheme,
 )
-from repro.specs.topology import topology_factory as resolve_topology_block
+from repro.specs.topology import (
+    topology_factory as resolve_topology_block,
+    validate_topology_block,
+)
 from repro.store.result_store import ResultStore, git_revision
 from repro.topology.graph import Topology
 
 __all__ = [
-    "AXES",
     "Campaign",
     "CampaignError",
     "CampaignResult",
@@ -77,9 +79,6 @@ __all__ = [
     "load_campaign_results",
     "run_campaign",
 ]
-
-#: Axes a campaign can sweep, mapped to how a point spec is derived.
-AXES = ("failure_fraction", "mrai")
 
 
 class CampaignError(RuntimeError):
@@ -116,9 +115,12 @@ class Campaign:
 
     ``topology`` is a parameter block (``kind`` + size knobs), not a
     factory, so campaigns round-trip through JSON and mean the same
-    thing on every host.  ``axis`` selects what varies per point:
-    ``failure_fraction`` replaces the spec's failure size,
-    ``mrai`` replaces the spec's policy with ``ConstantMRAI(x)``.
+    thing on every host; each trial seed builds its own topology unless
+    the block pins one with ``"seed"`` — which schemes that infer
+    relationships from the topology require of a multi-seed grid.
+    ``axis`` selects what varies per point
+    (:func:`repro.core.sweep.point_spec`).  The figure harness declares
+    its grids as campaigns too (:func:`repro.figures.common.grid`).
     """
 
     name: str
@@ -140,12 +142,23 @@ class Campaign:
             raise ValueError("a campaign needs at least one axis value")
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
-        # Typo-rejecting parse of every scheme up front: a campaign file
-        # with a bad scheme fails here (and in `campaign validate`), not
-        # hours into the grid.  Topology-dependent pieces resolve later.
+        # Typo-rejecting parse of the topology block and every scheme up
+        # front: a campaign file with a bad one fails here (and in
+        # `campaign validate`), not hours into the grid.  Topology-
+        # dependent pieces resolve later.
+        validate_topology_block(self.topology)
+        one_topology = len(self.seeds) == 1 or "seed" in self.topology
         for label, scheme in self.schemes.items():
             try:
                 validate_scheme(scheme)
+                if not one_topology and policy_needs_topology(
+                    scheme.get("policy")
+                ):
+                    raise ValueError(
+                        "inferred relationships describe one topology: pin "
+                        "it with 'seed' in the topology block, or list one "
+                        "seed"
+                    )
             except ValueError as exc:
                 raise ValueError(f"scheme {label!r}: {exc}") from exc
 
@@ -255,10 +268,7 @@ class Campaign:
         return build_spec(scheme)
 
     def point_spec(self, label: str, x: float) -> ExperimentSpec:
-        spec = self.base_spec(label)
-        if self.axis == "failure_fraction":
-            return spec.with_(failure_fraction=x)
-        return spec.with_(mrai=ConstantMRAI(x))
+        return point_spec(self.base_spec(label), self.axis, x)
 
     def cells(self) -> List[GridCell]:
         """The grid's ``(label, x, point spec)`` cells, scheme-major."""

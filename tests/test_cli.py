@@ -240,12 +240,15 @@ def test_cli_campaign_says_when_trials_were_truncated(tmp_path, capsys):
 def test_cli_campaign_verbs_reject_an_unloadable_file(tmp_path, capsys):
     """`validate` and every verb that loads a campaign file: exit 2 and
     the one `PATH: INVALID — reason` line, for a missing file and for
-    each malformed document."""
+    each malformed document (a mistyped topology block among them) —
+    and no store file."""
     from tests.test_store_campaign import MALFORMED
 
     cases = [(tmp_path / "missing.json", "No such file")]
     for document, field in MALFORMED:
         path = tmp_path / f"bad{len(cases)}.json"
+        if isinstance(document, dict):
+            document = dict(document, store=str(tmp_path / "store.db"))
         path.write_text(json.dumps(document), encoding="utf-8")
         cases.append((path, field))
     export = ["export", "--out", str(tmp_path / "series")]
@@ -257,6 +260,7 @@ def test_cli_campaign_verbs_reject_an_unloadable_file(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"{path}: INVALID") and field in err
             assert len(err.splitlines()) == 1
+    assert not (tmp_path / "store.db").exists()
 
 
 def test_cli_read_only_verbs_do_not_create_the_store(tmp_path, capsys):

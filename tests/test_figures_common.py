@@ -1,18 +1,20 @@
 """Tests for the shared figure-harness infrastructure."""
 
+import json
+import pathlib
+
 import pytest
 
+import repro.specs.topology as topology_blocks
+from repro.analysis.export import series_to_csv
 from repro.core.sweep import Series
 from repro.figures import FIGURES, compute_figure
-from repro.figures.common import (
-    QUICK,
-    ScaleProfile,
-    mrai_cells,
-    skewed_factory,
-)
+from repro.figures.common import QUICK, ScaleProfile, grid
 from repro.obs.session import ObsSession
 from repro.obs.spans import SpanRecorder, record_spans
-from repro.store import ResultStore
+from repro.store import Campaign, ResultStore, campaign_keys, run_campaign
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 def tiny_profile(**overrides):
@@ -35,20 +37,55 @@ def banked_keys(store):
     return sorted(key for key, _trial in store.iter_trials())
 
 
-def test_every_figure_plans_without_running_a_trial():
-    profile = tiny_profile(name="plan-only")
+def test_every_figure_grid_is_a_campaign_document(monkeypatch):
+    """What a figure declares is what ``campaign run`` and ``/submit``
+    take: declaring builds no topology and runs no trial, and the JSON
+    document plans the very trials the figure runs."""
+    profile = tiny_profile(name="documents", seeds=(1, 2))
     recorder = SpanRecorder()
-    with record_spans(recorder):
-        planned = {fid: fig.grids(profile) for fid, fig in FIGURES.items()}
-    assert "trials.run" not in {r["name"] for r in recorder.records}
-    for fid, grids in planned.items():
+    with record_spans(recorder), monkeypatch.context() as patched:
+        for generator in (
+            "skewed_topology",
+            "internet_like_topology",
+            "multi_router_topology",
+        ):
+            patched.delattr(topology_blocks, generator)
+        declared = {fid: fig.grids(profile) for fid, fig in FIGURES.items()}
+    assert not recorder.records  # no topology.build, no trials.run
+    for fid, grids in declared.items():
         assert grids, fid
-        for factory, cells, x_name in grids:
-            assert callable(factory)
-            assert x_name in ("failure_fraction", "mrai")
-            assert cells, fid
-            points = [(label, x) for label, x, _spec in cells]
-            assert len(set(points)) == len(points), fid
+        for campaign in grids:
+            assert isinstance(campaign, Campaign) and campaign.name == fid
+            assert campaign.seeds == [1, 2]
+            document = json.loads(json.dumps(campaign.to_dict()))
+            assert "store" not in document
+            planned = campaign_keys(campaign)
+            assert [
+                (t.label, t.x, t.seed, t.key)
+                for t in campaign_keys(Campaign.from_dict(document))
+            ] == [(t.label, t.x, t.seed, t.key) for t in planned], fid
+            points = {(t.label, t.x, t.seed) for t in planned}
+            assert len(points) == len(planned) == campaign.total_trials
+
+
+@pytest.mark.parametrize("figure_id", ["fig01", "ab_policy_routing"])
+def test_campaign_runner_reproduces_the_figure(figure_id, tmp_path):
+    # ab_policy_routing at two seeds is the pinned case: one topology
+    # serves every trial seed.
+    profile = tiny_profile(name="either-runner", seeds=(1, 2))
+    figure = compute_figure(figure_id, profile)
+    [campaign] = FIGURES[figure_id].grids(profile)
+    with ResultStore(tmp_path / "store.db") as store:
+        ran = run_campaign(campaign, store)
+    assert ran.executed == campaign.total_trials
+    assert series_to_csv(ran.series) == series_to_csv(figure.series)
+
+
+def test_committed_campaign_file_is_fig01_at_quick_scale():
+    document = json.loads(
+        (EXAMPLES / "campaigns" / "fig01_quick.json").read_text("utf-8")
+    )
+    assert document == FIGURES["fig01"].grids(QUICK)[0].to_dict()
 
 
 def test_figure_banks_into_whichever_store_it_is_handed(tmp_path):
@@ -137,7 +174,8 @@ def test_batching_scheme_sweep_layout():
 
 def test_series_for_mrai_grid_uses_profile_grid_by_default():
     profile = tiny_profile(name="grid-default")
-    cells = mrai_cells(profile, "x", 0.25, queue_discipline="dest_batch")
+    scheme = {"failure_fraction": 0.25, "queue": "dest_batch"}
+    cells = grid("g", profile, {"x": scheme}, axis="mrai").cells()
     assert [(label, x) for label, x, _spec in cells] == [
         ("x", value) for value in profile.mrai_grid
     ]
@@ -147,12 +185,16 @@ def test_series_for_mrai_grid_uses_profile_grid_by_default():
         assert spec.queue_discipline == "dest_batch"
 
 
-def test_skewed_factory_deterministic_per_seed():
-    factory = skewed_factory(QUICK)
+def test_topology_factory_deterministic_per_seed():
+    factory = grid("g", QUICK, "mrai_three").topology_factory()
     a = factory(3)
     b = factory(3)
+    assert a is not b
     assert sorted(l.endpoints() for l in a.links) == sorted(
         l.endpoints() for l in b.links
+    )
+    assert sorted(l.endpoints() for l in factory(4).links) != sorted(
+        l.endpoints() for l in a.links
     )
 
 

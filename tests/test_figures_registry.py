@@ -24,8 +24,6 @@ from repro.figures.common import (
     ScaleProfile,
     check_le,
     check_ratio,
-    multirouter_factory,
-    skewed_factory,
 )
 
 
@@ -113,9 +111,9 @@ def test_compute_figure_unknown_id():
 
 
 def test_factories_build_at_profile_scale():
-    topo = skewed_factory(QUICK)(seed=1)
+    topo = FIGURES["fig01"].grids(QUICK)[0].topology_factory()(1)
     assert topo.num_routers == QUICK.nodes
-    multi = multirouter_factory(QUICK)(seed=1)
+    multi = FIGURES["fig13"].grids(QUICK)[0].topology_factory()(1)
     assert len(multi.as_numbers()) == QUICK.multirouter_ases
 
 

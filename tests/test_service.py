@@ -472,6 +472,10 @@ def test_service_http_error_mapping(service):
     with pytest.raises(ServiceError) as err:
         client.submit(dict(CAMPAIGN, axis={"name": "failure_fraction"}))
     assert "'axis'" in err.value.message
+    for block in ({"kind": "skwed"}, {"kind": "skewed", "nodse": 120}):
+        with pytest.raises(ServiceError) as err:
+            client.submit(dict(CAMPAIGN, topology=block))
+        assert err.value.status == 400 and "topology" in err.value.message
     with pytest.raises(ServiceError) as err:
         client.trial("0" * 32)
     assert err.value.status == 404

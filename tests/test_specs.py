@@ -33,7 +33,6 @@ from repro.specs import (
     scheme_keys,
     scheme_requires_topology,
     scheme_set,
-    scheme_set_specs,
     spec_from_dict,
     spec_to_dict,
     validate_scheme,
@@ -52,9 +51,10 @@ def topo24():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("set_name", sorted(SCHEME_SETS.names()))
 def test_scheme_sets_round_trip(set_name, topo24):
-    pairs = scheme_set_specs(set_name, QUICK, topology=topo24)
+    pairs = scheme_set(set_name, QUICK)
     assert pairs, set_name
-    for label, spec in pairs:
+    for label, scheme in pairs:
+        spec = build_spec(scheme, topology=topo24)
         d = spec_to_dict(spec)
         # The explicit dict is JSON-serializable (campaign files) ...
         assert json.loads(json.dumps(d)) == d

@@ -17,8 +17,14 @@ import repro.core.batch as batch_mod
 import repro.core.parallel as parallel_mod
 from repro.bgp.mrai import ConstantMRAI
 from repro.core.experiment import ExperimentSpec
-from repro.core.sweep import failure_size_sweep, mrai_sweep, sweep_cells
-from repro.figures.common import QUICK, scheme_set_grid
+from repro.core.sweep import (
+    failure_size_sweep,
+    mrai_sweep,
+    point_spec,
+    sweep_cells,
+)
+from repro.figures import FIGURES
+from repro.figures.common import QUICK
 from repro.obs.session import ObsSession
 from repro.specs import build_spec
 from repro.store import (
@@ -128,6 +134,15 @@ MALFORMED = [
     (dict(CAMPAIGN, schemes=[1]), "'schemes'"),
     (dict(CAMPAIGN, schemes={"a": 3}), "'schemes'"),
     (dict(CAMPAIGN, topology=5), "'topology'"),
+    (dict(CAMPAIGN, topology={"kind": "skwed"}), "unknown topology kind"),
+    (dict(CAMPAIGN, topology={"kind": "skewed", "nodse": 120}), "nodse"),
+    (
+        dict(CAMPAIGN, topology={"kind": "internet", "distribution": "70-30"}),
+        "distribution",
+    ),
+    (dict(CAMPAIGN, topology={"distribution": "99-1"}), "unknown distr"),
+    (dict(CAMPAIGN, topology={"nodes": 24.0}), "nodes must be an integer"),
+    (dict(CAMPAIGN, topology={"seed": "1"}), "seed must be an integer"),
 ]
 
 
@@ -155,6 +170,57 @@ def test_topology_factory_rejects_unknowns():
         ).topology_factory()
     with pytest.raises(ValueError, match="unknown topology kind"):
         make_campaign(topology={"kind": "torus"}).topology_factory()
+
+
+GAO_REXFORD = {
+    "topology": {"kind": "skewed", "nodes": 30},
+    "schemes": {
+        "gao-rexford": {
+            "mrai": 0.5,
+            "policy": {"kind": "gao-rexford", "infer": "hierarchical"},
+        }
+    },
+}
+
+
+def test_inferred_relationships_need_one_topology():
+    # Relationships inferred from the seed-1 topology label 9 of the
+    # seed-2 topology's 58 links; the rest would default to peer.
+    with pytest.raises(ValueError, match="'gao-rexford'.*pin it with 'seed'"):
+        make_campaign(**GAO_REXFORD)
+    assert make_campaign(**GAO_REXFORD, seeds=[2]).total_trials == 2
+    pinned = dict(GAO_REXFORD["topology"], seed=1)
+    planned = campaign_keys(
+        make_campaign(**dict(GAO_REXFORD, topology=pinned))
+    )
+    assert [t.seed for t in planned] == [1, 2, 1, 2]
+    assert len({t.digest for t in planned}) == 1
+    for trial in planned:
+        topo = trial.topology
+        labelled = {
+            (a, b) for a, b, _rel in trial.spec.policy.relationships.items()
+        }
+        assert all(
+            (topo.as_of(link.a), topo.as_of(link.b)) in labelled
+            for link in topo.links
+        )
+
+
+def test_adaptive_schemes_still_resolve_against_the_first_seed():
+    # Their resolved parameters are scalars, valid on any topology.
+    campaign = make_campaign(
+        schemes={"adaptive": {"mrai_scheme": "adaptive"}}
+    )
+    assert len({t.digest for t in campaign_keys(campaign)}) == 2
+
+
+def test_pinned_topology_is_built_at_the_pinned_seed():
+    block = {"kind": "skewed", "nodes": 24}
+    unpinned = make_campaign(topology=block, seeds=[3])
+    pinned = make_campaign(topology=dict(block, seed=3), seeds=[1, 2])
+    assert {t.digest for t in campaign_keys(pinned)} == {
+        t.digest for t in campaign_keys(unpinned)
+    }
 
 
 def test_retry_policy_validates():
@@ -227,12 +293,13 @@ def mrai_three_grid(jobs):
     profile = dataclasses.replace(
         QUICK, name="unit", nodes=24, seeds=(1, 2), fractions=(0.1, 0.2)
     )
-    factory, cells, x_name = scheme_set_grid("mrai_three", profile)
-    return sweep_cells(factory, cells, profile.seeds, x_name, jobs=jobs), {
-        "schemes": {
-            f"MRAI={v:g}s": {"mrai": v} for v in profile.mrai_three
-        },
-        "axis": {"name": "failure_fraction", "values": [0.1, 0.2]},
+    [grid] = FIGURES["fig01"].grids(profile)
+    series = sweep_cells(
+        grid.topology_factory(), grid.cells(), grid.seeds, grid.axis, jobs=jobs
+    )
+    return series, {
+        "schemes": grid.schemes,
+        "axis": {"name": grid.axis, "values": grid.values},
     }
 
 
@@ -272,6 +339,34 @@ def test_campaign_matches_uncached_sweep(tmp_path):
         assert [
             (s.xs, s.delays, s.message_counts) for s in result.series
         ] == [(s.xs, s.delays, s.message_counts) for s in direct], (name, jobs)
+
+
+@pytest.mark.parametrize(
+    "axis, sweep, x",
+    [
+        ("failure_fraction", failure_size_sweep, 0.2),
+        ("mrai", mrai_sweep, 2.0),
+    ],
+)
+def test_every_driver_derives_a_point_the_same_way(
+    axis, sweep, x, monkeypatch
+):
+    scheme = {"mrai": 0.5, "failure_fraction": 0.1, "queue": "dest_batch"}
+    expected = point_spec(build_spec(scheme), axis, x)
+    assert expected != build_spec(scheme)
+    campaign = make_campaign(
+        schemes={"s": scheme}, axis={"name": axis, "values": [x]}
+    )
+    assert campaign.cells() == [("s", x, expected)]
+    swept = []
+    monkeypatch.setattr(
+        "repro.core.sweep.run_grid",
+        lambda factory, cells, seeds, **run: swept.extend(cells) or [None],
+    )
+    sweep(sweep_factory, build_spec(scheme), [x], [1], label="s")
+    assert swept == [("s", x, expected)]
+    with pytest.raises(ValueError, match="unknown axis"):
+        point_spec(expected, "bogus", x)
 
 
 def test_parallel_campaign_matches_serial(tmp_path):

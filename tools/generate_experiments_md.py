@@ -273,8 +273,12 @@ adds.  The paper's evaluation consists of 13 figures and no tables.
   encoding the paper's claims; `[PASS]` markers below are asserted by the
   benchmark suite (strict) or recorded (soft).
 * Every figure's scheme list is a registered *scheme set* of declarative
-  scheme dicts (`repro.specs`, see `docs/SPECS.md`), so each column
-  below can be re-run standalone from a campaign file or the CLI.
+  scheme dicts (`repro.specs`, see `docs/SPECS.md`) and every figure's
+  grid is a campaign document, so each column below can be re-run
+  standalone from a campaign file or the CLI:
+  `FIGURES["fig01"].grids(QUICK)[0].to_dict()` is
+  `examples/campaigns/fig01_quick.json`, and `repro-bgp campaign run` of
+  it with `--export` writes the bytes of `results/fig01_quick.csv`.
 * Full-scale (120-node) verification runs are recorded at the end.
 
 """
