@@ -53,6 +53,17 @@ class BGPNetwork:
         else:
             self._g_in_flight = None
         self.last_activity = 0.0
+        #: Every AS originates one prefix, its AS number: per-destination
+        #: RIB arrays are indexed ``0 .. prefix_count - 1``.  AS numbers
+        #: must therefore be dense — ``0 .. n-1`` or ``1 .. n`` for n ASes —
+        #: so the arrays grow with the network, not with its labels.
+        asns = topology.as_numbers()
+        if asns and (asns[0] < 0 or asns[-1] > len(asns)):
+            raise ValueError(
+                f"AS numbers {asns[0]} .. {asns[-1]} are not dense: "
+                f"renumber the {len(asns)} ASes 0 .. {len(asns) - 1}"
+            )
+        self.prefix_count = asns[-1] + 1 if asns else 0
         self.speakers: Dict[int, BGPSpeaker] = {}
         self._failed: Set[int] = set()
         #: Optional data-plane impact monitor (None = off; the hot path

@@ -1,9 +1,11 @@
 """Routes and route comparison.
 
-A :class:`Route` is a candidate entry in a RIB: the destination, the AS path
-*as received* (i.e. not including the local AS), which peer advertised it,
-and whether it was learned over eBGP.  Locally originated routes have an
-empty path and ``peer is None``.
+A :class:`Route` is a selected entry of the Loc-RIB: the destination, the AS
+path *as received* (i.e. not including the local AS), which peer advertised
+it, and whether it was learned over eBGP.  Locally originated routes have an
+empty path and ``peer is None``.  The Adj-RIB-In holds no ``Route``s — only
+the received paths (:mod:`repro.bgp.rib`) — and ranks its candidates by
+``(rank, len(path), key_tail(peer, ebgp))``, the order of a packed key.
 
 The decision process follows the paper's configuration — "the path length
 was the only criterion used for selecting the routes" — with deterministic
@@ -20,7 +22,6 @@ tie-breaks so simulations are exactly reproducible:
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Optional, Tuple
 
 #: Field widths of the packed preference key: AS-path length, and the
@@ -28,10 +29,29 @@ from typing import Optional, Tuple
 #: anything a simulated topology can reach; the rank sits on top, unbounded.
 _LEN_BITS = 24
 _PEER_BITS = 32
+#: The key's *tail* is criteria 3-5 — local-before-learned,
+#: eBGP-before-iBGP and the peer id — all constants of the advertising peer.
+_TAIL_BITS = 2 + _PEER_BITS
+
+
+def key_tail(peer: Optional[int], ebgp: bool) -> int:
+    """Criteria 3-5 of the preference key, lower is better: a constant of
+    the advertising peer (``None`` = locally originated)."""
+    learned = peer is not None
+    return (learned << 1 | (not ebgp)) << _PEER_BITS | (
+        peer + 1 if learned else 0
+    )
+
+
+def pack_key(rank: int, length: int, tail: int) -> int:
+    """The preference key of a route ranked ``rank`` with an AS path of
+    ``length`` hops from a peer whose :func:`key_tail` is ``tail``.  Keys
+    order exactly like the tuples ``(rank, length, tail)``."""
+    return (rank << _LEN_BITS | length) << _TAIL_BITS | tail
 
 
 class Route:
-    """A single RIB entry for one destination."""
+    """A single Loc-RIB entry for one destination."""
 
     __slots__ = ("dest", "path", "peer", "ebgp", "export", "_key")
 
@@ -52,17 +72,13 @@ class Route:
         #: A route sits in exactly one speaker's RIBs, so this one tuple
         #: is what every peer's UPDATE, the sender's Adj-RIB-Out and the
         #: receivers' Adj-RIB-In share — the hot equality checks
-        #: (``export == last``, ``existing.path == msg.path``) hit
+        #: (``export == last``, ``existing == msg.path``) hit
         #: CPython's identity fast path, and the path dies with the last
         #: RIB slot that holds it.
         self.export: Optional[Tuple[int, ...]] = None
         # Routes are immutable once built: pack the five criteria of the
         # module docstring, most significant first, into one int.
-        learned = peer is not None
-        self._key = (
-            ((rank << _LEN_BITS | len(path)) << 2 | learned << 1 | (not ebgp))
-            << _PEER_BITS
-        ) | (peer + 1 if learned else 0)
+        self._key = pack_key(rank, len(path), key_tail(peer, ebgp))
 
     @property
     def is_local(self) -> bool:
@@ -87,20 +103,6 @@ class Route:
         """Strictly preferred over ``other`` (``None`` = no route)."""
         return other is None or self._key < other._key
 
-    def same_selection(self, other: Optional["Route"]) -> bool:
-        """Whether this and ``other`` denote the identical selection.
-
-        Compares path, advertising peer and session type; used to decide
-        whether a decision run actually changed the Loc-RIB.
-        """
-        if other is None:
-            return False
-        return (
-            self.path == other.path
-            and self.peer == other.peer
-            and self.ebgp == other.ebgp
-        )
-
     def contains_as(self, asn: int) -> bool:
         """AS-path loop check."""
         return asn in self.path
@@ -109,11 +111,6 @@ class Route:
         src = "local" if self.peer is None else f"peer={self.peer}"
         kind = "eBGP" if self.ebgp else "iBGP"
         return f"<Route dest={self.dest} path={self.path} {src} {kind}>"
-
-
-#: :meth:`Route.preference_key` for ``min(routes, key=by_preference)``: the
-#: scan then compares packed ints without a Python frame per candidate.
-by_preference = attrgetter("_key")
 
 
 def local_route(dest: int) -> Route:

@@ -26,7 +26,7 @@ from repro.bgp.messages import Update
 from repro.bgp.mrai import MRAIController
 from repro.bgp.session import Session, SessionMessage
 from repro.bgp.queues import QueueDiscipline, make_queue
-from repro.bgp.rib import AdjRibIn, LocRib, run_decision
+from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Route
 from repro.sim.timers import Timer
 
@@ -56,7 +56,9 @@ class PeerState:
         "adj_rib_out",
     )
 
-    def __init__(self, peer_id: int, asn: int, delay: float, ebgp: bool) -> None:
+    def __init__(
+        self, peer_id: int, asn: int, delay: float, ebgp: bool, prefixes: int
+    ) -> None:
         self.peer_id = peer_id
         self.asn = asn
         self.delay = delay
@@ -72,18 +74,20 @@ class PeerState:
         #: lazily and only while causal tracing is enabled, so the
         #: untraced path never touches it.
         self.pending_cause: Optional[Dict[int, int]] = None
-        #: What was last sent: dest -> path tuple, or None for "withdrawn".
-        self.adj_rib_out: Dict[int, Optional[Tuple[int, ...]]] = {}
+        #: What was last sent, indexed by destination: a path tuple, None
+        #: for "withdrawn", or ``_NEVER_SENT``.
+        self.adj_rib_out: List[object] = [_NEVER_SENT] * prefixes
 
     def reset(self) -> None:
         """Forget the routing exchange with this peer: timers stopped and
-        dropped, nothing pending, nothing remembered as sent."""
+        dropped, nothing pending, nothing remembered as sent.  What was
+        received from the peer is the Adj-RIB-In's to drop."""
         for timer in self.timers.values():
             timer.stop()
         self.timers.clear()
         self.pending.clear()
         self.pending_cause = None
-        self.adj_rib_out.clear()
+        self.adj_rib_out = [_NEVER_SENT] * len(self.adj_rib_out)
 
 
 class BGPSpeaker:
@@ -105,7 +109,7 @@ class BGPSpeaker:
         self.controller = controller
         self.alive = True
 
-        self.adj_rib_in = AdjRibIn()
+        self.adj_rib_in = AdjRibIn(network.prefix_count)
         self.loc_rib = LocRib()
         self.own_prefixes: Set[int] = set()
         self.peers: Dict[int, PeerState] = {}
@@ -158,8 +162,9 @@ class BGPSpeaker:
     def add_peer(self, peer_id: int, asn: int, delay: float, ebgp: bool) -> None:
         if peer_id in self.peers:
             raise ValueError(f"duplicate peer {peer_id} at node {self.node_id}")
-        ps = PeerState(peer_id, asn, delay, ebgp)
+        ps = PeerState(peer_id, asn, delay, ebgp, self.network.prefix_count)
         self.peers[peer_id] = ps
+        self.adj_rib_in.add_peer(peer_id, ebgp)
         if self.config.session is not None:
             # Explicit mode: sessions start down and must be established.
             ps.session_up = False
@@ -167,6 +172,11 @@ class BGPSpeaker:
 
     def originate(self, prefix: int) -> None:
         """Start advertising ``prefix`` as locally originated."""
+        if not 0 <= prefix < self.network.prefix_count:
+            raise ValueError(
+                f"prefix {prefix} is not a destination of this network "
+                f"(0 .. {self.network.prefix_count - 1}: its AS numbers)"
+            )
         self.own_prefixes.add(prefix)
         self._reselect(prefix)
 
@@ -264,47 +274,41 @@ class BGPSpeaker:
             # The session died while the message sat in the queue.
             self.network.counters["updates_dropped_dead_session"] += 1
             return False
+        rib_in = self.adj_rib_in
         if msg.is_withdrawal:
-            changed = self.adj_rib_in.withdraw(msg.dest, msg.sender)
+            changed = rib_in.withdraw(msg.dest, msg.sender)
             if changed and ps.ebgp and self.config.damping is not None:
                 self._record_flap(ps, msg.dest, withdrawal=True)
             return changed
-        assert msg.path is not None
-        if ps.ebgp and self.asn in msg.path:
+        path = msg.path
+        assert path is not None
+        if ps.ebgp and self.asn in path:
             # Receiver-side AS-path loop detection: infeasible route; any
             # previous route from this peer is implicitly replaced.
             self.network.counters["updates_loop_rejected"] += 1
-            return self.adj_rib_in.withdraw(msg.dest, msg.sender)
-        existing = self.adj_rib_in.get(msg.dest, msg.sender)
-        if (
-            existing is not None
-            and existing.path == msg.path
-            and existing.ebgp == ps.ebgp
-        ):
+            return rib_in.withdraw(msg.dest, msg.sender)
+        existing = rib_in.get(msg.dest, msg.sender)
+        if existing == path:
             return False
         if ps.ebgp and self.config.damping is not None and existing is not None:
             # RFC 2439: route changes are flaps; the *first* advertisement
             # of a destination carries no penalty.
             self._record_flap(ps, msg.dest, withdrawal=False)
         rank = 0
-        if self.config.policy is not None and msg.path:
+        if self.config.policy is not None and path:
             # Import policy: rank by preference class; None rejects.  The
             # ranking neighbor AS is the first hop of the AS path — for
             # eBGP that is the sending peer's AS, for iBGP it is the eBGP
             # neighbor the route entered this AS through, so every router
             # of the AS ranks consistently.
             imported = self.config.policy.import_rank(
-                self.asn,
-                msg.path[0],
-                Route(msg.dest, msg.path, msg.sender, ps.ebgp),
+                self.asn, path[0], Route(msg.dest, path, msg.sender, ps.ebgp)
             )
             if imported is None:
                 self.network.counters["updates_policy_rejected"] += 1
-                return self.adj_rib_in.withdraw(msg.dest, msg.sender)
+                return rib_in.withdraw(msg.dest, msg.sender)
             rank = imported
-        self.adj_rib_in.store(
-            Route(msg.dest, msg.path, msg.sender, ps.ebgp, rank=rank)
-        )
+        rib_in.store(msg.dest, msg.sender, path, rank)
         return True
 
     # ------------------------------------------------------------------
@@ -358,15 +362,10 @@ class BGPSpeaker:
     # ------------------------------------------------------------------
     def _reselect(self, dest: int) -> None:
         old = self.loc_rib.get(dest)
-        new = run_decision(
-            self.adj_rib_in,
-            dest,
-            self.own_prefixes,
-            excluded_peers=self._suppressed_peers(dest),
+        new = self.adj_rib_in.decide(
+            dest, self.own_prefixes, self._suppressed_peers(dest), old
         )
-        if new is None and old is None:
-            return
-        if new is not None and new.same_selection(old):
+        if new is old:
             return
         self.loc_rib.set(dest, new)
         dataplane = self.network.dataplane
@@ -439,7 +438,7 @@ class BGPSpeaker:
         to withdrawals).
         """
         export = self.export_route(ps, dest)
-        last = ps.adj_rib_out.get(dest, _NEVER_SENT)
+        last = ps.adj_rib_out[dest]
         if export == last or (export is None and last is _NEVER_SENT):
             # Nothing new to say, or nothing ever advertised to withdraw.
             ps.pending.discard(dest)
@@ -627,7 +626,8 @@ class BGPSpeaker:
         self.alive = True
         self._busy = False
         self.queue.clear()
-        self.adj_rib_in = AdjRibIn()
+        for peer_id in self.peers:
+            self.adj_rib_in.drop_peer(peer_id)
         self.loc_rib = LocRib()
         self._damping.clear()
         for prefix in sorted(self.own_prefixes):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from typing import Dict, Optional, Tuple
+
 import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
+from repro.bgp.speaker import _NEVER_SENT, PeerState
 from repro.topology.graph import Topology, flat_topology_from_edges
 
 
@@ -45,6 +48,16 @@ def converged_network(
     network.run_until_quiet(max_time=3600)
     assert network.is_quiescent(), "warm-up did not converge"
     return network
+
+
+def advertised(ps: PeerState) -> Dict[int, Optional[Tuple[int, ...]]]:
+    """What a speaker last sent over a session, by destination: a path, or
+    None for a withdrawal; destinations never sent are absent."""
+    return {
+        dest: sent
+        for dest, sent in enumerate(ps.adj_rib_out)
+        if sent is not _NEVER_SENT
+    }
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.core.dynamic_mrai import DynamicMRAI
+from repro.topology.serialize import FORMAT_VERSION, topology_from_dict
 from tests.conftest import (
     clique_topology,
     converged_network,
@@ -21,6 +22,51 @@ def test_one_speaker_per_router():
     for node_id, speaker in net.speakers.items():
         assert speaker.asn == topo.as_of(node_id)
         assert speaker.degree == topo.degree(node_id)
+
+
+def _line_with_asns(asns):
+    """A topology document of a line whose routers carry ``asns``."""
+    return {
+        "format": "repro-topology",
+        "version": FORMAT_VERSION,
+        "routers": [
+            {"id": i, "asn": asn, "x": 0.0, "y": 0.0}
+            for i, asn in enumerate(asns)
+        ],
+        "links": [
+            {"a": i, "b": i + 1, "delay": 0.025}
+            for i in range(len(asns) - 1)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "asns",
+    [(701, 1239, 3356), (0, 1, 4_200_000_000), (-1, 0, 1)],
+    ids=["measured", "four-byte", "negative"],
+)
+def test_sparse_or_negative_as_numbers_are_refused(asns):
+    # Destinations index per-peer RIB arrays by AS number: measured AS
+    # numbers must be renumbered, not sized into gigabytes or wrapped
+    # into another destination's slot.
+    topo = topology_from_dict(_line_with_asns(asns))
+    with pytest.raises(ValueError, match="not dense"):
+        BGPNetwork(topo)
+
+
+def test_dense_as_numbers_from_zero_or_one_route_everywhere():
+    for asns in ((0, 1, 2), (1, 2, 3), (3, 1, 2)):
+        net = converged_network(topology_from_dict(_line_with_asns(asns)))
+        assert net.prefix_count == max(asns) + 1
+        for speaker in net.speakers.values():
+            assert speaker.loc_rib.destinations() == set(asns)
+
+
+def test_only_the_networks_prefixes_can_be_originated():
+    net = BGPNetwork(line_topology(3))
+    for prefix in (3, -1):
+        with pytest.raises(ValueError, match="not a destination"):
+            net.speakers[0].originate(prefix)
 
 
 def test_sessions_mirror_links():

@@ -10,7 +10,12 @@ from repro.bgp.session import SessionConfig
 from repro.core.validation import validate_routing
 from repro.sim.timers import Jitter
 from repro.topology.skewed import skewed_topology
-from tests.conftest import converged_network, line_topology, ring_topology
+from tests.conftest import (
+    advertised,
+    converged_network,
+    line_topology,
+    ring_topology,
+)
 
 
 def test_recovery_restores_full_reachability():
@@ -122,9 +127,9 @@ def test_table_transfer_arms_the_timers_of_what_it_sent(session):
     assert recovered.peers
     for peer_id, ps in recovered.peers.items():
         for end in (ps, net.speakers[peer_id].peers[hub]):
-            assert end.session_up and end.adj_rib_out
+            assert end.session_up and advertised(end)
             assert set(end.timers) <= destinations
-            for dest in end.adj_rib_out:
+            for dest in advertised(end):
                 assert end.timers[dest].running, (peer_id, dest)
 
 

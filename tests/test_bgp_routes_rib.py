@@ -1,10 +1,10 @@
 """Unit tests for routes, route comparison and the RIBs."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.bgp.rib import AdjRibIn, LocRib, run_decision
+from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Route, local_route
 
 
@@ -42,15 +42,6 @@ def test_better_than_none():
     assert Route(1, (2,), peer=3).better_than(None)
 
 
-def test_same_selection():
-    a = Route(1, (2, 1), peer=3)
-    b = Route(1, (2, 1), peer=3)
-    c = Route(1, (2, 1), peer=4)
-    assert a.same_selection(b)
-    assert not a.same_selection(c)
-    assert not a.same_selection(None)
-
-
 def test_contains_as():
     route = Route(1, (2, 3, 4), peer=9)
     assert route.contains_as(3)
@@ -60,23 +51,37 @@ def test_contains_as():
 # ---------------------------------------------------------------------------
 # Adj-RIB-In
 # ---------------------------------------------------------------------------
+def adj_rib_in(size=100, peers=(5, 6), ibgp=()):
+    """An Adj-RIB-In of ``size`` destinations and eBGP peers ``peers``
+    (iBGP for those also in ``ibgp``): the session type is a constant of
+    the peer, as it is in a network."""
+    rib = AdjRibIn(size)
+    for peer in peers:
+        rib.add_peer(peer, ebgp=peer not in ibgp)
+    return rib
+
+
 def test_adj_rib_in_store_and_replace():
-    rib = AdjRibIn()
-    rib.store(Route(1, (2,), peer=5))
-    rib.store(Route(1, (3, 2), peer=5))  # same peer: replaces
-    assert rib.get(1, 5).path == (3, 2)
+    rib = adj_rib_in()
+    rib.store(1, 5, (2,))
+    rib.store(1, 5, (3, 2))  # same peer: replaces
+    assert rib.get(1, 5) == (3, 2)
     assert rib.route_count() == 1
 
 
 def test_adj_rib_in_rejects_local_routes():
-    rib = AdjRibIn()
-    with pytest.raises(ValueError):
-        rib.store(local_route(1))
+    # Only peers hold slots: a locally originated route (no peer) or a
+    # route from a peer the RIB was not told about has nowhere to go.
+    rib = adj_rib_in()
+    with pytest.raises(KeyError):
+        rib.store(1, None, ())
+    with pytest.raises(KeyError):
+        rib.store(1, 7, (7,))
 
 
 def test_adj_rib_in_withdraw():
-    rib = AdjRibIn()
-    rib.store(Route(1, (2,), peer=5))
+    rib = adj_rib_in()
+    rib.store(1, 5, (2,))
     assert rib.withdraw(1, 5)
     assert not rib.withdraw(1, 5)  # already gone
     assert rib.get(1, 5) is None
@@ -84,22 +89,24 @@ def test_adj_rib_in_withdraw():
 
 
 def test_adj_rib_in_drop_peer():
-    rib = AdjRibIn()
-    rib.store(Route(1, (2,), peer=5))
-    rib.store(Route(2, (3,), peer=5))
-    rib.store(Route(1, (4,), peer=6))
+    rib = adj_rib_in()
+    rib.store(2, 5, (3,))
+    rib.store(1, 5, (2,))
+    rib.store(1, 6, (4,))
     affected = rib.drop_peer(5)
-    assert sorted(affected) == [1, 2]
+    # In the order the destinations gained their first route.
+    assert affected == [2, 1]
     assert rib.get(1, 6) is not None
     assert rib.route_count() == 1
 
 
 def test_adj_rib_in_candidates():
-    rib = AdjRibIn()
-    rib.store(Route(1, (2,), peer=5))
-    rib.store(Route(1, (3,), peer=6))
-    assert len(list(rib.candidates(1))) == 2
-    assert list(rib.candidates(99)) == []
+    rib = adj_rib_in()
+    rib.store(1, 5, (2,))
+    rib.store(1, 6, (3,))
+    assert [rib.get(1, peer) for peer in (5, 6)] == [(2,), (3,)]
+    assert rib.destinations() == {1}
+    assert [rib.get(99, peer) for peer in (5, 6)] == [None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +127,35 @@ def test_loc_rib_set_get_delete():
 # Decision process
 # ---------------------------------------------------------------------------
 def test_decision_picks_best_candidate():
-    rib = AdjRibIn()
-    rib.store(Route(1, (2, 3, 1), peer=5))
-    rib.store(Route(1, (4, 1), peer=6))
-    best = run_decision(rib, 1, own_prefixes=set())
+    rib = adj_rib_in()
+    rib.store(1, 5, (2, 3, 1))
+    rib.store(1, 6, (4, 1))
+    best = rib.decide(1, own_prefixes=set())
     assert best.peer == 6
 
 
 def test_decision_prefers_local_origin():
-    rib = AdjRibIn()
-    rib.store(Route(1, (2,), peer=5))
-    best = run_decision(rib, 1, own_prefixes={1})
+    rib = adj_rib_in()
+    rib.store(1, 5, (2,))
+    best = rib.decide(1, own_prefixes={1})
     assert best.is_local
 
 
 def test_decision_none_when_no_candidates():
-    assert run_decision(AdjRibIn(), 1, own_prefixes=set()) is None
+    assert adj_rib_in().decide(1, own_prefixes=set()) is None
+
+
+def test_same_selection():
+    # The same path from the same peer is the current selection: the
+    # decision hands back the current route instead of building one.
+    rib = adj_rib_in()
+    rib.store(1, 5, (2, 1))
+    a = Route(1, (2, 1), peer=5)
+    c = Route(1, (2, 1), peer=6)
+    assert rib.decide(1, set(), current=a) is a
+    best = rib.decide(1, set(), current=c)
+    assert best is not c and best.peer == 5 and best.path == (2, 1)
+    assert rib.decide(1, set(), current=None).peer == 5
 
 
 _PEERS = st.integers(min_value=0, max_value=5)
@@ -146,7 +166,6 @@ _OPERATIONS = st.one_of(
         _DESTS,
         _PEERS,
         st.lists(st.integers(min_value=10, max_value=14), max_size=4).map(tuple),
-        st.booleans(),
         st.integers(min_value=0, max_value=2),
     ),
     st.tuples(st.just("withdraw"), _DESTS, _PEERS),
@@ -154,42 +173,81 @@ _OPERATIONS = st.one_of(
 )
 
 
-@given(st.lists(_OPERATIONS, max_size=40), st.sets(_PEERS), st.booleans())
-def test_decision_is_the_brute_force_minimum(operations, excluded, own):
+@given(
+    st.lists(_OPERATIONS, max_size=40),
+    st.sets(_PEERS),
+    st.sets(_PEERS),
+    st.booleans(),
+)
+# Destination 1 leaves with its last route and re-enters behind 2 ...
+@example(
+    [("store", 1, 0, (10,), 0), ("store", 2, 0, (11,), 0),
+     ("withdraw", 1, 0), ("store", 1, 0, (12,), 0)],
+    set(), set(), False,
+)
+# ... but not while another peer still holds a route to it.
+@example(
+    [("store", 1, 0, (10,), 0), ("store", 2, 0, (11,), 0),
+     ("store", 1, 1, (13,), 0), ("withdraw", 1, 0),
+     ("store", 1, 0, (12,), 0)],
+    set(), set(), False,
+)
+def test_decision_is_the_brute_force_minimum(operations, ibgp, excluded, own):
     """After any store / withdraw / drop_peer sequence, the decision is the
     minimum of ``preference_key()`` over the surviving candidates — with
-    and without exclusions, with and without the local route."""
-    rib = AdjRibIn()
-    model = {}  # (dest, peer) -> Route: the surviving candidates
+    and without exclusions, with and without the local route — and
+    ``drop_peer`` reports destinations in the order of a dest-major table
+    that a destination enters with its first route and leaves with its
+    last (the order ``peer_down`` reselects in)."""
+    peers = range(6)
+    rib = adj_rib_in(size=4, peers=peers, ibgp=ibgp)
+    model = {}  # dest -> {peer: Route}: the surviving candidates, in order
+
+    def drop_peer(peer):
+        dropped = [d for d, routes in model.items() if peer in routes]
+        assert rib.drop_peer(peer) == dropped
+        for dest in dropped:
+            del model[dest][peer]
+            if not model[dest]:
+                del model[dest]
+
     for op, *args in operations:
         if op == "store":
-            dest, peer, path, ebgp, rank = args
-            route = Route(dest, path, peer, ebgp, rank=rank)
-            rib.store(route)
-            model[dest, peer] = route
+            dest, peer, path, rank = args
+            route = Route(dest, path, peer, peer not in ibgp, rank=rank)
+            rib.store(dest, peer, path, rank)
+            model.setdefault(dest, {})[peer] = route
         elif op == "withdraw":
             dest, peer = args
-            assert rib.withdraw(dest, peer) == ((dest, peer) in model)
-            model.pop((dest, peer), None)
+            routes = model.get(dest, {})
+            assert rib.withdraw(dest, peer) == (peer in routes)
+            routes.pop(peer, None)
+            if not routes:
+                model.pop(dest, None)
         else:
-            (peer,) = args
-            dropped = sorted(d for d, p in model if p == peer)
-            assert sorted(rib.drop_peer(peer)) == dropped
-            model = {k: r for k, r in model.items() if k[1] != peer}
+            drop_peer(*args)
     for dest in (1, 2, 3):
         own_prefixes = {dest} if own else set()
         for excluded_peers in (None, excluded):
             survivors = [
                 route
-                for (d, peer), route in model.items()
-                if d == dest and peer not in (excluded_peers or ())
+                for peer, route in model.get(dest, {}).items()
+                if peer not in (excluded_peers or ())
             ]
             if own:
                 survivors.append(local_route(dest))
-            best = run_decision(rib, dest, own_prefixes, excluded_peers)
+            best = rib.decide(dest, own_prefixes, excluded_peers)
             if not survivors:
                 assert best is None
             else:
                 expected = min(r.preference_key() for r in survivors)
                 assert best.preference_key() == expected
-                assert best.is_local or rib.get(dest, best.peer) is best
+                assert best.is_local or rib.get(dest, best.peer) is best.path
+                # An unchanged selection hands back the current route.
+                assert rib.decide(
+                    dest, own_prefixes, excluded_peers, best
+                ) is best
+    # Then every session goes down, as around a failed node.
+    for peer in peers:
+        drop_peer(peer)
+    assert not model and rib.route_count() == 0

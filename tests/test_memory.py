@@ -22,12 +22,12 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.damping import DampingConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
-from repro.bgp.routes import Route
+from repro.bgp.routes import Route, key_tail
 from repro.bgp.session import SessionConfig
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.topology.skewed import skewed_topology
-from tests.conftest import converged_network
+from tests.conftest import advertised, converged_network
 
 SPECS = {
     "fifo": ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2),
@@ -119,9 +119,10 @@ def test_live_memory_is_flat_across_trials_on_different_topologies():
 # (c) Bytes per stored route
 # ----------------------------------------------------------------------
 def test_bytes_per_adj_rib_in_route_budget():
-    # 347 B on CPython 3.11 (403 with the intern table and tuple keys);
-    # the budget leaves ~9% for allocator and dict-sizing differences
-    # between CI Pythons and is not tuned per version.
+    # 162 B on CPython 3.11 with peer-major RIB arrays (351 with a
+    # dest-major table of Route objects, 403 with the intern table and
+    # tuple keys); the budget leaves ~11% for allocator and sizing
+    # differences between CI Pythons and is not tuned per version.
     topology = skewed_topology(120, seed=1)
     gc.collect()
     tracemalloc.start()
@@ -137,9 +138,9 @@ def test_bytes_per_adj_rib_in_route_budget():
     per_route = live / routes
     print(
         f"\n120 nodes at warm-up quiescence: {routes} Adj-RIB-In routes, "
-        f"{live / 1e6:.2f} MB live, {per_route:.1f} B/route (budget 380)"
+        f"{live / 1e6:.2f} MB live, {per_route:.1f} B/route (budget 180)"
     )
-    assert per_route <= 380
+    assert per_route <= 180
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +179,11 @@ def test_packed_key_orders_exactly_like_the_documented_tuple(a, b):
     assert (route_a.preference_key() == route_b.preference_key()) == (
         key_a == key_b
     )
+    # The decision scan ranks a candidate by (rank, length, key tail).
+    scan_a = (rank_a, len(route_a.path), key_tail(route_a.peer, route_a.ebgp))
+    scan_b = (rank_b, len(route_b.path), key_tail(route_b.peer, route_b.ebgp))
+    assert (scan_a < scan_b) == (key_a < key_b)
+    assert (scan_a == scan_b) == (key_a == key_b)
 
 
 # ----------------------------------------------------------------------
@@ -200,14 +206,14 @@ def test_path_objects_are_shared_between_sender_and_receiver():
                 note(best.export)
         for peer_id, ps in receiver.peers.items():
             sender = network.speakers[peer_id]
-            for dest, sent in sender.peers[receiver.node_id].adj_rib_out.items():
+            for dest, sent in advertised(sender.peers[receiver.node_id]).items():
                 if sent is None:
                     continue
                 note(sent)
                 stored = receiver.adj_rib_in.get(dest, peer_id)
                 if stored is not None:
-                    note(stored.path)
-                    assert ps.ebgp and stored.path is sent
+                    note(stored)
+                    assert ps.ebgp and stored is sent
     print(
         f"\n40 nodes: {len(objects)} path objects, {len(values)} path values, "
         f"{loc_rib_size} Loc-RIB entries"

@@ -40,7 +40,7 @@ def test_pending_events_counts_live_only():
 def test_in_flight_update_accounting():
     net = converged_network(line_topology(3))
     assert net.routing_quiet()
-    net.transmit(0, 1, Update(99, (0, 99), 0, net.sim.now), 0.025)
+    net.transmit(0, 1, Update(0, (0,), 0, net.sim.now), 0.025)
     assert not net.routing_quiet()
     net.run_until_quiet()
     assert net.routing_quiet()

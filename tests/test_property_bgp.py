@@ -14,6 +14,7 @@ from repro.bgp.routes import Route
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.validation import validate_routing
 from repro.topology.skewed import skewed_topology
+from tests.conftest import advertised
 
 # ---------------------------------------------------------------------------
 # Route preference is a total order
@@ -46,7 +47,6 @@ def test_route_preference_total_order(a, b, c):
 @given(routes)
 def test_route_never_better_than_itself(a):
     assert not a.better_than(a)
-    assert a.same_selection(a)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +127,47 @@ def assert_peers_hold_what_was_last_sent(net):
             if not ps.session_up:
                 continue
             rib_in = net.speakers[peer_id].adj_rib_in
-            for dest, sent in ps.adj_rib_out.items():
+            for dest, sent in advertised(ps).items():
                 held = rib_in.get(dest, sender.node_id)
-                assert (held.path if held is not None else None) == sent, (
-                    sender.node_id, peer_id, dest
-                )
+                assert held == sent, (sender.node_id, peer_id, dest)
+
+
+def assert_routes_are_the_bfs_oracle(net):
+    """Shortest-path policy on a flat topology has one converged state
+    (arXiv 1001.3483), which a breadth-first search over alive nodes and up
+    sessions computes without the protocol: every alive node's route to
+    every reachable prefix is as long as the hop distance and leaves
+    through the lowest-id neighbour one hop closer; no path names a failed
+    AS; a prefix the node cannot reach has no route."""
+    alive = [s.node_id for s in net.alive_speakers()]
+    up = {
+        node: sorted(
+            peer
+            for peer, ps in net.speakers[node].peers.items()
+            if ps.session_up
+        )
+        for node in alive
+    }
+    failed = net.failed_nodes
+    for origin, speaker in net.speakers.items():
+        distance = {origin: 0} if origin in up else {}
+        frontier = list(distance)
+        for node in frontier:  # grows while it is walked: a BFS queue
+            for peer in up[node]:
+                if peer not in distance:
+                    distance[peer] = distance[node] + 1
+                    frontier.append(peer)
+        for node in alive:
+            route = net.speakers[node].loc_rib.get(speaker.asn)
+            if node not in distance:
+                assert route is None, (node, speaker.asn)
+                continue
+            hops = distance[node]
+            closer = [peer for peer in up[node] if distance[peer] == hops - 1]
+            assert route is not None, (node, speaker.asn)
+            assert len(route.path) == hops, (node, speaker.asn, route.path)
+            assert route.peer == min(closer, default=None), (node, speaker.asn)
+            assert failed.isdisjoint(route.path), (node, route.path)
 
 
 @settings(max_examples=12, deadline=None)
@@ -158,6 +194,7 @@ def test_random_failures_always_converge_to_valid_routing(
     assert net.is_quiescent()
     validate_routing(net)
     assert_peers_hold_what_was_last_sent(net)
+    assert_routes_are_the_bfs_oracle(net)
     victims = random.Random(failure_seed).sample(
         topo.node_ids(), failure_count
     )
@@ -166,3 +203,4 @@ def test_random_failures_always_converge_to_valid_routing(
     assert net.is_quiescent()
     validate_routing(net)
     assert_peers_hold_what_was_last_sent(net)
+    assert_routes_are_the_bfs_oracle(net)
