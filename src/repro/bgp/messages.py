@@ -24,10 +24,6 @@ class Update:
         announcements), or ``None`` for a withdrawal.
     sender:
         Node id of the sending router.
-    sent_at:
-        Simulation time at which the message was put on the wire; used for
-        latency accounting and stale-update bookkeeping in the batching
-        scheme.
     uid:
         Provenance identifier, unique and monotonically increasing per
         network, assigned only while causal tracing is enabled; ``-1``
@@ -38,21 +34,19 @@ class Update:
         when the message has no traced cause (e.g. warm-up origination).
     """
 
-    __slots__ = ("dest", "path", "sender", "sent_at", "uid", "cause_uid")
+    __slots__ = ("dest", "path", "sender", "uid", "cause_uid")
 
     def __init__(
         self,
         dest: int,
         path: Optional[Tuple[int, ...]],
         sender: int,
-        sent_at: float = 0.0,
         uid: int = -1,
         cause_uid: int = -1,
     ) -> None:
         self.dest = dest
         self.path = path
         self.sender = sender
-        self.sent_at = sent_at
         self.uid = uid
         self.cause_uid = cause_uid
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.bgp.routes import Route
 from repro.topology.graph import Topology
 
 #: Relationship of a neighbor AS, from the local AS's point of view.
@@ -110,10 +109,9 @@ class RoutingPolicy:
     #: Name used in scheme labels.
     name = "policy"
 
-    def import_rank(
-        self, local_asn: int, neighbor_asn: int, route: Route
-    ) -> Optional[int]:
-        """Preference class for an eBGP-learned route; ``None`` rejects it.
+    def import_rank(self, local_asn: int, neighbor_asn: int) -> Optional[int]:
+        """Preference class for a route that entered the local AS from
+        ``neighbor_asn``; ``None`` rejects it.
 
         Lower ranks are preferred ahead of path length.
         """
@@ -145,9 +143,7 @@ class ShortestPathPolicy(RoutingPolicy):
 
     name = "shortest-path"
 
-    def import_rank(
-        self, local_asn: int, neighbor_asn: int, route: Route
-    ) -> Optional[int]:
+    def import_rank(self, local_asn: int, neighbor_asn: int) -> Optional[int]:
         return 0
 
     def export_allowed(
@@ -167,9 +163,7 @@ class GaoRexfordPolicy(RoutingPolicy):
     def __init__(self, relationships: ASRelationships) -> None:
         self.relationships = relationships
 
-    def import_rank(
-        self, local_asn: int, neighbor_asn: int, route: Route
-    ) -> Optional[int]:
+    def import_rank(self, local_asn: int, neighbor_asn: int) -> Optional[int]:
         return _RANK[self.relationships.relation(local_asn, neighbor_asn)]
 
     def export_allowed(

@@ -9,8 +9,11 @@ Standard BGP structure, laid out peer-major:
   and a rank is stored only where an import policy assigned one, so a
   stored route is one list slot referencing the tuple the sender's
   Adj-RIB-Out holds too.
-* **Loc-RIB** — the selected best route per destination: a ``dict`` of
-  :class:`~repro.bgp.routes.Route`.
+* **Loc-RIB** — the selected best route per destination: three lists
+  indexed by destination, the selected peer, the selected path (the tuple
+  already in that peer's Adj-RIB-In slot) and a lazily built eBGP export
+  tuple.  A :class:`~repro.bgp.routes.Route` is only a view of a slot,
+  built on demand and stored nowhere.
 * **Adj-RIB-Out** — per peer, what was last *sent* to that peer (a path, or
   ``None`` meaning "explicitly withdrawn").  Used to suppress no-op updates:
   BGP never re-sends an identical advertisement.
@@ -18,18 +21,20 @@ Standard BGP structure, laid out peer-major:
 Adj-RIB-Out lives inside :class:`~repro.bgp.speaker.PeerState`; this module
 holds the shared in/loc structures.  The decision process,
 :meth:`AdjRibIn.decide`, is one scan of the peers' slots for a destination —
-no cached answer to keep valid, and a ``Route`` is built only when the
-selection changes.
+no cached answer to keep valid — and returns the winning ``(peer, path)``.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.bgp.routes import Route, key_tail, local_route
 
 Path = Tuple[int, ...]
+#: A decision's winner: ``(peer, path)``, peer ``None`` for the local route.
+Selection = Tuple[Optional[int], Path]
+_LOCAL: Selection = (None, ())
 #: ``(peer, ebgp, key tail, paths by destination, ranks by destination)``;
 #: the ranks only hold what an import policy assigned, so they stay empty
 #: without one.
@@ -110,26 +115,22 @@ class AdjRibIn:
         dest: int,
         own_prefixes: Set[int],
         excluded_peers: Optional[Set[int]] = None,
-        current: Optional[Route] = None,
-    ) -> Optional[Route]:
+    ) -> Optional[Selection]:
         """The decision process: pick the best candidate for ``dest``.
 
         Candidates are every peer's current advertisement plus, when
         ``dest`` is one of the node's own prefixes, the locally originated
         route (it always wins).  ``excluded_peers`` removes candidates whose
         advertising peer is currently ineligible (route flap damping
-        suppression).  Returns ``None`` when no feasible route exists, and
-        ``current`` itself when the winner is the selection it already
-        denotes (same path from the same peer), so a caller sees a change
-        as ``new is not current``.  Candidates rank by ``(rank, len(path),
-        key tail)`` — the order of
+        suppression).  Returns the winner as ``(peer, path)`` — ``(None,
+        ())`` for the local route, and otherwise the very tuple in the
+        peer's slot — or ``None`` when no feasible route exists.
+        Candidates rank by ``(rank, len(path), key tail)`` — the order of
         :meth:`~repro.bgp.routes.Route.preference_key`, a strict total
         order — so the minimum is independent of iteration order.
         """
         if dest in own_prefixes:
-            if current is not None and current.peer is None:
-                return current
-            return local_route(dest)
+            return _LOCAL
         best = winner = None
         for entry in self._peers.values():
             peer, __, tail, paths, ranks = entry
@@ -142,23 +143,57 @@ class AdjRibIn:
                 winner = entry
         if winner is None:
             return None
-        peer, ebgp, __, paths, __ = winner
-        path = paths[dest]
-        if current is not None and current.peer == peer and current.path == path:
-            return current
-        return Route(dest, path, peer, ebgp, rank=best[0])
+        return winner[0], winner[3][dest]
 
 
-class LocRib(dict):
-    """Selected best route per destination: a ``dict`` of dest -> Route."""
+class LocRib:
+    """Selected best route per destination, as destination-indexed slots.
 
-    __slots__ = ()
+    ``peer[dest]`` is the peer the selection came from (``None`` = locally
+    originated), ``path[dest]`` its path — the tuple in that peer's
+    Adj-RIB-In slot, ``()`` for the local route, ``None`` for no route —
+    and ``export[dest]`` the eBGP export form ``(asn,) + path``, filled by
+    the owning speaker the first time it advertises the selection and
+    reset with every change.  That one tuple is what every peer's UPDATE,
+    the sender's Adj-RIB-Out and the receivers' Adj-RIB-In share, so the
+    hot equality checks hit CPython's identity fast path.  The speaker
+    writes the slots; a :class:`~repro.bgp.routes.Route` is only a view,
+    built per read by :meth:`get` / :meth:`items`.
+    """
 
-    def set(self, dest: int, route: Optional[Route]) -> None:
-        if route is None:
-            self.pop(dest, None)
-        else:
-            self[dest] = route
+    __slots__ = ("peer", "path", "export", "_rib_in")
+
+    def __init__(self, rib_in: AdjRibIn) -> None:
+        """No selection yet, for the destinations of ``rib_in`` (whose
+        session types and ranks the views read)."""
+        size = len(rib_in._count)
+        self.peer: List[Optional[int]] = [None] * size
+        self.path: List[Optional[Path]] = [None] * size
+        self.export: List[Optional[Path]] = [None] * size
+        self._rib_in = rib_in
+
+    def __len__(self) -> int:
+        return len(self.path) - self.path.count(None)
+
+    def __iter__(self) -> Iterator[int]:
+        """Destinations with a selected route, ascending."""
+        return (dest for dest, path in enumerate(self.path) if path is not None)
 
     def destinations(self) -> Set[int]:
         return set(self)
+
+    def get(self, dest: int) -> Optional[Route]:
+        """The selection for ``dest`` as a new ``Route``, or None."""
+        path = self.path[dest]
+        if path is None:
+            return None
+        peer = self.peer[dest]
+        if peer is None:
+            return local_route(dest)
+        __, ebgp, __, __, ranks = self._rib_in._peers[peer]
+        return Route(dest, path, peer, ebgp, rank=ranks.get(dest, 0))
+
+    def items(self) -> Iterator[Tuple[int, Route]]:
+        """``(dest, view)`` for every selection, ascending."""
+        return ((dest, self.get(dest)) for dest in self)
+

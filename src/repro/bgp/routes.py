@@ -1,11 +1,13 @@
 """Routes and route comparison.
 
-A :class:`Route` is a selected entry of the Loc-RIB: the destination, the AS
+A :class:`Route` is a view of one Loc-RIB selection: the destination, the AS
 path *as received* (i.e. not including the local AS), which peer advertised
 it, and whether it was learned over eBGP.  Locally originated routes have an
-empty path and ``peer is None``.  The Adj-RIB-In holds no ``Route``s — only
-the received paths (:mod:`repro.bgp.rib`) — and ranks its candidates by
-``(rank, len(path), key_tail(peer, ebgp))``, the order of a packed key.
+empty path and ``peer is None``.  No RIB stores a ``Route``: both hold the
+paths themselves in destination-indexed slots (:mod:`repro.bgp.rib`), a
+view is built on demand for readers outside the hot path, and the decision
+ranks its candidates by ``(rank, len(path), key_tail(peer, ebgp))``, the
+order of a packed key.
 
 The decision process follows the paper's configuration — "the path length
 was the only criterion used for selecting the routes" — with deterministic
@@ -51,9 +53,9 @@ def pack_key(rank: int, length: int, tail: int) -> int:
 
 
 class Route:
-    """A single Loc-RIB entry for one destination."""
+    """A view of the Loc-RIB selection for one destination."""
 
-    __slots__ = ("dest", "path", "peer", "ebgp", "export", "_key")
+    __slots__ = ("dest", "path", "peer", "ebgp", "_key")
 
     def __init__(
         self,
@@ -67,15 +69,6 @@ class Route:
         self.path = path
         self.peer = peer
         self.ebgp = ebgp
-        #: The eBGP export form ``(asn,) + path``, built by the owning
-        #: speaker the first time it advertises this route as its best.
-        #: A route sits in exactly one speaker's RIBs, so this one tuple
-        #: is what every peer's UPDATE, the sender's Adj-RIB-Out and the
-        #: receivers' Adj-RIB-In share — the hot equality checks
-        #: (``export == last``, ``existing == msg.path``) hit
-        #: CPython's identity fast path, and the path dies with the last
-        #: RIB slot that holds it.
-        self.export: Optional[Tuple[int, ...]] = None
         # Routes are immutable once built: pack the five criteria of the
         # module docstring, most significant first, into one int.
         self._key = pack_key(rank, len(path), key_tail(peer, ebgp))

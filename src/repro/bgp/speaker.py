@@ -110,7 +110,7 @@ class BGPSpeaker:
         self.alive = True
 
         self.adj_rib_in = AdjRibIn(network.prefix_count)
-        self.loc_rib = LocRib()
+        self.loc_rib = LocRib(self.adj_rib_in)
         self.own_prefixes: Set[int] = set()
         self.peers: Dict[int, PeerState] = {}
 
@@ -301,9 +301,7 @@ class BGPSpeaker:
             # eBGP that is the sending peer's AS, for iBGP it is the eBGP
             # neighbor the route entered this AS through, so every router
             # of the AS ranks consistently.
-            imported = self.config.policy.import_rank(
-                self.asn, path[0], Route(msg.dest, path, msg.sender, ps.ebgp)
-            )
+            imported = self.config.policy.import_rank(self.asn, path[0])
             if imported is None:
                 self.network.counters["updates_policy_rejected"] += 1
                 return rib_in.withdraw(msg.dest, msg.sender)
@@ -361,24 +359,30 @@ class BGPSpeaker:
     # Decision + advertisement scheduling
     # ------------------------------------------------------------------
     def _reselect(self, dest: int) -> None:
-        old = self.loc_rib.get(dest)
-        new = self.adj_rib_in.decide(
-            dest, self.own_prefixes, self._suppressed_peers(dest), old
+        loc = self.loc_rib
+        best = self.adj_rib_in.decide(
+            dest, self.own_prefixes, self._suppressed_peers(dest)
         )
-        if new is old:
-            return
-        self.loc_rib.set(dest, new)
+        if best is None:
+            if loc.path[dest] is None:
+                return
+            peer = path = None
+        else:
+            peer, path = best
+            if loc.path[dest] == path and loc.peer[dest] == peer:
+                return
+        loc.peer[dest] = peer
+        loc.path[dest] = path
+        loc.export[dest] = None
         dataplane = self.network.dataplane
         if dataplane is not None:
-            dataplane.on_best_route(self.node_id, dest, new, self.sim.now)
+            dataplane.on_best_route(
+                self.node_id, dest, loc.get(dest), self.sim.now
+            )
         self.network.counters["route_changes"] += 1
         if self.sim.tracer.enabled:
             self.sim.tracer.emit(
-                self.sim.now,
-                "route_change",
-                self.node_id,
-                dest,
-                None if new is None else new.path,
+                self.sim.now, "route_change", self.node_id, dest, path
             )
         self.controller.on_destination_changed(dest, self.sim.now)
         self.network.note_activity()
@@ -391,32 +395,31 @@ class BGPSpeaker:
         before).  Encodes eBGP AS-prepending, iBGP non-reflection, and
         optional sender-side loop suppression.
         """
-        best = self.loc_rib.get(dest)
-        if best is None:
+        loc = self.loc_rib
+        path = loc.path[dest]
+        if path is None:
             return None
         if ps.ebgp:
-            if (
-                self.config.sender_side_loop_detection
-                and ps.asn in best.path
-            ):
+            if self.config.sender_side_loop_detection and ps.asn in path:
                 return None
             if self.config.policy is not None:
                 # The first AS on the stored path is the eBGP neighbor the
                 # route entered this AS through (None for local origin).
-                learned_from = best.path[0] if best.path else None
+                learned_from = path[0] if path else None
                 if not self.config.policy.export_allowed(
                     self.asn, learned_from, ps.asn
                 ):
                     return None
-            export = best.export
+            export = loc.export[dest]
             if export is None:
-                export = best.export = (self.asn,) + best.path
+                export = loc.export[dest] = (self.asn,) + path
             return export
         # iBGP export: local and eBGP-learned routes only (full-mesh rule:
         # a route learned over iBGP is never re-advertised over iBGP).
-        if not best.is_local and not best.ebgp:
+        peer = loc.peer[dest]
+        if peer is not None and not self.peers[peer].ebgp:
             return None
-        return best.path
+        return path
 
     def _schedule_advertisements(self, dest: int) -> None:
         scope = dest if self.config.per_destination_mrai else _PEER_SCOPE
@@ -497,7 +500,10 @@ class BGPSpeaker:
         if not self.alive or not ps.session_up:
             return
         if scope == _PEER_SCOPE:
-            self._advertise_burst(ps, sorted(ps.pending))
+            # The burst sends everything pending: a fresh set lets the
+            # drained one's grown table go with it.
+            pending, ps.pending = ps.pending, set()
+            self._advertise_burst(ps, sorted(pending))
         elif scope in ps.pending:
             self._advertise_burst(ps, (scope,))
         self._cause_uid = -1
@@ -506,7 +512,7 @@ class BGPSpeaker:
         self, ps: PeerState, dest: int, export: Optional[Tuple[int, ...]]
     ) -> None:
         ps.adj_rib_out[dest] = export
-        msg = Update(dest, export, self.node_id, self.sim.now)
+        msg = Update(dest, export, self.node_id)
         tracer = self.sim.tracer
         if tracer.enabled:
             msg.uid = self.network.next_uid()
@@ -553,8 +559,8 @@ class BGPSpeaker:
         ps.session_up = True
         self.network.counters["sessions_established"] += 1
         self.network.note_activity()
-        # Full table transfer: advertise everything eligible.
-        self._advertise_burst(ps, sorted(self.loc_rib))
+        # Full table transfer: advertise everything eligible, ascending.
+        self._advertise_burst(ps, self.loc_rib)
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -628,7 +634,7 @@ class BGPSpeaker:
         self.queue.clear()
         for peer_id in self.peers:
             self.adj_rib_in.drop_peer(peer_id)
-        self.loc_rib = LocRib()
+        self.loc_rib = LocRib(self.adj_rib_in)
         self._damping.clear()
         for prefix in sorted(self.own_prefixes):
             self._reselect(prefix)

@@ -109,30 +109,31 @@ def validate_routing(
                 f"node {nid}: routes to unreachable prefixes "
                 f"{sorted(extra)[:5]}"
             )
-        for dest, route in speaker.loc_rib.items():
+        loc = speaker.loc_rib
+        for dest in loc:
             if dest not in alive_prefixes:
                 raise RoutingViolation(
                     f"node {nid}: route to dead prefix {dest}"
                 )
-            if route.is_local:
+            peer, path = loc.peer[dest], loc.path[dest]
+            if peer is None:
                 continue
-            peer = route.peer
             if peer not in graph[nid]:
                 raise RoutingViolation(
                     f"node {nid}: best route to {dest} via down/dead "
                     f"session {peer}"
                 )
-            if len(set(route.path)) != len(route.path):
+            if len(set(path)) != len(path):
                 raise RoutingViolation(
-                    f"node {nid}: AS path for {dest} has a loop: {route.path}"
+                    f"node {nid}: AS path for {dest} has a loop: {path}"
                 )
-            if speaker.asn in route.path:
+            if speaker.asn in path:
                 raise RoutingViolation(
-                    f"node {nid}: own AS in path for {dest}: {route.path}"
+                    f"node {nid}: own AS in path for {dest}: {path}"
                 )
-            if flat and not _path_realizable(graph, nid, route.path):
+            if flat and not _path_realizable(graph, nid, path):
                 raise RoutingViolation(
-                    f"node {nid}: unrealizable path for {dest}: {route.path}"
+                    f"node {nid}: unrealizable path for {dest}: {path}"
                 )
 
     _check_forwarding(network, graph)
@@ -159,7 +160,7 @@ def _check_forwarding(
     """Hop-by-hop forwarding must reach each destination loop-free."""
     alive = {s.node_id: s for s in network.alive_speakers()}
     for speaker in alive.values():
-        for dest, __ in speaker.loc_rib.items():
+        for dest in speaker.loc_rib:
             current = speaker.node_id
             visited: Set[int] = set()
             while True:
@@ -172,13 +173,13 @@ def _check_forwarding(
                 node = alive[current]
                 if node.asn == dest:
                     break
-                route = node.loc_rib.get(dest)
-                if route is None or route.peer is None:
+                nxt = node.loc_rib.peer[dest]
+                if nxt is None:
                     raise RoutingViolation(
                         f"forwarding blackhole for prefix {dest} at node "
                         f"{current} (started at {speaker.node_id})"
                     )
-                current = route.peer
+                current = nxt
 
 
 def valley_free_prefixes(network: BGPNetwork, relationships) -> Dict[int, Set[int]]:
@@ -247,7 +248,7 @@ def count_invalid_routes(network: BGPNetwork) -> int:
     } - network.alive_prefixes()
     invalid = 0
     for speaker in network.alive_speakers():
-        for __, route in speaker.loc_rib.items():
-            if any(asn in dead for asn in route.path):
+        for path in speaker.loc_rib.path:
+            if path and any(asn in dead for asn in path):
                 invalid += 1
     return invalid

@@ -120,8 +120,8 @@ class DataPlaneMonitor:
         for node_id, speaker in sorted(network.speakers.items()):
             if not speaker.alive:
                 continue
-            for dest in speaker.loc_rib.destinations():
-                self._note_route(node_id, dest, speaker.loc_rib.get(dest))
+            for dest, route in speaker.loc_rib.items():
+                self._note_route(node_id, dest, route)
         if self._dests:
             self._pending.update(self._dests)
             self._pending_time = now

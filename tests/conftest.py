@@ -9,6 +9,7 @@ import pytest
 from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
+from repro.bgp.rib import LocRib
 from repro.bgp.speaker import _NEVER_SENT, PeerState
 from repro.topology.graph import Topology, flat_topology_from_edges
 
@@ -58,6 +59,20 @@ def advertised(ps: PeerState) -> Dict[int, Optional[Tuple[int, ...]]]:
         for dest, sent in enumerate(ps.adj_rib_out)
         if sent is not _NEVER_SENT
     }
+
+
+def select(
+    loc_rib: LocRib,
+    dest: int,
+    peer: Optional[int],
+    path: Optional[Tuple[int, ...]],
+) -> None:
+    """Write a selection into a Loc-RIB's slots, bypassing the decision:
+    ``path`` learned from ``peer`` (None = locally originated), or no route
+    when ``path`` is None.  The export slot is reset, as on any change."""
+    loc_rib.peer[dest] = peer
+    loc_rib.path[dest] = path
+    loc_rib.export[dest] = None
 
 
 @pytest.fixture

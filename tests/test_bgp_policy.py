@@ -106,13 +106,9 @@ def test_hierarchical_inference_rejects_multirouter():
 # ---------------------------------------------------------------------------
 # Policy rules
 # ---------------------------------------------------------------------------
-def sample_route(dest=9, path=(5, 9)):
-    return Route(dest, path, peer=5)
-
-
 def test_shortest_path_policy_allows_everything():
     policy = ShortestPathPolicy()
-    assert policy.import_rank(1, 5, sample_route()) == 0
+    assert policy.import_rank(1, 5) == 0
     assert policy.export_allowed(1, 5, 6)
     assert policy.export_allowed(1, None, 6)
 
@@ -123,9 +119,9 @@ def test_gao_rexford_import_ranks():
     rels.set_customer(provider=3, customer=1)   # 3 is 1's provider
     rels.set_peers(1, 4)
     policy = GaoRexfordPolicy(rels)
-    assert policy.import_rank(1, 2, sample_route()) == 0  # customer best
-    assert policy.import_rank(1, 4, sample_route()) == 1  # then peer
-    assert policy.import_rank(1, 3, sample_route()) == 2  # then provider
+    assert policy.import_rank(1, 2) == 0  # customer best
+    assert policy.import_rank(1, 4) == 1  # then peer
+    assert policy.import_rank(1, 3) == 2  # then provider
 
 
 def test_gao_rexford_export_rules():

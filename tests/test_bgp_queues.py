@@ -11,12 +11,12 @@ from repro.bgp.queues import (
 )
 
 
-def msg(dest, sender, path=(1,), t=0.0):
-    return Update(dest, path, sender, t)
+def msg(dest, sender, path=(1,)):
+    return Update(dest, path, sender)
 
 
-def wd(dest, sender, t=0.0):
-    return Update(dest, None, sender, t)
+def wd(dest, sender):
+    return Update(dest, None, sender)
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +74,9 @@ def test_dest_batch_serves_destinations_in_arrival_order():
 
 def test_dest_batch_drops_stale_from_same_neighbor():
     q = DestinationBatchQueue()
-    old = msg(1, 10, path=(9, 8), t=1.0)
-    newer = msg(1, 10, path=(7,), t=2.0)
-    other = msg(1, 11, path=(5,), t=1.5)
+    old = msg(1, 10, path=(9, 8))
+    newer = msg(1, 10, path=(7,))
+    other = msg(1, 11, path=(5,))
     q.push(old)
     q.push(other)
     q.push(newer)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Route, local_route
+from tests.conftest import select
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +114,22 @@ def test_adj_rib_in_candidates():
 # Loc-RIB
 # ---------------------------------------------------------------------------
 def test_loc_rib_set_get_delete():
-    rib = LocRib()
-    route = Route(1, (2,), peer=5)
-    rib.set(1, route)
-    assert rib.get(1) is route
-    assert len(rib) == 1
-    rib.set(1, None)
+    rib_in = adj_rib_in(ibgp=(6,))
+    rib_in.store(1, 6, (2,), rank=1)
+    rib = LocRib(rib_in)
+    select(rib, 1, 6, rib_in.get(1, 6))
+    select(rib, 2, None, ())
+    # A view per read, carrying the peer's session type and the rank.
+    route = rib.get(1)
+    assert (route.path, route.peer, route.ebgp) == ((2,), 6, False)
+    assert route.preference_key() == Route(1, (2,), 6, False, 1).preference_key()
+    assert rib.get(1) is not route
+    assert rib.get(2).is_local
+    assert [(d, r.path) for d, r in rib.items()] == [(1, (2,)), (2, ())]
+    assert len(rib) == 2 and list(rib) == [1, 2]
+    select(rib, 1, None, None)
     assert rib.get(1) is None
-    assert len(rib) == 0
+    assert len(rib) == 1 and rib.destinations() == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +139,13 @@ def test_decision_picks_best_candidate():
     rib = adj_rib_in()
     rib.store(1, 5, (2, 3, 1))
     rib.store(1, 6, (4, 1))
-    best = rib.decide(1, own_prefixes=set())
-    assert best.peer == 6
+    assert rib.decide(1, own_prefixes=set()) == (6, (4, 1))
 
 
 def test_decision_prefers_local_origin():
     rib = adj_rib_in()
     rib.store(1, 5, (2,))
-    best = rib.decide(1, own_prefixes={1})
-    assert best.is_local
+    assert rib.decide(1, own_prefixes={1}) == (None, ())
 
 
 def test_decision_none_when_no_candidates():
@@ -146,16 +153,18 @@ def test_decision_none_when_no_candidates():
 
 
 def test_same_selection():
-    # The same path from the same peer is the current selection: the
-    # decision hands back the current route instead of building one.
+    # The winner's path is the very tuple in its peer's slot, so the
+    # speaker's ``path ==`` test against the Loc-RIB slot it copied from
+    # there is an identity check while the selection stands.
     rib = adj_rib_in()
-    rib.store(1, 5, (2, 1))
-    a = Route(1, (2, 1), peer=5)
-    c = Route(1, (2, 1), peer=6)
-    assert rib.decide(1, set(), current=a) is a
-    best = rib.decide(1, set(), current=c)
-    assert best is not c and best.peer == 5 and best.path == (2, 1)
-    assert rib.decide(1, set(), current=None).peer == 5
+    path = (2, 1)
+    rib.store(1, 5, path)
+    peer, chosen = rib.decide(1, set())
+    assert peer == 5 and chosen is path
+    rib.store(1, 6, (3, 1))  # a worse candidate leaves the selection alone
+    assert rib.decide(1, set())[1] is path
+    rib.store(1, 5, (4, 3, 1))  # a longer path from 5: peer 6 wins now
+    assert rib.decide(1, set()) == (6, (3, 1))
 
 
 _PEERS = st.integers(min_value=0, max_value=5)
@@ -193,12 +202,12 @@ _OPERATIONS = st.one_of(
     set(), set(), False,
 )
 def test_decision_is_the_brute_force_minimum(operations, ibgp, excluded, own):
-    """After any store / withdraw / drop_peer sequence, the decision is the
-    minimum of ``preference_key()`` over the surviving candidates — with
-    and without exclusions, with and without the local route — and
-    ``drop_peer`` reports destinations in the order of a dest-major table
-    that a destination enters with its first route and leaves with its
-    last (the order ``peer_down`` reselects in)."""
+    """After any store / withdraw / drop_peer sequence, the decision's
+    ``(peer, path)`` is the minimum of ``preference_key()`` over the
+    surviving candidates — with and without exclusions, with and without
+    the local route — and ``drop_peer`` reports destinations in the order
+    of a dest-major table that a destination enters with its first route
+    and leaves with its last (the order ``peer_down`` reselects in)."""
     peers = range(6)
     rib = adj_rib_in(size=4, peers=peers, ibgp=ibgp)
     model = {}  # dest -> {peer: Route}: the surviving candidates, in order
@@ -240,13 +249,11 @@ def test_decision_is_the_brute_force_minimum(operations, ibgp, excluded, own):
             if not survivors:
                 assert best is None
             else:
-                expected = min(r.preference_key() for r in survivors)
-                assert best.preference_key() == expected
-                assert best.is_local or rib.get(dest, best.peer) is best.path
-                # An unchanged selection hands back the current route.
-                assert rib.decide(
-                    dest, own_prefixes, excluded_peers, best
-                ) is best
+                expected = min(survivors, key=Route.preference_key)
+                assert best == (expected.peer, expected.path)
+                peer, path = best
+                # The winner's path is the tuple its peer's slot holds.
+                assert peer is None or rib.get(dest, peer) is path
     # Then every session goes down, as around a failed node.
     for peer in peers:
         drop_peer(peer)

@@ -205,7 +205,7 @@ def test_stale_messages_from_downed_peer_are_dropped():
     # delivery: the speaker must drop it.
     from repro.bgp.messages import Update
 
-    net.transmit(2, 1, Update(2, (2,), 2, net.sim.now), 0.025)
+    net.transmit(2, 1, Update(2, (2,), 2), 0.025)
     net.speakers[1].peer_down(2)
     net.run_until_quiet()
     assert net.speakers[1].adj_rib_in.get(2, 2) is None

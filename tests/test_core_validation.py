@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bgp.routes import Route
 from repro.core.validation import (
     RoutingViolation,
     count_invalid_routes,
@@ -14,6 +13,7 @@ from tests.conftest import (
     converged_network,
     line_topology,
     ring_topology,
+    select,
 )
 
 
@@ -45,7 +45,7 @@ def test_validate_requires_quiescence():
 
 def test_validate_detects_missing_route():
     net = converged_network(ring_topology(5))
-    net.speakers[0].loc_rib.set(2, None)
+    select(net.speakers[0].loc_rib, 2, None, None)
     with pytest.raises(RoutingViolation, match="no route"):
         validate_routing(net)
 
@@ -55,28 +55,28 @@ def test_validate_detects_route_to_dead_prefix():
     net.fail_nodes([3])
     net.run_until_quiet()
     # Manually resurrect a stale route to the dead prefix.
-    net.speakers[0].loc_rib.set(3, Route(3, (4, 3), peer=4))
+    select(net.speakers[0].loc_rib, 3, 4, (4, 3))
     with pytest.raises(RoutingViolation):
         validate_routing(net)
 
 
 def test_validate_detects_looped_path():
     net = converged_network(ring_topology(5))
-    net.speakers[0].loc_rib.set(2, Route(2, (1, 1), peer=1))
+    select(net.speakers[0].loc_rib, 2, 1, (1, 1))
     with pytest.raises(RoutingViolation):
         validate_routing(net)
 
 
 def test_validate_detects_own_as_in_path():
     net = converged_network(ring_topology(5))
-    net.speakers[0].loc_rib.set(2, Route(2, (1, 0, 2), peer=1))
+    select(net.speakers[0].loc_rib, 2, 1, (1, 0, 2))
     with pytest.raises(RoutingViolation):
         validate_routing(net)
 
 
 def test_validate_detects_route_via_dead_session():
     net = converged_network(ring_topology(5))
-    net.speakers[0].loc_rib.set(2, Route(2, (9, 2), peer=9))
+    select(net.speakers[0].loc_rib, 2, 9, (9, 2))
     with pytest.raises(RoutingViolation):
         validate_routing(net)
 
@@ -85,7 +85,7 @@ def test_validate_detects_unrealizable_path():
     net = converged_network(ring_topology(5))
     # Node 0's neighbors are 1 and 4; path (1, 3) skips a hop (1-3 is not
     # a link on the 5-ring).
-    net.speakers[0].loc_rib.set(3, Route(3, (1, 3), peer=1))
+    select(net.speakers[0].loc_rib, 3, 1, (1, 3))
     with pytest.raises(RoutingViolation, match="unrealizable|no route|loop"):
         validate_routing(net)
 
@@ -111,5 +111,5 @@ def test_count_invalid_routes_detects_stale_path():
     net = converged_network(clique_topology(5))
     net.fail_nodes([0])
     net.run_until_quiet()
-    net.speakers[1].loc_rib.set(2, Route(2, (0, 2), peer=3))
+    select(net.speakers[1].loc_rib, 2, 3, (0, 2))
     assert count_invalid_routes(net) == 1

@@ -7,11 +7,14 @@ with ``-s`` to see them; CI does, once per Python version):
   collector finds nothing to reclaim after ``run_experiment``;
 * nothing per-simulation outlives the simulation — live traced memory
   does not grow from trial to trial, whatever the topology;
-* resident bytes per stored route stay under a budget, with AS-path
-  tuples shared between RIBs by construction (no intern table).
+* resident bytes per stored route stay under a budget — at quiescence
+  and at the peak of warm-up and of convergence — with AS-path tuples
+  shared between RIBs by construction (no intern table) and drained MRAI
+  ``pending`` sets released.
 """
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -25,7 +28,7 @@ from repro.bgp.network import BGPNetwork
 from repro.bgp.routes import Route, key_tail
 from repro.bgp.session import SessionConfig
 from repro.core.dynamic_mrai import DynamicMRAI
-from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.core.experiment import ExperimentSpec, build_scenario, run_experiment
 from repro.topology.skewed import skewed_topology
 from tests.conftest import advertised, converged_network
 
@@ -118,11 +121,16 @@ def test_live_memory_is_flat_across_trials_on_different_topologies():
 # ----------------------------------------------------------------------
 # (c) Bytes per stored route
 # ----------------------------------------------------------------------
+def stored_routes(network: BGPNetwork) -> int:
+    return sum(s.adj_rib_in.route_count() for s in network.speakers.values())
+
+
 def test_bytes_per_adj_rib_in_route_budget():
-    # 162 B on CPython 3.11 with peer-major RIB arrays (351 with a
-    # dest-major table of Route objects, 403 with the intern table and
-    # tuple keys); the budget leaves ~11% for allocator and sizing
-    # differences between CI Pythons and is not tuned per version.
+    # 102 B on CPython 3.11 with the Loc-RIB as slots (162 with a dict of
+    # Route objects, 351 with a dest-major Adj-RIB-In of Routes, 403 with
+    # the intern table and tuple keys); the budget leaves ~8% for
+    # allocator and sizing differences between CI Pythons and is not
+    # tuned per version.
     topology = skewed_topology(120, seed=1)
     gc.collect()
     tracemalloc.start()
@@ -134,13 +142,62 @@ def test_bytes_per_adj_rib_in_route_budget():
         live = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    routes = sum(s.adj_rib_in.route_count() for s in network.speakers.values())
+    routes = stored_routes(network)
     per_route = live / routes
     print(
         f"\n120 nodes at warm-up quiescence: {routes} Adj-RIB-In routes, "
-        f"{live / 1e6:.2f} MB live, {per_route:.1f} B/route (budget 180)"
+        f"{live / 1e6:.2f} MB live, {per_route:.1f} B/route (budget 110)"
     )
-    assert per_route <= 180
+    assert per_route <= 110
+
+
+def test_peak_bytes_per_route_over_warm_up_and_convergence():
+    # The transients, not the quiescent state, set the high-water mark:
+    # queued updates, armed timers and pending sets on top of the RIBs.
+    # 140 B (warm-up) and 139 B (convergence) on CPython 3.11 with the
+    # Loc-RIB as slots, 197 and 189 with a dict of Route objects; both
+    # are divided by the routes stored at warm-up quiescence.
+    topology = skewed_topology(120, seed=1)
+    spec = SPECS["dynamic_mrai"]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        network = BGPNetwork(topology, spec.to_bgp_config(), seed=1)
+        network.start()
+        network.run_until_quiet()
+        warm_up = tracemalloc.get_traced_memory()[1]
+        routes = stored_routes(network)
+        gc.collect()
+        tracemalloc.reset_peak()
+        network.fail_nodes(
+            build_scenario(topology, spec, 1).nodes,
+            detection_delay=spec.detection_delay,
+            detection_jitter=spec.detection_jitter,
+        )
+        network.run_until_quiet()
+        convergence = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peaks = {"warm-up": warm_up / routes, "convergence": convergence / routes}
+    print(
+        f"\n120 nodes, {routes} Adj-RIB-In routes: peak "
+        + ", ".join(f"{k} {v:.1f} B/route" for k, v in peaks.items())
+        + " (budget 160)"
+    )
+    assert max(peaks.values()) <= 160
+
+
+def test_drained_pending_sets_are_released():
+    # A per-peer MRAI expiry sends everything pending, so it swaps in a
+    # fresh set instead of keeping the drained one's grown hash table.
+    network = converged_network(skewed_topology(40, seed=1))
+    pending = [
+        ps.pending
+        for speaker in network.speakers.values()
+        for ps in speaker.peers.values()
+    ]
+    assert not any(pending)
+    assert {sys.getsizeof(p) for p in pending} == {sys.getsizeof(set())}
 
 
 # ----------------------------------------------------------------------
@@ -199,11 +256,12 @@ def test_path_objects_are_shared_between_sender_and_receiver():
 
     loc_rib_size = 0
     for receiver in network.speakers.values():
-        for dest, best in receiver.loc_rib.items():
+        loc = receiver.loc_rib
+        for dest in loc:
             loc_rib_size += 1
-            note(best.path)
-            if best.export is not None:
-                note(best.export)
+            note(loc.path[dest])
+            if loc.export[dest] is not None:
+                note(loc.export[dest])
         for peer_id, ps in receiver.peers.items():
             sender = network.speakers[peer_id]
             for dest, sent in advertised(sender.peers[receiver.node_id]).items():

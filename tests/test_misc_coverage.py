@@ -40,7 +40,7 @@ def test_pending_events_counts_live_only():
 def test_in_flight_update_accounting():
     net = converged_network(line_topology(3))
     assert net.routing_quiet()
-    net.transmit(0, 1, Update(0, (0,), 0, net.sim.now), 0.025)
+    net.transmit(0, 1, Update(0, (0,), 0), 0.025)
     assert not net.routing_quiet()
     net.run_until_quiet()
     assert net.routing_quiet()
@@ -76,7 +76,6 @@ updates = st.lists(
             ),
         ),
         sender=st.integers(min_value=0, max_value=4),
-        sent_at=st.floats(min_value=0, max_value=100, allow_nan=False),
     ),
     max_size=60,
 )

@@ -61,7 +61,6 @@ updates = st.lists(
             st.lists(st.integers(min_value=0, max_value=9), max_size=3).map(tuple),
         ),
         sender=st.integers(min_value=0, max_value=4),
-        sent_at=st.floats(min_value=0, max_value=100, allow_nan=False),
     ),
     max_size=60,
 )
