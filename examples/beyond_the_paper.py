@@ -3,9 +3,9 @@
 
 Four scenarios on the same 60-node network and 10% geographic failure:
 
-1. **Realistic failure detection** — explicit BGP sessions (OPEN /
-   KEEPALIVE / hold timers): nobody tells the survivors about the
-   failure; their hold timers notice the silence.
+1. **Realistic failure detection** — each survivor notices the failure
+   when its hold timer expires, 3 s + Uniform(0, 1) s after it, instead
+   of at the failure instant.
 2. **Failure-extent-adaptive MRAI** — the Sec-5 wish: estimate the
    failure's extent from destination churn and jump straight to the
    right MRAI (plus the analytically derived ladder from
@@ -23,7 +23,6 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.damping import DampingConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
-from repro.bgp.session import SessionConfig
 from repro.core.adaptive import AdaptiveExtentMRAI
 from repro.core.theory import recommend_ladder, recommend_mrai
 from repro.core.dynamic_mrai import DynamicMRAI
@@ -39,23 +38,21 @@ def main() -> None:
     print(topology.summary())
     print(f"failing {scenario.description}\n")
 
-    # --- 1. Explicit sessions: detection emerges from silence -----------
-    config = BGPConfig(
-        mrai_policy=ConstantMRAI(0.5),
-        session=SessionConfig(hold_time=3.0, keepalive_time=1.0),
-    )
-    net = BGPNetwork(topology, config, seed=1)
-    net.start()
-    net.run_until_converged(idle_window=2.0, max_time=600.0)
-    snapshot = net.counters.snapshot()
-    t0 = net.fail_nodes(scenario.nodes)  # silent: no one is notified
-    net.run_until_converged(idle_window=4.0, max_time=t0 + 600.0)
-    diff = net.counters.diff(snapshot)
-    print("=== explicit sessions (hold 3 s / keepalive 1 s) ===")
-    print(f"  sessions hold-expired : {diff.get('sessions_hold_expired', 0)}")
-    print(f"  convergence delay     : {net.last_activity - t0:6.2f} s "
-          f"(includes the silent hold-timer detection)")
-    print(f"  session messages sent : {diff.get('session_messages_sent', 0)}\n")
+    # --- 1. Hold-timer detection vs instantaneous detection -----------
+    print("=== failure detection (constant MRAI 0.5 s) ===")
+    for label, delay, jitter in (
+        ("instantaneous", 0.0, 0.0),
+        ("hold timer 3 s + U(0, 1) s", 3.0, 1.0),
+    ):
+        net = BGPNetwork(topology, BGPConfig(mrai_policy=ConstantMRAI(0.5)), seed=1)
+        net.start()
+        net.run_until_quiet(max_time=3600.0)
+        t0 = net.fail_nodes(
+            scenario.nodes, detection_delay=delay, detection_jitter=jitter
+        )
+        net.run_until_quiet(max_time=t0 + 3600.0)
+        print(f"  {label:28s} convergence delay {net.last_activity - t0:6.2f} s")
+    print()
 
     # --- 2/3/4. Future-work schemes vs the deployed mechanism -----------
     ladder = recommend_ladder(topology)

@@ -27,7 +27,6 @@ from repro.bgp.policy import (
     infer_relationships,
     infer_relationships_hierarchical,
 )
-from repro.bgp.session import SessionConfig
 from repro.core import (
     AdaptiveExtentMRAI,
     DegreeDependentMRAI,
@@ -88,7 +87,6 @@ __all__ = [
     "NetworkProbe",
     "ObsSession",
     "RunManifest",
-    "SessionConfig",
     "InternetDegreeDistribution",
     "MultiRouterSpec",
     "Series",

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 from repro.bgp.damping import DampingConfig
 from repro.bgp.mrai import ConstantMRAI, MRAIPolicy
 from repro.bgp.policy import RoutingPolicy
-from repro.bgp.session import SessionConfig
+from repro.bgp.queues import QUEUES
 from repro.sim.timers import Jitter
 
 #: The paper's update service times: uniform between 1 and 30 ms (Sec 3.2).
@@ -73,12 +73,6 @@ class BGPConfig:
     #: Optional routing policy (import ranking + export filtering).  None
     #: reproduces the paper's "no policy based restrictions" setting.
     policy: Optional[RoutingPolicy] = None
-    #: Optional explicit session management (OPEN/KEEPALIVE/hold timers).
-    #: None reproduces the paper's implicit always-established sessions
-    #: with instantaneous failure detection.  With explicit sessions the
-    #: network never quiesces (keepalives recur) — measure convergence
-    #: with :meth:`BGPNetwork.run_until_converged`.
-    session: Optional[SessionConfig] = None
 
     def __post_init__(self) -> None:
         lo, hi = self.processing_delay_range
@@ -86,12 +80,7 @@ class BGPConfig:
             raise ValueError(
                 f"bad processing delay range {self.processing_delay_range}"
             )
-        if self.queue_discipline not in (
-            "fifo",
-            "dest_batch",
-            "dest_batch_wf",
-            "tcp_batch",
-        ):
+        if self.queue_discipline not in QUEUES:
             raise ValueError(
                 f"unknown queue discipline {self.queue_discipline!r}"
             )

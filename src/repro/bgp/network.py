@@ -72,8 +72,8 @@ class BGPNetwork:
         #: Next provenance uid for causal tracing; advances only while a
         #: real tracer is attached (see :meth:`next_uid`).
         self._next_uid = 0
-        #: UPDATE messages currently on the wire (explicit-mode convergence
-        #: detection needs this, since the event queue never drains there).
+        #: UPDATE messages currently on the wire (the ``updates_in_flight``
+        #: gauge; counted only while a metrics registry is attached).
         self._in_flight_updates = 0
         self._build(ibgp_delay)
 
@@ -136,32 +136,20 @@ class BGPNetwork:
                 msg.path,
             )
         self.note_activity()
-        self._in_flight_updates += 1
         if self._g_in_flight is not None:
+            self._in_flight_updates += 1
             self._g_in_flight.set(self._in_flight_updates)
         self.sim.schedule(delay, self._deliver, receiver_id, msg)
 
     def _deliver(self, receiver_id: int, msg: Update) -> None:
-        self._in_flight_updates -= 1
         if self._g_in_flight is not None:
+            self._in_flight_updates -= 1
             self._g_in_flight.set(self._in_flight_updates)
         speaker = self.speakers[receiver_id]
         if not speaker.alive:
             self.counters["updates_lost"] += 1
             return
         speaker.receive(msg)
-
-    def transmit_session(
-        self, sender_id: int, receiver_id: int, msg, delay: float
-    ) -> None:
-        """Put a session (OPEN/KEEPALIVE/NOTIFICATION) message on the wire."""
-        self.counters["session_messages_sent"] += 1
-        self.sim.schedule(delay, self._deliver_session, receiver_id, msg)
-
-    def _deliver_session(self, receiver_id: int, msg) -> None:
-        speaker = self.speakers[receiver_id]
-        if speaker.alive:
-            speaker.receive_session(msg)
 
     def note_activity(self) -> None:
         """Record routing activity at the current simulation time."""
@@ -183,68 +171,18 @@ class BGPNetwork:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Originate every AS's prefix at every one of its routers.
-
-        In explicit-session mode this also kicks off session
-        establishment; route exchange begins as sessions come up.
-        """
+        """Originate every AS's prefix at every one of its routers."""
         for speaker in self.speakers.values():
             if speaker.alive:
                 speaker.originate(speaker.asn)
-        if self.config.session is not None:
-            for speaker in self.speakers.values():
-                if speaker.alive:
-                    speaker.start_sessions()
 
     def run_until_quiet(
         self,
         max_time: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Run the simulation to quiescence; returns the stop time.
-
-        Only meaningful in implicit-session mode — explicit sessions keep
-        the event queue alive forever; use :meth:`run_until_converged`.
-        """
+        """Run the simulation to quiescence; returns the stop time."""
         return self.sim.run(until=max_time, max_events=max_events)
-
-    def routing_quiet(self) -> bool:
-        """No updates in flight and no speaker holding routing work.
-
-        Unlike :meth:`is_quiescent` this ignores session housekeeping
-        (keepalive timers), so it works in explicit-session mode.
-        """
-        if self._in_flight_updates:
-            return False
-        return not any(s.has_pending_work() for s in self.alive_speakers())
-
-    def run_until_converged(
-        self,
-        idle_window: float = 2.0,
-        max_time: float = 3600.0,
-    ) -> float:
-        """Run until no routing activity occurs for ``idle_window`` seconds.
-
-        The explicit-session replacement for quiescence detection: returns
-        the time of the last routing activity.  ``max_time`` is an
-        absolute simulation-time ceiling (a safety net).
-        """
-        if idle_window <= 0:
-            raise ValueError("idle_window must be positive")
-        while True:
-            horizon = max(self.last_activity, self.sim.now) + idle_window
-            if horizon > max_time:
-                horizon = max_time
-            self.sim.run(until=horizon)
-            settled = (
-                self.sim.now >= self.last_activity + idle_window
-                and self.routing_quiet()
-            )
-            if settled or self.sim.now >= max_time:
-                return self.last_activity
-            if self.sim.pending_events == 0:
-                # Fully quiescent (implicit mode): nothing more can happen.
-                return self.last_activity
 
     def fail_nodes(
         self,
@@ -259,10 +197,8 @@ class BGPNetwork:
         instant.  ``detection_delay`` models hold-timer-based detection
         instead: each surviving neighbor notices after
         ``detection_delay + Uniform(0, detection_jitter)`` seconds (BGP
-        speakers' hold timers are not synchronized).  In explicit-session
-        mode neighbors are not notified at all: their hold timers expire
-        on their own once the dead node's keepalives stop.  Returns the
-        failure time T0.
+        speakers' hold timers are not synchronized).  Returns the failure
+        time T0.
         """
         if detection_delay < 0 or detection_jitter < 0:
             raise ValueError("detection delay/jitter must be non-negative")
@@ -293,9 +229,6 @@ class BGPNetwork:
                 failed_now.append(node_id)
         if self.dataplane is not None and failed_now:
             self.dataplane.on_nodes_failed(failed_now, t0)
-        if self.config.session is not None:
-            # Detection emerges from hold-timer expiry.
-            return t0
         detect_rng = self.sim.rng.get("failure-detection")
         for node_id in failing:
             for peer_id in self.speakers[node_id].peers:
@@ -316,11 +249,9 @@ class BGPNetwork:
     def recover_nodes(self, node_ids: Iterable[int]) -> float:
         """Bring failed routers back into service at the current time.
 
-        Control-plane state is cold (see :meth:`BGPSpeaker.revive`).  In
-        implicit-session mode, sessions to live neighbors come up
-        immediately and both ends exchange full tables; in explicit mode
-        the OPEN handshake is restarted and the table exchange follows
-        establishment.  Returns the recovery time.
+        Control-plane state is cold (see :meth:`BGPSpeaker.revive`).
+        Sessions to live neighbors come up immediately and both ends
+        exchange full tables.  Returns the recovery time.
         """
         t0 = self.sim.now
         recovering = sorted(set(node_ids))
@@ -341,16 +272,10 @@ class BGPNetwork:
                 neighbor = self.speakers[peer_id]
                 if not neighbor.alive:
                     continue
-                if self.config.session is not None:
-                    speaker.sessions[peer_id].start()
-                    neighbor_session = neighbor.sessions[node_id]
-                    if not neighbor_session.established:
-                        neighbor_session.start()
-                else:
-                    # Implicit mode: the session is simply up again; both
-                    # ends behave as freshly established.
-                    speaker.session_established(peer_id)
-                    neighbor.session_established(node_id)
+                # The session is simply up again; both ends behave as
+                # freshly established.
+                speaker.session_established(peer_id)
+                neighbor.session_established(node_id)
         self.note_activity()
         return t0
 
@@ -381,7 +306,7 @@ class BGPNetwork:
         """Release the simulation so this network is freed by reference
         counting, not by a later pass of the cycle collector.
 
-        Speakers, peer states, timers, sessions and queued events all
+        Speakers, peer states, timers and queued events all
         point at one another and back at this object, so a finished
         network is otherwise cyclic garbage that overlaps the next
         trial's live one.  Stops every timer, resets the simulator
@@ -389,7 +314,7 @@ class BGPNetwork:
         counters and ``last_activity`` stay readable.  Idempotent.
         """
         for speaker in self.speakers.values():
-            speaker.close()
+            speaker.fail()
         self.speakers = {}
         self.dataplane = None
         self.sim.reset()

@@ -28,7 +28,7 @@ MRAI controller monitors).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Tuple, Type
 
 from repro.bgp.messages import Update
 
@@ -196,15 +196,22 @@ class TCPBatchQueue(QueueDiscipline):
         self._queue.clear()
 
 
+#: Every queue discipline by name: the one list :func:`make_queue` builds
+#: from and :class:`repro.bgp.config.BGPConfig` validates against.
+QUEUES: Dict[str, Type[QueueDiscipline]] = {
+    "fifo": FIFOQueue,
+    "dest_batch": DestinationBatchQueue,
+    "dest_batch_wf": WithdrawalFirstBatchQueue,
+    "tcp_batch": TCPBatchQueue,
+}
+
+
 def make_queue(discipline: str, tcp_batch_size: int = 8) -> QueueDiscipline:
-    """Factory: ``"fifo"``, ``"dest_batch"``, ``"dest_batch_wf"`` or
-    ``"tcp_batch"``."""
-    if discipline == "fifo":
-        return FIFOQueue()
-    if discipline == "dest_batch":
-        return DestinationBatchQueue()
-    if discipline == "dest_batch_wf":
-        return WithdrawalFirstBatchQueue()
-    if discipline == "tcp_batch":
+    """Build the :data:`QUEUES` entry ``discipline``; ``tcp_batch_size``
+    sizes the ``"tcp_batch"`` discipline's batches."""
+    cls = QUEUES.get(discipline)
+    if cls is None:
+        raise ValueError(f"unknown queue discipline {discipline!r}")
+    if cls is TCPBatchQueue:
         return TCPBatchQueue(tcp_batch_size)
-    raise ValueError(f"unknown queue discipline {discipline!r}")
+    return cls()

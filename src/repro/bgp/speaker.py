@@ -24,7 +24,6 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.damping import DampingState
 from repro.bgp.messages import Update
 from repro.bgp.mrai import MRAIController
-from repro.bgp.session import Session, SessionMessage
 from repro.bgp.queues import QueueDiscipline, make_queue
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.routes import Route
@@ -153,8 +152,6 @@ class BGPSpeaker:
         #: Flap-damping penalty, dest -> peer -> state; only populated when
         #: the config enables damping.
         self._damping: Dict[int, Dict[int, DampingState]] = {}
-        #: Explicit sessions (per peer), populated only in explicit mode.
-        self.sessions: Dict[int, Session] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -165,10 +162,6 @@ class BGPSpeaker:
         ps = PeerState(peer_id, asn, delay, ebgp, self.network.prefix_count)
         self.peers[peer_id] = ps
         self.adj_rib_in.add_peer(peer_id, ebgp)
-        if self.config.session is not None:
-            # Explicit mode: sessions start down and must be established.
-            ps.session_up = False
-            self.sessions[peer_id] = Session(self, peer_id, self.config.session)
 
     def originate(self, prefix: int) -> None:
         """Start advertising ``prefix`` as locally originated."""
@@ -531,29 +524,13 @@ class BGPSpeaker:
         self.network.transmit(self.node_id, ps.peer_id, msg, ps.delay)
 
     # ------------------------------------------------------------------
-    # Explicit session management
+    # Session lifecycle
     # ------------------------------------------------------------------
-    def start_sessions(self) -> None:
-        """Begin establishing all explicit sessions (explicit mode only)."""
-        for session in self.sessions.values():
-            session.start()
-
-    def send_session_message(self, peer_id: int, kind: str) -> None:
-        ps = self.peers[peer_id]
-        self.network.transmit_session(
-            self.node_id, peer_id, SessionMessage(kind, self.node_id), ps.delay
-        )
-
-    def receive_session(self, msg: SessionMessage) -> None:
-        """Session messages are handled out-of-band (no queueing cost)."""
-        if not self.alive:
-            return
-        session = self.sessions.get(msg.sender)
-        if session is not None:
-            session.handle(msg)
-
     def session_established(self, peer_id: int) -> None:
-        """Callback from the FSM: (re)open the routing exchange."""
+        """(Re)open the routing exchange with ``peer_id``: its state is
+        reset and this speaker's full table is advertised to it, as after
+        a session reset (:meth:`BGPNetwork.recover_nodes` calls this for
+        both ends of every session it brings back)."""
         ps = self.peers[peer_id]
         ps.reset()
         ps.session_up = True
@@ -576,11 +553,6 @@ class BGPSpeaker:
         if ps is None or not ps.session_up:
             return
         ps.session_up = False
-        session = self.sessions.get(peer_id)
-        if session is not None and session.established:
-            # The teardown originated outside the FSM (e.g. an injected
-            # failure with implicit detection): bring the FSM along.
-            session.force_down()
         ps.reset()
         self.network.counters["sessions_down"] += 1
         if self.sim.tracer.enabled:
@@ -603,19 +575,9 @@ class BGPSpeaker:
             return
         self.alive = False
         self.queue.clear()
-        for session in self.sessions.values():
-            session.shutdown()
         for ps in self.peers.values():
             ps.session_up = False
             ps.reset()
-
-    def close(self) -> None:
-        """Stop every timer and drop the links that point back at this
-        speaker (network teardown, see :meth:`BGPNetwork.close`)."""
-        self.fail()
-        for session in self.sessions.values():
-            session.close()
-        self.sessions = {}
 
     def revive(self) -> None:
         """Bring a failed router back with a cold control plane.
@@ -623,9 +585,8 @@ class BGPSpeaker:
         RIBs, damping history and queue state are wiped (a rebooted router
         remembers nothing; :meth:`fail` already reset every peer's state
         and left its session down); own prefixes are re-originated.
-        Session re-establishment is the network's job (implicit mode marks
-        both ends up and triggers full-table exchanges; explicit mode
-        restarts the FSMs).
+        Session re-establishment is the network's job: it marks both ends
+        up and triggers full-table exchanges.
         """
         if self.alive:
             return

@@ -4,11 +4,13 @@ import pytest
 
 from repro.bgp.messages import Update
 from repro.bgp.queues import (
+    QUEUES,
     DestinationBatchQueue,
     FIFOQueue,
     TCPBatchQueue,
     make_queue,
 )
+from repro.specs import QUEUE_DISCIPLINES
 
 
 def msg(dest, sender, path=(1,)):
@@ -179,3 +181,7 @@ def test_make_queue():
     assert tcp.batch_size == 5
     with pytest.raises(ValueError):
         make_queue("bogus")
+
+
+def test_spec_registry_names_every_queue():
+    assert set(QUEUE_DISCIPLINES.names()) == set(QUEUES)

@@ -26,7 +26,6 @@ from repro.bgp.damping import DampingConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.routes import Route, key_tail
-from repro.bgp.session import SessionConfig
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec, build_scenario, run_experiment
 from repro.topology.skewed import skewed_topology
@@ -75,25 +74,29 @@ def test_finished_trial_leaves_no_cyclic_garbage(name):
     assert reclaimed == 0
 
 
-def test_closed_explicit_session_network_leaves_no_cyclic_garbage():
-    # ExperimentSpec cannot express explicit sessions, whose keepalive
-    # timers are still armed (timer <-> event <-> session) at close().
+def test_network_closed_mid_convergence_leaves_no_cyclic_garbage():
+    # run_experiment closes a converged network; this one is closed while
+    # delayed detections and armed MRAI timers (timer <-> event <->
+    # speaker) are still queued.
     topology = skewed_topology(30, seed=3)
-    config = BGPConfig(mrai_policy=ConstantMRAI(0.5), session=SessionConfig())
+    config = BGPConfig(mrai_policy=ConstantMRAI(0.5))
 
     def trial():
         network = BGPNetwork(topology, config, seed=1)
         try:
             network.start()
-            network.run_until_converged(idle_window=3.0)
+            network.run_until_quiet()
             assert network.total_loc_rib_routes() == 30 * 30
-            network.fail_nodes([0, 1, 2])
-            network.run_until_converged(idle_window=12.0)
+            t0 = network.fail_nodes(
+                [0, 1, 2], detection_delay=3.0, detection_jitter=1.0
+            )
+            network.sim.run(until=t0 + 3.5)
+            assert network.sim.pending_events > 0
         finally:
             network.close()
 
     reclaimed = cyclic_garbage(trial)
-    print(f"\nexplicit sessions: gc.collect() after close() reclaimed {reclaimed}")
+    print(f"\nclosed mid-convergence: gc.collect() after close() reclaimed {reclaimed}")
     assert reclaimed == 0
 
 

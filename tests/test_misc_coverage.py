@@ -12,8 +12,9 @@ from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.queues import WithdrawalFirstBatchQueue
 from repro.cli import main
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
-from tests.conftest import converged_network, line_topology, ring_topology
+from tests.conftest import line_topology
 
 
 # ---------------------------------------------------------------------------
@@ -38,28 +39,18 @@ def test_pending_events_counts_live_only():
 # Network internals
 # ---------------------------------------------------------------------------
 def test_in_flight_update_accounting():
-    net = converged_network(line_topology(3))
-    assert net.routing_quiet()
-    net.transmit(0, 1, Update(0, (0,), 0), 0.025)
-    assert not net.routing_quiet()
+    metrics = MetricsRegistry()
+    config = BGPConfig(mrai_policy=ConstantMRAI(0.5))
+    net = BGPNetwork(line_topology(3), config, seed=1, metrics=metrics)
+    net.start()
     net.run_until_quiet()
-    assert net.routing_quiet()
-
-
-def test_routing_quiet_vs_is_quiescent_implicit_mode():
-    net = converged_network(ring_topology(4))
-    assert net.is_quiescent()
-    assert net.routing_quiet()
-    # A non-protocol event blocks is_quiescent but not routing_quiet.
-    net.sim.schedule(5.0, lambda: None)
-    assert not net.is_quiescent()
-    assert net.routing_quiet()
-
-
-def test_session_counters_absent_in_implicit_mode():
-    net = converged_network(line_topology(3))
-    assert net.counters["session_messages_sent"] == 0
-    assert net.counters["sessions_established"] == 0
+    gauge = metrics.gauge("updates_in_flight")
+    assert gauge.value == 0
+    net.transmit(0, 1, Update(0, (0,), 0), 0.025)
+    assert gauge.value == 1
+    net.run_until_quiet()
+    assert gauge.value == 0
+    assert isinstance(gauge.value, int)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Property-based tests for the extension modules (damping, sessions,
-adaptive controller, theory heuristics)."""
+"""Property-based tests for the extension modules (damping, adaptive
+controller, theory heuristics)."""
 
 import math
 
@@ -7,20 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.damping import DampingConfig, DampingState
-from repro.bgp.session import (
-    ESTABLISHED,
-    IDLE,
-    KEEPALIVE,
-    NOTIFICATION,
-    OPEN,
-    OPEN_CONFIRM,
-    OPEN_SENT,
-    SessionConfig,
-    SessionMessage,
-)
 from repro.core.adaptive import PAPER_CALIBRATION, FailureExtentController
 from repro.core.theory import recommend_mrai
-from repro.sim.trace import Counter
 from repro.topology.skewed import skewed_topology
 
 
@@ -75,66 +63,6 @@ def test_damping_reuse_delay_lands_exactly_on_threshold(penalty):
     delay = config.reuse_delay(penalty)
     decayed = penalty * math.exp(-config.decay_rate * delay)
     assert abs(decayed - config.reuse_threshold) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Session FSM: never crashes, never reaches an invalid state
-# ---------------------------------------------------------------------------
-class _FakeTimerHost:
-    """Minimal speaker stand-in for FSM-only fuzzing."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.alive = True
-        self.node_id = 0
-        self.sent = []
-        self.down_events = 0
-
-        class _Net:
-            counters = Counter()
-
-        self.network = _Net()
-
-    def send_session_message(self, peer_id, kind):
-        self.sent.append(kind)
-
-    def session_established(self, peer_id):
-        pass
-
-    def peer_down(self, peer_id):
-        self.down_events += 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.sampled_from([OPEN, KEEPALIVE, NOTIFICATION, "tick"]),
-        max_size=30,
-    )
-)
-def test_session_fsm_fuzzing_never_leaves_valid_states(script):
-    from repro.bgp.session import Session
-    from repro.sim.engine import Simulator
-
-    sim = Simulator(seed=1)
-    host = _FakeTimerHost(sim)
-    session = Session(host, peer_id=1, config=SessionConfig())
-    session.start()
-    valid = {IDLE, OPEN_SENT, OPEN_CONFIRM, ESTABLISHED}
-    for action in script:
-        if action == "tick":
-            sim.run(until=sim.now + 1.0)
-        else:
-            session.handle(SessionMessage(action, 1))
-        assert session.state in valid
-        # Keepalives only flow in ESTABLISHED; the hold timer only runs
-        # outside IDLE.
-        if session.state == IDLE:
-            assert not session.hold_timer.running
-    # Long silence from any state must land us back in IDLE/retry cycles,
-    # never a stuck half-open state.
-    sim.run(until=sim.now + 100.0)
-    assert session.state in (IDLE, OPEN_SENT)
 
 
 # ---------------------------------------------------------------------------

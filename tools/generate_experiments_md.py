@@ -220,8 +220,9 @@ COMMENTARY = {
         "The paper assumes sessions drop at the failure instant; real BGP "
         "waits out the hold timer.",
         "Detection delay adds roughly additively and does not change which "
-        "scheme wins.  (The explicit-session mode in repro.bgp.session "
-        "makes detection fully emergent — see tests/test_bgp_sessions.py.)",
+        "scheme wins.  (Hold-timer detection is fail_nodes' detection_delay "
+        "+ Uniform(0, detection_jitter) per survivor — see "
+        "tests/test_bgp_wf_queue_and_detection.py.)",
     ),
     "ab_flap_damping": (
         "Ablation — RFC-2439 route flap damping",
