@@ -35,12 +35,13 @@ from typing import List, Optional
 from repro.bgp.mrai import MRAIPolicy
 from repro.core.experiment import ExperimentSpec, run_experiment
 
-#: All scheme/topology vocabulary is registry data (repro.specs), so CLI
-#: flag choices stay in lockstep with what campaign files accept.
+#: All scheme/topology vocabulary is table data (repro.specs, and the
+#: queue disciplines of repro.bgp.queues), so CLI flag choices stay in
+#: lockstep with what campaign files accept.
+from repro.bgp.queues import QUEUES
 from repro.specs import (
     DISTRIBUTIONS,
     MRAI_SCHEMES,
-    QUEUE_DISCIPLINES,
     TOPOLOGY_KINDS,
     build_mrai,
     topology_factory,
@@ -77,7 +78,7 @@ def _scheme_from_args(args: argparse.Namespace) -> dict:
 def build_mrai_policy(
     args: argparse.Namespace, topology: Optional[Topology] = None
 ) -> MRAIPolicy:
-    """Thin wrapper over the MRAI scheme registry (repro.specs)."""
+    """Thin wrapper over the MRAI scheme table (repro.specs)."""
     return build_mrai(_scheme_from_args(args), topology)
 
 
@@ -600,10 +601,10 @@ def cmd_campaign_validate(args: argparse.Namespace) -> int:
     """Fast-path check of campaign files: parse, validate, resolve.
 
     Everything except simulation runs: JSON syntax, the grid shape,
-    every scheme dict (per-field registry messages), the topology block,
-    and — because topology-dependent schemes are resolved against the
-    first seed's topology — that adaptive/theory/inferred-policy schemes
-    actually build.  Exit 2 if any file fails.
+    every scheme dict (per-field messages), the topology block, every
+    axis point, and — because topology-dependent schemes are resolved
+    against the first seed's topology — that adaptive/theory/inferred-
+    policy schemes actually build.  Exit 2 if any file fails.
     """
     from repro.store.campaign import Campaign
 
@@ -895,7 +896,7 @@ def make_parser() -> argparse.ArgumentParser:
         parser_.add_argument("--nodes", type=int, default=120)
         parser_.add_argument(
             "--topology",
-            choices=TOPOLOGY_KINDS.names(),
+            choices=sorted(TOPOLOGY_KINDS),
             default="skewed",
         )
         parser_.add_argument(
@@ -925,7 +926,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_topology_args(run_p)
     run_p.add_argument(
         "--mrai-scheme",
-        choices=MRAI_SCHEMES.names(),
+        choices=sorted(MRAI_SCHEMES),
         default="constant",
     )
     run_p.add_argument("--mrai", type=float, default=0.5)
@@ -935,7 +936,7 @@ def make_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--down-th", type=float, default=0.05)
     run_p.add_argument(
         "--queue",
-        choices=QUEUE_DISCIPLINES.names(),
+        choices=sorted(QUEUES),
         default="fifo",
     )
     run_p.add_argument("--failure", type=float, default=0.05)

@@ -179,12 +179,6 @@ class ExperimentResult:
     def add(self, trial: TrialResult) -> None:
         self.trials.append(trial)
 
-    def merge(self, other: "ExperimentResult") -> "ExperimentResult":
-        """A new result covering both trial sets (specs must match)."""
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise ValueError("cannot merge results of different specs")
-        return ExperimentResult(self.spec, [*self.trials, *other.trials])
-
     @property
     def n(self) -> int:
         return len(self.trials)

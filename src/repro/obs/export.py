@@ -62,7 +62,7 @@ def metrics_records(
     registry: MetricsRegistry,
     extra_records: Sequence[Dict[str, Any]] = (),
 ) -> List[Dict[str, Any]]:
-    """Registry state plus any extra rows (trial snapshots, profile rows)."""
+    """The registry's records plus any extra rows (trial snapshots, profile rows)."""
     records = registry.records()
     records.extend(extra_records)
     return records

@@ -133,7 +133,8 @@ class Histogram(_Child):
 
     ``buckets`` are ascending upper bounds; an observation lands in the
     first bucket whose bound is >= the value, or in the implicit overflow
-    bucket beyond the last bound.  Bucketing is exact and mergeable;
+    bucket beyond the last bound.  Bucketing is exact, so trials' records
+    add bucket-wise (:meth:`MetricsRegistry.absorb_records`);
     :meth:`percentile` is approximate (it answers with the upper bound of
     the bucket containing the requested rank).
     """
@@ -185,22 +186,6 @@ class Histogram(_Child):
             if seen >= rank:
                 return bound
         return float("inf")
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (same bucket layout required).
-
-        This is what lets per-trial histograms combine across trials
-        without re-streaming the underlying samples.
-        """
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.buckets} vs {other.buckets}"
-            )
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.sum += other.sum
-        self.count += other.count
 
     def to_record(self) -> Dict[str, Any]:
         return {

@@ -40,27 +40,6 @@ class OnlineStats:
         for x in xs:
             self.add(x)
 
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Combine two accumulators without re-streaming their samples.
-
-        Chan et al.'s parallel update: the result is numerically the same
-        accumulator that would have seen both sample streams.  Neither
-        operand is modified.
-        """
-        merged = OnlineStats()
-        n = self.n + other.n
-        if n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged.n = n
-        merged._mean = self._mean + delta * (other.n / n)
-        merged._m2 = (
-            self._m2 + other._m2 + delta * delta * (self.n * other.n / n)
-        )
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        return merged
-
     @property
     def mean(self) -> float:
         return self._mean if self.n else 0.0

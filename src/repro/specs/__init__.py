@@ -1,4 +1,4 @@
-"""Declarative experiment descriptions: registries + round-trip dicts.
+"""Declarative experiment descriptions: vocabulary tables + round-trip dicts.
 
 This package is the single source of truth for what an experiment *is*
 as data.  The CLI, campaign files, the figure harness and the
@@ -7,24 +7,24 @@ ExperimentSpec` objects through :func:`build_spec` and serialize them
 back through :func:`spec_to_dict`, so
 
 * a campaign JSON can express every scheme the ``run`` subcommand can,
-* new MRAI schemes / policy kinds / topology kinds are registered once
-  (:func:`register_mrai_scheme`, ``POLICY_BLOCKS.register``,
-  ``TOPOLOGY_KINDS.register``) and become usable everywhere, and
+* each vocabulary — MRAI schemes, policy kinds, topology kinds, degree
+  distributions, figure scheme sets — is one plain dict
+  (``MRAI_SCHEMES``, ``POLICY_BLOCKS``, ``TOPOLOGY_KINDS``,
+  ``DISTRIBUTIONS``, ``SCHEME_SETS``; queue disciplines are
+  :data:`repro.bgp.queues.QUEUES`), and an entry there is usable
+  everywhere, and
 * two construction paths meaning the same experiment share one cache
   fingerprint.
 
-See ``docs/SPECS.md`` for the dict schema and registration walkthrough.
+See ``docs/SPECS.md`` for the dict schema and how to add an entry.
 """
 
 from repro.specs.blocks import (
     POLICY_BLOCKS,
-    QUEUE_DISCIPLINES,
     build_damping,
     build_policy,
-    check_queue_discipline,
     damping_to_block,
     policy_needs_topology,
-    policy_to_block,
     validate_policy_block,
 )
 from repro.specs.mrai import (
@@ -32,15 +32,8 @@ from repro.specs.mrai import (
     MRAIScheme,
     build_mrai,
     mrai_scheme_params,
-    mrai_to_scheme,
-    register_mrai_scheme,
 )
-from repro.specs.registry import Registry
-from repro.specs.scheme_sets import (
-    SCHEME_SETS,
-    register_scheme_set,
-    scheme_set,
-)
+from repro.specs.scheme_sets import SCHEME_SETS, scheme_set
 from repro.specs.serialize import (
     SpecSerializationError,
     build_spec,
@@ -59,23 +52,17 @@ from repro.specs.topology import (
 )
 
 __all__ = [
-    "Registry",
     # MRAI schemes
     "MRAI_SCHEMES",
     "MRAIScheme",
-    "register_mrai_scheme",
     "mrai_scheme_params",
     "build_mrai",
-    "mrai_to_scheme",
-    # queue / damping / policy blocks
-    "QUEUE_DISCIPLINES",
-    "check_queue_discipline",
+    # damping / policy blocks
     "build_damping",
     "damping_to_block",
     "POLICY_BLOCKS",
     "validate_policy_block",
     "build_policy",
-    "policy_to_block",
     "policy_needs_topology",
     # topology blocks
     "DISTRIBUTIONS",
@@ -93,6 +80,5 @@ __all__ = [
     "SpecSerializationError",
     # figure scheme sets
     "SCHEME_SETS",
-    "register_scheme_set",
     "scheme_set",
 ]

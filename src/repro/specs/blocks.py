@@ -1,8 +1,5 @@
 """Declarative blocks for the non-MRAI spec pieces.
 
-* **queue disciplines** — a registry naming every discipline the
-  simulator implements, so scheme dicts are checked at parse time
-  instead of when the first ``BGPConfig`` is built;
 * **damping blocks** — ``{"half_life": 4.0, ...}`` <->
   :class:`~repro.bgp.damping.DampingConfig`;
 * **routing-policy blocks** — ``{"kind": "shortest-path"}`` or
@@ -27,36 +24,10 @@ from repro.bgp.policy import (
     infer_relationships,
     infer_relationships_hierarchical,
 )
-from repro.specs.registry import Registry
+from repro.specs.fields import lookup, number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.topology.graph import Topology
-
-# ---------------------------------------------------------------------------
-# Queue disciplines
-# ---------------------------------------------------------------------------
-QUEUE_DISCIPLINES = Registry("queue discipline")
-QUEUE_DISCIPLINES.register("fifo", "process updates strictly in order")
-QUEUE_DISCIPLINES.register(
-    "dest_batch", "the paper's per-destination batching (Sec 4.4)"
-)
-QUEUE_DISCIPLINES.register(
-    "dest_batch_wf", "per-destination batching, withdrawals first (Sec 5)"
-)
-QUEUE_DISCIPLINES.register(
-    "tcp_batch", "router-style fixed-size TCP-buffer batching"
-)
-
-
-def check_queue_discipline(name: str) -> str:
-    """Validate a scheme dict's ``queue`` value at parse time."""
-    if name not in QUEUE_DISCIPLINES:
-        raise ValueError(
-            f"unknown queue discipline {name!r}; "
-            f"choose from {QUEUE_DISCIPLINES.names()}"
-        )
-    return name
-
 
 # ---------------------------------------------------------------------------
 # Damping blocks
@@ -76,13 +47,9 @@ def build_damping(block: Dict[str, Any]) -> DampingConfig:
             f"unknown damping keys {sorted(unknown)}; "
             f"known: {sorted(_DAMPING_FIELDS)}"
         )
-    kwargs = {}
-    for key, value in block.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"damping.{key} must be a number, got {value!r}"
-            )
-        kwargs[key] = float(value)
+    kwargs = {
+        key: number(value, f"damping.{key}") for key, value in block.items()
+    }
     return DampingConfig(**kwargs)  # __post_init__ validates the values
 
 
@@ -93,20 +60,25 @@ def damping_to_block(config: DampingConfig) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # Routing-policy blocks
 # ---------------------------------------------------------------------------
-POLICY_BLOCKS = Registry("routing policy")
+class PolicyBlock:
+    """One policy kind: allowed keys, builder and inverse.
 
+    ``serialize`` is the inverse :func:`repro.specs.serialize.spec_to_dict`
+    applies to policies of exactly ``policy_type``.
+    """
 
-class _PolicyBlockEntry:
-    """One policy kind: allowed keys, builder, optional serializer."""
-
-    def __init__(self, keys, build, serialize=None, policy_types=(),
+    def __init__(self, keys, build, policy_type=None, serialize=None,
                  needs_topology=lambda block: False, validate=None):
         self.keys = frozenset(keys) | {"kind"}
         self.build = build
+        self.policy_type = policy_type
         self.serialize = serialize
-        self.policy_types = tuple(policy_types)
         self.needs_topology = needs_topology
         self.validate = validate
+
+
+def _entry(block: Dict[str, Any]) -> PolicyBlock:
+    return lookup(POLICY_BLOCKS, "routing policy", block["kind"])
 
 
 def validate_policy_block(block: Dict[str, Any]) -> None:
@@ -115,7 +87,7 @@ def validate_policy_block(block: Dict[str, Any]) -> None:
         raise ValueError(
             f"policy must be a dict with a 'kind' key or null, got {block!r}"
         )
-    entry = POLICY_BLOCKS.get(block["kind"])
+    entry = _entry(block)
     unknown = set(block) - entry.keys
     if unknown:
         raise ValueError(
@@ -131,7 +103,7 @@ def build_policy(
 ) -> RoutingPolicy:
     """A :class:`RoutingPolicy` from its declarative block."""
     validate_policy_block(block)
-    entry = POLICY_BLOCKS.get(block["kind"])
+    entry = _entry(block)
     if topology is None and entry.needs_topology(block):
         raise ValueError(
             f"policy kind {block['kind']!r} with inferred relationships "
@@ -141,37 +113,11 @@ def build_policy(
     return entry.build(block, topology)
 
 
-def policy_to_block(policy: RoutingPolicy) -> Dict[str, Any]:
-    """The declarative block for ``policy`` (inverse of build)."""
-    from repro.specs.serialize import SpecSerializationError
-
-    for name in POLICY_BLOCKS:
-        entry = POLICY_BLOCKS.get(name)
-        if entry.serialize is not None and type(policy) in entry.policy_types:
-            return entry.serialize(policy)
-    raise SpecSerializationError(
-        f"no registered policy block serializes "
-        f"{type(policy).__module__}.{type(policy).__qualname__}; "
-        f"register it in POLICY_BLOCKS to make this spec declarative"
-    )
-
-
 def policy_needs_topology(block: Dict[str, Any]) -> bool:
     if not isinstance(block, dict) or "kind" not in block:
         return False
-    entry = POLICY_BLOCKS.get(block["kind"])
-    return entry.needs_topology(block)
+    return _entry(block).needs_topology(block)
 
-
-POLICY_BLOCKS.register(
-    "shortest-path",
-    _PolicyBlockEntry(
-        keys=(),
-        build=lambda block, topology: ShortestPathPolicy(),
-        serialize=lambda policy: {"kind": "shortest-path"},
-        policy_types=(ShortestPathPolicy,),
-    ),
-)
 
 _INFER_MODES = ("hierarchical", "degree")
 
@@ -207,19 +153,25 @@ def _build_gao_rexford(
     return GaoRexfordPolicy(rels)
 
 
-POLICY_BLOCKS.register(
-    "gao-rexford",
-    _PolicyBlockEntry(
+#: Every routing-policy kind a scheme dict's ``policy`` block can name.
+POLICY_BLOCKS: Dict[str, PolicyBlock] = {
+    "shortest-path": PolicyBlock(
+        keys=(),
+        build=lambda block, topology: ShortestPathPolicy(),
+        policy_type=ShortestPathPolicy,
+        serialize=lambda policy: {"kind": "shortest-path"},
+    ),
+    "gao-rexford": PolicyBlock(
         keys=("relationships", "infer", "peer_degree_ratio"),
         build=_build_gao_rexford,
         validate=_check_gao_rexford,
+        policy_type=GaoRexfordPolicy,
         serialize=lambda policy: {
             "kind": "gao-rexford",
             "relationships": [
                 list(item) for item in policy.relationships.items()
             ],
         },
-        policy_types=(GaoRexfordPolicy,),
         needs_topology=lambda block: "infer" in block,
     ),
-)
+}

@@ -1,4 +1,4 @@
-"""The MRAI-scheme registry: named, declarative policy builders.
+"""The MRAI-scheme table: named, declarative policy builders.
 
 Every way the repo can pick MRAI values — the paper's constants, the
 degree-dependent and dynamic schemes, the failure-extent-adaptive scheme
@@ -12,9 +12,6 @@ Schemes whose parameters depend on the topology (``adaptive`` without an
 explicit ``total_destinations``, ``theory`` always) declare it via
 ``needs_topology``; campaigns resolve them against the seed[0] topology
 so the resulting specs stay deterministic and cacheable.
-
-Register a new scheme with :func:`register_mrai_scheme`; nothing else in
-the CLI, campaign or figure layers needs to change.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from repro.core.dynamic_mrai import (
     PAPER_UP_TH,
     DynamicMRAI,
 )
-from repro.specs.registry import Registry
+from repro.specs.fields import integer, lookup, number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.topology.graph import Topology
@@ -44,17 +41,7 @@ _MONITORS = ("queue", "utilization", "msgcount")
 # Per-field parsing helpers (the typo-rejecting error layer)
 # ---------------------------------------------------------------------------
 def _number(scheme: Dict[str, Any], key: str, default: float) -> float:
-    value = scheme.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(scheme: Dict[str, Any], key: str, default: int) -> int:
-    value = scheme.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return number(scheme.get(key, default), key)
 
 
 def _levels(scheme: Dict[str, Any], key: str,
@@ -116,43 +103,37 @@ def _thresholds(scheme: Dict[str, Any]) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class MRAIScheme:
-    """One registered MRAI scheme: its parameters, builder and inverse.
+    """One MRAI scheme: its parameters, builder and inverse.
 
     ``parse`` validates/defaults the scheme-dict parameters (raising
     per-field :class:`ValueError`); ``build`` turns the parsed dict (and
     optionally the topology) into a policy; ``serialize`` is the inverse
-    used by :func:`repro.specs.serialize.spec_to_dict`, registered for
-    the policy classes in ``policy_types``.  Schemes that can only be
-    resolved against a topology return True from ``needs_topology``.
+    :func:`repro.specs.serialize.spec_to_dict` applies to policies of
+    exactly ``policy_type``.  Schemes that can only be resolved against
+    a topology return True from ``needs_topology``.
     """
 
-    name: str
     params: Tuple[str, ...]
     parse: Callable[[Dict[str, Any]], Dict[str, Any]]
     build: Callable[[Dict[str, Any], Optional["Topology"]], MRAIPolicy]
+    policy_type: Optional[type] = None
     serialize: Optional[Callable[[MRAIPolicy], Dict[str, Any]]] = None
-    policy_types: Tuple[type, ...] = ()
     needs_topology: Callable[[Dict[str, Any]], bool] = field(
         default=lambda parsed: False
     )
 
 
-MRAI_SCHEMES = Registry("mrai_scheme")
-
-
-def register_mrai_scheme(
-    entry: MRAIScheme, *, replace: bool = False
-) -> MRAIScheme:
-    """Make a new MRAI scheme usable in every scheme dict repo-wide."""
-    return MRAI_SCHEMES.register(entry.name, entry, replace=replace)
+def scheme_entry(scheme: Dict[str, Any]) -> Tuple[str, MRAIScheme]:
+    """A scheme dict's ``mrai_scheme`` name and its table entry."""
+    kind = scheme.get("mrai_scheme", "constant")
+    return kind, lookup(MRAI_SCHEMES, "mrai_scheme", kind)
 
 
 def mrai_scheme_params() -> frozenset:
-    """Every parameter name any registered scheme accepts."""
-    names = set()
-    for name in MRAI_SCHEMES:
-        names.update(MRAI_SCHEMES.get(name).params)
-    return frozenset(names)
+    """Every parameter name any scheme accepts."""
+    return frozenset(
+        param for entry in MRAI_SCHEMES.values() for param in entry.params
+    )
 
 
 def build_mrai(
@@ -164,8 +145,7 @@ def build_mrai(
     key-set validation against the *whole* scheme vocabulary lives in
     :func:`repro.specs.serialize.build_spec`.
     """
-    kind = scheme.get("mrai_scheme", "constant")
-    entry = MRAI_SCHEMES.get(kind)
+    kind, entry = scheme_entry(scheme)
     parsed = entry.parse(scheme)
     if topology is None and entry.needs_topology(parsed):
         raise ValueError(
@@ -176,35 +156,14 @@ def build_mrai(
     return entry.build(parsed, topology)
 
 
-def mrai_to_scheme(policy: MRAIPolicy) -> Dict[str, Any]:
-    """The declarative scheme dict for ``policy`` (inverse of build).
-
-    Raises :class:`SpecSerializationError` for policy classes no
-    registered scheme claims — register the scheme (with a ``serialize``
-    and ``policy_types``) to make such specs storable.
-    """
-    from repro.specs.serialize import SpecSerializationError
-
-    for name in MRAI_SCHEMES:
-        entry = MRAI_SCHEMES.get(name)
-        if entry.serialize is not None and type(policy) in entry.policy_types:
-            return entry.serialize(policy)
-    raise SpecSerializationError(
-        f"no registered mrai_scheme serializes "
-        f"{type(policy).__module__}.{type(policy).__qualname__}; "
-        f"register_mrai_scheme() it to make this spec declarative"
-    )
-
-
 def scheme_needs_topology(scheme: Dict[str, Any]) -> bool:
     """Whether building this scheme dict requires a topology."""
-    kind = scheme.get("mrai_scheme", "constant")
-    entry = MRAI_SCHEMES.get(kind)
+    _kind, entry = scheme_entry(scheme)
     return entry.needs_topology(entry.parse(scheme))
 
 
 # ---------------------------------------------------------------------------
-# The five built-in schemes
+# The five schemes
 # ---------------------------------------------------------------------------
 def _parse_constant(scheme: Dict[str, Any]) -> Dict[str, Any]:
     mrai = _number(scheme, "mrai", 0.5)
@@ -213,51 +172,15 @@ def _parse_constant(scheme: Dict[str, Any]) -> Dict[str, Any]:
     return {"mrai": mrai}
 
 
-register_mrai_scheme(
-    MRAIScheme(
-        name="constant",
-        params=("mrai",),
-        parse=_parse_constant,
-        build=lambda parsed, topology: ConstantMRAI(parsed["mrai"]),
-        serialize=lambda policy: {
-            "mrai_scheme": "constant",
-            "mrai": policy.value,
-        },
-        policy_types=(ConstantMRAI,),
-    )
-)
-
-
 def _parse_degree(scheme: Dict[str, Any]) -> Dict[str, Any]:
     low = _number(scheme, "mrai_low", 0.5)
     high = _number(scheme, "mrai_high", 2.25)
     if low < 0 or high < 0:
         raise ValueError("mrai_low/mrai_high must be non-negative")
-    threshold = _integer(scheme, "degree_threshold", 4)
+    threshold = integer(scheme.get("degree_threshold", 4), "degree_threshold")
     if threshold < 1:
         raise ValueError("degree_threshold must be >= 1")
     return {"mrai_low": low, "mrai_high": high, "degree_threshold": threshold}
-
-
-register_mrai_scheme(
-    MRAIScheme(
-        name="degree",
-        params=("mrai_low", "mrai_high", "degree_threshold"),
-        parse=_parse_degree,
-        build=lambda parsed, topology: DegreeDependentMRAI(
-            parsed["mrai_low"],
-            parsed["mrai_high"],
-            degree_threshold=parsed["degree_threshold"],
-        ),
-        serialize=lambda policy: {
-            "mrai_scheme": "degree",
-            "mrai_low": policy.low_value,
-            "mrai_high": policy.high_value,
-            "degree_threshold": policy.degree_threshold,
-        },
-        policy_types=(DegreeDependentMRAI,),
-    )
-)
 
 
 def _parse_dynamic(scheme: Dict[str, Any]) -> Dict[str, Any]:
@@ -290,33 +213,6 @@ def _parse_dynamic(scheme: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-register_mrai_scheme(
-    MRAIScheme(
-        name="dynamic",
-        params=(
-            "levels",
-            "up_th",
-            "down_th",
-            "monitor",
-            "mean_service",
-            "high_degree_only_threshold",
-        ),
-        parse=_parse_dynamic,
-        build=lambda parsed, topology: DynamicMRAI(**parsed),
-        serialize=lambda policy: {
-            "mrai_scheme": "dynamic",
-            "levels": list(policy.levels),
-            "up_th": policy.up_th,
-            "down_th": policy.down_th,
-            "monitor": policy.monitor,
-            "mean_service": policy.mean_service,
-            "high_degree_only_threshold": policy.high_degree_only_threshold,
-        },
-        policy_types=(DynamicMRAI,),
-    )
-)
-
-
 def _parse_adaptive(scheme: Dict[str, Any]) -> Dict[str, Any]:
     calibration = _calibration(scheme, "calibration", PAPER_CALIBRATION)
     window = _number(scheme, "window", 5.0)
@@ -324,10 +220,7 @@ def _parse_adaptive(scheme: Dict[str, Any]) -> Dict[str, Any]:
         raise ValueError("window must be positive")
     total = scheme.get("total_destinations")
     if total is not None:
-        if isinstance(total, bool) or not isinstance(total, int):
-            raise ValueError(
-                f"total_destinations must be an integer, got {total!r}"
-            )
+        total = integer(total, "total_destinations")
         if total < 1:
             raise ValueError("total_destinations must be positive")
     return {
@@ -349,24 +242,6 @@ def _build_adaptive(
         calibration=parsed["calibration"],
         window=parsed["window"],
     )
-
-
-register_mrai_scheme(
-    MRAIScheme(
-        name="adaptive",
-        params=("calibration", "window", "total_destinations"),
-        parse=_parse_adaptive,
-        build=_build_adaptive,
-        serialize=lambda policy: {
-            "mrai_scheme": "adaptive",
-            "calibration": [list(pair) for pair in policy.calibration],
-            "window": policy.window,
-            "total_destinations": policy.total_destinations,
-        },
-        policy_types=(AdaptiveExtentMRAI,),
-        needs_topology=lambda parsed: parsed["total_destinations"] is None,
-    )
-)
 
 
 def _parse_theory(scheme: Dict[str, Any]) -> Dict[str, Any]:
@@ -405,15 +280,76 @@ def _build_theory(
     )
 
 
-# The theory scheme resolves to a DynamicMRAI over the recommended
-# ladder, so it serializes as "dynamic" (with the levels made explicit);
-# it registers no policy_types of its own.
-register_mrai_scheme(
-    MRAIScheme(
-        name="theory",
+#: Every MRAI scheme a scheme dict's ``mrai_scheme`` can name.
+MRAI_SCHEMES: Dict[str, MRAIScheme] = {
+    "constant": MRAIScheme(
+        params=("mrai",),
+        parse=_parse_constant,
+        build=lambda parsed, topology: ConstantMRAI(parsed["mrai"]),
+        policy_type=ConstantMRAI,
+        serialize=lambda policy: {
+            "mrai_scheme": "constant",
+            "mrai": policy.value,
+        },
+    ),
+    "degree": MRAIScheme(
+        params=("mrai_low", "mrai_high", "degree_threshold"),
+        parse=_parse_degree,
+        build=lambda parsed, topology: DegreeDependentMRAI(
+            parsed["mrai_low"],
+            parsed["mrai_high"],
+            degree_threshold=parsed["degree_threshold"],
+        ),
+        policy_type=DegreeDependentMRAI,
+        serialize=lambda policy: {
+            "mrai_scheme": "degree",
+            "mrai_low": policy.low_value,
+            "mrai_high": policy.high_value,
+            "degree_threshold": policy.degree_threshold,
+        },
+    ),
+    "dynamic": MRAIScheme(
+        params=(
+            "levels",
+            "up_th",
+            "down_th",
+            "monitor",
+            "mean_service",
+            "high_degree_only_threshold",
+        ),
+        parse=_parse_dynamic,
+        build=lambda parsed, topology: DynamicMRAI(**parsed),
+        policy_type=DynamicMRAI,
+        serialize=lambda policy: {
+            "mrai_scheme": "dynamic",
+            "levels": list(policy.levels),
+            "up_th": policy.up_th,
+            "down_th": policy.down_th,
+            "monitor": policy.monitor,
+            "mean_service": policy.mean_service,
+            "high_degree_only_threshold": policy.high_degree_only_threshold,
+        },
+    ),
+    "adaptive": MRAIScheme(
+        params=("calibration", "window", "total_destinations"),
+        parse=_parse_adaptive,
+        build=_build_adaptive,
+        policy_type=AdaptiveExtentMRAI,
+        serialize=lambda policy: {
+            "mrai_scheme": "adaptive",
+            "calibration": [list(pair) for pair in policy.calibration],
+            "window": policy.window,
+            "total_destinations": policy.total_destinations,
+        },
+        needs_topology=lambda parsed: parsed["total_destinations"] is None,
+    ),
+    # The theory scheme resolves to a DynamicMRAI over the recommended
+    # ladder, so it serializes as "dynamic" (with the levels made
+    # explicit) and has no policy_type of its own.
+    "theory": MRAIScheme(
         params=("fractions", "mean_service", "floor", "up_th", "down_th"),
         parse=_parse_theory,
         build=_build_theory,
         needs_topology=lambda parsed: True,
-    )
-)
+    ),
+}

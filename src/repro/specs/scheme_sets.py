@@ -1,12 +1,12 @@
-"""Named figure/ablation scheme sets, declared as registry data.
+"""Named figure/ablation scheme sets, declared as table data.
 
 Every comparison the figure harness draws — "three constant MRAIs",
 "batching vs dynamic vs constants", each ablation's scheme list — is a
-registered function from a scale profile to ``(label, scheme-dict)``
-pairs.  Figure declarations name a set as the ``schemes`` of a campaign
-(:func:`repro.figures.common.grid`) instead of constructing
-:class:`ExperimentSpec` lists inline, so adding a scheme to a comparison
-(or a whole new comparison) is a data change here.
+:data:`SCHEME_SETS` entry: a function from a scale profile to
+``(label, scheme-dict)`` pairs.  Figure declarations name a set as the
+``schemes`` of a campaign (:func:`repro.figures.common.grid`) instead of
+constructing :class:`ExperimentSpec` lists inline, so adding a scheme to
+a comparison (or a whole new comparison) is a data change here.
 
 Profiles are duck-typed: anything with the attributes a set reads
 (``mrai_three``, ``dynamic_levels``, ...) works, keeping this module
@@ -17,29 +17,21 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Tuple
 
-from repro.specs.registry import Registry
+from repro.specs.fields import lookup
 
 #: One scheme set: profile -> ((label, scheme dict), ...).
 SchemeSetFn = Callable[[Any], Tuple[Tuple[str, Dict[str, Any]], ...]]
-
-SCHEME_SETS = Registry("scheme set")
 
 #: The per-failure-size optima the paper reports for the Fig 13
 #: multi-router topologies (the dynamic ladder tops out at 3.5 s there).
 REALISTIC_LEVELS = (0.5, 1.25, 3.5)
 
 
-def register_scheme_set(
-    name: str, fn: SchemeSetFn, *, replace: bool = False
-) -> SchemeSetFn:
-    return SCHEME_SETS.register(name, fn, replace=replace)
-
-
 def scheme_set(
     name: str, profile: Any
 ) -> Tuple[Tuple[str, Dict[str, Any]], ...]:
     """The declarative ``(label, scheme dict)`` pairs of a named set."""
-    return SCHEME_SETS.get(name)(profile)
+    return lookup(SCHEME_SETS, "scheme set", name)(profile)
 
 
 def _constant(mrai: float, **extra: Any) -> Dict[str, Any]:
@@ -132,15 +124,6 @@ def _realistic(profile):
         ("batching", _constant(0.5, queue="dest_batch")),
         ("batch+dynamic", _dynamic(REALISTIC_LEVELS, queue="dest_batch")),
     )
-
-
-register_scheme_set("mrai_three", _mrai_three)
-register_scheme_set("batching", _batching)
-register_scheme_set("degree_mrai", _degree_mrai)
-register_scheme_set("dynamic_vs_constant", _dynamic_vs_constant)
-register_scheme_set("dynamic_up_th", _dynamic_up_th)
-register_scheme_set("dynamic_down_th", _dynamic_down_th)
-register_scheme_set("realistic", _realistic)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +258,24 @@ def _ab_policy_routing(profile):
     )
 
 
-register_scheme_set("ab_per_dest_mrai", _ab_per_dest_mrai)
-register_scheme_set("ab_tcp_batch", _ab_tcp_batch)
-register_scheme_set("ab_monitors", _ab_monitors)
-register_scheme_set("ab_high_degree_only", _ab_high_degree_only)
-register_scheme_set("ab_failure_geometry", _ab_failure_geometry)
-register_scheme_set("ab_withdrawal_rl", _ab_withdrawal_rl)
-register_scheme_set("ab_processing", _ab_processing)
-register_scheme_set("ab_future_work", _ab_future_work)
-register_scheme_set("ab_detection_delay", _ab_detection_delay)
-register_scheme_set("ab_flap_damping", _ab_flap_damping)
-register_scheme_set("ab_policy_routing", _ab_policy_routing)
+#: Every scheme set a figure grid can name, by name.
+SCHEME_SETS: Dict[str, SchemeSetFn] = {
+    "mrai_three": _mrai_three,
+    "batching": _batching,
+    "degree_mrai": _degree_mrai,
+    "dynamic_vs_constant": _dynamic_vs_constant,
+    "dynamic_up_th": _dynamic_up_th,
+    "dynamic_down_th": _dynamic_down_th,
+    "realistic": _realistic,
+    "ab_per_dest_mrai": _ab_per_dest_mrai,
+    "ab_tcp_batch": _ab_tcp_batch,
+    "ab_monitors": _ab_monitors,
+    "ab_high_degree_only": _ab_high_degree_only,
+    "ab_failure_geometry": _ab_failure_geometry,
+    "ab_withdrawal_rl": _ab_withdrawal_rl,
+    "ab_processing": _ab_processing,
+    "ab_future_work": _ab_future_work,
+    "ab_detection_delay": _ab_detection_delay,
+    "ab_flap_damping": _ab_flap_damping,
+    "ab_policy_routing": _ab_policy_routing,
+}

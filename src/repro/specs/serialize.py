@@ -9,7 +9,7 @@ emits the fully explicit dict for a spec, such that
 
     spec_from_dict(spec.to_dict()) == spec
 
-holds for every spec whose policies are registry-serializable.  The
+holds for every spec whose policies have a serializer.  The
 explicit dict is also the canonical form the content-addressed store
 fingerprints (:mod:`repro.store.hashing`), so the manifest records the
 full declarative spec and two construction paths that mean the same
@@ -23,24 +23,25 @@ damping/policy blocks all fail at parse time with per-field messages.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.bgp.mrai import ConstantMRAI
+from repro.bgp.queues import QUEUES
 from repro.core.experiment import ExperimentSpec
 from repro.specs.blocks import (
+    POLICY_BLOCKS,
     build_damping,
     build_policy,
-    check_queue_discipline,
     damping_to_block,
     policy_needs_topology,
-    policy_to_block,
     validate_policy_block,
 )
+from repro.specs.fields import boolean, integer, lookup, number, pair
 from repro.specs.mrai import (
     MRAI_SCHEMES,
     build_mrai,
     mrai_scheme_params,
-    mrai_to_scheme,
+    scheme_entry,
     scheme_needs_topology as _mrai_needs_topology,
 )
 
@@ -52,95 +53,64 @@ class SpecSerializationError(ValueError):
     """A spec cannot be expressed as a declarative dict.
 
     Raised by :func:`spec_to_dict` when a policy object's class has no
-    registered serializer; the store then falls back to the structural
-    object encoding so such specs remain cacheable (under a key private
-    to that class) even though they cannot go in a campaign file.
+    serializer; the store then falls back to the structural object
+    encoding so such specs remain cacheable (under a key private to that
+    class) even though they cannot go in a campaign file.
     """
 
 
-def _bool(value: Any, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
+#: The inverse of building: a policy's exact class -> its declarative
+#: dict.  A subclass does not inherit its parent's entry, since it may
+#: behave differently under the same dict.
+_SERIALIZERS: Dict[type, Callable[[Any], Dict[str, Any]]] = {
+    entry.policy_type: entry.serialize
+    for entry in (*MRAI_SCHEMES.values(), *POLICY_BLOCKS.values())
+    if entry.policy_type is not None
+}
 
 
-def _float(value: Any, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _declare(policy: Any, kind: str, table: str) -> Dict[str, Any]:
+    serialize = _SERIALIZERS.get(type(policy))
+    if serialize is None:
+        cls = type(policy)
+        raise SpecSerializationError(
+            f"no registered {kind} serializes "
+            f"{cls.__module__}.{cls.__qualname__}; give its {table} entry "
+            f"a policy_type and serialize to make this spec declarative"
+        )
+    return serialize(policy)
 
 
-def _int(value: Any, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _pair(value: Any, key: str) -> Tuple[float, float]:
-    try:
-        lo, hi = value
-        return (float(lo), float(hi))
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{key} must be a [min, max] pair of numbers, got {value!r}"
-        ) from None
+def _queue(value: Any, key: str) -> str:
+    lookup(QUEUES, "queue discipline", str(value))
+    return str(value)
 
 
 #: Spec-level scheme keys: scheme-dict key -> (ExperimentSpec field,
-#: decoder).  MRAI parameters are contributed by the scheme registry.
+#: parser(value, key)).  MRAI parameters come from the scheme table.
 _SPEC_FIELDS = {
-    "queue": (
-        "queue_discipline",
-        lambda v: check_queue_discipline(str(v)),
-    ),
-    "tcp_batch_size": ("tcp_batch_size", lambda v: _int(v, "tcp_batch_size")),
-    "failure_fraction": (
-        "failure_fraction",
-        lambda v: _float(v, "failure_fraction"),
-    ),
-    "failure_kind": ("failure_kind", str),
+    "queue": ("queue_discipline", _queue),
+    "tcp_batch_size": ("tcp_batch_size", integer),
+    "failure_fraction": ("failure_fraction", number),
+    "failure_kind": ("failure_kind", lambda value, key: str(value)),
     "failure_center": (
         "failure_center",
-        lambda v: None if v is None else _pair(v, "failure_center"),
+        lambda value, key: None if value is None else pair(value, key),
     ),
-    "processing_delay_range": (
-        "processing_delay_range",
-        lambda v: _pair(v, "processing_delay_range"),
-    ),
-    "withdrawal_rate_limiting": (
-        "withdrawal_rate_limiting",
-        lambda v: _bool(v, "withdrawal_rate_limiting"),
-    ),
-    "sender_side_loop_detection": (
-        "sender_side_loop_detection",
-        lambda v: _bool(v, "sender_side_loop_detection"),
-    ),
-    "per_destination_mrai": (
-        "per_destination_mrai",
-        lambda v: _bool(v, "per_destination_mrai"),
-    ),
-    "detection_delay": (
-        "detection_delay",
-        lambda v: _float(v, "detection_delay"),
-    ),
-    "detection_jitter": (
-        "detection_jitter",
-        lambda v: _float(v, "detection_jitter"),
-    ),
-    "max_convergence_time": (
-        "max_convergence_time",
-        lambda v: _float(v, "max_convergence_time"),
-    ),
-    "max_warmup_time": (
-        "max_warmup_time",
-        lambda v: _float(v, "max_warmup_time"),
-    ),
-    "validate": ("validate", lambda v: _bool(v, "validate")),
+    "processing_delay_range": ("processing_delay_range", pair),
+    "withdrawal_rate_limiting": ("withdrawal_rate_limiting", boolean),
+    "sender_side_loop_detection": ("sender_side_loop_detection", boolean),
+    "per_destination_mrai": ("per_destination_mrai", boolean),
+    "detection_delay": ("detection_delay", number),
+    "detection_jitter": ("detection_jitter", number),
+    "max_convergence_time": ("max_convergence_time", number),
+    "max_warmup_time": ("max_warmup_time", number),
+    "validate": ("validate", boolean),
 }
 
 
 def scheme_keys() -> frozenset:
-    """Every key a scheme dict may contain (registry-derived)."""
+    """Every key a scheme dict may contain (table-derived)."""
     return (
         frozenset({"mrai_scheme", "damping", "policy"})
         | mrai_scheme_params()
@@ -155,15 +125,17 @@ def scheme_requires_topology(scheme: Dict[str, Any]) -> bool:
     return policy_needs_topology(scheme.get("policy"))
 
 
-def validate_scheme(scheme: Dict[str, Any]) -> None:
+def validate_scheme(scheme: Dict[str, Any]) -> ExperimentSpec:
     """Parse-time validation of a scheme dict, without a topology.
 
     Runs every check :func:`build_spec` would — unknown keys, per-field
     parameter messages, spec-level constraints — but skips resolving the
     topology-dependent pieces (adaptive/theory policies, inferred
-    relationships), so campaign files validate instantly.
+    relationships), so campaign files validate instantly.  Returns the
+    spec with stand-ins for those pieces: every other field is the
+    scheme's, so a campaign can check its axis points against it.
     """
-    _build(scheme, topology=None, resolve=False)
+    return _build(scheme, topology=None, resolve=False)
 
 
 def build_spec(
@@ -171,7 +143,7 @@ def build_spec(
 ) -> ExperimentSpec:
     """An :class:`ExperimentSpec` from a declarative scheme dictionary.
 
-    ``mrai_scheme`` selects a registered MRAI scheme (default
+    ``mrai_scheme`` names an ``MRAI_SCHEMES`` entry (default
     ``constant``) whose parameters ride alongside; the remaining keys
     set spec-level fields (``queue``, ``failure_fraction``, ``damping``,
     ``policy``, ...).  Unknown keys — and parameters that belong to a
@@ -199,8 +171,7 @@ def _build(
             f"unknown scheme keys {sorted(unknown)}; "
             f"known: {sorted(known)}"
         )
-    kind = scheme.get("mrai_scheme", "constant")
-    entry = MRAI_SCHEMES.get(kind)  # raises "unknown mrai_scheme ..."
+    kind, entry = scheme_entry(scheme)  # raises "unknown mrai_scheme ..."
     foreign = (set(scheme) & mrai_scheme_params()) - set(entry.params)
     if foreign:
         raise ValueError(
@@ -216,9 +187,9 @@ def _build(
         mrai = ConstantMRAI(0.5)
 
     spec_kwargs: Dict[str, Any] = {"mrai": mrai}
-    for key, (field_name, decode) in _SPEC_FIELDS.items():
+    for key, (field_name, parse) in _SPEC_FIELDS.items():
         if key in scheme:
-            spec_kwargs[field_name] = decode(scheme[key])
+            spec_kwargs[field_name] = parse(scheme[key], key)
     if scheme.get("damping") is not None:
         spec_kwargs["damping"] = build_damping(scheme["damping"])
     if scheme.get("policy") is not None:
@@ -238,9 +209,11 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
     the canonical fingerprint form for the content-addressed store —
     and ``spec_from_dict`` of the result reproduces an equal spec.
     Raises :class:`SpecSerializationError` when the spec's MRAI or
-    routing policy is not registry-serializable.
+    routing policy has no serializer.
     """
-    out: Dict[str, Any] = dict(mrai_to_scheme(spec.mrai))
+    out: Dict[str, Any] = dict(
+        _declare(spec.mrai, "mrai_scheme", "MRAI_SCHEMES")
+    )
     out["queue"] = spec.queue_discipline
     out["tcp_batch_size"] = spec.tcp_batch_size
     out["failure_fraction"] = spec.failure_fraction
@@ -256,7 +229,9 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
         None if spec.damping is None else damping_to_block(spec.damping)
     )
     out["policy"] = (
-        None if spec.policy is None else policy_to_block(spec.policy)
+        None
+        if spec.policy is None
+        else _declare(spec.policy, "policy block", "POLICY_BLOCKS")
     )
     out["detection_delay"] = spec.detection_delay
     out["detection_jitter"] = spec.detection_jitter

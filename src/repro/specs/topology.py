@@ -2,27 +2,26 @@
 
 The canonical home of the degree-distribution table the CLI's
 ``--distribution`` flag and campaign topology blocks share, plus the
-registry resolving a declarative topology block — ``{"kind": "skewed",
-"nodes": 60, "distribution": "70-30"}`` — into a per-seed factory.  A
-block is typo-rejecting like a scheme dict
+:data:`TOPOLOGY_KINDS` table resolving a declarative topology block —
+``{"kind": "skewed", "nodes": 60, "distribution": "70-30"}`` — into a
+per-seed factory.  A block is typo-rejecting like a scheme dict
 (:func:`validate_topology_block`), and an optional ``"seed"`` pins it:
 the topology is built once at that seed and used for every trial seed.
-
-Register a new kind with ``TOPOLOGY_KINDS.register(name, (keys,
-builder))``; campaign files and the figure harness can then name it with
-no further code changes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Tuple
 
-from repro.specs.mrai import _integer
-from repro.specs.registry import Registry
-from repro.topology.degree import SkewedDegreeSpec
+from repro.specs.fields import integer, lookup
+from repro.topology.degree import MIN_NODES, SkewedDegreeSpec
 from repro.topology.graph import Topology
 from repro.topology.internet import internet_like_topology
-from repro.topology.multirouter import MultiRouterSpec, multi_router_topology
+from repro.topology.multirouter import (
+    MIN_ASES,
+    MultiRouterSpec,
+    multi_router_topology,
+)
 from repro.topology.skewed import skewed_topology
 
 #: Named degree distributions usable in topology blocks and CLI flags.
@@ -33,46 +32,51 @@ DISTRIBUTIONS: Dict[str, Callable[[], SkewedDegreeSpec]] = {
     "50-50-dense": SkewedDegreeSpec.paper_50_50_dense,
 }
 
-TOPOLOGY_KINDS = Registry("topology kind")
 
-#: A registered kind: the block keys it reads (beside the common
-#: ``kind`` and ``seed``) and its block -> (seed -> Topology) builder.
-TopologyKind = Tuple[
-    Tuple[str, ...], Callable[[Dict[str, Any]], Callable[[int], Topology]]
-]
+class TopologyKind(NamedTuple):
+    """One topology kind: the block keys it reads (beside the common
+    ``kind`` and ``seed``), its block -> (seed -> Topology) builder and
+    the fewest ``nodes`` its generator can build."""
+
+    keys: Tuple[str, ...]
+    build: Callable[[Dict[str, Any]], Callable[[int], Topology]]
+    min_nodes: int
 
 
 def distribution_spec(name: str) -> SkewedDegreeSpec:
     """Resolve a named degree distribution (typo-rejecting)."""
-    if name not in DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown distribution {name!r}; "
-            f"choose from {sorted(DISTRIBUTIONS)}"
-        )
-    return DISTRIBUTIONS[name]()
+    return lookup(DISTRIBUTIONS, "distribution", name)()
 
 
 def _kind(block: Dict[str, Any]) -> TopologyKind:
-    return TOPOLOGY_KINDS.get(str(block.get("kind", "skewed")))
+    return lookup(
+        TOPOLOGY_KINDS, "topology kind", str(block.get("kind", "skewed"))
+    )
 
 
 def validate_topology_block(block: Dict[str, Any]) -> None:
     """Parse-time validation of a topology block; builds nothing.
 
     Rejects an unknown kind, keys the kind does not read, an unknown
-    distribution and a non-integer ``nodes`` / ``seed`` — a typo must
-    not silently build a different topology.
+    distribution, a non-integer ``nodes`` / ``seed`` and fewer ``nodes``
+    than the kind's generator can build — a typo must not silently
+    build a different topology, nor fail only when the grid runs.
     """
-    keys, _builder = _kind(block)
-    known = {"kind", "seed", *keys}
+    kind = _kind(block)
+    known = {"kind", "seed", *kind.keys}
     unknown = set(block) - known
     if unknown:
         raise ValueError(
             f"unknown topology keys {sorted(unknown)}; "
             f"known: {sorted(known)}"
         )
-    for key in ("nodes", "seed"):
-        _integer(block, key, 0)
+    nodes = integer(block.get("nodes", 60), "nodes")
+    integer(block.get("seed", 0), "seed")
+    if nodes < kind.min_nodes:
+        raise ValueError(
+            f"nodes must be at least {kind.min_nodes} for topology kind "
+            f"{block.get('kind', 'skewed')!r}, got {nodes}"
+        )
     if "distribution" in block:
         distribution_spec(block["distribution"])
 
@@ -84,8 +88,7 @@ def topology_factory(block: Dict[str, Any]) -> Callable[[int], Topology]:
     factory returns it for every trial seed.
     """
     validate_topology_block(block)
-    _keys, builder = _kind(block)
-    factory = builder(block)
+    factory = _kind(block).build(block)
     if "seed" in block:
         pinned = factory(block["seed"])
         return lambda seed: pinned
@@ -108,6 +111,11 @@ def _multirouter_builder(block: Dict[str, Any]) -> Callable[[int], Topology]:
     return lambda seed: multi_router_topology(spec, seed=seed)
 
 
-TOPOLOGY_KINDS.register("skewed", (("nodes", "distribution"), _skewed_builder))
-TOPOLOGY_KINDS.register("internet", (("nodes",), _internet_builder))
-TOPOLOGY_KINDS.register("multirouter", (("nodes",), _multirouter_builder))
+#: Every topology kind a topology block's ``kind`` can name.
+TOPOLOGY_KINDS: Dict[str, TopologyKind] = {
+    "skewed": TopologyKind(
+        ("nodes", "distribution"), _skewed_builder, MIN_NODES
+    ),
+    "internet": TopologyKind(("nodes",), _internet_builder, MIN_NODES),
+    "multirouter": TopologyKind(("nodes",), _multirouter_builder, MIN_ASES),
+}

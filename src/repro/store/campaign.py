@@ -142,15 +142,18 @@ class Campaign:
             raise ValueError("a campaign needs at least one axis value")
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
-        # Typo-rejecting parse of the topology block and every scheme up
-        # front: a campaign file with a bad one fails here (and in
-        # `campaign validate`), not hours into the grid.  Topology-
-        # dependent pieces resolve later.
+        # Typo-rejecting parse of the topology block, every scheme and
+        # every point's spec up front: a campaign file with a bad one
+        # fails here (and in `campaign validate`), not hours into the
+        # grid.  Nothing builds a topology; topology-dependent pieces
+        # resolve later.
         validate_topology_block(self.topology)
         one_topology = len(self.seeds) == 1 or "seed" in self.topology
         for label, scheme in self.schemes.items():
             try:
-                validate_scheme(scheme)
+                spec = validate_scheme(scheme)
+                for x in self.values:
+                    point_spec(spec, self.axis, x)
                 if not one_topology and policy_needs_topology(
                     scheme.get("policy")
                 ):

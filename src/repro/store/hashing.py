@@ -116,7 +116,7 @@ def _spec_payload(spec: "ExperimentSpec") -> Any:
     means the same experiment — CLI flags, a campaign file, a figure
     scheme set, a theory ladder resolved to its dynamic levels — shares
     one cache key, and the manifest's fingerprint records the full
-    declarative spec.  Specs carrying unregistered policy classes fall
+    declarative spec.  Specs carrying policy classes with no serializer fall
     back to the structural object encoding (a key private to that
     class), staying cacheable without pretending to be declarative.
     """

@@ -22,6 +22,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 
+#: The fewest nodes a degree sequence (and so a skewed or Internet-like
+#: topology) can have.
+MIN_NODES = 2
+
+
 class DegreeSequenceError(ValueError):
     """Raised when a degree sequence cannot be realized as a simple graph."""
 
@@ -87,8 +92,8 @@ class SkewedDegreeSpec:
         matching how the paper describes its topologies; only the in-class
         degree draw is random.
         """
-        if n < 2:
-            raise ValueError("need at least 2 nodes")
+        if n < MIN_NODES:
+            raise ValueError(f"need at least {MIN_NODES} nodes")
         n_low = round(n * self.low_fraction)
         n_low = min(max(n_low, 1), n - 1)
         degrees = [
@@ -141,8 +146,8 @@ class InternetDegreeDistribution:
 
     def sample(self, n: int, rng: random.Random) -> List[int]:
         """Draw ``n`` degrees i.i.d. from the capped power law."""
-        if n < 2:
-            raise ValueError("need at least 2 nodes")
+        if n < MIN_NODES:
+            raise ValueError(f"need at least {MIN_NODES} nodes")
         ks = list(range(self.min_degree, self.max_degree + 1))
         weights = [k ** -self.alpha for k in ks]
         return rng.choices(ks, weights=weights, k=n)
@@ -186,8 +191,8 @@ def make_graphical(sequence: Sequence[int], n_max: int | None = None) -> List[in
     n = len(degrees)
     if n_max is None:
         n_max = n - 1
-    if n < 2:
-        raise DegreeSequenceError("need at least 2 nodes")
+    if n < MIN_NODES:
+        raise DegreeSequenceError(f"need at least {MIN_NODES} nodes")
     degrees = [min(max(d, 1), n_max) for d in degrees]
     if sum(degrees) % 2:
         # Prefer raising a low degree: it keeps the high class intact.

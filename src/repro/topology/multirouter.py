@@ -38,6 +38,9 @@ from repro.topology.placement import (
     region_extent_for_size,
 )
 
+#: The fewest ASes a multi-router topology can have.
+MIN_ASES = 3
+
 
 @dataclass(frozen=True)
 class MultiRouterSpec:
@@ -68,8 +71,8 @@ class MultiRouterSpec:
     )
 
     def __post_init__(self) -> None:
-        if self.num_ases < 3:
-            raise ValueError("need at least 3 ASes")
+        if self.num_ases < MIN_ASES:
+            raise ValueError(f"need at least {MIN_ASES} ASes")
         if not (1 <= self.min_routers_per_as <= self.max_routers_per_as):
             raise ValueError("bad router count range")
         if self.pareto_alpha <= 0:

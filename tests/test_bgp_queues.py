@@ -10,7 +10,7 @@ from repro.bgp.queues import (
     TCPBatchQueue,
     make_queue,
 )
-from repro.specs import QUEUE_DISCIPLINES
+from repro.specs import validate_scheme
 
 
 def msg(dest, sender, path=(1,)):
@@ -184,4 +184,8 @@ def test_make_queue():
 
 
 def test_spec_registry_names_every_queue():
-    assert set(QUEUE_DISCIPLINES.names()) == set(QUEUES)
+    # Scheme dicts accept exactly the disciplines QUEUES lists.
+    for name in QUEUES:
+        assert validate_scheme({"queue": name}).queue_discipline == name
+    with pytest.raises(ValueError, match=r"choose from \['dest_batch'"):
+        validate_scheme({"queue": "lifo"})

@@ -195,13 +195,13 @@ def test_payloads_absorbed_in_plan_order_not_completion_order(monkeypatch):
     assert ticks[-1].busy_seconds == pytest.approx(2.25)
 
 
-@pytest.mark.parametrize("kind", TOPOLOGY_KINDS.names())
+@pytest.mark.parametrize("kind", sorted(TOPOLOGY_KINDS))
 def test_planned_keys_and_banked_fingerprints_equal_the_one_trial_forms(
     kind, monkeypatch
 ):
     # The planner derives keys and fingerprints from one digest per
     # seed; they must be what spec_hash / spec_fingerprint compute from
-    # an independently rebuilt topology, for every registered kind.
+    # an independently rebuilt topology, for every topology kind.
     scripted(monkeypatch)
     factory = topology_factory({"kind": kind, "nodes": 12})
     schemes = {

@@ -247,31 +247,6 @@ def test_experiment_result_wall_clock_aggregates():
     )
 
 
-def test_experiment_result_merge():
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
-    a = run_trials(small_topo, spec, seeds=(1, 2))
-    b = run_trials(small_topo, spec, seeds=(3,))
-    merged = a.merge(b)
-    assert merged.n == 3
-    assert [t.seed for t in merged.trials] == [1, 2, 3]
-    # Merged accumulators match a re-streamed computation exactly.
-    delays = [t.convergence_delay for t in merged.trials]
-    assert merged.mean_delay == pytest.approx(sum(delays) / 3)
-    assert merged.delay.minimum == min(delays)
-    assert merged.delay.maximum == max(delays)
-    # Operands are untouched.
-    assert a.n == 2 and b.n == 1
-
-
-def test_experiment_result_merge_rejects_spec_mismatch():
-    spec_a = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
-    spec_b = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2)
-    a = ExperimentResult(spec=spec_a)
-    b = ExperimentResult(spec=spec_b)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
 def test_run_trials_progress_callback():
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
     ticks = []

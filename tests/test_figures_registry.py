@@ -1,8 +1,9 @@
 """Tests for the figure registry and its scale profiles.
 
 These do not run the (expensive) figure computations; the benchmarks do
-that.  Registry wiring, profile resolution and the output container are
-covered here, plus one real end-to-end figure at a tiny custom profile.
+that.  The figure wiring, profile resolution and the output container
+are covered here, plus one real end-to-end figure at a tiny custom
+profile.
 """
 
 import importlib.util

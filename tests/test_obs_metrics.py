@@ -16,7 +16,7 @@ from repro.topology.skewed import skewed_topology
 
 
 # ----------------------------------------------------------------------
-# Registry semantics
+# MetricsRegistry semantics
 # ----------------------------------------------------------------------
 def test_counter_get_or_create_returns_same_child():
     reg = MetricsRegistry()
@@ -171,28 +171,6 @@ def test_histogram_percentile_edge_cases():
     assert h.percentile(0.5) == float("inf")
     with pytest.raises(ValueError):
         h.percentile(1.5)
-
-
-def test_histogram_merge():
-    a = Histogram("h", (), buckets=(1.0, 2.0))
-    b = Histogram("h", (), buckets=(1.0, 2.0))
-    a.observe(0.5)
-    a.observe(1.5)
-    b.observe(1.5)
-    b.observe(5.0)
-    a.merge(b)
-    assert a.counts == [1, 2, 1]
-    assert a.count == 4
-    assert a.sum == pytest.approx(8.5)
-    # Merge is one-way: b is untouched.
-    assert b.count == 2
-
-
-def test_histogram_merge_requires_same_buckets():
-    a = Histogram("h", (), buckets=(1.0, 2.0))
-    b = Histogram("h", (), buckets=(1.0, 3.0))
-    with pytest.raises(ValueError):
-        a.merge(b)
 
 
 def test_default_buckets_are_ascending():

@@ -51,46 +51,6 @@ def test_confidence_interval_degenerate_below_two_points():
     assert stats.confidence_interval95() == (3.0, 3.0)
 
 
-def test_merge_matches_single_stream():
-    data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-    whole = OnlineStats()
-    whole.extend(data)
-    left, right = OnlineStats(), OnlineStats()
-    left.extend(data[:3])
-    right.extend(data[3:])
-    merged = left.merge(right)
-    assert merged.n == whole.n
-    assert merged.mean == pytest.approx(whole.mean)
-    assert merged.variance == pytest.approx(whole.variance)
-    assert merged.minimum == whole.minimum
-    assert merged.maximum == whole.maximum
-
-
-def test_merge_leaves_operands_untouched():
-    left, right = OnlineStats(), OnlineStats()
-    left.extend([1.0, 2.0])
-    right.extend([10.0])
-    left.merge(right)
-    assert left.n == 2
-    assert right.n == 1
-    assert left.maximum == 2.0
-
-
-def test_merge_with_empty():
-    stats = OnlineStats()
-    stats.extend([1.0, 2.0, 3.0])
-    empty = OnlineStats()
-    for merged in (stats.merge(empty), empty.merge(stats)):
-        assert merged.n == 3
-        assert merged.mean == pytest.approx(2.0)
-        assert merged.minimum == 1.0
-        assert merged.maximum == 3.0
-    both_empty = empty.merge(OnlineStats())
-    assert both_empty.n == 0
-    assert both_empty.mean == 0.0
-    assert both_empty.minimum == 0.0
-
-
 def test_utilization_empty_is_zero():
     util = SlidingWindowUtilization(window=1.0)
     assert util.utilization(10.0) == 0.0

@@ -2,7 +2,7 @@
 
 Headline contracts: every scheme dict the figure harness declares
 round-trips through ``spec_to_dict``/``spec_from_dict``; the canonical
-dict for each registered MRAI scheme kind is pinned; validation rejects
+dict for each MRAI scheme kind is pinned; validation rejects
 typos with per-field messages; and a campaign JSON can express every
 scheme kind the ``run`` subcommand can — including topology-resolved
 ones — store-backed and fully cacheable.
@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.bgp.mrai import ConstantMRAI
+from repro.bgp.queues import QUEUES
 from repro.cli import main
 from repro.core.adaptive import AdaptiveExtentMRAI
 from repro.core.degree_mrai import DegreeDependentMRAI
@@ -21,15 +22,11 @@ from repro.core.experiment import ExperimentSpec
 from repro.figures.common import QUICK
 from repro.specs import (
     MRAI_SCHEMES,
-    QUEUE_DISCIPLINES,
     SCHEME_SETS,
     MRAIScheme,
     SpecSerializationError,
     build_mrai,
     build_spec,
-    mrai_to_scheme,
-    register_mrai_scheme,
-    register_scheme_set,
     scheme_keys,
     scheme_requires_topology,
     scheme_set,
@@ -47,9 +44,9 @@ def topo24():
 
 
 # ----------------------------------------------------------------------
-# Round trip: every registered scheme set, every figure/ablation scheme
+# Round trip: every scheme set, every figure/ablation scheme
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("set_name", sorted(SCHEME_SETS.names()))
+@pytest.mark.parametrize("set_name", sorted(SCHEME_SETS))
 def test_scheme_sets_round_trip(set_name, topo24):
     pairs = scheme_set(set_name, QUICK)
     assert pairs, set_name
@@ -65,7 +62,7 @@ def test_scheme_sets_round_trip(set_name, topo24):
         assert spec_to_dict(again) == d, (set_name, label)
 
 
-@pytest.mark.parametrize("set_name", sorted(SCHEME_SETS.names()))
+@pytest.mark.parametrize("set_name", sorted(SCHEME_SETS))
 def test_scheme_set_dicts_validate_without_topology(set_name):
     # Parse-time validation never needs the network, even for the
     # topology-resolved schemes (adaptive/theory/inferred policy).
@@ -79,7 +76,7 @@ def test_scheme_set_unknown_name():
 
 
 # ----------------------------------------------------------------------
-# Golden canonical dicts, one per registered MRAI scheme kind
+# Golden canonical dicts, one per serializable MRAI scheme kind
 # ----------------------------------------------------------------------
 #: spec_to_dict output for a default spec, minus the MRAI part.
 BASE_DICT = {
@@ -149,9 +146,8 @@ def test_spec_to_dict_golden_per_scheme_kind(kind):
 
 def test_every_serializable_scheme_kind_has_a_golden_dict():
     serializable = {
-        name
-        for name in MRAI_SCHEMES.names()
-        if MRAI_SCHEMES.get(name).serialize is not None
+        name for name, entry in MRAI_SCHEMES.items()
+        if entry.serialize is not None
     }
     assert serializable == set(GOLDEN_MRAI_DICTS)
 
@@ -176,7 +172,7 @@ def test_unserializable_policy_raises_with_pointer():
         pass
 
     spec = ExperimentSpec(mrai=OddMRAI(0.5))
-    # Subclasses don't inherit the registration: dispatch is exact-type,
+    # Subclasses don't inherit the serializer: dispatch is exact-type,
     # since a subclass may behave differently under the same dict.
     with pytest.raises(
         SpecSerializationError, match="no registered mrai_scheme serializes"
@@ -228,6 +224,7 @@ def test_unserializable_policy_raises_with_pointer():
             {"processing_delay_range": [0.1]},
             r"processing_delay_range must be a \[min, max\] pair",
         ),
+        ({"mrai_scheme": ["x"]}, r"unknown mrai_scheme \['x'\]"),
     ],
 )
 def test_validation_messages(scheme, match):
@@ -258,58 +255,51 @@ def test_scheme_keys_cover_registered_params():
 
 
 # ----------------------------------------------------------------------
-# Extending the registries: no CLI/campaign/figure edits needed
+# Extending a table: no CLI/campaign/figure edits needed
 # ----------------------------------------------------------------------
-def test_register_custom_mrai_scheme_and_scheme_set():
-    register_mrai_scheme(
+def test_register_custom_mrai_scheme_and_scheme_set(monkeypatch):
+    # A new scheme or scheme set is one table entry, nothing else.
+    monkeypatch.setitem(
+        MRAI_SCHEMES,
+        "jittered",
         MRAIScheme(
-            name="jittered",
             params=("mrai",),
             parse=lambda scheme: {"mrai": float(scheme.get("mrai", 0.5))},
             build=lambda parsed, topology: ConstantMRAI(parsed["mrai"]),
-        )
+        ),
     )
-    register_scheme_set(
+    monkeypatch.setitem(
+        SCHEME_SETS,
         "custom_pair",
         lambda profile: (
             ("base", {"mrai": 0.5}),
             ("jittered", {"mrai_scheme": "jittered", "mrai": 0.75}),
         ),
     )
-    try:
-        spec = build_spec({"mrai_scheme": "jittered", "mrai": 0.75})
-        assert spec.mrai == ConstantMRAI(0.75)
-        labels = [label for label, _ in scheme_set("custom_pair", QUICK)]
-        assert labels == ["base", "jittered"]
-        # Campaigns see the new scheme through the same registry.
-        campaign = Campaign.from_dict(
-            {
-                "name": "custom",
-                "topology": {"kind": "skewed", "nodes": 16},
-                "schemes": {"j": {"mrai_scheme": "jittered"}},
-                "axis": {"name": "failure_fraction", "values": [0.1]},
-                "seeds": [1],
-            }
-        )
-        assert campaign.base_spec("j").mrai == ConstantMRAI(0.5)
-    finally:
-        MRAI_SCHEMES.unregister("jittered")
-        SCHEME_SETS.unregister("custom_pair")
-
-
-def test_duplicate_registration_requires_replace():
-    with pytest.raises(ValueError, match="already registered"):
-        register_mrai_scheme(MRAI_SCHEMES.get("constant"))
-    register_mrai_scheme(MRAI_SCHEMES.get("constant"), replace=True)
+    spec = build_spec({"mrai_scheme": "jittered", "mrai": 0.75})
+    assert spec.mrai == ConstantMRAI(0.75)
+    labels = [label for label, _ in scheme_set("custom_pair", QUICK)]
+    assert labels == ["base", "jittered"]
+    # Campaigns see the new scheme through the same table.
+    campaign = Campaign.from_dict(
+        {
+            "name": "custom",
+            "topology": {"kind": "skewed", "nodes": 16},
+            "schemes": {"j": {"mrai_scheme": "jittered"}},
+            "axis": {"name": "failure_fraction", "values": [0.1]},
+            "seeds": [1],
+        }
+    )
+    assert campaign.base_spec("j").mrai == ConstantMRAI(0.5)
 
 
 def test_build_mrai_direct(topo24):
     assert build_mrai({"mrai": 2.25}) == ConstantMRAI(2.25)
     adaptive = build_mrai({"mrai_scheme": "adaptive"}, topo24)
     assert isinstance(adaptive, AdaptiveExtentMRAI)
-    assert mrai_to_scheme(adaptive)["total_destinations"] == len(
-        topo24.as_numbers()
-    )
+    assert ExperimentSpec(mrai=adaptive).to_dict()[
+        "total_destinations"
+    ] == len(topo24.as_numbers())
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +321,7 @@ def zoo_campaign(**overrides):
         },
     }
     schemes.update(
-        {f"q-{q}": {"mrai": 0.5, "queue": q}
-         for q in QUEUE_DISCIPLINES.names()}
+        {f"q-{q}": {"mrai": 0.5, "queue": q} for q in sorted(QUEUES)}
     )
     data = {
         "name": "zoo",

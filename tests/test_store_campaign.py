@@ -143,6 +143,23 @@ MALFORMED = [
     (dict(CAMPAIGN, topology={"distribution": "99-1"}), "unknown distr"),
     (dict(CAMPAIGN, topology={"nodes": 24.0}), "nodes must be an integer"),
     (dict(CAMPAIGN, topology={"seed": "1"}), "seed must be an integer"),
+    # Well-formed, but a point or topology the run could not build.
+    (
+        dict(CAMPAIGN, axis={"name": "failure_fraction", "values": [0.9]}),
+        "failure_fraction must be in",
+    ),
+    (
+        dict(CAMPAIGN, axis={"name": "mrai", "values": [-1]}),
+        "MRAI must be non-negative",
+    ),
+    (
+        dict(CAMPAIGN, topology={"kind": "skewed", "nodes": 0}),
+        "nodes must be at least 2",
+    ),
+    (
+        dict(CAMPAIGN, topology={"kind": "multirouter", "nodes": 2}),
+        "nodes must be at least 3",
+    ),
 ]
 
 

@@ -10,7 +10,14 @@ the vectors in the same commit.
 
 import pytest
 
+from repro.bgp.damping import DampingConfig
 from repro.bgp.mrai import ConstantMRAI
+from repro.bgp.policy import (
+    ASRelationships,
+    GaoRexfordPolicy,
+    ShortestPathPolicy,
+)
+from repro.core.adaptive import AdaptiveExtentMRAI
 from repro.core.degree_mrai import DegreeDependentMRAI
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec
@@ -28,6 +35,14 @@ def topo12():
     return skewed_topology(12, seed=1)
 
 
+def relationships_1_2_3():
+    """AS 2 is AS 1's customer; ASes 2 and 3 peer."""
+    rels = ASRelationships()
+    rels.set_customer(1, 2)
+    rels.set_peers(2, 3)
+    return rels
+
+
 def spec_for(label):
     return {
         "constant": ExperimentSpec(
@@ -42,6 +57,35 @@ def spec_for(label):
         "dynamic": ExperimentSpec(mrai=DynamicMRAI(), failure_fraction=0.1),
         "constant_frac_0.2": ExperimentSpec(
             mrai=ConstantMRAI(0.5), failure_fraction=0.2
+        ),
+        "adaptive_total_12": ExperimentSpec(
+            mrai=AdaptiveExtentMRAI(total_destinations=12),
+            failure_fraction=0.1,
+        ),
+        "damping": ExperimentSpec(
+            mrai=ConstantMRAI(0.5),
+            failure_fraction=0.1,
+            damping=DampingConfig(half_life=4.0),
+        ),
+        "shortest_path": ExperimentSpec(
+            mrai=ConstantMRAI(0.5),
+            failure_fraction=0.1,
+            policy=ShortestPathPolicy(),
+        ),
+        "gao_rexford_inline": ExperimentSpec(
+            mrai=ConstantMRAI(0.5),
+            failure_fraction=0.1,
+            policy=GaoRexfordPolicy(relationships_1_2_3()),
+        ),
+        "dest_batch": ExperimentSpec(
+            mrai=ConstantMRAI(0.5),
+            failure_fraction=0.1,
+            queue_discipline="dest_batch",
+        ),
+        "per_destination_mrai": ExperimentSpec(
+            mrai=ConstantMRAI(0.5),
+            failure_fraction=0.1,
+            per_destination_mrai=True,
         ),
     }[label]
 
@@ -73,6 +117,30 @@ GOLDEN = {
     "constant_frac_0.2": (
         "91218013d6856a1dffc997c715e903f1"
         "eb6d89568ebbd5c9bab2f548882b5f1b"
+    ),
+    "adaptive_total_12": (
+        "4bdc3e2ec251e0002d59138efa80ad48"
+        "fcdbfe601fa14fee59f6fc6354defd07"
+    ),
+    "damping": (
+        "5991f61dcffc9cbf3920079369ede84d"
+        "e994ea748b5e47195b771440ce26ab6b"
+    ),
+    "shortest_path": (
+        "3465bedd6f7dc5b06bf15a2012b49fac"
+        "79a163d55de9afe9af3427aaaa1a58e5"
+    ),
+    "gao_rexford_inline": (
+        "d85d040ba60700d18a49d0660ad535d7"
+        "607e595d2e277eceb14af5f62785f9c9"
+    ),
+    "dest_batch": (
+        "a904b51dc23e45e130e84a502c95bfd7"
+        "17312694d8bb832c197870e0a6926b98"
+    ),
+    "per_destination_mrai": (
+        "f88a6e3f6addf73bc5531757443c4d9e"
+        "083e1b4be2a6f7ed2598dd3cf78d8871"
     ),
 }
 GOLDEN_TOPOLOGY_DIGEST = "3dade353fa1503001694cee6fe53b2bd"
