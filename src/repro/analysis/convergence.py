@@ -129,12 +129,6 @@ class ConvergenceTimeline:
             history.changes.append((time, path))
         return cls(histories.values(), t0=t0)
 
-    @classmethod
-    def from_jsonl(
-        cls, path: Union[str, Any], t0: Optional[float] = None
-    ) -> "ConvergenceTimeline":
-        return cls.from_records(load_trace(path), t0=t0)
-
     # ------------------------------------------------------------------
     # Exploration
     # ------------------------------------------------------------------

@@ -92,7 +92,3 @@ class BGPConfig:
         """Mean per-update service time; the dynamic scheme's multiplier."""
         lo, hi = self.processing_delay_range
         return (lo + hi) / 2.0
-
-    @property
-    def models_processing(self) -> bool:
-        return self.processing_delay_range[1] > 0.0

@@ -19,8 +19,6 @@ utilization) and received-update ticks (message counting).
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class MRAIController:
     """Per-node runtime MRAI source + overload-monitor hooks."""
@@ -103,8 +101,3 @@ class ConstantMRAI(MRAIPolicy):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConstantMRAI({self.value})"
-
-
-def effective_mrai(controller: Optional[MRAIController]) -> float:
-    """Convenience: a controller's current value, 0.0 when absent."""
-    return controller.value() if controller is not None else 0.0

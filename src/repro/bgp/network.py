@@ -38,7 +38,6 @@ class BGPNetwork:
         config: Optional[BGPConfig] = None,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        ibgp_delay: float = DEFAULT_LINK_DELAY,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.topology = topology
@@ -75,12 +74,12 @@ class BGPNetwork:
         #: UPDATE messages currently on the wire (the ``updates_in_flight``
         #: gauge; counted only while a metrics registry is attached).
         self._in_flight_updates = 0
-        self._build(ibgp_delay)
+        self._build()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, ibgp_delay: float) -> None:
+    def _build(self) -> None:
         topo = self.topology
         for node_id in topo.node_ids():
             router = topo.routers[node_id]
@@ -113,8 +112,8 @@ class BGPNetwork:
             if len(members) < 2:
                 continue
             for a, b in itertools.combinations(members, 2):
-                self.speakers[a].add_peer(b, asn, ibgp_delay, ebgp=False)
-                self.speakers[b].add_peer(a, asn, ibgp_delay, ebgp=False)
+                self.speakers[a].add_peer(b, asn, DEFAULT_LINK_DELAY, ebgp=False)
+                self.speakers[b].add_peer(a, asn, DEFAULT_LINK_DELAY, ebgp=False)
 
     # ------------------------------------------------------------------
     # Message plane

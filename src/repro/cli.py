@@ -179,13 +179,17 @@ def _make_live_monitor(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    topology = build_topology(args)
-    spec = ExperimentSpec(
-        mrai=build_mrai_policy(args, topology),
-        queue_discipline=args.queue,
-        failure_fraction=args.failure,
-        validate=args.validate,
-    )
+    try:
+        topology = build_topology(args)
+        spec = ExperimentSpec(
+            mrai=build_mrai_policy(args, topology),
+            queue_discipline=args.queue,
+            failure_fraction=args.failure,
+            validate=args.validate,
+        )
+    except (OSError, ValueError) as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     print(topology.summary())
     with contextlib.ExitStack() as stack:
         obs = _make_obs_session(args, stack)
@@ -202,8 +206,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"wall clock         : {result.warmup_wall:.2f} s warm-up, "
             f"{result.convergence_wall:.2f} s convergence"
         )
-        if obs is not None and obs.last_exploration is not None:
-            exp = obs.last_exploration
+        snapshot = obs.trial_snapshots[-1] if obs is not None else {}
+        exp = snapshot.get("exploration")
+        if exp is not None:
             print(
                 f"path exploration   : {exp['paths_explored_total']} distinct "
                 f"paths over {exp['pairs_changed']} (node, dest) pairs "
@@ -214,8 +219,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"p95 {exp['settle']['p95']:.2f} s, "
                 f"max {exp['settle']['max']:.2f} s"
             )
-        if obs is not None and obs.last_dataplane is not None:
-            dp = obs.last_dataplane
+        dp = result.dataplane
+        if dp:
             print(
                 f"data-plane impact  : "
                 f"{dp['unreachable_seconds_total']:.2f} node-s unreachable "
@@ -806,7 +811,11 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
 
 def cmd_topo(args: argparse.Namespace) -> int:
     """Generate a topology, print its summary, optionally save it."""
-    topology = build_topology(args)
+    try:
+        topology = build_topology(args)
+    except (OSError, ValueError) as exc:
+        print(f"topo: {exc}", file=sys.stderr)
+        return 2
     print(topology.summary())
     histogram = sorted(topology.degree_histogram().items())
     print("degree histogram:", ", ".join(f"{d}:{c}" for d, c in histogram))
@@ -833,6 +842,14 @@ def make_parser() -> argparse.ArgumentParser:
         if value <= 0:
             raise argparse.ArgumentTypeError(
                 f"must be a positive number, got {text!r}"
+            )
+        return value
+
+    def positive_int(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"must be a positive integer, got {text!r}"
             )
         return value
 
@@ -1087,7 +1104,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     watch_p.add_argument(
         "--interval",
-        type=float,
+        type=positive_float,
         default=2.0,
         metavar="S",
         help="refresh period for --follow (default 2s)",
@@ -1140,14 +1157,14 @@ def make_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="warm-pool workers for cold trials (prewarmed at boot)",
     )
     serve_p.add_argument(
         "--batch-size",
-        type=int,
+        type=positive_int,
         default=16,
         metavar="N",
         help="max queue tasks leased per executor batch (default 16)",

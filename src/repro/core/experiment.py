@@ -218,11 +218,6 @@ class ExperimentResult:
     def mean_messages(self) -> float:
         return self.messages.mean
 
-    @property
-    def total_wall(self) -> float:
-        """Total wall-clock seconds spent simulating these trials."""
-        return sum(t.warmup_wall + t.convergence_wall for t in self.trials)
-
     def __str__(self) -> str:
         d = self.delay
         m = self.messages

@@ -109,9 +109,7 @@ DEFAULT_TOPOLOGY_CACHE = 8
 _MAX_INFLIGHT_CHUNKS = 2
 
 
-def derive_trial_seeds(
-    master_seed: int, count: int, name: str = "trial"
-) -> List[int]:
+def derive_trial_seeds(master_seed: int, count: int) -> List[int]:
     """Expand one master seed into ``count`` unique per-trial seeds.
 
     Derivation goes through the same BLAKE2b keyed hash the named random
@@ -127,7 +125,7 @@ def derive_trial_seeds(
         index = 0
         while len(seeds) < count:
             # >> 1 keeps the seed in RandomStreams' non-negative range.
-            seed = derive_seed(master_seed, f"{name}:{index}") >> 1
+            seed = derive_seed(master_seed, f"trial:{index}") >> 1
             index += 1
             if seed in seen:
                 continue

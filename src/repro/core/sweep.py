@@ -117,12 +117,6 @@ class Series:
                 return p.unreachable
         raise KeyError(f"no point at {self.x_name}={x}")
 
-    def argmin_delay(self) -> float:
-        """The swept value minimizing mean delay (the "optimal MRAI")."""
-        if not self.points:
-            raise ValueError("empty series")
-        return min(self.points, key=lambda p: p.delay).x
-
 
 def grid_series(
     cells: Sequence[GridCell],

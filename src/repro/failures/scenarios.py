@@ -33,13 +33,6 @@ class FailureScenario:
     def size(self) -> int:
         return len(self.nodes)
 
-    def fraction_of(self, topology: Topology) -> float:
-        if topology.num_routers == 0:
-            raise ValueError(
-                "cannot compute a failure fraction of an empty topology"
-            )
-        return self.size / topology.num_routers
-
 
 def geographic_failure(
     topology: Topology,

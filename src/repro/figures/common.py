@@ -136,10 +136,6 @@ class FigureOutput:
     checks: List[Check] = field(default_factory=list)
     profile_name: str = "quick"
 
-    @property
-    def strict_ok(self) -> bool:
-        return all(c.passed for c in self.checks if c.strict)
-
     def failed_strict(self) -> List[Check]:
         return [c for c in self.checks if c.strict and not c.passed]
 

@@ -33,7 +33,6 @@ from repro.obs.probes import (
 from repro.obs.profiling import EventLoopProfiler, HandlerStats, handler_category
 from repro.obs.export import (
     write_aggregates_csv,
-    write_jsonl,
     write_metrics_jsonl,
     write_timeseries_csv,
 )
@@ -45,7 +44,6 @@ from repro.obs.spans import (
     SpanRecorder,
     record_spans,
     span,
-    traced,
 )
 
 __all__ = [
@@ -81,10 +79,8 @@ __all__ = [
     "percentile",
     "record_spans",
     "span",
-    "traced",
     "watch_campaign",
     "write_aggregates_csv",
-    "write_jsonl",
     "write_metrics_jsonl",
     "write_timeseries_csv",
 ]

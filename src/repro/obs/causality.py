@@ -155,10 +155,6 @@ class CausalGraph:
             )
         return cls(events)
 
-    @classmethod
-    def from_jsonl(cls, path: Union[str, Path]) -> "CausalGraph":
-        return cls.from_records(load_trace(path))
-
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

@@ -13,12 +13,12 @@ File formats are deliberately boring:
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence, Union
+from typing import Any, Dict, Sequence, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import ProbeSamples
+from repro.sim.trace import JsonlSink
 
 TIMESERIES_FIELDS = [
     "run",
@@ -48,32 +48,17 @@ AGGREGATE_FIELDS = [
 ]
 
 
-def write_jsonl(records: Iterable[Dict[str, Any]], path: Union[str, Path]) -> Path:
-    """Write dict records as one JSON object per line."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-    return path
-
-
-def metrics_records(
-    registry: MetricsRegistry,
-    extra_records: Sequence[Dict[str, Any]] = (),
-) -> List[Dict[str, Any]]:
-    """The registry's records plus any extra rows (trial snapshots, profile rows)."""
-    records = registry.records()
-    records.extend(extra_records)
-    return records
-
-
 def write_metrics_jsonl(
     registry: MetricsRegistry,
     path: Union[str, Path],
     extra_records: Sequence[Dict[str, Any]] = (),
 ) -> Path:
-    return write_jsonl(metrics_records(registry, extra_records), path)
+    """The registry's records plus any extra rows (trial snapshots,
+    profile rows), one JSON object per line."""
+    with JsonlSink(path) as sink:
+        for record in (*registry.records(), *extra_records):
+            sink(record)
+    return sink.path
 
 
 def write_timeseries_csv(

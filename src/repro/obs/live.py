@@ -74,8 +74,6 @@ class LiveMonitor:
     heartbeat:
         Optional path: every render appends one JSON object line with
         the full telemetry snapshot (see :meth:`snapshot`).
-    interval:
-        Minimum seconds between renders (0 = render every tick).
     """
 
     #: Default-stream sentinel: resolves to ``sys.stderr`` at call time
@@ -89,7 +87,6 @@ class LiveMonitor:
         session: Optional["ObsSession"] = None,
         stream: Any = _DEFAULT_STREAM,
         heartbeat: Optional[Union[str, Path]] = None,
-        interval: float = 0.0,
         label: str = "",
     ) -> None:
         if jobs < 1:
@@ -99,11 +96,9 @@ class LiveMonitor:
         self.stream = (
             sys.stderr if stream is LiveMonitor._DEFAULT_STREAM else stream
         )
-        self.interval = interval
         self.label = label
         self.last: Optional["Progress"] = None
         self.renders = 0
-        self._last_render: Optional[float] = None
         self._heartbeat_path = Path(heartbeat) if heartbeat else None
         self._heartbeat_file: Optional[IO[str]] = None
         self._finished = False
@@ -117,19 +112,9 @@ class LiveMonitor:
         self.update(progress)
 
     def update(self, progress: "Progress") -> None:
-        """Fold one progress tick; render unless inside the min interval."""
+        """Fold one progress tick and render it."""
         with self._mutex:
             self.last = progress
-            now = time.monotonic()
-            final = progress.done >= progress.total
-            if (
-                not final
-                and self.interval
-                and self._last_render is not None
-                and now - self._last_render < self.interval
-            ):
-                return
-            self._last_render = now
             self.render()
 
     # -- derived telemetry ---------------------------------------------
@@ -144,8 +129,7 @@ class LiveMonitor:
     def hit_rate(self) -> float:
         if self.session is None:
             return 0.0
-        looked_up = self.session.cache_hits + self.session.cache_misses
-        return self.session.cache_hits / looked_up if looked_up else 0.0
+        return self.session.counters_snapshot()["cache_hit_rate"]
 
     def utilization(self) -> float:
         """Fraction of worker capacity spent simulating (busy / jobs x

@@ -122,28 +122,6 @@ class RunManifest:
         )
 
     # ------------------------------------------------------------------
-    def add_phase(
-        self,
-        name: str,
-        wall_seconds: float,
-        sim_seconds: float = 0.0,
-        events: int = 0,
-    ) -> PhaseTiming:
-        timing = PhaseTiming(name, wall_seconds, sim_seconds, events)
-        self.phases.append(timing)
-        return timing
-
-    def phase(self, name: str) -> Optional[PhaseTiming]:
-        for timing in self.phases:
-            if timing.name == name:
-                return timing
-        return None
-
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(p.wall_seconds for p in self.phases)
-
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,

@@ -116,9 +116,6 @@ class Gauge(_Child):
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def to_record(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,

@@ -26,7 +26,7 @@ warm-up and failure injection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
@@ -102,9 +102,6 @@ class ProbeSamples:
         """One aggregate attribute over time, e.g. ``("work_p95")``."""
         return [getattr(a, field) for a in self.aggregates]
 
-    def sampled_nodes(self) -> List[int]:
-        return sorted({s.node for s in self.node_samples})
-
     def peak(self, field: str = "work_max") -> float:
         series = self.aggregate_series(field)
         return max(series) if series else 0.0
@@ -123,26 +120,13 @@ class NetworkProbe:
         outlives both is :attr:`samples`.
     interval:
         Sampling period in simulated seconds.
-    nodes:
-        Restrict per-node sampling to these node ids (aggregates still
-        cover every alive node).  ``None`` samples all nodes.
-    keep_node_samples:
-        Set False to record aggregates only (caps memory on huge runs).
     """
 
-    def __init__(
-        self,
-        network: "BGPNetwork",
-        interval: float = 0.25,
-        nodes: Optional[Sequence[int]] = None,
-        keep_node_samples: bool = True,
-    ) -> None:
+    def __init__(self, network: "BGPNetwork", interval: float = 0.25) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.network = network
         self.interval = interval
-        self.tracked = frozenset(nodes) if nodes is not None else None
-        self.keep_node_samples = keep_node_samples
         #: Everything sampled so far: the part of the probe that outlives
         #: the network (``node_samples`` / ``aggregates`` are its lists).
         self.samples = ProbeSamples()
@@ -191,8 +175,6 @@ class NetworkProbe:
         busy = 0
         rib_total = 0
         levels: Dict[int, int] = {}
-        keep = self.keep_node_samples
-        tracked = self.tracked
         for speaker in net.alive_speakers():
             depth = speaker.queue_length
             work = speaker.unfinished_work()
@@ -203,18 +185,17 @@ class NetworkProbe:
                 busy += 1
             level = getattr(speaker.controller, "level", 0)
             levels[level] = levels.get(level, 0) + 1
-            if keep and (tracked is None or speaker.node_id in tracked):
-                self.node_samples.append(
-                    NodeSample(
-                        time=now,
-                        node=speaker.node_id,
-                        queue_depth=depth,
-                        unfinished_work=work,
-                        mrai_level=level,
-                        mrai_value=speaker.controller.value(),
-                        loc_rib_size=len(speaker.loc_rib),
-                    )
+            self.node_samples.append(
+                NodeSample(
+                    time=now,
+                    node=speaker.node_id,
+                    queue_depth=depth,
+                    unfinished_work=work,
+                    mrai_level=level,
+                    mrai_value=speaker.controller.value(),
+                    loc_rib_size=len(speaker.loc_rib),
                 )
+            )
         self.aggregates.append(
             AggregateSample(
                 time=now,

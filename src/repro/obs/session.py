@@ -30,18 +30,7 @@ everywhere, like a logger — so the caller does, with
 from __future__ import annotations
 
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.export import (
     write_aggregates_csv,
@@ -60,9 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.dataplane import DataPlaneMonitor
     from repro.sim.trace import TraceRecord, Tracer
 
-#: Categories a session tracer records by default: exactly what the
+#: Categories a session tracer records: exactly what the
 #: causal/convergence analysis consumes.
-DEFAULT_TRACE_CATEGORIES = frozenset({"causality", "route_change"})
+TRACE_CATEGORIES = frozenset({"causality", "route_change"})
 
 
 class TrialObserver:
@@ -107,9 +96,7 @@ class TrialObserver:
                 self._trace_records = []
                 trace_sink = self._trace_records.append
             self.tracer = Tracer(
-                categories=set(recipe["trace_categories"]),
-                sink=trace_sink,
-                max_records=recipe["trace_max_records"],
+                categories=set(TRACE_CATEGORIES), sink=trace_sink
             )
         self.probe: Optional[NetworkProbe] = None
         self.monitor: Optional["DataPlaneMonitor"] = None
@@ -122,11 +109,7 @@ class TrialObserver:
         if self.profiler is not None:
             self.profiler.attach(network.sim)
         if self.recipe["sample_interval"] is not None:
-            self.probe = NetworkProbe(
-                network,
-                self.recipe["sample_interval"],
-                nodes=self.recipe["probe_nodes"],
-            )
+            self.probe = NetworkProbe(network, self.recipe["sample_interval"])
             self.probe.start()
         if self.recipe["dataplane"]:
             from repro.obs.dataplane import DataPlaneMonitor
@@ -199,9 +182,7 @@ class TrialObserver:
             timeline = ConvergenceTimeline.from_records(
                 self.tracer.records, t0=result.failure_time
             )
-            exploration = timeline.summary()
-            exploration["trace_dropped"] = self.tracer.dropped
-            snapshot["exploration"] = exploration
+            snapshot["exploration"] = timeline.summary()
         if result.dataplane:
             snapshot["dataplane"] = result.dataplane
         self._snapshot = snapshot
@@ -243,8 +224,6 @@ class ObsSession:
     profile:
         When True, an :class:`EventLoopProfiler` is attached to every
         simulator; statistics accumulate across trials.
-    probe_nodes:
-        Optional node-id filter for per-node probe rows.
     trace:
         When True, every trial runs with a causal tracer attached and
         its path-exploration / settle-time summary is recorded alongside
@@ -252,13 +231,8 @@ class ObsSession:
     trace_sink:
         Optional per-record callable (e.g. a
         :class:`~repro.sim.trace.JsonlSink`) receiving every trial's
-        trace records, in trial order; implies ``trace``.
-    trace_categories:
-        Category filter for trial tracers; defaults to
-        ``{"causality", "route_change"}`` (what the analysis consumes).
-    trace_max_records:
-        In-memory bound per trial tracer (drop-oldest; see
-        :class:`~repro.sim.trace.Tracer`).
+        trace records, in trial order; implies ``trace``.  Trial tracers
+        record :data:`TRACE_CATEGORIES`.
     spans:
         When True, the session owns a
         :class:`~repro.obs.spans.SpanRecorder`; installed by the caller
@@ -284,31 +258,20 @@ class ObsSession:
         self,
         sample_interval: Optional[float] = None,
         profile: bool = False,
-        probe_nodes: Optional[Sequence[int]] = None,
         trace: bool = False,
         trace_sink: Optional[Callable[["TraceRecord"], None]] = None,
-        trace_categories: Optional[Set[str]] = None,
-        trace_max_records: Optional[int] = None,
         spans: bool = False,
         dataplane: bool = False,
         dataplane_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         if sample_interval is not None and sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
+        #: Metrics merged across trials, plus the session's own
+        #: ``store_cache_hits`` / ``store_cache_misses`` counters.
         self.registry = MetricsRegistry()
         self.sample_interval = sample_interval
-        self.probe_nodes = probe_nodes
         self.trace = bool(trace) or trace_sink is not None
         self.trace_sink = trace_sink
-        self.trace_categories = (
-            set(trace_categories)
-            if trace_categories is not None
-            else set(DEFAULT_TRACE_CATEGORIES)
-        )
-        self.trace_max_records = trace_max_records
-        #: Per-trial exploration summaries (ConvergenceTimeline.summary()).
-        self.exploration_summaries: List[Dict[str, Any]] = []
-        self.last_exploration: Optional[Dict[str, Any]] = None
         self.profiler: Optional[EventLoopProfiler] = (
             EventLoopProfiler() if profile else None
         )
@@ -319,27 +282,17 @@ class ObsSession:
         #: One entry per sampled trial, in trial order.
         self.probes: List[ProbeSamples] = []
         self.phases: List[PhaseTiming] = []
+        #: One snapshot per absorbed trial, in trial order; a traced
+        #: trial's carries ``exploration``, a monitored one's
+        #: ``dataplane``.
         self.trial_snapshots: List[Dict[str, Any]] = []
         self.manifest: Optional[RunManifest] = None
-        #: Trial-cache outcomes observed via :meth:`note_cache` (also
-        #: mirrored into the registry as ``store_cache_hits`` /
-        #: ``store_cache_misses`` counters).
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: Manifests of campaigns run under this session (name, payload).
         self.campaigns: List[Dict[str, Any]] = []
         self._last_spec: Any = None
         self._last_topology: str = ""
         self.dataplane_enabled = bool(dataplane) or dataplane_sink is not None
         self.dataplane_sink = dataplane_sink
-        #: Per-trial data-plane impact summaries (headline dicts).
-        self.dataplane_summaries: List[Dict[str, Any]] = []
-        self.last_dataplane: Optional[Dict[str, Any]] = None
-
-    @property
-    def trial_index(self) -> int:
-        """Index of the last trial absorbed (-1 before the first)."""
-        return len(self.trial_snapshots) - 1
 
     @property
     def probe(self) -> Optional[ProbeSamples]:
@@ -348,12 +301,14 @@ class ObsSession:
 
     def note_cache(self, hit: bool) -> None:
         """Record one trial-cache lookup outcome (store-backed runs)."""
-        if hit:
-            self.cache_hits += 1
-            self.registry.counter("store_cache_hits").inc()
-        else:
-            self.cache_misses += 1
-            self.registry.counter("store_cache_misses").inc()
+        name = "store_cache_hits" if hit else "store_cache_misses"
+        self.registry.counter(name).inc()
+
+    def _cache_counts(self) -> Tuple[int, int]:
+        """Trial-cache ``(hits, misses)`` recorded by :meth:`note_cache`."""
+        hits = self.registry.get("store_cache_hits")
+        misses = self.registry.get("store_cache_misses")
+        return (hits.value if hits else 0, misses.value if misses else 0)
 
     def note_campaign(self, name: str, manifest: Dict[str, Any]) -> None:
         """Attach one campaign run's manifest to this session."""
@@ -366,13 +321,12 @@ class ObsSession:
         daemon's lifetime session: cache traffic, trials observed, and
         campaign count — cheap enough to read on every poll.
         """
-        looked_up = self.cache_hits + self.cache_misses
+        hits, misses = self._cache_counts()
+        looked_up = hits + misses
         return {
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": (
-                round(self.cache_hits / looked_up, 4) if looked_up else 0.0
-            ),
+            "cache_hits": hits,
+            "cache_misses": misses,
+            "cache_hit_rate": round(hits / looked_up, 4) if looked_up else 0.0,
             "trials_observed": len(self.trial_snapshots),
             "campaigns": len(self.campaigns),
         }
@@ -391,13 +345,8 @@ class ObsSession:
         return {
             "sample_interval": self.sample_interval,
             "profile": self.profiler is not None,
-            "probe_nodes": (
-                list(self.probe_nodes) if self.probe_nodes is not None else None
-            ),
             "trace": self.trace,
             "trace_sink": self.trace_sink is not None,
-            "trace_categories": sorted(self.trace_categories),
-            "trace_max_records": self.trace_max_records,
             "spans": self.span_recorder is not None,
             "dataplane": self.dataplane_enabled,
             "dataplane_sink": self.dataplane_sink is not None,
@@ -427,12 +376,6 @@ class ObsSession:
         self.trial_snapshots.append(
             {"kind": "trial", "trial": index, **snapshot}
         )
-        if "exploration" in snapshot:
-            self.last_exploration = snapshot["exploration"]
-            self.exploration_summaries.append(self.last_exploration)
-        if "dataplane" in snapshot:
-            self.last_dataplane = snapshot["dataplane"]
-            self.dataplane_summaries.append(self.last_dataplane)
         self.registry.absorb_records(record["metrics"])
         if self.profiler is not None:
             self.profiler.absorb_records(record.get("profile", ()))
@@ -463,24 +406,21 @@ class ObsSession:
         *,
         kind: str = "repro-run",
         command: str = "",
-        spec: Any = None,
-        seeds: Optional[List[int]] = None,
-        topology: str = "",
         extra: Optional[Dict[str, Any]] = None,
     ) -> RunManifest:
-        """Build (and remember) the manifest for this session."""
-        spec = spec if spec is not None else self._last_spec
+        """Build (and remember) the manifest for this session.
+
+        Spec and topology are the last trial's; the seeds are every seed
+        observed, in trial order, deduplicated (sweeps reuse the same
+        seed list across points).
+        """
         snapshots = self.trial_snapshots
-        if seeds is None:
-            # Every seed observed, in trial order, deduplicated (sweeps
-            # reuse the same seed list across points).
-            seeds = list(dict.fromkeys(s["seed"] for s in snapshots))
         manifest = RunManifest.create(
             kind=kind,
             command=command,
-            spec=spec,
-            seeds=seeds,
-            topology=topology or self._last_topology,
+            spec=self._last_spec,
+            seeds=list(dict.fromkeys(s["seed"] for s in snapshots)),
+            topology=self._last_topology,
             phases=list(self.phases),
             counters=dict(snapshots[-1]["counters"]) if snapshots else {},
             extra=extra,
@@ -511,58 +451,25 @@ class ObsSession:
                     ),
                 },
             )
-        if self.exploration_summaries:
+        explorations = [
+            s["exploration"] for s in snapshots if "exploration" in s
+        ]
+        if explorations:
             manifest.extra.setdefault(
-                "exploration", self.exploration_aggregate()
+                "exploration", _exploration_rollup(explorations)
             )
-        if self.dataplane_summaries:
+        dataplanes = [s["dataplane"] for s in snapshots if "dataplane" in s]
+        if dataplanes:
+            manifest.extra.setdefault("dataplane", _dataplane_rollup(dataplanes))
+        hits, misses = self._cache_counts()
+        if hits or misses:
             manifest.extra.setdefault(
-                "dataplane", self.dataplane_aggregate()
-            )
-        if self.cache_hits or self.cache_misses:
-            manifest.extra.setdefault(
-                "store_cache",
-                {"hits": self.cache_hits, "misses": self.cache_misses},
+                "store_cache", {"hits": hits, "misses": misses}
             )
         if self.campaigns:
             manifest.extra.setdefault("campaigns", jsonable(self.campaigns))
         self.manifest = manifest
         return manifest
-
-    def exploration_aggregate(self) -> Dict[str, Any]:
-        """Exploration counts rolled up across every traced trial."""
-        summaries = self.exploration_summaries
-        totals = [s["paths_explored_total"] for s in summaries]
-        return {
-            "trials": len(summaries),
-            "paths_explored_total": sum(totals),
-            "paths_explored_max_trial": max(totals, default=0),
-            "route_changes_total": sum(
-                s["route_changes"] for s in summaries
-            ),
-            "settle_p95_max": max(
-                (s["settle"]["p95"] for s in summaries), default=0.0
-            ),
-        }
-
-    def dataplane_aggregate(self) -> Dict[str, Any]:
-        """Data-plane impact rolled up across every monitored trial."""
-        summaries = self.dataplane_summaries
-        totals = [s["unreachable_seconds_total"] for s in summaries]
-        return {
-            "trials": len(summaries),
-            "unreachable_seconds_total": round(sum(totals), 6),
-            "unreachable_seconds_max_trial": round(
-                max(totals, default=0.0), 6
-            ),
-            "loop_episodes": sum(s["loop_episodes"] for s in summaries),
-            "blackhole_episodes": sum(
-                s["blackhole_episodes"] for s in summaries
-            ),
-            "pairs_never_recovered_max": max(
-                (s["pairs_never_recovered"] for s in summaries), default=0
-            ),
-        }
 
     def export(
         self, directory: Union[str, Path], command: str = ""
@@ -615,3 +522,32 @@ class ObsSession:
             f"metrics={len(self.registry)} probes={len(self.probes)} "
             f"profile={self.profiler is not None}>"
         )
+
+
+def _exploration_rollup(summaries: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Exploration counts rolled up across every traced trial."""
+    totals = [s["paths_explored_total"] for s in summaries]
+    return {
+        "trials": len(summaries),
+        "paths_explored_total": sum(totals),
+        "paths_explored_max_trial": max(totals, default=0),
+        "route_changes_total": sum(s["route_changes"] for s in summaries),
+        "settle_p95_max": max(
+            (s["settle"]["p95"] for s in summaries), default=0.0
+        ),
+    }
+
+
+def _dataplane_rollup(summaries: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Data-plane impact rolled up across every monitored trial."""
+    totals = [s["unreachable_seconds_total"] for s in summaries]
+    return {
+        "trials": len(summaries),
+        "unreachable_seconds_total": round(sum(totals), 6),
+        "unreachable_seconds_max_trial": round(max(totals, default=0.0), 6),
+        "loop_episodes": sum(s["loop_episodes"] for s in summaries),
+        "blackhole_episodes": sum(s["blackhole_episodes"] for s in summaries),
+        "pairs_never_recovered_max": max(
+            (s["pairs_never_recovered"] for s in summaries), default=0
+        ),
+    }

@@ -11,7 +11,7 @@ go?".
 
 Usage::
 
-    from repro.obs.spans import record_spans, span, traced
+    from repro.obs.spans import record_spans, span
 
     with record_spans() as recorder:
         with span("campaign.cell", label="dynamic", x=0.1) as sp:
@@ -45,7 +45,6 @@ Design points:
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
@@ -53,7 +52,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 __all__ = [
     "NOOP_SPAN",
@@ -63,7 +62,6 @@ __all__ = [
     "active_recorder",
     "record_spans",
     "span",
-    "traced",
 ]
 
 #: The installed recorder (None = spans disabled).  A plain module global,
@@ -145,31 +143,6 @@ def span(name: str, **attrs: Any) -> Union[Span, _NoopSpan]:
     if recorder is None:
         return NOOP_SPAN
     return Span(recorder, name, attrs)
-
-
-def traced(
-    name: Optional[str] = None, **attrs: Any
-) -> Callable[[Callable], Callable]:
-    """Decorator form of :func:`span` (span name defaults to the function's
-    qualified name)::
-
-        @traced("store.compact")
-        def compact(self): ...
-    """
-
-    def wrap(fn: Callable) -> Callable:
-        label = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def inner(*args: Any, **kwargs: Any):
-            if _RECORDER is None:
-                return fn(*args, **kwargs)
-            with span(label, **attrs):
-                return fn(*args, **kwargs)
-
-        return inner
-
-    return wrap
 
 
 @dataclass(frozen=True)
@@ -290,7 +263,7 @@ class SpanRecorder:
             )
         return rows
 
-    def render_rollup(self, max_rows: Optional[int] = None) -> str:
+    def render_rollup(self) -> str:
         """Human-readable rollup table (the `--spans-out` console view)."""
         rows = self.rollup()
         pids = {r["pid"] for r in self.records}
@@ -300,9 +273,8 @@ class SpanRecorder:
             f"{'path':<52} {'count':>6} {'total s':>9} {'mean ms':>9} "
             f"{'% parent':>9}",
         ]
-        shown = rows if max_rows is None else rows[:max_rows]
         known = {r.path for r in rows}
-        for row in shown:
+        for row in rows:
             parent = row.path.rsplit("/", 1)[0] if "/" in row.path else None
             # Orphan subtrees (grafted worker spans under "workers/") show
             # their full path — an indented leaf name would read as a
@@ -317,8 +289,6 @@ class SpanRecorder:
                 f"{label:<52} {row.count:>6} {row.total_seconds:>9.3f} "
                 f"{row.mean_ms:>9.2f} {row.share_of_parent:>8.1%}"
             )
-        if max_rows is not None and len(rows) > max_rows:
-            lines.append(f"... and {len(rows) - max_rows} more paths")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------

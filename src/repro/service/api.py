@@ -76,7 +76,14 @@ def make_handler(
             self._send_json(status, {"error": message})
 
         def _read_body(self) -> Optional[Dict[str, Any]]:
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                # The body's extent is unknown, so the connection cannot
+                # carry another request.
+                self.close_connection = True
+                self._error(400, "Content-Length must be an integer")
+                return None
             if length <= 0:
                 self._error(400, "request body required")
                 return None

@@ -38,27 +38,22 @@ class Simulator:
         sequence produce bit-identical runs.
     tracer:
         Optional :class:`~repro.sim.trace.Tracer`; defaults to a no-op.
-    on_event:
-        Optional observability hook called after each executed event with
-        ``(event, elapsed_wall_seconds)``; when unset the event loop takes
-        a timing-free fast path.  The hook is sampled once per
-        :meth:`run` call, so attach profilers *before* running.  See
-        :class:`repro.obs.profiling.EventLoopProfiler`.
+
+    :attr:`on_event` is an optional observability hook called after each
+    executed event with ``(event, elapsed_wall_seconds)``; when unset the
+    event loop takes a timing-free fast path.  It is sampled once per
+    :meth:`run` call, so attach profilers *before* running.  See
+    :class:`repro.obs.profiling.EventLoopProfiler`.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        tracer: Optional[Tracer] = None,
-        on_event: Optional[OnEventHook] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None) -> None:
         #: Current simulation time in seconds; advanced by the event loop
         #: only.
         self.now = 0.0
         self._queue = EventQueue()
         self.rng = RandomStreams(seed)
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.on_event = on_event
+        self.on_event: Optional[OnEventHook] = None
         self._events_executed = 0
         self._running = False
 
@@ -75,10 +70,6 @@ class Simulator:
         """Number of live events still scheduled."""
         return len(self._queue)
 
-    def peek_next_time(self) -> Optional[float]:
-        """Timestamp of the next event, or ``None`` when quiescent."""
-        return self._queue.peek_time()
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -93,20 +84,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self._queue.push(self.now + delay, fn, args, priority)
-
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulation ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}, clock already at {self.now!r}"
-            )
-        return self._queue.push(time, fn, args, priority)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event.  Idempotent."""
@@ -157,22 +134,6 @@ class Simulator:
             return self.now
         finally:
             self._running = False
-
-    def step(self) -> bool:
-        """Execute a single event.  Returns ``False`` when quiescent."""
-        event = self._queue.pop_due()
-        if event is None:
-            return False
-        self.now = event.time
-        self._events_executed += 1
-        hook = self.on_event
-        if hook is None:
-            event.fn(*event.args)
-        else:
-            start = perf_counter()
-            event.fn(*event.args)
-            hook(event, perf_counter() - start)
-        return True
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero.

@@ -17,7 +17,7 @@ keeps cancellation O(1) at the cost of a little heap garbage, which
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 
 class Event:
@@ -153,7 +153,3 @@ class EventQueue:
             entry[3]._queue = None
         self._heap.clear()
         self._cancelled = 0
-
-    def iter_pending(self) -> Iterator[Event]:
-        """Iterate over live events in arbitrary (heap) order."""
-        return (e[3] for e in self._heap if not e[3].cancelled)

@@ -12,20 +12,9 @@ behaviour without parsing log text.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -65,7 +54,7 @@ class JsonlSink:
     manager::
 
         with JsonlSink("trace.jsonl") as sink:
-            tracer = Tracer(sink=sink, keep=False)
+            tracer = Tracer(sink=sink)
             ...
     """
 
@@ -103,14 +92,7 @@ class Tracer:
         dropped at emit time.
     sink:
         Optional callable invoked with each accepted record (e.g. ``print``
-        or a file writer); records are retained in memory either way unless
-        ``keep`` is False.
-    max_records:
-        When set, at most this many records are retained in memory;
-        older records are dropped first and counted in :attr:`dropped`.
-        Sinks still see every record, so a bounded tracer can front an
-        unbounded :class:`JsonlSink`.  ``None`` (the default) keeps
-        everything.
+        or a file writer); records are retained in memory either way.
     """
 
     #: Whether emitting is worth the caller's while; hot paths test this
@@ -121,20 +103,10 @@ class Tracer:
         self,
         categories: Optional[set[str]] = None,
         sink: Optional[Callable[[TraceRecord], None]] = None,
-        keep: bool = True,
-        max_records: Optional[int] = None,
     ) -> None:
-        if max_records is not None and max_records <= 0:
-            raise ValueError("max_records must be positive (or None)")
         self.categories = categories
         self.sink = sink
-        self.keep = keep
-        self.max_records = max_records
-        #: Records dropped (oldest-first) to honour ``max_records``.
-        self.dropped = 0
-        self.records: Union[List[TraceRecord], Deque[TraceRecord]] = (
-            [] if max_records is None else deque(maxlen=max_records)
-        )
+        self.records: List[TraceRecord] = []
 
     def emit(
         self,
@@ -147,14 +119,7 @@ class Tracer:
         if self.categories is not None and category not in self.categories:
             return
         record = TraceRecord(time, category, node, tuple(detail))
-        if self.keep:
-            if (
-                self.max_records is not None
-                and len(self.records) == self.max_records
-            ):
-                # The deque's maxlen evicts the oldest record on append.
-                self.dropped += 1
-            self.records.append(record)
+        self.records.append(record)
         if self.sink is not None:
             self.sink(record)
 
@@ -173,9 +138,6 @@ class NullTracer(Tracer):
     """A tracer that drops everything; the default for production runs."""
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(keep=False)
 
     def emit(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
         return

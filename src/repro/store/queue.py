@@ -447,11 +447,3 @@ class QueueOps:
             }
 
         return self._read(op)
-
-    def ticket_count(self) -> int:
-        def op(conn):
-            return int(
-                conn.execute("SELECT COUNT(*) FROM tickets").fetchone()[0]
-            )
-
-        return self._read(op)

@@ -98,6 +98,9 @@ _GIT_REV_PROBED = False
 #: immediate-BUSY deadlock avoidance, so a handful suffice.
 _LOCK_RETRIES = 6
 _LOCK_BACKOFF = 0.05  # seconds, doubled per retry
+#: sqlite3's own wait for a lock, and SQLite's busy handler on top of it.
+_CONNECT_TIMEOUT = 30.0  # seconds
+_BUSY_TIMEOUT_MS = 10_000
 
 
 def git_revision() -> Optional[str]:
@@ -159,22 +162,17 @@ class ResultStore(QueueOps):
     module docstring for the full concurrency contract.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        timeout: float = 30.0,
-        busy_timeout_ms: int = 10_000,
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         if self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(
-            str(self.path), timeout=timeout, check_same_thread=False
+            str(self.path), timeout=_CONNECT_TIMEOUT, check_same_thread=False
         )
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
+        self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         self._write(
             lambda conn: conn.executescript(_SCHEMA + QUEUE_SCHEMA)
         )

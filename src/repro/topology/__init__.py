@@ -8,7 +8,7 @@ multi-router-per-AS hierarchies.  All of those are implemented here.
 
 Every generator returns a :class:`~repro.topology.graph.Topology`: routers
 with grid coordinates and AS numbers, undirected links with one-way delays,
-and helpers for degrees, connectivity and geometric queries.
+and helpers for degrees, connectivity and distance ordering.
 """
 
 from repro.topology.barabasi_albert import barabasi_albert_topology
@@ -27,7 +27,6 @@ from repro.topology.internet import internet_like_topology
 from repro.topology.multirouter import MultiRouterSpec, multi_router_topology
 from repro.topology.placement import place_on_grid, place_within_region
 from repro.topology.serialize import (
-    degree_sequence_from_file,
     load_topology,
     save_topology,
     topology_from_dict,
@@ -47,7 +46,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "barabasi_albert_topology",
-    "degree_sequence_from_file",
     "glp_topology",
     "load_topology",
     "save_topology",

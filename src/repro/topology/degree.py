@@ -104,15 +104,6 @@ class SkewedDegreeSpec:
         rng.shuffle(degrees)
         return degrees
 
-    def high_degree_threshold(self) -> int:
-        """Smallest degree considered "high" under this spec.
-
-        Used by degree-dependent MRAI assignment: a realized node counts as
-        high-degree when its degree reaches the spec's high range (sequence
-        repair can shave a realized degree by one, so we allow slack of one).
-        """
-        return max(self.low_range[1] + 1, self.high_range[0] - 1)
-
 
 @dataclass(frozen=True)
 class InternetDegreeDistribution:

@@ -12,11 +12,10 @@ number, which is how the paper's main experiments are configured.
 
 from __future__ import annotations
 
-import math
 from collections import Counter as _Counter
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 #: Side length of the placement grid used throughout the paper (Sec 3.1).
 GRID_SIZE = 1000.0
@@ -37,10 +36,6 @@ class Router:
     asn: int
     x: float
     y: float
-
-    def distance_to(self, other: "Router") -> float:
-        """Euclidean grid distance to another router."""
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)
@@ -141,12 +136,6 @@ class Topology:
         """Sorted neighbor ids of ``node_id``."""
         return sorted(self._adjacency[node_id])
 
-    def link_between(self, a: int, b: int) -> Link:
-        try:
-            return self._adjacency[a][b]
-        except KeyError:
-            raise TopologyError(f"no link between {a} and {b}") from None
-
     def degree(self, node_id: int) -> int:
         return len(self._adjacency[node_id])
 
@@ -226,15 +215,6 @@ class Topology:
         components = self.connected_components(exclude=excluded)
         return len(components) == 1
 
-    def nodes_within(self, cx: float, cy: float, radius: float) -> Set[int]:
-        """Router ids within Euclidean ``radius`` of ``(cx, cy)``."""
-        r2 = radius * radius
-        return {
-            r.node_id
-            for r in self.routers.values()
-            if (r.x - cx) ** 2 + (r.y - cy) ** 2 <= r2
-        }
-
     def nodes_by_distance(self, cx: float, cy: float) -> List[int]:
         """All router ids ordered by distance from ``(cx, cy)``.
 
@@ -247,16 +227,6 @@ class Topology:
                 for r in self.routers.values()
             )
         ]
-
-    def centroid(self) -> Tuple[float, float]:
-        """Mean router position; grid center for an empty topology."""
-        if not self.routers:
-            return (GRID_SIZE / 2, GRID_SIZE / 2)
-        n = len(self.routers)
-        return (
-            sum(r.x for r in self.routers.values()) / n,
-            sum(r.y for r in self.routers.values()) / n,
-        )
 
     # ------------------------------------------------------------------
     # Validation & summary
@@ -290,9 +260,6 @@ class Topology:
             f"{len(self.as_numbers())} ASes, {self.num_links} links, "
             f"avg degree {self.average_degree():.2f}, degree range [{lo},{hi}]"
         )
-
-    def iter_links_of(self, node_id: int) -> Iterator[Link]:
-        return iter(self._adjacency[node_id].values())
 
 
 def flat_topology_from_edges(

@@ -4,8 +4,7 @@ BRITE's main interoperability feature was file export ("BRITE can export
 topologies in the format used by SSFNet"); the equivalent here is a stable
 JSON representation, so generated topologies can be stored, diffed, shared
 between experiment runs, and — most importantly for reproduction work —
-*measured* degree sequences or AS graphs can be imported from files instead
-of synthesized.
+*measured* AS graphs can be imported from files instead of synthesized.
 """
 
 from __future__ import annotations
@@ -85,31 +84,3 @@ def load_topology(path: Union[str, Path]) -> Topology:
     topology = topology_from_dict(data)
     topology.validate()
     return topology
-
-
-def degree_sequence_from_file(path: Union[str, Path]) -> list[int]:
-    """Load a measured degree sequence: one integer per line.
-
-    Blank lines and ``#`` comments are ignored, so published AS-degree
-    datasets can be used directly with
-    :func:`repro.topology.degree.realize_degree_sequence`.
-    """
-    degrees = []
-    for line_number, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            value = int(line)
-        except ValueError:
-            raise ValueError(
-                f"{path}:{line_number}: not an integer: {line!r}"
-            ) from None
-        if value < 0:
-            raise ValueError(f"{path}:{line_number}: negative degree")
-        degrees.append(value)
-    if len(degrees) < 2:
-        raise ValueError(f"{path}: need at least 2 degrees")
-    return degrees

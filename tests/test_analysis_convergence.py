@@ -13,6 +13,7 @@ from repro.analysis.convergence import (
 )
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.obs.causality import load_trace
 from repro.obs.session import ObsSession
 from repro.sim.timers import Jitter
 from repro.sim.trace import JsonlSink, Tracer
@@ -104,7 +105,7 @@ def test_timeline_jsonl_round_trip(tmp_path):
         net.fail_nodes([0])
         net.run_until_quiet()
     assert (
-        ConvergenceTimeline.from_jsonl(path).summary()
+        ConvergenceTimeline.from_records(load_trace(path)).summary()
         == ConvergenceTimeline.from_records(tracer.records).summary()
     )
     report = analyze_trace_file(path)
@@ -138,7 +139,8 @@ def test_dynamic_mrai_explores_fewer_paths_than_static():
         obs = ObsSession(trace=True)
         spec = ExperimentSpec(mrai=mrai, failure_fraction=0.1)
         run_experiment(skewed_topology(40, seed=3), spec, seed=1, obs=obs)
-        totals[label] = obs.last_exploration["paths_explored_total"]
+        exploration = obs.trial_snapshots[-1]["exploration"]
+        totals[label] = exploration["paths_explored_total"]
     assert totals["dynamic"] < totals["static"]
 
 
@@ -182,5 +184,4 @@ def test_traced_experiment_equals_untraced_experiment():
         skewed_topology(30, seed=7), spec, seed=3, obs=obs
     )
     assert plain == traced
-    assert obs.last_exploration is not None
-    assert obs.last_exploration["trace_dropped"] == 0
+    assert "exploration" in obs.trial_snapshots[-1]

@@ -1,7 +1,5 @@
 """iBGP behaviour on multi-router-per-AS topologies."""
 
-import pytest
-
 from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
@@ -136,8 +134,3 @@ def test_partial_as_failure_keeps_prefix_alive():
     net.run_until_quiet()
     assert net.speakers[3].best_route(0) is not None
     assert 0 in net.speakers[3].loc_rib.destinations()
-
-
-def test_ibgp_delay_configurable():
-    net = BGPNetwork(two_as_topology(), ibgp_delay=0.1)
-    assert net.speakers[0].peers[2].delay == pytest.approx(0.1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bgp.config import BGPConfig
-from repro.bgp.mrai import ConstantMRAI, StaticController, effective_mrai
+from repro.bgp.mrai import ConstantMRAI, StaticController
 from repro.core.degree_mrai import DegreeDependentMRAI
 from repro.core.dynamic_mrai import (
     DynamicController,
@@ -36,11 +36,6 @@ def test_constant_policy_same_for_all_nodes():
 def test_constant_policy_rejects_negative():
     with pytest.raises(ValueError):
         ConstantMRAI(-0.5)
-
-
-def test_effective_mrai_none():
-    assert effective_mrai(None) == 0.0
-    assert effective_mrai(StaticController(3.0)) == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +214,6 @@ def test_bgp_config_defaults_match_paper():
     config = BGPConfig()
     assert config.processing_delay_range == (0.001, 0.030)
     assert config.mean_processing_delay == pytest.approx(0.0155)
-    assert config.models_processing
     assert not config.withdrawal_rate_limiting
     assert config.queue_discipline == "fifo"
 
@@ -237,4 +231,4 @@ def test_bgp_config_validation():
 
 def test_bgp_config_zero_processing():
     config = BGPConfig(processing_delay_range=(0.0, 0.0))
-    assert not config.models_processing
+    assert config.mean_processing_delay == 0.0

@@ -308,3 +308,40 @@ def test_cli_submit_rejects_an_unreadable_file(content, tmp_path, capsys):
     assert main(["submit", str(path), "--url", "http://127.0.0.1:1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: INVALID") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["run", "--nodes", "20", "--failure", "0.9"], "failure_fraction"),
+        (["run", "--nodes", "1"], "nodes must be at least 2"),
+        (["run", "--nodes", "20", "--mrai", "-1"], "mrai must be non-negative"),
+        (["topo", "--nodes", "1"], "nodes must be at least 2"),
+    ],
+    ids=["run-failure", "run-nodes", "run-mrai", "topo-nodes"],
+)
+def test_cli_run_and_topo_reject_out_of_range_values(argv, reason, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]}: ") and reason in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--store", "x.db", "--batch-size", "0"],
+        ["serve", "--store", "x.db", "--jobs", "0"],
+        ["campaign", "watch", "c.json", "--follow", "--interval", "-1"],
+    ],
+    ids=["serve-batch-size", "serve-jobs", "watch-interval"],
+)
+def test_cli_rejects_non_positive_numbers_at_parse_time(argv, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a.endswith((".db", ".json")) else a
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

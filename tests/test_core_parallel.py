@@ -154,9 +154,6 @@ def test_derive_trial_seeds_unique_and_deterministic():
 
 def test_derive_trial_seeds_depend_on_master():
     assert derive_trial_seeds(1, 20) != derive_trial_seeds(2, 20)
-    assert derive_trial_seeds(1, 5, name="a") != derive_trial_seeds(
-        1, 5, name="b"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +228,6 @@ def observed_facts(obs, trace, dataplane):
             for snapshot in obs.trial_snapshots
         ],
         "probes": obs.probes,
-        "explorations": obs.exploration_summaries,
-        "dataplane": obs.dataplane_summaries,
         "profile": {r.category: r.events for r in obs.profiler.report()},
         "trace_sink": trace,
         "dataplane_sink": dataplane,
@@ -258,11 +253,9 @@ def test_obs_aggregation_roundtrip():
     ]
 
     # Path exploration is simulation state, so it matches exactly.
-    assert (
-        parallel_obs.exploration_summaries
-        == serial_obs.exploration_summaries
-    )
-    assert parallel_obs.last_exploration == serial_obs.last_exploration
+    assert [s["exploration"] for s in parallel_obs.trial_snapshots] == [
+        s["exploration"] for s in serial_obs.trial_snapshots
+    ]
 
     # Metrics: both runs merge the same per-trial sums in seed order,
     # so counters, gauges and histogram means are all exact.
@@ -306,7 +299,7 @@ def test_probe_series_helpers_survive_run_trials(jobs):
     assert len(probe) == len(probe.times) > 2
     assert probe.times == sorted(probe.times)
     assert probe.peak() == max(probe.aggregate_series("work_max")) > 0.0
-    node = probe.sampled_nodes()[0]
+    node = probe.node_samples[0].node
     assert len(probe.node_series(node, "unfinished_work")) == sum(
         1 for s in probe.node_samples if s.node == node
     )
@@ -674,7 +667,9 @@ def test_obs_spans_dataplane_roundtrip_jobs2():
         parallel_result
     )
     # Data-plane summaries are simulation state: exact match, in order.
-    assert parallel_obs.dataplane_summaries == serial_obs.dataplane_summaries
+    assert [s["dataplane"] for s in parallel_obs.trial_snapshots] == [
+        s["dataplane"] for s in serial_obs.trial_snapshots
+    ]
     assert [t.dataplane for t in parallel_result.trials] == [
         t.dataplane for t in serial_result.trials
     ]

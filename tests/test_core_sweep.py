@@ -57,16 +57,10 @@ def test_series_lookup_and_argmin():
     series.add(3.0, FakeResult(7.0, 70))
     assert series.delay_at(2.0) == 5.0
     assert series.messages_at(3.0) == 70
-    assert series.argmin_delay() == 2.0
     with pytest.raises(KeyError):
         series.delay_at(9.0)
     with pytest.raises(KeyError):
         series.messages_at(9.0)
-
-
-def test_series_argmin_empty():
-    with pytest.raises(ValueError):
-        Series(label="s", x_name="x").argmin_delay()
 
 
 def test_sweep_is_one_pool_run_with_one_topology_per_seed():

@@ -28,7 +28,6 @@ def test_geographic_failure_takes_closest_nodes():
     assert scenario.nodes == {0, 1, 2}
     assert scenario.kind == "geographic"
     assert scenario.size == 3
-    assert scenario.fraction_of(topo) == pytest.approx(0.3)
 
 
 def test_geographic_failure_default_center_is_grid_middle():
@@ -115,16 +114,6 @@ def test_empty_topology_rejected_everywhere():
         geographic_failure(empty, 0.1)
     with pytest.raises(ValueError, match="empty topology"):
         random_failure(empty, 0.1, random.Random(1))
-
-
-def test_fraction_of_empty_topology_rejected():
-    from repro.topology.graph import Topology
-
-    topo = grid_line_topology()
-    scenario = single_node_failure(topo, 3)
-    assert scenario.fraction_of(topo) == pytest.approx(0.1)
-    with pytest.raises(ValueError, match="empty topology"):
-        scenario.fraction_of(Topology())
 
 
 def test_random_failure_on_tiny_topology_still_works():

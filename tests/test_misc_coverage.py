@@ -20,13 +20,6 @@ from tests.conftest import line_topology
 # ---------------------------------------------------------------------------
 # Engine odds and ends
 # ---------------------------------------------------------------------------
-def test_peek_next_time():
-    sim = Simulator()
-    assert sim.peek_next_time() is None
-    sim.schedule(2.5, lambda: None)
-    assert sim.peek_next_time() == 2.5
-
-
 def test_pending_events_counts_live_only():
     sim = Simulator()
     event = sim.schedule(1.0, lambda: None)

@@ -148,7 +148,7 @@ def test_jsonl_round_trip_preserves_the_graph(tmp_path):
         net.fail_nodes([0])
         net.run_until_quiet()
     in_memory = CausalGraph.from_records(tracer.records)
-    from_file = CausalGraph.from_jsonl(path)
+    from_file = CausalGraph.from_records(load_trace(path))
     assert from_file.summary() == in_memory.summary()
     # AS paths survived the JSON round trip as tuples.
     sample = max(from_file.sends, key=lambda e: e.uid)

@@ -184,7 +184,6 @@ def test_monitored_experiment_counts_transient_damage():
     # 3 dead origins x 27 survivors: their prefixes never come back.
     assert dp["pairs_never_recovered"] == 3 * 27
     assert dp["window_seconds"] == pytest.approx(result.convergence_delay)
-    assert obs.last_dataplane == dp
     assert obs.trial_snapshots[-1]["dataplane"] == dp
 
 
@@ -240,14 +239,15 @@ def test_dataplane_worker_round_trip_parallel():
     assert [t.dataplane for t in parallel.trials] == [
         t.dataplane for t in serial.trials
     ]
-    assert par_obs.dataplane_summaries == serial_obs.dataplane_summaries
+    serial_summaries = [s["dataplane"] for s in serial_obs.trial_snapshots]
+    assert [s["dataplane"] for s in par_obs.trial_snapshots] == serial_summaries
     # Sink replay (with parent-side trial renumbering) is bit-identical.
     assert parallel_records == serial_records
     manifest = par_obs.finalize(command="test")
     agg = manifest.extra["dataplane"]
     assert agg["trials"] == len(seeds)
     assert agg["unreachable_seconds_total"] == pytest.approx(
-        sum(s["unreachable_seconds_total"] for s in serial_obs.dataplane_summaries)
+        sum(s["unreachable_seconds_total"] for s in serial_summaries)
     )
 
 

@@ -85,13 +85,14 @@ def test_monitor_eta_ignores_the_sessions_lifetime_cache_hits():
     fall back to uptime / done (1000 s here).  The cached count is the
     batch's own, carried on the tick."""
 
-    class _Session:
-        cache_hits = 36
-        cache_misses = 36
+    from repro.obs.session import ObsSession
 
+    session = ObsSession()
+    for hit in [True] * 36 + [False] * 36:
+        session.note_cache(hit)
     tick = _tick(36, 72, elapsed=1000.0, busy=36.0)  # executor tick: cached=0
     before = LiveMonitor(jobs=2, stream=None)
-    after = LiveMonitor(jobs=2, stream=None, session=_Session())
+    after = LiveMonitor(jobs=2, stream=None, session=session)
     before(tick)
     after(tick)
     assert before.eta_seconds() == pytest.approx(18.0)
@@ -136,15 +137,6 @@ def test_last_heartbeat_tolerates_truncated_tail(tmp_path):
     assert last_heartbeat(tmp_path / "missing.jsonl") is None
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     assert last_heartbeat(tmp_path / "empty.jsonl") is None
-
-
-def test_monitor_interval_throttles_but_final_tick_renders():
-    mon = LiveMonitor(jobs=1, stream=None, interval=3600.0)
-    mon(_tick(1, 3))
-    mon(_tick(2, 3))  # inside the interval: suppressed
-    assert mon.renders == 1
-    mon(_tick(3, 3))  # final tick always renders
-    assert mon.renders == 2
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,6 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.obs.export import (
     AGGREGATE_FIELDS,
     TIMESERIES_FIELDS,
-    metrics_records,
-    write_jsonl,
     write_metrics_jsonl,
 )
 from repro.obs.manifest import (
@@ -68,18 +66,18 @@ def test_manifest_round_trip(tmp_path):
         spec=spec,
         seeds=[1, 2],
         topology="skewed(30)",
+        phases=[
+            PhaseTiming("warmup", 1.0, sim_seconds=20.0, events=500),
+            PhaseTiming("convergence", 2.0, sim_seconds=10.0, events=700),
+        ],
         counters={"updates_sent": 100},
         extra={"note": "test"},
     )
-    manifest.add_phase("warmup", 1.0, sim_seconds=20.0, events=500)
-    manifest.add_phase("convergence", 2.0, sim_seconds=10.0, events=700)
 
     path = manifest.save(tmp_path / "manifest.json")
     loaded = RunManifest.load(path)
     assert loaded == manifest
-    assert loaded.phase("warmup").events == 500
-    assert loaded.phase("missing") is None
-    assert loaded.total_wall_seconds == 3.0
+    assert loaded.phases[0].events == 500
     assert loaded.package_version
     assert loaded.created_utc
     assert loaded.spec["failure_fraction"] == 0.1
@@ -89,24 +87,20 @@ def test_manifest_from_partial_dict():
     manifest = RunManifest.from_dict({"kind": "x"})
     assert manifest.kind == "x"
     assert manifest.phases == []
-    assert manifest.total_wall_seconds == 0.0
 
 
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def test_write_jsonl(tmp_path):
-    path = write_jsonl([{"a": 1}, {"b": 2}], tmp_path / "x.jsonl")
-    lines = path.read_text().splitlines()
-    assert [json.loads(line) for line in lines] == [{"a": 1}, {"b": 2}]
-
-
-def test_metrics_records_appends_extras():
+def test_metrics_records_appends_extras(tmp_path):
     reg = MetricsRegistry()
     reg.counter("c").inc()
-    records = metrics_records(reg, [{"kind": "trial", "trial": 0}])
+    path = write_metrics_jsonl(
+        reg, tmp_path / "metrics.jsonl", [{"kind": "trial", "trial": 0}]
+    )
+    records = [json.loads(line) for line in path.read_text().splitlines()]
     assert records[0]["name"] == "c"
-    assert records[-1]["kind"] == "trial"
+    assert records[-1] == {"kind": "trial", "trial": 0}
 
 
 def test_write_metrics_jsonl(tmp_path):
@@ -185,4 +179,4 @@ def test_session_phase_labels_multi_trial():
     labels = [p.name for p in obs.phases]
     assert labels[:3] == ["warmup", "failure", "convergence"]
     assert labels[3:] == ["warmup[1]", "failure[1]", "convergence[1]"]
-    assert obs.trial_index == 1
+    assert [s["trial"] for s in obs.trial_snapshots] == [0, 1]

@@ -126,7 +126,7 @@ def test_gauge_moves_both_ways():
     g = reg.gauge("g")
     g.set(10)
     g.inc(2)
-    g.dec(5)
+    g.inc(-5)
     assert g.value == 7
 
 

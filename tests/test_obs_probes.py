@@ -98,25 +98,6 @@ def test_probe_samples_cover_both_phases():
     assert times == sorted(times)
 
 
-def test_probe_node_filter():
-    obs, _ = observed_run(
-        ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1),
-        probe_nodes=(0, 1),
-    )
-    probe = obs.probe
-    assert set(probe.sampled_nodes()) <= {0, 1}
-    # Aggregates still cover the whole network.
-    assert probe.aggregates[0].nodes == 30
-
-
-def test_probe_aggregates_only_mode():
-    net = BGPNetwork(small_topo())
-    probe = NetworkProbe(net, interval=0.5, keep_node_samples=False)
-    probe._sample()
-    assert probe.node_samples == []
-    assert len(probe.aggregates) == 1
-
-
 def test_probe_aggregate_consistency():
     obs, _ = observed_run(
         ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
@@ -145,7 +126,7 @@ def test_node_series_extraction():
         ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
     )
     probe = obs.probe
-    node = probe.sampled_nodes()[0]
+    node = probe.node_samples[0].node
     series = probe.node_series(node, "queue_depth")
     assert len(series) == sum(1 for s in probe.node_samples if s.node == node)
     assert probe.peak("work_max") == max(probe.aggregate_series("work_max"))

@@ -61,9 +61,10 @@ def test_hook_fires_in_step_mode():
     seen = []
     sim.on_event = lambda event, elapsed: seen.append(event)
     sim.schedule(1.0, noop)
-    assert sim.step()
+    sim.run(max_events=1)
     assert len(seen) == 1
-    assert not sim.step()
+    sim.run(max_events=1)  # quiescent: no event, no hook call
+    assert len(seen) == 1
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.obs.spans import (
     active_recorder,
     record_spans,
     span,
-    traced,
 )
 from repro.sim.timers import Jitter
 from repro.topology.skewed import skewed_topology
@@ -65,25 +64,6 @@ def test_record_spans_restores_previous_recorder_and_path():
     assert [r["path"] for r in inner_rec.records] == ["fresh_root"]
     assert [r["path"] for r in outer_rec.records] == ["outer"]
     assert active_recorder() is None
-
-
-def test_traced_decorator():
-    @traced()
-    def plain():
-        return 42
-
-    @traced("custom.name", tag="t")
-    def named():
-        return 7
-
-    assert plain() == 42  # disabled: no recorder, no span machinery
-    with record_spans() as rec:
-        assert plain() == 42
-        assert named() == 7
-    names = [r["name"] for r in rec.records]
-    assert names[0].endswith("plain")  # qualified name of the function
-    assert names[1] == "custom.name"
-    assert rec.records[1]["attrs"] == {"tag": "t"}
 
 
 # ----------------------------------------------------------------------

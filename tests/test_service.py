@@ -9,6 +9,7 @@ and the daemon serves the whole cycle over HTTP — cold submit, poll,
 fold, then a warm resubmit answered entirely from the store.
 """
 
+import http.client
 import json
 import sqlite3
 import threading
@@ -479,6 +480,18 @@ def test_service_http_error_mapping(service):
     with pytest.raises(ServiceError) as err:
         client.trial("0" * 32)
     assert err.value.status == 404
+    # A Content-Length that is not an integer is a 400 answer, not a
+    # dropped connection.
+    conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/submit")
+        conn.putheader("Content-Length", "1e3")
+        conn.endheaders()
+        response = conn.getresponse()
+        assert response.status == 400
+        assert "Content-Length" in json.loads(response.read())["error"]
+    finally:
+        conn.close()
 
 
 def test_service_rejects_submissions_while_draining(service):

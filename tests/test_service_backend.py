@@ -174,7 +174,7 @@ def test_ticket_roundtrip_with_campaign_doc(store):
     assert info["keys"] == ["k1", "k2"]
     assert info["campaign"] == doc
     assert store.ticket_info("nope") is None
-    assert store.ticket_count() == 1
+    assert store.stats()["tickets"] == 1
 
 
 # ----------------------------------------------------------------------

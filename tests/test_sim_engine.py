@@ -28,23 +28,6 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(5.0, fired.append, 5)
-    sim.run()
-    assert fired == [5]
-    assert sim.now == 5.0
-
-
-def test_schedule_at_past_rejected():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(0.5, lambda: None)
-
-
 def test_run_until_horizon_stops_before_later_events():
     sim = Simulator()
     fired = []
@@ -172,10 +155,13 @@ def test_step_executes_single_event():
     fired = []
     sim.schedule(1.0, fired.append, 1)
     sim.schedule(2.0, fired.append, 2)
-    assert sim.step()
+    assert sim.run(max_events=1) == 1.0
     assert fired == [1]
-    assert sim.step()
-    assert not sim.step()
+    assert sim.run(max_events=1) == 2.0
+    # Quiescent: nothing left to execute.
+    assert sim.run(max_events=1) == 2.0
+    assert fired == [1, 2]
+    assert sim.events_executed == 2
 
 
 def test_run_not_reentrant():

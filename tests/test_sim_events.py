@@ -111,15 +111,6 @@ def test_compact_removes_garbage():
     assert q.pop().time == 50.0
 
 
-def test_iter_pending_excludes_cancelled():
-    q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    e2 = q.push(2.0, lambda: None)
-    e1.cancel()
-    pending = list(q.iter_pending())
-    assert pending == [e2]
-
-
 def test_event_cancel_is_idempotent():
     e = Event(1.0, 0, 0, lambda: None, ())
     e.cancel()

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.sim.trace import (
     Counter,
     JsonlSink,
@@ -37,12 +35,6 @@ def test_sink_is_invoked():
     assert len(seen) == 1
 
 
-def test_keep_false_discards_records():
-    tracer = Tracer(keep=False)
-    tracer.emit(1.0, "x", None)
-    assert len(tracer) == 0
-
-
 def test_clear():
     tracer = Tracer()
     tracer.emit(1.0, "x", None)
@@ -50,23 +42,13 @@ def test_clear():
     assert len(tracer) == 0
 
 
-def test_max_records_drops_oldest():
-    tracer = Tracer(max_records=3)
-    for i in range(5):
-        tracer.emit(float(i), "x", i)
-    assert len(tracer) == 3
-    assert tracer.dropped == 2
-    assert [r.node for r in tracer.records] == [2, 3, 4]
-
-
 def test_max_records_sink_still_sees_everything():
     seen = []
-    tracer = Tracer(sink=seen.append, max_records=2)
+    tracer = Tracer(sink=seen.append)
     for i in range(4):
         tracer.emit(float(i), "x", i)
     assert len(seen) == 4
-    assert len(tracer) == 2
-    assert tracer.dropped == 2
+    assert len(tracer) == 4
 
 
 def test_max_records_unset_keeps_everything():
@@ -74,23 +56,18 @@ def test_max_records_unset_keeps_everything():
     for i in range(100):
         tracer.emit(float(i), "x", i)
     assert len(tracer) == 100
-    assert tracer.dropped == 0
+    assert [r.node for r in tracer.records] == list(range(100))
 
 
 def test_max_records_clear_and_by_category():
-    tracer = Tracer(max_records=4)
+    tracer = Tracer()
     for i in range(6):
         tracer.emit(float(i), "a" if i % 2 else "b", i)
-    assert len(list(tracer.by_category("a"))) == 2
+    assert len(list(tracer.by_category("a"))) == 3
     tracer.clear()
     assert len(tracer) == 0
     tracer.emit(0.0, "a", 1)
     assert len(tracer) == 1
-
-
-def test_max_records_must_be_positive():
-    with pytest.raises(ValueError):
-        Tracer(max_records=0)
 
 
 def test_null_tracer_drops_everything():
@@ -157,7 +134,7 @@ def test_jsonl_sink_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"
     plain = {"kind": "dataplane", "time": 3.0, "node": 1, "hops": None}
     with JsonlSink(path) as sink:
-        tracer = Tracer(sink=sink, keep=False)
+        tracer = Tracer(sink=sink)
         tracer.emit(1.0, "update_sent", 3, "dest", 7)
         tracer.emit(2.0, "route_change", 4)
         sink(plain)  # data-plane records arrive as plain dicts

@@ -191,9 +191,10 @@ def test_obs_session_counts_cache_lookups(store):
     spec = spec_05()
     obs = ObsSession()
     run_trials(factory, spec, SEEDS, store=store, obs=obs)
-    assert obs.cache_hits == 0 and obs.cache_misses == len(SEEDS)
+    assert obs.registry.get("store_cache_hits") is None
+    assert obs.registry.get("store_cache_misses").value == len(SEEDS)
     run_trials(factory, spec, SEEDS, store=store, obs=obs)
-    assert obs.cache_hits == len(SEEDS)
+    assert obs.registry.get("store_cache_hits").value == len(SEEDS)
     manifest = obs.finalize()
     assert manifest.extra["store_cache"] == {
         "hits": len(SEEDS),

@@ -423,9 +423,9 @@ def test_obs_session_sees_campaign(store):
     )
     obs = ObsSession()
     run_campaign(campaign, store, obs=obs)
-    assert obs.cache_misses == 2
+    assert obs.registry.get("store_cache_misses").value == 2
     run_campaign(campaign, store, obs=obs)
-    assert obs.cache_hits == 2
+    assert obs.registry.get("store_cache_hits").value == 2
     manifest = obs.finalize()
     assert [c["name"] for c in manifest.extra["campaigns"]] == ["unit", "unit"]
 

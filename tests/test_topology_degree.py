@@ -187,11 +187,6 @@ def test_skewed_sample_needs_two_nodes():
         SkewedDegreeSpec.paper_70_30().sample(1, random.Random(0))
 
 
-def test_high_degree_threshold():
-    assert SkewedDegreeSpec.paper_70_30().high_degree_threshold() == 7
-    assert SkewedDegreeSpec.paper_50_50().high_degree_threshold() == 4
-
-
 def test_internet_distribution_statistics():
     dist = InternetDegreeDistribution()
     seq = dist.sample(5000, random.Random(2))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.topology.graph import (
-    GRID_SIZE,
     Link,
     Router,
     Topology,
@@ -26,7 +25,7 @@ def test_add_router_and_link():
     assert topo.num_links == 1
     assert topo.has_link(0, 1)
     assert topo.has_link(1, 0)
-    assert topo.link_between(0, 1) is link
+    assert topo.links == [link]
 
 
 def test_duplicate_router_rejected():
@@ -106,13 +105,6 @@ def test_connectivity_with_exclusions():
     assert topo.is_connected(exclude={0, 1})
 
 
-def test_nodes_within_radius():
-    positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (100.0, 0.0)}
-    topo = flat_topology_from_edges([(0, 1), (1, 2)], positions=positions)
-    assert topo.nodes_within(0, 0, 15.0) == {0, 1}
-    assert topo.nodes_within(0, 0, 150.0) == {0, 1, 2}
-
-
 def test_nodes_by_distance_is_deterministic():
     positions = {0: (5.0, 0.0), 1: (5.0, 0.0), 2: (50.0, 0.0)}
     topo = flat_topology_from_edges([(0, 1), (1, 2)], positions=positions)
@@ -164,21 +156,9 @@ def test_validate_rejects_intra_as_link_across_ases():
 def test_centroid_and_summary():
     positions = {0: (0.0, 0.0), 1: (10.0, 10.0)}
     topo = flat_topology_from_edges([(0, 1)], positions=positions)
-    assert topo.centroid() == (5.0, 5.0)
     text = topo.summary()
     assert "2 routers" in text
     assert "1 links" in text
-
-
-def test_empty_topology_centroid_is_grid_center():
-    topo = Topology()
-    assert topo.centroid() == (GRID_SIZE / 2, GRID_SIZE / 2)
-
-
-def test_router_distance():
-    a = Router(0, 0, 0.0, 0.0)
-    b = Router(1, 1, 3.0, 4.0)
-    assert a.distance_to(b) == pytest.approx(5.0)
 
 
 def test_flat_topology_default_positions_are_distinct_diagonal():

@@ -6,7 +6,6 @@ import pytest
 
 from repro.topology.multirouter import MultiRouterSpec, multi_router_topology
 from repro.topology.serialize import (
-    degree_sequence_from_file,
     load_topology,
     save_topology,
     topology_from_dict,
@@ -70,36 +69,3 @@ def test_loaded_topology_is_validated(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(Exception):
         load_topology(path)
-
-
-def test_degree_sequence_from_file(tmp_path):
-    path = tmp_path / "degrees.txt"
-    path.write_text("# measured AS degrees\n3\n1\n\n2  # trailing comment\n8\n")
-    assert degree_sequence_from_file(path) == [3, 1, 2, 8]
-
-
-def test_degree_sequence_file_errors(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("3\nx\n")
-    with pytest.raises(ValueError, match="not an integer"):
-        degree_sequence_from_file(bad)
-    negative = tmp_path / "neg.txt"
-    negative.write_text("3\n-1\n")
-    with pytest.raises(ValueError, match="negative"):
-        degree_sequence_from_file(negative)
-    short = tmp_path / "short.txt"
-    short.write_text("3\n")
-    with pytest.raises(ValueError, match="at least 2"):
-        degree_sequence_from_file(short)
-
-
-def test_degree_sequence_file_feeds_realization(tmp_path):
-    import random
-
-    from repro.topology.degree import realize_degree_sequence
-
-    path = tmp_path / "degrees.txt"
-    path.write_text("\n".join(["3"] * 6 + ["1"] * 6))
-    seq = degree_sequence_from_file(path)
-    edges = realize_degree_sequence(seq, random.Random(1), connected=True)
-    assert edges
