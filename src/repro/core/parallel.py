@@ -72,13 +72,11 @@ from __future__ import annotations
 
 import atexit
 import math
-import multiprocessing
 import os
 import time
 from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -194,6 +192,10 @@ def default_start_method() -> str:
     override = os.environ.get("REPRO_POOL_START_METHOD")
     if override:
         return override
+    # Imported on first use here and below: a serial trial never needs
+    # the multiprocessing stack.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -483,6 +485,8 @@ class WorkerPool:
         start_method: Optional[str] = None,
         cache_capacity: Optional[int] = None,
     ) -> None:
+        import multiprocessing
+
         self.start_method = start_method or default_start_method()
         self._ctx = multiprocessing.get_context(self.start_method)
         self.cache_capacity = (
@@ -676,11 +680,13 @@ class WorkerPool:
     ) -> Optional[List[Tuple[Any, ...]]]:
         """Wait once on the alive workers ``watch`` selects and receive
         from those with a message; None when it selects no worker."""
+        from multiprocessing.connection import wait
+
         watched = {w.conn: w for w in self._workers if w.alive and watch(w)}
         if not watched:
             return None
         outcomes: List[Tuple[Any, ...]] = []
-        for conn in _connection_wait(list(watched), timeout):
+        for conn in wait(list(watched), timeout):
             outcomes += self._receive(watched[conn], run)
         return outcomes
 

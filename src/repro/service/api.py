@@ -29,7 +29,6 @@ a meaningful status code.
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Type
 
 from repro.store.result_store import trial_to_dict
@@ -42,6 +41,8 @@ from repro.service.submission import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from http.server import BaseHTTPRequestHandler
+
     from repro.service.daemon import CampaignService
 
 #: Submissions larger than this are refused outright (a campaign grid
@@ -53,6 +54,9 @@ def make_handler(
     service: "CampaignService",
 ) -> Type[BaseHTTPRequestHandler]:
     """Build the request-handler class bound to one daemon instance."""
+    # Imported here, not at module level: importing repro.service must
+    # not load the HTTP stack for a process that serves nothing.
+    from http.server import BaseHTTPRequestHandler
 
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-bgp-service/1"
@@ -63,37 +67,47 @@ def make_handler(
             service.log_request_line(fmt % args)
 
         def _send_json(
-            self, status: int, payload: Dict[str, Any]
+            self, status: int, payload: Dict[str, Any], close: bool = False
         ) -> None:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                # Also sets self.close_connection.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def _error(self, status: int, message: str) -> None:
             self._send_json(status, {"error": message})
 
+        def _refuse(self, status: int, message: str) -> None:
+            """Answer an error and close the connection after it: where
+            the body is left unread, its bytes would otherwise parse as
+            the next request."""
+            self._send_json(status, {"error": message}, close=True)
+
         def _read_body(self) -> Optional[Dict[str, Any]]:
             try:
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:
-                # The body's extent is unknown, so the connection cannot
-                # carry another request.
-                self.close_connection = True
-                self._error(400, "Content-Length must be an integer")
+                self._refuse(400, "Content-Length must be an integer")
                 return None
             if length <= 0:
-                self._error(400, "request body required")
+                self._refuse(400, "request body required")
                 return None
             if length > MAX_BODY_BYTES:
-                self._error(413, "request body too large")
+                self._refuse(413, "request body too large")
                 return None
             try:
                 data = json.loads(self.rfile.read(length))
             except ValueError:
                 self._error(400, "request body is not valid JSON")
+                return None
+            except RecursionError:
+                # Nested deeper than the parser's stack.
+                self._refuse(400, "request body is not valid JSON")
                 return None
             if not isinstance(data, dict):
                 self._error(400, "request body must be a JSON object")
@@ -151,10 +165,10 @@ def make_handler(
         def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
             head, tail = self._route(self.path)
             if head != "submit" or tail:
-                self._error(404, f"unknown endpoint {self.path!r}")
+                self._refuse(404, f"unknown endpoint {self.path!r}")
                 return
             if service.stopping:
-                self._error(503, "service is draining for shutdown")
+                self._refuse(503, "service is draining for shutdown")
                 return
             body = self._read_body()
             if body is None:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Optional
 
 
@@ -44,6 +42,9 @@ class ServiceClient:
         path: str,
         body: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
+        import urllib.error
+        import urllib.request
+
         data = (
             json.dumps(body).encode("utf-8") if body is not None else None
         )

@@ -33,9 +33,8 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from http.server import ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.core.parallel import get_worker_pool, shutdown_worker_pool
 from repro.obs.live import LiveMonitor
@@ -45,6 +44,9 @@ from repro.service.api import make_handler
 from repro.service.executor import ExecutorConfig, QueueExecutor
 from repro.service.submission import SubmissionReceipt
 from repro.store.result_store import ResultStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from http.server import ThreadingHTTPServer
 
 
 @dataclass
@@ -134,6 +136,8 @@ class CampaignService:
 
     def start(self) -> None:
         """Boot: prewarm pool, start executor thread, bind HTTP server."""
+        from http.server import ThreadingHTTPServer
+
         # Fork the pool workers while this process is still effectively
         # single-threaded; everything after this line may thread freely.
         if self.config.jobs > 1:

@@ -33,7 +33,6 @@ import os
 import socket
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -54,7 +53,7 @@ from repro.store.result_store import ResultStore
 def default_owner() -> str:
     """A lease-owner id unique per executor process."""
     return (
-        f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:6]}"
+        f"{socket.gethostname()}:{os.getpid()}:{os.urandom(3).hex()}"
     )
 
 

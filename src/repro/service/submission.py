@@ -23,7 +23,7 @@ content hash — which it verifies before running.
 from __future__ import annotations
 
 import dataclasses
-import uuid
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -134,7 +134,7 @@ def plan_submission(
     line up with the persisted document and :func:`ticket_results` can
     fold them without planning again.
     """
-    ticket = ticket or uuid.uuid4().hex[:12]
+    ticket = ticket or os.urandom(6).hex()
     campaign = dataclasses.replace(
         campaign, schemes=dict(sorted(campaign.schemes.items()))
     )

@@ -34,11 +34,9 @@ Ctrl-C'd sweep resumable — every finished trial is already on disk.
 from __future__ import annotations
 
 import json
-import sqlite3
-import subprocess
+import os
 import threading
 import time
-import uuid
 from dataclasses import fields as dataclass_fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -60,6 +58,8 @@ from repro.store.hashing import SCHEMA_VERSION
 from repro.store.queue import QUEUE_SCHEMA, QueueOps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import sqlite3
+
     from repro.core.experiment import TrialResult
 
 T = TypeVar("T")
@@ -109,6 +109,8 @@ def git_revision() -> Optional[str]:
     if _GIT_REV_PROBED:
         return _GIT_REV
     _GIT_REV_PROBED = True
+    import subprocess
+
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -166,6 +168,10 @@ class ResultStore(QueueOps):
         self.path = Path(path)
         if self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
+        # sqlite3 (and subprocess, in git_revision) load on first use: a
+        # run without a store imports neither.
+        import sqlite3
+
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(
             str(self.path), timeout=_CONNECT_TIMEOUT, check_same_thread=False
@@ -178,7 +184,7 @@ class ResultStore(QueueOps):
         )
         self._check_schema()
         #: Identifies everything written by this store handle.
-        self.run_id = uuid.uuid4().hex
+        self.run_id = os.urandom(16).hex()
         self.hits = 0
         self.misses = 0
 
@@ -194,6 +200,8 @@ class ResultStore(QueueOps):
             return fn(self._conn)
 
     def _write(self, fn: Callable[[sqlite3.Connection], T]) -> T:
+        import sqlite3
+
         with self._lock:
             delay = _LOCK_BACKOFF
             for attempt in range(_LOCK_RETRIES):
@@ -302,6 +310,10 @@ class ResultStore(QueueOps):
         trial: "TrialResult",
         fingerprint: Optional[Dict[str, Any]] = None,
     ) -> None:
+        # Probed before _write: the first probe runs `git`, and the
+        # handle's lock must not be held while it does.
+        git_rev = git_revision()
+
         def op(conn: sqlite3.Connection) -> None:
             conn.execute(
                 "INSERT OR REPLACE INTO trials "
@@ -318,7 +330,7 @@ class ResultStore(QueueOps):
                         else None
                     ),
                     self.run_id,
-                    git_revision(),
+                    git_rev,
                     SCHEMA_VERSION,
                     _now(),
                     trial.warmup_wall + trial.convergence_wall,
@@ -437,6 +449,7 @@ class ResultStore(QueueOps):
     # ------------------------------------------------------------------
     def record_campaign(self, name: str, manifest: Dict[str, Any]) -> int:
         """Append one campaign-run manifest row; returns its id."""
+        git_rev = git_revision()
 
         def op(conn: sqlite3.Connection) -> int:
             cursor = conn.execute(
@@ -446,7 +459,7 @@ class ResultStore(QueueOps):
                 (
                     name,
                     self.run_id,
-                    git_revision(),
+                    git_rev,
                     _now(),
                     json.dumps(manifest, sort_keys=True),
                 ),

@@ -1,6 +1,6 @@
 """Memory behaviour of the simulator core.
 
-Three things are pinned here, each with its measured value printed (run
+Four things are pinned here, each with its measured value printed (run
 with ``-s`` to see them; CI does, once per Python version):
 
 * a finished trial frees itself by reference counting — the cycle
@@ -10,12 +10,15 @@ with ``-s`` to see them; CI does, once per Python version):
 * resident bytes per stored route stay under a budget — at quiescence
   and at the peak of warm-up and of convergence — with AS-path tuples
   shared between RIBs by construction (no intern table) and drained MRAI
-  ``pending`` sets released.
+  ``pending`` sets released;
+* importing the serial trial path loads no HTTP/TLS, SQLite or
+  multiprocessing code.
 """
 
 import gc
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -295,3 +298,107 @@ def test_close_is_idempotent_and_leaves_a_harmless_shell():
     assert network.alive_speakers() == []
     assert "BGPNetwork" in repr(network)
     assert network.counters.snapshot()["updates_sent"] > 0
+
+
+# ----------------------------------------------------------------------
+# (g) A serial trial's imports: no service, store or pool stack
+# ----------------------------------------------------------------------
+IMPORT_CLOSURE_SCRIPT = """
+import importlib, json, sys
+from pathlib import Path
+
+MODULES = %r
+STACKS = %r
+for name in MODULES:
+    importlib.import_module(name)
+report = {
+    "loaded": [m for m in STACKS if m in sys.modules],
+    "modules": len(sys.modules),
+}
+# VmRSS, not ru_maxrss: after exec, ru_maxrss starts from the parent's.
+status = Path("/proc/self/status")
+for line in status.read_text().splitlines() if status.exists() else ():
+    if line.startswith("VmRSS:"):
+        report["rss_mb"] = int(line.split()[1]) / 1024
+
+import tempfile
+
+from repro.core.parallel import default_start_method
+from repro.service.api import make_handler
+from repro.store import ResultStore
+
+with tempfile.TemporaryDirectory() as tmp:
+    ResultStore(Path(tmp) / "store.db").close()
+report["store_loads_sqlite3"] = "sqlite3" in sys.modules
+make_handler(None)
+report["handler_loads_http_server"] = "http.server" in sys.modules
+default_start_method()
+report["pool_loads_multiprocessing"] = "multiprocessing" in sys.modules
+print(json.dumps(report))
+"""
+
+SERIAL_MODULES = (
+    "repro.core.experiment",
+    "repro.core.parallel",
+    "repro.obs.session",
+    "repro.obs.spans",
+    "repro.obs.profiling",
+    "repro.obs.manifest",
+    "repro.specs",
+    "repro.topology.skewed",
+    "repro.service",
+    "repro.store",
+)
+DEFERRED_STACKS = (
+    "ssl",
+    "http.client",
+    "http.server",
+    "urllib.request",
+    "email.parser",
+    "sqlite3",
+    "multiprocessing",
+    "subprocess",
+    "uuid",
+)
+
+
+def test_serial_import_closure():
+    """Importing what a serial trial needs (and the service and store
+    packages) loads none of the HTTP/TLS, SQLite, multiprocessing,
+    subprocess or uuid stacks; each loads on the first use of the piece
+    that needs it.  Runs in a fresh interpreter, so nothing this test
+    session imported leaks in."""
+    import json
+    import os
+    import subprocess
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {
+        k: v for k, v in os.environ.items() if k != "REPRO_POOL_START_METHOD"
+    }
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            IMPORT_CLOSURE_SCRIPT % (SERIAL_MODULES, DEFERRED_STACKS),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    print(
+        f"\nserial import closure on {sys.version.split()[0]}: "
+        f"{report['modules']} modules, {report.get('rss_mb', 0):.1f} MB RSS"
+    )
+    assert report["loaded"] == []
+    assert report["store_loads_sqlite3"]
+    assert report["handler_loads_http_server"]
+    assert report["pool_loads_multiprocessing"]

@@ -494,6 +494,43 @@ def test_service_http_error_mapping(service):
         conn.close()
 
 
+def test_service_deeply_nested_body_is_a_400(service):
+    # json.loads raises RecursionError, not ValueError, on deep nesting.
+    conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+    try:
+        conn.request("POST", "/submit", body=b"[" * 200_000)
+        response = conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read()) == {
+            "error": "request body is not valid JSON"
+        }
+        assert response.getheader("Connection") == "close"
+    finally:
+        conn.close()
+
+
+def test_service_early_error_leaves_no_body_on_the_connection(service):
+    # A 404 answered before the body is read must not let the body's
+    # bytes parse as the next request on the same keep-alive connection.
+    conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+    try:
+        conn.request(
+            "POST",
+            "/nope",
+            body=json.dumps(CAMPAIGN).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        assert response.status == 404
+        response.read()
+        conn.request("GET", "/health")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+    finally:
+        conn.close()
+
+
 def test_service_rejects_submissions_while_draining(service):
     client = ServiceClient(f"http://127.0.0.1:{service.port}")
     service.request_shutdown()

@@ -7,6 +7,7 @@ created under another schema version refuses to open.
 """
 
 import sqlite3
+import threading
 
 import pytest
 
@@ -101,6 +102,40 @@ def test_provenance_records_writer(store):
     assert prov["fingerprint"]["schema"] == SCHEMA_VERSION
     assert store.provenance("no-such-key") is None
     assert store.banked_wall_seconds() == pytest.approx(prov["wall_seconds"])
+
+
+def test_git_revision_is_probed_outside_the_store_lock(store, monkeypatch):
+    """The first probe runs `git`; readers sharing the handle must not
+    wait on it."""
+    import repro.store.result_store as result_store
+
+    def lock_free_from_another_thread():
+        taken = []
+
+        def probe():
+            taken.append(store._lock.acquire(blocking=False))
+            if taken[0]:
+                store._lock.release()
+
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join()
+        return taken[0]
+
+    probes = []
+
+    def fake_git_revision():
+        assert lock_free_from_another_thread()
+        probes.append(True)
+        return "f" * 40
+
+    monkeypatch.setattr(result_store, "git_revision", fake_git_revision)
+    key = spec_hash(spec_05(), factory(1), 1)
+    store.put(key, one_trial())
+    store.record_campaign("demo", {"executed": 1})
+    assert len(probes) == 2
+    assert store.provenance(key)["git_rev"] == "f" * 40
+    assert next(store.iter_campaigns("demo"))["git_rev"] == "f" * 40
 
 
 def test_iter_trials_yields_stored_rows(store):
