@@ -14,45 +14,40 @@ and prints the delay/message tables that correspond to Figs 1, 6, 7 and 10.
 Run:  python examples/large_failure_study.py          (about a minute)
 """
 
-from repro import (
-    ConstantMRAI,
-    DegreeDependentMRAI,
-    DynamicMRAI,
-    ExperimentSpec,
-    failure_size_sweep,
-    skewed_topology,
-)
 from repro.analysis.report import format_series_table
+from repro.store import Campaign, run_campaign
 
 NODES = 60
 FRACTIONS = (1.0 / NODES, 0.05, 0.10, 0.20)
-SEEDS = (1,)
 
-
-def topology_factory(seed: int):
-    return skewed_topology(NODES, seed=seed)
+#: The whole study as one campaign document: what ``repro-bgp campaign
+#: run`` would take from a JSON file (with a ``"store"`` added).
+STUDY = {
+    "name": "large-failure-study",
+    "topology": {"kind": "skewed", "nodes": NODES},
+    "schemes": {
+        "MRAI=0.5s": {"mrai": 0.5},
+        "MRAI=2.25s": {"mrai": 2.25},
+        "degree 0.5/2.25": {
+            "mrai_scheme": "degree",
+            "mrai_low": 0.5,
+            "mrai_high": 2.25,
+        },
+        "dynamic": {"mrai_scheme": "dynamic"},
+        "batching@0.5": {"mrai": 0.5, "queue": "dest_batch"},
+    },
+    "axis": {"name": "failure_fraction", "values": list(FRACTIONS)},
+    "seeds": [1],
+}
 
 
 def main() -> None:
-    schemes = {
-        "MRAI=0.5s": ExperimentSpec(mrai=ConstantMRAI(0.5)),
-        "MRAI=2.25s": ExperimentSpec(mrai=ConstantMRAI(2.25)),
-        "degree 0.5/2.25": ExperimentSpec(
-            mrai=DegreeDependentMRAI(0.5, 2.25)
-        ),
-        "dynamic": ExperimentSpec(mrai=DynamicMRAI()),
-        "batching@0.5": ExperimentSpec(
-            mrai=ConstantMRAI(0.5), queue_discipline="dest_batch"
-        ),
-    }
-    series = []
-    for label, spec in schemes.items():
-        print(f"running {label} ...")
-        series.append(
-            failure_size_sweep(
-                topology_factory, spec, FRACTIONS, SEEDS, label=label
-            )
-        )
+    campaign = Campaign.from_dict(STUDY)
+    print(
+        f"running {len(campaign.schemes)} schemes x "
+        f"{len(FRACTIONS)} failure sizes ..."
+    )
+    series = run_campaign(campaign).series
     print()
     print(
         format_series_table(

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Parallel trial execution end to end: a Fig-3 MRAI sweep with --jobs.
 
-Runs the same small MRAI sweep (convergence delay vs the MRAI value —
-the paper's Fig 3 shape) twice: serially, then fanned out over worker
-processes.  Prints both series side by side, the measured speedup, and
-confirms the determinism contract — the parallel series is bit-identical
-to the serial one on the same seeds.
+Runs the same small MRAI campaign (convergence delay vs the MRAI value —
+the paper's Fig 3 shape) twice, without a store: serially, then fanned
+out over worker processes.  Prints both series side by side, the
+measured speedup, and confirms the determinism contract — the parallel
+series is bit-identical to the serial one on the same seeds.
 
 Run:  python examples/parallel_sweep.py [--jobs N]
 """
@@ -14,26 +14,27 @@ import argparse
 import os
 import time
 
-from repro.bgp.mrai import ConstantMRAI
-from repro.core import ExperimentSpec, mrai_sweep
-from repro.topology.skewed import skewed_topology
+from repro.store import Campaign, run_campaign
 
 NODES = 30
 MRAI_GRID = (0.5, 1.25, 2.25)
 SEEDS = (1, 2)
 FAILURE = 0.1
 
+CAMPAIGN = Campaign.from_dict(
+    {
+        "name": "delay-vs-mrai",
+        "topology": {"kind": "skewed", "nodes": NODES},
+        "schemes": {"delay-vs-mrai": {"failure_fraction": FAILURE}},
+        "axis": {"name": "mrai", "values": list(MRAI_GRID)},
+        "seeds": list(SEEDS),
+    }
+)
+
 
 def run(jobs: int):
-    spec = ExperimentSpec(mrai=ConstantMRAI(30.0), failure_fraction=FAILURE)
     start = time.perf_counter()
-    series = mrai_sweep(
-        lambda seed: skewed_topology(NODES, seed=seed),
-        spec,
-        mrai_values=MRAI_GRID,
-        seeds=SEEDS,
-        jobs=jobs,
-    )
+    [series] = run_campaign(CAMPAIGN, jobs=jobs).series
     return series, time.perf_counter() - start
 
 

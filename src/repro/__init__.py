@@ -35,8 +35,6 @@ from repro.core import (
     ExperimentSpec,
     Series,
     TrialResult,
-    failure_size_sweep,
-    mrai_sweep,
     recommend_ladder,
     recommend_mrai,
     run_experiment,
@@ -95,13 +93,11 @@ __all__ = [
     "TrialResult",
     "__version__",
     "barabasi_albert_topology",
-    "failure_size_sweep",
     "geographic_failure",
     "glp_topology",
     "infer_relationships",
     "infer_relationships_hierarchical",
     "internet_like_topology",
-    "mrai_sweep",
     "multi_router_topology",
     "random_failure",
     "recommend_ladder",

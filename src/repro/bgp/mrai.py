@@ -19,6 +19,8 @@ utilization) and received-update ticks (message counting).
 
 from __future__ import annotations
 
+import math
+
 
 class MRAIController:
     """Per-node runtime MRAI source + overload-monitor hooks."""
@@ -91,8 +93,10 @@ class ConstantMRAI(MRAIPolicy):
     """
 
     def __init__(self, value: float) -> None:
-        if value < 0:
-            raise ValueError("MRAI must be non-negative")
+        if not 0 <= value < math.inf:  # also refuses NaN
+            raise ValueError(
+                f"MRAI must be non-negative and finite, got {value!r}"
+            )
         self.value = value
         self.name = f"mrai={value:g}s"
 

@@ -14,8 +14,8 @@
   returns the result beside the trial's observation record, at every
   ``jobs`` value) and the persistent warm worker pool (one topology cache
   per worker) behind ``jobs > 1``, with deterministic seed fan-out;
-* :mod:`repro.core.sweep` — parameter sweeps producing the series behind
-  every figure;
+* :mod:`repro.core.sweep` — the series behind every figure: swept axes,
+  what a point means on each, and the fold of a grid into curves;
 * :mod:`repro.core.validation` — post-convergence routing correctness
   checks (reachability soundness/completeness, forwarding loop freedom).
 """
@@ -44,7 +44,7 @@ from repro.core.parallel import (
     pool_stats,
     shutdown_worker_pool,
 )
-from repro.core.sweep import Series, SweepPoint, failure_size_sweep, mrai_sweep
+from repro.core.sweep import Series, SweepPoint
 from repro.core.theory import (
     labovitz_clique_bound,
     pei_unloaded_bound,
@@ -72,10 +72,8 @@ __all__ = [
     "UtilizationController",
     "WorkerPool",
     "derive_trial_seeds",
-    "failure_size_sweep",
     "get_worker_pool",
     "labovitz_clique_bound",
-    "mrai_sweep",
     "pei_unloaded_bound",
     "pool_stats",
     "recommend_ladder",

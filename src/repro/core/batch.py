@@ -2,14 +2,13 @@
 
 Every number the paper reports is a mean over repeated trials, and every
 figure is a grid of them — cells ``(label, x, spec)`` x seeds — so every
-driver in this repo — :func:`repro.core.experiment.run_trials`, the
-sweeps of :mod:`repro.core.sweep`,
-:func:`repro.store.campaign.run_campaign` and the service's
-:class:`repro.service.executor.QueueExecutor` — runs the same loop: look
-each planned trial up in the store, execute what is missing (failures
-reported, never raised), bank every success from the parent the moment
-it lands, and hand worker observability back in plan order.  This module
-is that loop, once:
+driver in this repo — :func:`repro.core.experiment.run_trials`,
+:func:`repro.store.campaign.run_campaign` (which runs every figure) and
+the service's :class:`repro.service.executor.QueueExecutor` — runs the
+same loop: look each planned trial up in the store, execute what is
+missing (failures reported, never raised), bank every success from the
+parent the moment it lands, and hand worker observability back in plan
+order.  This module is that loop, once:
 
 * :class:`PlannedTrial` — the one record of a trial to run, from the
   planner to the worker pipe: what to run, the topology's content
@@ -17,8 +16,7 @@ is that loop, once:
 * :func:`plan_grid` / :func:`fold_grid` — the single grid expansion
   (one topology and one digest per seed, trials in (cell, seed) order)
   and the single seed-order fold back into one ``ExperimentResult`` per
-  cell; :func:`run_grid` runs a whole grid as one batch with the sweep
-  policy (one attempt, fail fast);
+  cell;
 * :func:`run_tasks` — the single way to execute planned trials: in this
   process through :func:`~repro.core.parallel.execute_trial` when
   ``jobs <= 1``, on the process-wide warm
@@ -56,11 +54,7 @@ from repro.core.experiment import (
     ProgressFn,
     TrialResult,
 )
-from repro.core.parallel import (
-    TrialExecutionError,
-    execute_trial,
-    get_worker_pool,
-)
+from repro.core.parallel import execute_trial, get_worker_pool
 from repro.obs.session import ObsSession
 from repro.obs.spans import span
 
@@ -75,16 +69,16 @@ class PlannedTrial:
     ``digest`` is the content digest of ``topology``
     (:func:`repro.store.hashing.topology_digest`): the pool groups and
     caches by it and ``key`` (:func:`repro.store.hashing.trial_key`) is
-    derived from it, so the planner computes it once per built topology,
-    when the batch is store-backed or pooled.  ``label`` and ``x`` name
-    the grid cell the trial came from; its index is its plan position.
+    derived from it, so the planner computes it once per built topology.
+    ``label`` and ``x`` name the grid cell the trial came from; its index
+    is its plan position.
     """
 
     topology: Any
     spec: Any
     seed: int
-    digest: Optional[str] = None
-    key: Optional[str] = None
+    digest: str
+    key: str
     label: str = ""
     x: float = 0.0
 
@@ -136,21 +130,19 @@ def run_tasks(
 
 
 def build_topology(
-    topology_factory: Callable[[int], Any], seed: int, *, digest: bool
-) -> Tuple[Any, Optional[str]]:
-    """Build one seed's topology and, on request, its content digest.
+    topology_factory: Callable[[int], Any], seed: int
+) -> Tuple[Any, str]:
+    """Build one seed's topology and its content digest.
 
     The one place a built topology is digested: every key, fingerprint
     and pool cache entry of the trials that share it derives from this
     value.
     """
-    with span("topology.build", seed=seed):
-        topology = topology_factory(seed)
-    if not digest:
-        return topology, None
     # Imported here: repro.store imports this module at its top.
     from repro.store.hashing import topology_digest
 
+    with span("topology.build", seed=seed):
+        topology = topology_factory(seed)
     return topology, topology_digest(topology)
 
 
@@ -158,30 +150,30 @@ def plan_grid(
     topology_factory: Callable[[int], Any],
     cells: Sequence[GridCell],
     seeds: Sequence[int],
-    *,
-    keyed: bool,
 ) -> List[PlannedTrial]:
-    """Expand cells x seeds into planned trials, in (cell, seed) order.
+    """Expand cells x seeds into keyed planned trials, in (cell, seed)
+    order.
 
-    Each seed's topology is built once, however many cells share it.
-    ``keyed`` also digests it once and derives every trial's content key
-    from that digest; a store-backed batch (or a store lookup) reads the
-    keys, a pooled one the digests (the ~80 us a key a pooled batch
-    without a store spends unread buys one flag instead of two).
+    Each seed's topology is built and digested once, however many cells
+    share it, and every trial's content key derives from that digest.
     """
-    if keyed:
-        from repro.store.hashing import trial_key
-    built = {
-        seed: build_topology(topology_factory, seed, digest=keyed)
-        for seed in seeds
-    }
+    from repro.store.hashing import trial_key
+
+    built = {seed: build_topology(topology_factory, seed) for seed in seeds}
     planned = []
     for label, x, spec in cells:
         for seed in seeds:
             topology, digest = built[seed]
-            key = trial_key(spec, digest, seed) if keyed else None
             planned.append(
-                PlannedTrial(topology, spec, seed, digest, key, label, x)
+                PlannedTrial(
+                    topology,
+                    spec,
+                    seed,
+                    digest,
+                    trial_key(spec, digest, seed),
+                    label,
+                    x,
+                )
             )
     return planned
 
@@ -370,52 +362,3 @@ def run_batch(
                     topology=item.topology.summary(),
                 )
     return result
-
-
-def run_grid(
-    topology_factory: Callable[[int], Any],
-    cells: Sequence[GridCell],
-    seeds: Sequence[int],
-    *,
-    progress: Optional[ProgressFn] = None,
-    obs: Optional[ObsSession] = None,
-    jobs: int = 1,
-    store: Optional[Any] = None,
-    label: str = "",
-) -> List[ExperimentResult]:
-    """Run every (cell, seed) trial as one batch; one result per cell.
-
-    This is ``run_trials`` and the sweeps: one attempt per trial, and the
-    first failure raises :class:`~repro.core.parallel.TrialExecutionError`
-    carrying the trial's plan position and seed.  The four keywords are
-    the only way the batch learns how to run — without them it is serial
-    (``jobs=1``), uncached, silent and unobserved — so progress ticks
-    count the whole grid and a ``jobs > 1`` grid is a single pool run
-    however many cells it has.
-    """
-    total = len(cells) * len(seeds)
-    with span("trials.run", trials=total, jobs=jobs):
-        planned = plan_grid(
-            topology_factory,
-            cells,
-            seeds,
-            keyed=store is not None or jobs > 1,
-        )
-
-        def fail_fast(outcome: BatchOutcome) -> None:
-            if outcome.error is not None:
-                raise TrialExecutionError(
-                    outcome.index, planned[outcome.index].seed, outcome.error
-                )
-
-        batch = run_batch(
-            planned,
-            jobs=jobs,
-            store=store,
-            obs=obs,
-            on_outcome=fail_fast,
-            progress=progress,
-            label=label,
-        )
-        with span("trials.fold", trials=total):
-            return fold_grid(cells, seeds, batch.trials)

@@ -435,10 +435,11 @@ def run_trials(
 
     ``jobs > 1`` fans whole trials out over the warm worker pool (see
     :mod:`repro.core.parallel`); the default is serial.  Whatever the
-    value, this is the one-cell case of the shared grid pipeline
-    (:func:`repro.core.batch.run_grid`) and results are folded in seed
-    order, so the returned :class:`ExperimentResult` is bit-identical
-    across ``jobs`` values for the same seeds.  Observed runs give each
+    value, this is the one-cell case of the shared grid pipeline — plan
+    (:func:`repro.core.batch.plan_grid`), run
+    (:func:`repro.core.batch.run_batch`), fold in seed order — so the
+    returned :class:`ExperimentResult` is bit-identical across ``jobs``
+    values for the same seeds.  Observed runs give each
     trial its own :class:`~repro.obs.session.TrialObserver` and ship its
     metrics, phase timings, probe samples and trace records back to
     ``obs`` in seed order — in-process at ``jobs=1`` exactly as across
@@ -450,22 +451,34 @@ def run_trials(
     is derived from (spec, built topology, seed) via
     :func:`repro.store.hashing.spec_hash`; stored trials are folded
     without re-running, fresh trials are written back — always from this
-    (parent) process, as each one lands — so an interrupted sweep
+    (parent) process, as each one lands — so an interrupted run
     resumes where it stopped.  Cached and cold runs compare equal
     (:class:`TrialResult` equality excludes wall-clock fields), and
     cached trials contribute measurements but no new obs samples.
     """
-    from repro.core.batch import run_grid
+    from repro.core.batch import BatchOutcome, plan_grid, run_batch
+    from repro.core.parallel import TrialExecutionError
 
     label = spec.mrai.name
-    [result] = run_grid(
-        topology_factory,
-        [(label, spec.failure_fraction, spec)],
-        seeds,
-        progress=progress,
-        obs=obs,
-        jobs=jobs,
-        store=store,
-        label=label,
-    )
-    return result
+    with span("trials.run", trials=len(seeds), jobs=jobs):
+        planned = plan_grid(
+            topology_factory, [(label, spec.failure_fraction, spec)], seeds
+        )
+
+        def fail_fast(outcome: BatchOutcome) -> None:
+            if outcome.error is not None:
+                raise TrialExecutionError(
+                    outcome.index, planned[outcome.index].seed, outcome.error
+                )
+
+        batch = run_batch(
+            planned,
+            jobs=jobs,
+            store=store,
+            obs=obs,
+            on_outcome=fail_fast,
+            progress=progress,
+            label=label,
+        )
+        with span("trials.fold", trials=len(seeds)):
+            return ExperimentResult(spec=spec, trials=list(batch.trials))

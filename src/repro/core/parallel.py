@@ -315,7 +315,7 @@ def _chunk_size(n_trials: int, workers: int) -> int:
 
 
 def plan_chunks(
-    keyed: Sequence[Tuple[int, Optional[str]]], workers: int
+    keyed: Sequence[Tuple[int, str]], workers: int
 ) -> List[Chunk]:
     """Chunk ``(plan index, topology digest)`` pairs for ``workers``.
 
@@ -325,11 +325,6 @@ def plan_chunks(
     size = _chunk_size(len(keyed), workers)
     groups: Dict[str, List[int]] = {}
     for index, digest in keyed:
-        if digest is None:
-            raise ValueError(
-                f"trial {index} was planned without a topology digest; "
-                f"a pooled batch needs plan_grid(keyed=True)"
-            )
         groups.setdefault(digest, []).append(index)
     chunks: List[Chunk] = []
     for digest, members in groups.items():

@@ -14,10 +14,10 @@ through its keywords.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.experiment import ProgressFn
-from repro.core.sweep import Series, sweep_cells
+from repro.core.sweep import Series
 from repro.figures import ablations, paper
 from repro.figures.common import (
     FULL,
@@ -30,9 +30,8 @@ from repro.figures.common import (
     resolve_profile,
 )
 from repro.obs.session import ObsSession
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.store.result_store import ResultStore
+from repro.store.campaign import run_campaign
+from repro.store.result_store import ResultStore
 
 #: Every declared figure by id: the paper's in figure order, then the
 #: ablations (the section order of EXPERIMENTS.md).
@@ -49,7 +48,7 @@ def compute_figure(
     scale: Union[str, ScaleProfile, None] = None,
     *,
     jobs: int = 1,
-    store: Optional["ResultStore"] = None,
+    store: Optional[ResultStore] = None,
     obs: Optional[ObsSession] = None,
     progress: Optional[ProgressFn] = None,
 ) -> FigureOutput:
@@ -57,9 +56,10 @@ def compute_figure(
 
     ``scale`` is a profile, a profile name, or None for
     ``REPRO_BENCH_SCALE`` / the quick default.  Each grid runs as one
-    :func:`~repro.core.sweep.sweep_cells` batch with the four keywords
+    :func:`~repro.store.campaign.run_campaign` with the four keywords
     handed through, so figures that share trials (Figs 1/2, 10/11, every
-    constant-0.5 column) share them through ``store``.
+    constant-0.5 column) share them through ``store``, which also gets
+    one campaign row per grid; without a store the grids run storeless.
 
     A figure that plots data-plane unreachability needs a session that
     monitors the data plane: the caller's when it does (so its sink sees
@@ -79,17 +79,9 @@ def compute_figure(
         obs = ObsSession(dataplane=True)
     series: List[Series] = []
     for campaign in figure.grids(profile):
-        series += sweep_cells(
-            campaign.topology_factory(),
-            campaign.cells(),
-            campaign.seeds,
-            campaign.axis,
-            label=figure_id,
-            progress=progress,
-            jobs=jobs,
-            store=store,
-            obs=obs,
-        )
+        series += run_campaign(
+            campaign, store, jobs=jobs, obs=obs, progress=progress
+        ).series
     return FigureOutput(
         figure_id=figure_id,
         caption=figure.caption,

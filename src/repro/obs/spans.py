@@ -29,7 +29,7 @@ Design points:
 * **Nesting via contextvars.**  The current span *path* lives in a
   :class:`~contextvars.ContextVar`, so nesting is correct across
   threads and ``contextvars.copy_context`` boundaries; a span's identity
-  is its slash-joined path (``sweep/trials.run/pool.run/pool.submit``).
+  is its slash-joined path (``campaign.run/campaign.attempt/pool.run``).
 * **Process-safe worker round-trip.**  A recorder's :meth:`records` are
   plain picklable dicts; :meth:`~SpanRecorder.absorb_records` folds a
   worker's records into the parent (grafted under a prefix), following

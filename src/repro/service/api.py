@@ -49,6 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: document is a few KB; anything near this bound is a client bug).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Seconds a connection may sit silent, in a body or between requests,
+#: before its handler thread gives up on it: a client that announces
+#: more body than it sends must not hold a thread forever.
+SOCKET_TIMEOUT_SECONDS = 30.0
+
 
 def make_handler(
     service: "CampaignService",
@@ -61,6 +66,7 @@ def make_handler(
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-bgp-service/1"
         protocol_version = "HTTP/1.1"
+        timeout = SOCKET_TIMEOUT_SECONDS
 
         # -- plumbing --------------------------------------------------
         def log_message(self, fmt: str, *args: Any) -> None:
@@ -102,6 +108,9 @@ def make_handler(
                 return None
             try:
                 data = json.loads(self.rfile.read(length))
+            except TimeoutError:
+                self._refuse(408, "request body incomplete")
+                return None
             except ValueError:
                 self._error(400, "request body is not valid JSON")
                 return None

@@ -138,7 +138,7 @@ class QueueExecutor:
         built = topo_cache.get(cache_key)
         if built is None:
             built = topo_cache[cache_key] = build_topology(
-                topology_factory(block), seed, digest=True
+                topology_factory(block), seed
             )
         topology, digest = built
         spec = build_spec(payload["scheme"], topology=topology)

@@ -47,9 +47,10 @@ def submission_campaign(data: Dict[str, Any]) -> Campaign:
 
     A body with ``schemes`` is a campaign document and parses exactly as
     ``campaign run`` would.  A body with ``scheme`` (singular) is a
-    single spec and wraps into a one-cell grid whose only axis value is
-    the scheme's own failure fraction — so its trial keys are identical
-    to what a full campaign containing that cell would produce.
+    single spec and wraps into the document of a one-cell grid whose
+    only axis value is the scheme's own failure fraction — parsed like
+    any campaign document, so its trial keys are identical to what a
+    full campaign containing that cell would produce.
     """
     if "schemes" in data:
         return Campaign.from_dict(data)
@@ -61,22 +62,19 @@ def submission_campaign(data: Dict[str, Any]) -> Campaign:
     scheme = dict(data["scheme"])
     if "topology" not in data:
         raise ValueError("single-spec submission requires 'topology'")
-    if "seeds" in data:
-        seeds = [int(s) for s in data["seeds"]]
-    elif "seed" in data:
-        seeds = [int(data["seed"])]
-    else:
+    if "seeds" not in data and "seed" not in data:
         raise ValueError(
             "single-spec submission requires 'seed' or 'seeds'"
         )
-    x = float(scheme.get("failure_fraction", _DEFAULT_FAILURE_FRACTION))
-    return Campaign(
-        name=str(data.get("name", "adhoc")),
-        topology=dict(data["topology"]),
-        schemes={"spec": scheme},
-        axis="failure_fraction",
-        values=[x],
-        seeds=seeds,
+    x = scheme.get("failure_fraction", _DEFAULT_FAILURE_FRACTION)
+    return Campaign.from_dict(
+        {
+            "name": data.get("name", "adhoc"),
+            "topology": data["topology"],
+            "schemes": {"spec": scheme},
+            "axis": {"name": "failure_fraction", "values": [x]},
+            "seeds": data["seeds"] if "seeds" in data else [data["seed"]],
+        }
     )
 
 

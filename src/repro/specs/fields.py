@@ -9,6 +9,7 @@ parsers check one field of a scheme dict or block.  All of them raise
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -27,6 +28,9 @@ def lookup(table: Mapping[str, T], kind: str, name: Any) -> T:
 def number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
+    # JSON as Python reads it carries NaN and Infinity.
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 

@@ -56,6 +56,7 @@ from repro.core.sweep import AXES, Series, grid_series, point_spec
 from repro.obs.session import ObsSession
 from repro.obs.spans import span
 from repro.specs.blocks import policy_needs_topology
+from repro.specs.fields import integer, number
 from repro.specs.serialize import (
     build_spec,
     scheme_requires_topology,
@@ -65,7 +66,7 @@ from repro.specs.topology import (
     topology_factory as resolve_topology_block,
     validate_topology_block,
 )
-from repro.store.result_store import ResultStore, git_revision
+from repro.store.result_store import ResultStore
 from repro.topology.graph import Topology
 
 __all__ = [
@@ -142,6 +143,14 @@ class Campaign:
             raise ValueError("a campaign needs at least one axis value")
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
+        # A repeated seed would count its trial twice in every mean; a
+        # repeated value would plot one point twice.
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"campaign seeds must be distinct: {self.seeds}")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError(
+                f"campaign axis values must be distinct: {self.values}"
+            )
         # Typo-rejecting parse of the topology block, every scheme and
         # every point's spec up front: a campaign file with a bad one
         # fails here (and in `campaign validate`), not hours into the
@@ -192,23 +201,20 @@ class Campaign:
                 "campaign 'schemes' must be an object of scheme objects"
             )
         seeds = data.get("seeds")
-        try:
-            if isinstance(seeds, dict) and "count" in seeds:
-                seeds = derive_trial_seeds(
-                    int(seeds.get("master", 0)), int(seeds["count"])
-                )
-            elif isinstance(seeds, list):
-                seeds = [int(s) for s in seeds]
-            else:
-                raise ValueError(
-                    "campaign needs 'seeds': a list or "
-                    "{'master': M, 'count': N}"
-                )
-            values = [float(v) for v in values]
-        except TypeError as exc:
+        if isinstance(seeds, dict) and "count" in seeds:
+            seeds = derive_trial_seeds(
+                integer(seeds.get("master", 0), "seeds.master"),
+                integer(seeds["count"], "seeds.count"),
+            )
+        elif isinstance(seeds, list):
+            seeds = [integer(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
+        else:
             raise ValueError(
-                f"campaign seeds and axis values must be numbers: {exc}"
-            ) from exc
+                "campaign needs 'seeds': a list or {'master': M, 'count': N}"
+            )
+        values = [
+            number(v, f"axis.values[{i}]") for i, v in enumerate(values)
+        ]
         return cls(
             name=str(data.get("name", "campaign")),
             topology=dict(topology),
@@ -357,7 +363,6 @@ def campaign_keys(campaign: Campaign) -> List[PlannedTrial]:
             campaign.topology_factory(),
             campaign.cells(),
             campaign.seeds,
-            keyed=True,
         )
 
 
@@ -459,25 +464,23 @@ def run_campaign(
 ) -> CampaignResult:
     """Run (or resume) a campaign against its store.
 
-    Already-stored trials are skipped; missing trials run — over a
-    process pool when ``jobs > 1`` — and are committed to the store from
-    the parent as each completes, so interrupting at any point loses at
-    most the trials currently in flight.  Worker failures are retried up
-    to ``retry.max_attempts`` times each; trials that exhaust their
+    ``store`` defaults to one opened at the campaign's ``store_path``;
+    a campaign with neither runs storeless (every trial executes,
+    nothing is banked and no manifest is recorded).  Already-stored
+    trials are skipped; missing trials run — over a process pool when
+    ``jobs > 1`` — and are committed to the store from the parent as
+    each completes, so interrupting at any point loses at most the
+    trials currently in flight.  Worker failures are retried up to
+    ``retry.max_attempts`` times each; trials that exhaust their
     attempts raise :class:`CampaignError` (the completed ones are
     already stored, so the re-run is incremental).
 
     Every trial enters its point's :class:`ExperimentResult` in seed
     order, cached and fresh alike — the folded series equal an uncached
-    sweep's.  The run is recorded as a manifest row in the store, and
-    ``obs`` (when given) gets cache hit/miss counters.
+    run's.  The run is recorded as a manifest row in the store, and
+    ``obs`` (when given) gets cache hit/miss counters and the manifest.
     """
-    if store is None:
-        if campaign.store_path is None:
-            raise ValueError(
-                "campaign has no store path; pass store= or set 'store' "
-                "in the campaign definition"
-            )
+    if store is None and campaign.store_path is not None:
         with ResultStore(campaign.store_path) as own_store:
             return run_campaign(
                 campaign,
@@ -530,7 +533,8 @@ def run_campaign(
                     for t, err in failures
                 ],
             )
-            store.record_campaign(campaign.name, manifest)
+            if store is not None:
+                store.record_campaign(campaign.name, manifest)
             raise CampaignError(
                 f"{len(failures)} trial(s) failed after "
                 f"{retry.max_attempts} attempt(s): "
@@ -546,10 +550,9 @@ def run_campaign(
                 campaign, batch.trials
             )
         wall = time.perf_counter() - start
-        manifest.update(
-            wall_seconds=round(wall, 3), schema_git_rev=git_revision()
-        )
-        store.record_campaign(campaign.name, manifest)
+        manifest["wall_seconds"] = round(wall, 3)
+        if store is not None:
+            store.record_campaign(campaign.name, manifest)
         if obs is not None:
             obs.note_campaign(campaign.name, manifest)
         return CampaignResult(

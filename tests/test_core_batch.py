@@ -210,7 +210,7 @@ def test_planned_keys_and_banked_fingerprints_equal_the_one_trial_forms(
         "batching": {"mrai": 0.5, "queue": "dest_batch"},
     }
     cells = [(label, 0.1, build_spec(s)) for label, s in schemes.items()]
-    planned = plan_grid(factory, cells, [1, 2], keyed=True)
+    planned = plan_grid(factory, cells, [1, 2])
     store = StubStore()
     run_batch(planned, jobs=1, store=store)
     assert len({trial.key for trial in planned}) == len(planned) == 6

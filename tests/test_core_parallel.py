@@ -35,10 +35,10 @@ from repro.core.parallel import (
     lost_trials,
     plan_chunks,
 )
-from repro.core.sweep import failure_size_sweep
 from repro.obs.session import ObsSession
 from repro.obs.spans import record_spans
-from repro.store.hashing import topology_digest
+from repro.store import Campaign, run_campaign
+from repro.store.hashing import topology_digest, trial_key
 from repro.topology.degree import SkewedDegreeSpec
 from repro.topology.skewed import skewed_topology
 
@@ -66,7 +66,7 @@ def pool_trials(pool, spec, jobs=2):
     by)`` — the generator's return value, which must be the difference
     of the snapshots around it.
     """
-    planned = plan_grid(factory, [("", 0.0, spec)], SEEDS, keyed=True)
+    planned = plan_grid(factory, [("", 0.0, spec)], SEEDS)
     stats = {}
 
     def run():
@@ -91,7 +91,13 @@ def one_topology_plan(specs, first_seed):
     topology = factory(1)
     digest = topology_digest(topology)
     return [
-        PlannedTrial(topology, spec, first_seed + i, digest)
+        PlannedTrial(
+            topology,
+            spec,
+            first_seed + i,
+            digest,
+            trial_key(spec, digest, first_seed + i),
+        )
         for i, spec in enumerate(specs)
     ]
 
@@ -123,14 +129,19 @@ def test_parallel_matches_serial_bitwise():
 
 
 def test_sweep_parallel_identical():
-    """A whole sweep is bit-identical at jobs = 1 / 2 / 4: every measured
+    """A whole grid is bit-identical at jobs = 1 / 2 / 4: every measured
     number of every trial of every point, not only the folded means."""
-    spec = spec_05()
-    serial = failure_size_sweep(factory, spec, (0.1, 0.2), (1, 2), jobs=1)
+    campaign = Campaign(
+        name="grid",
+        topology={"kind": "skewed", "nodes": 24},
+        schemes={"fifo-0.5": {"mrai": 0.5}},
+        axis="failure_fraction",
+        values=[0.1, 0.2],
+        seeds=[1, 2],
+    )
+    [serial] = run_campaign(campaign, jobs=1).series
     for jobs in (2, 4):
-        parallel = failure_size_sweep(
-            factory, spec, (0.1, 0.2), (1, 2), jobs=jobs
-        )
+        [parallel] = run_campaign(campaign, jobs=jobs).series
         assert serial.delays == parallel.delays
         assert serial.message_counts == parallel.message_counts
         assert serial.xs == parallel.xs
@@ -558,8 +569,6 @@ def test_plan_chunks_groups_by_digest_in_submission_order():
     # Tiny runs degrade to one trial per chunk.
     tiny = plan_chunks(keyed[:3], workers=2)
     assert [members for _, _, members in tiny] == [[0], [1], [2]]
-    with pytest.raises(ValueError, match="without a topology digest"):
-        plan_chunks([(0, "topo-0"), (1, None)], workers=2)
 
 
 @pytest.mark.parametrize(

@@ -212,6 +212,33 @@ def test_span_sites_per_trial_are_an_exact_count(nodes, tmp_path):
     )
 
 
+def test_figure_grid_is_one_campaign_run_and_no_trials_run(tmp_path):
+    """A figure's grid runs through ``run_campaign``: with a store, one
+    ``campaign.run`` / ``campaign.expand`` / ``campaign.fold`` per grid,
+    never the one-cell ``trials.run``, and one campaign row per grid."""
+    import dataclasses
+
+    from repro.figures import FIGURES, QUICK, compute_figure
+    from repro.store.result_store import ResultStore
+
+    profile = dataclasses.replace(
+        QUICK, name="spans", nodes=16, fractions=(0.1,)
+    )
+    [grid] = FIGURES["fig01"].grids(profile)
+    with ResultStore(tmp_path / "store.db") as store:
+        with record_spans() as rec:
+            compute_figure("fig01", profile, store=store)
+        assert len(list(store.iter_campaigns(grid.name))) == 1
+    names = Counter(r["name"] for r in rec.records)
+    assert (
+        names["campaign.run"],
+        names["campaign.expand"],
+        names["campaign.fold"],
+        names["trials.run"],
+    ) == (1, 1, 1, 0)
+    assert names["trial.execute"] == grid.total_trials
+
+
 def test_hot_path_calls_the_language_not_wrappers():
     """Interpreter calls per executed event, as a count (cProfile of one
     20-node ``fifo`` trial).

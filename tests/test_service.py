@@ -13,6 +13,7 @@ import http.client
 import json
 import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -404,9 +405,8 @@ def test_executor_fails_permanently_on_key_drift(store):
 # ----------------------------------------------------------------------
 # Daemon over HTTP
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def service(tmp_path):
-    config = ServiceConfig(
+def service_config(tmp_path):
+    return ServiceConfig(
         store=str(tmp_path / "svc.db"),
         port=0,
         jobs=1,
@@ -414,7 +414,11 @@ def service(tmp_path):
         poll_interval=0.05,
         quiet=True,
     )
-    svc = CampaignService(config)
+
+
+@pytest.fixture()
+def service(tmp_path):
+    svc = CampaignService(service_config(tmp_path))
     svc.start()
     try:
         yield svc
@@ -477,6 +481,20 @@ def test_service_http_error_mapping(service):
         with pytest.raises(ServiceError) as err:
             client.submit(dict(CAMPAIGN, topology=block))
         assert err.value.status == 400 and "topology" in err.value.message
+    # Seeds and values are parsed, not coerced: a fractional seed, a
+    # repeated one or a NaN axis value is the submitter's error.
+    for body, message in (
+        ({"topology": {"kind": "skewed"}, "scheme": {}, "seeds": [1.7]},
+         "seeds[0] must be an integer, got 1.7"),
+        ({"topology": {"kind": "skewed"}, "scheme": {}, "seed": True},
+         "seeds[0] must be an integer, got True"),
+        (dict(CAMPAIGN, seeds=[1, 1]), "seeds must be distinct"),
+        (dict(CAMPAIGN, axis={"name": "mrai", "values": [float("nan")]}),
+         "axis.values[0] must be finite"),
+    ):
+        with pytest.raises(ServiceError) as err:
+            client.submit(body)
+        assert err.value.status == 400 and message in err.value.message
     with pytest.raises(ServiceError) as err:
         client.trial("0" * 32)
     assert err.value.status == 404
@@ -507,6 +525,40 @@ def test_service_deeply_nested_body_is_a_400(service):
         assert response.getheader("Connection") == "close"
     finally:
         conn.close()
+
+
+def test_service_truncated_body_is_a_408_and_frees_its_thread(
+    tmp_path, monkeypatch
+):
+    # A Content-Length larger than what arrives: the handler thread
+    # gives up after the socket timeout instead of blocking in read.
+    from repro.service import api
+
+    monkeypatch.setattr(api, "SOCKET_TIMEOUT_SECONDS", 0.5)
+    svc = CampaignService(service_config(tmp_path))
+    svc.start()
+    try:
+        before = threading.active_count()
+        conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/submit")
+            conn.putheader("Content-Length", "100")
+            conn.endheaders()
+            conn.send(b'{"na')
+            response = conn.getresponse()
+            assert response.status == 408
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read()) == {
+                "error": "request body incomplete"
+            }
+        finally:
+            conn.close()
+        deadline = time.monotonic() + 10
+        while threading.active_count() > before:
+            assert time.monotonic() < deadline, threading.enumerate()
+            time.sleep(0.05)
+    finally:
+        svc.shutdown()
 
 
 def test_service_early_error_leaves_no_body_on_the_connection(service):

@@ -15,14 +15,7 @@ import pytest
 
 import repro.core.batch as batch_mod
 import repro.core.parallel as parallel_mod
-from repro.bgp.mrai import ConstantMRAI
-from repro.core.experiment import ExperimentSpec
-from repro.core.sweep import (
-    failure_size_sweep,
-    mrai_sweep,
-    point_spec,
-    sweep_cells,
-)
+from repro.core.sweep import point_spec
 from repro.figures import FIGURES
 from repro.figures.common import QUICK
 from repro.obs.session import ObsSession
@@ -37,7 +30,6 @@ from repro.store import (
     load_campaign_results,
     run_campaign,
 )
-from repro.topology.skewed import skewed_topology
 
 CAMPAIGN = {
     "name": "unit",
@@ -160,6 +152,37 @@ MALFORMED = [
         dict(CAMPAIGN, topology={"kind": "multirouter", "nodes": 2}),
         "nodes must be at least 3",
     ),
+    # Seeds and axis values are parsed, not coerced, and never repeat.
+    (dict(CAMPAIGN, seeds=[1.7]), "must be an integer, got 1.7"),
+    (dict(CAMPAIGN, seeds=[True]), "must be an integer, got True"),
+    (dict(CAMPAIGN, seeds={"master": 1.5, "count": 2}), "seeds.master"),
+    (dict(CAMPAIGN, seeds={"count": "3"}), "seeds.count"),
+    (dict(CAMPAIGN, seeds=[1, 1]), "seeds must be distinct"),
+    (
+        dict(CAMPAIGN, axis={"name": "failure_fraction", "values": ["0.1"]}),
+        "must be a number, got '0.1'",
+    ),
+    (
+        dict(CAMPAIGN, axis={"name": "mrai", "values": [0.5, 0.5]}),
+        "axis values must be distinct",
+    ),
+    # Python's json reads NaN and Infinity; no spec field takes them.
+    (
+        dict(CAMPAIGN, axis={"name": "mrai", "values": [float("nan")]}),
+        "must be finite, got nan",
+    ),
+    (
+        dict(CAMPAIGN, axis={"name": "mrai", "values": [float("inf")]}),
+        "must be finite, got inf",
+    ),
+    (
+        dict(CAMPAIGN, schemes={"a": {"mrai": float("nan")}}),
+        "mrai must be finite",
+    ),
+    (
+        dict(CAMPAIGN, schemes={"a": {"max_convergence_time": float("inf")}}),
+        "max_convergence_time must be finite",
+    ),
 ]
 
 
@@ -171,6 +194,21 @@ def test_malformed_document_is_a_value_error_naming_the_field(
     first trips over it: ValueError is what every caller handles."""
     with pytest.raises(ValueError, match=field):
         Campaign.from_dict(document)
+
+
+def test_a_non_finite_mrai_is_refused_however_the_grid_is_built():
+    # A Campaign built in code skips the document parser; the point's
+    # ConstantMRAI refuses the value itself.
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="MRAI must be non-negative and"):
+            Campaign(
+                name="code",
+                topology={"kind": "skewed", "nodes": 24},
+                schemes={"a": {}},
+                axis="mrai",
+                values=[value],
+                seeds=[1],
+            )
 
 
 def test_build_spec_rejects_unknown_keys():
@@ -274,54 +312,30 @@ def test_cold_resume_warm_cycle(store):
     assert [r["manifest"]["executed"] for r in status.history] == [8, 3, 0]
 
 
-def sweep_factory(seed):
-    return skewed_topology(24, seed=seed)
-
-
-def failure_grid(jobs):
-    series = failure_size_sweep(
-        sweep_factory,
-        ExperimentSpec(mrai=ConstantMRAI(0.5)),
-        (0.1, 0.2),
-        (1, 2),
-        jobs=jobs,
+def failure_grid():
+    return make_campaign(
+        schemes={"fifo-0.5": {"mrai": 0.5}},
+        axis={"name": "failure_fraction", "values": [0.1, 0.2]},
     )
-    return [series], {
-        "schemes": {"fifo-0.5": {"mrai": 0.5}},
-        "axis": {"name": "failure_fraction", "values": [0.1, 0.2]},
-    }
 
 
-def mrai_grid(jobs):
-    series = mrai_sweep(
-        sweep_factory,
-        ExperimentSpec(mrai=ConstantMRAI(99.0), failure_fraction=0.1),
-        (0.5, 2.0),
-        (1, 2),
-        jobs=jobs,
+def mrai_grid():
+    return make_campaign(
+        schemes={"any": {"mrai": 99.0, "failure_fraction": 0.1}},
+        axis={"name": "mrai", "values": [0.5, 2.0]},
     )
-    return [series], {
-        "schemes": {"any": {"mrai": 99.0, "failure_fraction": 0.1}},
-        "axis": {"name": "mrai", "values": [0.5, 2.0]},
-    }
 
 
-def mrai_three_grid(jobs):
+def mrai_three_grid():
     profile = dataclasses.replace(
         QUICK, name="unit", nodes=24, seeds=(1, 2), fractions=(0.1, 0.2)
     )
     [grid] = FIGURES["fig01"].grids(profile)
-    series = sweep_cells(
-        grid.topology_factory(), grid.cells(), grid.seeds, grid.axis, jobs=jobs
-    )
-    return series, {
-        "schemes": grid.schemes,
-        "axis": {"name": grid.axis, "values": grid.values},
-    }
+    return grid
 
 
 #: (delays, message_counts) per series, recorded from the per-point
-#: run_trials loops these sweeps used before they became one batch.
+#: run_trials loops these grids used before they became one batch.
 SWEEP_GOLDEN = {
     "failure": [
         ([1.531314812944769, 1.3260964622243931], [511.5, 564.5]),
@@ -344,44 +358,42 @@ def test_campaign_matches_uncached_sweep(tmp_path):
         "mrai_three": mrai_three_grid,
     }
     for (name, grid), jobs in itertools.product(grids.items(), (1, 2)):
+        campaign = grid()
+        storeless = run_campaign(campaign, jobs=jobs)
         with ResultStore(tmp_path / f"{name}-{jobs}.db") as store:
-            direct, overrides = grid(jobs)
-            result = run_campaign(
-                make_campaign(seeds=[1, 2], **overrides), store, jobs=jobs
-            )
-            assert result.executed == result.campaign.total_trials
-        assert [
-            (s.delays, s.message_counts) for s in direct
-        ] == SWEEP_GOLDEN[name], (name, jobs)
-        assert [
-            (s.xs, s.delays, s.message_counts) for s in result.series
-        ] == [(s.xs, s.delays, s.message_counts) for s in direct], (name, jobs)
+            stored = run_campaign(campaign, store, jobs=jobs)
+            assert len(store) == campaign.total_trials
+        for result in (storeless, stored):
+            assert result.executed == campaign.total_trials
+            assert [
+                (s.delays, s.message_counts) for s in result.series
+            ] == SWEEP_GOLDEN[name], (name, jobs)
+        assert [(s.label, s.xs) for s in stored.series] == [
+            (s.label, s.xs) for s in storeless.series
+        ]
 
 
 @pytest.mark.parametrize(
-    "axis, sweep, x",
-    [
-        ("failure_fraction", failure_size_sweep, 0.2),
-        ("mrai", mrai_sweep, 2.0),
-    ],
+    "axis, x", [("failure_fraction", 0.2), ("mrai", 2.0)]
 )
-def test_every_driver_derives_a_point_the_same_way(
-    axis, sweep, x, monkeypatch
-):
+def test_every_driver_derives_a_point_the_same_way(axis, x):
+    # A campaign file, a /submit body and a figure grid are all one
+    # Campaign: its cells, and the plan run_campaign and the service
+    # run, hold point_spec's spec for every point.
+    from repro.service.submission import submission_campaign
+
     scheme = {"mrai": 0.5, "failure_fraction": 0.1, "queue": "dest_batch"}
     expected = point_spec(build_spec(scheme), axis, x)
     assert expected != build_spec(scheme)
-    campaign = make_campaign(
-        schemes={"s": scheme}, axis={"name": axis, "values": [x]}
+    document = dict(
+        CAMPAIGN, schemes={"s": scheme}, axis={"name": axis, "values": [x]}
     )
-    assert campaign.cells() == [("s", x, expected)]
-    swept = []
-    monkeypatch.setattr(
-        "repro.core.sweep.run_grid",
-        lambda factory, cells, seeds, **run: swept.extend(cells) or [None],
-    )
-    sweep(sweep_factory, build_spec(scheme), [x], [1], label="s")
-    assert swept == [("s", x, expected)]
+    for campaign in (
+        Campaign.from_dict(document),
+        submission_campaign(document),
+    ):
+        assert campaign.cells() == [("s", x, expected)]
+        assert [t.spec for t in campaign_keys(campaign)] == [expected] * 2
     with pytest.raises(ValueError, match="unknown axis"):
         point_spec(expected, "bogus", x)
 
@@ -410,9 +422,27 @@ def test_run_campaign_opens_store_from_path(tmp_path):
         assert len(store) == 1
 
 
-def test_run_campaign_without_store_path_errors():
-    with pytest.raises(ValueError, match="no store path"):
-        run_campaign(make_campaign())
+def test_run_campaign_without_a_store_banks_nothing(tmp_path, monkeypatch):
+    # No store and no store path: every trial executes, nothing is
+    # banked anywhere and no manifest is recorded; a session still sees
+    # the run.
+    monkeypatch.chdir(tmp_path)
+    recorded = []
+    monkeypatch.setattr(
+        ResultStore, "record_campaign",
+        lambda self, *args: recorded.append(args),
+    )
+    monkeypatch.setattr(
+        ResultStore, "put", lambda self, *a, **k: recorded.append(a)
+    )
+    obs = ObsSession()
+    result = run_campaign(make_campaign(), jobs=2, obs=obs)
+    assert result.executed == 8 and result.cache_hits == 0
+    assert recorded == [] and list(tmp_path.iterdir()) == []
+    assert obs.registry.get("store_cache_misses") is None
+    [noted] = obs.campaigns
+    assert noted["manifest"]["executed"] == 8
+    assert "schema_git_rev" not in noted["manifest"]
 
 
 def test_obs_session_sees_campaign(store):
