@@ -1145,8 +1145,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--store",
         required=True,
         metavar="PATH",
-        help="store to serve from and bank results into (backend URL or "
-        "SQLite path)",
+        help="store to serve from and bank results into (SQLite store "
+        "path)",
     )
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument(

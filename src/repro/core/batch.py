@@ -23,12 +23,12 @@ order.  This module is that loop, once:
   :class:`~repro.core.parallel.WorkerPool` otherwise — a one-trial batch
   included, so a retry of a trial that just killed its worker never runs
   inside the parent;
-* :func:`run_batch` — lookup, execute misses, bank, absorb, progress.
-  Its plug points are the store, the attempt budget and a per-outcome
-  hook; the callers differ only in those (``run_trials``: one attempt,
-  the hook raises on the first error; ``run_campaign``: the campaign's
-  retry budget; the service: one attempt per lease, the hook advances
-  the queue row).
+* :func:`run_batch` — lookup, execute misses, bank, retry, absorb,
+  progress, with one :data:`MAX_ATTEMPTS` budget for every batch.  The
+  callers differ only in the store and the per-outcome hook
+  (``run_trials``: it raises on the first error, so a failing trial
+  runs once; ``run_campaign``: none, and exhausted trials raise
+  ``CampaignError``; the service: it completes queue rows).
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ from repro.obs.spans import span
 
 #: One cell of a trial grid: (series label, swept value, point spec).
 GridCell = Tuple[str, float, ExperimentSpec]
+
+#: Executions a failing trial gets in one batch, the first included; a
+#: retry only helps against environmental failures (a killed worker).
+MAX_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,6 @@ def run_batch(
     jobs: int,
     store: Optional[Any] = None,
     obs: Optional[ObsSession] = None,
-    max_attempts: int = 1,
     on_outcome: Optional[Callable[[BatchOutcome], None]] = None,
     progress: Optional[ProgressFn] = None,
     label: str = "",
@@ -254,7 +257,7 @@ def run_batch(
     a trial banked without the monitor carries no data-plane summary,
     so it is a miss, and the re-execution's ``put`` overwrites the row
     under the same key with the superset record.  Failed executions are
-    re-run until ``max_attempts`` rounds have been spent; what still
+    re-run until :data:`MAX_ATTEMPTS` rounds have been spent; what still
     fails is returned in :attr:`BatchResult.failures`, never raised.
 
     ``on_outcome`` sees every settled trial — store hits during lookup,
@@ -346,7 +349,7 @@ def run_batch(
                 if on_outcome is not None:
                     on_outcome(BatchOutcome(index, trial=trial, error=error))
                 tick(label)
-        if not result.failures or attempt >= max_attempts:
+        if not result.failures or attempt >= MAX_ATTEMPTS:
             break
         attempt += 1
         result.retried += len(result.failures)

@@ -10,7 +10,8 @@ of a results-serving backend.  This package assembles them into one:
   trials, and enqueues the cold ones under a ticket;
 * :mod:`repro.service.executor` — the drain loop: lease queued trials,
   rebuild their specs/topologies, run them on the warm pool with
-  digest-affinity batching, bank results, retry with backoff;
+  digest-affinity batching, bank results, retry a failing trial inside
+  its batch and park what exhausts the attempt budget;
 * :mod:`repro.service.daemon` — :class:`CampaignService`, wiring the
   HTTP API (:mod:`repro.service.api`), the executor thread and graceful
   SIGTERM/SIGINT drain together;
@@ -23,7 +24,7 @@ CLI entry points: ``repro-bgp serve`` / ``submit`` / ``result`` /
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import CampaignService, ServiceConfig
-from repro.service.executor import ExecutorConfig, QueueExecutor
+from repro.service.executor import QueueExecutor
 from repro.service.submission import (
     SubmissionReceipt,
     plan_submission,
@@ -34,7 +35,6 @@ from repro.service.submission import (
 
 __all__ = [
     "CampaignService",
-    "ExecutorConfig",
     "QueueExecutor",
     "ServiceClient",
     "ServiceConfig",

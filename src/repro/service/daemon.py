@@ -41,7 +41,7 @@ from repro.obs.live import LiveMonitor
 from repro.obs.session import ObsSession
 
 from repro.service.api import make_handler
-from repro.service.executor import ExecutorConfig, QueueExecutor
+from repro.service.executor import QueueExecutor
 from repro.service.submission import SubmissionReceipt
 from repro.store.result_store import ResultStore
 
@@ -57,12 +57,12 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     #: 0 = let the OS pick (the bound port lands in the ready file).
     port: int = 8351
+    #: The executor's pool fan-out, tasks per lease, lease length (it must
+    #: outlast one trial's attempts) and idle sleep between empty polls.
     jobs: int = 1
     batch_size: int = 16
     lease_seconds: float = 120.0
     poll_interval: float = 0.25
-    max_attempts: int = 3
-    backoff_seconds: float = 2.0
     #: Shutdown budget for the executor join + pool close.
     drain_timeout: float = 15.0
     #: Written (JSON: host/port/pid/store) once the server is accepting —
@@ -103,17 +103,7 @@ class CampaignService:
             label="service",
         )
         self.executor = QueueExecutor(
-            self.backend,
-            ExecutorConfig(
-                jobs=config.jobs,
-                batch_size=config.batch_size,
-                lease_seconds=config.lease_seconds,
-                poll_interval=config.poll_interval,
-                max_attempts=config.max_attempts,
-                backoff_seconds=config.backoff_seconds,
-            ),
-            obs=self.obs,
-            monitor=self.monitor,
+            self.backend, config, obs=self.obs, monitor=self.monitor
         )
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
@@ -202,7 +192,7 @@ class CampaignService:
         # Anything still leased by us (the join timed out) goes straight
         # back to pending for the next executor.
         try:
-            self.backend.release_tasks(self.executor.config.owner)
+            self.backend.release_tasks(self.executor.owner)
         except Exception:  # noqa: BLE001 - shutdown must not throw
             pass
         shutdown_worker_pool(timeout=self.config.drain_timeout)

@@ -22,8 +22,9 @@ rebuilt (topology, spec, seed) — each rebuilt topology digested once
 per batch, like a planned grid's — and compared to its queue key; a
 mismatch — wrong code version, corrupted payload — fails the task
 permanently rather than banking a result under a key it doesn't match.
-Trial failures retry with exponential backoff up to
-``max_attempts``, then park as ``failed`` for operators.
+A failing trial is retried inside its batch, like a campaign's, up to
+:data:`~repro.core.batch.MAX_ATTEMPTS` executions; what exhausts them
+parks as ``failed`` for operators.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.batch import (
     BatchOutcome,
@@ -49,36 +50,15 @@ from repro.store.hashing import trial_key
 from repro.store.queue import QueueTask
 from repro.store.result_store import ResultStore
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.daemon import ServiceConfig
+
 
 def default_owner() -> str:
     """A lease-owner id unique per executor process."""
     return (
         f"{socket.gethostname()}:{os.getpid()}:{os.urandom(3).hex()}"
     )
-
-
-@dataclass
-class ExecutorConfig:
-    """Knobs of one drain loop (defaults suit the CI smoke scale)."""
-
-    #: Lease owner id; None -> a fresh :func:`default_owner`.
-    owner: Optional[str] = None
-    #: Worker-pool fan-out per batch (1 = run trials in-process).
-    jobs: int = 1
-    #: Max tasks leased per batch.  A shutdown never waits for the
-    #: whole batch: it ends after the next outcome and the rest of the
-    #: leases are released.
-    batch_size: int = 16
-    #: How long a lease protects a claimed task.  Must comfortably
-    #: exceed one trial's wall time; heartbeats extend it while the
-    #: batch runs.
-    lease_seconds: float = 120.0
-    #: Idle sleep between polls that found an empty queue.
-    poll_interval: float = 0.25
-    #: Attempts before a task parks as terminally failed.
-    max_attempts: int = 3
-    #: First retry delay; doubles per subsequent attempt.
-    backoff_seconds: float = 2.0
 
 
 class _DrainStopped(Exception):
@@ -88,24 +68,26 @@ class _DrainStopped(Exception):
 class QueueExecutor:
     """Drains the durable queue through the warm worker pool.
 
-    ``obs`` (an :class:`~repro.obs.session.ObsSession`) rides along to
-    workers exactly as in ``run_campaign``; ``monitor`` (a
+    It reads ``jobs``, ``batch_size``, ``lease_seconds`` and
+    ``poll_interval`` from the daemon's ``config``
+    (:class:`~repro.service.daemon.ServiceConfig`) and leases as
+    :attr:`owner`, a fresh :func:`default_owner`.  ``obs`` (an
+    :class:`~repro.obs.session.ObsSession`) rides along to workers
+    exactly as in ``run_campaign``; ``monitor`` (a
     :class:`~repro.obs.live.LiveMonitor`) receives one progress tick per
-    completed/failed trial, which is what feeds the service's ETA
-    endpoint.
+    trial outcome, which is what feeds the service's ETA endpoint.
     """
 
     def __init__(
         self,
         backend: ResultStore,
-        config: Optional[ExecutorConfig] = None,
+        config: "ServiceConfig",
         obs: Optional[Any] = None,
         monitor: Optional[Any] = None,
     ) -> None:
         self.backend = backend
-        self.config = config or ExecutorConfig()
-        if self.config.owner is None:
-            self.config.owner = default_owner()
+        self.config = config
+        self.owner = default_owner()
         self.obs = obs
         self.monitor = monitor
         self.started = time.perf_counter()
@@ -128,8 +110,8 @@ class QueueExecutor:
         """Rebuild the trial a queue payload describes.
 
         Raises ``ValueError`` when the recomputed content hash differs
-        from the queued key — the one failure the retry loop must treat
-        as permanent.
+        from the queued key — a failure no retry can mend, so the task
+        parks without running.
         """
         payload = task.payload
         block = payload["topology"]
@@ -159,15 +141,16 @@ class QueueExecutor:
         """Lease and process one batch; returns how many tasks it took.
 
         Zero means the queue had nothing runnable.  Results are banked
-        (and tasks completed/failed) one by one as they stream back, so
-        a crash mid-batch loses only in-flight trials — and even those
-        only until the lease expires.  When ``stop`` is set the batch
-        ends after the outcome being settled and the tasks not yet
-        settled go straight back to pending.
+        (and tasks completed) one by one as they stream back, so a crash
+        mid-batch loses only in-flight trials — and even those only
+        until the lease expires.  Tasks still failing after the batch's
+        retries park as ``failed``.  When ``stop`` is set the batch ends
+        after the outcome being settled and the unfinished tasks — a
+        trial between attempts included — go straight back to pending.
         """
         cfg = self.config
         batch = self.backend.lease_tasks(
-            cfg.owner, cfg.batch_size, cfg.lease_seconds
+            self.owner, cfg.batch_size, cfg.lease_seconds
         )
         if not batch:
             return 0
@@ -190,14 +173,40 @@ class QueueExecutor:
 
         total_hint = self._total_hint(len(planned))
         outstanding = {task.id for task in leased}
+        executions: Counter = Counter()
         last_beat = time.monotonic()
         beat_every = max(1.0, cfg.lease_seconds / 3.0)
 
         def settle(outcome: BatchOutcome) -> None:
             nonlocal last_beat
-            task = leased[outcome.index]
-            self._settle(task, outcome, total_hint)
-            outstanding.discard(task.id)
+            if outcome.error is not None:
+                self.failed_attempts += 1
+                executions[outcome.index] += 1
+            else:
+                # The trial was banked before this hook ran; the queue
+                # row flips second, so a crash between the two leaves a
+                # banked trial behind a live lease — the next claimant's
+                # lookup finds it and only completes the row.
+                task_id = leased[outcome.index].id
+                self.backend.complete_task(task_id)
+                outstanding.discard(task_id)
+                if not outcome.cached:
+                    self.executed += 1
+                    self.busy_seconds += (
+                        outcome.trial.warmup_wall
+                        + outcome.trial.convergence_wall
+                    )
+            if self.monitor is not None:
+                self.monitor(
+                    Progress(
+                        done=self.executed,
+                        total=max(total_hint, self.executed),
+                        elapsed=time.perf_counter() - self.started,
+                        label="service",
+                        busy_seconds=self.busy_seconds,
+                        failed=self.failed_terminal,
+                    )
+                )
             if not outstanding:
                 return
             if stop is not None and stop.is_set():
@@ -205,12 +214,12 @@ class QueueExecutor:
             now = time.monotonic()
             if now - last_beat >= beat_every:
                 self.backend.heartbeat_tasks(
-                    cfg.owner, outstanding, cfg.lease_seconds
+                    self.owner, outstanding, cfg.lease_seconds
                 )
                 last_beat = now
 
         try:
-            run_batch(
+            result = run_batch(
                 planned,
                 jobs=cfg.jobs,
                 store=self.backend,
@@ -218,10 +227,16 @@ class QueueExecutor:
                 on_outcome=settle,
             )
         except _DrainStopped:
-            # Graceful drain: hand unexecuted tasks straight back
+            # Graceful drain: hand unfinished tasks straight back
             # instead of making the next claimant wait out our lease.
-            released = self.backend.release_tasks(cfg.owner, outstanding)
+            released = self.backend.release_tasks(self.owner, outstanding)
             return len(batch) - released
+        self.retried += result.retried
+        for index, error in result.failures.items():
+            self.backend.fail_task(
+                leased[index].id, error, attempts=executions[index]
+            )
+            self.failed_terminal += 1
         return len(batch)
 
     def drain(
@@ -257,50 +272,10 @@ class QueueExecutor:
         done_so_far = self.executed + self.failed_terminal
         return done_so_far + batch_len + counts.get("pending", 0)
 
-    def _settle(
-        self, task: QueueTask, outcome: BatchOutcome, total_hint: int
-    ) -> None:
-        """Advance the queue row of one settled (already banked) trial."""
-        cfg = self.config
-        if outcome.error is not None:
-            attempts_after = task.attempts + 1
-            if attempts_after >= cfg.max_attempts:
-                self.backend.fail_task(task.id, outcome.error)
-                self.failed_terminal += 1
-            else:
-                delay = cfg.backoff_seconds * (2 ** task.attempts)
-                self.backend.fail_task(
-                    task.id, outcome.error, retry_at=time.time() + delay
-                )
-                self.retried += 1
-            self.failed_attempts += 1
-        else:
-            # The trial was banked before this hook ran; the queue row
-            # flips second, so a crash between the two leaves a banked
-            # trial behind a live lease — the next claimant's lookup
-            # finds it and only completes the row.
-            self.backend.complete_task(task.id)
-            if not outcome.cached:
-                self.executed += 1
-                self.busy_seconds += (
-                    outcome.trial.warmup_wall + outcome.trial.convergence_wall
-                )
-        if self.monitor is not None:
-            self.monitor(
-                Progress(
-                    done=self.executed,
-                    total=max(total_hint, self.executed),
-                    elapsed=time.perf_counter() - self.started,
-                    label="service",
-                    busy_seconds=self.busy_seconds,
-                    failed=self.failed_terminal,
-                )
-            )
-
     def telemetry(self) -> Dict[str, Any]:
         """Lifetime drain counters for ``/health`` and ``queue status``."""
         return {
-            "owner": self.config.owner,
+            "owner": self.owner,
             "jobs": self.config.jobs,
             "executed": self.executed,
             "failed_attempts": self.failed_attempts,

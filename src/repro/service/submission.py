@@ -237,11 +237,6 @@ def ticket_results(ticket: str, backend: ResultStore) -> Dict[str, Any]:
     info = backend.ticket_info(ticket)
     if info is None:
         raise KeyError(f"unknown ticket {ticket!r}")
-    if not info.get("campaign"):
-        raise ValueError(
-            f"ticket {ticket} predates campaign-document tickets; "
-            f"resubmit to fold results"
-        )
     campaign = Campaign.from_dict(info["campaign"])
     try:
         series_list, _points = fold_stored(campaign, backend, info["keys"])

@@ -15,7 +15,7 @@ running it again.  This package provides:
   skipped, failures retried, interruptions resumed, and the folded
   series equal an uncached run's;
 * :mod:`repro.store.queue` — the durable work queue (lease/heartbeat/
-  retry rows in the same SQLite file) that the campaign service in
+  park rows in the same SQLite file) that the campaign service in
   :mod:`repro.service` drains.
 """
 
@@ -24,7 +24,6 @@ from repro.store.campaign import (
     CampaignError,
     CampaignResult,
     CampaignStatus,
-    RetryPolicy,
     campaign_keys,
     campaign_status,
     load_campaign_results,
@@ -53,7 +52,6 @@ __all__ = [
     "QUEUE_STATES",
     "QueueTask",
     "ResultStore",
-    "RetryPolicy",
     "SCHEMA_VERSION",
     "campaign_keys",
     "campaign_status",

@@ -11,7 +11,8 @@ records (:func:`campaign_keys`), each content-addressed
 * **Resume** — a crashed or Ctrl-C'd campaign re-run executes only the
   missing trials (every completed trial was committed as it finished);
 * **Retry** — a trial that dies in a worker (OOM-killed process, flaky
-  host) is retried with a bounded :class:`RetryPolicy` instead of
+  host) is retried inside its batch, up to
+  :data:`~repro.core.batch.MAX_ATTEMPTS` executions, instead of
   aborting hundreds of sibling trials.
 
 Folding is identical to an uncached sweep: trials enter each point's
@@ -39,6 +40,7 @@ from typing import (
 )
 
 from repro.core.batch import (
+    MAX_ATTEMPTS,
     GridCell,
     PlannedTrial,
     fold_grid,
@@ -73,7 +75,6 @@ __all__ = [
     "Campaign",
     "CampaignError",
     "CampaignResult",
-    "RetryPolicy",
     "campaign_keys",
     "campaign_status",
     "fold_stored",
@@ -90,24 +91,6 @@ class CampaignError(RuntimeError):
     ) -> None:
         super().__init__(message)
         self.failures = list(failures)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded per-trial retry for worker-side failures.
-
-    ``max_attempts`` counts the first try: 3 means one run plus at most
-    two retries.  Retries re-run the identical deterministic task, so
-    they only help against *environmental* failures (killed workers,
-    transient OS errors) — a task that fails deterministically exhausts
-    its attempts and surfaces as :class:`CampaignError`.
-    """
-
-    max_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
 
 @dataclass
@@ -215,14 +198,25 @@ class Campaign:
         values = [
             number(v, f"axis.values[{i}]") for i, v in enumerate(values)
         ]
+        name = data.get("name", "campaign")
+        if not isinstance(name, str) or name in ("", ".", "..") or any(
+            sep in name for sep in "/\\"
+        ):
+            raise ValueError(
+                "campaign 'name' must be a string usable as a file name "
+                "(non-empty, no '/' or '\\', not '.' or '..')"
+            )
+        store_path = data.get("store")
+        if store_path == "" or not isinstance(store_path, (str, type(None))):
+            raise ValueError("campaign 'store' must be a non-empty string")
         return cls(
-            name=str(data.get("name", "campaign")),
+            name=name,
             topology=dict(topology),
             schemes={str(k): dict(v) for k, v in schemes.items()},
             axis=str(axis["name"]),
             values=values,
             seeds=seeds,
-            store_path=data.get("store"),
+            store_path=store_path,
         )
 
     @classmethod
@@ -458,7 +452,6 @@ def run_campaign(
     store: Optional[ResultStore] = None,
     *,
     jobs: int = 1,
-    retry: RetryPolicy = RetryPolicy(),
     progress: Optional[ProgressFn] = None,
     obs: Optional[ObsSession] = None,
 ) -> CampaignResult:
@@ -470,10 +463,10 @@ def run_campaign(
     trials are skipped; missing trials run — over a process pool when
     ``jobs > 1`` — and are committed to the store from the parent as
     each completes, so interrupting at any point loses at most the
-    trials currently in flight.  Worker failures are retried up to
-    ``retry.max_attempts`` times each; trials that exhaust their
-    attempts raise :class:`CampaignError` (the completed ones are
-    already stored, so the re-run is incremental).
+    trials currently in flight.  A failing trial is retried inside the
+    batch, up to :data:`~repro.core.batch.MAX_ATTEMPTS` executions;
+    trials that exhaust them raise :class:`CampaignError` (the completed
+    ones are already stored, so the re-run is incremental).
 
     Every trial enters its point's :class:`ExperimentResult` in seed
     order, cached and fresh alike — the folded series equal an uncached
@@ -486,7 +479,6 @@ def run_campaign(
                 campaign,
                 own_store,
                 jobs=jobs,
-                retry=retry,
                 progress=progress,
                 obs=obs,
             )
@@ -504,7 +496,6 @@ def run_campaign(
             jobs=jobs,
             store=store,
             obs=obs,
-            max_attempts=retry.max_attempts,
             progress=progress,
             label=campaign.name,
             attempt_span="campaign.attempt",
@@ -537,7 +528,7 @@ def run_campaign(
                 store.record_campaign(campaign.name, manifest)
             raise CampaignError(
                 f"{len(failures)} trial(s) failed after "
-                f"{retry.max_attempts} attempt(s): "
+                f"{MAX_ATTEMPTS} attempt(s): "
                 + "; ".join(
                     f"{t.label}/x={t.x:g}/seed={t.seed}: {err}"
                     for t, err in failures[:5]

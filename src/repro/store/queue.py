@@ -14,14 +14,15 @@ A task moves ``pending -> running -> done`` (or ``failed``).  Claiming
 is a short ``BEGIN IMMEDIATE`` transaction — select runnable rows, stamp
 them ``running`` with a lease deadline — so two executors draining the
 same file can never claim the same task while a lease is valid.  A
-*runnable* row is ``pending`` with its backoff gate (``not_before``)
-passed, or ``running`` with an **expired** lease: a crashed executor's
-tasks become claimable again the moment its lease lapses, with no
-janitor process.  Long-running executors extend their leases via
-:meth:`QueueOps.heartbeat_tasks` as results stream in.
+*runnable* row is ``pending``, or ``running`` with an **expired**
+lease: a crashed executor's tasks become claimable again the moment
+its lease lapses, with no janitor process.  Long-running executors
+extend their leases via :meth:`QueueOps.heartbeat_tasks` as results
+stream in.
 
-Failures increment ``attempts`` and either re-enter ``pending`` with a
-``not_before`` backoff gate (retry) or park as ``failed`` (terminal);
+An executor retries a failing trial inside its batch
+(:data:`repro.core.batch.MAX_ATTEMPTS`) and parks what exhausts the
+budget as ``failed``, adding the executions spent to ``attempts``;
 re-submitting a key whose task is ``failed`` revives it.  The partial
 unique index on open tasks guarantees at most one pending/running row
 per trial key, so duplicate submissions deduplicate instead of
@@ -44,6 +45,7 @@ QUEUE_STATES = ("pending", "running", "done", "failed")
 
 #: Queue + ticket tables, created alongside the trial tables (additive:
 #: stores from earlier schema revisions gain them on next open).
+# The old backoff-gate column is unread; it stays so existing stores match.
 QUEUE_SCHEMA = """
 CREATE TABLE IF NOT EXISTS queue (
     id            INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -75,7 +77,7 @@ CREATE TABLE IF NOT EXISTS tickets (
 """
 
 _TASK_COLUMNS = (
-    "id, key, payload, state, attempts, not_before, lease_owner, "
+    "id, key, payload, state, attempts, lease_owner, "
     "lease_expires, error, ticket, created_utc, updated_utc"
 )
 
@@ -95,7 +97,6 @@ class QueueTask:
     payload: Dict[str, Any]
     state: str
     attempts: int
-    not_before: float
     lease_owner: Optional[str]
     lease_expires: Optional[float]
     error: Optional[str]
@@ -111,13 +112,12 @@ def _task_from_row(row: Sequence[Any]) -> QueueTask:
         payload=json.loads(row[2]),
         state=row[3],
         attempts=int(row[4]),
-        not_before=float(row[5]),
-        lease_owner=row[6],
-        lease_expires=float(row[7]) if row[7] is not None else None,
-        error=row[8],
-        ticket=row[9],
-        created_utc=row[10],
-        updated_utc=row[11],
+        lease_owner=row[5],
+        lease_expires=float(row[6]) if row[6] is not None else None,
+        error=row[7],
+        ticket=row[8],
+        created_utc=row[9],
+        updated_utc=row[10],
     )
 
 
@@ -161,7 +161,7 @@ class QueueOps:
             if row is not None:  # failed -> revive
                 conn.execute(
                     "UPDATE queue SET state='pending', attempts=0, "
-                    "not_before=0, error=NULL, lease_owner=NULL, "
+                    "error=NULL, lease_owner=NULL, "
                     "lease_expires=NULL, ticket=?, payload=?, "
                     "updated_utc=? WHERE id=?",
                     (ticket, encoded, now_utc, row[0]),
@@ -188,11 +188,11 @@ class QueueOps:
     ) -> List[QueueTask]:
         """Atomically claim up to ``limit`` runnable tasks for ``owner``.
 
-        Runnable = pending past its backoff gate, or running with an
-        expired lease (a crashed executor's tasks).  Claimed rows are
-        stamped ``running`` with ``lease_expires = now + lease_seconds``
-        inside one immediate transaction, so concurrent executors never
-        receive overlapping sets.
+        Runnable = pending, or running with an expired lease (a crashed
+        executor's tasks).  Claimed rows are stamped ``running`` with
+        ``lease_expires = now + lease_seconds`` inside one immediate
+        transaction, so concurrent executors never receive overlapping
+        sets.
         """
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
@@ -205,11 +205,11 @@ class QueueOps:
             conn.execute("BEGIN IMMEDIATE")
             rows = conn.execute(
                 "SELECT id FROM queue WHERE "
-                "(state='pending' AND not_before<=?) OR "
+                "state='pending' OR "
                 "(state='running' AND lease_expires IS NOT NULL "
                 " AND lease_expires<=?) "
                 "ORDER BY id LIMIT ?",
-                (now, now, limit),
+                (now, limit),
             ).fetchall()
             ids = [int(r[0]) for r in rows]
             if not ids:
@@ -271,31 +271,22 @@ class QueueOps:
 
         self._write(op)
 
-    def fail_task(
-        self,
-        task_id: int,
-        error: str,
-        retry_at: Optional[float] = None,
-    ) -> str:
-        """Record one failed attempt; returns the task's new state.
+    def fail_task(self, task_id: int, error: str, attempts: int = 1) -> None:
+        """Park one task as ``failed`` after ``attempts`` executions.
 
-        ``retry_at`` (epoch seconds) re-enters the task as ``pending``
-        behind a backoff gate; ``None`` parks it as terminally
-        ``failed`` (revivable by re-submission).  Either way the attempt
-        counter increments and the error message is kept for operators.
+        The attempt counter grows by ``attempts`` and the last error is
+        kept for operators; re-submission revives the task.
         """
-        state = "failed" if retry_at is None else "pending"
 
         def op(conn):
             conn.execute(
-                "UPDATE queue SET state=?, attempts=attempts+1, error=?, "
-                "not_before=?, lease_owner=NULL, lease_expires=NULL, "
+                "UPDATE queue SET state='failed', attempts=attempts+?, "
+                "error=?, lease_owner=NULL, lease_expires=NULL, "
                 "updated_utc=? WHERE id=?",
-                (state, error, retry_at or 0.0, self._now_utc(), task_id),
+                (attempts, error, self._now_utc(), task_id),
             )
 
         self._write(op)
-        return state
 
     def release_tasks(
         self, owner: str, task_ids: Optional[Iterable[int]] = None
@@ -398,7 +389,7 @@ class QueueOps:
         ticket: str,
         name: str,
         keys: Sequence[str],
-        campaign: Optional[Dict[str, Any]] = None,
+        campaign: Dict[str, Any],
     ) -> None:
         """Persist one submission: ticket -> ordered trial keys.
 
@@ -417,11 +408,7 @@ class QueueOps:
                     name,
                     self._now_utc(),
                     json.dumps(list(keys)),
-                    (
-                        json.dumps(campaign, sort_keys=True)
-                        if campaign is not None
-                        else None
-                    ),
+                    json.dumps(campaign, sort_keys=True),
                 ),
             )
 

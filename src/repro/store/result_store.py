@@ -382,16 +382,6 @@ class ResultStore(QueueOps):
     def __contains__(self, key: str) -> bool:
         return self.has(key)
 
-    def banked_wall_seconds(self) -> float:
-        """Total simulation wall clock the stored trials represent."""
-        return float(
-            self._read(
-                lambda conn: conn.execute(
-                    "SELECT COALESCE(SUM(wall_seconds), 0) FROM trials"
-                ).fetchone()[0]
-            )
-        )
-
     def stats(self) -> Dict[str, Any]:
         """Operator-facing snapshot: sizes, banked compute, queue depth.
 

@@ -248,7 +248,7 @@ def test_cli_campaign_verbs_reject_an_unloadable_file(tmp_path, capsys):
     for document, field in MALFORMED:
         path = tmp_path / f"bad{len(cases)}.json"
         if isinstance(document, dict):
-            document = dict(document, store=str(tmp_path / "store.db"))
+            document = {"store": str(tmp_path / "store.db"), **document}
         path.write_text(json.dumps(document), encoding="utf-8")
         cases.append((path, field))
     export = ["export", "--out", str(tmp_path / "series")]

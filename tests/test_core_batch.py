@@ -159,7 +159,6 @@ def test_failures_are_returned_not_raised_and_retried_to_budget(monkeypatch):
         plan([1, 2, 3]),
         jobs=1,
         store=store,
-        max_attempts=3,
         progress=ticks.append,
     )
     assert rounds == [[0, 1, 2], [1], [1]]  # only the failure re-runs

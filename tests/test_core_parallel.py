@@ -180,11 +180,22 @@ def test_worker_failure_surfaces():
     assert exc_info.value.seed in (7, 8)
 
 
-def test_serial_failure_surfaces_too():
+def test_serial_failure_surfaces_too(monkeypatch):
+    import repro.core.batch as batch_mod
+
+    calls = []
+    real = batch_mod.execute_trial
+
+    def counted(*trial):
+        calls.append(trial[3])
+        return real(*trial)
+
+    monkeypatch.setattr(batch_mod, "execute_trial", counted)
     spec = spec_05().with_(max_warmup_time=1e-6)
     with pytest.raises(TrialExecutionError) as exc_info:
         run_trials(factory, spec, (7,), jobs=1)
     assert exc_info.value.seed == 7
+    assert calls == [7]  # fail-fast: the hook raises before any retry
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.store import (
     Campaign,
     CampaignError,
     ResultStore,
-    RetryPolicy,
     run_campaign,
 )
 from repro.topology.skewed import skewed_topology
@@ -137,10 +136,7 @@ def test_sweep_failure_names_the_failing_seed_and_plan_position(monkeypatch):
 
     monkeypatch.setattr(batch_mod, "execute_trial", flaky)
     with pytest.raises(CampaignError) as exc_info:
-        run_campaign(
-            failure_grid((0.1, 0.2), (1, 2)),
-            retry=RetryPolicy(max_attempts=1),
-        )
+        run_campaign(failure_grid((0.1, 0.2), (1, 2)))
     # Plan order is (point, seed): (0.1, 1), (0.1, 2), (0.2, 1), (0.2, 2).
     [(trial, error)] = exc_info.value.failures
     assert (trial.label, trial.x, trial.seed) == ("fifo-0.5", 0.2, 2)

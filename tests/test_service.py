@@ -3,26 +3,30 @@
 Headline properties: a submission splits into cache hits and queued
 cold trials whose keys agree with the batch runner's; the executor
 drains the queue through the standard trial path and banks results
-bit-identical to :func:`run_trials`; trial failures retry with backoff
-and park after ``max_attempts``; payload/key drift fails permanently;
+bit-identical to :func:`run_trials`; trial failures retry inside their
+batch and park after ``MAX_ATTEMPTS``; payload/key drift fails
+permanently;
 and the daemon serves the whole cycle over HTTP — cold submit, poll,
 fold, then a warm resubmit answered entirely from the store.
 """
 
 import http.client
 import json
+import os
 import sqlite3
 import threading
 import time
 
 import pytest
 
+import repro.core.batch as batch_mod
+import repro.core.parallel as parallel_mod
 import repro.store.hashing as hashing
+from repro.core.batch import MAX_ATTEMPTS
 from repro.core.experiment import run_trials
 from repro.obs.spans import record_spans
 from repro.service import (
     CampaignService,
-    ExecutorConfig,
     QueueExecutor,
     ServiceClient,
     ServiceConfig,
@@ -92,6 +96,14 @@ def json_signature(series_payload):
         )
         for s in series_payload
     )
+
+
+def executor_for(store, jobs=1, **kwargs):
+    """A queue executor over ``store`` with the daemon's config."""
+    config = ServiceConfig(
+        store=str(store.path), jobs=jobs, batch_size=8, quiet=True
+    )
+    return QueueExecutor(store, config, **kwargs)
 
 
 def drain_fully(executor):
@@ -262,9 +274,7 @@ def test_topology_digested_once_per_seed_and_result_replans_nothing(
 def test_executor_banks_bit_identical_to_run_trials(store):
     campaign = small_campaign()
     receipt = plan_submission(campaign, store)
-    executor = QueueExecutor(
-        store, ExecutorConfig(jobs=1, batch_size=8)
-    )
+    executor = executor_for(store)
     drain_fully(executor)
     assert executor.executed == receipt.total == 2
     assert ticket_status(receipt.ticket, store)["state"] == "done"
@@ -287,8 +297,6 @@ def test_executor_banks_bit_identical_to_run_trials(store):
 def test_executor_completes_an_already_banked_task_without_rerunning(
     store, monkeypatch
 ):
-    import repro.core.batch as batch_mod
-
     campaign = small_campaign(seeds=[1])
     receipt = plan_submission(campaign, store)
     # Another drainer banked the trial and died before flipping the row.
@@ -302,7 +310,7 @@ def test_executor_completes_an_already_banked_task_without_rerunning(
         raise AssertionError("a banked trial was executed again")
 
     monkeypatch.setattr(batch_mod, "execute_trial", must_not_run)
-    executor = QueueExecutor(store, ExecutorConfig(jobs=1, batch_size=8))
+    executor = executor_for(store)
     drain_fully(executor)
     assert executor.executed == 0 and executor.failed_attempts == 0
     assert ticket_status(receipt.ticket, store)["state"] == "done"
@@ -313,10 +321,8 @@ def test_drain_once_stops_after_the_current_outcome_and_releases_the_rest(
 ):
     plan_submission(small_campaign(seeds=[1, 2, 3]), store)
     stop = threading.Event()
-    executor = QueueExecutor(
-        store,
-        ExecutorConfig(jobs=1, batch_size=8),
-        monitor=lambda tick: stop.set(),  # ticks once per settled trial
+    executor = executor_for(
+        store, monitor=lambda tick: stop.set()  # ticks once per outcome
     )
     assert executor.drain_once(stop=stop) == 1
     assert executor.executed == 1
@@ -324,9 +330,24 @@ def test_drain_once_stops_after_the_current_outcome_and_releases_the_rest(
     assert (counts["done"], counts["pending"], counts["running"]) == (1, 2, 0)
 
 
-def test_executor_retries_with_backoff_then_succeeds(store, monkeypatch):
-    import repro.core.batch as batch_mod
+def test_drain_once_releases_a_trial_between_attempts(store, monkeypatch):
+    plan_submission(small_campaign(seeds=[1]), store)
 
+    def always_fails(*trial):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(batch_mod, "execute_trial", always_fails)
+    stop = threading.Event()
+    executor = executor_for(store, monitor=lambda tick: stop.set())
+    assert executor.drain_once(stop=stop) == 0
+    assert executor.failed_attempts == 1 and executor.failed_terminal == 0
+    counts = store.queue_counts()
+    assert (counts["pending"], counts["running"], counts["failed"]) == (
+        1, 0, 0,
+    )
+
+
+def test_executor_retries_in_batch_then_succeeds(store, monkeypatch):
     receipt = plan_submission(small_campaign(), store)
     real = batch_mod.execute_trial
     calls = {"n": 0}
@@ -338,23 +359,55 @@ def test_executor_retries_with_backoff_then_succeeds(store, monkeypatch):
         return real(*trial)
 
     monkeypatch.setattr(batch_mod, "execute_trial", flaky)
-    executor = QueueExecutor(
-        store,
-        ExecutorConfig(
-            jobs=1, batch_size=8, max_attempts=3, backoff_seconds=0.0
-        ),
-    )
-    drain_fully(executor)
+    executor = executor_for(store)
+    assert executor.drain_once() == 2  # the retry runs inside the batch
     assert executor.retried == 1
     assert executor.failed_attempts == 1
     assert executor.executed == 2
     assert executor.failed_terminal == 0
     assert ticket_status(receipt.ticket, store)["state"] == "done"
+    assert store.queue_counts()["done"] == 2
+
+
+def test_executor_retries_a_worker_killing_trial_on_the_pool(
+    store, monkeypatch
+):
+    # The first execution of one trial takes its worker process down;
+    # at jobs=2 the in-batch retry runs on the respawned pool, so one
+    # drain banks both trials.
+    if parallel_mod.default_start_method() != "fork":
+        pytest.skip("the patched execute_trial reaches workers by fork")
+    receipt = plan_submission(small_campaign(), store)
+    marker = store.path.parent / "killed-once"
+    real = parallel_mod.execute_trial
+
+    def first_run_of_second_trial_kills_its_process(index, *trial):
+        if index == 1 and not marker.exists():
+            marker.touch()
+            os._exit(13)
+        return real(index, *trial)
+
+    # Workers forked from here on inherit the patched module.
+    parallel_mod.shutdown_worker_pool()
+    monkeypatch.setattr(
+        parallel_mod,
+        "execute_trial",
+        first_run_of_second_trial_kills_its_process,
+    )
+    try:
+        executor = executor_for(store, jobs=2)
+        assert executor.drain_once() == 2
+    finally:
+        parallel_mod.shutdown_worker_pool()
+    assert executor.retried == 1
+    assert ticket_status(receipt.ticket, store)["state"] == "done"
+    counts = store.queue_counts()
+    assert (counts["done"], counts["running"], counts["pending"]) == (
+        2, 0, 0,
+    )
 
 
 def test_executor_parks_task_after_max_attempts(store, monkeypatch):
-    import repro.core.batch as batch_mod
-
     receipt = plan_submission(
         small_campaign(), store
     )
@@ -363,14 +416,10 @@ def test_executor_parks_task_after_max_attempts(store, monkeypatch):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(batch_mod, "execute_trial", always_fails)
-    executor = QueueExecutor(
-        store,
-        ExecutorConfig(
-            jobs=1, batch_size=8, max_attempts=2, backoff_seconds=0.0
-        ),
-    )
+    executor = executor_for(store)
     drain_fully(executor)
     assert executor.executed == 0
+    assert executor.failed_attempts == 2 * MAX_ATTEMPTS
     assert executor.failed_terminal == 2
     assert store.queue_counts()["failed"] == 2
     status = ticket_status(receipt.ticket, store)
@@ -378,6 +427,7 @@ def test_executor_parks_task_after_max_attempts(store, monkeypatch):
     assert all(
         f["error"] == "RuntimeError: injected" for f in status["failures"]
     )
+    assert all(f["attempts"] == MAX_ATTEMPTS for f in status["failures"])
 
 
 def test_executor_fails_permanently_on_key_drift(store):
@@ -393,7 +443,7 @@ def test_executor_fails_permanently_on_key_drift(store):
     conn.commit()
     conn.close()
 
-    executor = QueueExecutor(store, ExecutorConfig(jobs=1))
+    executor = executor_for(store)
     drain_fully(executor)
     assert executor.executed == 0
     assert executor.failed_terminal == 1
@@ -477,6 +527,9 @@ def test_service_http_error_mapping(service):
     with pytest.raises(ServiceError) as err:
         client.submit(dict(CAMPAIGN, axis={"name": "failure_fraction"}))
     assert "'axis'" in err.value.message
+    with pytest.raises(ServiceError) as err:
+        client.submit(dict(CAMPAIGN, name="a/b"))
+    assert err.value.status == 400 and "'name'" in err.value.message
     for block in ({"kind": "skwed"}, {"kind": "skewed", "nodse": 120}):
         with pytest.raises(ServiceError) as err:
             client.submit(dict(CAMPAIGN, topology=block))

@@ -124,18 +124,6 @@ def test_heartbeat_does_not_resurrect_stolen_task(store):
     assert store.heartbeat_tasks("slow", [task.id], 30, now=t0 + 3) == 0
 
 
-def test_fail_with_retry_gates_until_backoff_passes(store):
-    store.enqueue("k1", {"seed": 1})
-    t0 = time.time()
-    [task] = store.lease_tasks("w", 1, lease_seconds=30, now=t0)
-    state = store.fail_task(task.id, "flaky", retry_at=t0 + 10)
-    assert state == "pending"
-    assert store.lease_tasks("w", 1, lease_seconds=30, now=t0 + 5) == []
-    [retried] = store.lease_tasks("w", 1, lease_seconds=30, now=t0 + 11)
-    assert retried.attempts == 1
-    assert retried.error == "flaky"
-
-
 def test_release_returns_running_tasks_to_pending(store):
     for i in range(3):
         store.enqueue(f"k{i}", {"seed": i})
@@ -226,7 +214,7 @@ def test_write_waits_out_competing_writers_lock(store):
 def test_stats_reports_sizes_and_queue(store):
     store.put("k1", make_trial())
     store.enqueue("cold", {"seed": 9})
-    store.record_ticket("t1", "c", ["k1"])
+    store.record_ticket("t1", "c", ["k1"], campaign={"name": "c"})
     stats = store.stats()
     assert stats["trials"] == 1
     assert stats["tickets"] == 1

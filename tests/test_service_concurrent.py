@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.service import ExecutorConfig, QueueExecutor, plan_submission
+from repro.service import QueueExecutor, ServiceConfig, plan_submission
 from repro.service.submission import ticket_status
 from repro.store import (
     Campaign,
@@ -55,21 +55,27 @@ def plan(path, campaign):
         return plan_submission(campaign, store)
 
 
-def _drain(path, owner, counters, batch_size, lease_seconds):
+def executor_config(path, batch_size, lease_seconds):
+    return ServiceConfig(
+        store=str(path),
+        jobs=1,
+        batch_size=batch_size,
+        lease_seconds=lease_seconds,
+        poll_interval=0.05,
+        quiet=True,
+    )
+
+
+def _drain(path, counters, batch_size, lease_seconds):
     """Child-process drain loop: own handle, own executor identity."""
     with ResultStore(path) as store:
         executor = QueueExecutor(
-            store,
-            ExecutorConfig(
-                owner=owner,
-                jobs=1,
-                batch_size=batch_size,
-                lease_seconds=lease_seconds,
-                poll_interval=0.05,
-            ),
+            store, executor_config(path, batch_size, lease_seconds)
         )
         executor.drain(idle_timeout=1.0)
-        counters.put((owner, executor.executed, executor.failed_terminal))
+        counters.put(
+            (executor.owner, executor.executed, executor.failed_terminal)
+        )
 
 
 @pytest.fixture()
@@ -91,7 +97,7 @@ def test_two_processes_drain_once_each_and_fold_serial_identical(
             target=_drain,
             # batch_size=1 maximizes interleaving: every claim is a
             # separate lease transaction racing the sibling's.
-            args=(path, f"drainer-{n}", counters, 1, 30.0),
+            args=(path, counters, 1, 30.0),
         )
         for n in range(2)
     ]
@@ -143,13 +149,7 @@ def test_dead_claimants_leases_expire_and_campaign_completes(tmp_path):
         )
         assert len(claimed) == 4
 
-        executor = QueueExecutor(
-            store,
-            ExecutorConfig(
-                jobs=1, batch_size=4, lease_seconds=30.0,
-                poll_interval=0.05,
-            ),
-        )
+        executor = QueueExecutor(store, executor_config(path, 4, 30.0))
         # While the dead worker's leases hold, nothing is runnable.
         assert executor.drain_once() == 0
         # After they lapse, the tasks re-dispatch to this executor.
@@ -170,7 +170,7 @@ def test_sigkilled_drainer_does_not_block_completion(tmp_path, mp_ctx):
     counters = mp_ctx.SimpleQueue()
     victim = mp_ctx.Process(
         target=_drain,
-        args=(path, "victim", counters, 2, 2.0),
+        args=(path, counters, 2, 2.0),
     )
     victim.start()
     # Kill the drainer as soon as it has banked anything — mid-campaign,
@@ -185,13 +185,7 @@ def test_sigkilled_drainer_does_not_block_completion(tmp_path, mp_ctx):
     assert victim.exitcode == -signal.SIGKILL
 
     with ResultStore(path) as store:
-        survivor = QueueExecutor(
-            store,
-            ExecutorConfig(
-                jobs=1, batch_size=4, lease_seconds=30.0,
-                poll_interval=0.05,
-            ),
-        )
+        survivor = QueueExecutor(store, executor_config(path, 4, 30.0))
         # Idle window > the victim's 2s leases: orphaned running tasks
         # expire and re-dispatch before the survivor gives up.
         survivor.drain(idle_timeout=3.0)

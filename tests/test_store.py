@@ -101,7 +101,9 @@ def test_provenance_records_writer(store):
     assert prov["wall_seconds"] == trial.warmup_wall + trial.convergence_wall
     assert prov["fingerprint"]["schema"] == SCHEMA_VERSION
     assert store.provenance("no-such-key") is None
-    assert store.banked_wall_seconds() == pytest.approx(prov["wall_seconds"])
+    assert store.stats()["banked_wall_seconds"] == pytest.approx(
+        prov["wall_seconds"]
+    )
 
 
 def test_git_revision_is_probed_outside_the_store_lock(store, monkeypatch):

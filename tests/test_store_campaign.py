@@ -24,7 +24,6 @@ from repro.store import (
     Campaign,
     CampaignError,
     ResultStore,
-    RetryPolicy,
     campaign_keys,
     campaign_status,
     load_campaign_results,
@@ -183,6 +182,15 @@ MALFORMED = [
         dict(CAMPAIGN, schemes={"a": {"max_convergence_time": float("inf")}}),
         "max_convergence_time must be finite",
     ),
+    # The name becomes a file name on export; the store is a path.
+    (dict(CAMPAIGN, name="a/b"), "'name'"),
+    (dict(CAMPAIGN, name="a\\b"), "'name'"),
+    (dict(CAMPAIGN, name=""), "'name'"),
+    (dict(CAMPAIGN, name=".."), "'name'"),
+    (dict(CAMPAIGN, name=5), "'name'"),
+    (dict(CAMPAIGN, store=5), "'store'"),
+    (dict(CAMPAIGN, store=""), "'store'"),
+    (dict(CAMPAIGN, store=["a"]), "'store'"),
 ]
 
 
@@ -276,11 +284,6 @@ def test_pinned_topology_is_built_at_the_pinned_seed():
     assert {t.digest for t in campaign_keys(pinned)} == {
         t.digest for t in campaign_keys(unpinned)
     }
-
-
-def test_retry_policy_validates():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +490,7 @@ def test_worker_failures_retry_until_success(store, monkeypatch):
     monkeypatch.setattr(
         batch_mod, "execute_trial", flaky_executor(fail_times=1)
     )
-    result = run_campaign(campaign, store, retry=RetryPolicy(max_attempts=3))
+    result = run_campaign(campaign, store)
     assert result.executed == 2
     assert result.retried == 2
     assert len(store) == 2
@@ -502,8 +505,8 @@ def test_exhausted_retries_raise_campaign_error(store, monkeypatch):
     monkeypatch.setattr(
         batch_mod, "execute_trial", flaky_executor(fail_times=99)
     )
-    with pytest.raises(CampaignError, match="failed after 2 attempt"):
-        run_campaign(campaign, store, retry=RetryPolicy(max_attempts=2))
+    with pytest.raises(CampaignError, match=r"failed after 3 attempt\(s\)"):
+        run_campaign(campaign, store)
     assert len(store) == 0
 
 
@@ -522,7 +525,7 @@ def test_partial_failure_stores_the_successes(store, monkeypatch):
 
     monkeypatch.setattr(batch_mod, "execute_trial", second_trial_dies)
     with pytest.raises(CampaignError) as excinfo:
-        run_campaign(campaign, store, retry=RetryPolicy(max_attempts=2))
+        run_campaign(campaign, store)
     # The healthy sibling was committed before the error surfaced ...
     assert len(store) == 1
     assert len(excinfo.value.failures) == 1
@@ -593,9 +596,7 @@ def test_worker_killing_trial_is_retried_in_a_worker_not_the_parent(
     )
     try:
         with pytest.raises(CampaignError) as excinfo:
-            run_campaign(
-                campaign, store, jobs=2, retry=RetryPolicy(max_attempts=2)
-            )
+            run_campaign(campaign, store, jobs=2)
     finally:
         parallel_mod.shutdown_worker_pool()
     [(task, error)] = excinfo.value.failures
