@@ -17,7 +17,7 @@ Run:  python examples/observe_dynamic_mrai.py
 """
 
 from repro import DynamicMRAI, ExperimentSpec, run_experiment, skewed_topology
-from repro.obs import ObsSession
+from repro.obs.session import ObsSession
 
 NODES = 60
 FAILURE = 0.20

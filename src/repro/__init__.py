@@ -14,98 +14,30 @@ Quickstart::
     result = run_experiment(topo, spec, seed=1)
     print(result.convergence_delay, result.messages_sent)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-figure-by-figure reproduction record.
+The package top re-exports only the quickstart names; everything else is
+imported from the module that defines it.  See DESIGN.md for the system
+inventory and EXPERIMENTS.md for the figure-by-figure reproduction record.
 """
 
 __version__ = "1.0.0"
 
-from repro.bgp import BGPConfig, BGPNetwork, ConstantMRAI, DampingConfig
-from repro.bgp.policy import (
-    ASRelationships,
-    GaoRexfordPolicy,
-    infer_relationships,
-    infer_relationships_hierarchical,
-)
-from repro.core import (
-    AdaptiveExtentMRAI,
-    DegreeDependentMRAI,
-    DynamicMRAI,
-    ExperimentResult,
-    ExperimentSpec,
-    Series,
-    TrialResult,
-    recommend_ladder,
-    recommend_mrai,
-    run_experiment,
-    run_trials,
-    validate_routing,
-)
-from repro.failures import (
-    FailureScenario,
-    geographic_failure,
-    random_failure,
-    single_node_failure,
-)
-from repro.obs import (
-    EventLoopProfiler,
-    MetricsRegistry,
-    NetworkProbe,
-    ObsSession,
-    RunManifest,
-)
-from repro.topology import (
-    InternetDegreeDistribution,
-    MultiRouterSpec,
-    SkewedDegreeSpec,
-    Topology,
-    barabasi_albert_topology,
-    glp_topology,
-    internet_like_topology,
-    multi_router_topology,
-    skewed_topology,
-    waxman_topology,
-)
+from repro.bgp.mrai import ConstantMRAI
+from repro.core.dynamic_mrai import DynamicMRAI
+from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.failures.scenarios import geographic_failure
+from repro.topology.degree import SkewedDegreeSpec
+from repro.topology.multirouter import MultiRouterSpec, multi_router_topology
+from repro.topology.skewed import skewed_topology
 
 __all__ = [
-    "ASRelationships",
-    "AdaptiveExtentMRAI",
-    "BGPConfig",
-    "BGPNetwork",
     "ConstantMRAI",
-    "DampingConfig",
-    "DegreeDependentMRAI",
     "DynamicMRAI",
-    "EventLoopProfiler",
-    "ExperimentResult",
     "ExperimentSpec",
-    "FailureScenario",
-    "GaoRexfordPolicy",
-    "MetricsRegistry",
-    "NetworkProbe",
-    "ObsSession",
-    "RunManifest",
-    "InternetDegreeDistribution",
     "MultiRouterSpec",
-    "Series",
     "SkewedDegreeSpec",
-    "Topology",
-    "TrialResult",
     "__version__",
-    "barabasi_albert_topology",
     "geographic_failure",
-    "glp_topology",
-    "infer_relationships",
-    "infer_relationships_hierarchical",
-    "internet_like_topology",
     "multi_router_topology",
-    "random_failure",
-    "recommend_ladder",
-    "recommend_mrai",
     "run_experiment",
-    "run_trials",
-    "single_node_failure",
     "skewed_topology",
-    "validate_routing",
-    "waxman_topology",
 ]

@@ -5,65 +5,3 @@ benchmark harness prints — the same rows/series the paper's figures plot —
 plus small helpers for shape assertions (V-shape detection, crossover
 location) used by the benchmark suite and EXPERIMENTS.md.
 """
-
-from repro.analysis.convergence import (
-    ConvergenceTimeline,
-    PathHistory,
-    analyze_trace,
-    analyze_trace_file,
-    render_report,
-)
-from repro.analysis.dataplane import (
-    DataPlaneTimeline,
-    PairStats,
-    analyze_dataplane,
-    analyze_dataplane_file,
-    load_dataplane_trials,
-    render_dataplane_report,
-)
-from repro.analysis.report import (
-    format_figure,
-    format_series_table,
-    series_to_rows,
-)
-from repro.analysis.export import (
-    save_series,
-    series_to_csv,
-    series_to_json,
-    series_to_records,
-)
-from repro.analysis.shapes import (
-    crossover_point,
-    is_v_shaped,
-    monotone_increasing,
-    optimal_x,
-)
-from repro.analysis.timeseries import Probe, Sample, sparkline
-
-__all__ = [
-    "ConvergenceTimeline",
-    "DataPlaneTimeline",
-    "PairStats",
-    "PathHistory",
-    "Probe",
-    "Sample",
-    "analyze_dataplane",
-    "analyze_dataplane_file",
-    "analyze_trace",
-    "analyze_trace_file",
-    "crossover_point",
-    "load_dataplane_trials",
-    "render_dataplane_report",
-    "format_figure",
-    "format_series_table",
-    "is_v_shaped",
-    "monotone_increasing",
-    "optimal_x",
-    "render_report",
-    "save_series",
-    "series_to_csv",
-    "series_to_json",
-    "series_to_records",
-    "series_to_rows",
-    "sparkline",
-]

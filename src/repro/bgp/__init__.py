@@ -14,43 +14,3 @@ Implements exactly the protocol machinery the paper's experiments exercise:
 * eBGP plus the minimal iBGP (full mesh, no re-advertisement) needed for the
   multi-router-per-AS topologies of Fig 13.
 """
-
-from repro.bgp.config import BGPConfig
-from repro.bgp.damping import DampingConfig, DampingState
-from repro.bgp.messages import Update
-from repro.bgp.mrai import (
-    ConstantMRAI,
-    MRAIController,
-    MRAIPolicy,
-    StaticController,
-)
-from repro.bgp.network import BGPNetwork
-from repro.bgp.queues import (
-    DestinationBatchQueue,
-    FIFOQueue,
-    QueueDiscipline,
-    TCPBatchQueue,
-    make_queue,
-)
-from repro.bgp.routes import Route
-from repro.bgp.speaker import BGPSpeaker, PeerState
-
-__all__ = [
-    "BGPConfig",
-    "BGPNetwork",
-    "BGPSpeaker",
-    "ConstantMRAI",
-    "DampingConfig",
-    "DampingState",
-    "DestinationBatchQueue",
-    "FIFOQueue",
-    "MRAIController",
-    "MRAIPolicy",
-    "PeerState",
-    "QueueDiscipline",
-    "Route",
-    "StaticController",
-    "TCPBatchQueue",
-    "Update",
-    "make_queue",
-]

@@ -19,68 +19,3 @@
 * :mod:`repro.core.validation` — post-convergence routing correctness
   checks (reachability soundness/completeness, forwarding loop freedom).
 """
-
-from repro.core.adaptive import AdaptiveExtentMRAI, FailureExtentController
-from repro.core.degree_mrai import DegreeDependentMRAI
-from repro.core.dynamic_mrai import (
-    DynamicController,
-    DynamicMRAI,
-    MessageCountController,
-    UtilizationController,
-)
-from repro.core.experiment import (
-    ExperimentResult,
-    ExperimentSpec,
-    Progress,
-    TrialResult,
-    run_experiment,
-    run_trials,
-)
-from repro.core.parallel import (
-    TrialExecutionError,
-    WorkerPool,
-    derive_trial_seeds,
-    get_worker_pool,
-    pool_stats,
-    shutdown_worker_pool,
-)
-from repro.core.sweep import Series, SweepPoint
-from repro.core.theory import (
-    labovitz_clique_bound,
-    pei_unloaded_bound,
-    recommend_ladder,
-    recommend_mrai,
-    saturation_mrai_ratio,
-)
-from repro.core.validation import RoutingViolation, validate_routing
-
-__all__ = [
-    "AdaptiveExtentMRAI",
-    "DegreeDependentMRAI",
-    "FailureExtentController",
-    "DynamicController",
-    "DynamicMRAI",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "MessageCountController",
-    "Progress",
-    "RoutingViolation",
-    "Series",
-    "SweepPoint",
-    "TrialExecutionError",
-    "TrialResult",
-    "UtilizationController",
-    "WorkerPool",
-    "derive_trial_seeds",
-    "get_worker_pool",
-    "labovitz_clique_bound",
-    "pei_unloaded_bound",
-    "pool_stats",
-    "recommend_ladder",
-    "recommend_mrai",
-    "run_experiment",
-    "run_trials",
-    "saturation_mrai_ratio",
-    "shutdown_worker_pool",
-    "validate_routing",
-]

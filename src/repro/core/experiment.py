@@ -119,7 +119,7 @@ class ExperimentSpec:
 
         ``repro.specs.spec_from_dict(spec.to_dict()) == spec`` for every
         spec whose policies are registry-serializable; raises
-        :class:`repro.specs.SpecSerializationError` otherwise.
+        :class:`repro.specs.serialize.SpecSerializationError` otherwise.
         """
         from repro.specs.serialize import spec_to_dict
 

@@ -90,12 +90,13 @@ from typing import (
     Tuple,
 )
 
+from repro.core.experiment import TrialResult, simulate_trial
+from repro.obs.session import TrialObserver
 from repro.obs.spans import record_spans, span
 from repro.sim.rng import derive_seed
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - batch imports this module
     from repro.core.batch import PlannedTrial
-    from repro.core.experiment import TrialResult
 
 #: Per-worker topology cache capacity (entries, LRU).
 DEFAULT_TOPOLOGY_CACHE = 8
@@ -148,7 +149,7 @@ def execute_trial(
     spec: Any,
     seed: int,
     obs_config: Optional[Dict[str, Any]] = None,
-) -> Tuple["TrialResult", Optional[Dict[str, Any]]]:
+) -> Tuple[TrialResult, Optional[Dict[str, Any]]]:
     """Run one planned trial (the worker entry point; also used serially).
 
     Takes the planned trial's fields, not the record: that is what a
@@ -161,15 +162,9 @@ def execute_trial(
     recipe is the only thing consulted, so a trial is observed the same
     way in this process as in a worker.
     """
-    # Imported here, not at module level: experiment.py imports this
-    # module at its top, and workers only pay the import once per process.
-    from repro.core.experiment import simulate_trial
-
     observer = None
     spans_ctx = nullcontext()
     if obs_config is not None:
-        from repro.obs.session import TrialObserver
-
         observer = TrialObserver(obs_config)
         if observer.span_recorder is not None:  # (an empty one is falsy)
             # Trial-local span recording: the rows ride home in the

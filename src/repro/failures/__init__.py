@@ -7,19 +7,3 @@ routers and links in the area (Sec 3.1/3.2).  :func:`geographic_failure`
 implements exactly that; scattered and single-node scenarios are provided
 for comparison experiments.
 """
-
-from repro.failures.scenarios import (
-    FailureScenario,
-    geographic_failure,
-    link_cut_failure,
-    random_failure,
-    single_node_failure,
-)
-
-__all__ = [
-    "FailureScenario",
-    "geographic_failure",
-    "link_cut_failure",
-    "random_failure",
-    "single_node_failure",
-]

@@ -19,29 +19,27 @@ of a results-serving backend.  This package assembles them into one:
   (:class:`ServiceClient`) mirroring the API 1:1.
 
 CLI entry points: ``repro-bgp serve`` / ``submit`` / ``result`` /
-``queue status`` / ``store stats``.  See ``docs/SERVICE.md``.
+``queue status`` / ``store stats``.  See ``docs/SERVICE.md``.  The
+package re-exports only the names callers outside it import; everything
+else is imported from its module.
 """
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import CampaignService, ServiceConfig
-from repro.service.executor import QueueExecutor
 from repro.service.submission import (
     SubmissionReceipt,
     plan_submission,
-    submission_campaign,
     ticket_results,
     ticket_status,
 )
 
 __all__ = [
     "CampaignService",
-    "QueueExecutor",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
     "SubmissionReceipt",
     "plan_submission",
-    "submission_campaign",
     "ticket_results",
     "ticket_status",
 ]

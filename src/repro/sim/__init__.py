@@ -9,26 +9,3 @@ utilities.
 The kernel is deliberately protocol-agnostic; everything BGP-specific lives in
 :mod:`repro.bgp`.
 """
-
-from repro.sim.engine import Simulator, SimulationError
-from repro.sim.events import Event, EventQueue
-from repro.sim.rng import RandomStreams
-from repro.sim.stats import OnlineStats, SlidingWindowUtilization
-from repro.sim.timers import Jitter, Timer
-from repro.sim.trace import Counter, NullTracer, Tracer, TraceRecord
-
-__all__ = [
-    "Counter",
-    "Event",
-    "EventQueue",
-    "Jitter",
-    "NullTracer",
-    "OnlineStats",
-    "RandomStreams",
-    "SimulationError",
-    "Simulator",
-    "SlidingWindowUtilization",
-    "Timer",
-    "TraceRecord",
-    "Tracer",
-]

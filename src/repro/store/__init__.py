@@ -17,51 +17,27 @@ running it again.  This package provides:
 * :mod:`repro.store.queue` — the durable work queue (lease/heartbeat/
   park rows in the same SQLite file) that the campaign service in
   :mod:`repro.service` drains.
+
+The package re-exports only the names callers outside it import;
+everything else is imported from its module.
 """
 
 from repro.store.campaign import (
     Campaign,
-    CampaignError,
-    CampaignResult,
-    CampaignStatus,
-    campaign_keys,
     campaign_status,
     load_campaign_results,
     run_campaign,
 )
-from repro.store.queue import QUEUE_STATES, QueueTask
-from repro.store.hashing import (
-    SCHEMA_VERSION,
-    canonical,
-    spec_fingerprint,
-    spec_hash,
-    topology_digest,
-)
-from repro.store.result_store import (
-    ResultStore,
-    git_revision,
-    trial_from_dict,
-    trial_to_dict,
-)
+from repro.store.hashing import spec_fingerprint, spec_hash, topology_digest
+from repro.store.result_store import ResultStore
 
 __all__ = [
     "Campaign",
-    "CampaignError",
-    "CampaignResult",
-    "CampaignStatus",
-    "QUEUE_STATES",
-    "QueueTask",
     "ResultStore",
-    "SCHEMA_VERSION",
-    "campaign_keys",
     "campaign_status",
-    "canonical",
-    "git_revision",
     "load_campaign_results",
     "run_campaign",
     "spec_fingerprint",
     "spec_hash",
     "topology_digest",
-    "trial_from_dict",
-    "trial_to_dict",
 ]

@@ -10,7 +10,7 @@ from repro.bgp.queues import (
     TCPBatchQueue,
     make_queue,
 )
-from repro.specs import validate_scheme
+from repro.specs.serialize import validate_scheme
 
 
 def msg(dest, sender, path=(1,)):

@@ -16,12 +16,8 @@ from repro.core.parallel import get_worker_pool
 from repro.core.sweep import Series
 from repro.obs.session import ObsSession
 from repro.obs.spans import record_spans
-from repro.store import (
-    Campaign,
-    CampaignError,
-    ResultStore,
-    run_campaign,
-)
+from repro.store import Campaign, ResultStore, run_campaign
+from repro.store.campaign import CampaignError
 from repro.topology.skewed import skewed_topology
 
 TOPOLOGY = {"kind": "skewed", "nodes": 24}

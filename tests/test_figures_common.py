@@ -12,7 +12,8 @@ from repro.figures import FIGURES, compute_figure
 from repro.figures.common import QUICK, ScaleProfile, grid
 from repro.obs.session import ObsSession
 from repro.obs.spans import SpanRecorder, record_spans
-from repro.store import Campaign, ResultStore, campaign_keys, run_campaign
+from repro.store import Campaign, ResultStore, run_campaign
+from repro.store.campaign import campaign_keys
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 

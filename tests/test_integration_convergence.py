@@ -13,11 +13,9 @@ from repro.bgp.network import BGPNetwork
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.validation import validate_routing
 from repro.failures.scenarios import geographic_failure, random_failure
-from repro.topology.barabasi_albert import barabasi_albert_topology
 from repro.topology.internet import internet_like_topology
 from repro.topology.multirouter import MultiRouterSpec, multi_router_topology
 from repro.topology.skewed import skewed_topology
-from repro.topology.waxman import waxman_topology
 from repro.sim.rng import RandomStreams
 
 
@@ -46,8 +44,6 @@ def cycle(topology, config=None, fraction=0.1, seed=1, scenario=None):
     [
         lambda: skewed_topology(40, seed=2),
         lambda: internet_like_topology(40, seed=2),
-        lambda: waxman_topology(30, seed=2),
-        lambda: barabasi_albert_topology(30, seed=2),
     ],
 )
 def test_failure_cycle_across_generators(generator):

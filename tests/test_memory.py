@@ -12,7 +12,8 @@ with ``-s`` to see them; CI does, once per Python version):
   shared between RIBs by construction (no intern table) and drained MRAI
   ``pending`` sets released;
 * importing the serial trial path loads no HTTP/TLS, SQLite or
-  multiprocessing code.
+  multiprocessing code, and importing the trial itself loads none of
+  the batch, pool, store, service or monitoring modules.
 """
 
 import gc
@@ -362,12 +363,10 @@ DEFERRED_STACKS = (
 )
 
 
-def test_serial_import_closure():
-    """Importing what a serial trial needs (and the service and store
-    packages) loads none of the HTTP/TLS, SQLite, multiprocessing,
-    subprocess or uuid stacks; each loads on the first use of the piece
-    that needs it.  Runs in a fresh interpreter, so nothing this test
-    session imported leaks in."""
+def fresh_interpreter(script):
+    """Run ``script`` in a new Python on this checkout's ``src/`` and
+    return what it printed as JSON, so nothing this test session
+    imported leaks in."""
     import json
     import os
     import subprocess
@@ -382,18 +381,24 @@ def test_serial_import_closure():
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            IMPORT_CLOSURE_SCRIPT % (SERIAL_MODULES, DEFERRED_STACKS),
-        ],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_serial_import_closure():
+    """Importing what a serial trial needs (and the service and store
+    packages) loads none of the HTTP/TLS, SQLite, multiprocessing,
+    subprocess or uuid stacks; each loads on the first use of the piece
+    that needs it."""
+    report = fresh_interpreter(
+        IMPORT_CLOSURE_SCRIPT % (SERIAL_MODULES, DEFERRED_STACKS)
+    )
     print(
         f"\nserial import closure on {sys.version.split()[0]}: "
         f"{report['modules']} modules, {report.get('rss_mb', 0):.1f} MB RSS"
@@ -402,3 +407,49 @@ def test_serial_import_closure():
     assert report["store_loads_sqlite3"]
     assert report["handler_loads_http_server"]
     assert report["pool_loads_multiprocessing"]
+
+
+#: What the paper's one trial (warm-up, geographic failure, convergence)
+#: does not run: the batch runner and pool, the store, service, specs
+#: and figure layers, the theory helpers and the live / causal /
+#: data-plane monitors.  Each loads where a caller needs it.
+TRIAL_EXCLUDED = (
+    "repro.service",
+    "repro.store",
+    "repro.specs",
+    "repro.figures",
+    "repro.analysis",
+    "repro.core.batch",
+    "repro.core.parallel",
+    "repro.core.sweep",
+    "repro.core.theory",
+    "repro.obs.live",
+    "repro.obs.causality",
+    "repro.obs.dataplane",
+)
+#: ``repro`` modules ``import repro, repro.core.experiment`` may load
+#: (39 today).
+TRIAL_MODULE_BUDGET = 40
+
+
+def test_trial_import_closure():
+    """The package top and the trial module load only the simulator,
+    the BGP model, the topology and failure generators and the obs
+    recorders a trial fills: no package re-exports the rest."""
+    report = fresh_interpreter(
+        "import json, sys\n"
+        "import repro, repro.core.experiment\n"
+        "print(json.dumps({'repro': sorted(m for m in sys.modules\n"
+        "    if m.split('.')[0] == 'repro'), 'modules': len(sys.modules)}))\n"
+    )
+    loaded = report["repro"]
+    print(
+        f"\ntrial import closure on {sys.version.split()[0]}: "
+        f"{len(loaded)} repro modules, {report['modules']} in all"
+    )
+    assert [
+        name
+        for name in loaded
+        if any(name == x or name.startswith(x + ".") for x in TRIAL_EXCLUDED)
+    ] == []
+    assert len(loaded) <= TRIAL_MODULE_BUDGET, loaded

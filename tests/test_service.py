@@ -27,22 +27,22 @@ from repro.core.experiment import run_trials
 from repro.obs.spans import record_spans
 from repro.service import (
     CampaignService,
-    QueueExecutor,
     ServiceClient,
     ServiceConfig,
     ServiceError,
     plan_submission,
-    submission_campaign,
     ticket_results,
     ticket_status,
 )
+from repro.service.executor import QueueExecutor
+from repro.service.submission import submission_campaign
 from repro.store import (
     Campaign,
     ResultStore,
-    campaign_keys,
     load_campaign_results,
     run_campaign,
 )
+from repro.store.campaign import campaign_keys
 
 CAMPAIGN = {
     "name": "svc",

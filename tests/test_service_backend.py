@@ -13,7 +13,8 @@ import time
 import pytest
 
 from repro.core.experiment import TrialResult
-from repro.store import QUEUE_STATES, ResultStore
+from repro.store import ResultStore
+from repro.store.queue import QUEUE_STATES
 
 
 @pytest.fixture()

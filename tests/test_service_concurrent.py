@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro.service import QueueExecutor, ServiceConfig, plan_submission
+from repro.service import ServiceConfig, plan_submission
+from repro.service.executor import QueueExecutor
 from repro.service.submission import ticket_status
 from repro.store import (
     Campaign,

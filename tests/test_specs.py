@@ -22,16 +22,18 @@ from repro.core.experiment import ExperimentSpec
 from repro.figures.common import QUICK
 from repro.specs import (
     MRAI_SCHEMES,
-    SCHEME_SETS,
-    MRAIScheme,
-    SpecSerializationError,
     build_mrai,
     build_spec,
-    scheme_keys,
-    scheme_requires_topology,
     scheme_set,
     spec_from_dict,
     spec_to_dict,
+)
+from repro.specs.mrai import MRAIScheme
+from repro.specs.scheme_sets import SCHEME_SETS
+from repro.specs.serialize import (
+    SpecSerializationError,
+    scheme_keys,
+    scheme_requires_topology,
     validate_scheme,
 )
 from repro.store import Campaign, ResultStore, run_campaign

@@ -22,13 +22,12 @@ from repro.obs.session import ObsSession
 from repro.specs import build_spec
 from repro.store import (
     Campaign,
-    CampaignError,
     ResultStore,
-    campaign_keys,
     campaign_status,
     load_campaign_results,
     run_campaign,
 )
+from repro.store.campaign import CampaignError, campaign_keys
 
 CAMPAIGN = {
     "name": "unit",

@@ -1,21 +1,15 @@
-"""Unit tests for the flat-topology generators."""
+"""Unit tests for the flat-topology generators (skewed and internet-like)."""
 
 import pytest
 
-from repro.topology.barabasi_albert import barabasi_albert_topology
 from repro.topology.degree import SkewedDegreeSpec
-from repro.topology.glp import glp_topology
 from repro.topology.graph import GRID_SIZE
 from repro.topology.internet import internet_like_topology
 from repro.topology.skewed import skewed_topology
-from repro.topology.waxman import waxman_topology
 
 GENERATORS = [
     lambda seed: skewed_topology(40, seed=seed),
     lambda seed: internet_like_topology(40, seed=seed),
-    lambda seed: waxman_topology(40, seed=seed),
-    lambda seed: barabasi_albert_topology(40, seed=seed),
-    lambda seed: glp_topology(40, seed=seed),
 ]
 
 
@@ -82,51 +76,6 @@ def test_skewed_custom_link_delay():
 def test_internet_like_max_degree_capped():
     topo = internet_like_topology(120, seed=7)
     assert max(topo.degree_sequence()) <= 40
-
-
-def test_waxman_parameter_validation():
-    with pytest.raises(ValueError):
-        waxman_topology(1)
-    with pytest.raises(ValueError):
-        waxman_topology(10, alpha=0.0)
-    with pytest.raises(ValueError):
-        waxman_topology(10, beta=-1.0)
-
-
-def test_barabasi_albert_parameter_validation():
-    with pytest.raises(ValueError):
-        barabasi_albert_topology(2)
-    with pytest.raises(ValueError):
-        barabasi_albert_topology(10, m=0)
-    with pytest.raises(ValueError):
-        barabasi_albert_topology(10, m=10)
-
-
-def test_barabasi_albert_minimum_degree_is_m():
-    topo = barabasi_albert_topology(50, m=2, seed=3)
-    assert min(topo.degree_sequence()) >= 2
-
-
-def test_barabasi_albert_has_heavy_tail():
-    topo = barabasi_albert_topology(200, m=2, seed=3)
-    degrees = topo.degree_sequence()
-    assert degrees[0] >= 3 * degrees[len(degrees) // 2]
-
-
-def test_glp_parameter_validation():
-    with pytest.raises(ValueError):
-        glp_topology(2)
-    with pytest.raises(ValueError):
-        glp_topology(10, m=0)
-    with pytest.raises(ValueError):
-        glp_topology(10, p=1.0)
-    with pytest.raises(ValueError):
-        glp_topology(10, beta=1.0)
-
-
-def test_glp_produces_requested_node_count():
-    topo = glp_topology(60, seed=4)
-    assert topo.num_routers == 60
 
 
 def test_custom_name():
