@@ -180,6 +180,8 @@ def _make_live_monitor(
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
+        if args.seed < 0:
+            raise ValueError("seed must be non-negative")
         topology = build_topology(args)
         spec = ExperimentSpec(
             mrai=build_mrai_policy(args, topology),

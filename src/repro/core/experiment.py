@@ -42,7 +42,6 @@ from repro.bgp.damping import DampingConfig
 from repro.bgp.mrai import ConstantMRAI, MRAIPolicy
 from repro.bgp.policy import RoutingPolicy
 from repro.bgp.network import BGPNetwork
-from repro.core.validation import validate_routing
 from repro.failures.scenarios import (
     FailureScenario,
     geographic_failure,
@@ -353,6 +352,8 @@ def simulate_trial(
                 "warmup", warmup_wall, sim_seconds=warmup_time, events=warmup_events
             )
         if spec.validate:
+            from repro.core.validation import validate_routing
+
             validate_routing(network)
 
         if scenario is None:
@@ -381,6 +382,8 @@ def simulate_trial(
                 events=network.sim.events_executed - warmup_events,
             )
         if spec.validate and not truncated:
+            from repro.core.validation import validate_routing
+
             validate_routing(network)
 
         diff = network.counters.diff(warmup_snapshot)

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.analysis.report import format_figure
 from repro.core.sweep import Series
-from repro.specs import scheme_set
+from repro.specs.scheme_sets import scheme_set
 from repro.store.campaign import Campaign
 
 #: Environment variable selecting the default scale.

@@ -32,14 +32,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.obs.export import (
-    write_aggregates_csv,
-    write_metrics_jsonl,
-    write_timeseries_csv,
-)
 from repro.obs.manifest import PhaseTiming, RunManifest, jsonable
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.probes import NetworkProbe, ProbeSamples
 from repro.obs.profiling import EventLoopProfiler
 from repro.obs.spans import SpanRecorder, span
 
@@ -47,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
     from repro.core.experiment import TrialResult
     from repro.obs.dataplane import DataPlaneMonitor
+    from repro.obs.probes import NetworkProbe, ProbeSamples
     from repro.sim.trace import TraceRecord, Tracer
 
 #: Categories a session tracer records: exactly what the
@@ -77,6 +71,8 @@ class TrialObserver:
         recipe: Dict[str, Any],
         trace_sink: Optional[Callable[["TraceRecord"], None]] = None,
     ) -> None:
+        from repro.obs.metrics import MetricsRegistry
+
         self.recipe = recipe
         self.registry = MetricsRegistry()
         self.profiler: Optional[EventLoopProfiler] = (
@@ -109,6 +105,8 @@ class TrialObserver:
         if self.profiler is not None:
             self.profiler.attach(network.sim)
         if self.recipe["sample_interval"] is not None:
+            from repro.obs.probes import NetworkProbe
+
             self.probe = NetworkProbe(network, self.recipe["sample_interval"])
             self.probe.start()
         if self.recipe["dataplane"]:
@@ -264,6 +262,8 @@ class ObsSession:
         dataplane: bool = False,
         dataplane_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
+        from repro.obs.metrics import MetricsRegistry
+
         if sample_interval is not None and sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
         #: Metrics merged across trials, plus the session's own
@@ -475,6 +475,12 @@ class ObsSession:
         self, directory: Union[str, Path], command: str = ""
     ) -> List[Path]:
         """Write every artifact this session holds; returns the paths."""
+        from repro.obs.export import (
+            write_aggregates_csv,
+            write_metrics_jsonl,
+            write_timeseries_csv,
+        )
+
         with span("obs.export"):
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)

@@ -37,11 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.core.parallel import get_worker_pool, shutdown_worker_pool
-from repro.obs.live import LiveMonitor
 from repro.obs.session import ObsSession
-
-from repro.service.api import make_handler
-from repro.service.executor import QueueExecutor
 from repro.service.submission import SubmissionReceipt
 from repro.store.result_store import ResultStore
 
@@ -87,6 +83,9 @@ class CampaignService:
         config: ServiceConfig,
         backend: Optional[ResultStore] = None,
     ) -> None:
+        from repro.obs.live import LiveMonitor
+        from repro.service.executor import QueueExecutor
+
         self.config = config
         self.backend = (
             backend if backend is not None else ResultStore(config.store)
@@ -127,6 +126,8 @@ class CampaignService:
     def start(self) -> None:
         """Boot: prewarm pool, start executor thread, bind HTTP server."""
         from http.server import ThreadingHTTPServer
+
+        from repro.service.api import make_handler
 
         # Fork the pool workers while this process is still effectively
         # single-threaded; everything after this line may thread freely.

@@ -23,7 +23,6 @@ else is imported from its module.
 """
 
 from repro.specs.mrai import MRAI_SCHEMES, build_mrai
-from repro.specs.scheme_sets import scheme_set
 from repro.specs.serialize import build_spec, spec_from_dict, spec_to_dict
 from repro.specs.topology import DISTRIBUTIONS, TOPOLOGY_KINDS, topology_factory
 
@@ -33,7 +32,6 @@ __all__ = [
     "TOPOLOGY_KINDS",
     "build_mrai",
     "build_spec",
-    "scheme_set",
     "spec_from_dict",
     "spec_to_dict",
     "topology_factory",

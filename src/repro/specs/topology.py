@@ -16,7 +16,6 @@ from typing import Any, Callable, Dict, NamedTuple, Tuple
 from repro.specs.fields import integer, lookup
 from repro.topology.degree import MIN_NODES, SkewedDegreeSpec
 from repro.topology.graph import Topology
-from repro.topology.internet import internet_like_topology
 from repro.topology.multirouter import (
     MIN_ASES,
     MultiRouterSpec,
@@ -102,6 +101,8 @@ def _skewed_builder(block: Dict[str, Any]) -> Callable[[int], Topology]:
 
 
 def _internet_builder(block: Dict[str, Any]) -> Callable[[int], Topology]:
+    from repro.topology.internet import internet_like_topology
+
     nodes = block.get("nodes", 60)
     return lambda seed: internet_like_topology(nodes, seed=seed)
 

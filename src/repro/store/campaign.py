@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -39,14 +40,6 @@ from typing import (
     Union,
 )
 
-from repro.core.batch import (
-    MAX_ATTEMPTS,
-    GridCell,
-    PlannedTrial,
-    fold_grid,
-    plan_grid,
-    run_batch,
-)
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
@@ -54,7 +47,6 @@ from repro.core.experiment import (
     TrialResult,
 )
 from repro.core.parallel import derive_trial_seeds
-from repro.core.sweep import AXES, Series, grid_series, point_spec
 from repro.obs.session import ObsSession
 from repro.obs.spans import span
 from repro.specs.blocks import policy_needs_topology
@@ -70,6 +62,10 @@ from repro.specs.topology import (
 )
 from repro.store.result_store import ResultStore
 from repro.topology.graph import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.batch import GridCell, PlannedTrial
+    from repro.core.sweep import Series
 
 __all__ = [
     "Campaign",
@@ -116,6 +112,8 @@ class Campaign:
     store_path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        from repro.core.sweep import AXES, point_spec
+
         if self.axis not in AXES:
             raise ValueError(
                 f"unknown axis {self.axis!r}; choose from {AXES}"
@@ -127,9 +125,14 @@ class Campaign:
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
         # A repeated seed would count its trial twice in every mean; a
-        # repeated value would plot one point twice.
+        # repeated value would plot one point twice.  A negative seed
+        # would fail every attempt of its trials at run time.
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"campaign seeds must be distinct: {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ValueError(
+                f"campaign seeds must be non-negative: {self.seeds}"
+            )
         if len(set(self.values)) != len(self.values):
             raise ValueError(
                 f"campaign axis values must be distinct: {self.values}"
@@ -271,6 +274,8 @@ class Campaign:
         return build_spec(scheme)
 
     def point_spec(self, label: str, x: float) -> ExperimentSpec:
+        from repro.core.sweep import point_spec
+
         return point_spec(self.base_spec(label), self.axis, x)
 
     def cells(self) -> List[GridCell]:
@@ -352,6 +357,8 @@ def campaign_keys(campaign: Campaign) -> List[PlannedTrial]:
     ``campaign_status``, ``load_campaign_results`` and the service's
     submission planner, so all of them always agree on keys.
     """
+    from repro.core.batch import plan_grid
+
     with span("campaign.expand", trials=campaign.total_trials):
         return plan_grid(
             campaign.topology_factory(),
@@ -364,6 +371,9 @@ def _campaign_results(
     campaign: Campaign, trials: Sequence[TrialResult]
 ) -> Tuple[List[Series], Dict[Tuple[str, float], ExperimentResult]]:
     """Per-scheme series and per-point results of plan-ordered trials."""
+    from repro.core.batch import fold_grid
+    from repro.core.sweep import grid_series
+
     cells = campaign.cells()
     results = fold_grid(cells, campaign.seeds, trials)
     return grid_series(cells, results, campaign.axis), {
@@ -473,6 +483,8 @@ def run_campaign(
     run's.  The run is recorded as a manifest row in the store, and
     ``obs`` (when given) gets cache hit/miss counters and the manifest.
     """
+    from repro.core.batch import MAX_ATTEMPTS, run_batch
+
     if store is None and campaign.store_path is not None:
         with ResultStore(campaign.store_path) as own_store:
             return run_campaign(

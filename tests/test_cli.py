@@ -317,8 +317,9 @@ def test_cli_submit_rejects_an_unreadable_file(content, tmp_path, capsys):
         (["run", "--nodes", "1"], "nodes must be at least 2"),
         (["run", "--nodes", "20", "--mrai", "-1"], "mrai must be non-negative"),
         (["topo", "--nodes", "1"], "nodes must be at least 2"),
+        (["run", "--nodes", "20", "--seed", "-1"], "seed must be non-negative"),
     ],
-    ids=["run-failure", "run-nodes", "run-mrai", "topo-nodes"],
+    ids=["run-failure", "run-nodes", "run-mrai", "topo-nodes", "run-seed"],
 )
 def test_cli_run_and_topo_reject_out_of_range_values(argv, reason, capsys):
     assert main(argv) == 2

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import repro.specs.topology as topology_blocks
+import repro.topology.internet as internet
 from repro.analysis.export import series_to_csv
 from repro.core.sweep import Series
 from repro.figures import FIGURES, compute_figure
@@ -45,12 +46,12 @@ def test_every_figure_grid_is_a_campaign_document(monkeypatch):
     profile = tiny_profile(name="documents", seeds=(1, 2))
     recorder = SpanRecorder()
     with record_spans(recorder), monkeypatch.context() as patched:
-        for generator in (
-            "skewed_topology",
-            "internet_like_topology",
-            "multi_router_topology",
+        for module, generator in (
+            (topology_blocks, "skewed_topology"),
+            (internet, "internet_like_topology"),
+            (topology_blocks, "multi_router_topology"),
         ):
-            patched.delattr(topology_blocks, generator)
+            patched.delattr(module, generator)
         declared = {fid: fig.grids(profile) for fid, fig in FIGURES.items()}
     assert not recorder.records  # no topology.build, no trials.run
     for fid, grids in declared.items():

@@ -310,11 +310,19 @@ from pathlib import Path
 
 MODULES = %r
 STACKS = %r
+DEFERRED = %r
+
+
+def loaded(names):
+    return [m for m in names if m in sys.modules]
+
+
 for name in MODULES:
     importlib.import_module(name)
 report = {
-    "loaded": [m for m in STACKS if m in sys.modules],
+    "loaded": loaded(STACKS + DEFERRED),
     "modules": len(sys.modules),
+    "repro_modules": len([m for m in sys.modules if m.split(".")[0] == "repro"]),
 }
 # VmRSS, not ru_maxrss: after exec, ru_maxrss starts from the parent's.
 status = Path("/proc/self/status")
@@ -325,14 +333,32 @@ for line in status.read_text().splitlines() if status.exists() else ():
 import tempfile
 
 from repro.core.parallel import default_start_method
-from repro.service.api import make_handler
-from repro.store import ResultStore
+from repro.service import CampaignService, ServiceConfig
+from repro.store import Campaign, ResultStore
+from repro.store.campaign import campaign_keys
 
+campaign = Campaign.from_dict({
+    "name": "closure",
+    "topology": {"kind": "internet", "nodes": 12},
+    "schemes": {"a": {"mrai": 0.5}},
+    "seeds": [1],
+    "axis": {"name": "failure_fraction", "values": [0.1]},
+})
+report["from_dict_loads"] = loaded(DEFERRED)
+campaign_keys(campaign)
+report["campaign_keys_loads"] = loaded(DEFERRED)
 with tempfile.TemporaryDirectory() as tmp:
     ResultStore(Path(tmp) / "store.db").close()
-report["store_loads_sqlite3"] = "sqlite3" in sys.modules
-make_handler(None)
-report["handler_loads_http_server"] = "http.server" in sys.modules
+    report["store_loads_sqlite3"] = "sqlite3" in sys.modules
+    service = CampaignService(
+        ServiceConfig(store=str(Path(tmp) / "service.db"), quiet=True)
+    )
+    report["service_loads"] = loaded(DEFERRED)
+    from repro.service.api import make_handler
+
+    make_handler(service)
+    report["handler_loads"] = loaded(STACKS + DEFERRED)
+    service.backend.close()
 default_start_method()
 report["pool_loads_multiprocessing"] = "multiprocessing" in sys.modules
 print(json.dumps(report))
@@ -361,6 +387,25 @@ DEFERRED_STACKS = (
     "subprocess",
     "uuid",
 )
+#: ``repro``'s optional layers (and ``csv``, which only the metrics
+#: export writes): none loads with the serial trial path; the service,
+#: the batch runner and the sweep axes load on their first use.
+DEFERRED_REPRO = (
+    "repro.service.api",
+    "repro.service.executor",
+    "repro.obs.live",
+    "repro.core.batch",
+    "repro.core.sweep",
+    "repro.core.validation",
+    "repro.obs.metrics",
+    "repro.obs.probes",
+    "repro.obs.export",
+    "repro.specs.scheme_sets",
+    "repro.topology.internet",
+    "csv",
+)
+#: ``repro`` modules importing ``SERIAL_MODULES`` may load (53 today).
+SERIAL_REPRO_BUDGET = 53
 
 
 def fresh_interpreter(script):
@@ -394,25 +439,38 @@ def fresh_interpreter(script):
 def test_serial_import_closure():
     """Importing what a serial trial needs (and the service and store
     packages) loads none of the HTTP/TLS, SQLite, multiprocessing,
-    subprocess or uuid stacks; each loads on the first use of the piece
-    that needs it."""
+    subprocess or uuid stacks, nor ``repro``'s service, batch, sweep,
+    validation and observation layers; each loads on the first use of
+    the piece that needs it."""
     report = fresh_interpreter(
-        IMPORT_CLOSURE_SCRIPT % (SERIAL_MODULES, DEFERRED_STACKS)
+        IMPORT_CLOSURE_SCRIPT % (SERIAL_MODULES, DEFERRED_STACKS, DEFERRED_REPRO)
     )
     print(
         f"\nserial import closure on {sys.version.split()[0]}: "
-        f"{report['modules']} modules, {report.get('rss_mb', 0):.1f} MB RSS"
+        f"{report['modules']} modules ({report['repro_modules']} repro), "
+        f"{report.get('rss_mb', 0):.1f} MB RSS"
     )
     assert report["loaded"] == []
+    assert report["repro_modules"] <= SERIAL_REPRO_BUDGET
+    assert {"repro.core.batch", "repro.core.sweep"} <= set(
+        report["from_dict_loads"]
+    )
+    assert "repro.topology.internet" in report["campaign_keys_loads"]
+    assert "repro.topology.internet" not in report["from_dict_loads"]
     assert report["store_loads_sqlite3"]
-    assert report["handler_loads_http_server"]
+    assert {"repro.service.executor", "repro.obs.live"} <= set(
+        report["service_loads"]
+    )
+    assert "repro.service.api" not in report["service_loads"]
+    assert {"repro.service.api", "http.server"} <= set(report["handler_loads"])
     assert report["pool_loads_multiprocessing"]
 
 
 #: What the paper's one trial (warm-up, geographic failure, convergence)
 #: does not run: the batch runner and pool, the store, service, specs
-#: and figure layers, the theory helpers and the live / causal /
-#: data-plane monitors.  Each loads where a caller needs it.
+#: and figure layers, the theory helpers, the routing validator, the
+#: live / causal / data-plane monitors and the metrics, probe and export
+#: recorders of an observed trial.  Each loads where a caller needs it.
 TRIAL_EXCLUDED = (
     "repro.service",
     "repro.store",
@@ -423,13 +481,17 @@ TRIAL_EXCLUDED = (
     "repro.core.parallel",
     "repro.core.sweep",
     "repro.core.theory",
+    "repro.core.validation",
     "repro.obs.live",
     "repro.obs.causality",
     "repro.obs.dataplane",
+    "repro.obs.metrics",
+    "repro.obs.probes",
+    "repro.obs.export",
 )
 #: ``repro`` modules ``import repro, repro.core.experiment`` may load
-#: (39 today).
-TRIAL_MODULE_BUDGET = 40
+#: (35 today).
+TRIAL_MODULE_BUDGET = 35
 
 
 def test_trial_import_closure():

@@ -534,14 +534,16 @@ def test_service_http_error_mapping(service):
         with pytest.raises(ServiceError) as err:
             client.submit(dict(CAMPAIGN, topology=block))
         assert err.value.status == 400 and "topology" in err.value.message
-    # Seeds and values are parsed, not coerced: a fractional seed, a
-    # repeated one or a NaN axis value is the submitter's error.
+    # Seeds and values are parsed, not coerced: a fractional, repeated
+    # or negative seed or a NaN axis value is the submitter's error.
     for body, message in (
         ({"topology": {"kind": "skewed"}, "scheme": {}, "seeds": [1.7]},
          "seeds[0] must be an integer, got 1.7"),
         ({"topology": {"kind": "skewed"}, "scheme": {}, "seed": True},
          "seeds[0] must be an integer, got True"),
         (dict(CAMPAIGN, seeds=[1, 1]), "seeds must be distinct"),
+        ({"topology": {"kind": "skewed"}, "scheme": {}, "seed": -1},
+         "seeds must be non-negative"),
         (dict(CAMPAIGN, axis={"name": "mrai", "values": [float("nan")]}),
          "axis.values[0] must be finite"),
     ):

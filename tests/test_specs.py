@@ -24,12 +24,11 @@ from repro.specs import (
     MRAI_SCHEMES,
     build_mrai,
     build_spec,
-    scheme_set,
     spec_from_dict,
     spec_to_dict,
 )
 from repro.specs.mrai import MRAIScheme
-from repro.specs.scheme_sets import SCHEME_SETS
+from repro.specs.scheme_sets import SCHEME_SETS, scheme_set
 from repro.specs.serialize import (
     SpecSerializationError,
     scheme_keys,

@@ -190,6 +190,8 @@ MALFORMED = [
     (dict(CAMPAIGN, store=5), "'store'"),
     (dict(CAMPAIGN, store=""), "'store'"),
     (dict(CAMPAIGN, store=["a"]), "'store'"),
+    # A negative seed would fail every attempt of its trials at run time.
+    (dict(CAMPAIGN, seeds=[3, -1]), "seeds must be non-negative"),
 ]
 
 
