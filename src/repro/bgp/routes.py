@@ -78,10 +78,6 @@ class Route:
         """True for a locally originated route."""
         return self.peer is None
 
-    @property
-    def path_length(self) -> int:
-        return len(self.path)
-
     def preference_key(self) -> int:
         """Sort key: lower is better.  Total order over candidates.
 
@@ -91,14 +87,6 @@ class Route:
         iteration order.
         """
         return self._key
-
-    def better_than(self, other: Optional["Route"]) -> bool:
-        """Strictly preferred over ``other`` (``None`` = no route)."""
-        return other is None or self._key < other._key
-
-    def contains_as(self, asn: int) -> bool:
-        """AS-path loop check."""
-        return asn in self.path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         src = "local" if self.peer is None else f"peer={self.peer}"

@@ -34,6 +34,7 @@ from typing import List, Optional
 
 from repro.bgp.mrai import MRAIPolicy
 from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.sim.rng import SEED_LIMIT, SEED_RANGE
 
 #: All scheme/topology vocabulary is table data (repro.specs, and the
 #: queue disciplines of repro.bgp.queues), so CLI flag choices stay in
@@ -180,8 +181,8 @@ def _make_live_monitor(
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        if args.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= args.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be {SEED_RANGE}")
         topology = build_topology(args)
         spec = ExperimentSpec(
             mrai=build_mrai_policy(args, topology),

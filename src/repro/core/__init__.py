@@ -7,9 +7,9 @@
   measurement (``simulate_trial``, observed by at most one
   :class:`~repro.obs.session.TrialObserver`), multi-trial aggregation;
 * :mod:`repro.core.batch` — the one trial-batch pipeline (plan, look up
-  the store, execute the misses, bank, fold) that ``run_trials``,
-  campaigns and the service all run, over the one record of a trial to
-  run, :class:`~repro.core.batch.PlannedTrial`;
+  the store, execute the misses, bank, fold) that campaigns and the
+  service both run, over the one record of a trial to run,
+  :class:`~repro.core.batch.PlannedTrial`;
 * :mod:`repro.core.parallel` — single-trial execution (``execute_trial``
   returns the result beside the trial's observation record, at every
   ``jobs`` value) and the persistent warm worker pool (one topology cache

@@ -1,14 +1,14 @@
 """The one trial-batch pipeline: plan -> execute -> bank -> fold.
 
 Every number the paper reports is a mean over repeated trials, and every
-figure is a grid of them — cells ``(label, x, spec)`` x seeds — so every
-driver in this repo — :func:`repro.core.experiment.run_trials`,
-:func:`repro.store.campaign.run_campaign` (which runs every figure) and
-the service's :class:`repro.service.executor.QueueExecutor` — runs the
-same loop: look each planned trial up in the store, execute what is
-missing (failures reported, never raised), bank every success from the
-parent the moment it lands, and hand worker observability back in plan
-order.  This module is that loop, once:
+figure is a grid of them — cells ``(label, x, spec)`` x seeds — so both
+drivers in this repo — :func:`repro.store.campaign.run_campaign` (which
+runs every figure and every one-cell batch) and the service's
+:class:`repro.service.executor.QueueExecutor` — run the same loop: look
+each planned trial up in the store, execute what is missing (failures
+reported, never raised), bank every success from the parent the moment
+it lands, and hand worker observability back in plan order.  This
+module is that loop, once:
 
 * :class:`PlannedTrial` — the one record of a trial to run, from the
   planner to the worker pipe: what to run, the topology's content
@@ -26,9 +26,8 @@ order.  This module is that loop, once:
 * :func:`run_batch` — lookup, execute misses, bank, retry, absorb,
   progress, with one :data:`MAX_ATTEMPTS` budget for every batch.  The
   callers differ only in the store and the per-outcome hook
-  (``run_trials``: it raises on the first error, so a failing trial
-  runs once; ``run_campaign``: none, and exhausted trials raise
-  ``CampaignError``; the service: it completes queue rows).
+  (``run_campaign``: none, and exhausted trials raise ``CampaignError``;
+  the service: it completes queue rows).
 """
 
 from __future__ import annotations
@@ -262,8 +261,8 @@ def run_batch(
 
     ``on_outcome`` sees every settled trial — store hits during lookup,
     then executions in completion order, after banking.  An exception it
-    raises propagates and abandons the rest of the batch (that is
-    ``run_trials``' fail-fast and the service's graceful stop).
+    raises propagates and abandons the rest of the batch (that is the
+    service's graceful stop).
 
     Observation records are absorbed into ``obs`` in plan order once
     execution is over, whatever order the trials completed in, each

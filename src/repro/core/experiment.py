@@ -11,31 +11,19 @@ The measurement protocol mirrors the paper's:
    T0, and the **message count** is the number of UPDATE messages sent
    after T0 — the two quantities plotted in every figure.
 
-``run_trials`` repeats this over several (topology seed, simulation seed)
-pairs and aggregates, since individual runs are noisy exactly the way the
-paper's were.
+:class:`ExperimentResult` aggregates repeated trials, since individual
+runs are noisy exactly the way the paper's were; a batch of them runs as
+a campaign (:func:`repro.store.campaign.run_campaign`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.session import ObsSession, TrialObserver
 from repro.obs.spans import span
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.store.result_store import ResultStore
 
 from repro.bgp.config import DEFAULT_PROCESSING_RANGE, BGPConfig
 from repro.bgp.damping import DampingConfig
@@ -416,72 +404,3 @@ def simulate_trial(
     finally:
         # Also on the "did not converge" path: see BGPNetwork.close.
         network.close()
-
-
-def run_trials(
-    topology_factory: Callable[[int], Topology],
-    spec: ExperimentSpec,
-    seeds: Sequence[int],
-    progress: Optional[ProgressFn] = None,
-    obs: Optional[ObsSession] = None,
-    jobs: int = 1,
-    store: Optional["ResultStore"] = None,
-) -> ExperimentResult:
-    """Run one trial per seed, each on its own topology instance.
-
-    ``topology_factory(seed)`` lets trials vary the topology realization
-    the way the paper's repeated runs did; pass ``lambda s: fixed_topo`` to
-    hold the topology constant and vary only the protocol randomness.
-    ``progress`` (when given) is called after every completed trial with a
-    :class:`Progress` carrying done/total counts, elapsed wall time and an
-    ETA.
-
-    ``jobs > 1`` fans whole trials out over the warm worker pool (see
-    :mod:`repro.core.parallel`); the default is serial.  Whatever the
-    value, this is the one-cell case of the shared grid pipeline — plan
-    (:func:`repro.core.batch.plan_grid`), run
-    (:func:`repro.core.batch.run_batch`), fold in seed order — so the
-    returned :class:`ExperimentResult` is bit-identical across ``jobs``
-    values for the same seeds.  Observed runs give each
-    trial its own :class:`~repro.obs.session.TrialObserver` and ship its
-    metrics, phase timings, probe samples and trace records back to
-    ``obs`` in seed order — in-process at ``jobs=1`` exactly as across
-    the pool, so what a session records does not depend on ``jobs``
-    either.  The first trial that fails raises
-    :class:`repro.core.parallel.TrialExecutionError`.
-
-    ``store`` enables content-addressed trial caching: each trial's key
-    is derived from (spec, built topology, seed) via
-    :func:`repro.store.hashing.spec_hash`; stored trials are folded
-    without re-running, fresh trials are written back — always from this
-    (parent) process, as each one lands — so an interrupted run
-    resumes where it stopped.  Cached and cold runs compare equal
-    (:class:`TrialResult` equality excludes wall-clock fields), and
-    cached trials contribute measurements but no new obs samples.
-    """
-    from repro.core.batch import BatchOutcome, plan_grid, run_batch
-    from repro.core.parallel import TrialExecutionError
-
-    label = spec.mrai.name
-    with span("trials.run", trials=len(seeds), jobs=jobs):
-        planned = plan_grid(
-            topology_factory, [(label, spec.failure_fraction, spec)], seeds
-        )
-
-        def fail_fast(outcome: BatchOutcome) -> None:
-            if outcome.error is not None:
-                raise TrialExecutionError(
-                    outcome.index, planned[outcome.index].seed, outcome.error
-                )
-
-        batch = run_batch(
-            planned,
-            jobs=jobs,
-            store=store,
-            obs=obs,
-            on_outcome=fail_fast,
-            progress=progress,
-            label=label,
-        )
-        with span("trials.fold", trials=len(seeds)):
-            return ExperimentResult(spec=spec, trials=list(batch.trials))

@@ -26,7 +26,7 @@ cost:
 
 * **Persistent warm workers.**  One process-wide pool
   (:func:`get_worker_pool`), created on first use, reused by every
-  ``run_trials`` / sweep / campaign call, reaped at interpreter exit
+  campaign and service batch, reaped at interpreter exit
   (or explicitly via :func:`shutdown_worker_pool`).  Spin-up is paid
   once per process, not once per batch.
 * **One per-worker topology cache.**  A chunk crosses the pipe as a lean
@@ -63,9 +63,9 @@ completion order.  Workers therefore produce the identical
 :class:`TrialResult` the parent would have, and ``jobs=N`` equals
 ``jobs=1`` bit for bit, warm pool or cold, fork or spawn.
 
-The worker count is a plain argument: every driver — ``run_trials``, the
-sweeps, ``run_campaign``, ``compute_figure`` — takes ``jobs=`` and runs
-serially without it.
+The worker count is a plain argument: ``run_campaign`` and
+``compute_figure`` take ``jobs=`` (the service its ``ServiceConfig.jobs``)
+and run serially without it.
 """
 
 from __future__ import annotations
@@ -131,16 +131,6 @@ def derive_trial_seeds(master_seed: int, count: int) -> List[int]:
             seen.add(seed)
             seeds.append(seed)
         return seeds
-
-
-class TrialExecutionError(RuntimeError):
-    """A trial of a fail-fast batch failed; carries which one and why."""
-
-    def __init__(self, index: int, seed: int, error: str) -> None:
-        super().__init__(f"trial {index} (seed {seed}) failed: {error}")
-        self.index = index
-        self.seed = seed
-        self.error = error
 
 
 def execute_trial(

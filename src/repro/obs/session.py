@@ -17,11 +17,10 @@ Observation is split along the one line it has:
   trial.
 
 A session reaches a run as the ``obs=`` argument every driver takes
-(``run_experiment``, ``run_trials``, the sweeps, ``run_campaign``,
-``compute_figure``); nothing is observed without it.  A session that
-records spans does not install its recorder — span sites are
-everywhere, like a logger — so the caller does, with
-``record_spans(session.span_recorder)``.
+(``run_experiment``, ``run_campaign``, ``compute_figure``); nothing is
+observed without it.  A session that records spans does not install its
+recorder — span sites are everywhere, like a logger — so the caller
+does, with ``record_spans(session.span_recorder)``.
 ``ObsSession.export(dir)`` then writes ``manifest.json``,
 ``metrics.jsonl``, ``timeseries.csv`` and ``aggregates.csv`` (plus
 ``profile.txt`` when profiling).

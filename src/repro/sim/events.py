@@ -116,16 +116,6 @@ class EventQueue:
                 return event
         return None
 
-    def pop(self) -> Event:
-        """Remove and return the earliest live event.
-
-        Raises :class:`IndexError` when no live events remain.
-        """
-        event = self.pop_due()
-        if event is None:
-            raise IndexError("pop from empty EventQueue")
-        return event
-
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if the queue is empty."""
         heap = self._heap

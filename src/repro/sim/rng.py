@@ -15,15 +15,26 @@ import random
 from typing import Dict
 
 
+#: Bytes of the BLAKE2b key a master seed is written into.
+_KEY_BYTES = 16
+#: Every master seed is in ``[0, SEED_LIMIT)``: what the key can hold.
+SEED_LIMIT = 1 << (8 * _KEY_BYTES)
+#: The reason an out-of-range seed is refused, wherever it is refused.
+SEED_RANGE = f"non-negative and below 2**{8 * _KEY_BYTES}"
+
+
 def derive_seed(master_seed: int, name: str) -> int:
     """Derive a 64-bit stream seed from ``master_seed`` and ``name``.
 
     Uses BLAKE2b rather than ``hash()`` so the derivation is stable across
     processes and Python versions (``PYTHONHASHSEED`` does not affect it).
+    A master seed outside ``[0, SEED_LIMIT)`` is a :class:`ValueError`.
     """
+    if not 0 <= master_seed < SEED_LIMIT:
+        raise ValueError(f"seed must be {SEED_RANGE}, got {master_seed}")
     digest = hashlib.blake2b(
         name.encode("utf-8"),
-        key=master_seed.to_bytes(16, "little", signed=False),
+        key=master_seed.to_bytes(_KEY_BYTES, "little", signed=False),
         digest_size=8,
     ).digest()
     return int.from_bytes(digest, "little")
@@ -40,8 +51,8 @@ class RandomStreams:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must be {SEED_RANGE}, got {seed}")
         self.seed = seed
         self._streams: Dict[str, random.Random] = {}
 
@@ -52,18 +63,6 @@ class RandomStreams:
             stream = random.Random(derive_seed(self.seed, name))
             self._streams[name] = stream
         return stream
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create a child family whose master seed is derived from ``name``.
-
-        Useful for giving each trial of a multi-trial experiment its own
-        independent universe of streams.
-        """
-        return RandomStreams(derive_seed(self.seed, f"spawn:{name}") >> 1)
-
-    def uniform(self, name: str, lo: float, hi: float) -> float:
-        """Draw Uniform(lo, hi) from stream ``name``."""
-        return self.get(name).uniform(lo, hi)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self.seed}, streams={sorted(self._streams)})"

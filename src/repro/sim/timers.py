@@ -64,7 +64,7 @@ class Timer:
         disabled.
     """
 
-    __slots__ = ("sim", "callback", "args", "jitter", "rng", "_event", "_expiry")
+    __slots__ = ("sim", "callback", "args", "jitter", "rng", "_event")
 
     def __init__(
         self,
@@ -82,24 +82,12 @@ class Timer:
             raise ValueError("a random stream is required for jittered timers")
         self.rng = rng
         self._event: Optional[Event] = None
-        self._expiry: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
         """Whether the timer is currently armed."""
         return self._event is not None and not self._event.cancelled
-
-    @property
-    def expiry(self) -> Optional[float]:
-        """Absolute expiry time while armed, else ``None``."""
-        return self._expiry if self.running else None
-
-    def remaining(self) -> float:
-        """Seconds until expiry (0.0 when not running)."""
-        if not self.running or self._expiry is None:
-            return 0.0
-        return max(0.0, self._expiry - self.sim.now)
 
     # ------------------------------------------------------------------
     def start(self, duration: float) -> float:
@@ -112,7 +100,6 @@ class Timer:
             raise ValueError(f"negative timer duration {duration!r}")
         self.stop()
         actual = self.jitter.apply(duration, self.rng) if self.rng else duration
-        self._expiry = self.sim.now + actual
         self._event = self.sim.schedule(actual, self._fire)
         return actual
 
@@ -121,13 +108,11 @@ class Timer:
         if self._event is not None and not self._event.cancelled:
             self.sim.cancel(self._event)
         self._event = None
-        self._expiry = None
 
     def _fire(self) -> None:
         self._event = None
-        self._expiry = None
         self.callback(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"expires@{self._expiry:.6f}" if self.running else "idle"
+        state = f"expires@{self._event.time:.6f}" if self.running else "idle"
         return f"<Timer {state}>"

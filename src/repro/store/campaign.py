@@ -49,6 +49,7 @@ from repro.core.experiment import (
 from repro.core.parallel import derive_trial_seeds
 from repro.obs.session import ObsSession
 from repro.obs.spans import span
+from repro.sim.rng import SEED_LIMIT, SEED_RANGE
 from repro.specs.blocks import policy_needs_topology
 from repro.specs.fields import integer, number
 from repro.specs.serialize import (
@@ -125,13 +126,13 @@ class Campaign:
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
         # A repeated seed would count its trial twice in every mean; a
-        # repeated value would plot one point twice.  A negative seed
-        # would fail every attempt of its trials at run time.
+        # repeated value would plot one point twice.  A seed the random
+        # streams cannot key would fail every attempt of its trials.
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"campaign seeds must be distinct: {self.seeds}")
-        if min(self.seeds) < 0:
+        if min(self.seeds) < 0 or max(self.seeds) >= SEED_LIMIT:
             raise ValueError(
-                f"campaign seeds must be non-negative: {self.seeds}"
+                f"campaign seeds must be {SEED_RANGE}: {self.seeds}"
             )
         if len(set(self.values)) != len(self.values):
             raise ValueError(
@@ -188,9 +189,13 @@ class Campaign:
             )
         seeds = data.get("seeds")
         if isinstance(seeds, dict) and "count" in seeds:
+            master = integer(seeds.get("master", 0), "seeds.master")
+            if not 0 <= master < SEED_LIMIT:
+                raise ValueError(
+                    f"seeds.master must be {SEED_RANGE}, got {master}"
+                )
             seeds = derive_trial_seeds(
-                integer(seeds.get("master", 0), "seeds.master"),
-                integer(seeds["count"], "seeds.count"),
+                master, integer(seeds["count"], "seeds.count")
             )
         elif isinstance(seeds, list):
             seeds = [integer(s, f"seeds[{i}]") for i, s in enumerate(seeds)]

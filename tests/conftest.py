@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import pytest
 
@@ -11,6 +11,8 @@ from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.rib import LocRib
 from repro.bgp.speaker import _NEVER_SENT, PeerState
+from repro.core.experiment import ExperimentResult
+from repro.store.campaign import Campaign, run_campaign
 from repro.topology.graph import Topology, flat_topology_from_edges
 
 
@@ -34,6 +36,37 @@ def clique_topology(n: int = 4) -> Topology:
 def star_topology(n_leaves: int = 4) -> Topology:
     """Node 0 is the hub; leaves are 1..n."""
     return flat_topology_from_edges([(0, i) for i in range(1, n_leaves + 1)])
+
+
+def run_cell(
+    scheme: Dict[str, Any],
+    seeds: Sequence[int],
+    *,
+    nodes: int = 24,
+    failure: float = 0.1,
+    pin: Optional[int] = None,
+    **run: Any,
+) -> ExperimentResult:
+    """Run one scheme at one failure fraction over ``seeds`` as a
+    one-cell campaign and return the cell's result.
+
+    Every seed builds its own ``nodes``-node skewed topology, unless
+    ``pin`` names the one topology seed all trials share.  ``run`` is
+    passed to :func:`run_campaign` (``store``, ``jobs``, ``obs``,
+    ``progress``).
+    """
+    topology: Dict[str, Any] = {"kind": "skewed", "nodes": nodes}
+    if pin is not None:
+        topology["seed"] = pin
+    campaign = Campaign(
+        name="cell",
+        topology=topology,
+        schemes={"cell": scheme},
+        axis="failure_fraction",
+        values=[failure],
+        seeds=list(seeds),
+    )
+    return run_campaign(campaign, **run).results[("cell", failure)]
 
 
 def converged_network(

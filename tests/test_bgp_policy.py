@@ -146,7 +146,7 @@ def test_gao_rexford_export_rules():
 def test_rank_dominates_path_length_in_decision():
     customer_route = Route(9, (2, 7, 9), peer=2, rank=0)  # longer, customer
     provider_route = Route(9, (3, 9), peer=3, rank=2)     # shorter, provider
-    assert customer_route.better_than(provider_route)
+    assert customer_route.preference_key() < provider_route.preference_key()
 
 
 # ---------------------------------------------------------------------------

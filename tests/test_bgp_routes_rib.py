@@ -15,38 +15,27 @@ from tests.conftest import select
 def test_shorter_path_preferred():
     short = Route(1, (2, 1), peer=5)
     long = Route(1, (3, 4, 1), peer=6)
-    assert short.better_than(long)
-    assert not long.better_than(short)
+    assert short.preference_key() < long.preference_key()
 
 
 def test_local_route_beats_learned():
     local = local_route(1)
     learned = Route(1, (2,), peer=5)
-    assert local.better_than(learned)
+    assert local.preference_key() < learned.preference_key()
     assert local.is_local
-    assert local.path_length == 0
+    assert local.path == ()
 
 
 def test_ebgp_preferred_over_ibgp_on_equal_length():
     ebgp = Route(1, (2, 1), peer=9, ebgp=True)
     ibgp = Route(1, (3, 1), peer=5, ebgp=False)
-    assert ebgp.better_than(ibgp)
+    assert ebgp.preference_key() < ibgp.preference_key()
 
 
 def test_lowest_peer_breaks_full_ties():
     a = Route(1, (2, 1), peer=3)
     b = Route(1, (4, 1), peer=7)
-    assert a.better_than(b)
-
-
-def test_better_than_none():
-    assert Route(1, (2,), peer=3).better_than(None)
-
-
-def test_contains_as():
-    route = Route(1, (2, 3, 4), peer=9)
-    assert route.contains_as(3)
-    assert not route.contains_as(9)
+    assert a.preference_key() < b.preference_key()
 
 
 # ---------------------------------------------------------------------------

@@ -318,8 +318,16 @@ def test_cli_submit_rejects_an_unreadable_file(content, tmp_path, capsys):
         (["run", "--nodes", "20", "--mrai", "-1"], "mrai must be non-negative"),
         (["topo", "--nodes", "1"], "nodes must be at least 2"),
         (["run", "--nodes", "20", "--seed", "-1"], "seed must be non-negative"),
+        (["run", "--nodes", "20", "--seed", str(2**128)], "below 2**128"),
     ],
-    ids=["run-failure", "run-nodes", "run-mrai", "topo-nodes", "run-seed"],
+    ids=[
+        "run-failure",
+        "run-nodes",
+        "run-mrai",
+        "topo-nodes",
+        "run-seed",
+        "run-seed-too-big",
+    ],
 )
 def test_cli_run_and_topo_reject_out_of_range_values(argv, reason, capsys):
     assert main(argv) == 2

@@ -1,7 +1,7 @@
 """Tests for the shared trial-batch pipeline (repro.core.batch).
 
-``run_trials``, ``run_campaign`` and the service executor are tested
-end to end elsewhere; here the loop itself runs against a stub store and
+``run_campaign`` and the service executor are tested end to end
+elsewhere; here the loop itself runs against a stub store and
 a scripted outcome stream, so ordering guarantees can be pinned exactly.
 """
 

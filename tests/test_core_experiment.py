@@ -13,11 +13,10 @@ from repro.core.experiment import (
     TrialResult,
     build_scenario,
     run_experiment,
-    run_trials,
 )
 from repro.failures.scenarios import single_node_failure
 from repro.topology.skewed import skewed_topology
-from tests.conftest import ring_topology
+from tests.conftest import ring_topology, run_cell
 
 
 def small_topo(seed=3):
@@ -194,9 +193,8 @@ def test_build_scenario_geographic_vs_random():
     assert rand.size == geo.size
 
 
-def test_run_trials_aggregates():
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
-    result = run_trials(small_topo, spec, seeds=(1, 2, 3))
+def test_one_cell_campaign_aggregates():
+    result = run_cell({"mrai": 0.5}, (1, 2, 3), nodes=30)
     assert result.n == 3
     assert result.mean_delay > 0
     assert result.mean_messages > 0
@@ -206,10 +204,9 @@ def test_run_trials_aggregates():
     assert "3 trials" in str(result)
 
 
-def test_run_trials_fixed_topology():
-    topo = small_topo()
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
-    result = run_trials(lambda seed: topo, spec, seeds=(1, 2))
+def test_one_cell_campaign_fixed_topology():
+    # The block pinned to small_topo()'s seed: one topology for all trials.
+    result = run_cell({"mrai": 0.5}, (1, 2), nodes=30, pin=3)
     assert result.n == 2
     # Same topology, different protocol seeds: delays differ.
     delays = [t.convergence_delay for t in result.trials]
@@ -238,8 +235,7 @@ def test_trial_result_records_wall_clock_phases():
 
 
 def test_experiment_result_wall_clock_aggregates():
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
-    result = run_trials(small_topo, spec, seeds=(1, 2))
+    result = run_cell({"mrai": 0.5}, (1, 2), nodes=30)
     assert result.warmup_wall.n == 2
     assert result.convergence_wall.n == 2
     assert result.warmup_wall.mean == pytest.approx(
@@ -247,10 +243,9 @@ def test_experiment_result_wall_clock_aggregates():
     )
 
 
-def test_run_trials_progress_callback():
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
+def test_one_cell_campaign_progress_callback():
     ticks = []
-    run_trials(small_topo, spec, seeds=(1, 2), progress=ticks.append)
+    run_cell({"mrai": 0.5}, (1, 2), nodes=30, progress=ticks.append)
     assert [(p.done, p.total) for p in ticks] == [(1, 2), (2, 2)]
     assert ticks[0].eta >= 0.0
     assert ticks[-1].fraction == 1.0

@@ -19,11 +19,9 @@ from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
     run_experiment,
-    run_trials,
 )
-from repro.core.batch import PlannedTrial, plan_grid
+from repro.core.batch import MAX_ATTEMPTS, PlannedTrial, plan_grid
 from repro.core.parallel import (
-    TrialExecutionError,
     WorkerPool,
     _Run,
     _WorkerHandle,
@@ -38,11 +36,19 @@ from repro.core.parallel import (
 from repro.obs.session import ObsSession
 from repro.obs.spans import record_spans
 from repro.store import Campaign, run_campaign
+from repro.store.campaign import CampaignError
 from repro.store.hashing import topology_digest, trial_key
 from repro.topology.degree import SkewedDegreeSpec
 from repro.topology.skewed import skewed_topology
+from tests.conftest import run_cell
 
 SEEDS = (1, 2, 3)
+#: ``spec_05()`` and ``spec_dynamic_batch()`` as campaign schemes (the
+#: cell's failure fraction is 0.1).
+SCHEME_05 = {"mrai": 0.5}
+SCHEME_DYNAMIC_BATCH = {"mrai_scheme": "dynamic", "queue": "dest_batch"}
+#: An impossibly small warm-up budget: every trial raises.
+SCHEME_FAILING = {"mrai": 0.5, "max_warmup_time": 1e-6}
 
 
 def factory(seed):
@@ -120,9 +126,8 @@ def result_signature(result):
 # Determinism: parallel == serial, bit for bit
 # ----------------------------------------------------------------------
 def test_parallel_matches_serial_bitwise():
-    spec = spec_05()
-    serial = run_trials(factory, spec, SEEDS, jobs=1)
-    parallel = run_trials(factory, spec, SEEDS, jobs=4)
+    serial = run_cell(SCHEME_05, SEEDS, jobs=1)
+    parallel = run_cell(SCHEME_05, SEEDS, jobs=4)
     assert serial.mean_delay == parallel.mean_delay
     assert serial.mean_messages == parallel.mean_messages
     assert result_signature(serial) == result_signature(parallel)
@@ -171,13 +176,13 @@ def test_derive_trial_seeds_depend_on_master():
 # Failure handling
 # ----------------------------------------------------------------------
 def test_worker_failure_surfaces():
-    # An impossibly small warm-up budget makes every trial raise inside
-    # the worker; run_trials must surface which trial and why.
-    spec = spec_05().with_(max_warmup_time=1e-6)
-    with pytest.raises(TrialExecutionError) as exc_info:
-        run_trials(factory, spec, (7, 8), jobs=2)
-    assert "seed" in str(exc_info.value)
-    assert exc_info.value.seed in (7, 8)
+    # Every trial raises inside the worker; once its attempts are spent,
+    # the campaign must surface which trials failed and why.
+    with pytest.raises(CampaignError) as exc_info:
+        run_cell(SCHEME_FAILING, (7, 8), jobs=2)
+    assert "seed=7" in str(exc_info.value)
+    assert sorted(t.seed for t, _ in exc_info.value.failures) == [7, 8]
+    assert all(error for _, error in exc_info.value.failures)
 
 
 def test_serial_failure_surfaces_too(monkeypatch):
@@ -191,11 +196,11 @@ def test_serial_failure_surfaces_too(monkeypatch):
         return real(*trial)
 
     monkeypatch.setattr(batch_mod, "execute_trial", counted)
-    spec = spec_05().with_(max_warmup_time=1e-6)
-    with pytest.raises(TrialExecutionError) as exc_info:
-        run_trials(factory, spec, (7,), jobs=1)
-    assert exc_info.value.seed == 7
-    assert calls == [7]  # fail-fast: the hook raises before any retry
+    with pytest.raises(CampaignError) as exc_info:
+        run_cell(SCHEME_FAILING, (7,), jobs=1)
+    assert "seed=7" in str(exc_info.value)
+    assert [t.seed for t, _ in exc_info.value.failures] == [7]
+    assert calls == [7] * MAX_ATTEMPTS  # retried inside the batch
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +208,7 @@ def test_serial_failure_surfaces_too(monkeypatch):
 # ----------------------------------------------------------------------
 def test_progress_ticks_monotonic_and_complete():
     ticks = []
-    run_trials(factory, spec_05(), SEEDS, progress=ticks.append, jobs=2)
+    run_cell(SCHEME_05, SEEDS, progress=ticks.append, jobs=2)
     dones = [t.done for t in ticks]
     assert dones == sorted(dones)
     assert dones[-1] == len(SEEDS)
@@ -217,7 +222,7 @@ def observed_run(mode):
     """SEEDS under every recorder and both sinks.
 
     ``mode`` is ``"inline"`` — a loop of ``run_experiment`` — or a
-    ``jobs`` value for ``run_trials``.
+    ``jobs`` value for a one-cell campaign.
     """
     trace, dataplane = [], []
     obs = ObsSession(
@@ -227,15 +232,15 @@ def observed_run(mode):
         spans=True,
         dataplane_sink=dataplane.append,
     )
-    spec = spec_dynamic_batch()
     if mode == "inline":
+        spec = spec_dynamic_batch()
         result = ExperimentResult(spec=spec)
         for seed in SEEDS:
             result.add(
                 run_experiment(factory(seed), spec, seed=seed, obs=obs)
             )
     else:
-        result = run_trials(factory, spec, SEEDS, obs=obs, jobs=mode)
+        result = run_cell(SCHEME_DYNAMIC_BATCH, SEEDS, obs=obs, jobs=mode)
     return obs, result, trace, dataplane
 
 
@@ -311,11 +316,11 @@ def test_obs_aggregation_roundtrip():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_probe_series_helpers_survive_run_trials(jobs):
+def test_probe_series_helpers_survive_a_batch(jobs):
     # session.probes holds the same data class whichever way the trial
     # ran: the series helpers work after a batch, pooled or not.
     obs = ObsSession(sample_interval=0.25)
-    run_trials(factory, spec_05(), SEEDS, obs=obs, jobs=jobs)
+    run_cell(SCHEME_05, SEEDS, obs=obs, jobs=jobs)
     assert len(obs.probes) == len(SEEDS)
     probe = obs.probe
     assert len(probe) == len(probe.times) > 2
@@ -379,7 +384,7 @@ def test_observation_record_is_plain_data_stating_each_fact_once():
 
 def test_unobserved_parallel_run_has_no_payload_cost():
     # No session: workers must not build one either.
-    result = run_trials(factory, spec_05(), (1, 2), jobs=2)
+    result = run_cell(SCHEME_05, (1, 2), jobs=2)
     assert len(result.trials) == 2
 
 
@@ -391,7 +396,7 @@ def test_warm_pool_reuse_bitwise_across_runs():
     # every worker (no respawn, no spin-up) and both must match the
     # serial baseline bit for bit.
     spec = spec_05()
-    serial = run_trials(factory, spec, SEEDS, jobs=1)
+    serial = run_cell(SCHEME_05, SEEDS, jobs=1)
     pool = WorkerPool()
     try:
         first, stats1 = pool_trials(pool, spec)
@@ -414,7 +419,7 @@ def test_warm_pool_reuse_bitwise_across_runs():
 
 def test_fork_and_spawn_start_methods_identical():
     spec = spec_05()
-    serial = run_trials(factory, spec, SEEDS, jobs=1)
+    serial = run_cell(SCHEME_05, SEEDS, jobs=1)
     methods = [
         m
         for m in ("fork", "spawn")
@@ -436,7 +441,7 @@ def test_topology_cache_eviction_on_digest_change():
     # A capacity-1 cache with three distinct topologies forces
     # evictions — results must stay correct throughout.
     spec = spec_05()
-    serial = run_trials(factory, spec, SEEDS, jobs=1)
+    serial = run_cell(SCHEME_05, SEEDS, jobs=1)
     pool = WorkerPool(start_method="spawn", cache_capacity=1)
     try:
         result, stats = pool_trials(pool, spec)
@@ -678,7 +683,7 @@ def test_obs_spans_dataplane_roundtrip_jobs2():
     # round-trip with the renumbering the serial path would produce.
     def observed(jobs):
         obs = ObsSession(spans=True, dataplane=True)
-        result = run_trials(factory, spec_05(), SEEDS, obs=obs, jobs=jobs)
+        result = run_cell(SCHEME_05, SEEDS, obs=obs, jobs=jobs)
         return obs, result
 
     serial_obs, serial_result = observed(1)

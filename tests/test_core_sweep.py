@@ -10,21 +10,14 @@ import json
 import pytest
 
 import repro.core.batch as batch_mod
-from repro.bgp.mrai import ConstantMRAI
-from repro.core.experiment import ExperimentSpec, run_trials
 from repro.core.parallel import get_worker_pool
 from repro.core.sweep import Series
 from repro.obs.session import ObsSession
 from repro.obs.spans import record_spans
 from repro.store import Campaign, ResultStore, run_campaign
 from repro.store.campaign import CampaignError
-from repro.topology.skewed import skewed_topology
 
 TOPOLOGY = {"kind": "skewed", "nodes": 24}
-
-
-def factory(seed):
-    return skewed_topology(24, seed=seed)
 
 
 def grid(schemes, axis, values, seeds):
@@ -50,14 +43,6 @@ def test_failure_size_sweep_structure():
     assert len(series.delays) == 2
     assert all(d > 0 for d in series.delays)
     assert all(m > 0 for m in series.message_counts)
-
-
-def test_failure_size_sweep_default_label_is_scheme_name():
-    # The one-cell form names its batch after the spec's MRAI policy.
-    ticks = []
-    spec = ExperimentSpec(mrai=ConstantMRAI(1.25))
-    run_trials(factory, spec, (1,), progress=ticks.append)
-    assert ticks and all("1.25" in t.label for t in ticks)
 
 
 def test_mrai_sweep_overrides_policy():

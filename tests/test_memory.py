@@ -237,12 +237,10 @@ ranked_routes = st.builds(
 def test_packed_key_orders_exactly_like_the_documented_tuple(a, b):
     (route_a, rank_a), (route_b, rank_b) = a, b
     key_a, key_b = documented_key(route_a, rank_a), documented_key(route_b, rank_b)
-    assert route_a.better_than(route_b) == (key_a < key_b)
-    assert route_b.better_than(route_a) == (key_b < key_a)
+    pref_a, pref_b = route_a.preference_key(), route_b.preference_key()
+    assert (pref_a < pref_b) == (key_a < key_b)
     # Strict: only identical criteria tie.
-    assert (route_a.preference_key() == route_b.preference_key()) == (
-        key_a == key_b
-    )
+    assert (pref_a == pref_b) == (key_a == key_b)
     # The decision scan ranks a candidate by (rank, length, key tail).
     scan_a = (rank_a, len(route_a.path), key_tail(route_a.peer, route_a.ebgp))
     scan_b = (rank_b, len(route_b.path), key_tail(route_b.peer, route_b.ebgp))

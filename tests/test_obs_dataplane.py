@@ -8,7 +8,7 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.routes import Route
-from repro.core.experiment import ExperimentSpec, run_experiment, run_trials
+from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.obs.dataplane import (
     BLACKHOLE,
     DOWN,
@@ -22,7 +22,12 @@ from repro.sim.trace import JsonlSink
 from repro.store.result_store import trial_from_dict, trial_to_dict
 from repro.topology.graph import Router, Topology
 from repro.topology.skewed import skewed_topology
-from tests.conftest import clique_topology, converged_network, line_topology
+from tests.conftest import (
+    clique_topology,
+    converged_network,
+    line_topology,
+    run_cell,
+)
 
 
 def _route(dest, path, peer):
@@ -219,21 +224,20 @@ def test_monitor_does_not_change_experiment_results():
 # Worker round-trip under jobs > 1
 # ----------------------------------------------------------------------
 def test_dataplane_worker_round_trip_parallel():
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2)
-    factory = lambda s: skewed_topology(12, seed=s)  # noqa: E731
     seeds = [1, 2, 3]
+    cell = dict(scheme={"mrai": 0.5}, seeds=seeds, nodes=12, failure=0.2)
 
     serial_obs = ObsSession(dataplane=True)
-    serial = run_trials(factory, spec, seeds, jobs=1, obs=serial_obs)
+    serial = run_cell(**cell, jobs=1, obs=serial_obs)
     serial_records = []
     sink_obs = ObsSession(dataplane=True, dataplane_sink=serial_records.append)
-    run_trials(factory, spec, seeds, jobs=1, obs=sink_obs)
+    run_cell(**cell, jobs=1, obs=sink_obs)
 
     parallel_records = []
     par_obs = ObsSession(
         dataplane=True, dataplane_sink=parallel_records.append
     )
-    parallel = run_trials(factory, spec, seeds, jobs=2, obs=par_obs)
+    parallel = run_cell(**cell, jobs=2, obs=par_obs)
 
     assert parallel.trials == serial.trials
     assert [t.dataplane for t in parallel.trials] == [

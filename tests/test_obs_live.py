@@ -142,19 +142,12 @@ def test_last_heartbeat_tolerates_truncated_tail(tmp_path):
 # ----------------------------------------------------------------------
 # Ticks from a real batch
 # ----------------------------------------------------------------------
-def test_run_trials_progress_ticks_carry_busy_seconds():
-    from repro.bgp.mrai import ConstantMRAI
-    from repro.core.experiment import ExperimentSpec, run_trials
-    from repro.topology.skewed import skewed_topology
+def test_batch_progress_ticks_carry_busy_seconds():
+    from tests.conftest import run_cell
 
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2)
     ticks = []
-    run_trials(
-        lambda s: skewed_topology(10, seed=s),
-        spec,
-        [1, 2],
-        jobs=1,
-        progress=ticks.append,
+    run_cell(
+        {"mrai": 0.5}, [1, 2], nodes=10, failure=0.2, progress=ticks.append
     )
     assert [t.done for t in ticks] == [1, 2]
     assert ticks[-1].busy_seconds > 0.0

@@ -8,7 +8,7 @@ import pytest
 from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
-from repro.core.experiment import ExperimentSpec, run_experiment, run_trials
+from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.parallel import pool_stats
 from repro.obs.session import ObsSession
 from repro.obs.spans import (
@@ -20,7 +20,7 @@ from repro.obs.spans import (
 )
 from repro.sim.timers import Jitter
 from repro.topology.skewed import skewed_topology
-from tests.conftest import clique_topology
+from tests.conftest import clique_topology, run_cell
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +175,8 @@ def test_spans_do_not_change_experiment_results():
 @pytest.mark.parametrize("nodes", [12, 30])
 def test_span_sites_per_trial_are_an_exact_count(nodes, tmp_path):
     """Span sites per trial are a constant — 3 per ``run_experiment``,
-    8 per executed trial + 2 per batch of a store-backed ``jobs=1``
-    ``run_trials`` — whatever the topology size or event count.
+    8 per executed trial + 4 per batch of a store-backed ``jobs=1``
+    one-cell campaign — whatever the topology size or event count.
 
     Replaces the "< 2% of trial wall" disabled-instrumentation gate,
     which multiplied a micro-benchmarked ``span()`` by a guessed 16
@@ -195,10 +195,9 @@ def test_span_sites_per_trial_are_an_exact_count(nodes, tmp_path):
     assert Counter(r["name"] for r in rec.records) == Counter(phases)
 
     seeds = [1, 2, 3]
-    factory = lambda s: skewed_topology(nodes, seed=s)  # noqa: E731
     with ResultStore(tmp_path / "store.db") as store:
         with record_spans() as rec:
-            run_trials(factory, spec, seeds, jobs=1, store=store)
+            run_cell({"mrai": 0.5}, seeds, nodes=nodes, jobs=1, store=store)
     per_trial = [
         "topology.build",
         "store.spec_hash",
@@ -207,8 +206,14 @@ def test_span_sites_per_trial_are_an_exact_count(nodes, tmp_path):
         *phases,
         "store.put",
     ]
+    per_batch = [
+        "campaign.run",
+        "campaign.expand",
+        "campaign.attempt",
+        "campaign.fold",
+    ]
     assert Counter(r["name"] for r in rec.records) == Counter(
-        per_trial * len(seeds) + ["trials.run", "trials.fold"]
+        per_trial * len(seeds) + per_batch
     )
 
 
@@ -294,15 +299,16 @@ def test_hot_path_calls_the_language_not_wrappers():
 # Worker round-trip under jobs > 1
 # ----------------------------------------------------------------------
 def test_span_worker_round_trip_parallel():
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2)
-    factory = lambda s: skewed_topology(12, seed=s)  # noqa: E731
-    seeds = [1, 2, 3, 4]
+    cell = dict(
+        scheme={"mrai": 0.5}, seeds=[1, 2, 3, 4], nodes=12, failure=0.2
+    )
+    seeds = cell["seeds"]
     obs = ObsSession(spans=True)
     before = pool_stats()
     with record_spans(obs.span_recorder):
-        parallel = run_trials(factory, spec, seeds, jobs=2, obs=obs)
+        parallel = run_cell(**cell, jobs=2, obs=obs)
     moved = {k: v - before[k] for k, v in pool_stats().items()}
-    serial = run_trials(factory, spec, seeds, jobs=1)
+    serial = run_cell(**cell, jobs=1)
     # Observability never perturbs the simulation.
     assert parallel.trials == serial.trials
 
@@ -325,8 +331,8 @@ def test_span_worker_round_trip_parallel():
     parent_names = {
         r["name"] for r in rec.records if not r["path"].startswith("workers/")
     }
-    assert {"trials.run", "pool.run", "pool.submit", "pool.collect",
-            "trials.fold", "obs.absorb"} <= parent_names
+    assert {"campaign.run", "pool.run", "pool.submit", "pool.collect",
+            "campaign.fold", "obs.absorb"} <= parent_names
     # The pool span carries what the run moved the pool's counters by,
     # under their own names (spin-up cost included).
     pool = next(r for r in rec.records if r["name"] == "pool.run")
@@ -343,17 +349,16 @@ def test_span_worker_round_trip_parallel():
 def test_store_spans_record_hits_and_misses(tmp_path):
     from repro.store.result_store import ResultStore
 
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2)
-    factory = lambda s: skewed_topology(10, seed=s)  # noqa: E731
+    cell = dict(scheme={"mrai": 0.5}, seeds=[1, 2], nodes=10, failure=0.2)
     with ResultStore(tmp_path / "store.db") as store:
         with record_spans() as rec:
-            run_trials(factory, spec, [1, 2], jobs=1, store=store)
+            run_cell(**cell, jobs=1, store=store)
         gets = [r for r in rec.records if r["name"] == "store.get"]
         assert gets and all(r["attrs"]["hit"] is False for r in gets)
         assert sum(1 for r in rec.records if r["name"] == "store.put") == 2
         assert any(r["name"] == "store.spec_hash" for r in rec.records)
         with record_spans() as rec2:
-            run_trials(factory, spec, [1, 2], jobs=1, store=store)
+            run_cell(**cell, jobs=1, store=store)
         hits = [r for r in rec2.records if r["name"] == "store.get"]
         assert hits and all(r["attrs"]["hit"] is True for r in hits)
         assert not any(r["name"] == "store.put" for r in rec2.records)

@@ -10,44 +10,10 @@ from repro.bgp.messages import Update
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.queues import DestinationBatchQueue, TCPBatchQueue
-from repro.bgp.routes import Route
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.validation import validate_routing
 from repro.topology.skewed import skewed_topology
 from tests.conftest import advertised
-
-# ---------------------------------------------------------------------------
-# Route preference is a total order
-# ---------------------------------------------------------------------------
-routes = st.builds(
-    Route,
-    dest=st.just(1),
-    path=st.lists(st.integers(min_value=2, max_value=50), max_size=6).map(tuple),
-    peer=st.one_of(st.none(), st.integers(min_value=0, max_value=50)),
-    ebgp=st.booleans(),
-)
-
-
-@given(routes, routes, routes)
-def test_route_preference_total_order(a, b, c):
-    # Antisymmetry.
-    if a.better_than(b):
-        assert not b.better_than(a)
-    # Transitivity.
-    if a.better_than(b) and b.better_than(c):
-        assert a.better_than(c)
-    # Totality: either one is strictly better or the keys are equal.
-    assert (
-        a.better_than(b)
-        or b.better_than(a)
-        or a.preference_key() == b.preference_key()
-    )
-
-
-@given(routes)
-def test_route_never_better_than_itself(a):
-    assert not a.better_than(a)
-
 
 # ---------------------------------------------------------------------------
 # Queue disciplines conserve messages

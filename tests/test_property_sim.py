@@ -26,7 +26,7 @@ def test_event_queue_pops_in_nondecreasing_time_order(items):
         q.push(time, lambda: None, priority=priority)
     popped = []
     while q:
-        popped.append(q.pop())
+        popped.append(q.pop_due())
     times = [e.time for e in popped]
     assert times == sorted(times)
     # Among equal times, (priority, seq) must be non-decreasing.
@@ -56,7 +56,7 @@ def test_event_queue_cancellation_accounting(items):
     assert len(q) == live
     count = 0
     while q:
-        event = q.pop()
+        event = q.pop_due()
         assert not event.cancelled
         count += 1
     assert count == live

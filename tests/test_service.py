@@ -3,7 +3,7 @@
 Headline properties: a submission splits into cache hits and queued
 cold trials whose keys agree with the batch runner's; the executor
 drains the queue through the standard trial path and banks results
-bit-identical to :func:`run_trials`; trial failures retry inside their
+bit-identical to :func:`run_experiment`; trial failures retry inside their
 batch and park after ``MAX_ATTEMPTS``; payload/key drift fails
 permanently;
 and the daemon serves the whole cycle over HTTP — cold submit, poll,
@@ -23,7 +23,8 @@ import repro.core.batch as batch_mod
 import repro.core.parallel as parallel_mod
 import repro.store.hashing as hashing
 from repro.core.batch import MAX_ATTEMPTS
-from repro.core.experiment import run_trials
+from repro.bgp.mrai import ConstantMRAI
+from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.obs.spans import record_spans
 from repro.service import (
     CampaignService,
@@ -271,7 +272,7 @@ def test_topology_digested_once_per_seed_and_result_replans_nothing(
 # ----------------------------------------------------------------------
 # Executor: drain, bank, retry
 # ----------------------------------------------------------------------
-def test_executor_banks_bit_identical_to_run_trials(store):
+def test_executor_banks_bit_identical_to_run_experiment(store):
     campaign = small_campaign()
     receipt = plan_submission(campaign, store)
     executor = executor_for(store)
@@ -279,14 +280,13 @@ def test_executor_banks_bit_identical_to_run_trials(store):
     assert executor.executed == receipt.total == 2
     assert ticket_status(receipt.ticket, store)["state"] == "done"
 
-    # The exact trials run_trials would produce for the same cell.
-    planned = campaign_keys(campaign)
-    serial = run_trials(
-        campaign.topology_factory(), planned[0].spec, campaign.seeds
-    )
-    by_seed = {t.seed: t for t in serial.trials}
-    for trial in planned:
-        assert store.get(trial.key) == by_seed[trial.seed]
+    # The exact trials a plain run_experiment loop produces for the cell.
+    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
+    factory = campaign.topology_factory()
+    for trial in campaign_keys(campaign):
+        assert store.get(trial.key) == run_experiment(
+            factory(trial.seed), spec, seed=trial.seed
+        )
 
     folded = ticket_results(receipt.ticket, store)
     assert json_signature(folded["series"]) == folded_signature(
@@ -301,9 +301,7 @@ def test_executor_completes_an_already_banked_task_without_rerunning(
     receipt = plan_submission(campaign, store)
     # Another drainer banked the trial and died before flipping the row.
     [trial] = campaign_keys(campaign)
-    banked = run_trials(
-        campaign.topology_factory(), trial.spec, [trial.seed]
-    ).trials[0]
+    [banked] = run_campaign(campaign).results[("fifo-0.5", 0.1)].trials
     store.put(trial.key, banked)
 
     def must_not_run(*trial):
@@ -544,6 +542,10 @@ def test_service_http_error_mapping(service):
         (dict(CAMPAIGN, seeds=[1, 1]), "seeds must be distinct"),
         ({"topology": {"kind": "skewed"}, "scheme": {}, "seed": -1},
          "seeds must be non-negative"),
+        ({"topology": {"kind": "skewed"}, "scheme": {}, "seed": 2**128},
+         "seeds must be non-negative and below 2**128"),
+        (dict(CAMPAIGN, seeds={"master": -1, "count": 2}),
+         "seeds.master must be non-negative and below 2**128"),
         (dict(CAMPAIGN, axis={"name": "mrai", "values": [float("nan")]}),
          "axis.values[0] must be finite"),
     ):

@@ -1,7 +1,5 @@
 """Unit tests for the event queue."""
 
-import pytest
-
 from repro.sim.events import Event, EventQueue
 
 
@@ -11,7 +9,7 @@ def test_push_pop_ordering_by_time():
     q.push(3.0, fired.append, (3,))
     q.push(1.0, fired.append, (1,))
     q.push(2.0, fired.append, (2,))
-    times = [q.pop().time for _ in range(3)]
+    times = [q.pop_due().time for _ in range(3)]
     assert times == [1.0, 2.0, 3.0]
 
 
@@ -20,17 +18,17 @@ def test_same_time_fires_in_scheduling_order():
     first = q.push(1.0, lambda: None)
     second = q.push(1.0, lambda: None)
     third = q.push(1.0, lambda: None)
-    assert q.pop() is first
-    assert q.pop() is second
-    assert q.pop() is third
+    assert q.pop_due() is first
+    assert q.pop_due() is second
+    assert q.pop_due() is third
 
 
 def test_priority_breaks_time_ties():
     q = EventQueue()
     low = q.push(1.0, lambda: None, priority=5)
     high = q.push(1.0, lambda: None, priority=-5)
-    assert q.pop() is high
-    assert q.pop() is low
+    assert q.pop_due() is high
+    assert q.pop_due() is low
 
 
 def test_len_excludes_cancelled():
@@ -47,7 +45,7 @@ def test_cancelled_events_are_skipped_on_pop():
     e1 = q.push(1.0, lambda: None)
     e2 = q.push(2.0, lambda: None)
     e1.cancel()
-    assert q.pop() is e2
+    assert q.pop_due() is e2
 
 
 def test_pop_due_stops_at_the_horizon_and_skips_cancelled():
@@ -64,10 +62,8 @@ def test_pop_due_stops_at_the_horizon_and_skips_cancelled():
     assert q.pop_due() is None and len(q) == 0
 
 
-def test_pop_empty_raises():
-    q = EventQueue()
-    with pytest.raises(IndexError):
-        q.pop()
+def test_pop_due_on_an_empty_queue_is_none():
+    assert EventQueue().pop_due() is None
 
 
 def test_peek_time_skips_cancelled():
@@ -108,7 +104,7 @@ def test_compact_removes_garbage():
         e.cancel()
     q.compact()
     assert len(q) == 50
-    assert q.pop().time == 50.0
+    assert q.pop_due().time == 50.0
 
 
 def test_event_cancel_is_idempotent():
@@ -121,7 +117,7 @@ def test_event_cancel_is_idempotent():
 def test_cancel_counts_only_events_still_in_the_heap():
     q = EventQueue()
     popped = q.push(1.0, lambda: None)
-    assert q.pop() is popped
+    assert q.pop_due() is popped
     live = q.push(2.0, lambda: None)
     popped.cancel()
     assert len(q) == 1
@@ -141,4 +137,4 @@ def test_auto_compaction_under_heavy_cancellation():
         e = q.push(float(i), lambda: None)
         e.cancel()
     assert len(q) == 1
-    assert q.pop() is live
+    assert q.pop_due() is live

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.rng import SEED_LIMIT, RandomStreams, derive_seed
 
 
 def test_same_name_returns_same_stream():
@@ -50,23 +50,17 @@ def test_consuming_one_stream_does_not_perturb_another():
     assert family.get("b").random() == expected
 
 
-def test_spawn_creates_independent_family():
-    parent = RandomStreams(5)
-    child1 = parent.spawn("trial-1")
-    child2 = parent.spawn("trial-2")
-    assert child1.seed != child2.seed
-    assert child1.get("x").random() != child2.get("x").random()
-    # Spawn is deterministic.
-    assert RandomStreams(5).spawn("trial-1").seed == child1.seed
-
-
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RandomStreams(-1)
 
 
-def test_uniform_helper_in_range():
-    streams = RandomStreams(3)
-    for _ in range(100):
-        value = streams.uniform("u", 2.0, 3.0)
-        assert 2.0 <= value <= 3.0
+def test_seed_range_is_what_the_key_holds():
+    # The master seed keys BLAKE2b as 16 bytes: [0, 2**128) and no more.
+    assert SEED_LIMIT == 2**128
+    RandomStreams(SEED_LIMIT - 1).get("x")
+    for seed in (-1, SEED_LIMIT):
+        with pytest.raises(ValueError, match="below 2\\*\\*128"):
+            RandomStreams(seed)
+        with pytest.raises(ValueError, match="below 2\\*\\*128"):
+            derive_seed(seed, "x")

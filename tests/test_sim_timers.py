@@ -70,16 +70,17 @@ def test_timer_can_be_restarted_from_callback():
     assert fired == [1.0, 2.0, 3.0]
 
 
-def test_running_and_remaining():
+def test_running_tracks_start_stop_and_fire():
     sim = Simulator()
     timer = make_timer(sim, [])
-    assert timer.remaining() == 0.0
+    assert not timer.running
     timer.start(4.0)
     assert timer.running
-    assert timer.remaining() == pytest.approx(4.0)
-    sim.schedule(1.0, lambda: None)
-    sim.run(until=1.0)
-    assert timer.remaining() == pytest.approx(3.0)
+    timer.stop()
+    assert not timer.running
+    timer.start(4.0)
+    sim.run()
+    assert not timer.running
 
 
 def test_rfc1771_jitter_reduces_by_up_to_25_percent():
@@ -128,13 +129,3 @@ def test_callback_args_passed_through():
     timer.start(1.0)
     sim.run()
     assert received == [("x", 2)]
-
-
-def test_expiry_property():
-    sim = Simulator()
-    timer = make_timer(sim, [])
-    assert timer.expiry is None
-    timer.start(2.5)
-    assert timer.expiry == pytest.approx(2.5)
-    timer.stop()
-    assert timer.expiry is None

@@ -12,11 +12,12 @@ import threading
 import pytest
 
 from repro.bgp.mrai import ConstantMRAI
-from repro.core.experiment import ExperimentSpec, run_trials
+from repro.core.experiment import ExperimentSpec
 from repro.obs.session import ObsSession
 from repro.store import ResultStore, spec_fingerprint, spec_hash
 from repro.store.hashing import SCHEMA_VERSION
 from repro.topology.skewed import skewed_topology
+from tests.conftest import run_cell
 
 SEEDS = (1, 2, 3)
 
@@ -49,9 +50,12 @@ def store(tmp_path):
         yield s
 
 
+#: ``spec_05()`` as a campaign scheme (the cell's failure fraction is 0.1).
+SCHEME_05 = {"mrai": 0.5}
+
+
 def one_trial():
-    result = run_trials(factory, spec_05(), (1,))
-    return result.trials[0]
+    return run_cell(SCHEME_05, (1,)).trials[0]
 
 
 # ----------------------------------------------------------------------
@@ -81,8 +85,8 @@ def test_get_dataplane_misses_a_row_banked_without_the_monitor(store):
     assert store.get("k") == bare
     assert store.get("k", dataplane=True) is None
     assert (store.hits, store.misses) == (1, 1)
-    monitored = run_trials(
-        factory, spec_05(), (1,), obs=ObsSession(dataplane=True)
+    monitored = run_cell(
+        SCHEME_05, (1,), obs=ObsSession(dataplane=True)
     ).trials[0]
     store.put("k", monitored)  # same key, superset record
     assert store.get("k", dataplane=True).dataplane == monitored.dataplane
@@ -183,19 +187,18 @@ def test_campaign_manifest_rows(store):
 
 
 # ----------------------------------------------------------------------
-# run_trials caching: cold == warm, serial == parallel, bit for bit
+# One-cell batch caching: cold == warm, serial == parallel, bit for bit
 # ----------------------------------------------------------------------
 def test_cached_run_bitwise_identical(store):
-    spec = spec_05()
-    cold = run_trials(factory, spec, SEEDS, store=store)
+    cold = run_cell(SCHEME_05, SEEDS, store=store)
     assert store.misses == len(SEEDS) and store.hits == 0
     assert len(store) == len(SEEDS)
 
-    warm = run_trials(factory, spec, SEEDS, store=store)
+    warm = run_cell(SCHEME_05, SEEDS, store=store)
     assert store.hits == len(SEEDS)
     assert len(store) == len(SEEDS)
 
-    uncached = run_trials(factory, spec, SEEDS)
+    uncached = run_cell(SCHEME_05, SEEDS)
     assert result_signature(cold) == result_signature(warm)
     assert result_signature(cold) == result_signature(uncached)
     assert warm.mean_delay == uncached.mean_delay
@@ -203,34 +206,31 @@ def test_cached_run_bitwise_identical(store):
 
 
 def test_parallel_run_populates_and_hits_store(store):
-    spec = spec_05()
-    cold = run_trials(factory, spec, SEEDS, jobs=2, store=store)
+    cold = run_cell(SCHEME_05, SEEDS, jobs=2, store=store)
     assert len(store) == len(SEEDS)
-    warm = run_trials(factory, spec, SEEDS, jobs=2, store=store)
+    warm = run_cell(SCHEME_05, SEEDS, jobs=2, store=store)
     assert store.hits == len(SEEDS)
-    serial = run_trials(factory, spec, SEEDS)
+    serial = run_cell(SCHEME_05, SEEDS)
     assert result_signature(cold) == result_signature(warm)
     assert result_signature(cold) == result_signature(serial)
 
 
 def test_partial_cache_mixes_cached_and_fresh(store):
-    spec = spec_05()
-    run_trials(factory, spec, SEEDS[:2], store=store)
+    run_cell(SCHEME_05, SEEDS[:2], store=store)
     assert len(store) == 2
-    mixed = run_trials(factory, spec, SEEDS, store=store)
+    mixed = run_cell(SCHEME_05, SEEDS, store=store)
     assert len(store) == len(SEEDS)
     assert result_signature(mixed) == result_signature(
-        run_trials(factory, spec, SEEDS)
+        run_cell(SCHEME_05, SEEDS)
     )
 
 
 def test_obs_session_counts_cache_lookups(store):
-    spec = spec_05()
     obs = ObsSession()
-    run_trials(factory, spec, SEEDS, store=store, obs=obs)
+    run_cell(SCHEME_05, SEEDS, store=store, obs=obs)
     assert obs.registry.get("store_cache_hits") is None
     assert obs.registry.get("store_cache_misses").value == len(SEEDS)
-    run_trials(factory, spec, SEEDS, store=store, obs=obs)
+    run_cell(SCHEME_05, SEEDS, store=store, obs=obs)
     assert obs.registry.get("store_cache_hits").value == len(SEEDS)
     manifest = obs.finalize()
     assert manifest.extra["store_cache"] == {

@@ -190,8 +190,15 @@ MALFORMED = [
     (dict(CAMPAIGN, store=5), "'store'"),
     (dict(CAMPAIGN, store=""), "'store'"),
     (dict(CAMPAIGN, store=["a"]), "'store'"),
-    # A negative seed would fail every attempt of its trials at run time.
+    # A seed the random streams cannot key (a 16-byte BLAKE2b key holds
+    # [0, 2**128)) would fail every attempt of its trials at run time.
     (dict(CAMPAIGN, seeds=[3, -1]), "seeds must be non-negative"),
+    (dict(CAMPAIGN, seeds=[2**128]), "seeds must be non-negative and below"),
+    (dict(CAMPAIGN, seeds={"master": -1, "count": 2}), "seeds.master must be"),
+    (
+        dict(CAMPAIGN, seeds={"master": 2**128, "count": 2}),
+        "seeds.master must be",
+    ),
 ]
 
 
@@ -339,7 +346,7 @@ def mrai_three_grid():
 
 
 #: (delays, message_counts) per series, recorded from the per-point
-#: run_trials loops these grids used before they became one batch.
+#: one-cell batches these grids ran as before they became one batch.
 SWEEP_GOLDEN = {
     "failure": [
         ([1.531314812944769, 1.3260964622243931], [511.5, 564.5]),
