@@ -32,7 +32,7 @@ from typing import (
 )
 
 from repro.obs.causality import (
-    ROOT_KINDS,
+    ROOT_KIND,
     CausalGraph,
     _as_path,
     _record_fields,
@@ -111,7 +111,7 @@ class ConvergenceTimeline:
                 changes.append((time, node, dest, _as_path(path)))
             elif (
                 category == "causality"
-                and detail[0] in ROOT_KINDS
+                and detail[0] == ROOT_KIND
                 and detected_t0 is None
             ):
                 detected_t0 = time

@@ -245,62 +245,6 @@ class BGPNetwork:
                     )
         return t0
 
-    def recover_nodes(self, node_ids: Iterable[int]) -> float:
-        """Bring failed routers back into service at the current time.
-
-        Control-plane state is cold (see :meth:`BGPSpeaker.revive`).
-        Sessions to live neighbors come up immediately and both ends
-        exchange full tables.  Returns the recovery time.
-        """
-        t0 = self.sim.now
-        recovering = sorted(set(node_ids))
-        for node_id in recovering:
-            speaker = self.speakers[node_id]
-            if not speaker.alive:
-                # Mark the node alive for the data-plane monitor first:
-                # revive() immediately re-originates own prefixes, and
-                # those best-route hooks must land on an alive node.
-                if self.dataplane is not None:
-                    self.dataplane.on_node_recovered(node_id, t0)
-                speaker.revive()
-                self._failed.discard(node_id)
-                self.counters["nodes_recovered"] += 1
-        for node_id in recovering:
-            speaker = self.speakers[node_id]
-            for peer_id in speaker.peers:
-                neighbor = self.speakers[peer_id]
-                if not neighbor.alive:
-                    continue
-                # The session is simply up again; both ends behave as
-                # freshly established.
-                speaker.session_established(peer_id)
-                neighbor.session_established(node_id)
-        self.note_activity()
-        return t0
-
-    def fail_link(self, a: int, b: int) -> float:
-        """Fail a single link: both endpoints drop the session."""
-        t0 = self.sim.now
-        failure_uid = -1
-        if self.sim.tracer.enabled:
-            failure_uid = self.next_uid()
-            self.sim.tracer.emit(
-                t0,
-                "causality",
-                None,
-                "link_failure",
-                failure_uid,
-                -1,
-                None,
-                None,
-                (a, b),
-            )
-        if self.speakers[a].alive:
-            self.speakers[a].peer_down(b, failure_uid)
-        if self.speakers[b].alive:
-            self.speakers[b].peer_down(a, failure_uid)
-        return t0
-
     def close(self) -> None:
         """Release the simulation so this network is freed by reference
         counting, not by a later pass of the cycle collector.

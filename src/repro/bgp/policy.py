@@ -18,10 +18,9 @@ Implemented:
   - *export* (valley-free): routes learned from a customer go to everyone;
     routes learned from a peer or provider go to customers only.
 
-* :func:`infer_relationships` — degree-based customer/provider/peer
-  inference for generated topologies (the larger-degree AS is the
-  provider; comparable degrees make peers), after the standard
-  Gao-style heuristics.
+* :func:`infer_relationships_hierarchical` — customer/provider/peer
+  inference for generated topologies that keeps every AS reachable
+  under valley-free export.
 """
 
 from __future__ import annotations
@@ -226,40 +225,4 @@ def infer_relationships_hierarchical(topology: Topology) -> ASRelationships:
             rels.set_customer(provider=b, customer=a)
         else:
             rels.set_peers(a, b)
-    return rels
-
-
-def infer_relationships(
-    topology: Topology,
-    peer_degree_ratio: float = 1.5,
-) -> ASRelationships:
-    """Degree-heuristic relationship inference for generated topologies.
-
-    For every inter-AS adjacency, the AS with the clearly larger inter-AS
-    degree (by more than ``peer_degree_ratio``) becomes the provider;
-    comparable degrees make the pair peers.  Ties in the ratio band are
-    peers, which keeps the relation graph acyclic enough for valley-free
-    routing to retain most of the connectivity.
-    """
-    if peer_degree_ratio < 1.0:
-        raise ValueError("peer_degree_ratio must be >= 1")
-    rels = ASRelationships()
-    degrees = {asn: topology.inter_as_degree(asn) for asn in topology.as_numbers()}
-    seen = set()
-    for link in topology.links:
-        as_a = topology.as_of(link.a)
-        as_b = topology.as_of(link.b)
-        if as_a == as_b:
-            continue
-        key = (min(as_a, as_b), max(as_a, as_b))
-        if key in seen:
-            continue
-        seen.add(key)
-        da, db = degrees[as_a], degrees[as_b]
-        if da >= db * peer_degree_ratio:
-            rels.set_customer(provider=as_a, customer=as_b)
-        elif db >= da * peer_degree_ratio:
-            rels.set_customer(provider=as_b, customer=as_a)
-        else:
-            rels.set_peers(as_a, as_b)
     return rels

@@ -426,8 +426,8 @@ class BGPSpeaker:
         The content is computed now, against Adj-RIB-Out, so superseded
         changes collapse and no-op updates are suppressed.  With ``defer``
         a change that finds its MRAI timer running waits as pending for
-        the expiry; MRAI expiry and table transfer pass False — they send
-        a whole burst and arm the timer after it.  Returns whether a
+        the expiry; MRAI expiry passes False — it sends a whole burst and
+        arms the timer after it.  Returns whether a
         message was sent that the caller must (re)arm the MRAI for:
         advertisements always, withdrawals only under withdrawal rate
         limiting (RFC 1771: MinRouteAdvertisementInterval does not apply
@@ -524,22 +524,6 @@ class BGPSpeaker:
         self.network.transmit(self.node_id, ps.peer_id, msg, ps.delay)
 
     # ------------------------------------------------------------------
-    # Session lifecycle
-    # ------------------------------------------------------------------
-    def session_established(self, peer_id: int) -> None:
-        """(Re)open the routing exchange with ``peer_id``: its state is
-        reset and this speaker's full table is advertised to it, as after
-        a session reset (:meth:`BGPNetwork.recover_nodes` calls this for
-        both ends of every session it brings back)."""
-        ps = self.peers[peer_id]
-        ps.reset()
-        ps.session_up = True
-        self.network.counters["sessions_established"] += 1
-        self.network.note_activity()
-        # Full table transfer: advertise everything eligible, ascending.
-        self._advertise_burst(ps, self.loc_rib)
-
-    # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
     def peer_down(self, peer_id: int, cause_uid: int = -1) -> None:
@@ -578,27 +562,6 @@ class BGPSpeaker:
         for ps in self.peers.values():
             ps.session_up = False
             ps.reset()
-
-    def revive(self) -> None:
-        """Bring a failed router back with a cold control plane.
-
-        RIBs, damping history and queue state are wiped (a rebooted router
-        remembers nothing; :meth:`fail` already reset every peer's state
-        and left its session down); own prefixes are re-originated.
-        Session re-establishment is the network's job: it marks both ends
-        up and triggers full-table exchanges.
-        """
-        if self.alive:
-            return
-        self.alive = True
-        self._busy = False
-        self.queue.clear()
-        for peer_id in self.peers:
-            self.adj_rib_in.drop_peer(peer_id)
-        self.loc_rib = LocRib(self.adj_rib_in)
-        self._damping.clear()
-        for prefix in sorted(self.own_prefixes):
-            self._reselect(prefix)
 
     # ------------------------------------------------------------------
     # Introspection (tests, validation)

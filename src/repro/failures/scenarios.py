@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.topology.graph import GRID_SIZE, Topology
 
@@ -93,33 +93,3 @@ def random_failure(
         kind="random",
         description=f"{count} routers ({fraction:.1%}) scattered",
     )
-
-
-def single_node_failure(topology: Topology, node_id: int) -> FailureScenario:
-    """The classic isolated-withdrawal experiment (Labovitz et al.)."""
-    if node_id not in topology.routers:
-        raise ValueError(f"unknown node {node_id}")
-    return FailureScenario(
-        nodes=frozenset({node_id}),
-        kind="single",
-        description=f"single router {node_id}",
-    )
-
-
-def link_cut_failure(
-    topology: Topology,
-    fraction: float,
-    center: Optional[Tuple[float, float]] = None,
-) -> List[Tuple[int, int]]:
-    """Links whose *both* endpoints lie in the contiguous failure area.
-
-    The paper argues link-only failures are unrealistic at large scale and
-    does not evaluate them; this helper exists for the ablation bench that
-    demonstrates the difference.
-    """
-    scenario = geographic_failure(topology, fraction, center)
-    return [
-        (link.a, link.b)
-        for link in topology.links
-        if link.a in scenario.nodes and link.b in scenario.nodes
-    ]

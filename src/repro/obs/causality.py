@@ -35,8 +35,8 @@ from typing import (
 
 from repro.sim.trace import TraceRecord
 
-#: Causality-record kinds that start a cause chain.
-ROOT_KINDS = ("failure", "link_failure")
+#: The causality-record kind that starts a cause chain.
+ROOT_KIND = "failure"
 
 
 @dataclass(frozen=True)
@@ -44,19 +44,19 @@ class CausalEvent:
     """One node of the cause forest: a sent UPDATE or a failure injection."""
 
     uid: int
-    kind: str  # "send", "failure" or "link_failure"
+    kind: str  # "send" or "failure"
     time: float
     node: Optional[int]  # sending router; None for failure injections
     cause_uid: int  # -1 = no traced cause (e.g. warm-up origination)
     dest: Optional[int]  # destination prefix ("send" only)
     peer: Optional[int]  # receiving router ("send" only)
     #: Advertised AS path (None = withdrawal) for sends; the failed node
-    #: ids / link endpoints for failure roots.
+    #: ids for failure roots.
     payload: Any = None
 
     @property
     def is_root_kind(self) -> bool:
-        return self.kind in ROOT_KINDS
+        return self.kind == ROOT_KIND
 
     @property
     def is_withdrawal(self) -> bool:

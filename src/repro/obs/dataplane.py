@@ -169,20 +169,6 @@ class DataPlaneMonitor:
             self._pending.update(self._dests)
             self._pending_time = now
 
-    def on_node_recovered(self, node_id: int, now: float) -> None:
-        """A node revived at ``now`` (call *before* it re-originates).
-
-        The revived speaker starts with a cold RIB: until routes
-        propagate back it blackholes everything except what it
-        re-originates, which arrives through :meth:`on_best_route`.
-        """
-        if self._pending and now > self._pending_time:
-            self._flush()
-        self._alive.add(node_id)
-        if self._dests:
-            self._pending.update(self._dests)
-            self._pending_time = now
-
     def finalize(self, now: float) -> None:
         """Flush the last pending evaluation and stamp the window end."""
         if self._pending:

@@ -17,10 +17,11 @@ from typing import Dict
 
 #: Bytes of the BLAKE2b key a master seed is written into.
 _KEY_BYTES = 16
-#: Every master seed is in ``[0, SEED_LIMIT)``: what the key can hold.
-SEED_LIMIT = 1 << (8 * _KEY_BYTES)
+#: Every master seed is in ``[0, SEED_LIMIT)``: what both the key and the
+#: result store's signed 64-bit ``trials.seed`` column hold.
+SEED_LIMIT = 1 << 63
 #: The reason an out-of-range seed is refused, wherever it is refused.
-SEED_RANGE = f"non-negative and below 2**{8 * _KEY_BYTES}"
+SEED_RANGE = "non-negative and below 2**63"
 
 
 def derive_seed(master_seed: int, name: str) -> int:

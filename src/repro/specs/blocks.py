@@ -7,7 +7,7 @@
   :class:`~repro.bgp.policy.RoutingPolicy`.  Gao-Rexford relationships
   come either inline (``"relationships": [[a, b, rel], ...]``, fully
   self-contained) or inferred from the topology
-  (``"infer": "hierarchical"`` / ``"degree"``).
+  (``"infer": "hierarchical"``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.bgp.policy import (
     GaoRexfordPolicy,
     RoutingPolicy,
     ShortestPathPolicy,
-    infer_relationships,
     infer_relationships_hierarchical,
 )
 from repro.specs.fields import lookup, number
@@ -119,7 +118,7 @@ def policy_needs_topology(block: Dict[str, Any]) -> bool:
     return _entry(block).needs_topology(block)
 
 
-_INFER_MODES = ("hierarchical", "degree")
+_INFER_MODES = ("hierarchical",)
 
 
 def _check_gao_rexford(block: Dict[str, Any]) -> None:
@@ -145,12 +144,7 @@ def _build_gao_rexford(
         )
         return GaoRexfordPolicy(rels)
     assert topology is not None  # guaranteed by build_policy
-    if block["infer"] == "hierarchical":
-        rels = infer_relationships_hierarchical(topology)
-    else:
-        ratio = block.get("peer_degree_ratio", 1.5)
-        rels = infer_relationships(topology, peer_degree_ratio=float(ratio))
-    return GaoRexfordPolicy(rels)
+    return GaoRexfordPolicy(infer_relationships_hierarchical(topology))
 
 
 #: Every routing-policy kind a scheme dict's ``policy`` block can name.
@@ -162,7 +156,7 @@ POLICY_BLOCKS: Dict[str, PolicyBlock] = {
         serialize=lambda policy: {"kind": "shortest-path"},
     ),
     "gao-rexford": PolicyBlock(
-        keys=("relationships", "infer", "peer_degree_ratio"),
+        keys=("relationships", "infer"),
         build=_build_gao_rexford,
         validate=_check_gao_rexford,
         policy_type=GaoRexfordPolicy,

@@ -332,25 +332,6 @@ class QueueOps:
 
         return self._read(op)
 
-    def queue_entries(
-        self, state: Optional[str] = None, limit: Optional[int] = None
-    ) -> List[QueueTask]:
-        """Queue rows (optionally one state), oldest first."""
-
-        def op(conn):
-            sql = f"SELECT {_TASK_COLUMNS} FROM queue"
-            params: List[Any] = []
-            if state is not None:
-                sql += " WHERE state=?"
-                params.append(state)
-            sql += " ORDER BY id"
-            if limit is not None:
-                sql += " LIMIT ?"
-                params.append(int(limit))
-            return [_task_from_row(r) for r in conn.execute(sql, params)]
-
-        return self._read(op)
-
     def queue_states_for(
         self, keys: Sequence[str]
     ) -> Dict[str, Dict[str, Any]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 #: Side length of the placement grid used throughout the paper (Sec 3.1).
 GRID_SIZE = 1000.0
@@ -260,29 +260,3 @@ class Topology:
             f"{len(self.as_numbers())} ASes, {self.num_links} links, "
             f"avg degree {self.average_degree():.2f}, degree range [{lo},{hi}]"
         )
-
-
-def flat_topology_from_edges(
-    edges: Iterable[Tuple[int, int]],
-    positions: Optional[Dict[int, Tuple[float, float]]] = None,
-    name: str = "topology",
-    delay: float = DEFAULT_LINK_DELAY,
-) -> Topology:
-    """Build a flat (one router per AS) topology from an edge list.
-
-    Node ids double as AS numbers.  Positions default to a deterministic
-    diagonal layout when not supplied (tests often don't care about geometry).
-    """
-    edge_list = [tuple(sorted(e)) for e in edges]
-    nodes = sorted({n for e in edge_list for n in e})
-    topo = Topology(name=name)
-    for i, node in enumerate(nodes):
-        if positions and node in positions:
-            x, y = positions[node]
-        else:
-            step = GRID_SIZE / max(1, len(nodes))
-            x = y = (i + 0.5) * step
-        topo.add_router(Router(node_id=node, asn=node, x=x, y=y))
-    for a, b in sorted(set(edge_list)):
-        topo.connect(a, b, delay=delay)
-    return topo

@@ -2,18 +2,79 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
+from repro.bgp.policy import ASRelationships
 from repro.bgp.rib import LocRib
 from repro.bgp.speaker import _NEVER_SENT, PeerState
 from repro.core.experiment import ExperimentResult
 from repro.store.campaign import Campaign, run_campaign
-from repro.topology.graph import Topology, flat_topology_from_edges
+from repro.topology.graph import (
+    DEFAULT_LINK_DELAY,
+    GRID_SIZE,
+    Router,
+    Topology,
+)
+
+
+def flat_topology_from_edges(
+    edges: Iterable[Tuple[int, int]],
+    positions: Optional[Dict[int, Tuple[float, float]]] = None,
+    delay: float = DEFAULT_LINK_DELAY,
+) -> Topology:
+    """A flat (one router per AS) topology from an edge list.
+
+    Node ids double as AS numbers.  Positions default to a deterministic
+    diagonal layout when not supplied.
+    """
+    edge_list = [tuple(sorted(e)) for e in edges]
+    nodes = sorted({n for e in edge_list for n in e})
+    topo = Topology(name="topology")
+    for i, node in enumerate(nodes):
+        if positions and node in positions:
+            x, y = positions[node]
+        else:
+            step = GRID_SIZE / max(1, len(nodes))
+            x = y = (i + 0.5) * step
+        topo.add_router(Router(node_id=node, asn=node, x=x, y=y))
+    for a, b in sorted(set(edge_list)):
+        topo.connect(a, b, delay=delay)
+    return topo
+
+
+def infer_relationships(
+    topology: Topology, peer_degree_ratio: float = 1.5
+) -> ASRelationships:
+    """Degree-heuristic relationships: across every inter-AS adjacency the
+    AS whose inter-AS degree is at least ``peer_degree_ratio`` times the
+    other's is the provider; comparable degrees make peers.
+
+    Unlike the hierarchical inference the specs use, this leaves some
+    (node, dest) pairs valley-free-unreachable, so it is what exercises
+    the unreachable side of the valley-free oracle.
+    """
+    rels = ASRelationships()
+    degrees = {
+        asn: topology.inter_as_degree(asn) for asn in topology.as_numbers()
+    }
+    for link in topology.links:
+        as_a = topology.as_of(link.a)
+        as_b = topology.as_of(link.b)
+        if as_a == as_b:
+            continue
+        da, db = degrees[as_a], degrees[as_b]
+        if da >= db * peer_degree_ratio:
+            rels.set_customer(provider=as_a, customer=as_b)
+        elif db >= da * peer_degree_ratio:
+            rels.set_customer(provider=as_b, customer=as_a)
+        else:
+            rels.set_peers(as_a, as_b)
+    return rels
 
 
 def line_topology(n: int = 4) -> Topology:

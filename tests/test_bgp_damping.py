@@ -117,6 +117,8 @@ def test_flapping_route_gets_suppressed_and_reused():
     net.run_until_quiet()
     diff = net.counters.diff(snapshot)
     assert diff.get("routes_suppressed", 0) > 0
+    # The reuse timers reinstate what was suppressed.
+    assert diff.get("routes_reused", 0) > 0
     # Network still converges to a correct state afterwards.
     validate_routing(net)
 

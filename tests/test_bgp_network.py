@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bgp.config import BGPConfig
-from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.topology.serialize import FORMAT_VERSION, topology_from_dict
@@ -111,17 +110,6 @@ def test_fail_nodes_returns_t0_and_is_idempotent():
     assert t0 == net.sim.now
     net.fail_nodes([3])  # idempotent
     assert net.failed_nodes == {3}
-
-
-def test_fail_link_isolates_segment():
-    net = converged_network(line_topology(4))
-    net.fail_link(1, 2)
-    net.run_until_quiet()
-    # 0 and 1 can no longer reach 2 and 3.
-    assert net.speakers[0].loc_rib.destinations() == {0, 1}
-    assert net.speakers[3].loc_rib.destinations() == {2, 3}
-    # Everyone is still alive.
-    assert len(net.alive_speakers()) == 4
 
 
 def test_partition_by_node_failure():

@@ -12,17 +12,15 @@ from repro.bgp.policy import (
     ASRelationships,
     GaoRexfordPolicy,
     ShortestPathPolicy,
-    infer_relationships,
 )
 from repro.bgp.routes import Route
 from repro.core.validation import (
     validate_gao_rexford,
-    validate_routing,
     valley_free_prefixes,
 )
 from repro.sim.timers import Jitter
-from repro.topology.graph import flat_topology_from_edges
 from repro.topology.skewed import skewed_topology
+from tests.conftest import flat_topology_from_edges, infer_relationships
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +60,6 @@ def test_infer_relationships_similar_degrees_peer():
     topo = flat_topology_from_edges([(0, 1), (1, 2), (2, 0)])  # triangle
     rels = infer_relationships(topo)
     assert rels.relation(0, 1) == PEER
-
-
-def test_infer_relationships_validation():
-    topo = flat_topology_from_edges([(0, 1)])
-    with pytest.raises(ValueError):
-        infer_relationships(topo, peer_degree_ratio=0.5)
 
 
 def test_hierarchical_inference_preserves_full_reachability():

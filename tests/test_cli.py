@@ -318,7 +318,8 @@ def test_cli_submit_rejects_an_unreadable_file(content, tmp_path, capsys):
         (["run", "--nodes", "20", "--mrai", "-1"], "mrai must be non-negative"),
         (["topo", "--nodes", "1"], "nodes must be at least 2"),
         (["run", "--nodes", "20", "--seed", "-1"], "seed must be non-negative"),
-        (["run", "--nodes", "20", "--seed", str(2**128)], "below 2**128"),
+        (["run", "--nodes", "20", "--seed", str(2**63)], "below 2**63"),
+        (["run", "--nodes", "20", "--seed", str(2**128)], "below 2**63"),
     ],
     ids=[
         "run-failure",
@@ -326,6 +327,7 @@ def test_cli_submit_rejects_an_unreadable_file(content, tmp_path, capsys):
         "run-mrai",
         "topo-nodes",
         "run-seed",
+        "run-seed-unbankable",
         "run-seed-too-big",
     ],
 )

@@ -10,11 +10,10 @@ from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
-    TrialResult,
     build_scenario,
     run_experiment,
 )
-from repro.failures.scenarios import single_node_failure
+from repro.failures.scenarios import geographic_failure
 from repro.topology.skewed import skewed_topology
 from tests.conftest import ring_topology, run_cell
 
@@ -48,7 +47,7 @@ def test_run_experiment_deterministic():
 def test_run_experiment_custom_scenario():
     topo = ring_topology(6)
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5))
-    scenario = single_node_failure(topo, 2)
+    scenario = geographic_failure(topo, 1 / 6)  # one router of six
     result = run_experiment(topo, spec, seed=1, scenario=scenario)
     assert result.failure_size == 1
 

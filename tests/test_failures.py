@@ -7,12 +7,10 @@ import pytest
 from repro.failures.scenarios import (
     FailureScenario,
     geographic_failure,
-    link_cut_failure,
     random_failure,
-    single_node_failure,
 )
-from repro.topology.graph import flat_topology_from_edges
 from repro.topology.skewed import skewed_topology
+from tests.conftest import flat_topology_from_edges
 
 
 def grid_line_topology():
@@ -83,24 +81,9 @@ def test_random_failure_varies_with_rng():
     assert a.nodes != b.nodes
 
 
-def test_single_node_failure():
-    topo = grid_line_topology()
-    scenario = single_node_failure(topo, 7)
-    assert scenario.nodes == {7}
-    with pytest.raises(ValueError):
-        single_node_failure(topo, 99)
-
-
 def test_scenario_requires_nodes():
     with pytest.raises(ValueError):
         FailureScenario(nodes=frozenset(), kind="x")
-
-
-def test_link_cut_failure_internal_links_only():
-    topo = grid_line_topology()
-    cuts = link_cut_failure(topo, 0.3, center=(0.0, 500.0))
-    # Failed region = {0,1,2}; links fully inside it: 0-1 and 1-2.
-    assert sorted(cuts) == [(0, 1), (1, 2)]
 
 
 # ----------------------------------------------------------------------

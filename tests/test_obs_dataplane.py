@@ -130,13 +130,6 @@ def test_node_failure_closes_pairs_as_down_and_purges_state():
     mon.finalize(2.0)
     assert mon.status_of(2, 9) == DOWN
     assert mon.status_of(1, 9) == BLACKHOLE  # next hop died
-    # Recovery: 2 comes back cold and re-originates.
-    mon.on_node_recovered(2, 3.0)
-    mon.on_best_route(2, 9, _local(9), 3.0)
-    mon.on_best_route(1, 9, _route(9, (2, 9), 2), 3.5)
-    mon.finalize(4.0)
-    assert mon.status_of(2, 9) == OK
-    assert mon.status_of(1, 9) == OK
 
 
 # ----------------------------------------------------------------------

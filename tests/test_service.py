@@ -542,10 +542,12 @@ def test_service_http_error_mapping(service):
         (dict(CAMPAIGN, seeds=[1, 1]), "seeds must be distinct"),
         ({"topology": {"kind": "skewed"}, "scheme": {}, "seed": -1},
          "seeds must be non-negative"),
+        ({"topology": {"kind": "skewed"}, "scheme": {}, "seed": 2**63},
+         "seeds must be non-negative and below 2**63"),
         ({"topology": {"kind": "skewed"}, "scheme": {}, "seed": 2**128},
-         "seeds must be non-negative and below 2**128"),
+         "seeds must be non-negative and below 2**63"),
         (dict(CAMPAIGN, seeds={"master": -1, "count": 2}),
-         "seeds.master must be non-negative and below 2**128"),
+         "seeds.master must be non-negative and below 2**63"),
         (dict(CAMPAIGN, axis={"name": "mrai", "values": [float("nan")]}),
          "axis.values[0] must be finite"),
     ):

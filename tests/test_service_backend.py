@@ -61,9 +61,11 @@ def test_enqueue_revives_terminally_failed_task(store):
     assert store.queue_counts()["failed"] == 1
     tid2, created = store.enqueue("k1", {"seed": 1}, ticket="t2")
     assert created and tid2 == tid
-    [revived] = store.queue_entries(state="pending")
-    assert revived.attempts == 0
-    assert revived.error is None
+    assert store.queue_states_for(["k1"]) == {
+        "k1": {"state": "pending", "attempts": 0, "error": None}
+    }
+    [revived] = store.lease_tasks("w", 1, lease_seconds=30)
+    assert revived.id == tid
     assert revived.ticket == "t2"
 
 

@@ -56,11 +56,12 @@ def test_negative_seed_rejected():
 
 
 def test_seed_range_is_what_the_key_holds():
-    # The master seed keys BLAKE2b as 16 bytes: [0, 2**128) and no more.
-    assert SEED_LIMIT == 2**128
+    # The store banks a seed in a signed 64-bit column: [0, 2**63) and no
+    # more, which the 16-byte BLAKE2b key holds too.
+    assert SEED_LIMIT == 2**63
     RandomStreams(SEED_LIMIT - 1).get("x")
-    for seed in (-1, SEED_LIMIT):
-        with pytest.raises(ValueError, match="below 2\\*\\*128"):
+    for seed in (-1, SEED_LIMIT, 2**128):
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
             RandomStreams(seed)
-        with pytest.raises(ValueError, match="below 2\\*\\*128"):
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
             derive_seed(seed, "x")

@@ -226,6 +226,20 @@ def test_unserializable_policy_raises_with_pointer():
             r"processing_delay_range must be a \[min, max\] pair",
         ),
         ({"mrai_scheme": ["x"]}, r"unknown mrai_scheme \['x'\]"),
+        (
+            {"policy": {"kind": "gao-rexford", "infer": "degree"}},
+            "unknown infer mode 'degree'",
+        ),
+        (
+            {
+                "policy": {
+                    "kind": "gao-rexford",
+                    "infer": "hierarchical",
+                    "peer_degree_ratio": 2,
+                }
+            },
+            r"unknown policy keys \['peer_degree_ratio'\]",
+        ),
     ],
 )
 def test_validation_messages(scheme, match):

@@ -190,8 +190,8 @@ MALFORMED = [
     (dict(CAMPAIGN, store=5), "'store'"),
     (dict(CAMPAIGN, store=""), "'store'"),
     (dict(CAMPAIGN, store=["a"]), "'store'"),
-    # A seed the random streams cannot key (a 16-byte BLAKE2b key holds
-    # [0, 2**128)) would fail every attempt of its trials at run time.
+    # A seed the store cannot bank (its signed 64-bit column holds
+    # [0, 2**63)) would simulate, then fail when its trial is banked.
     (dict(CAMPAIGN, seeds=[3, -1]), "seeds must be non-negative"),
     (dict(CAMPAIGN, seeds=[2**128]), "seeds must be non-negative and below"),
     (dict(CAMPAIGN, seeds={"master": -1, "count": 2}), "seeds.master must be"),
@@ -199,6 +199,7 @@ MALFORMED = [
         dict(CAMPAIGN, seeds={"master": 2**128, "count": 2}),
         "seeds.master must be",
     ),
+    (dict(CAMPAIGN, seeds=[2**63]), "seeds must be non-negative and below 2"),
 ]
 
 

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.topology.graph import (
-    Link,
-    Router,
-    Topology,
-    TopologyError,
-    flat_topology_from_edges,
-)
+from repro.topology.graph import Link, Router, Topology, TopologyError
+from tests.conftest import flat_topology_from_edges
 
 
 def build_square():

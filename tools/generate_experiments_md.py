@@ -231,9 +231,7 @@ COMMENTARY = {
         "recovery routes after single events.",
         "Damping does cut the overload meltdown (it suppresses exploration "
         "updates) but batching achieves a substantially larger cut with "
-        "zero suppression — no prefix is ever blackholed.  The genuine-flap "
-        "use case (fail/recover cycles) is exercised in "
-        "tests/test_bgp_recovery.py.",
+        "zero suppression — no prefix is ever blackholed.",
     ),
     "ab_policy_routing": (
         "Ablation — Gao-Rexford policies vs no policy",
