@@ -26,29 +26,27 @@ class Update:
         Node id of the sending router.
     uid:
         Provenance identifier, unique and monotonically increasing per
-        network, assigned only while causal tracing is enabled; ``-1``
-        (untraced) otherwise.
+        network, assigned only while causal tracing is enabled (on a
+        :class:`TracedUpdate`); ``-1`` (untraced) otherwise.
     cause_uid:
         ``uid`` of the received update — or failure-injection event —
         whose processing produced this message; ``-1`` when untraced or
         when the message has no traced cause (e.g. warm-up origination).
     """
 
-    __slots__ = ("dest", "path", "sender", "uid", "cause_uid")
+    __slots__ = ("dest", "path", "sender")
+
+    #: Untraced messages carry no provenance: three slots, and these
+    #: class-level answers.
+    uid = -1
+    cause_uid = -1
 
     def __init__(
-        self,
-        dest: int,
-        path: Optional[Tuple[int, ...]],
-        sender: int,
-        uid: int = -1,
-        cause_uid: int = -1,
+        self, dest: int, path: Optional[Tuple[int, ...]], sender: int
     ) -> None:
         self.dest = dest
         self.path = path
         self.sender = sender
-        self.uid = uid
-        self.cause_uid = cause_uid
 
     @property
     def is_withdrawal(self) -> bool:
@@ -57,3 +55,22 @@ class Update:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "WITHDRAW" if self.is_withdrawal else f"PATH={self.path}"
         return f"<Update dest={self.dest} from={self.sender} {kind}>"
+
+
+class TracedUpdate(Update):
+    """An :class:`Update` sent while causal tracing is enabled: the same
+    message plus its own ``uid`` and ``cause_uid`` slots."""
+
+    __slots__ = ("uid", "cause_uid")
+
+    def __init__(
+        self,
+        dest: int,
+        path: Optional[Tuple[int, ...]],
+        sender: int,
+        uid: int,
+        cause_uid: int,
+    ) -> None:
+        super().__init__(dest, path, sender)
+        self.uid = uid
+        self.cause_uid = cause_uid

@@ -69,25 +69,38 @@ class DestinationBatchQueue(QueueDiscipline):
     Destinations are served in the arrival order of their *oldest* queued
     message (so the scheme is work-conserving and starvation-free); all
     messages for the served destination are drained together.
+
+    The queues are one destination-indexed list, sized like the RIBs: a
+    slot holds ``None``, the lone queued :class:`Update`, or — once a
+    second one arrives — the list of them in arrival order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, size: int) -> None:
+        """An empty queue for destinations ``0 .. size - 1``."""
         self._order: Deque[int] = deque()
-        self._by_dest: Dict[int, List[Update]] = {}
+        self._slots: List[object] = [None] * size
         self._size = 0
 
     def push(self, msg: Update) -> None:
-        bucket = self._by_dest.get(msg.dest)
-        if bucket is None:
-            self._by_dest[msg.dest] = [msg]
-            self._order.append(msg.dest)
+        dest = msg.dest
+        slot = self._slots[dest]
+        if slot is None:
+            self._slots[dest] = msg
+            self._order.append(dest)
+        elif type(slot) is list:
+            slot.append(msg)
         else:
-            bucket.append(msg)
+            self._slots[dest] = [slot, msg]
         self._size += 1
 
     def pop_batch(self) -> Tuple[List[Update], int]:
         dest = self._order.popleft()
-        bucket = self._by_dest.pop(dest)
+        slots = self._slots
+        bucket = slots[dest]
+        slots[dest] = None
+        if type(bucket) is not list:
+            self._size -= 1
+            return [bucket], 0
         self._size -= len(bucket)
         # Keep only the newest update per sender; buckets are in arrival
         # order, so a later entry supersedes an earlier one from the same
@@ -105,8 +118,10 @@ class DestinationBatchQueue(QueueDiscipline):
         return self._size
 
     def clear(self) -> None:
+        slots = self._slots
+        for dest in self._order:
+            slots[dest] = None
         self._order.clear()
-        self._by_dest.clear()
         self._size = 0
 
 
@@ -124,8 +139,8 @@ class WithdrawalFirstBatchQueue(DestinationBatchQueue):
     semantics are identical to :class:`DestinationBatchQueue`.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, size: int) -> None:
+        super().__init__(size)
         self._urgent: Deque[int] = deque()
         self._urgent_set: set[int] = set()
 
@@ -140,7 +155,7 @@ class WithdrawalFirstBatchQueue(DestinationBatchQueue):
         # back to plain arrival order.
         while self._urgent:
             dest = self._urgent[0]
-            if dest in self._by_dest:
+            if self._slots[dest] is not None:
                 self._urgent.popleft()
                 self._urgent_set.discard(dest)
                 self._order.remove(dest)
@@ -206,12 +221,17 @@ QUEUES: Dict[str, Type[QueueDiscipline]] = {
 }
 
 
-def make_queue(discipline: str, tcp_batch_size: int = 8) -> QueueDiscipline:
-    """Build the :data:`QUEUES` entry ``discipline``; ``tcp_batch_size``
-    sizes the ``"tcp_batch"`` discipline's batches."""
+def make_queue(
+    discipline: str, size: int, tcp_batch_size: int = 8
+) -> QueueDiscipline:
+    """Build the :data:`QUEUES` entry ``discipline`` for destinations
+    ``0 .. size - 1`` (the per-destination disciplines index by them);
+    ``tcp_batch_size`` sizes the ``"tcp_batch"`` discipline's batches."""
     cls = QUEUES.get(discipline)
     if cls is None:
         raise ValueError(f"unknown queue discipline {discipline!r}")
     if cls is TCPBatchQueue:
         return TCPBatchQueue(tcp_batch_size)
+    if issubclass(cls, DestinationBatchQueue):
+        return cls(size)
     return cls()

@@ -5,10 +5,10 @@ Standard BGP structure, laid out peer-major:
 * **Adj-RIB-In** — per peer, one list indexed by destination (a prefix is
   its AS number) holding the path that peer last advertised, or ``None``.
   A newer update from the same peer replaces the older one, a withdrawal
-  clears the slot.  Session type and peer id are constants of the peer
-  and a rank is stored only where an import policy assigned one, so a
-  stored route is one list slot referencing the tuple the sender's
-  Adj-RIB-Out holds too.
+  clears the slot, and a session teardown drops the peer's list.  Session
+  type and peer id are constants of the peer and a rank is stored only
+  where an import policy assigned one, so a stored route is one list slot
+  referencing the tuple the sender's Adj-RIB-Out holds too.
 * **Loc-RIB** — the selected best route per destination: three lists
   indexed by destination, the selected peer, the selected path (the tuple
   already in that peer's Adj-RIB-In slot) and a lazily built eBGP export
@@ -87,21 +87,24 @@ class AdjRibIn:
         return True
 
     def drop_peer(self, peer: int) -> List[int]:
-        """Remove every route learned from ``peer``; returns the affected
-        destinations in the order they last went from no route to one."""
-        __, __, __, paths, ranks = self._peers[peer]
+        """Forget ``peer`` and every route learned from it; returns the
+        affected destinations in the order they last went from no route
+        to one."""
+        paths = self._peers.pop(peer)[3]
         affected = [d for d, path in enumerate(paths) if path is not None]
         count = self._count
         for dest in affected:
-            paths[dest] = None
             count[dest] -= 1
-        ranks.clear()
         affected.sort(key=self._stamp.__getitem__)
         return affected
 
     def get(self, dest: int, peer: int) -> Optional[Path]:
-        """The path ``peer`` last advertised for ``dest``, or None."""
-        return self._peers[peer][3][dest]
+        """The path ``peer`` last advertised for ``dest``; None when it
+        advertised none or is no peer (any more)."""
+        try:
+            return self._peers[peer][3][dest]
+        except KeyError:
+            return None
 
     def destinations(self) -> Set[int]:
         return {dest for dest, n in enumerate(self._count) if n}
@@ -183,8 +186,12 @@ class LocRib:
         return set(self)
 
     def get(self, dest: int) -> Optional[Route]:
-        """The selection for ``dest`` as a new ``Route``, or None."""
-        path = self.path[dest]
+        """The selection for ``dest`` as a new ``Route``; None when there
+        is none or the table holds no destinations (a failed router's)."""
+        try:
+            path = self.path[dest]
+        except IndexError:
+            return None
         if path is None:
             return None
         peer = self.peer[dest]

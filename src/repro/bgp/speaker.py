@@ -13,16 +13,20 @@ measures:
   collapse into a single message per peer and no-op updates are suppressed.
 
 Failure handling: ``peer_down`` flushes everything learned from the peer and
-re-selects affected destinations; ``fail`` silences the node itself.
+re-selects affected destinations; ``fail`` silences the node itself.  A
+failure is permanent, so both release the tables it leaves unreachable: a
+torn-down session its Adj-RIB-Out, timers and pending work, a failed
+router its RIBs and queue as well.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.damping import DampingState
-from repro.bgp.messages import Update
+from repro.bgp.messages import TracedUpdate, Update
 from repro.bgp.mrai import MRAIController
 from repro.bgp.queues import QueueDiscipline, make_queue
 from repro.bgp.rib import AdjRibIn, LocRib
@@ -67,8 +71,9 @@ class PeerState:
         #: ``_PEER_SCOPE`` entry in per-peer mode (the Internet-prevalent
         #: one), one entry per destination in per-destination mode.
         self.timers: Dict[int, Timer] = {}
-        #: Destinations with a change waiting for the MRAI to expire.
-        self.pending: Set[int] = set()
+        #: One flag per destination: 1 while a change waits for the MRAI
+        #: to expire.
+        self.pending = bytearray(prefixes)
         #: Provenance of pending changes (dest -> cause uid).  Allocated
         #: lazily and only while causal tracing is enabled, so the
         #: untraced path never touches it.
@@ -77,16 +82,17 @@ class PeerState:
         #: for "withdrawn", or ``_NEVER_SENT``.
         self.adj_rib_out: List[object] = [_NEVER_SENT] * prefixes
 
-    def reset(self) -> None:
-        """Forget the routing exchange with this peer: timers stopped and
-        dropped, nothing pending, nothing remembered as sent.  What was
-        received from the peer is the Adj-RIB-In's to drop."""
+    def release(self) -> None:
+        """Drop the routing exchange with this peer for good (a session
+        never comes back up): timers stopped and dropped, and no pending
+        flags or Adj-RIB-Out kept.  What was received from the peer is
+        the Adj-RIB-In's to drop."""
         for timer in self.timers.values():
             timer.stop()
-        self.timers.clear()
-        self.pending.clear()
+        self.timers = {}
+        self.pending = bytearray()
         self.pending_cause = None
-        self.adj_rib_out = [_NEVER_SENT] * len(self.adj_rib_out)
+        self.adj_rib_out = []
 
 
 class BGPSpeaker:
@@ -114,7 +120,7 @@ class BGPSpeaker:
         self.peers: Dict[int, PeerState] = {}
 
         self.queue: QueueDiscipline = make_queue(
-            config.queue_discipline, config.tcp_batch_size
+            config.queue_discipline, network.prefix_count, config.tcp_batch_size
         )
         self._busy = False
         self._busy_since = 0.0
@@ -437,7 +443,7 @@ class BGPSpeaker:
         last = ps.adj_rib_out[dest]
         if export == last or (export is None and last is _NEVER_SENT):
             # Nothing new to say, or nothing ever advertised to withdraw.
-            ps.pending.discard(dest)
+            ps.pending[dest] = 0
             return False
         limited = export is not None or self.config.withdrawal_rate_limiting
         if defer:
@@ -446,7 +452,7 @@ class BGPSpeaker:
                     dest if self.config.per_destination_mrai else _PEER_SCOPE
                 )
                 if timer is not None and timer.running:
-                    ps.pending.add(dest)
+                    ps.pending[dest] = 1
                     if self.sim.tracer.enabled:
                         if ps.pending_cause is None:
                             ps.pending_cause = {}
@@ -457,7 +463,7 @@ class BGPSpeaker:
             # destination pending while the timer ran.
             self._cause_uid = ps.pending_cause.pop(dest, -1)
         self._send(ps, dest, export)
-        ps.pending.discard(dest)
+        ps.pending[dest] = 0
         return limited
 
     def _advertise_burst(self, ps: PeerState, dests: Iterable[int]) -> None:
@@ -493,11 +499,11 @@ class BGPSpeaker:
         if not self.alive or not ps.session_up:
             return
         if scope == _PEER_SCOPE:
-            # The burst sends everything pending: a fresh set lets the
-            # drained one's grown table go with it.
-            pending, ps.pending = ps.pending, set()
-            self._advertise_burst(ps, sorted(pending))
-        elif scope in ps.pending:
+            # The burst sends everything pending, ascending.  Each send
+            # clears only its own flag, behind the lazy walk.
+            flags = ps.pending
+            self._advertise_burst(ps, compress(range(len(flags)), flags))
+        elif ps.pending[scope]:
             self._advertise_burst(ps, (scope,))
         self._cause_uid = -1
 
@@ -505,11 +511,17 @@ class BGPSpeaker:
         self, ps: PeerState, dest: int, export: Optional[Tuple[int, ...]]
     ) -> None:
         ps.adj_rib_out[dest] = export
-        msg = Update(dest, export, self.node_id)
         tracer = self.sim.tracer
-        if tracer.enabled:
-            msg.uid = self.network.next_uid()
-            msg.cause_uid = self._cause_uid
+        if not tracer.enabled:
+            msg = Update(dest, export, self.node_id)
+        else:
+            msg = TracedUpdate(
+                dest,
+                export,
+                self.node_id,
+                self.network.next_uid(),
+                self._cause_uid,
+            )
             tracer.emit(
                 self.sim.now,
                 "causality",
@@ -537,7 +549,7 @@ class BGPSpeaker:
         if ps is None or not ps.session_up:
             return
         ps.session_up = False
-        ps.reset()
+        ps.release()
         self.network.counters["sessions_down"] += 1
         if self.sim.tracer.enabled:
             self._cause_uid = cause_uid
@@ -554,14 +566,23 @@ class BGPSpeaker:
         self.network.note_activity()
 
     def fail(self) -> None:
-        """Take this router out of service entirely."""
+        """Take this router out of service for good.  It keeps its
+        ``peers`` keys (``fail_nodes`` walks them) and drops everything
+        else per destination: RIBs, queue and damping state, and each
+        session's Adj-RIB-Out, timers and pending work.  Reads of the
+        released tables answer "no route"."""
         if not self.alive:
             return
         self.alive = False
-        self.queue.clear()
+        self.adj_rib_in = AdjRibIn(0)
+        self.loc_rib = LocRib(self.adj_rib_in)
+        self.queue = make_queue(
+            self.config.queue_discipline, 0, self.config.tcp_batch_size
+        )
+        self._damping = {}
         for ps in self.peers.values():
             ps.session_up = False
-            ps.reset()
+            ps.release()
 
     # ------------------------------------------------------------------
     # Introspection (tests, validation)
@@ -573,9 +594,7 @@ class BGPSpeaker:
         """Anything still in flight at this node?"""
         if self._busy or len(self.queue):
             return True
-        return any(
-            ps.pending for ps in self.peers.values() if ps.session_up
-        )
+        return any(1 in ps.pending for ps in self.peers.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,6 +1,8 @@
 """Unit tests for the update-queue disciplines."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bgp.messages import Update
 from repro.bgp.queues import (
@@ -8,9 +10,14 @@ from repro.bgp.queues import (
     DestinationBatchQueue,
     FIFOQueue,
     TCPBatchQueue,
+    WithdrawalFirstBatchQueue,
     make_queue,
 )
 from repro.specs.serialize import validate_scheme
+from tests.reference_queues import (
+    DictDestinationBatchQueue,
+    DictWithdrawalFirstBatchQueue,
+)
 
 
 def msg(dest, sender, path=(1,)):
@@ -50,7 +57,7 @@ def test_fifo_clear():
 # Destination batching (the paper's scheme)
 # ---------------------------------------------------------------------------
 def test_dest_batch_drains_whole_destination():
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(8)
     q.push(msg(1, 10))
     q.push(msg(2, 11))
     q.push(msg(1, 12))
@@ -64,7 +71,7 @@ def test_dest_batch_drains_whole_destination():
 
 
 def test_dest_batch_serves_destinations_in_arrival_order():
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(8)
     q.push(msg(5, 1))
     q.push(msg(3, 1))
     q.push(msg(5, 2))
@@ -75,7 +82,7 @@ def test_dest_batch_serves_destinations_in_arrival_order():
 
 
 def test_dest_batch_drops_stale_from_same_neighbor():
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(8)
     old = msg(1, 10, path=(9, 8))
     newer = msg(1, 10, path=(7,))
     other = msg(1, 11, path=(5,))
@@ -90,7 +97,7 @@ def test_dest_batch_drops_stale_from_same_neighbor():
 
 
 def test_dest_batch_withdrawal_supersedes_announcement():
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(8)
     q.push(msg(1, 10, path=(2,)))
     q.push(wd(1, 10))
     batch, dropped = q.pop_batch()
@@ -100,7 +107,7 @@ def test_dest_batch_withdrawal_supersedes_announcement():
 
 
 def test_dest_batch_len_counts_messages():
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(8)
     for i in range(5):
         q.push(msg(i % 2, sender=i))
     assert len(q) == 5
@@ -109,7 +116,7 @@ def test_dest_batch_len_counts_messages():
 
 
 def test_dest_batch_clear():
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(8)
     q.push(msg(1, 10))
     q.push(msg(2, 10))
     q.clear()
@@ -117,12 +124,59 @@ def test_dest_batch_clear():
 
 
 def test_dest_batch_reuse_destination_after_drain():
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(8)
     q.push(msg(1, 10))
     q.pop_batch()
     q.push(msg(1, 11))
     batch, __ = q.pop_batch()
     assert batch[0].sender == 11
+
+
+_QUEUE_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=3),
+            st.booleans(),
+        ),
+        st.tuples(st.just("pop_batch")),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize(
+    "slots, reference",
+    [
+        (DestinationBatchQueue, DictDestinationBatchQueue),
+        (WithdrawalFirstBatchQueue, DictWithdrawalFirstBatchQueue),
+    ],
+)
+@given(operations=_QUEUE_OPERATIONS)
+def test_slot_queues_match_the_dict_reference(slots, reference, operations):
+    """The destination-indexed slot list serves exactly what the old
+    dict of per-destination lists served: the same messages (by
+    identity) in every batch, the same stale count and the same length
+    after every push, pop_batch and clear."""
+    q, model = slots(6), reference()
+    for op, *args in operations:
+        if op == "push":
+            dest, sender, withdrawal = args
+            m = wd(dest, sender) if withdrawal else msg(dest, sender, (sender,))
+            q.push(m)
+            model.push(m)
+        elif op == "pop_batch":
+            if not len(model):
+                continue
+            (batch, dropped), (want, want_dropped) = q.pop_batch(), model.pop_batch()
+            assert list(map(id, batch)) == list(map(id, want))
+            assert dropped == want_dropped
+        else:
+            q.clear()
+            model.clear()
+        assert len(q) == len(model)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +228,13 @@ def test_tcp_batch_size_validation():
 # Factory
 # ---------------------------------------------------------------------------
 def test_make_queue():
-    assert isinstance(make_queue("fifo"), FIFOQueue)
-    assert isinstance(make_queue("dest_batch"), DestinationBatchQueue)
-    tcp = make_queue("tcp_batch", tcp_batch_size=5)
+    assert isinstance(make_queue("fifo", 8), FIFOQueue)
+    assert isinstance(make_queue("dest_batch", 8), DestinationBatchQueue)
+    tcp = make_queue("tcp_batch", 8, tcp_batch_size=5)
     assert isinstance(tcp, TCPBatchQueue)
     assert tcp.batch_size == 5
     with pytest.raises(ValueError):
-        make_queue("bogus")
+        make_queue("bogus", 8)
 
 
 def test_spec_registry_names_every_queue():

@@ -87,6 +87,8 @@ def test_adj_rib_in_drop_peer():
     # In the order the destinations gained their first route.
     assert affected == [2, 1]
     assert rib.get(1, 6) is not None
+    # The dropped peer is forgotten: its reads answer "no route".
+    assert rib.get(1, 5) is None
     assert rib.route_count() == 1
 
 
@@ -208,6 +210,10 @@ def test_decision_is_the_brute_force_minimum(operations, ibgp, excluded, own):
             del model[dest][peer]
             if not model[dest]:
                 del model[dest]
+        # The RIB forgets the peer; a later operation on it in the
+        # sequence meets a new, empty session.
+        assert all(rib.get(dest, peer) is None for dest in (1, 2, 3))
+        rib.add_peer(peer, ebgp=peer not in ibgp)
 
     for op, *args in operations:
         if op == "store":

@@ -155,8 +155,10 @@ def test_peer_down_removes_learned_routes():
     middle = net.speakers[1]
     assert middle.adj_rib_in.get(2, 2) is not None
     middle.peer_down(2)
+    # The Adj-RIB-In forgets the peer; reading it answers "no route".
     assert middle.adj_rib_in.get(2, 2) is None
     assert middle.peers[2].session_up is False
+    assert middle.peers[2].adj_rib_out == []
     net.run_until_quiet()
     # Node 0 learns the withdrawal of prefix 2.
     assert 2 not in net.speakers[0].loc_rib.destinations()
@@ -208,6 +210,7 @@ def test_stale_messages_from_downed_peer_are_dropped():
     net.transmit(2, 1, Update(2, (2,), 2), 0.025)
     net.speakers[1].peer_down(2)
     net.run_until_quiet()
+    # The dropped peer's read answers "no route", not a KeyError.
     assert net.speakers[1].adj_rib_in.get(2, 2) is None
     assert net.counters["updates_dropped_dead_session"] >= 1
 

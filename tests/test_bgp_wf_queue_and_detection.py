@@ -25,7 +25,7 @@ def wd(dest, sender):
 # Withdrawal-first batching
 # ---------------------------------------------------------------------------
 def test_wf_serves_withdrawal_destination_first():
-    q = WithdrawalFirstBatchQueue()
+    q = WithdrawalFirstBatchQueue(8)
     q.push(msg(1, 10))
     q.push(msg(2, 10))
     q.push(wd(3, 10))
@@ -38,7 +38,7 @@ def test_wf_serves_withdrawal_destination_first():
 
 
 def test_wf_withdrawal_promotes_existing_destination():
-    q = WithdrawalFirstBatchQueue()
+    q = WithdrawalFirstBatchQueue(8)
     q.push(msg(1, 10))
     q.push(msg(2, 10))
     q.push(wd(2, 11))
@@ -48,7 +48,7 @@ def test_wf_withdrawal_promotes_existing_destination():
 
 
 def test_wf_urgent_order_is_fifo_among_withdrawals():
-    q = WithdrawalFirstBatchQueue()
+    q = WithdrawalFirstBatchQueue(8)
     q.push(wd(5, 1))
     q.push(wd(3, 1))
     assert q.pop_batch()[0][0].dest == 5
@@ -56,7 +56,7 @@ def test_wf_urgent_order_is_fifo_among_withdrawals():
 
 
 def test_wf_stale_withdrawal_entry_skipped_after_normal_service():
-    q = WithdrawalFirstBatchQueue()
+    q = WithdrawalFirstBatchQueue(8)
     q.push(wd(1, 10))
     q.pop_batch()  # dest 1 served via urgent path
     q.push(msg(2, 10))
@@ -65,7 +65,7 @@ def test_wf_stale_withdrawal_entry_skipped_after_normal_service():
 
 
 def test_wf_same_neighbor_coalescing_still_applies():
-    q = WithdrawalFirstBatchQueue()
+    q = WithdrawalFirstBatchQueue(8)
     q.push(msg(1, 10, path=(5,)))
     q.push(wd(1, 10))
     batch, dropped = q.pop_batch()
@@ -74,7 +74,7 @@ def test_wf_same_neighbor_coalescing_still_applies():
 
 
 def test_wf_clear_resets_urgent_state():
-    q = WithdrawalFirstBatchQueue()
+    q = WithdrawalFirstBatchQueue(8)
     q.push(wd(1, 10))
     q.clear()
     assert len(q) == 0
@@ -83,7 +83,7 @@ def test_wf_clear_resets_urgent_state():
 
 
 def test_wf_factory_and_config():
-    assert isinstance(make_queue("dest_batch_wf"), WithdrawalFirstBatchQueue)
+    assert isinstance(make_queue("dest_batch_wf", 8), WithdrawalFirstBatchQueue)
     BGPConfig(queue_discipline="dest_batch_wf")  # accepted
 
 

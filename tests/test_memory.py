@@ -9,8 +9,9 @@ with ``-s`` to see them; CI does, once per Python version):
   does not grow from trial to trial, whatever the topology;
 * resident bytes per stored route stay under a budget — at quiescence
   and at the peak of warm-up and of convergence — with AS-path tuples
-  shared between RIBs by construction (no intern table) and drained MRAI
-  ``pending`` sets released;
+  shared between RIBs by construction (no intern table), pending MRAI
+  work one flag per destination, and the tables of failed routers and
+  torn-down sessions released;
 * importing the serial trial path loads no HTTP/TLS, SQLite or
   multiprocessing code, and importing the trial itself loads none of
   the batch, pool, store, service or monitoring modules.
@@ -32,6 +33,7 @@ from repro.bgp.network import BGPNetwork
 from repro.bgp.routes import Route, key_tail
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec, build_scenario, run_experiment
+from repro.failures.scenarios import geographic_failure
 from repro.topology.skewed import skewed_topology
 from tests.conftest import advertised, converged_network
 
@@ -133,11 +135,12 @@ def stored_routes(network: BGPNetwork) -> int:
 
 
 def test_bytes_per_adj_rib_in_route_budget():
-    # 102 B on CPython 3.11 with the Loc-RIB as slots (162 with a dict of
-    # Route objects, 351 with a dest-major Adj-RIB-In of Routes, 403 with
-    # the intern table and tuple keys); the budget leaves ~8% for
-    # allocator and sizing differences between CI Pythons and is not
-    # tuned per version.
+    # 98.4 B on CPython 3.11 with one-slot queues, pending flags and
+    # three-field UPDATEs (101.4 with dict queues and pending sets, 162
+    # with a dict of Route objects as the Loc-RIB, 351 with a dest-major
+    # Adj-RIB-In of Routes, 403 with the intern table and tuple keys);
+    # the budget leaves ~8% for allocator and sizing differences between
+    # CI Pythons and is not tuned per version.
     topology = skewed_topology(120, seed=1)
     gc.collect()
     tracemalloc.start()
@@ -153,58 +156,170 @@ def test_bytes_per_adj_rib_in_route_budget():
     per_route = live / routes
     print(
         f"\n120 nodes at warm-up quiescence: {routes} Adj-RIB-In routes, "
-        f"{live / 1e6:.2f} MB live, {per_route:.1f} B/route (budget 110)"
+        f"{live / 1e6:.2f} MB live, {per_route:.1f} B/route (budget 106)"
     )
-    assert per_route <= 110
+    assert per_route <= 106
+
+
+class PeakEvent:
+    """An ``on_event`` hook noting after which executed event the traced
+    memory stood highest since :meth:`reset`.  A run repeats to the
+    event, so a second run can stop there and take a snapshot."""
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.reset()
+        sim.on_event = self
+
+    def reset(self) -> None:
+        self.bytes = tracemalloc.get_traced_memory()[0]
+        self.event = self.sim.events_executed
+
+    def __call__(self, event, elapsed) -> None:
+        current = tracemalloc.get_traced_memory()[0]
+        if current > self.bytes:
+            self.bytes = current
+            self.event = self.sim.events_executed
+
+
+def top_sites(limit=5):
+    """The ``limit`` allocation sites holding the most traced bytes now."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        (tracemalloc.Filter(False, tracemalloc.__file__),)
+    )
+    return [
+        f"{stat.size / 1e6:6.2f} MB {stat.count:7d} blocks  "
+        f"{'/'.join(Path(stat.traceback[0].filename).parts[-2:])}"
+        f":{stat.traceback[0].lineno}"
+        for stat in snapshot.statistics("lineno")[:limit]
+    ]
 
 
 def test_peak_bytes_per_route_over_warm_up_and_convergence():
     # The transients, not the quiescent state, set the high-water mark:
-    # queued updates, armed timers and pending sets on top of the RIBs.
-    # 140 B (warm-up) and 139 B (convergence) on CPython 3.11 with the
-    # Loc-RIB as slots, 197 and 189 with a dict of Route objects; both
-    # are divided by the routes stored at warm-up quiescence.
+    # queued updates, armed timers and pending work on top of the RIBs.
+    # 121.9 B (warm-up) and 112.9 B (convergence) on CPython 3.11 with
+    # one-slot queues, pending flags, three-field UPDATEs and failed
+    # state released (138.9 and 138.8 before, 197 and 189 with a dict of
+    # Route objects as the Loc-RIB); both are divided by the routes
+    # stored at warm-up quiescence.  The budget leaves ~15%.  With -s it
+    # also prints what holds the memory at each peak: the top sites at
+    # the event boundary where live traced bytes stood highest, from a
+    # second run stopped there.
     topology = skewed_topology(120, seed=1)
     spec = SPECS["dynamic_mrai"]
+    failed = build_scenario(topology, spec, 1).nodes
+
+    def fail(network):
+        network.fail_nodes(
+            failed,
+            detection_delay=spec.detection_delay,
+            detection_jitter=spec.detection_jitter,
+        )
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        network = BGPNetwork(topology, spec.to_bgp_config(), seed=1)
+        watch = PeakEvent(network.sim)
+        network.start()
+        network.run_until_quiet()
+        warm_up = tracemalloc.get_traced_memory()[1]
+        at_event = {"warm-up": watch.event}
+        routes = stored_routes(network)
+        gc.collect()
+        tracemalloc.reset_peak()
+        fail(network)
+        watch.reset()
+        network.run_until_quiet()
+        convergence = tracemalloc.get_traced_memory()[1]
+        at_event["convergence"] = watch.event
+    finally:
+        tracemalloc.stop()
+    network.close()
+    peaks = {"warm-up": warm_up / routes, "convergence": convergence / routes}
+    print(
+        f"\n120 nodes, {routes} Adj-RIB-In routes: peak "
+        + ", ".join(f"{k} {v:.1f} B/route" for k, v in peaks.items())
+        + " (budget 140)"
+    )
+
     gc.collect()
     tracemalloc.start()
     try:
         network = BGPNetwork(topology, spec.to_bgp_config(), seed=1)
         network.start()
-        network.run_until_quiet()
-        warm_up = tracemalloc.get_traced_memory()[1]
-        routes = stored_routes(network)
-        gc.collect()
-        tracemalloc.reset_peak()
-        network.fail_nodes(
-            build_scenario(topology, spec, 1).nodes,
-            detection_delay=spec.detection_delay,
-            detection_jitter=spec.detection_jitter,
-        )
-        network.run_until_quiet()
-        convergence = tracemalloc.get_traced_memory()[1]
+        for phase in ("warm-up", "convergence"):
+            sim = network.sim
+            sim.run(max_events=at_event[phase] - sim.events_executed)
+            print(f"top sites at the {phase} peak (after event {at_event[phase]}):")
+            for line in top_sites():
+                print("  " + line)
+            if phase == "warm-up":
+                network.run_until_quiet()
+                fail(network)
     finally:
         tracemalloc.stop()
-    peaks = {"warm-up": warm_up / routes, "convergence": convergence / routes}
-    print(
-        f"\n120 nodes, {routes} Adj-RIB-In routes: peak "
-        + ", ".join(f"{k} {v:.1f} B/route" for k, v in peaks.items())
-        + " (budget 160)"
-    )
-    assert max(peaks.values()) <= 160
+        network.close()
+    assert max(peaks.values()) <= 140
 
 
-def test_drained_pending_sets_are_released():
-    # A per-peer MRAI expiry sends everything pending, so it swaps in a
-    # fresh set instead of keeping the drained one's grown hash table.
+def test_pending_work_is_one_flag_per_destination():
+    # A session's deferred work is a bytearray, one flag per destination:
+    # nothing grows and stays grown, and at quiescence every flag is 0.
     network = converged_network(skewed_topology(40, seed=1))
-    pending = [
+    flags = [
         ps.pending
         for speaker in network.speakers.values()
         for ps in speaker.peers.values()
     ]
-    assert not any(pending)
-    assert {sys.getsizeof(p) for p in pending} == {sys.getsizeof(set())}
+    assert all(type(f) is bytearray for f in flags)
+    assert {len(f) for f in flags} == {network.prefix_count}
+    assert not any(1 in f for f in flags)
+
+
+def test_failed_routers_and_torn_down_sessions_hold_no_tables():
+    # A failure is permanent: a failed router keeps its peers' keys and
+    # no per-destination list, a survivor's session to it keeps no
+    # Adj-RIB-Out, and the survivor's Adj-RIB-In forgets the peer.  Reads
+    # of what went answer "no route".
+    topology = skewed_topology(40, seed=1)
+    network = converged_network(topology, queue_discipline="dest_batch")
+    peers = {n: set(s.peers) for n, s in network.speakers.items()}
+    failed = set(geographic_failure(topology, 0.2).nodes)
+    assert failed
+    network.fail_nodes(failed)
+    network.run_until_quiet()
+    assert network.is_quiescent()
+    dests = range(network.prefix_count)
+    for node_id, speaker in network.speakers.items():
+        assert set(speaker.peers) == peers[node_id]
+        if node_id in failed:
+            assert not speaker.alive
+            rib_in, loc = speaker.adj_rib_in, speaker.loc_rib
+            assert rib_in._peers == {} and rib_in._count == []
+            assert len(rib_in._stamp) == 0
+            assert loc.peer == loc.path == loc.export == []
+            assert speaker.queue._slots == [] and len(speaker.queue) == 0
+            for ps in speaker.peers.values():
+                assert not ps.session_up
+                assert ps.adj_rib_out == [] and ps.pending == bytearray()
+                assert ps.timers == {} and ps.pending_cause is None
+            for dest in dests:
+                assert speaker.best_route(dest) is None
+                assert all(rib_in.get(dest, p) is None for p in speaker.peers)
+            continue
+        for peer_id, ps in speaker.peers.items():
+            if peer_id in failed:
+                assert not ps.session_up
+                assert ps.adj_rib_out == [] and ps.pending == bytearray()
+                assert peer_id not in speaker.adj_rib_in._peers
+                assert all(
+                    speaker.adj_rib_in.get(dest, peer_id) is None for dest in dests
+                )
+            else:
+                assert ps.session_up
+                assert len(ps.adj_rib_out) == network.prefix_count
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,7 @@ updates = st.lists(
 
 @given(updates)
 def test_wf_queue_conserves_messages(messages):
-    q = WithdrawalFirstBatchQueue()
+    q = WithdrawalFirstBatchQueue(6)
     for m in messages:
         q.push(m)
     drained = 0
@@ -85,7 +85,7 @@ def test_wf_queue_conserves_messages(messages):
 def test_wf_queue_withdrawal_destinations_served_no_later(messages):
     """Any destination with a queued withdrawal is served before any
     destination without one (among those present at the same time)."""
-    q = WithdrawalFirstBatchQueue()
+    q = WithdrawalFirstBatchQueue(6)
     for m in messages:
         q.push(m)
     has_withdrawal = {

@@ -254,10 +254,11 @@ def test_hot_path_calls_the_language_not_wrappers():
     frames of ``repro/``; the event queue's ``__bool__`` / ``__len__`` /
     ``peek_time`` run a constant number of times per ``Simulator.run()``
     (two runs per trial) with one ``pop_due`` per event; and the total
-    stays under a bound: 30.2 calls per event on 3.11 with the Loc-RIB as
-    slots (32.8 with a dict of ``Route`` objects, 35.8 on 3.10-3.13 with a
-    dest-major Adj-RIB-In of ``Route`` objects, 62.3 before the wrappers
-    went).  A ``<=`` because comprehension inlining moves the
+    stays under a bound: 29.0 calls per event on 3.11 with pending MRAI
+    work as one flag per destination (30.2 with ``pending`` sets, 32.8
+    with a dict of ``Route`` objects as the Loc-RIB, 35.8 on 3.10-3.13
+    with a dest-major Adj-RIB-In of ``Route`` objects, 62.3 before the
+    wrappers went).  A ``<=`` because comprehension inlining moves the
     exact number between interpreter versions.  ``-s`` prints the numbers.
     """
     import cProfile

@@ -34,7 +34,7 @@ updates = st.lists(
 
 @given(updates)
 def test_dest_batch_conserves_messages(messages):
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(6)
     for m in messages:
         q.push(m)
     drained = 0
@@ -51,7 +51,7 @@ def test_dest_batch_conserves_messages(messages):
 
 @given(updates)
 def test_dest_batch_keeps_newest_per_sender(messages):
-    q = DestinationBatchQueue()
+    q = DestinationBatchQueue(6)
     for m in messages:
         q.push(m)
     retained = []
