@@ -61,7 +61,7 @@ def test_figure(benchmark, store, figure_id):
     stem.with_suffix(".csv").write_text(
         series_to_csv(output.series), encoding="utf-8"
     )
-    failed = output.failed_strict()
+    failed = [c for c in output.checks if c.strict and not c.passed]
     assert not failed, (
         f"{figure_id}: strict shape checks failed: "
         + "; ".join(f"{c.name} ({c.detail})" for c in failed)

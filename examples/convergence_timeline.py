@@ -14,16 +14,34 @@ series as sparklines — the mechanism behind Figs 10-12 made visible:
 Run:  python examples/convergence_timeline.py
 """
 
+from typing import List
+
 from repro import SkewedDegreeSpec, skewed_topology
-from repro.analysis.timeseries import Probe, sparkline
 from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.failures.scenarios import geographic_failure
+from repro.obs.probes import NetworkProbe
 
 NODES = 60
 FAILURE = 0.15
 SAMPLE_INTERVAL = 0.25
+
+
+def sparkline(values: List[float], width: int = 60) -> str:
+    """Render a series as a one-line unicode sparkline."""
+    if not values:
+        return ""
+    blocks = " ▁▂▃▄▅▆▇█"
+    if len(values) > width:
+        # Downsample by taking the max of each bucket (peaks matter here).
+        bucket = len(values) / width
+        values = [
+            max(values[int(i * bucket) : max(int(i * bucket) + 1, int((i + 1) * bucket))])
+            for i in range(width)
+        ]
+    top = max(values) or 1.0
+    return "".join(blocks[min(8, int(v / top * 8))] for v in values)
 
 
 def run_with_probe(queue_discipline: str):
@@ -34,7 +52,7 @@ def run_with_probe(queue_discipline: str):
     network = BGPNetwork(topology, config, seed=1)
     network.start()
     network.run_until_quiet(max_time=3600)
-    probe = Probe(network, interval=SAMPLE_INTERVAL)
+    probe = NetworkProbe(network, interval=SAMPLE_INTERVAL)
     probe.start()
     scenario = geographic_failure(topology, FAILURE)
     t0 = network.fail_nodes(scenario.nodes)
@@ -42,15 +60,16 @@ def run_with_probe(queue_discipline: str):
     return probe, network.last_activity - t0
 
 
-def show(label: str, probe: Probe, delay: float) -> None:
-    queued = probe.series("total_queued")
-    invalid = probe.series("invalid_routes")
-    span = probe.samples[-1].time - probe.samples[0].time
+def show(label: str, probe: NetworkProbe, delay: float) -> None:
+    samples = probe.samples
+    queued = samples.aggregate_series("total_queue_depth")
+    invalid = samples.aggregate_series("invalid_routes")
+    span = samples.aggregates[-1].time - samples.aggregates[0].time
     print(f"=== {label} ===")
     print(f"  convergence delay : {delay:6.2f} s")
-    print(f"  peak queued msgs  : {int(probe.peak('total_queued')):6d}")
+    print(f"  peak queued msgs  : {int(samples.peak('total_queue_depth')):6d}")
     print(
-        f"  peak invalid routes {int(probe.peak('invalid_routes')):6d} "
+        f"  peak invalid routes {int(samples.peak('invalid_routes')):6d} "
         f"(transient routes through dead ASes)"
     )
     print(f"  queue backlog  |{sparkline(queued)}|")

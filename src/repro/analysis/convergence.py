@@ -66,10 +66,6 @@ class PathHistory:
         """Time of the last best-route change (absolute sim time)."""
         return self.changes[-1][0] if self.changes else 0.0
 
-    @property
-    def final_path(self) -> Optional[Tuple[int, ...]]:
-        return self.changes[-1][1] if self.changes else None
-
 
 class ConvergenceTimeline:
     """Every post-failure best-route change, organized for analysis.
@@ -132,13 +128,6 @@ class ConvergenceTimeline:
     # ------------------------------------------------------------------
     # Exploration
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.histories)
-
-    def exploration(self, node: int, dest: int) -> int:
-        history = self.histories.get((node, dest))
-        return history.distinct_paths if history is not None else 0
-
     def total_paths_explored(self) -> int:
         """Sum of distinct paths adopted over all ``(node, dest)`` pairs."""
         return sum(h.distinct_paths for h in self.histories.values())

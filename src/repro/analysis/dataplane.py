@@ -140,10 +140,6 @@ class DataPlaneTimeline:
         return cls(events, t0=t0, end=end)
 
     # ------------------------------------------------------------------
-    def pair_segments(self, node: int, dest: int) -> List[Segment]:
-        """Status segments for one pair, clipped to ``[t0, end]``."""
-        return self._segments(self._events.get((node, dest), []))
-
     def _segments(
         self, events: Sequence[Tuple[float, str, Optional[int]]]
     ) -> List[Segment]:

@@ -69,12 +69,9 @@ class MRAIPolicy:
     def controller_for(self, node_id: int, degree: int) -> MRAIController:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
-
     # Policies are compared by configuration so that a spec deserialized
     # from its declarative dict equals the spec it was built from
-    # (``spec_from_dict(spec.to_dict()) == spec``).
+    # (``build_spec(spec.to_dict()) == spec``).
     def __eq__(self, other: object) -> bool:
         if type(self) is not type(other):
             return NotImplemented

@@ -281,6 +281,3 @@ class BGPNetwork:
         if self.sim.pending_events:
             return False
         return not any(s.has_pending_work() for s in self.alive_speakers())
-
-    def total_loc_rib_routes(self) -> int:
-        return sum(len(s.loc_rib) for s in self.alive_speakers())

@@ -49,13 +49,10 @@ class QueueDiscipline:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def clear(self) -> None:
-        raise NotImplementedError
-
 
 class FIFOQueue(deque, QueueDiscipline):
     """Strict arrival-order processing, one message at a time: a ``deque``
-    (``len`` and ``clear`` are its own)."""
+    (``len`` is its own)."""
 
     push = deque.append
 
@@ -117,13 +114,6 @@ class DestinationBatchQueue(QueueDiscipline):
     def __len__(self) -> int:
         return self._size
 
-    def clear(self) -> None:
-        slots = self._slots
-        for dest in self._order:
-            slots[dest] = None
-        self._order.clear()
-        self._size = 0
-
 
 class WithdrawalFirstBatchQueue(DestinationBatchQueue):
     """Per-destination batching with bad-news-first scheduling.
@@ -166,11 +156,6 @@ class WithdrawalFirstBatchQueue(DestinationBatchQueue):
             self._urgent_set.discard(dest)
         return super().pop_batch()
 
-    def clear(self) -> None:
-        super().clear()
-        self._urgent.clear()
-        self._urgent_set.clear()
-
 
 class TCPBatchQueue(QueueDiscipline):
     """Fixed-size FIFO batches with within-batch deduplication.
@@ -206,9 +191,6 @@ class TCPBatchQueue(QueueDiscipline):
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def clear(self) -> None:
-        self._queue.clear()
 
 
 #: Every queue discipline by name: the one list :func:`make_queue` builds

@@ -180,11 +180,6 @@ class BGPSpeaker:
         self._reselect(prefix)
 
     @property
-    def degree(self) -> int:
-        """Number of configured peers (including iBGP sessions)."""
-        return len(self.peers)
-
-    @property
     def busy(self) -> bool:
         return self._busy
 

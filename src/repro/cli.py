@@ -306,7 +306,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.store:
             from pathlib import Path
 
-            from repro.store.result_store import ResultStore
+            from repro.store.result_store import (
+                ResultStore,
+                UnusableStoreError,
+            )
 
             if args.resume and not Path(args.store).exists():
                 print(
@@ -315,7 +318,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            store = stack.enter_context(ResultStore(args.store))
+            try:
+                store = stack.enter_context(ResultStore(args.store))
+            except UnusableStoreError as exc:
+                print(exc, file=sys.stderr)
+                return 2
         obs = _make_obs_session(args, stack)
         monitor = _make_live_monitor(args, stack, obs, jobs=args.jobs)
         with span("sweep.figure", figure=args.figure, scale=args.scale):
@@ -415,11 +422,13 @@ def _campaign_verb(verb):
 
     An unreadable or malformed file gets the line ``campaign validate``
     prints for it, a campaign with neither ``--store`` nor its own
-    ``store`` one saying so; both exit 2 before the verb runs.
+    ``store`` one saying so; both exit 2 before the verb runs.  So does
+    a store path whose file is not a result store, when the verb opens it.
     """
 
     def cmd(args: argparse.Namespace) -> int:
         from repro.store.campaign import Campaign
+        from repro.store.result_store import UnusableStoreError
 
         try:
             campaign = Campaign.from_file(args.file)
@@ -434,7 +443,11 @@ def _campaign_verb(verb):
                 file=sys.stderr,
             )
             return 2
-        return verb(args, campaign, store_path)
+        try:
+            return verb(args, campaign, store_path)
+        except UnusableStoreError as exc:
+            print(exc, file=sys.stderr)
+            return 2
 
     return cmd
 
@@ -679,6 +692,7 @@ def _client_verb(verb):
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the campaign service daemon until SIGTERM/SIGINT."""
     from repro.service import CampaignService, ServiceConfig
+    from repro.store.result_store import UnusableStoreError
 
     config = ServiceConfig(
         store=args.store,
@@ -692,7 +706,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         heartbeat=args.heartbeat,
         quiet=args.quiet,
     )
-    return CampaignService(config).run()
+    try:
+        service = CampaignService(config)
+    except UnusableStoreError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    return service.run()
 
 
 @_client_verb
@@ -778,13 +797,18 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.store.result_store import ResultStore
+    from repro.store.result_store import ResultStore, UnusableStoreError
 
     if not Path(args.store).exists():
         # Read-only verb: opening the store would create it.
         print(f"store {args.store} does not exist", file=sys.stderr)
         return 2
-    with ResultStore(args.store) as store:
+    try:
+        store = ResultStore(args.store)
+    except UnusableStoreError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    with store:
         stats = store.stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -936,7 +960,9 @@ def make_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="print the report as JSON instead of text",
         )
-        parser_.add_argument("--top", type=int, default=5, help=top_help)
+        parser_.add_argument(
+            "--top", type=positive_int, default=5, help=top_help
+        )
         parser_.add_argument("--t0", type=float, default=None, help=t0_help)
         parser_.add_argument(
             "--out", metavar="PATH", help="also write the JSON report to PATH"

@@ -88,11 +88,6 @@ class FailureExtentController(MRAIController):
             else:
                 del counts[dest]
 
-    def extent(self, now: float) -> float:
-        """Estimated failure extent: distinct changed dests / all dests."""
-        self._evict(now)
-        return len(self._counts) / self.total_destinations
-
     def value(self) -> float:
         # `value()` is only consulted at timer restarts, which follow route
         # activity, so the event deque is fresh enough to read directly.

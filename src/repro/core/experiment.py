@@ -58,8 +58,8 @@ class ExperimentSpec:
     damping: Optional[DampingConfig] = None
     #: Optional routing policy; None = the paper's unrestricted setting.
     #: Note: ``validate=True`` uses the connected-component reachability
-    #: oracle, which policies violate by design — validate policy-routed
-    #: networks with :func:`repro.core.validation.validate_gao_rexford`.
+    #: oracle, which policies violate by design — policy-routed networks
+    #: need the valley-free one (``tests/reference_valley_free.py``).
     policy: Optional[RoutingPolicy] = None
     #: Hold-timer failure detection delay (0 = the paper's instantaneous
     #: detection); jitter staggers neighbors' hold-timer expiries.
@@ -104,7 +104,7 @@ class ExperimentSpec:
     def to_dict(self) -> Dict[str, object]:
         """The fully explicit declarative scheme dict for this spec.
 
-        ``repro.specs.spec_from_dict(spec.to_dict()) == spec`` for every
+        ``repro.specs.build_spec(spec.to_dict()) == spec`` for every
         spec whose policies are registry-serializable; raises
         :class:`repro.specs.serialize.SpecSerializationError` otherwise.
         """
@@ -155,16 +155,13 @@ class TrialResult:
 class ExperimentResult:
     """Aggregate over trials of the same spec.
 
-    ``trials`` is the only state: every statistic (delay, messages, wall
-    clocks) is folded from it on demand, in order, so a result is the
-    same however its trials got there.
+    ``trials`` is the only state: every statistic (delay, messages) is
+    folded from it on demand, in order, so a result is the same however
+    its trials got there.
     """
 
     spec: ExperimentSpec
     trials: List[TrialResult] = field(default_factory=list)
-
-    def add(self, trial: TrialResult) -> None:
-        self.trials.append(trial)
 
     @property
     def n(self) -> int:
@@ -188,14 +185,6 @@ class ExperimentResult:
     @property
     def messages(self) -> OnlineStats:
         return self._stats("messages_sent")
-
-    @property
-    def warmup_wall(self) -> OnlineStats:
-        return self._stats("warmup_wall")
-
-    @property
-    def convergence_wall(self) -> OnlineStats:
-        return self._stats("convergence_wall")
 
     @property
     def mean_delay(self) -> float:
@@ -232,10 +221,6 @@ class Progress:
     #: instead of executed (the service executor's ticks count executed
     #: trials only, so theirs is 0).
     cached: int = 0
-
-    @property
-    def fraction(self) -> float:
-        return self.done / self.total if self.total else 1.0
 
     @property
     def eta(self) -> float:

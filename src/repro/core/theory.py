@@ -1,37 +1,24 @@
-"""Analytic models and parameter-selection heuristics.
+"""The parameter-selection theory the paper calls for.
 
-Two purposes:
+Sec 5: "In order to use this type of scheme in real networks, it is
+necessary to develop a suitable theory for choosing various parameters".
+:func:`recommend_mrai` estimates, from first principles, the smallest MRAI
+at which the busiest router keeps up with the update load a failure of a
+given size generates; :func:`recommend_ladder` turns that into the level
+set for :class:`~repro.core.dynamic_mrai.DynamicMRAI`.
 
-1. **Reference bounds** from the literature the paper builds on, used by
-   the test suite to validate the simulator against theory:
-
-   * Labovitz et al.: a withdrawal in a complete graph of n nodes with
-     rate-limited updates converges in at best ``(n-3) x MRAI``;
-   * Pei et al.: with per-peer MRAI and unloaded routers, convergence
-     after a failure is bounded by roughly the longest remaining path
-     times one MRAI round plus processing.
-
-2. **The parameter-selection theory the paper calls for** (Sec 5: "In
-   order to use this type of scheme in real networks, it is necessary to
-   develop a suitable theory for choosing various parameters").
-   :func:`recommend_mrai` estimates, from first principles, the smallest
-   MRAI at which the busiest router keeps up with the update load a
-   failure of a given size generates; :func:`recommend_ladder` turns that
-   into the level set for :class:`~repro.core.dynamic_mrai.DynamicMRAI`.
-
-   The load model is deliberately transparent rather than exact: during
-   re-convergence after a failure touching ``k`` destinations, a router of
-   degree ``d`` receives on the order of ``d x k x E`` updates, where
-   ``E`` is the mean number of times one (destination, neighbor) slot
-   changes during path exploration — empirically 1.5-3 for shortest-path
-   selection (we default to 2).  Those updates arrive over roughly the
-   convergence period, which per-peer rate limiting organizes into MRAI
-   rounds: each neighbor delivers at most ``k`` updates per round.  The
-   router keeps up iff it can process one round's worth of arrivals
-   (``d x k`` messages at worst) within one MRAI, giving
-   ``MRAI* ~ d x k x mean_service``.  Below that the queue grows without
-   bound until exploration ends (the left arm of the paper's V); far above
-   it, rounds idle (the right arm).
+The load model is deliberately transparent rather than exact: during
+re-convergence after a failure touching ``k`` destinations, a router of
+degree ``d`` receives on the order of ``d x k x E`` updates, where ``E``
+is the mean number of times one (destination, neighbor) slot changes
+during path exploration — empirically 1.5-3 for shortest-path selection.
+Those updates arrive over roughly the convergence period, which per-peer
+rate limiting organizes into MRAI rounds: each neighbor delivers at most
+``k`` updates per round.  The router keeps up iff it can process one
+round's worth of arrivals (``d x k`` messages at worst) within one MRAI,
+giving ``MRAI* ~ d x k x mean_service``.  Below that the queue grows
+without bound until exploration ends (the left arm of the paper's V); far
+above it, rounds idle (the right arm).
 """
 
 from __future__ import annotations
@@ -39,49 +26,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.topology.graph import Topology
-
-#: Mean per-(destination, neighbor) churn during exploration; see module
-#: docstring.  Only enters bounds, not the recommended MRAI.
-DEFAULT_EXPLORATION_FACTOR = 2.0
-
-
-def labovitz_clique_bound(n: int, mrai: float) -> float:
-    """Best-case convergence delay for a withdrawal in a clique of n nodes.
-
-    Labovitz et al. (SIGCOMM 2000): ``(n-3) x MRAI`` with rate-limited
-    updates.  ``test_integration_models`` shows our simulator matches this
-    exactly under ``withdrawal_rate_limiting=True``.
-    """
-    if n < 3:
-        raise ValueError("the bound is defined for n >= 3")
-    if mrai < 0:
-        raise ValueError("mrai must be non-negative")
-    return max(0, n - 3) * mrai
-
-
-def pei_unloaded_bound(
-    longest_path: int, mrai: float, mean_service: float
-) -> float:
-    """Upper-bound estimate for unloaded convergence (after Pei et al.).
-
-    Each hop of the longest surviving path costs at most one MRAI round
-    plus one message-processing time; this is the regime right of the
-    V-curve's optimum, where the paper's schemes change nothing.
-    """
-    if longest_path < 0:
-        raise ValueError("longest_path must be non-negative")
-    return longest_path * (mrai + mean_service)
-
-
-def expected_update_load(
-    degree: int,
-    affected_destinations: int,
-    exploration_factor: float = DEFAULT_EXPLORATION_FACTOR,
-) -> float:
-    """Expected updates arriving at a router during re-convergence."""
-    if degree < 0 or affected_destinations < 0:
-        raise ValueError("inputs must be non-negative")
-    return degree * affected_destinations * exploration_factor
 
 
 def recommend_mrai(
@@ -135,19 +79,3 @@ def recommend_ladder(
         }
     )
     return tuple(levels)
-
-
-def saturation_mrai_ratio(
-    topology: Topology,
-    failure_fraction: float,
-    mrai: float,
-    mean_service: float = 0.0155,
-) -> float:
-    """How saturated the busiest router runs at a given MRAI.
-
-    > 1 means one MRAI round's arrivals take longer than one MRAI to
-    process — the overload regime where the paper's schemes win.
-    """
-    if mrai <= 0:
-        return float("inf")
-    return recommend_mrai(topology, failure_fraction, mean_service) / mrai

@@ -63,7 +63,7 @@ def validate_routing(
 
     ``expected_prefixes`` overrides the default completeness oracle
     (connected-component reachability) — pass the valley-free expectation
-    for policy-routed networks (see :func:`validate_gao_rexford`).
+    for policy-routed networks (``tests/reference_valley_free.py``).
     """
     if not network.is_quiescent():
         raise RoutingViolation("validation requires a quiescent network")
@@ -180,75 +180,3 @@ def _check_forwarding(
                         f"{current} (started at {speaker.node_id})"
                     )
                 current = nxt
-
-
-def valley_free_prefixes(network: BGPNetwork, relationships) -> Dict[int, Set[int]]:
-    """Prefixes each alive node should reach under Gao-Rexford export.
-
-    A source ``s`` has a route to destination ``d`` iff an *alive* path
-    ``s -> d`` exists of the valley-free shape: zero or more steps up to
-    providers, at most one peer step, then zero or more steps down to
-    customers.  Computed with a two-phase BFS per source (UP: may still
-    climb; DOWN: may only descend), over the up-session graph.
-
-    Flat topologies only (node id == AS number); the multi-router case
-    would additionally need intra-AS transparency.
-    """
-    from repro.bgp.policy import CUSTOMER, PEER
-
-    if not network.topology.is_flat():
-        raise ValueError("valley-free validation supports flat topologies")
-    graph = _session_graph(network)
-    expected: Dict[int, Set[int]] = {}
-    for source in graph:
-        # (node, phase): phase 0 = may climb / peer once, 1 = descend only.
-        seen = {(source, 0)}
-        reachable = {source}
-        frontier = deque([(source, 0)])
-        while frontier:
-            node, phase = frontier.popleft()
-            for neighbor in graph[node]:
-                relation = relationships.relation(node, neighbor)
-                if relation == CUSTOMER:
-                    next_phase = 1  # descending
-                elif relation == PEER:
-                    if phase != 0:
-                        continue
-                    next_phase = 1
-                else:  # PROVIDER: climbing
-                    if phase != 0:
-                        continue
-                    next_phase = 0
-                state = (neighbor, next_phase)
-                if state not in seen:
-                    seen.add(state)
-                    reachable.add(neighbor)
-                    frontier.append(state)
-        expected[source] = {network.speakers[v].asn for v in reachable}
-    return expected
-
-
-def validate_gao_rexford(network: BGPNetwork, relationships) -> None:
-    """Full invariant check for a Gao-Rexford policy-routed network."""
-    validate_routing(
-        network,
-        expected_prefixes=valley_free_prefixes(network, relationships),
-    )
-
-
-def count_invalid_routes(network: BGPNetwork) -> int:
-    """Routes whose AS path traverses a dead AS (transient-state metric).
-
-    Zero after convergence; positive snapshots *during* convergence are the
-    "invalid routes" whose suppression the paper credits for the batching
-    scheme's gains.
-    """
-    dead = {
-        network.speakers[n].asn for n in network.failed_nodes
-    } - network.alive_prefixes()
-    invalid = 0
-    for speaker in network.alive_speakers():
-        for path in speaker.loc_rib.path:
-            if path and any(asn in dead for asn in path):
-                invalid += 1
-    return invalid

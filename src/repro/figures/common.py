@@ -136,9 +136,6 @@ class FigureOutput:
     checks: List[Check] = field(default_factory=list)
     profile_name: str = "quick"
 
-    def failed_strict(self) -> List[Check]:
-        return [c for c in self.checks if c.strict and not c.passed]
-
     def render(self) -> str:
         body = format_figure(
             self.figure_id, self.caption, self.series, self.metrics

@@ -85,9 +85,10 @@ def _as_path(value: Any) -> Optional[Tuple[int, ...]]:
 def load_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load a JSONL trace written by :class:`~repro.sim.trace.JsonlSink`.
 
-    Blank lines are skipped; a malformed (e.g. truncated) line raises
-    ``ValueError`` naming the line number — with the CLI's deterministic
-    sink flushing this only happens for traces cut short externally.
+    Blank lines are skipped; a malformed (e.g. truncated) line, or one
+    that is not a trace record, raises ``ValueError`` naming the line
+    number — with the CLI's deterministic sink flushing a malformed line
+    only happens for traces cut short externally.
     """
     records: List[Dict[str, Any]] = []
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -96,11 +97,21 @@ def load_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: malformed trace line ({exc})"
                 ) from None
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("time"), (int, float))
+                and isinstance(record.get("category"), str)
+            ):
+                raise ValueError(
+                    f"{path}:{lineno}: not a trace record (an object with "
+                    f"a numeric time and a category)"
+                )
+            records.append(record)
     return records
 
 
@@ -158,9 +169,6 @@ class CausalGraph:
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.events)
-
     @property
     def sends(self) -> List[CausalEvent]:
         return [e for e in self.events.values() if e.kind == "send"]
@@ -178,10 +186,6 @@ class CausalGraph:
     @property
     def failure_roots(self) -> List[CausalEvent]:
         return [e for e in self.roots if e.is_root_kind]
-
-    def depth(self, uid: int) -> int:
-        """Chain length from ``uid`` up to its root (root = depth 0)."""
-        return self.depths()[uid]
 
     def depths(self) -> Dict[int, int]:
         """Depth of every event (computed once, iteratively)."""

@@ -178,14 +178,6 @@ class DataPlaneMonitor:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def destinations(self) -> List[int]:
-        return sorted(self._dests)
-
-    def status_of(self, node_id: int, dest: int) -> Optional[str]:
-        """Current status of a pair (None if never evaluated)."""
-        return self._status.get((node_id, dest))
-
     def records(self) -> List[Dict[str, Any]]:
         """Transitions as JSON-ready dicts (for sinks and trial records)."""
         return [

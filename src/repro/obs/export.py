@@ -44,6 +44,7 @@ AGGREGATE_FIELDS = [
     "work_p95",
     "work_max",
     "loc_rib_total",
+    "invalid_routes",
     "mrai_levels",
 ]
 
@@ -114,6 +115,7 @@ def write_aggregates_csv(
                         f"{a.work_p95:.6f}",
                         f"{a.work_max:.6f}",
                         a.loc_rib_total,
+                        a.invalid_routes,
                         levels,
                     ]
                 )

@@ -3,9 +3,8 @@
 A manifest is the provenance record written next to every metrics export:
 enough to re-run the experiment (spec fields + seeds + package version) and
 enough to compare simulator *speed* across commits (wall-clock phase
-timings for warm-up / failure / convergence, host fingerprint).  Manifests
-round-trip through JSON losslessly via :meth:`RunManifest.save` /
-:meth:`RunManifest.load`.
+timings for warm-up / failure / convergence, host fingerprint).
+:meth:`RunManifest.save` writes :meth:`RunManifest.to_dict` as JSON.
 """
 
 from __future__ import annotations
@@ -64,15 +63,6 @@ class PhaseTiming:
             "sim_seconds": self.sim_seconds,
             "events": self.events,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PhaseTiming":
-        return cls(
-            name=data["name"],
-            wall_seconds=data["wall_seconds"],
-            sim_seconds=data.get("sim_seconds", 0.0),
-            events=data.get("events", 0),
-        )
 
 
 @dataclass
@@ -137,22 +127,6 @@ class RunManifest:
             "extra": dict(self.extra),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
-        return cls(
-            kind=data.get("kind", "repro-run"),
-            created_utc=data.get("created_utc", ""),
-            package_version=data.get("package_version", ""),
-            host=dict(data.get("host", {})),
-            command=data.get("command", ""),
-            spec=data.get("spec", {}),
-            seeds=list(data.get("seeds", [])),
-            topology=data.get("topology", ""),
-            phases=[PhaseTiming.from_dict(p) for p in data.get("phases", [])],
-            counters=dict(data.get("counters", {})),
-            extra=dict(data.get("extra", {})),
-        )
-
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
         path.write_text(
@@ -160,8 +134,3 @@ class RunManifest:
             encoding="utf-8",
         )
         return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "RunManifest":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(data)

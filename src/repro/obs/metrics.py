@@ -113,9 +113,6 @@ class Gauge(_Child):
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
     def to_record(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
@@ -156,15 +153,6 @@ class Histogram(_Child):
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    @property
-    def overflow(self) -> int:
-        """Observations beyond the last bucket bound."""
-        return self.counts[-1]
 
     def percentile(self, q: float) -> float:
         """Upper bound of the bucket holding the ``q`` quantile (0..1).
@@ -281,9 +269,6 @@ class MetricsRegistry:
             return None
         return family.children.get(_label_key(labels))
 
-    def families(self) -> List[str]:
-        return sorted(self._families)
-
     def children(self) -> Iterable[_Child]:
         """Every child, ordered by (name, labels) for stable exports."""
         for name in sorted(self._families):
@@ -332,13 +317,12 @@ class MetricsRegistry:
         out: Dict[str, Any] = {}
         for child in self.children():
             if isinstance(child, Histogram):
-                out[child.full_name] = child.mean
+                out[child.full_name] = (
+                    child.sum / child.count if child.count else 0.0
+                )
             else:
                 out[child.full_name] = child.value
         return out
-
-    def clear(self) -> None:
-        self._families.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

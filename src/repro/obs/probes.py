@@ -1,8 +1,10 @@
-"""Per-node time-series probes — the signals behind Figs 7-9.
+"""Per-node time-series probes — the signals behind Figs 7-12.
 
 The paper's dynamic MRAI scheme is driven by *unfinished work* (input-queue
-length x mean per-update processing delay); its evaluation figures are
-time-resolved views of that signal.  :class:`NetworkProbe` samples a running
+length x mean per-update processing delay); its batching scheme is credited
+with suppressing *invalid routes*, transient routes through dead ASes.  Its
+evaluation figures are time-resolved views of those signals.
+:class:`NetworkProbe` samples a running
 :class:`~repro.bgp.network.BGPNetwork` at a fixed simulated interval and
 records, per alive node:
 
@@ -11,10 +13,11 @@ records, per alive node:
 * the active MRAI ladder level and the MRAI value in force,
 * Loc-RIB size (routes),
 
-plus network-wide aggregates (p50 / p95 / max of work and queue depth) per
-sample.  Sampling is pure observation: the probe schedules its own events on
-the simulator queue but never touches protocol state or random streams, so
-an instrumented run takes the *identical* protocol trajectory as an
+plus network-wide aggregates per sample (p50 / p95 / max of work and queue
+depth, the invalid-route count, the MRAI ladder occupancy).  Sampling is
+pure observation: the probe schedules its own events on the simulator
+queue but never touches protocol state or random streams, so an
+instrumented run takes the *identical* protocol trajectory as an
 uninstrumented one with the same seed.
 
 The probe detaches automatically at quiescence (otherwise its own events
@@ -41,6 +44,26 @@ def percentile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, int(q * len(ordered) + 0.999999))
     return ordered[rank - 1]
+
+
+def count_invalid_routes(network: "BGPNetwork") -> int:
+    """Routes whose AS path traverses a dead AS (transient-state metric).
+
+    Zero after convergence; positive snapshots *during* convergence are the
+    "invalid routes" whose suppression the paper credits for the batching
+    scheme's gains.
+    """
+    dead = {
+        network.speakers[n].asn for n in network.failed_nodes
+    } - network.alive_prefixes()
+    if not dead:
+        return 0
+    invalid = 0
+    for speaker in network.alive_speakers():
+        for path in speaker.loc_rib.path:
+            if path and not dead.isdisjoint(path):
+                invalid += 1
+    return invalid
 
 
 @dataclass(frozen=True)
@@ -71,6 +94,9 @@ class AggregateSample:
     work_p95: float
     work_max: float
     loc_rib_total: int
+    #: Loc-RIB routes whose AS path crosses a dead AS
+    #: (:func:`count_invalid_routes`).
+    invalid_routes: int
     #: Dynamic-MRAI ladder occupancy: level -> node count.
     mrai_levels: Dict[int, int]
 
@@ -87,10 +113,6 @@ class ProbeSamples:
 
     node_samples: List[NodeSample] = field(default_factory=list)
     aggregates: List[AggregateSample] = field(default_factory=list)
-
-    @property
-    def times(self) -> List[float]:
-        return [a.time for a in self.aggregates]
 
     def node_series(self, node: int, field: str) -> List[float]:
         """One node's attribute over time, e.g. ``("unfinished_work")``."""
@@ -147,17 +169,7 @@ class NetworkProbe:
         self._sample()
         self.network.sim.schedule(self.interval, self._tick)
 
-    def stop(self) -> None:
-        """Stop after the currently pending sample (idempotent)."""
-        self._armed = False
-
-    @property
-    def armed(self) -> bool:
-        return self._armed
-
     def _tick(self) -> None:
-        if not self._armed:
-            return
         self._sample()
         net = self.network
         # Detach at quiescence: the probe's own events must not keep the
@@ -209,6 +221,7 @@ class NetworkProbe:
                 work_p95=percentile(works, 0.95),
                 work_max=max(works) if works else 0.0,
                 loc_rib_total=rib_total,
+                invalid_routes=count_invalid_routes(net),
                 mrai_levels=levels,
             )
         )

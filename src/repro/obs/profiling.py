@@ -78,11 +78,6 @@ class EventLoopProfiler:
             raise ValueError("simulator already has an on_event hook")
         sim.on_event = self._hook
 
-    def detach(self, sim: "Simulator") -> None:
-        """Remove this profiler from the simulator (idempotent)."""
-        if sim.on_event is self._hook:
-            sim.on_event = None
-
     def _record(self, event: "Event", elapsed: float) -> None:
         cell = self._stats.get(handler_category(event.fn))
         if cell is None:
@@ -109,11 +104,6 @@ class EventLoopProfiler:
             cell[1] += row["total_seconds"]
             self.total_events += row["events"]
             self.total_seconds += row["total_seconds"]
-
-    def reset(self) -> None:
-        self._stats.clear()
-        self.total_events = 0
-        self.total_seconds = 0.0
 
     # ------------------------------------------------------------------
     @property

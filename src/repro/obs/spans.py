@@ -201,9 +201,6 @@ class SpanRecorder:
     def __len__(self) -> int:
         return len(self.records)
 
-    def clear(self) -> None:
-        self.records.clear()
-
     # ------------------------------------------------------------------
     # Worker round-trip
     # ------------------------------------------------------------------

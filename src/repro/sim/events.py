@@ -81,9 +81,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def push(
         self,
         time: float,

@@ -110,6 +110,3 @@ class SlidingWindowUtilization:
             if hi > lo:
                 busy += hi - lo
         return min(1.0, busy / self.window)
-
-    def clear(self) -> None:
-        self._intervals.clear()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,6 @@ class Tracer:
         self.records.append(record)
         if self.sink is not None:
             self.sink(record)
-
-    def by_category(self, category: str) -> Iterator[TraceRecord]:
-        """Iterate the retained records of one category."""
-        return (r for r in self.records if r.category == category)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class NullTracer(Tracer):

@@ -23,7 +23,7 @@ else is imported from its module.
 """
 
 from repro.specs.mrai import MRAI_SCHEMES, build_mrai
-from repro.specs.serialize import build_spec, spec_from_dict, spec_to_dict
+from repro.specs.serialize import build_spec, spec_to_dict
 from repro.specs.topology import DISTRIBUTIONS, TOPOLOGY_KINDS, topology_factory
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "TOPOLOGY_KINDS",
     "build_mrai",
     "build_spec",
-    "spec_from_dict",
     "spec_to_dict",
     "topology_factory",
 ]

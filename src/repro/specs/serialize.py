@@ -7,7 +7,7 @@ in.  :func:`build_spec` turns a (possibly sparse) scheme dict into an
 :class:`~repro.core.experiment.ExperimentSpec`; :func:`spec_to_dict`
 emits the fully explicit dict for a spec, such that
 
-    spec_from_dict(spec.to_dict()) == spec
+    build_spec(spec.to_dict()) == spec
 
 holds for every spec whose policies have a serializer.  The
 explicit dict is also the canonical form the content-addressed store
@@ -155,10 +155,6 @@ def build_spec(
     return _build(scheme, topology=topology, resolve=True)
 
 
-#: Alias making the round-trip contract explicit at call sites.
-spec_from_dict = build_spec
-
-
 def _build(
     scheme: Dict[str, Any],
     topology: Optional["Topology"],
@@ -207,7 +203,7 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
 
     Every field is present (defaults included), so the dict doubles as
     the canonical fingerprint form for the content-addressed store —
-    and ``spec_from_dict`` of the result reproduces an equal spec.
+    and ``build_spec`` of the result reproduces an equal spec.
     Raises :class:`SpecSerializationError` when the spec's MRAI or
     routing policy has no serializer.
     """

@@ -244,13 +244,6 @@ class Campaign:
             data["store"] = self.store_path
         return data
 
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-        return path
-
     # ------------------------------------------------------------------
     # Expansion
     # ------------------------------------------------------------------
@@ -308,10 +301,6 @@ class PointStatus:
     #: Trials of this cell that failed in the most recent recorded run
     #: and are still missing from the store (0 once a retry lands them).
     failed: int = 0
-
-    @property
-    def missing(self) -> int:
-        return self.total - self.done
 
 
 @dataclass

@@ -146,6 +146,11 @@ def _is_locked_error(exc: sqlite3.OperationalError) -> bool:
     return "database is locked" in message or "database is busy" in message
 
 
+class UnusableStoreError(ValueError):
+    """The file at a store path is not a result store this code can use:
+    not an SQLite database, or one written under another schema."""
+
+
 class ResultStore(QueueOps):
     """Trial-level result cache with provenance, on one SQLite file.
 
@@ -176,13 +181,23 @@ class ResultStore(QueueOps):
         self._conn = sqlite3.connect(
             str(self.path), timeout=_CONNECT_TIMEOUT, check_same_thread=False
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-        self._write(
-            lambda conn: conn.executescript(_SCHEMA + QUEUE_SCHEMA)
-        )
-        self._check_schema()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
+            self._write(
+                lambda conn: conn.executescript(_SCHEMA + QUEUE_SCHEMA)
+            )
+            self._check_schema()
+        except (sqlite3.DatabaseError, UnusableStoreError) as exc:
+            self._conn.close()
+            # Lock contention stays an OperationalError; a plain
+            # DatabaseError means the file is no SQLite database at all.
+            if type(exc) is sqlite3.DatabaseError:
+                raise UnusableStoreError(
+                    f"{self.path}: not a result store ({exc})"
+                ) from None
+            raise
         #: Identifies everything written by this store handle.
         self.run_id = os.urandom(16).hex()
         self.hits = 0
@@ -247,7 +262,7 @@ class ResultStore(QueueOps):
 
         stored = self._write(op)
         if stored is not None and int(stored) != SCHEMA_VERSION:
-            raise ValueError(
+            raise UnusableStoreError(
                 f"{self.path}: store schema version {stored} does not match "
                 f"this code's version {SCHEMA_VERSION}; use a fresh store "
                 f"(cached results would be invalid)"
@@ -378,9 +393,6 @@ class ResultStore(QueueOps):
                 ).fetchone()[0]
             )
         )
-
-    def __contains__(self, key: str) -> bool:
-        return self.has(key)
 
     def stats(self) -> Dict[str, Any]:
         """Operator-facing snapshot: sizes, banked compute, queue depth.

@@ -80,11 +80,6 @@ class SkewedDegreeSpec:
         """50% degree 1-3, 50% degree 13-14; average degree ~7.6 (Fig 5)."""
         return cls(0.50, (1, 3), (13, 14), name="50-50-dense")
 
-    def expected_average_degree(self) -> float:
-        low_mean = sum(self.low_range) / 2.0
-        high_mean = sum(self.high_range) / 2.0
-        return self.low_fraction * low_mean + (1 - self.low_fraction) * high_mean
-
     def sample(self, n: int, rng: random.Random) -> List[int]:
         """Draw a degree sequence of length ``n`` (not yet graphicalized).
 
@@ -126,15 +121,6 @@ class InternetDegreeDistribution:
         if not (1 <= self.min_degree <= self.max_degree):
             raise ValueError("need 1 <= min_degree <= max_degree")
 
-    def pmf(self) -> Dict[int, float]:
-        """The normalized probability mass function."""
-        weights = {
-            k: k ** -self.alpha
-            for k in range(self.min_degree, self.max_degree + 1)
-        }
-        total = sum(weights.values())
-        return {k: w / total for k, w in weights.items()}
-
     def sample(self, n: int, rng: random.Random) -> List[int]:
         """Draw ``n`` degrees i.i.d. from the capped power law."""
         if n < MIN_NODES:
@@ -142,9 +128,6 @@ class InternetDegreeDistribution:
         ks = list(range(self.min_degree, self.max_degree + 1))
         weights = [k ** -self.alpha for k in ks]
         return rng.choices(ks, weights=weights, k=n)
-
-    def expected_average_degree(self) -> float:
-        return sum(k * p for k, p in self.pmf().items())
 
 
 # ---------------------------------------------------------------------------

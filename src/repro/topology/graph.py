@@ -54,14 +54,6 @@ class Link:
     def endpoints(self) -> FrozenSet[int]:
         return frozenset((self.a, self.b))
 
-    def other(self, node_id: int) -> int:
-        """The endpoint opposite ``node_id``."""
-        if node_id == self.a:
-            return self.b
-        if node_id == self.b:
-            return self.a
-        raise KeyError(f"node {node_id} is not an endpoint of {self}")
-
 
 @dataclass
 class Topology:

@@ -42,7 +42,7 @@ def topology_from_dict(data: Dict[str, Any]) -> Topology:
     Validates the format marker and structural integrity (the Topology
     constructor enforces no duplicate routers/links, known endpoints...).
     """
-    if data.get("format") != "repro-topology":
+    if not isinstance(data, dict) or data.get("format") != "repro-topology":
         raise ValueError("not a repro topology document")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(

@@ -145,6 +145,11 @@ def converged_network(
     return network
 
 
+def total_loc_rib_routes(network: BGPNetwork) -> int:
+    """Loc-RIB routes held across the network's alive speakers."""
+    return sum(len(s.loc_rib) for s in network.alive_speakers())
+
+
 def advertised(ps: PeerState) -> Dict[int, Optional[Tuple[int, ...]]]:
     """What a speaker last sent over a session, by destination: a path, or
     None for a withdrawal; destinations never sent are absent."""

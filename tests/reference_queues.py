@@ -46,11 +46,6 @@ class DictDestinationBatchQueue:
     def __len__(self) -> int:
         return self._size
 
-    def clear(self) -> None:
-        self._order.clear()
-        self._by_dest.clear()
-        self._size = 0
-
 
 class DictWithdrawalFirstBatchQueue(DictDestinationBatchQueue):
     """The withdrawal-first variant over the same dict layout."""
@@ -78,8 +73,3 @@ class DictWithdrawalFirstBatchQueue(DictDestinationBatchQueue):
             self._urgent.popleft()
             self._urgent_set.discard(dest)
         return super().pop_batch()
-
-    def clear(self) -> None:
-        super().clear()
-        self._urgent.clear()
-        self._urgent_set.clear()

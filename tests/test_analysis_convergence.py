@@ -18,7 +18,11 @@ from repro.obs.session import ObsSession
 from repro.sim.timers import Jitter
 from repro.sim.trace import JsonlSink, Tracer
 from repro.topology.skewed import skewed_topology
-from tests.conftest import clique_topology, line_topology
+from tests.conftest import (
+    clique_topology,
+    line_topology,
+    total_loc_rib_routes,
+)
 
 
 def traced_run(topology, fail_node):
@@ -49,7 +53,7 @@ def test_line_failure_explores_no_paths():
     assert timeline.total_paths_explored() == 0
     assert timeline.exploration_histogram() == {0: 3}
     assert all(
-        h.final_path is None for h in timeline.histories.values()
+        h.changes[-1][1] is None for h in timeline.histories.values()
     )
     assert set(timeline.settle_times()) == {3}
 
@@ -65,7 +69,7 @@ def test_clique_failure_explores_stored_backups():
     assert timeline.exploration_histogram() == {3: 1, 4: 2}
     assert timeline.max_exploration() == 4
     assert all(
-        h.final_path is None for h in timeline.histories.values()
+        h.changes[-1][1] is None for h in timeline.histories.values()
     )
     stats = timeline.settle_stats()
     assert 0.0 < stats["p50"] <= stats["p95"] <= stats["max"]
@@ -86,7 +90,7 @@ def test_explicit_t0_overrides_detection():
     # Analyzing from t=0 counts the warm-up churn too.
     full = ConvergenceTimeline.from_records(tracer.records, t0=0.0)
     post = ConvergenceTimeline.from_records(tracer.records)
-    assert len(full) > len(post)
+    assert len(full.histories) > len(post.histories)
     assert full.t0 == 0.0
 
 
@@ -162,7 +166,7 @@ def test_tracing_keeps_golden_counters_identical():
         net.run_until_quiet()
         return (
             net.counters.snapshot(),
-            net.total_loc_rib_routes(),
+            total_loc_rib_routes(net),
             net.last_activity,
             net.sim.events_executed,
         )

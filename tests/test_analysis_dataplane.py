@@ -30,12 +30,11 @@ def test_segments_clip_to_window():
         t0=4.0,
         end=10.0,
     )
-    segs = tl.pair_segments(1, 9)
-    assert segs == [
-        ("ok", 4.0, 5.0, 2),
-        ("blackhole", 5.0, 8.0, None),
-        ("ok", 8.0, 10.0, 3),
-    ]
+    # Segments ok [4, 5) at 2 hops, blackhole [5, 8), ok [8, 10] at 3.
+    (pair,) = tl.pair_stats()
+    assert pair.blackhole_seconds == pytest.approx(3.0)
+    assert pair.max_ok_hops == 3
+    assert (pair.final_status, pair.final_hops) == ("ok", 3)
     head = tl.headline()
     assert head["unreachable_seconds_total"] == pytest.approx(3.0)
     assert head["blackhole_episodes"] == 1
@@ -51,8 +50,11 @@ def test_pre_window_transitions_establish_initial_state():
         t0=5.0,
         end=7.0,
     )
-    segs = tl.pair_segments(1, 9)
-    assert segs == [("loop", 5.0, 6.0, None), ("ok", 6.0, 7.0, 1)]
+    # Segments loop [5, 6), ok [6, 7] at 1 hop: the loop since 1.0 is
+    # clipped to the window.
+    (pair,) = tl.pair_stats()
+    assert pair.loop_seconds == pytest.approx(1.0)
+    assert (pair.final_status, pair.final_hops) == ("ok", 1)
     assert tl.headline()["loop_episodes"] == 1
 
 

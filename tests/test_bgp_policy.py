@@ -14,13 +14,13 @@ from repro.bgp.policy import (
     ShortestPathPolicy,
 )
 from repro.bgp.routes import Route
-from repro.core.validation import (
-    validate_gao_rexford,
-    valley_free_prefixes,
-)
 from repro.sim.timers import Jitter
 from repro.topology.skewed import skewed_topology
 from tests.conftest import flat_topology_from_edges, infer_relationships
+from tests.reference_valley_free import (
+    validate_gao_rexford,
+    valley_free_prefixes,
+)
 
 
 # ---------------------------------------------------------------------------

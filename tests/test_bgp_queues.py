@@ -115,14 +115,6 @@ def test_dest_batch_len_counts_messages():
     assert len(q) == 2
 
 
-def test_dest_batch_clear():
-    q = DestinationBatchQueue(8)
-    q.push(msg(1, 10))
-    q.push(msg(2, 10))
-    q.clear()
-    assert len(q) == 0
-
-
 def test_dest_batch_reuse_destination_after_drain():
     q = DestinationBatchQueue(8)
     q.push(msg(1, 10))
@@ -141,7 +133,6 @@ _QUEUE_OPERATIONS = st.lists(
             st.booleans(),
         ),
         st.tuples(st.just("pop_batch")),
-        st.tuples(st.just("clear")),
     ),
     max_size=80,
 )
@@ -159,7 +150,7 @@ def test_slot_queues_match_the_dict_reference(slots, reference, operations):
     """The destination-indexed slot list serves exactly what the old
     dict of per-destination lists served: the same messages (by
     identity) in every batch, the same stale count and the same length
-    after every push, pop_batch and clear."""
+    after every push and pop_batch."""
     q, model = slots(6), reference()
     for op, *args in operations:
         if op == "push":
@@ -173,9 +164,6 @@ def test_slot_queues_match_the_dict_reference(slots, reference, operations):
             (batch, dropped), (want, want_dropped) = q.pop_batch(), model.pop_batch()
             assert list(map(id, batch)) == list(map(id, want))
             assert dropped == want_dropped
-        else:
-            q.clear()
-            model.clear()
         assert len(q) == len(model)
 
 

@@ -39,7 +39,7 @@ def test_trace_records_failures_and_withdrawals():
     net, tracer = traced_network()
     net.start()
     net.run_until_quiet()
-    tracer.clear()
+    tracer.records.clear()
     net.fail_nodes([2])
     net.run_until_quiet()
     categories = {r.category for r in tracer.records}
@@ -51,11 +51,11 @@ def test_trace_category_filtering_at_source():
     net, tracer = traced_network(categories={"peer_down"})
     net.start()
     net.run_until_quiet()
-    assert len(tracer) == 0
+    assert len(tracer.records) == 0
     net.fail_nodes([2])
     net.run_until_quiet()
     assert all(r.category == "peer_down" for r in tracer.records)
-    assert len(tracer) == 1
+    assert len(tracer.records) == 1
 
 
 def test_default_null_tracer_records_nothing():

@@ -73,15 +73,6 @@ def test_wf_same_neighbor_coalescing_still_applies():
     assert batch[0].is_withdrawal
 
 
-def test_wf_clear_resets_urgent_state():
-    q = WithdrawalFirstBatchQueue(8)
-    q.push(wd(1, 10))
-    q.clear()
-    assert len(q) == 0
-    q.push(msg(2, 10))
-    assert q.pop_batch()[0][0].dest == 2
-
-
 def test_wf_factory_and_config():
     assert isinstance(make_queue("dest_batch_wf", 8), WithdrawalFirstBatchQueue)
     BGPConfig(queue_discipline="dest_batch_wf")  # accepted

@@ -263,6 +263,52 @@ def test_cli_campaign_verbs_reject_an_unloadable_file(tmp_path, capsys):
     assert not (tmp_path / "store.db").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["store", "stats", "{store}"],
+        ["campaign", "run", "{campaign}"],
+        ["campaign", "resume", "{campaign}"],
+        ["campaign", "status", "{campaign}"],
+        ["campaign", "watch", "{campaign}"],
+        ["campaign", "export", "{campaign}", "--out", "{tmp}/series"],
+        ["sweep", "--figure", "fig01", "--store", "{store}"],
+        ["serve", "--store", "{store}", "--port", "0"],
+    ],
+    ids=[
+        "store-stats",
+        "campaign-run",
+        "campaign-resume",
+        "campaign-status",
+        "campaign-watch",
+        "campaign-export",
+        "sweep",
+        "serve",
+    ],
+)
+def test_cli_refuses_a_store_file_that_is_not_sqlite(argv, tmp_path, capsys):
+    store = tmp_path / "store.db"
+    store.write_bytes(b"not a database\n")
+    cfile = write_campaign(tmp_path, store=store)
+    names = {"store": store, "campaign": cfile, "tmp": tmp_path}
+    before = sorted(tmp_path.iterdir())
+    assert main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{store}: not a result store (file is not a database)\n"
+    assert store.read_bytes() == b"not a database\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("verb", ["run", "topo"])
+def test_cli_refuses_a_topology_file_that_is_no_object(verb, tmp_path, capsys):
+    path = tmp_path / "topology.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main([verb, "--topology-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{verb}: not a repro topology document\n"
+    assert path.read_text(encoding="utf-8") == "[1, 2]"
+
+
 def test_cli_read_only_verbs_do_not_create_the_store(tmp_path, capsys):
     store = tmp_path / "absent.db"
     assert main(["store", "stats", str(store)]) == 2

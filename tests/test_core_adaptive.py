@@ -24,14 +24,14 @@ def make_controller(**kwargs):
 def test_starts_at_lowest_level():
     ctl = make_controller()
     assert ctl.value() == 0.5
-    assert ctl.extent(now=0.0) == 0.0
 
 
 def test_extent_counts_distinct_destinations():
-    ctl = make_controller()
+    # Three distinct of 100 destinations: 3%, not the 5% of five events.
+    ctl = make_controller(calibration=((0.0, 0.5), (0.03, 1.0), (0.04, 2.0)))
     for dest in (1, 2, 3, 2, 1):
         ctl.on_destination_changed(dest, now=1.0)
-    assert ctl.extent(now=1.0) == pytest.approx(0.03)
+    assert ctl.value() == 1.0
 
 
 def test_value_steps_with_extent():
@@ -53,15 +53,17 @@ def test_extent_decays_with_window():
     assert ctl.value() == 2.25
     # The churn ages out: back to the base level.
     ctl.on_destination_changed(99, now=10.0)
-    assert ctl.extent(now=10.0) == pytest.approx(0.01)
     assert ctl.value() == 0.5
 
 
 def test_same_destination_reappearing_keeps_single_count():
-    ctl = make_controller(window=10.0)
+    # One destination is 1%; counted three times it would reach 2%.
+    ctl = make_controller(
+        window=10.0, calibration=((0.0, 0.5), (0.02, 1.0))
+    )
     for t in (1.0, 2.0, 3.0):
         ctl.on_destination_changed(7, now=t)
-    assert ctl.extent(now=3.0) == pytest.approx(0.01)
+    assert ctl.value() == 0.5
 
 
 def test_controller_validation():

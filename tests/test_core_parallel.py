@@ -86,10 +86,8 @@ def pool_trials(pool, spec, jobs=2):
     assert stats == {key: after[key] - before[key] for key in stats}
     assert set(stats) == set(before) - {"workers_alive"}
     assert [error for *_, error in outcomes] == [None] * len(SEEDS)
-    result = ExperimentResult(spec=spec)
-    for _index, trial, _payload, _error in outcomes:
-        result.add(trial)
-    return result, stats
+    trials = [trial for _index, trial, _payload, _error in outcomes]
+    return ExperimentResult(spec=spec, trials=trials), stats
 
 
 def one_topology_plan(specs, first_seed):
@@ -234,11 +232,13 @@ def observed_run(mode):
     )
     if mode == "inline":
         spec = spec_dynamic_batch()
-        result = ExperimentResult(spec=spec)
-        for seed in SEEDS:
-            result.add(
+        result = ExperimentResult(
+            spec=spec,
+            trials=[
                 run_experiment(factory(seed), spec, seed=seed, obs=obs)
-            )
+                for seed in SEEDS
+            ],
+        )
     else:
         result = run_cell(SCHEME_DYNAMIC_BATCH, SEEDS, obs=obs, jobs=mode)
     return obs, result, trace, dataplane
@@ -323,8 +323,9 @@ def test_probe_series_helpers_survive_a_batch(jobs):
     run_cell(SCHEME_05, SEEDS, obs=obs, jobs=jobs)
     assert len(obs.probes) == len(SEEDS)
     probe = obs.probe
-    assert len(probe) == len(probe.times) > 2
-    assert probe.times == sorted(probe.times)
+    times = probe.aggregate_series("time")
+    assert len(probe) == len(times) > 2
+    assert times == sorted(times)
     assert probe.peak() == max(probe.aggregate_series("work_max")) > 0.0
     node = probe.node_samples[0].node
     assert len(probe.node_series(node, "unfinished_work")) == sum(

@@ -1,49 +1,14 @@
-"""Tests for the analytic models and parameter-selection heuristics."""
+"""Tests for the analytic parameter-selection heuristics."""
 
 import pytest
 
-from repro.core.theory import (
-    expected_update_load,
-    labovitz_clique_bound,
-    pei_unloaded_bound,
-    recommend_ladder,
-    recommend_mrai,
-    saturation_mrai_ratio,
-)
+from repro.core.theory import recommend_ladder, recommend_mrai
 from repro.topology.degree import SkewedDegreeSpec
 from repro.topology.skewed import skewed_topology
 
 
 def topo120():
     return skewed_topology(120, SkewedDegreeSpec.paper_70_30(), seed=3)
-
-
-def test_labovitz_bound_values():
-    assert labovitz_clique_bound(3, 1.0) == 0.0
-    assert labovitz_clique_bound(8, 1.0) == 5.0
-    assert labovitz_clique_bound(8, 2.0) == 10.0
-
-
-def test_labovitz_bound_validation():
-    with pytest.raises(ValueError):
-        labovitz_clique_bound(2, 1.0)
-    with pytest.raises(ValueError):
-        labovitz_clique_bound(5, -1.0)
-
-
-def test_pei_bound_monotone_in_path_and_mrai():
-    assert pei_unloaded_bound(5, 1.0, 0.015) > pei_unloaded_bound(3, 1.0, 0.015)
-    assert pei_unloaded_bound(5, 2.0, 0.015) > pei_unloaded_bound(5, 1.0, 0.015)
-    assert pei_unloaded_bound(0, 1.0, 0.015) == 0.0
-    with pytest.raises(ValueError):
-        pei_unloaded_bound(-1, 1.0, 0.015)
-
-
-def test_expected_update_load():
-    assert expected_update_load(8, 6) == pytest.approx(96.0)
-    assert expected_update_load(0, 6) == 0.0
-    with pytest.raises(ValueError):
-        expected_update_load(-1, 2)
 
 
 def test_recommend_mrai_grows_with_failure_size():
@@ -95,10 +60,3 @@ def test_recommend_ladder_validation():
     with pytest.raises(ValueError):
         recommend_ladder(topo120(), fractions=())
 
-
-def test_saturation_ratio():
-    topo = topo120()
-    optimum = recommend_mrai(topo, 0.05)
-    assert saturation_mrai_ratio(topo, 0.05, optimum) == pytest.approx(1.0)
-    assert saturation_mrai_ratio(topo, 0.05, optimum / 2) == pytest.approx(2.0)
-    assert saturation_mrai_ratio(topo, 0.05, 0.0) == float("inf")

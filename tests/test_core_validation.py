@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.validation import (
     RoutingViolation,
-    count_invalid_routes,
     reachable_prefixes,
     validate_routing,
 )
+from repro.obs.probes import count_invalid_routes
 from tests.conftest import (
     clique_topology,
     converged_network,

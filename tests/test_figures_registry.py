@@ -126,17 +126,6 @@ def test_checks_render_and_classify():
     assert "soft-fail" in str(bad_soft)
     assert "FAIL" in str(bad_strict)
 
-    out = FigureOutput(
-        figure_id="figXX",
-        caption="test",
-        series=[],
-        metrics=("delay",),
-        checks=[ok, bad_soft],
-    )
-    assert out.failed_strict() == []
-    out.checks.append(bad_strict)
-    assert out.failed_strict() == [bad_strict]
-
 
 def test_check_helpers():
     assert check_ratio("r", 10.0, 2.0, minimum=4.0).passed

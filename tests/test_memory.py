@@ -35,7 +35,11 @@ from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec, build_scenario, run_experiment
 from repro.failures.scenarios import geographic_failure
 from repro.topology.skewed import skewed_topology
-from tests.conftest import advertised, converged_network
+from tests.conftest import (
+    advertised,
+    converged_network,
+    total_loc_rib_routes,
+)
 
 SPECS = {
     "fifo": ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2),
@@ -92,7 +96,7 @@ def test_network_closed_mid_convergence_leaves_no_cyclic_garbage():
         try:
             network.start()
             network.run_until_quiet()
-            assert network.total_loc_rib_routes() == 30 * 30
+            assert total_loc_rib_routes(network) == 30 * 30
             t0 = network.fail_nodes(
                 [0, 1, 2], detection_delay=3.0, detection_jitter=1.0
             )
@@ -404,7 +408,7 @@ def test_path_objects_are_shared_between_sender_and_receiver():
 # ----------------------------------------------------------------------
 def test_close_is_idempotent_and_leaves_a_harmless_shell():
     network = converged_network(skewed_topology(20, seed=1))
-    assert network.total_loc_rib_routes() == 20 * 20
+    assert total_loc_rib_routes(network) == 20 * 20
     network.close()
     network.close()
     assert network.is_quiescent()

@@ -90,13 +90,13 @@ def test_depths_and_histograms():
     depths = graph.depths()
     assert all(depths[r.uid] == 0 for r in graph.roots)
     histogram = graph.depth_histogram()
-    assert sum(histogram.values()) == len(graph)
+    assert sum(histogram.values()) == len(graph.events)
     assert max(histogram) == graph.summary()["max_chain_depth"]
     width = graph.width_histogram()
-    assert sum(width.values()) == len(graph)
+    assert sum(width.values()) == len(graph.events)
     # Edge count consistency: every non-root contributes one edge.
     edges = sum(count * w for w, count in width.items())
-    assert edges == len(graph) - len(graph.roots)
+    assert edges == len(graph.events) - len(graph.roots)
 
 
 def test_longest_chain_is_rooted_and_ordered():

@@ -3,8 +3,9 @@
 import csv
 import json
 
+import pytest
+
 from repro.cli import main
-from repro.obs.manifest import RunManifest
 
 
 def run_cli(tmp_path, *extra):
@@ -41,12 +42,12 @@ def test_metrics_out_writes_artifacts(tmp_path, capsys):
     assert "event-loop profile" in captured.out
     assert "wall clock" in captured.out
 
-    manifest = RunManifest.load(out / "manifest.json")
-    assert manifest.command == "run"
-    assert [p.name for p in manifest.phases] == [
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "run"
+    assert [p["name"] for p in manifest["phases"]] == [
         "warmup", "failure", "convergence",
     ]
-    assert manifest.seeds == [1]
+    assert manifest["seeds"] == [1]
 
     with (out / "timeseries.csv").open() as fh:
         rows = list(csv.reader(fh))
@@ -133,6 +134,35 @@ def test_trace_analyze_missing_file_fails_cleanly(tmp_path, capsys):
     assert "cannot analyze" in captured.err
 
 
+@pytest.mark.parametrize(
+    "line", ['{"a": 1}', "[1, 2]"], ids=["keyless-object", "list"]
+)
+def test_trace_analyze_refuses_a_line_that_is_no_trace_record(
+    line, tmp_path, capsys
+):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(line + "\n", encoding="utf-8")
+    assert main(["trace", "analyze", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot analyze {trace}: {trace}:1: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [["trace", "analyze"], ["dataplane", "report"]],
+    ids=["trace-analyze", "dataplane-report"],
+)
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_offline_reports_refuse_a_non_positive_top(verb, top, tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, str(path), "--top", top])
+    assert exc.value.code == 2
+    assert "--top: must be a positive integer" in capsys.readouterr().err
+
+
 def test_sweep_with_metrics_out(tmp_path, capsys):
     out = tmp_path / "sweep-out"
     code = main(
@@ -146,10 +176,10 @@ def test_sweep_with_metrics_out(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert (out / "manifest.json").exists()
-    manifest = RunManifest.load(out / "manifest.json")
-    assert manifest.kind == "repro-sweep"
-    assert manifest.extra["figure"] == "fig03"
-    assert manifest.extra["trials"] > 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["kind"] == "repro-sweep"
+    assert manifest["extra"]["figure"] == "fig03"
+    assert manifest["extra"]["trials"] > 1
     # Trial snapshots of every executed trial of the figure made it out
     # through the session the command passed as obs=.
     trials = [
@@ -157,4 +187,4 @@ def test_sweep_with_metrics_out(tmp_path, capsys):
         for line in (out / "metrics.jsonl").read_text().splitlines()
         if json.loads(line).get("kind") == "trial"
     ]
-    assert len(trials) == manifest.extra["trials"]
+    assert len(trials) == manifest["extra"]["trials"]

@@ -38,6 +38,15 @@ def _local(dest):
     return Route(dest=dest, path=(dest,), peer=None)
 
 
+def status_of(mon, node, dest):
+    """A pair's current status: that of its last transition (None if the
+    pair was never evaluated)."""
+    return next(
+        (s for _, n, d, s, _ in reversed(mon.transitions) if (n, d) == (node, dest)),
+        None,
+    )
+
+
 # ----------------------------------------------------------------------
 # Monitor unit tests (synthetic, driven directly)
 # ----------------------------------------------------------------------
@@ -48,8 +57,8 @@ def test_walk_reaches_origin_with_hop_counts():
     mon.on_best_route(2, 9, _route(9, (9,), 3), 0.0)
     mon.on_best_route(1, 9, _route(9, (2, 9), 2), 0.0)
     mon.finalize(1.0)
-    assert mon.status_of(1, 9) == OK
-    assert mon.status_of(3, 9) == OK
+    assert status_of(mon, 1, 9) == OK
+    assert status_of(mon, 3, 9) == OK
     # 1 -> 2 -> 3(origin): 2 hops; 2 -> 3: 1 hop; origin: 0 hops.
     hops = {t[1]: t[4] for t in mon.transitions}
     assert hops == {1: 2, 2: 1, 3: 0}
@@ -64,9 +73,9 @@ def test_blackhole_and_loop_detection():
     mon.on_best_route(1, 9, _route(9, (2, 9), 2), 1.0)
     mon.on_best_route(2, 9, _route(9, (1, 9), 1), 1.0)
     mon.finalize(2.0)
-    assert mon.status_of(1, 9) == LOOP
-    assert mon.status_of(2, 9) == LOOP
-    assert mon.status_of(3, 9) == BLACKHOLE
+    assert status_of(mon, 1, 9) == LOOP
+    assert status_of(mon, 2, 9) == LOOP
+    assert status_of(mon, 3, 9) == BLACKHOLE
 
 
 def test_feeder_into_loop_also_loops():
@@ -76,9 +85,9 @@ def test_feeder_into_loop_also_loops():
     mon.on_best_route(3, 9, _route(9, (2, 9), 2), 0.0)
     mon.on_best_route(1, 9, _route(9, (2, 3, 9), 2), 0.0)  # feeds the loop
     mon.finalize(1.0)
-    assert mon.status_of(1, 9) == LOOP
-    assert mon.status_of(2, 9) == LOOP
-    assert mon.status_of(3, 9) == LOOP
+    assert status_of(mon, 1, 9) == LOOP
+    assert status_of(mon, 2, 9) == LOOP
+    assert status_of(mon, 3, 9) == LOOP
 
 
 def test_same_instant_changes_coalesce_to_one_evaluation():
@@ -97,7 +106,7 @@ def test_same_instant_changes_coalesce_to_one_evaluation():
     mon.on_best_route(2, 9, _local(9), 1.0)
     mon.finalize(2.0)
     assert mon.transitions == before  # nothing changed observably
-    assert mon.status_of(1, 9) == OK
+    assert status_of(mon, 1, 9) == OK
 
 
 def test_loop_that_forms_and_heals_across_instants():
@@ -113,8 +122,8 @@ def test_loop_that_forms_and_heals_across_instants():
     looped = [t for t in mon.transitions if t[3] == LOOP]
     assert {t[1] for t in looped} == {1, 2}
     assert all(t[0] == 1.0 for t in looped)
-    assert mon.status_of(1, 9) == OK
-    assert mon.status_of(2, 9) == OK
+    assert status_of(mon, 1, 9) == OK
+    assert status_of(mon, 2, 9) == OK
     healed = [
         t for t in mon.transitions if t[0] == 1.25 and t[3] == OK
     ]
@@ -128,8 +137,8 @@ def test_node_failure_closes_pairs_as_down_and_purges_state():
     mon.on_best_route(1, 9, _route(9, (2, 9), 2), 0.0)
     mon.on_nodes_failed([2], 1.0)
     mon.finalize(2.0)
-    assert mon.status_of(2, 9) == DOWN
-    assert mon.status_of(1, 9) == BLACKHOLE  # next hop died
+    assert status_of(mon, 2, 9) == DOWN
+    assert status_of(mon, 1, 9) == BLACKHOLE  # next hop died
 
 
 # ----------------------------------------------------------------------

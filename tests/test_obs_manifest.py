@@ -53,9 +53,13 @@ def test_host_fingerprint_keys():
 # ----------------------------------------------------------------------
 # PhaseTiming / RunManifest round-trip
 # ----------------------------------------------------------------------
-def test_phase_timing_round_trip():
+def test_phase_timing_round_trip(tmp_path):
     timing = PhaseTiming("warmup", 1.5, sim_seconds=30.0, events=1000)
-    assert PhaseTiming.from_dict(timing.to_dict()) == timing
+    path = RunManifest(phases=[timing]).save(tmp_path / "manifest.json")
+    assert json.loads(path.read_text())["phases"] == [
+        {"name": "warmup", "wall_seconds": 1.5, "sim_seconds": 30.0,
+         "events": 1000}
+    ]
 
 
 def test_manifest_round_trip(tmp_path):
@@ -75,18 +79,12 @@ def test_manifest_round_trip(tmp_path):
     )
 
     path = manifest.save(tmp_path / "manifest.json")
-    loaded = RunManifest.load(path)
-    assert loaded == manifest
-    assert loaded.phases[0].events == 500
-    assert loaded.package_version
-    assert loaded.created_utc
-    assert loaded.spec["failure_fraction"] == 0.1
-
-
-def test_manifest_from_partial_dict():
-    manifest = RunManifest.from_dict({"kind": "x"})
-    assert manifest.kind == "x"
-    assert manifest.phases == []
+    loaded = json.loads(path.read_text())
+    assert loaded == manifest.to_dict()
+    assert loaded["phases"][1]["events"] == 700
+    assert loaded["package_version"]
+    assert loaded["created_utc"]
+    assert loaded["spec"]["failure_fraction"] == 0.1
 
 
 # ----------------------------------------------------------------------
@@ -131,13 +129,13 @@ def test_session_export_writes_all_artifacts(tmp_path):
         "profile.txt",
     }
 
-    manifest = RunManifest.load(tmp_path / "manifest.json")
-    phase_names = [p.name for p in manifest.phases]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    phase_names = [p["name"] for p in manifest["phases"]]
     assert phase_names == ["warmup", "failure", "convergence"]
-    assert manifest.seeds == [1]
-    assert manifest.extra["trials"] == 1
-    assert manifest.extra["profiled_events"] > 0
-    assert manifest.counters["updates_sent"] > 0
+    assert manifest["seeds"] == [1]
+    assert manifest["extra"]["trials"] == 1
+    assert manifest["extra"]["profiled_events"] > 0
+    assert manifest["counters"]["updates_sent"] > 0
 
     rows = [
         json.loads(line)

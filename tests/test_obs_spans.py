@@ -251,8 +251,8 @@ def test_hot_path_calls_the_language_not_wrappers():
     The per-event wrappers the event loop and the speaker used to go
     through — ``Event.__lt__``, the ``now`` / ``enabled`` properties,
     ``Counter.incr``, ``AdjRibIn.best_candidate`` — must not come back as
-    frames of ``repro/``; the event queue's ``__bool__`` / ``__len__`` /
-    ``peek_time`` run a constant number of times per ``Simulator.run()``
+    frames of ``repro/``; the event queue's ``__len__`` / ``peek_time``
+    run a constant number of times per ``Simulator.run()``
     (two runs per trial) with one ``pop_due`` per event; and the total
     stays under a bound: 29.0 calls per event on 3.11 with pending MRAI
     work as one flag per destination (30.2 with ``pending`` sets, 32.8
@@ -282,7 +282,7 @@ def test_hot_path_calls_the_language_not_wrappers():
         name: frames[name]
         for name in ("__lt__", "now", "enabled", "incr", "best_candidate")
     }
-    per_run = {name: queue[name] for name in ("__bool__", "__len__", "peek_time")}
+    per_run = {name: queue[name] for name in ("__len__", "peek_time")}
     per_event = stats.total_calls / result.events_executed
     print(
         f"\n{stats.total_calls} calls / {result.events_executed} events = "

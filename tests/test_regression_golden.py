@@ -15,7 +15,7 @@ from repro.bgp.network import BGPNetwork
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.sim.timers import Jitter
 from repro.topology.skewed import skewed_topology
-from tests.conftest import clique_topology
+from tests.conftest import clique_topology, total_loc_rib_routes
 
 
 def test_golden_deterministic_protocol_outcome():
@@ -35,7 +35,7 @@ def test_golden_deterministic_protocol_outcome():
     # so no further churn: exactly 80 updates.
     assert net.counters["updates_sent"] == 80
     assert net.counters["route_changes"] == 25
-    assert net.total_loc_rib_routes() == 25
+    assert total_loc_rib_routes(net) == 25
 
 
 def test_golden_experiment_is_stable_within_session():

@@ -89,10 +89,3 @@ def test_utilization_rejects_bad_interval():
 def test_utilization_rejects_bad_window():
     with pytest.raises(ValueError):
         SlidingWindowUtilization(window=0.0)
-
-
-def test_utilization_clear():
-    util = SlidingWindowUtilization(window=1.0)
-    util.add_busy(9.0, 10.0)
-    util.clear()
-    assert util.utilization(10.0) == 0.0

@@ -15,7 +15,7 @@ def test_tracer_records_events():
     tracer = Tracer()
     tracer.emit(1.0, "update_sent", 3, "dest", 7)
     tracer.emit(2.0, "route_change", 4)
-    assert len(tracer) == 2
+    assert len(tracer.records) == 2
     assert tracer.records[0] == TraceRecord(1.0, "update_sent", 3, ("dest", 7))
 
 
@@ -23,9 +23,7 @@ def test_category_filter():
     tracer = Tracer(categories={"update_sent"})
     tracer.emit(1.0, "update_sent", 1)
     tracer.emit(1.0, "route_change", 1)
-    assert len(tracer) == 1
-    assert list(tracer.by_category("route_change")) == []
-    assert len(list(tracer.by_category("update_sent"))) == 1
+    assert [r.category for r in tracer.records] == ["update_sent"]
 
 
 def test_sink_is_invoked():
@@ -35,45 +33,27 @@ def test_sink_is_invoked():
     assert len(seen) == 1
 
 
-def test_clear():
-    tracer = Tracer()
-    tracer.emit(1.0, "x", None)
-    tracer.clear()
-    assert len(tracer) == 0
-
-
 def test_max_records_sink_still_sees_everything():
     seen = []
     tracer = Tracer(sink=seen.append)
     for i in range(4):
         tracer.emit(float(i), "x", i)
     assert len(seen) == 4
-    assert len(tracer) == 4
+    assert len(tracer.records) == 4
 
 
 def test_max_records_unset_keeps_everything():
     tracer = Tracer()
     for i in range(100):
         tracer.emit(float(i), "x", i)
-    assert len(tracer) == 100
+    assert len(tracer.records) == 100
     assert [r.node for r in tracer.records] == list(range(100))
-
-
-def test_max_records_clear_and_by_category():
-    tracer = Tracer()
-    for i in range(6):
-        tracer.emit(float(i), "a" if i % 2 else "b", i)
-    assert len(list(tracer.by_category("a"))) == 3
-    tracer.clear()
-    assert len(tracer) == 0
-    tracer.emit(0.0, "a", 1)
-    assert len(tracer) == 1
 
 
 def test_null_tracer_drops_everything():
     tracer = NullTracer()
     tracer.emit(1.0, "x", None)
-    assert len(tracer) == 0
+    assert len(tracer.records) == 0
     assert not tracer.enabled
 
 

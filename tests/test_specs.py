@@ -1,7 +1,7 @@
 """Tests for the declarative experiment-description layer (repro.specs).
 
 Headline contracts: every scheme dict the figure harness declares
-round-trips through ``spec_to_dict``/``spec_from_dict``; the canonical
+round-trips through ``spec_to_dict``/``build_spec``; the canonical
 dict for each MRAI scheme kind is pinned; validation rejects
 typos with per-field messages; and a campaign JSON can express every
 scheme kind the ``run`` subcommand can — including topology-resolved
@@ -24,7 +24,6 @@ from repro.specs import (
     MRAI_SCHEMES,
     build_mrai,
     build_spec,
-    spec_from_dict,
     spec_to_dict,
 )
 from repro.specs.mrai import MRAIScheme
@@ -57,7 +56,7 @@ def test_scheme_sets_round_trip(set_name, topo24):
         # The explicit dict is JSON-serializable (campaign files) ...
         assert json.loads(json.dumps(d)) == d
         # ... reproduces an equal spec ...
-        again = spec_from_dict(d, topology=topo24)
+        again = build_spec(d, topology=topo24)
         assert again == spec, (set_name, label)
         # ... and is a fixed point (idempotent canonical form).
         assert spec_to_dict(again) == d, (set_name, label)
@@ -159,7 +158,7 @@ def test_theory_scheme_serializes_as_resolved_dynamic(topo24):
     spec = build_spec({"mrai_scheme": "theory"}, topology=topo24)
     d = spec_to_dict(spec)
     assert d["mrai_scheme"] == "dynamic"
-    assert spec_from_dict(d) == spec
+    assert build_spec(d) == spec
 
 
 def test_equal_meaning_paths_share_the_canonical_dict(topo24):
@@ -401,7 +400,7 @@ def test_campaign_rejects_bad_scheme_with_label():
 # ----------------------------------------------------------------------
 def test_cli_campaign_validate(tmp_path, capsys):
     good = tmp_path / "good.json"
-    zoo_campaign().save(good)
+    good.write_text(json.dumps(zoo_campaign().to_dict()))
     assert main(["campaign", "validate", str(good)]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "campaign 'zoo'" in out

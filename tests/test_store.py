@@ -65,11 +65,10 @@ def test_put_get_roundtrip(store):
     trial = one_trial()
     key = spec_hash(spec_05(), factory(1), 1)
     assert store.get(key) is None
-    assert key not in store
+    assert not store.has(key)
 
     store.put(key, trial, fingerprint=spec_fingerprint(spec_05(), factory(1), 1))
     assert store.has(key)
-    assert key in store
     assert len(store) == 1
 
     cached = store.get(key)

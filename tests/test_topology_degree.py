@@ -149,10 +149,14 @@ def test_realize_degree_sequence_end_to_end():
 # Specs
 # ---------------------------------------------------------------------------
 def test_paper_specs_average_degrees():
-    assert SkewedDegreeSpec.paper_70_30().expected_average_degree() == pytest.approx(3.8)
-    assert SkewedDegreeSpec.paper_50_50().expected_average_degree() == pytest.approx(3.75)
-    assert SkewedDegreeSpec.paper_85_15().expected_average_degree() == pytest.approx(3.8)
-    assert SkewedDegreeSpec.paper_50_50_dense().expected_average_degree() == pytest.approx(7.75)
+    def mean_degree(spec):
+        seq = spec.sample(10000, random.Random(1))
+        return sum(seq) / len(seq)
+
+    assert mean_degree(SkewedDegreeSpec.paper_70_30()) == pytest.approx(3.8, rel=0.03)
+    assert mean_degree(SkewedDegreeSpec.paper_50_50()) == pytest.approx(3.75, rel=0.03)
+    assert mean_degree(SkewedDegreeSpec.paper_85_15()) == pytest.approx(3.8, rel=0.03)
+    assert mean_degree(SkewedDegreeSpec.paper_50_50_dense()) == pytest.approx(7.75, rel=0.03)
 
 
 def test_skewed_sample_class_split_is_exact():
@@ -195,9 +199,7 @@ def test_internet_distribution_statistics():
     low_share = sum(1 for d in seq if d <= 3) / len(seq)
     # The paper: ~70% of ASes connect to fewer than 4 others.
     assert 0.6 <= low_share <= 0.95
-    pmf = dist.pmf()
-    assert sum(pmf.values()) == pytest.approx(1.0)
-    assert 1.5 <= dist.expected_average_degree() <= 5.0
+    assert 1.5 <= sum(seq) / len(seq) <= 5.0
 
 
 def test_internet_distribution_validation():

@@ -71,14 +71,6 @@ def test_degrees_and_neighbors():
     assert topo.degree_histogram() == {2: 2, 3: 2}
 
 
-def test_link_other_endpoint():
-    link = Link(3, 7)
-    assert link.other(3) == 7
-    assert link.other(7) == 3
-    with pytest.raises(KeyError):
-        link.other(5)
-
-
 def test_connected_components():
     topo = Topology()
     for i in range(4):
