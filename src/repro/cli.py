@@ -88,11 +88,20 @@ def _make_obs_session(
 ):
     """An ObsSession when any observability flag is set, else None.
 
-    The trace sink (when ``--trace-out`` is given) is registered on
-    ``stack`` so it is closed — and its final line flushed — before the
-    command returns, no matter how the run ends; ``trace analyze`` must
-    never see a truncated trailing record.
+    ``--sample-interval`` without ``--metrics-out`` is a usage error
+    (exit 2 before any trial runs): the samples are written nowhere
+    else.  The trace sink (when ``--trace-out`` is given) is registered
+    on ``stack`` so it is closed — and its final line flushed — before
+    the command returns, no matter how the run ends; ``trace analyze``
+    must never see a truncated trailing record.
     """
+    if args.sample_interval is not None and not args.metrics_out:
+        print(
+            "--sample-interval requires --metrics-out DIR (the samples "
+            "go to DIR/timeseries.csv)",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     trace_out = getattr(args, "trace_out", None)
     spans_out = getattr(args, "spans_out", None)
     dataplane_out = getattr(args, "dataplane_out", None)
@@ -100,7 +109,6 @@ def _make_obs_session(
     wants_obs = (
         getattr(args, "metrics_out", None)
         or getattr(args, "profile", False)
-        or getattr(args, "sample_interval", None) is not None
         or trace_out
         or spans_out
         or dataplane
@@ -156,7 +164,7 @@ def _finish_obs(obs, args: argparse.Namespace, command: str) -> None:
 
 
 def _make_live_monitor(
-    args: argparse.Namespace, stack: contextlib.ExitStack, obs, jobs: int
+    args: argparse.Namespace, stack: contextlib.ExitStack, jobs: int
 ):
     """A LiveMonitor to pass as ``progress=`` when asked, else None.
 
@@ -172,7 +180,6 @@ def _make_live_monitor(
 
     monitor = LiveMonitor(
         jobs=jobs,
-        session=obs,
         stream=sys.stderr if progress else None,
         heartbeat=heartbeat,
     )
@@ -193,9 +200,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2
-    print(topology.summary())
     with contextlib.ExitStack() as stack:
         obs = _make_obs_session(args, stack)
+        print(topology.summary())
         result = run_experiment(topology, spec, seed=args.seed, obs=obs)
         print(f"failure size       : {result.failure_size} routers")
         print(f"warm-up time       : {result.warmup_time:.2f} s (sim)")
@@ -302,6 +309,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("--resume requires --store PATH", file=sys.stderr)
         return 2
     with contextlib.ExitStack() as stack:
+        obs = _make_obs_session(args, stack)
         store = None
         if args.store:
             from pathlib import Path
@@ -323,8 +331,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             except UnusableStoreError as exc:
                 print(exc, file=sys.stderr)
                 return 2
-        obs = _make_obs_session(args, stack)
-        monitor = _make_live_monitor(args, stack, obs, jobs=args.jobs)
+        monitor = _make_live_monitor(args, stack, jobs=args.jobs)
         with span("sweep.figure", figure=args.figure, scale=args.scale):
             output = compute_figure(
                 args.figure,
@@ -488,7 +495,7 @@ def cmd_campaign_run(args: argparse.Namespace, campaign, store_path) -> int:
         return 2
     with contextlib.ExitStack() as stack:
         obs = _make_obs_session(args, stack)
-        monitor = _make_live_monitor(args, stack, obs, jobs=args.jobs)
+        monitor = _make_live_monitor(args, stack, jobs=args.jobs)
         store = stack.enter_context(ResultStore(store_path))
         try:
             result = run_campaign(

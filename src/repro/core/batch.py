@@ -248,14 +248,16 @@ def run_batch(
 
     ``store`` is anything with ``get(key)`` / ``put(key, trial,
     fingerprint=...)``.  With one, every planned trial is looked up by
-    its key first (``obs.note_cache`` counts each lookup, hit or miss,
-    exactly once) and every successful execution is written back from
+    its key first and every successful execution is written back from
     this process before the next outcome is consumed, so an interrupt
     loses only the trials still in flight.  A batch whose session
     monitors the data plane looks up with ``get(key, dataplane=True)``:
     a trial banked without the monitor carries no data-plane summary,
     so it is a miss, and the re-execution's ``put`` overwrites the row
-    under the same key with the superset record.  Failed executions are
+    under the same key with the superset record.  A batch whose session
+    samples runs storeless: probe ticks are engine events, so a sampled
+    trial is not the result its key names, and a cached one would
+    leave no samples.  Failed executions are
     re-run until :data:`MAX_ATTEMPTS` rounds have been spent; what still
     fails is returned in :attr:`BatchResult.failures`, never raised.
 
@@ -271,6 +273,9 @@ def run_batch(
     executed outcome, every one carrying the batch's own cached count;
     ``attempt_span`` names a span opened around each execution round.
     """
+    obs_config = obs.worker_args() if obs is not None else None
+    if obs_config and obs_config.get("sample_interval") is not None:
+        store = None
     if store is not None:
         from repro.store.hashing import trial_fingerprint
 
@@ -278,15 +283,12 @@ def run_batch(
     total = len(planned)
     trials: List[Optional[TrialResult]] = [None] * total
     pending: List[int] = []
-    obs_config = obs.worker_args() if obs is not None else None
     monitored = bool(obs_config and obs_config.get("dataplane"))
     lookup = {"dataplane": True} if monitored else {}
     for index, item in enumerate(planned):
         cached = None
         if store is not None:
             cached = store.get(item.key, **lookup)
-            if obs is not None:
-                obs.note_cache(cached is not None)
         if cached is None:
             pending.append(index)
             continue

@@ -41,7 +41,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.experiment import Progress
-    from repro.obs.session import ObsSession
     from repro.store.campaign import Campaign
     from repro.store.result_store import ResultStore
 
@@ -62,10 +61,6 @@ class LiveMonitor:
     ----------
     jobs:
         Worker count of the run (for the utilization denominator).
-    session:
-        Optional :class:`~repro.obs.session.ObsSession` supplying the
-        lifetime store hit rate.  The cached *count* is the current
-        batch's, read from the tick (:attr:`Progress.cached`).
     stream:
         Where the status line goes (default ``sys.stderr``; pass None
         for heartbeat-only monitoring with no terminal output).  On a
@@ -84,7 +79,6 @@ class LiveMonitor:
         self,
         *,
         jobs: int = 1,
-        session: Optional["ObsSession"] = None,
         stream: Any = _DEFAULT_STREAM,
         heartbeat: Optional[Union[str, Path]] = None,
         label: str = "",
@@ -92,7 +86,6 @@ class LiveMonitor:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.session = session
         self.stream = (
             sys.stderr if stream is LiveMonitor._DEFAULT_STREAM else stream
         )
@@ -127,9 +120,10 @@ class LiveMonitor:
         return self.last.failed if self.last is not None else 0
 
     def hit_rate(self) -> float:
-        if self.session is None:
+        """The tick's share of done trials the store served."""
+        if self.last is None or self.last.done <= 0:
             return 0.0
-        return self.session.counters_snapshot()["cache_hit_rate"]
+        return self.cached / self.last.done
 
     def utilization(self) -> float:
         """Fraction of worker capacity spent simulating (busy / jobs x
@@ -201,7 +195,7 @@ class LiveMonitor:
         ]
         if self.failed:
             parts.append(f"failed {self.failed}")
-        if self.session is not None:
+        if self.cached:
             parts.append(f"hit {self.hit_rate():.0%}")
         if self.jobs > 1:
             parts.append(f"util {self.utilization():.0%}")

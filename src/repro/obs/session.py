@@ -265,8 +265,7 @@ class ObsSession:
 
         if sample_interval is not None and sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
-        #: Metrics merged across trials, plus the session's own
-        #: ``store_cache_hits`` / ``store_cache_misses`` counters.
+        #: Metrics merged across trials.
         self.registry = MetricsRegistry()
         self.sample_interval = sample_interval
         self.trace = bool(trace) or trace_sink is not None
@@ -298,37 +297,9 @@ class ObsSession:
         """The probe samples of the most recent sampled trial, if any."""
         return self.probes[-1] if self.probes else None
 
-    def note_cache(self, hit: bool) -> None:
-        """Record one trial-cache lookup outcome (store-backed runs)."""
-        name = "store_cache_hits" if hit else "store_cache_misses"
-        self.registry.counter(name).inc()
-
-    def _cache_counts(self) -> Tuple[int, int]:
-        """Trial-cache ``(hits, misses)`` recorded by :meth:`note_cache`."""
-        hits = self.registry.get("store_cache_hits")
-        misses = self.registry.get("store_cache_misses")
-        return (hits.value if hits else 0, misses.value if misses else 0)
-
     def note_campaign(self, name: str, manifest: Dict[str, Any]) -> None:
         """Attach one campaign run's manifest to this session."""
         self.campaigns.append({"name": name, "manifest": manifest})
-
-    def counters_snapshot(self) -> Dict[str, Any]:
-        """The session's headline counters as one plain dict.
-
-        What the campaign service's ``/health`` endpoint reports for the
-        daemon's lifetime session: cache traffic, trials observed, and
-        campaign count — cheap enough to read on every poll.
-        """
-        hits, misses = self._cache_counts()
-        looked_up = hits + misses
-        return {
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache_hit_rate": round(hits / looked_up, 4) if looked_up else 0.0,
-            "trials_observed": len(self.trial_snapshots),
-            "campaigns": len(self.campaigns),
-        }
 
     # ------------------------------------------------------------------
     # Trial round-trip: recipe out, observation record in
@@ -460,11 +431,6 @@ class ObsSession:
         dataplanes = [s["dataplane"] for s in snapshots if "dataplane" in s]
         if dataplanes:
             manifest.extra.setdefault("dataplane", _dataplane_rollup(dataplanes))
-        hits, misses = self._cache_counts()
-        if hits or misses:
-            manifest.extra.setdefault(
-                "store_cache", {"hits": hits, "misses": misses}
-            )
         if self.campaigns:
             manifest.extra.setdefault("campaigns", jsonable(self.campaigns))
         self.manifest = manifest

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.core.parallel import get_worker_pool, shutdown_worker_pool
-from repro.obs.session import ObsSession
 from repro.service.submission import SubmissionReceipt
 from repro.store.result_store import ResultStore
 
@@ -93,22 +92,24 @@ class CampaignService:
         self.stop_event = threading.Event()
         self.started_at = time.time()
         self.submissions = 0
-        self.obs = ObsSession()
+        #: Trials the store answered at submission time, over all receipts.
+        self.served_cached = 0
         self.monitor = LiveMonitor(
             jobs=max(1, config.jobs),
-            session=self.obs,
             stream=None if config.quiet else sys.stderr,
             heartbeat=config.heartbeat,
             label="service",
         )
         self.executor = QueueExecutor(
-            self.backend, config, obs=self.obs, monitor=self.monitor
+            self.backend, config, monitor=self.monitor
         )
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
         self._executor_thread: Optional[threading.Thread] = None
         self._shutdown_done = False
         self._mutex = threading.Lock()
+        #: HTTP handler threads note submissions concurrently.
+        self._counts_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -244,9 +245,9 @@ class CampaignService:
             "status": "draining" if self.stopping else "ok",
             "uptime_seconds": round(time.time() - self.started_at, 1),
             "submissions": self.submissions,
+            "served_cached": self.served_cached,
             "store": self.backend.stats(),
             "executor": self.executor.telemetry(),
-            "session": self.obs.counters_snapshot(),
             "pool": pool_stats(),
             "live": self.monitor.snapshot(),
         }
@@ -267,12 +268,9 @@ class CampaignService:
         )
 
     def note_submission(self, receipt: SubmissionReceipt) -> None:
-        self.submissions += 1
-        if self.obs is not None:
-            # Cache-hit accounting mirrors run_campaign: one hit per
-            # trial served from the store at submission time.
-            for _ in range(receipt.cached):
-                self.obs.note_cache(True)
+        with self._counts_lock:
+            self.submissions += 1
+            self.served_cached += receipt.cached
         self.log(receipt.summary())
 
     # ------------------------------------------------------------------

@@ -71,24 +71,21 @@ class QueueExecutor:
     It reads ``jobs``, ``batch_size``, ``lease_seconds`` and
     ``poll_interval`` from the daemon's ``config``
     (:class:`~repro.service.daemon.ServiceConfig`) and leases as
-    :attr:`owner`, a fresh :func:`default_owner`.  ``obs`` (an
-    :class:`~repro.obs.session.ObsSession`) rides along to workers
-    exactly as in ``run_campaign``; ``monitor`` (a
-    :class:`~repro.obs.live.LiveMonitor`) receives one progress tick per
-    trial outcome, which is what feeds the service's ETA endpoint.
+    :attr:`owner`, a fresh :func:`default_owner`.  Its trials run
+    unobserved; ``monitor`` (a :class:`~repro.obs.live.LiveMonitor`)
+    receives one progress tick per trial outcome, which is what feeds
+    the service's ETA endpoint.
     """
 
     def __init__(
         self,
         backend: ResultStore,
         config: "ServiceConfig",
-        obs: Optional[Any] = None,
         monitor: Optional[Any] = None,
     ) -> None:
         self.backend = backend
         self.config = config
         self.owner = default_owner()
-        self.obs = obs
         self.monitor = monitor
         self.started = time.perf_counter()
         #: Lifetime counters (exposed via :meth:`telemetry`).
@@ -223,7 +220,6 @@ class QueueExecutor:
                 planned,
                 jobs=cfg.jobs,
                 store=self.backend,
-                obs=self.obs,
                 on_outcome=settle,
             )
         except _DrainStopped:

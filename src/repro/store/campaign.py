@@ -475,7 +475,8 @@ def run_campaign(
     Every trial enters its point's :class:`ExperimentResult` in seed
     order, cached and fresh alike — the folded series equal an uncached
     run's.  The run is recorded as a manifest row in the store, and
-    ``obs`` (when given) gets cache hit/miss counters and the manifest.
+    ``obs`` (when given) gets the manifest; a session that samples runs
+    every trial and banks none (:func:`~repro.core.batch.run_batch`).
     """
     from repro.core.batch import MAX_ATTEMPTS, run_batch
 

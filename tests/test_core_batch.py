@@ -55,8 +55,10 @@ class StubStore:
     def __init__(self, rows=()):
         self.rows = {key: trial for key, trial in rows}
         self.fingerprints = {}
+        self.lookups = []
 
     def get(self, key):
+        self.lookups.append(key in self.rows)
         return self.rows.get(key)
 
     def put(self, key, trial, fingerprint=None):
@@ -66,11 +68,7 @@ class StubStore:
 
 class StubObs:
     def __init__(self):
-        self.lookups = []
         self.absorbed = []
-
-    def note_cache(self, hit):
-        self.lookups.append(hit)
 
     def worker_args(self):
         return {"stub": True}
@@ -103,19 +101,18 @@ def scripted(monkeypatch, order=reversed, errors=()):
 def test_hits_are_skipped_and_every_lookup_counted_once(monkeypatch):
     rounds = scripted(monkeypatch)
     store = StubStore([("key-2", fake_trial(2))])
-    obs = StubObs()
     seen = []
     ticks = []
     result = run_batch(
         plan([1, 2, 3]),
         jobs=1,
         store=store,
-        obs=obs,
+        obs=StubObs(),
         on_outcome=seen.append,
         progress=ticks.append,
     )
     assert rounds == [[0, 2]]  # the hit never reaches execution
-    assert obs.lookups == [False, True, False]
+    assert store.lookups == [False, True, False]
     # Every tick says how many of its ``done`` the lookup served.
     assert [(t.done, t.cached) for t in ticks] == [(1, 1), (2, 1), (3, 1)]
     assert (result.hits, result.executed, result.retried) == (1, 2, 0)
@@ -189,7 +186,6 @@ def test_payloads_absorbed_in_plan_order_not_completion_order(monkeypatch):
     ticks = []
     run_batch(plan([1, 2, 3]), jobs=2, obs=obs, progress=ticks.append)
     assert obs.absorbed == [{"from": 0}, {"from": 1}, {"from": 2}]
-    assert obs.lookups == []  # no store, nothing looked up
     assert [t.done for t in ticks] == [1, 2, 3]
     assert ticks[-1].busy_seconds == pytest.approx(2.25)
 

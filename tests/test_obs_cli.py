@@ -163,6 +163,58 @@ def test_offline_reports_refuse_a_non_positive_top(verb, top, tmp_path, capsys):
     assert "--top: must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["run", "--nodes", "20", "--failure", "0.1", "--trace-out", "t.jsonl"],
+        ["sweep", "--figure", "fig01", "--store", "s.db"],
+        ["campaign", "run", "c.json", "--store", "s.db"],
+        ["campaign", "resume", "c.json", "--store", "old.db"],
+    ],
+    ids=["run", "sweep", "campaign-run", "campaign-resume"],
+)
+def test_sample_interval_without_metrics_out_is_refused(
+    verb, tmp_path, monkeypatch, capsys
+):
+    # The samples would be written nowhere: one stderr line, exit 2, no
+    # trial, no new file.
+    import repro.cli
+    import repro.figures
+    import repro.store.campaign
+    from repro.store import ResultStore
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(repro.cli, "run_experiment", no_trial)
+    monkeypatch.setattr(repro.figures, "compute_figure", no_trial)
+    monkeypatch.setattr(repro.store.campaign, "run_campaign", no_trial)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(
+        json.dumps(
+            {
+                "name": "cli-sampled",
+                "schemes": {"a": {"mrai": 0.5}},
+                "axis": {"name": "failure_fraction", "values": [0.1]},
+                "seeds": [1],
+            }
+        ),
+        encoding="utf-8",
+    )
+    ResultStore(tmp_path / "old.db").close()
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--sample-interval", "0.5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "--sample-interval requires --metrics-out DIR (the samples go to "
+        "DIR/timeseries.csv)"
+    ]
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_sweep_with_metrics_out(tmp_path, capsys):
     out = tmp_path / "sweep-out"
     code = main(

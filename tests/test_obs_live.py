@@ -78,27 +78,23 @@ def test_monitor_eta_all_cached_with_stray_busy_seconds():
     assert "cached 3" in mon.status_line()
 
 
-def test_monitor_eta_ignores_the_sessions_lifetime_cache_hits():
-    """The daemon's lifetime session counts every warm /submit hit, while
-    the executor's ticks count executed trials only: after one warm
-    36-trial submission the ETA used to read executed = 36 - 36 = 0 and
-    fall back to uptime / done (1000 s here).  The cached count is the
-    batch's own, carried on the tick."""
+def test_monitor_eta_and_hit_rate_read_only_the_tick():
+    """The service executor's ticks count executed trials only (cached
+    = 0), so after one warm 36-trial submission the ETA still reads
+    executed = 36 rather than falling back to uptime / done (1000 s
+    here).  The hit rate is the tick's own cached / done, shown on the
+    status line only when the tick carries cached trials."""
 
-    from repro.obs.session import ObsSession
-
-    session = ObsSession()
-    for hit in [True] * 36 + [False] * 36:
-        session.note_cache(hit)
-    tick = _tick(36, 72, elapsed=1000.0, busy=36.0)  # executor tick: cached=0
-    before = LiveMonitor(jobs=2, stream=None)
-    after = LiveMonitor(jobs=2, stream=None, session=session)
-    before(tick)
-    after(tick)
-    assert before.eta_seconds() == pytest.approx(18.0)
-    assert after.eta_seconds() == pytest.approx(18.0)
-    assert after.snapshot()["cached"] == 0
-    assert after.snapshot()["hit_rate"] == 0.5  # still the session's
+    mon = LiveMonitor(jobs=2, stream=None)
+    mon(_tick(36, 72, elapsed=1000.0, busy=36.0))  # executor tick: cached=0
+    assert mon.eta_seconds() == pytest.approx(18.0)
+    assert mon.snapshot()["cached"] == 0
+    assert mon.snapshot()["hit_rate"] == 0.0
+    assert "hit" not in mon.status_line()
+    mon(_tick(8, 10, elapsed=2.0, busy=2.0, cached=6))  # a batch's tick
+    assert mon.eta_seconds() == pytest.approx(1.0)  # 2 left x 1 s / 2 jobs
+    assert mon.snapshot()["hit_rate"] == 0.75
+    assert "hit 75%" in mon.status_line()
 
 
 def test_monitor_failed_and_no_stream():

@@ -14,6 +14,7 @@ import http.client
 import json
 import os
 import sqlite3
+import sys
 import threading
 import time
 
@@ -36,7 +37,7 @@ from repro.service import (
     ticket_status,
 )
 from repro.service.executor import QueueExecutor
-from repro.service.submission import submission_campaign
+from repro.service.submission import SubmissionReceipt, submission_campaign
 from repro.store import (
     Campaign,
     ResultStore,
@@ -507,6 +508,65 @@ def test_service_cold_then_warm_over_http(service):
     trial = client.trial(key)
     assert trial["trial"]["seed"] in CAMPAIGN["seeds"]
     assert trial["provenance"]["schema_version"] >= 2
+
+
+def test_health_counts_warm_submissions_without_a_session(service):
+    client = ServiceClient(f"http://127.0.0.1:{service.port}")
+    receipt = client.submit(CAMPAIGN)
+    client.wait(receipt["ticket"], timeout=120.0, poll_interval=0.05)
+    assert client.submit(CAMPAIGN)["cached"] == 4
+    health = client.health()
+    assert "session" not in health
+    assert (health["submissions"], health["served_cached"]) == (2, 4)
+    assert health["executor"]["executed"] == 4
+
+
+def test_a_service_trial_runs_unobserved(tmp_path, monkeypatch):
+    # The daemon keeps no observation session, so its executor hands
+    # the trial no observation recipe.
+    real = batch_mod.execute_trial
+    recipes = []
+
+    def spy(index, topology, spec, seed, obs_config):
+        recipes.append(obs_config)
+        return real(index, topology, spec, seed, obs_config)
+
+    monkeypatch.setattr(batch_mod, "execute_trial", spy)
+    service = CampaignService(service_config(tmp_path))
+    try:
+        plan_submission(small_campaign(seeds=[1]), service.backend)
+        drain_fully(service.executor)
+    finally:
+        service.shutdown()
+    assert recipes == [None]
+    assert service.executor.executed == 1
+
+
+def test_note_submission_loses_no_count_under_contention(tmp_path):
+    # Handler threads note submissions concurrently; the counts are
+    # read-modify-writes, so a lost update would show as a short total.
+    service = CampaignService(service_config(tmp_path))
+    receipt = SubmissionReceipt(
+        ticket="t", name="n", total=3, cached=2, enqueued=1, deduplicated=0
+    )
+
+    def note_many():
+        for _ in range(500):
+            service.note_submission(receipt)
+
+    threads = [threading.Thread(target=note_many) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        service.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert (service.submissions, service.served_cached) == (4000, 8000)
 
 
 def test_service_http_error_mapping(service):

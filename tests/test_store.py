@@ -225,14 +225,37 @@ def test_partial_cache_mixes_cached_and_fresh(store):
 
 
 def test_obs_session_counts_cache_lookups(store):
+    # Each lookup is counted once, by the store handle; the session
+    # carries each campaign's own hit count in its manifest.
     obs = ObsSession()
     run_cell(SCHEME_05, SEEDS, store=store, obs=obs)
-    assert obs.registry.get("store_cache_hits") is None
-    assert obs.registry.get("store_cache_misses").value == len(SEEDS)
+    assert (store.hits, store.misses) == (0, len(SEEDS))
     run_cell(SCHEME_05, SEEDS, store=store, obs=obs)
-    assert obs.registry.get("store_cache_hits").value == len(SEEDS)
+    assert (store.hits, store.misses) == (len(SEEDS), len(SEEDS))
     manifest = obs.finalize()
-    assert manifest.extra["store_cache"] == {
-        "hits": len(SEEDS),
-        "misses": len(SEEDS),
-    }
+    assert "store_cache" not in manifest.extra
+    assert [
+        (c["manifest"]["cache_hits"], c["manifest"]["total_trials"])
+        for c in manifest.extra["campaigns"]
+    ] == [(0, len(SEEDS)), (len(SEEDS), len(SEEDS))]
+
+
+def test_a_sampled_batch_neither_reads_nor_writes_the_store(store):
+    # Probe ticks are engine events, so a sampled trial is not the
+    # result its key names: a sampled batch banks nothing, and on a warm
+    # store it still executes every trial, so every trial has samples.
+    obs = ObsSession(sample_interval=0.25)
+    sampled = run_cell(SCHEME_05, SEEDS, store=store, obs=obs)
+    assert len(store) == 0 and store.misses == 0
+    unsampled = run_cell(SCHEME_05, SEEDS)
+    assert result_signature(sampled) != result_signature(unsampled)
+    cold = run_cell(SCHEME_05, SEEDS, store=store)
+    assert result_signature(cold) == result_signature(unsampled)
+    obs = ObsSession(sample_interval=0.25)
+    warm = run_cell(SCHEME_05, SEEDS, store=store, obs=obs)
+    assert len(obs.probes) == len(SEEDS)
+    assert result_signature(warm) == result_signature(sampled)
+    assert store.hits == 0 and len(store) == len(SEEDS)
+    assert result_signature(
+        run_cell(SCHEME_05, SEEDS, store=store)
+    ) == result_signature(unsampled)
