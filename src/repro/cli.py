@@ -83,18 +83,10 @@ def build_mrai_policy(
     return build_mrai(_scheme_from_args(args), topology)
 
 
-def _make_obs_session(
-    args: argparse.Namespace, stack: contextlib.ExitStack
-):
-    """An ObsSession when any observability flag is set, else None.
-
-    ``--sample-interval`` without ``--metrics-out`` is a usage error
-    (exit 2 before any trial runs): the samples are written nowhere
-    else.  The trace sink (when ``--trace-out`` is given) is registered
-    on ``stack`` so it is closed — and its final line flushed — before
-    the command returns, no matter how the run ends; ``trace analyze``
-    must never see a truncated trailing record.
-    """
+def _check_sample_interval(args: argparse.Namespace) -> None:
+    """``--sample-interval`` without ``--metrics-out`` is a usage error
+    (exit 2 before any file is made): the samples are written nowhere
+    else."""
     if args.sample_interval is not None and not args.metrics_out:
         print(
             "--sample-interval requires --metrics-out DIR (the samples "
@@ -102,6 +94,20 @@ def _make_obs_session(
             file=sys.stderr,
         )
         raise SystemExit(2)
+
+
+def _make_obs_session(
+    args: argparse.Namespace, stack: contextlib.ExitStack
+):
+    """An ObsSession when any observability flag is set, else None.
+
+    Opens the sink files, so a command with a store opens it first: a
+    store refused as unusable must leave ``--trace-out`` /
+    ``--dataplane-out`` untouched.  The trace sink (when ``--trace-out``
+    is given) is registered on ``stack`` so it is closed — and its final
+    line flushed — before the command returns, no matter how the run
+    ends; ``trace analyze`` must never see a truncated trailing record.
+    """
     trace_out = getattr(args, "trace_out", None)
     spans_out = getattr(args, "spans_out", None)
     dataplane_out = getattr(args, "dataplane_out", None)
@@ -200,6 +206,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2
+    _check_sample_interval(args)
     with contextlib.ExitStack() as stack:
         obs = _make_obs_session(args, stack)
         print(topology.summary())
@@ -256,8 +263,8 @@ def _print_pool_summary(jobs: int) -> None:
 
     Printed after parallel sweeps/campaigns, mirroring the store's
     hit/miss line: how many workers the whole command actually booted
-    vs reused, and how often trials found their topology already cached
-    worker-side.
+    vs reused, and how many chunks (one topology shipment each) carried
+    its trials.
     """
     if jobs <= 1:
         return
@@ -266,14 +273,12 @@ def _print_pool_summary(jobs: int) -> None:
     totals = pool_stats()
     if not totals["runs"]:
         return
-    hits = int(totals["cache_hits"])
-    looked_up = hits + int(totals["cache_misses"])
-    rate = hits / looked_up if looked_up else 1.0
     print(
         f"pool: {int(totals['workers_spawned'])} worker(s) spawned, "
         f"{int(totals['workers_reused'])} reuse(s) over "
-        f"{int(totals['runs'])} run(s), topology cache {hits}/{looked_up} "
-        f"hits ({rate:.0%}), spin-up {totals['spinup_seconds']:.2f}s",
+        f"{int(totals['runs'])} run(s), {int(totals['tasks'])} trial(s) in "
+        f"{int(totals['chunks'])} chunk(s), "
+        f"spin-up {totals['spinup_seconds']:.2f}s",
         file=sys.stderr,
     )
 
@@ -308,8 +313,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and not args.store:
         print("--resume requires --store PATH", file=sys.stderr)
         return 2
+    _check_sample_interval(args)
     with contextlib.ExitStack() as stack:
-        obs = _make_obs_session(args, stack)
         store = None
         if args.store:
             from pathlib import Path
@@ -331,6 +336,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             except UnusableStoreError as exc:
                 print(exc, file=sys.stderr)
                 return 2
+        obs = _make_obs_session(args, stack)
         monitor = _make_live_monitor(args, stack, jobs=args.jobs)
         with span("sweep.figure", figure=args.figure, scale=args.scale):
             output = compute_figure(
@@ -493,10 +499,11 @@ def cmd_campaign_run(args: argparse.Namespace, campaign, store_path) -> int:
     if args.jobs < 1:
         print("--jobs must be a positive integer", file=sys.stderr)
         return 2
+    _check_sample_interval(args)
     with contextlib.ExitStack() as stack:
+        store = stack.enter_context(ResultStore(store_path))
         obs = _make_obs_session(args, stack)
         monitor = _make_live_monitor(args, stack, jobs=args.jobs)
-        store = stack.enter_context(ResultStore(store_path))
         try:
             result = run_campaign(
                 campaign, store, jobs=args.jobs, obs=obs, progress=monitor

@@ -12,8 +12,9 @@
   :class:`~repro.core.batch.PlannedTrial`;
 * :mod:`repro.core.parallel` — single-trial execution (``execute_trial``
   returns the result beside the trial's observation record, at every
-  ``jobs`` value) and the persistent warm worker pool (one topology cache
-  per worker) behind ``jobs > 1``, with deterministic seed fan-out;
+  ``jobs`` value) and the persistent warm worker pool (chunks of trials
+  that share a topology) behind ``jobs > 1``, with deterministic seed
+  fan-out;
 * :mod:`repro.core.sweep` — the series behind every figure: swept axes,
   what a point means on each, and the fold of a grid into curves;
 * :mod:`repro.core.validation` — post-convergence routing correctness

@@ -21,31 +21,23 @@ The warm worker pool
 --------------------
 A cold ``ProcessPoolExecutor`` per run that pickles the full built
 topology into every task loses to its own overhead on short trials.
-:class:`WorkerPool` keeps long-lived workers that amortize every fixed
-cost:
+:class:`WorkerPool` keeps long-lived workers and ships each topology
+once per chunk of trials, not once per trial:
 
 * **Persistent warm workers.**  One process-wide pool
   (:func:`get_worker_pool`), created on first use, reused by every
   campaign and service batch, reaped at interpreter exit
   (or explicitly via :func:`shutdown_worker_pool`).  Spin-up is paid
   once per process, not once per batch.
-* **One per-worker topology cache.**  A chunk crosses the pipe as a lean
-  message (:func:`chunk_message`): the *content digest* of its topology
-  — computed once by the planner and carried on every record — the
-  batch's obs recipe, and its trials as ``(index, spec, seed)``.  The
-  topology itself ships to a given worker at most once per cache
-  residency, on every start method; afterwards the worker replays
-  trials against its cached copy.  Caches are bounded LRU
-  (:data:`DEFAULT_TOPOLOGY_CACHE` entries); the parent keeps a mirror
-  of each worker's cache and both ends update through one routine
-  (:func:`cache_touch`), once per chunk each, so the mirror decides
-  what to ship *and* is the cache accounting: hits, misses and
-  evictions are counted at dispatch, not reported back.
-* **Digest-affinity chunk scheduling.**  Trials are grouped by topology
-  digest and dispatched as chunks (:func:`plan_chunks`); free workers
-  prefer chunks whose topology they already hold
-  (:func:`choose_chunk`), so campaigns — which group trials by grid
-  cell — keep hitting warm caches.
+* **A chunk carries its topology.**  Trials are grouped by topology
+  *content digest* — computed once by the planner and carried on every
+  record — into chunks (:func:`plan_chunks`), and a chunk crosses the
+  pipe as one message (:func:`chunk_message`): the topology its trials
+  share, pickled once, the batch's obs recipe, and its trials as
+  ``(index, spec, seed)``.  Workers keep nothing between chunks.
+* **One dispatch rule.**  Chunks leave in plan order; the head chunk
+  goes to the least-loaded live worker with fewer than
+  ``_MAX_INFLIGHT_CHUNKS`` chunks in flight (:func:`free_worker`).
 * **Streamed, compact results.**  After its ``ready`` handshake a
   worker sends one message per finished trial and nothing else
   (progress ticks stream; a chunk is over when its last outcome lands),
@@ -74,7 +66,7 @@ import atexit
 import math
 import os
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
@@ -86,7 +78,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -97,9 +88,6 @@ from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - batch imports this module
     from repro.core.batch import PlannedTrial
-
-#: Per-worker topology cache capacity (entries, LRU).
-DEFAULT_TOPOLOGY_CACHE = 8
 
 #: How many chunks a worker may have queued at once.  2 keeps a worker's
 #: next chunk in its pipe while the current one runs (no idle gap), while
@@ -185,26 +173,7 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def cache_touch(
-    cache: "OrderedDict[str, Any]", digest: str, value: Any, capacity: int
-) -> int:
-    """Insert or refresh ``digest`` as the most recent entry of an LRU
-    ``cache``; returns how many entries fell off the old end.
-
-    The one cache update of the pool: a worker applies it to its
-    topologies and the parent to its mirror of them, once per chunk
-    each, which is what keeps the two in step.
-    """
-    cache[digest] = value
-    cache.move_to_end(digest)
-    evictions = 0
-    while len(cache) > capacity:
-        cache.popitem(last=False)
-        evictions += 1
-    return evictions
-
-
-def _worker_main(conn: Any, cache_capacity: int) -> None:
+def _worker_main(conn: Any) -> None:
     """Worker process loop: receive chunks, run trials, stream results.
 
     Protocol (parent -> worker): :func:`chunk_message` and
@@ -223,26 +192,15 @@ def _worker_main(conn: Any, cache_capacity: int) -> None:
     _spans_mod._RECORDER = None
     _spans_mod._PATH.set("")
 
-    cache: "OrderedDict[str, Any]" = OrderedDict()
     try:
         conn.send(("ready",))
         while True:
             message = conn.recv()
             if message[0] == "close":
                 break
-            _, run_id, chunk_id, digest, shipped, obs_config, trials = message
-            topology = shipped if shipped is not None else cache.get(digest)
-            cache_touch(cache, digest, topology, cache_capacity)
+            _, run_id, chunk_id, topology, obs_config, trials = message
             for index, spec, seed in trials:
                 try:
-                    if topology is None:
-                        # Parent/worker cache models diverged — a
-                        # protocol bug, surfaced as a per-trial error so
-                        # the run fails loudly instead of hanging.
-                        raise RuntimeError(
-                            f"worker lost topology {digest} "
-                            f"(cache capacity {cache_capacity})"
-                        )
                     outcome = execute_trial(
                         index, topology, spec, seed, obs_config
                     ) + (None,)
@@ -266,7 +224,6 @@ class _WorkerHandle:
     __slots__ = (
         "process",
         "conn",
-        "holds",
         "ready",
         "spawned_at",
         "spinup_seconds",
@@ -277,8 +234,6 @@ class _WorkerHandle:
     def __init__(self, process: Any = None, conn: Any = None) -> None:
         self.process = process
         self.conn = conn
-        #: Mirror of the worker's LRU cache, oldest first (cache_touch).
-        self.holds: "OrderedDict[str, bool]" = OrderedDict()
         self.ready = False
         self.spawned_at = time.perf_counter()
         self.spinup_seconds: Optional[float] = None
@@ -318,32 +273,18 @@ def plan_chunks(
     return chunks
 
 
-def choose_chunk(
-    pending: Sequence[Chunk], workers: Sequence[_WorkerHandle]
-) -> Optional[Tuple[_WorkerHandle, int]]:
-    """The next ``(worker, position in pending)`` to dispatch, or None.
+def free_worker(workers: Sequence[_WorkerHandle]) -> Optional[_WorkerHandle]:
+    """The worker the head chunk goes to, or None when nobody is free.
 
-    Free workers (fewest chunks in flight first) prefer the first queued
-    chunk whose topology they already hold.  A worker with no warm chunk
-    takes the head chunk only if no *other* free worker is warm for it
-    (that one claims it in its own turn).
+    The least-loaded live worker with fewer than
+    ``_MAX_INFLIGHT_CHUNKS`` chunks in flight; ties go to the earliest.
     """
-    free = sorted(
-        (
-            w
-            for w in workers
-            if w.alive and len(w.remaining) < _MAX_INFLIGHT_CHUNKS
-        ),
-        key=lambda w: len(w.remaining),
-    )
-    for worker in free:
-        for position, (_chunk_id, digest, _members) in enumerate(pending):
-            if digest in worker.holds:
-                return worker, position
-        head = pending[0][1]
-        if not any(w is not worker and head in w.holds for w in free):
-            return worker, 0
-    return None
+    free = [
+        w
+        for w in workers
+        if w.alive and len(w.remaining) < _MAX_INFLIGHT_CHUNKS
+    ]
+    return min(free, key=lambda w: len(w.remaining), default=None)
 
 
 def chunk_message(
@@ -351,21 +292,16 @@ def chunk_message(
     chunk: Chunk,
     planned: Sequence["PlannedTrial"],
     obs_config: Optional[Dict[str, Any]],
-    ship: bool,
 ) -> Tuple[Any, ...]:
-    """What crosses the pipe for one chunk.
-
-    The chunk's digest and the batch's obs recipe once, its trials as
-    ``(index, spec, seed)``, and the topology itself only when the
-    worker's cache does not hold it (``ship``).
-    """
-    chunk_id, digest, members = chunk
+    """What crosses the pipe for one chunk: the topology its trials
+    share and the batch's obs recipe once, its trials as ``(index, spec,
+    seed)``."""
+    chunk_id, _digest, members = chunk
     return (
         "chunk",
         run_id,
         chunk_id,
-        digest,
-        planned[members[0]].topology if ship else None,
+        planned[members[0]].topology,
         obs_config,
         [(i, planned[i].spec, planned[i].seed) for i in members],
     )
@@ -390,17 +326,17 @@ def lost_trials(worker: _WorkerHandle, run_id: Optional[int]) -> List[int]:
 
 #: The pool's counters, all zero (``pool_stats()`` before first use; every
 #: pool starts from a copy).  ``runs`` / ``tasks`` / ``workers_reused``
-#: move when a run starts; ``chunks``, ``shipped_topologies`` and the
-#: cache counts when a chunk is sent (its first trial pays for a
-#: shipment, the rest hit); the last two as a worker boots and reports in.
+#: move when a run starts; ``chunks`` and the cache counts when a chunk
+#: is sent — its first trial pays for the topology it ships
+#: (``cache_misses`` counts chunks), the rest ride along
+#: (``cache_hits``, so hits + misses == tasks); the last two as a worker
+#: boots and reports in.
 _ZERO_TOTALS: Dict[str, float] = {
     "runs": 0,
     "tasks": 0,
     "chunks": 0,
     "cache_hits": 0,
     "cache_misses": 0,
-    "evictions": 0,
-    "shipped_topologies": 0,
     "workers_spawned": 0,
     "workers_reused": 0,
     "spinup_seconds": 0.0,
@@ -450,32 +386,21 @@ def collect(
 
 
 class WorkerPool:
-    """A persistent pool of warm trial workers with topology caches.
+    """A persistent pool of warm trial workers.
 
     One instance normally serves the whole process (see
     :func:`get_worker_pool`); tests construct private pools to control
-    ``start_method`` and ``cache_capacity``.  Workers are spawned on
+    ``start_method``.  Workers are spawned on
     demand (up to the largest ``jobs`` ever requested), survive across
     runs, and are reaped by :meth:`close` or at interpreter
     exit.
     """
 
-    def __init__(
-        self,
-        start_method: Optional[str] = None,
-        cache_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, start_method: Optional[str] = None) -> None:
         import multiprocessing
 
         self.start_method = start_method or default_start_method()
         self._ctx = multiprocessing.get_context(self.start_method)
-        self.cache_capacity = (
-            cache_capacity
-            if cache_capacity is not None
-            else DEFAULT_TOPOLOGY_CACHE
-        )
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
         self._workers: List[_WorkerHandle] = []
         self.closed = False
         #: The pool's only bookkeeping, incremented in place; pool_stats()
@@ -493,7 +418,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.cache_capacity),
+            args=(child_conn,),
             daemon=True,
             name="repro-pool-worker",
         )
@@ -595,7 +520,6 @@ class WorkerPool:
         before = dict(self.totals)
         want = max(1, min(jobs, len(indices)))
         chunks = plan_chunks([(i, planned[i].digest) for i in indices], want)
-        digests = {digest for _chunk_id, digest, _members in chunks}
         self.totals["runs"] += 1
         self.totals["tasks"] += len(indices)
         self.totals["workers_reused"] += min(want, self.workers_alive)
@@ -606,7 +530,7 @@ class WorkerPool:
             planned=planned,
             obs_config=obs_config,
             pending=deque(chunks),
-            workers=self._select_workers(want, digests),
+            workers=[w for w in self._workers if w.alive][:want],
         )
         self._drain_stale()
         owed = len(indices)
@@ -618,15 +542,6 @@ class WorkerPool:
         return {name: self.totals[name] - was for name, was in before.items()}
 
     # -- scheduling internals -------------------------------------------
-    def _select_workers(
-        self, want: int, digests: Set[str]
-    ) -> List[_WorkerHandle]:
-        """Up to ``want`` alive workers, warmest-cache first."""
-        alive = [w for w in self._workers if w.alive]
-        # Stable: equally warm workers keep their spawn order.
-        alive.sort(key=lambda w: -len(digests.intersection(w.holds)))
-        return alive[:want]
-
     def _bury(
         self, worker: _WorkerHandle, run: Optional[_Run]
     ) -> List[Tuple[Any, ...]]:
@@ -680,22 +595,18 @@ class WorkerPool:
                 lost_trials(worker, None)
 
     def _dispatch(self, run: _Run) -> List[Tuple[Any, ...]]:
-        """Send queued chunks to free workers, warm caches first.
+        """Send queued chunks, head first, while a worker is free.
 
         Returns error outcomes for the trials of workers found dead on
         the way (normally none).
         """
         lost: List[Tuple[Any, ...]] = []
         while run.pending:
-            choice = choose_chunk(run.pending, run.workers)
-            if choice is None:
+            worker = free_worker(run.workers)
+            if worker is None:
                 break
-            worker, position = choice
-            chunk_id, digest, members = chunk = run.pending[position]
-            ship = digest not in worker.holds
-            message = chunk_message(
-                run.id, chunk, run.planned, run.obs_config, ship
-            )
+            chunk_id, _digest, members = chunk = run.pending[0]
+            message = chunk_message(run.id, chunk, run.planned, run.obs_config)
             with span("pool.submit", chunk=chunk_id, trials=len(members)):
                 try:
                     worker.conn.send(message)
@@ -703,15 +614,11 @@ class WorkerPool:
                     # The chunk stays queued for a live worker.
                     lost += self._bury(worker, run)
                     continue
-            del run.pending[position]
+            run.pending.popleft()
             worker.remaining[(run.id, chunk_id)] = list(members)
             self.totals["chunks"] += 1
-            self.totals["shipped_topologies"] += ship
-            self.totals["cache_misses"] += ship
-            self.totals["cache_hits"] += len(members) - ship
-            self.totals["evictions"] += cache_touch(
-                worker.holds, digest, True, self.cache_capacity
-            )
+            self.totals["cache_misses"] += 1
+            self.totals["cache_hits"] += len(members) - 1
         return lost
 
     def _advance(self, run: _Run) -> Optional[List[Tuple[Any, ...]]]:

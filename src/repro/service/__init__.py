@@ -9,8 +9,8 @@ of a results-serving backend.  This package assembles them into one:
   single spec into per-trial content keys, splits cache hits from cold
   trials, and enqueues the cold ones under a ticket;
 * :mod:`repro.service.executor` — the drain loop: lease queued trials,
-  rebuild their specs/topologies, run them on the warm pool with
-  digest-affinity batching, bank results, retry a failing trial inside
+  rebuild their specs/topologies, run them on the warm pool in chunks
+  that share a topology, bank results, retry a failing trial inside
   its batch and park what exhausts the attempt budget;
 * :mod:`repro.service.daemon` — :class:`CampaignService`, wiring the
   HTTP API (:mod:`repro.service.api`), the executor thread and graceful

@@ -6,11 +6,11 @@ parameter block + explicit spec dict + seed) and hands the batch to
 :func:`repro.core.batch.run_batch` — the same function ``run_campaign``
 runs — with the backend as its store and the queue bookkeeping in its
 per-outcome hook.  So the batch runs on the
-process-wide warm :class:`~repro.core.parallel.WorkerPool` (digest-
-affinity chunk scheduling lands same-topology trials on workers already
-holding that topology), every result is banked from this process the
-moment it streams back, and folding banked trials produces output
-bit-identical to :func:`repro.store.campaign.run_campaign`.
+process-wide warm :class:`~repro.core.parallel.WorkerPool` (same-topology
+trials ride one chunk, which carries their topology), every result is
+banked from this process the moment it streams back, and folding banked
+trials produces output bit-identical to
+:func:`repro.store.campaign.run_campaign`.
 
 Any number of executor processes may drain one store: the lease
 transaction hands each task to exactly one of them, heartbeats keep

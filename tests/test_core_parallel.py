@@ -7,7 +7,7 @@ session records.
 
 import multiprocessing
 import pickle
-from collections import OrderedDict
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -23,18 +23,17 @@ from repro.core.experiment import (
 from repro.core.batch import MAX_ATTEMPTS, PlannedTrial, plan_grid
 from repro.core.parallel import (
     WorkerPool,
+    _MAX_INFLIGHT_CHUNKS,
     _Run,
     _WorkerHandle,
-    cache_touch,
-    choose_chunk,
     collect,
     derive_trial_seeds,
     execute_trial,
+    free_worker,
     lost_trials,
     plan_chunks,
 )
 from repro.obs.session import ObsSession
-from repro.obs.spans import record_spans
 from repro.store import Campaign, run_campaign
 from repro.store.campaign import CampaignError
 from repro.store.hashing import topology_digest, trial_key
@@ -407,11 +406,12 @@ def test_warm_pool_reuse_bitwise_across_runs():
         assert stats2["workers_spawned"] == 0
         assert stats2["workers_reused"] == 2
         assert stats2["spinup_seconds"] == 0.0
-        # The warm pool already holds every topology: all cache hits,
-        # nothing re-shipped.
-        assert stats2["cache_hits"] == len(SEEDS)
-        assert stats2["cache_misses"] == 0
-        assert stats2["shipped_topologies"] == 0
+        # Workers keep no topology between chunks: each run ships one
+        # per chunk, and the rest of a chunk's trials ride along.
+        for stats in (stats1, stats2):
+            assert stats["cache_misses"] == stats["chunks"]
+            assert stats["cache_hits"] + stats["cache_misses"] == len(SEEDS)
+            assert stats["tasks"] == len(SEEDS)
         assert result_signature(first) == result_signature(serial)
         assert result_signature(second) == result_signature(serial)
     finally:
@@ -436,54 +436,6 @@ def test_fork_and_spawn_start_methods_identical():
             ), method
         finally:
             pool.close()
-
-
-def test_topology_cache_eviction_on_digest_change():
-    # A capacity-1 cache with three distinct topologies forces
-    # evictions — results must stay correct throughout.
-    spec = spec_05()
-    serial = run_cell(SCHEME_05, SEEDS, jobs=1)
-    pool = WorkerPool(start_method="spawn", cache_capacity=1)
-    try:
-        result, stats = pool_trials(pool, spec)
-        assert result_signature(result) == result_signature(serial)
-        assert stats["shipped_topologies"] == len(SEEDS)  # all distinct
-        assert stats["cache_misses"] == len(SEEDS)  # each shipped once
-        assert stats["evictions"] >= 1  # capacity 1 cannot hold two
-        # Re-running re-ships whatever was evicted; the parent's mirror
-        # of each worker cache must stay exact (a divergence would
-        # surface as a "worker lost topology" trial error).
-        again, _stats = pool_trials(pool, spec)
-        assert result_signature(again) == result_signature(serial)
-    finally:
-        pool.close()
-    # One worker, room for two of the three topologies, two runs: the
-    # counters the parent takes at dispatch are those of a brute-force
-    # LRU fed the chunks in the order they were sent, and no trial finds
-    # its topology gone (pool_trials checks every error is None) — the
-    # mirror is the worker's cache.
-    digests = [topology_digest(factory(seed)) for seed in SEEDS]
-    pool = WorkerPool(cache_capacity=2)
-    held = []
-    try:
-        for _run in range(2):
-            with record_spans() as rec:
-                result, stats = pool_trials(pool, spec, jobs=1)
-            assert result_signature(result) == result_signature(serial)
-            # One trial a chunk, so chunk i carries SEEDS[i]'s topology.
-            sent = [
-                digests[r["attrs"]["chunk"]]
-                for r in rec.records
-                if r["name"] == "pool.submit"
-            ]
-            assert sorted(sent) == sorted(digests)
-            held, misses, evictions = list_lru(sent, 2, held)
-            assert stats["cache_misses"] == misses
-            assert stats["shipped_topologies"] == misses
-            assert stats["evictions"] == evictions >= 1
-            assert stats["cache_hits"] + misses == stats["tasks"] == 3
-    finally:
-        pool.close()
 
 
 def test_midchunk_failure_surfaces_trial_execution_error():
@@ -536,39 +488,8 @@ def test_run_guarded_reports_errors_without_aborting():
 # ----------------------------------------------------------------------
 # The scheduler's pure pieces: plain data in, plain data out, no process
 # ----------------------------------------------------------------------
-def list_lru(digests, capacity, held=()):
-    """Brute-force LRU over a plain list, oldest first: the final order
-    and how many of ``digests`` missed / how many entries were evicted."""
-    order, misses, evictions = list(held), 0, 0
-    for digest in digests:
-        if digest in order:
-            order.remove(digest)
-        else:
-            misses += 1
-        order.append(digest)
-        while len(order) > capacity:
-            del order[0]
-            evictions += 1
-    return order, misses, evictions
-
-
-@given(
-    digests=st.lists(st.sampled_from("abcdef")),
-    capacity=st.integers(min_value=1, max_value=4),
-)
-def test_cache_touch_is_a_brute_force_lru(digests, capacity):
-    cache, evictions = OrderedDict(), 0
-    for digest in digests:
-        evictions += cache_touch(cache, digest, digest.upper(), capacity)
-    order, _misses, evicted = list_lru(digests, capacity)
-    assert (list(cache), evictions) == (order, evicted)
-    assert all(value == digest.upper() for digest, value in cache.items())
-
-
-def handle(holds=(), remaining=None):
+def handle(remaining=None):
     worker = _WorkerHandle()
-    for digest in holds:
-        cache_touch(worker.holds, digest, True, capacity=8)
     worker.remaining.update(remaining or {})
     return worker
 
@@ -588,55 +509,122 @@ def test_plan_chunks_groups_by_digest_in_submission_order():
     assert [members for _, _, members in tiny] == [[0], [1], [2]]
 
 
+# Named for the digest-affinity rule it once checked; the two cases kept
+# are the load rule that replaced it, which ``free_worker`` applies.
 @pytest.mark.parametrize(
-    "pending, workers, expected",
+    "loads, expected",
     [
         pytest.param(
-            ["a", "b", "b"],
-            [dict(holds=["b"])],
-            (0, 1),
-            id="a free worker takes its first warm chunk, not the head",
-        ),
-        pytest.param(
-            ["a", "b"],
             [dict(remaining={(1, 7): [0]}), dict()],
-            (1, 0),
+            1,
             id="nobody warm: the least loaded worker takes the head",
         ),
         pytest.param(
-            ["a"],
-            [dict(), dict(holds=["a"], remaining={(1, 7): [0]})],
-            (1, 0),
-            id="a cold worker leaves the head to the worker warm for it",
-        ),
-        pytest.param(
-            ["a"],
-            [dict(holds=["a"], remaining={(1, 7): [0], (1, 8): [1]})],
+            [dict(remaining={(1, 7): [0], (1, 8): [1]})],
             None,
             id="two chunks in flight is a full worker",
         ),
     ],
 )
-def test_choose_chunk_affinity(pending, workers, expected):
-    workers = [handle(**spec) for spec in workers]
-    chunks = [(i, digest, [i]) for i, digest in enumerate(pending)]
-    choice = choose_chunk(chunks, workers)
+def test_choose_chunk_affinity(loads, expected):
+    workers = [handle(**spec) for spec in loads]
+    choice = free_worker(workers)
     if choice is not None:
-        choice = (workers.index(choice[0]), choice[1])
+        choice = workers.index(choice)
     assert choice == expected
 
 
 def test_dispatching_until_nobody_is_free_caps_chunks_in_flight():
-    workers = [handle(), handle(holds=["a"]), handle()]
+    workers = [handle(), handle(), handle()]
     workers[2].alive = False
     pending = [(i, "ab"[i % 2], [i]) for i in range(10)]
-    while (choice := choose_chunk(pending, workers)) is not None:
-        worker, position = choice
-        chunk_id, digest, members = pending.pop(position)
-        cache_touch(worker.holds, digest, True, capacity=8)
+    while (worker := free_worker(workers)) is not None:
+        chunk_id, _digest, members = pending.pop(0)
         worker.remaining[(1, chunk_id)] = members
     assert [len(w.remaining) for w in workers] == [2, 2, 0]
     assert len(pending) == 6
+
+
+class _Pipe:
+    """A worker's end of the pipe as ``_dispatch`` sees it: what was sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+@given(
+    loads=st.lists(
+        st.integers(min_value=0, max_value=_MAX_INFLIGHT_CHUNKS),
+        min_size=1,
+        max_size=5,
+    ),
+    dead=st.sets(st.integers(min_value=0, max_value=4)),
+    n_chunks=st.integers(min_value=0, max_value=12),
+    settles=st.lists(st.integers(min_value=0, max_value=4)),
+)
+def test_dispatch_sends_the_head_chunk_to_the_least_loaded_free_worker(
+    loads, dead, n_chunks, settles
+):
+    # The pool's own dispatch loop over workers with no process behind
+    # them.  They start with ``loads`` chunks of an earlier run in
+    # flight; after each dispatch a live worker finishes one chunk
+    # (``settles``) and the loop runs again.
+    workers = []
+    for position, load in enumerate(loads):
+        worker = handle({(0, k): [k] for k in range(load)})
+        worker.conn = _Pipe()
+        worker.alive = position not in dead
+        workers.append(worker)
+    planned = [
+        PlannedTrial(f"topology {i}", "spec", i, f"digest {i}", "")
+        for i in range(n_chunks)
+    ]
+    chunks = deque((i, f"digest {i}", [i]) for i in range(n_chunks))
+    run = _Run(1, planned, None, chunks, workers)
+    pool = WorkerPool()
+    sent = 0
+    for settle in [None] + settles:
+        if settle is not None:
+            busy = [w for w in workers if w.alive and w.remaining]
+            if not busy:
+                break
+            busy[settle % len(busy)].remaining.popitem()
+        # The rule, replayed on the loads: each queued chunk in turn goes
+        # to the least-loaded live worker with room, ties to the first.
+        expected, shadow = [], [len(w.remaining) for w in workers]
+        for _chunk in run.pending:
+            room = [
+                (load, position)
+                for position, (load, w) in enumerate(zip(shadow, workers))
+                if w.alive and load < _MAX_INFLIGHT_CHUNKS
+            ]
+            if not room:
+                break
+            expected.append(min(room)[1])
+            shadow[min(room)[1]] += 1
+        assert pool._dispatch(run) == []
+        took = {
+            message[2]: position
+            for position, w in enumerate(workers)
+            for message in w.conn.sent
+        }
+        # Chunks leave in plan order: the ids sent so far are 0..n-1.
+        assert sorted(took) == list(range(sent + len(expected)))
+        assert [took[i] for i in range(sent, len(took))] == expected
+        sent = len(took)
+        assert [len(w.remaining) for w in workers] == shadow
+        assert max(shadow) <= _MAX_INFLIGHT_CHUNKS
+        assert not run.pending or free_worker(workers) is None
+    # Every message carries its chunk's topology, and a dead worker is
+    # sent nothing.
+    for worker in workers:
+        for message in worker.conn.sent:
+            assert message[3] == planned[message[2]].topology
+        assert worker.alive or worker.conn.sent == []
+    assert pool.totals["chunks"] == pool.totals["cache_misses"] == sent
 
 
 def test_dead_worker_loses_only_the_current_runs_trials():

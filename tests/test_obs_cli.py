@@ -215,6 +215,51 @@ def test_sample_interval_without_metrics_out_is_refused(
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["sweep", "--figure", "fig01"],
+        ["campaign", "run", "c.json"],
+        ["campaign", "resume", "c.json"],
+    ],
+    ids=["sweep", "campaign-run", "campaign-resume"],
+)
+def test_unusable_store_leaves_the_sink_files_alone(verb, tmp_path, capsys):
+    # The store is refused before the sinks are opened: one stderr line,
+    # exit 2, and the files --trace-out / --dataplane-out name keep
+    # every byte.
+    (tmp_path / "c.json").write_text(
+        json.dumps(
+            {
+                "name": "cli-bad-store",
+                "schemes": {"a": {"mrai": 0.5}},
+                "axis": {"name": "failure_fraction", "values": [0.1]},
+                "seeds": [1],
+            }
+        ),
+        encoding="utf-8",
+    )
+    (tmp_path / "bad.db").write_bytes(b"not a database\n" * 8)
+    if verb[0] == "campaign":
+        verb = [*verb[:2], str(tmp_path / verb[2])]
+    sinks = [
+        "--trace-out", str(tmp_path / "t.jsonl"),
+        "--dataplane-out", str(tmp_path / "d.jsonl"),
+    ]
+    for sink in sinks[1::2]:
+        with open(sink, "w", encoding="utf-8") as handle:
+            handle.write("kept\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    code = main([*verb, "--store", str(tmp_path / "bad.db"), *sinks])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "bad.db" in captured.err
+    after = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert after == before
+
+
 def test_sweep_with_metrics_out(tmp_path, capsys):
     out = tmp_path / "sweep-out"
     code = main(
