@@ -3,13 +3,16 @@
 Updates are modeled at per-destination granularity — one message announces
 or withdraws exactly one destination — which matches SSFNet's accounting and
 the way the paper counts "update messages".  An announcement carries the
-sender's full AS path for the destination; a withdrawal carries ``path =
-None``.
+sender's full AS path for the destination (a cell of
+:mod:`repro.bgp.routes`, shared with the sender's RIBs); a withdrawal
+carries ``path = None``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
+
+from repro.bgp.routes import Path
 
 
 class Update:
@@ -42,7 +45,7 @@ class Update:
     cause_uid = -1
 
     def __init__(
-        self, dest: int, path: Optional[Tuple[int, ...]], sender: int
+        self, dest: int, path: Optional[Path], sender: int
     ) -> None:
         self.dest = dest
         self.path = path
@@ -66,7 +69,7 @@ class TracedUpdate(Update):
     def __init__(
         self,
         dest: int,
-        path: Optional[Tuple[int, ...]],
+        path: Optional[Path],
         sender: int,
         uid: int,
         cause_uid: int,

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.messages import Update
+from repro.bgp.routes import path_tuple
 from repro.bgp.speaker import BGPSpeaker
 from repro.sim.engine import Simulator
 from repro.sim.trace import Counter, Tracer
@@ -132,7 +133,7 @@ class BGPNetwork:
                 sender_id,
                 msg.dest,
                 receiver_id,
-                msg.path,
+                None if msg.path is None else path_tuple(msg.path),
             )
         self.note_activity()
         if self._g_in_flight is not None:

@@ -8,12 +8,14 @@ Standard BGP structure, laid out peer-major:
   clears the slot, and a session teardown drops the peer's list.  Session
   type and peer id are constants of the peer and a rank is stored only
   where an import policy assigned one, so a stored route is one list slot
-  referencing the tuple the sender's Adj-RIB-Out holds too.
+  referencing the path cell (:mod:`repro.bgp.routes`) the sender's
+  Adj-RIB-Out holds too.
 * **Loc-RIB** — the selected best route per destination: three lists
-  indexed by destination, the selected peer, the selected path (the tuple
+  indexed by destination, the selected peer, the selected path (the cell
   already in that peer's Adj-RIB-In slot) and a lazily built eBGP export
-  tuple.  A :class:`~repro.bgp.routes.Route` is only a view of a slot,
-  built on demand and stored nowhere.
+  cell, whose tail is that selected path.  A
+  :class:`~repro.bgp.routes.Route` is only a view of a slot, built on
+  demand and stored nowhere.
 * **Adj-RIB-Out** — per peer, what was last *sent* to that peer (a path, or
   ``None`` meaning "explicitly withdrawn").  Used to suppress no-op updates:
   BGP never re-sends an identical advertisement.
@@ -29,9 +31,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.bgp.routes import Route, key_tail, local_route
+from repro.bgp.routes import Path, Route, key_tail, local_route, path_tuple
 
-Path = Tuple[int, ...]
 #: A decision's winner: ``(peer, path)``, peer ``None`` for the local route.
 Selection = Tuple[Optional[int], Path]
 _LOCAL: Selection = (None, ())
@@ -106,13 +107,6 @@ class AdjRibIn:
         except KeyError:
             return None
 
-    def destinations(self) -> Set[int]:
-        return {dest for dest, n in enumerate(self._count) if n}
-
-    def route_count(self) -> int:
-        """Total number of stored routes (all peers, all destinations)."""
-        return sum(self._count)
-
     def decide(
         self,
         dest: int,
@@ -126,9 +120,10 @@ class AdjRibIn:
         route (it always wins).  ``excluded_peers`` removes candidates whose
         advertising peer is currently ineligible (route flap damping
         suppression).  Returns the winner as ``(peer, path)`` — ``(None,
-        ())`` for the local route, and otherwise the very tuple in the
+        ())`` for the local route, and otherwise the very cell in the
         peer's slot — or ``None`` when no feasible route exists.
-        Candidates rank by ``(rank, len(path), key tail)`` — the order of
+        Candidates rank by ``(rank, length, key tail)``, the length read
+        from the cell — the order of
         :meth:`~repro.bgp.routes.Route.preference_key`, a strict total
         order — so the minimum is independent of iteration order.
         """
@@ -140,7 +135,12 @@ class AdjRibIn:
             path = paths[dest]
             if path is None or excluded_peers and peer in excluded_peers:
                 continue
-            key = (ranks.get(dest, 0) if ranks else 0, len(path), tail)
+            # path_length(path), inlined: this scan is the hot loop.
+            key = (
+                ranks.get(dest, 0) if ranks else 0,
+                path[2] if path else 0,
+                tail,
+            )
             if best is None or key < best:
                 best = key
                 winner = entry
@@ -153,15 +153,17 @@ class LocRib:
     """Selected best route per destination, as destination-indexed slots.
 
     ``peer[dest]`` is the peer the selection came from (``None`` = locally
-    originated), ``path[dest]`` its path — the tuple in that peer's
+    originated), ``path[dest]`` its path — the cell in that peer's
     Adj-RIB-In slot, ``()`` for the local route, ``None`` for no route —
-    and ``export[dest]`` the eBGP export form ``(asn,) + path``, filled by
-    the owning speaker the first time it advertises the selection and
-    reset with every change.  That one tuple is what every peer's UPDATE,
-    the sender's Adj-RIB-Out and the receivers' Adj-RIB-In share, so the
-    hot equality checks hit CPython's identity fast path.  The speaker
-    writes the slots; a :class:`~repro.bgp.routes.Route` is only a view,
-    built per read by :meth:`get` / :meth:`items`.
+    and ``export[dest]`` the eBGP export cell ``prepend(asn, path)``,
+    filled by the owning speaker the first time it advertises the
+    selection and reset with every change.  That one cell is what every
+    peer's UPDATE, the sender's Adj-RIB-Out and the receivers' Adj-RIB-In
+    share, so the hot equality checks hit CPython's identity fast path;
+    its tail is the selected path itself, so building it copies nothing.
+    The speaker writes the slots; a :class:`~repro.bgp.routes.Route` is
+    only a view, built per read by :meth:`get` / :meth:`items`, with the
+    path as a flat tuple.
     """
 
     __slots__ = ("peer", "path", "export", "_rib_in")
@@ -198,7 +200,9 @@ class LocRib:
         if peer is None:
             return local_route(dest)
         __, ebgp, __, __, ranks = self._rib_in._peers[peer]
-        return Route(dest, path, peer, ebgp, rank=ranks.get(dest, 0))
+        return Route(
+            dest, path_tuple(path), peer, ebgp, rank=ranks.get(dest, 0)
+        )
 
     def items(self) -> Iterator[Tuple[int, Route]]:
         """``(dest, view)`` for every selection, ascending."""

@@ -12,6 +12,10 @@ measures:
   is computed *at send time* against Adj-RIB-Out, so superseded changes
   collapse into a single message per peer and no-op updates are suppressed.
 
+Paths are the cells of :mod:`repro.bgp.routes`: an eBGP export is one new
+cell in front of the selected path, and loop checks walk the chain.  Trace
+records carry the flat tuple, built only while tracing is on.
+
 Failure handling: ``peer_down`` flushes everything learned from the peer and
 re-selects affected destinations; ``fail`` silences the node itself.  A
 failure is permanent, so both release the tables it leaves unreachable: a
@@ -22,7 +26,7 @@ router its RIBs and queue as well.
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.damping import DampingState
@@ -30,7 +34,7 @@ from repro.bgp.messages import TracedUpdate, Update
 from repro.bgp.mrai import MRAIController
 from repro.bgp.queues import QueueDiscipline, make_queue
 from repro.bgp.rib import AdjRibIn, LocRib
-from repro.bgp.routes import Route
+from repro.bgp.routes import Path, Route, path_contains, path_tuple, prepend
 from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,8 +82,8 @@ class PeerState:
         #: lazily and only while causal tracing is enabled, so the
         #: untraced path never touches it.
         self.pending_cause: Optional[Dict[int, int]] = None
-        #: What was last sent, indexed by destination: a path tuple, None
-        #: for "withdrawn", or ``_NEVER_SENT``.
+        #: What was last sent, indexed by destination: a path, None for
+        #: "withdrawn", or ``_NEVER_SENT``.
         self.adj_rib_out: List[object] = [_NEVER_SENT] * prefixes
 
     def release(self) -> None:
@@ -276,11 +280,17 @@ class BGPSpeaker:
             return changed
         path = msg.path
         assert path is not None
-        if ps.ebgp and self.asn in path:
-            # Receiver-side AS-path loop detection: infeasible route; any
-            # previous route from this peer is implicitly replaced.
-            self.network.counters["updates_loop_rejected"] += 1
-            return rib_in.withdraw(msg.dest, msg.sender)
+        if ps.ebgp:
+            # Receiver-side AS-path loop detection (path_contains, inlined
+            # on the hot path): an infeasible route; any previous route
+            # from this peer is implicitly replaced.
+            asn = self.asn
+            hop = path
+            while hop and hop[0] != asn:
+                hop = hop[1]
+            if hop:
+                self.network.counters["updates_loop_rejected"] += 1
+                return rib_in.withdraw(msg.dest, msg.sender)
         existing = rib_in.get(msg.dest, msg.sender)
         if existing == path:
             return False
@@ -376,25 +386,32 @@ class BGPSpeaker:
         self.network.counters["route_changes"] += 1
         if self.sim.tracer.enabled:
             self.sim.tracer.emit(
-                self.sim.now, "route_change", self.node_id, dest, path
+                self.sim.now,
+                "route_change",
+                self.node_id,
+                dest,
+                None if path is None else path_tuple(path),
             )
         self.controller.on_destination_changed(dest, self.sim.now)
         self.network.note_activity()
         self._schedule_advertisements(dest)
 
-    def export_route(self, ps: PeerState, dest: int) -> Optional[Tuple[int, ...]]:
+    def export_route(self, ps: PeerState, dest: int) -> Optional[Path]:
         """The path this node would advertise to ``ps`` for ``dest`` now.
 
         ``None`` means "no advertisement" (withdraw if something was sent
-        before).  Encodes eBGP AS-prepending, iBGP non-reflection, and
-        optional sender-side loop suppression.
+        before).  Encodes eBGP AS-prepending (one cell in front of the
+        selected path, built once per selection), iBGP non-reflection,
+        and optional sender-side loop suppression.
         """
         loc = self.loc_rib
         path = loc.path[dest]
         if path is None:
             return None
         if ps.ebgp:
-            if self.config.sender_side_loop_detection and ps.asn in path:
+            if self.config.sender_side_loop_detection and path_contains(
+                path, ps.asn
+            ):
                 return None
             if self.config.policy is not None:
                 # The first AS on the stored path is the eBGP neighbor the
@@ -406,7 +423,7 @@ class BGPSpeaker:
                     return None
             export = loc.export[dest]
             if export is None:
-                export = loc.export[dest] = (self.asn,) + path
+                export = loc.export[dest] = prepend(self.asn, path)
             return export
         # iBGP export: local and eBGP-learned routes only (full-mesh rule:
         # a route learned over iBGP is never re-advertised over iBGP).
@@ -502,9 +519,7 @@ class BGPSpeaker:
             self._advertise_burst(ps, (scope,))
         self._cause_uid = -1
 
-    def _send(
-        self, ps: PeerState, dest: int, export: Optional[Tuple[int, ...]]
-    ) -> None:
+    def _send(self, ps: PeerState, dest: int, export: Optional[Path]) -> None:
         ps.adj_rib_out[dest] = export
         tracer = self.sim.tracer
         if not tracer.enabled:
@@ -526,7 +541,7 @@ class BGPSpeaker:
                 msg.cause_uid,
                 dest,
                 ps.peer_id,
-                export,
+                None if export is None else path_tuple(export),
             )
         self.network.transmit(self.node_id, ps.peer_id, msg, ps.delay)
 

@@ -20,6 +20,7 @@ from collections import deque
 from typing import Dict, Optional, Set
 
 from repro.bgp.network import BGPNetwork
+from repro.bgp.routes import path_tuple
 
 
 class RoutingViolation(AssertionError):
@@ -115,9 +116,10 @@ def validate_routing(
                 raise RoutingViolation(
                     f"node {nid}: route to dead prefix {dest}"
                 )
-            peer, path = loc.peer[dest], loc.path[dest]
+            peer = loc.peer[dest]
             if peer is None:
                 continue
+            path = path_tuple(loc.path[dest])
             if peer not in graph[nid]:
                 raise RoutingViolation(
                     f"node {nid}: best route to {dest} via down/dead "

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
+from repro.bgp.routes import path_tuple
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
 
@@ -61,7 +63,7 @@ def count_invalid_routes(network: "BGPNetwork") -> int:
     invalid = 0
     for speaker in network.alive_speakers():
         for path in speaker.loc_rib.path:
-            if path and not dead.isdisjoint(path):
+            if path and not dead.isdisjoint(path_tuple(path)):
                 invalid += 1
     return invalid
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -10,7 +10,8 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.policy import ASRelationships
-from repro.bgp.rib import LocRib
+from repro.bgp.rib import AdjRibIn, LocRib
+from repro.bgp.routes import Path, prepend
 from repro.bgp.speaker import _NEVER_SENT, PeerState
 from repro.core.experiment import ExperimentResult
 from repro.store.campaign import Campaign, run_campaign
@@ -150,9 +151,29 @@ def total_loc_rib_routes(network: BGPNetwork) -> int:
     return sum(len(s.loc_rib) for s in network.alive_speakers())
 
 
-def advertised(ps: PeerState) -> Dict[int, Optional[Tuple[int, ...]]]:
-    """What a speaker last sent over a session, by destination: a path, or
-    None for a withdrawal; destinations never sent are absent."""
+def as_path(*asns: int) -> Path:
+    """The AS path whose hops are ``asns``, first hop first, as the chain
+    of cells a RIB holds (:mod:`repro.bgp.routes`)."""
+    path: Path = ()
+    for asn in reversed(asns):
+        path = prepend(asn, path)
+    return path
+
+
+def rib_in_route_count(rib: AdjRibIn) -> int:
+    """Routes an Adj-RIB-In holds, all peers and destinations."""
+    return sum(rib._count)
+
+
+def rib_in_destinations(rib: AdjRibIn) -> Set[int]:
+    """Destinations for which an Adj-RIB-In holds at least one route."""
+    return {dest for dest, n in enumerate(rib._count) if n}
+
+
+def advertised(ps: PeerState) -> Dict[int, Optional[Path]]:
+    """What a speaker last sent over a session, by destination: the path
+    object itself (a cell, shared with the receiver's Adj-RIB-In), or None
+    for a withdrawal; destinations never sent are absent."""
     return {
         dest: sent
         for dest, sent in enumerate(ps.adj_rib_out)
@@ -167,10 +188,11 @@ def select(
     path: Optional[Tuple[int, ...]],
 ) -> None:
     """Write a selection into a Loc-RIB's slots, bypassing the decision:
-    ``path`` learned from ``peer`` (None = locally originated), or no route
+    the AS path ``path`` (a flat tuple, stored as :func:`as_path` builds
+    it) learned from ``peer`` (None = locally originated), or no route
     when ``path`` is None.  The export slot is reset, as on any change."""
     loc_rib.peer[dest] = peer
-    loc_rib.path[dest] = path
+    loc_rib.path[dest] = None if path is None else as_path(*path)
     loc_rib.export[dest] = None
 
 

@@ -11,6 +11,7 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.policy import ASRelationships, GaoRexfordPolicy
+from repro.bgp.routes import path_tuple
 from repro.bgp.speaker import PeerState
 from repro.sim.timers import Jitter
 from repro.topology.graph import Link, Router, Topology
@@ -49,6 +50,12 @@ def ibgp_peer(speaker) -> PeerState:
     return speaker.peers[1]
 
 
+def exported(speaker, ps, dest):
+    """``export_route`` as a flat tuple of AS numbers (None: nothing)."""
+    path = speaker.export_route(ps, dest)
+    return None if path is None else path_tuple(path)
+
+
 def test_no_route_exports_nothing():
     speaker = make_speaker()
     assert speaker.export_route(ebgp_peer(speaker), 7) is None
@@ -57,13 +64,13 @@ def test_no_route_exports_nothing():
 def test_local_route_prepends_own_as_on_ebgp():
     speaker = make_speaker()
     speaker.originate(0)
-    assert speaker.export_route(ebgp_peer(speaker), 0) == (0,)
+    assert exported(speaker, ebgp_peer(speaker), 0) == (0,)
 
 
 def test_local_route_unmodified_on_ibgp():
     speaker = make_speaker()
     speaker.originate(0)
-    assert speaker.export_route(ibgp_peer(speaker), 0) == ()
+    assert exported(speaker, ibgp_peer(speaker), 0) == ()
 
 
 def test_learned_route_prepends_own_as_on_ebgp():
@@ -72,7 +79,7 @@ def test_learned_route_prepends_own_as_on_ebgp():
     # Wait: learned from AS 1's router 2 — but exporting back to router 2
     # would loop at the receiver only if AS 1 is in the path; (3, 7) is
     # not, so the export goes out with AS 0 prepended.
-    assert speaker.export_route(ebgp_peer(speaker), 7) == (0, 3, 7)
+    assert exported(speaker, ebgp_peer(speaker), 7) == (0, 3, 7)
 
 
 def test_sender_side_loop_suppression():
@@ -85,7 +92,7 @@ def test_sender_side_loop_suppression():
 def test_sender_side_suppression_can_be_disabled():
     speaker = make_speaker(sender_side=False)
     select(speaker.loc_rib, 7, 1, (1, 7))
-    assert speaker.export_route(ebgp_peer(speaker), 7) == (0, 1, 7)
+    assert exported(speaker, ebgp_peer(speaker), 7) == (0, 1, 7)
 
 
 def test_ibgp_route_not_reflected_to_ibgp():
@@ -97,7 +104,7 @@ def test_ibgp_route_not_reflected_to_ibgp():
 def test_ebgp_route_exported_to_ibgp_unmodified():
     speaker = make_speaker()
     select(speaker.loc_rib, 7, 2, (1, 7))
-    assert speaker.export_route(ibgp_peer(speaker), 7) == (1, 7)
+    assert exported(speaker, ibgp_peer(speaker), 7) == (1, 7)
 
 
 def test_policy_blocks_provider_route_to_peer():
@@ -116,7 +123,7 @@ def test_policy_allows_customer_route_everywhere():
     rels.set_peers(0, 1)
     speaker = make_speaker(policy=GaoRexfordPolicy(rels))
     select(speaker.loc_rib, 7, 2, (5, 7))
-    assert speaker.export_route(ebgp_peer(speaker), 7) == (0, 5, 7)
+    assert exported(speaker, ebgp_peer(speaker), 7) == (0, 5, 7)
 
 
 def test_policy_allows_own_prefix_everywhere():
@@ -124,4 +131,4 @@ def test_policy_allows_own_prefix_everywhere():
     rels.set_customer(provider=1, customer=0)  # AS 1 is our provider
     speaker = make_speaker(policy=GaoRexfordPolicy(rels))
     speaker.originate(0)
-    assert speaker.export_route(ebgp_peer(speaker), 0) == (0,)
+    assert exported(speaker, ebgp_peer(speaker), 0) == (0,)

@@ -3,6 +3,7 @@
 from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
+from repro.bgp.routes import path_tuple
 from repro.sim.timers import Jitter
 from repro.topology.graph import Link, Router, Topology
 
@@ -92,7 +93,7 @@ def test_ibgp_learned_routes_not_reflected():
     assert export_to_ibgp is None
     # But it IS advertised over eBGP to AS 2 (with own AS prepended).
     export_to_ebgp = speaker3.export_route(speaker3.peers[4], 0)
-    assert export_to_ebgp == (1, 0)
+    assert path_tuple(export_to_ebgp) == (1, 0)
 
 
 def test_ebgp_preferred_over_ibgp_on_tie():

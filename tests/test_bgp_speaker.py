@@ -10,7 +10,7 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.sim.timers import Jitter
-from tests.conftest import clique_topology, line_topology, ring_topology
+from tests.conftest import as_path, clique_topology, line_topology, ring_topology
 
 
 def exact_network(topo, mrai=1.0, **kwargs):
@@ -207,7 +207,7 @@ def test_stale_messages_from_downed_peer_are_dropped():
     # delivery: the speaker must drop it.
     from repro.bgp.messages import Update
 
-    net.transmit(2, 1, Update(2, (2,), 2), 0.025)
+    net.transmit(2, 1, Update(2, as_path(2), 2), 0.025)
     net.speakers[1].peer_down(2)
     net.run_until_quiet()
     # The dropped peer's read answers "no route", not a KeyError.

@@ -8,10 +8,11 @@ with ``-s`` to see them; CI does, once per Python version):
 * nothing per-simulation outlives the simulation — live traced memory
   does not grow from trial to trial, whatever the topology;
 * resident bytes per stored route stay under a budget — at quiescence
-  and at the peak of warm-up and of convergence — with AS-path tuples
-  shared between RIBs by construction (no intern table), pending MRAI
-  work one flag per destination, and the tables of failed routers and
-  torn-down sessions released;
+  and at the peak of warm-up and of convergence — with AS paths chains
+  of cells shared between RIBs by construction (an export is one cell in
+  front of the path it extends, no intern table), pending MRAI work one
+  flag per destination, and the tables of failed routers and torn-down
+  sessions released;
 * importing the serial trial path loads no HTTP/TLS, SQLite or
   multiprocessing code, and importing the trial itself loads none of
   the batch, pool, store, service or monitoring modules.
@@ -30,7 +31,7 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.damping import DampingConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
-from repro.bgp.routes import Route, key_tail
+from repro.bgp.routes import Route, key_tail, path_length
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec, build_scenario, run_experiment
 from repro.failures.scenarios import geographic_failure
@@ -38,6 +39,7 @@ from repro.topology.skewed import skewed_topology
 from tests.conftest import (
     advertised,
     converged_network,
+    rib_in_route_count,
     total_loc_rib_routes,
 )
 
@@ -135,12 +137,13 @@ def test_live_memory_is_flat_across_trials_on_different_topologies():
 # (c) Bytes per stored route
 # ----------------------------------------------------------------------
 def stored_routes(network: BGPNetwork) -> int:
-    return sum(s.adj_rib_in.route_count() for s in network.speakers.values())
+    return sum(rib_in_route_count(s.adj_rib_in) for s in network.speakers.values())
 
 
 def test_bytes_per_adj_rib_in_route_budget():
-    # 98.4 B on CPython 3.11 with one-slot queues, pending flags and
-    # three-field UPDATEs (101.4 with dict queues and pending sets, 162
+    # 95.3 B on CPython 3.11 with AS paths as chains of cells (98.4 with
+    # flat path tuples), one-slot queues, pending flags and three-field
+    # UPDATEs (101.4 with dict queues and pending sets, 162
     # with a dict of Route objects as the Loc-RIB, 351 with a dest-major
     # Adj-RIB-In of Routes, 403 with the intern table and tuple keys);
     # the budget leaves ~8% for allocator and sizing differences between
@@ -199,10 +202,48 @@ def top_sites(limit=5):
     ]
 
 
+def traced_peaks(topology, spec, seed=1):
+    """A trial's ``tracemalloc`` peaks over warm-up and over convergence
+    (after ``spec``'s failure), the Adj-RIB-In routes stored at warm-up
+    quiescence, and after which executed event each peak stood."""
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        network = BGPNetwork(topology, spec.to_bgp_config(), seed=seed)
+        watch = PeakEvent(network.sim)
+        network.start()
+        network.run_until_quiet()
+        warm_up = tracemalloc.get_traced_memory()[1]
+        at_event = {"warm-up": watch.event}
+        routes = stored_routes(network)
+        gc.collect()
+        tracemalloc.reset_peak()
+        fail(network, topology, spec, seed)
+        watch.reset()
+        network.run_until_quiet()
+        convergence = tracemalloc.get_traced_memory()[1]
+        at_event["convergence"] = watch.event
+    finally:
+        tracemalloc.stop()
+    network.close()
+    return routes, {"warm-up": warm_up, "convergence": convergence}, at_event
+
+
+def fail(network, topology, spec, seed=1):
+    """Inject ``spec``'s failure, as ``run_experiment`` does."""
+    network.fail_nodes(
+        build_scenario(topology, spec, seed).nodes,
+        detection_delay=spec.detection_delay,
+        detection_jitter=spec.detection_jitter,
+    )
+
+
 def test_peak_bytes_per_route_over_warm_up_and_convergence():
     # The transients, not the quiescent state, set the high-water mark:
     # queued updates, armed timers and pending work on top of the RIBs.
-    # 121.9 B (warm-up) and 112.9 B (convergence) on CPython 3.11 with
+    # 120.8 B (warm-up) and 110.7 B (convergence) on CPython 3.11 with
+    # paths as chains of cells (121.9 and 112.9 with flat path tuples),
     # one-slot queues, pending flags, three-field UPDATEs and failed
     # state released (138.9 and 138.8 before, 197 and 189 with a dict of
     # Route objects as the Loc-RIB); both are divided by the routes
@@ -212,36 +253,8 @@ def test_peak_bytes_per_route_over_warm_up_and_convergence():
     # second run stopped there.
     topology = skewed_topology(120, seed=1)
     spec = SPECS["dynamic_mrai"]
-    failed = build_scenario(topology, spec, 1).nodes
-
-    def fail(network):
-        network.fail_nodes(
-            failed,
-            detection_delay=spec.detection_delay,
-            detection_jitter=spec.detection_jitter,
-        )
-
-    gc.collect()
-    tracemalloc.start()
-    try:
-        network = BGPNetwork(topology, spec.to_bgp_config(), seed=1)
-        watch = PeakEvent(network.sim)
-        network.start()
-        network.run_until_quiet()
-        warm_up = tracemalloc.get_traced_memory()[1]
-        at_event = {"warm-up": watch.event}
-        routes = stored_routes(network)
-        gc.collect()
-        tracemalloc.reset_peak()
-        fail(network)
-        watch.reset()
-        network.run_until_quiet()
-        convergence = tracemalloc.get_traced_memory()[1]
-        at_event["convergence"] = watch.event
-    finally:
-        tracemalloc.stop()
-    network.close()
-    peaks = {"warm-up": warm_up / routes, "convergence": convergence / routes}
+    routes, peak_bytes, at_event = traced_peaks(topology, spec)
+    peaks = {phase: b / routes for phase, b in peak_bytes.items()}
     print(
         f"\n120 nodes, {routes} Adj-RIB-In routes: peak "
         + ", ".join(f"{k} {v:.1f} B/route" for k, v in peaks.items())
@@ -261,11 +274,29 @@ def test_peak_bytes_per_route_over_warm_up_and_convergence():
                 print("  " + line)
             if phase == "warm-up":
                 network.run_until_quiet()
-                fail(network)
+                fail(network, topology, spec)
     finally:
         tracemalloc.stop()
         network.close()
     assert max(peaks.values()) <= 140
+
+
+def test_path_exploration_peak_bytes_per_route():
+    # Under a constant MRAI with FIFO queues the convergence peak is path
+    # exploration: every explored hop is an export.  As one cell in front
+    # of the path it extends, an export costs 64 traced bytes whatever
+    # the path length.  The 60-node trial of the fifo_storm spec reads
+    # 216.5 B/route at its convergence peak on CPython 3.11 (286.1 when
+    # an export copied the path into a flat tuple, (asn,) + path); the
+    # budget leaves ~15% and fails the flat copy.
+    topology = skewed_topology(60, seed=1)
+    routes, peak_bytes, __ = traced_peaks(topology, SPECS["fifo"])
+    per_route = peak_bytes["convergence"] / routes
+    print(
+        f"\n60 nodes, FIFO, {routes} Adj-RIB-In routes: convergence peak "
+        f"{per_route:.1f} B/route (budget 250)"
+    )
+    assert per_route <= 250
 
 
 def test_pending_work_is_one_flag_per_destination():
@@ -371,36 +402,30 @@ def test_packed_key_orders_exactly_like_the_documented_tuple(a, b):
 # (e) Paths are shared between RIBs without a table
 # ----------------------------------------------------------------------
 def test_path_objects_are_shared_between_sender_and_receiver():
+    # An eBGP export is one cell in front of the path the sender selected:
+    # the receiver's Adj-RIB-In slot is the very cell the sender's
+    # Adj-RIB-Out holds, and that cell's tail is the very path the
+    # sender's Loc-RIB holds (itself a slot of the sender's Adj-RIB-In).
+    # So a route costs one 3-tuple per AS that extended it, not a copy of
+    # the whole path per RIB.
     network = converged_network(skewed_topology(40, seed=1))
-    objects, values = set(), set()
-
-    def note(path):
-        objects.add(id(path))
-        values.add(path)
-
-    loc_rib_size = 0
+    cells = hops = 0
     for receiver in network.speakers.values():
-        loc = receiver.loc_rib
-        for dest in loc:
-            loc_rib_size += 1
-            note(loc.path[dest])
-            if loc.export[dest] is not None:
-                note(loc.export[dest])
         for peer_id, ps in receiver.peers.items():
             sender = network.speakers[peer_id]
             for dest, sent in advertised(sender.peers[receiver.node_id]).items():
                 if sent is None:
                     continue
-                note(sent)
-                stored = receiver.adj_rib_in.get(dest, peer_id)
-                if stored is not None:
-                    note(stored)
-                    assert ps.ebgp and stored is sent
+                assert ps.ebgp
+                assert receiver.adj_rib_in.get(dest, peer_id) is sent
+                assert sent[1] is sender.loc_rib.path[dest]
+                cells += 1
+                hops += path_length(sent)
     print(
-        f"\n40 nodes: {len(objects)} path objects, {len(values)} path values, "
-        f"{loc_rib_size} Loc-RIB entries"
+        f"\n40 nodes: {cells} advertised cells shared with the receivers, "
+        f"{hops / cells:.2f} hops per path"
     )
-    assert len(objects) <= len(values) + loc_rib_size
+    assert cells
 
 
 # ----------------------------------------------------------------------

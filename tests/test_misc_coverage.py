@@ -14,7 +14,7 @@ from repro.bgp.queues import WithdrawalFirstBatchQueue
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
-from tests.conftest import line_topology
+from tests.conftest import as_path, line_topology
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def test_in_flight_update_accounting():
     net.run_until_quiet()
     gauge = metrics.gauge("updates_in_flight")
     assert gauge.value == 0
-    net.transmit(0, 1, Update(0, (0,), 0), 0.025)
+    net.transmit(0, 1, Update(0, as_path(0), 0), 0.025)
     assert gauge.value == 1
     net.run_until_quiet()
     assert gauge.value == 0

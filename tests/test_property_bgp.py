@@ -85,8 +85,9 @@ def test_tcp_batch_conserves_messages(messages, batch_size):
 # ---------------------------------------------------------------------------
 def assert_peers_hold_what_was_last_sent(net):
     """At quiescence nothing is in flight, so over every session that is
-    up the receiver's Adj-RIB-In is the sender's Adj-RIB-Out: the same
-    path, and nothing where a withdrawal was last sent."""
+    up the receiver's Adj-RIB-In is the sender's Adj-RIB-Out: the very
+    path object the sender last sent (paths are shared between RIBs, not
+    copied), and nothing where a withdrawal was last sent."""
     for sender in net.alive_speakers():
         for peer_id, ps in sender.peers.items():
             if not ps.session_up:
@@ -94,7 +95,7 @@ def assert_peers_hold_what_was_last_sent(net):
             rib_in = net.speakers[peer_id].adj_rib_in
             for dest, sent in advertised(ps).items():
                 held = rib_in.get(dest, sender.node_id)
-                assert held == sent, (sender.node_id, peer_id, dest)
+                assert held is sent, (sender.node_id, peer_id, dest)
 
 
 def assert_routes_are_the_bfs_oracle(net):
