@@ -21,24 +21,12 @@ those into the explanatory numbers the paper's delay curves hide:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from pathlib import Path
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.causality import (
-    ROOT_KIND,
-    CausalGraph,
-    _as_path,
-    _record_fields,
-    load_trace,
-)
+from repro.obs.causality import ROOT_KIND, CausalGraph
 from repro.obs.probes import percentile
+from repro.sim.trace import TraceRecord, load_trace
 
 
 @dataclass
@@ -89,10 +77,10 @@ class ConvergenceTimeline:
     @classmethod
     def from_records(
         cls,
-        records: Iterable[Any],
+        records: Iterable[TraceRecord],
         t0: Optional[float] = None,
     ) -> "ConvergenceTimeline":
-        """Build from a trace stream (records or JSONL dicts).
+        """Build from a trace stream, ignoring the other categories.
 
         ``t0`` defaults to the first failure-injection causality record
         in the trace; with no such record every change counts (t0 = 0),
@@ -101,16 +89,15 @@ class ConvergenceTimeline:
         changes: List[Tuple[float, int, int, Optional[Tuple[int, ...]]]] = []
         detected_t0: Optional[float] = None
         for record in records:
-            time, category, node, detail = _record_fields(record)
-            if category == "route_change":
-                dest, path = detail
-                changes.append((time, node, dest, _as_path(path)))
+            if record.category == "route_change":
+                dest, path = record.detail
+                changes.append((record.time, record.node, dest, path))
             elif (
-                category == "causality"
-                and detail[0] == ROOT_KIND
+                record.category == "causality"
+                and record.detail[0] == ROOT_KIND
                 and detected_t0 is None
             ):
-                detected_t0 = time
+                detected_t0 = record.time
         if t0 is None:
             t0 = detected_t0 if detected_t0 is not None else 0.0
         histories: Dict[Tuple[int, int], PathHistory] = {}
@@ -195,7 +182,7 @@ class ConvergenceTimeline:
 # The ``trace analyze`` report
 # ----------------------------------------------------------------------
 def analyze_trace(
-    records: Iterable[Any],
+    records: Iterable[TraceRecord],
     t0: Optional[float] = None,
     top: int = 5,
 ) -> Dict[str, Any]:
@@ -232,7 +219,7 @@ def analyze_trace(
 
 
 def analyze_trace_file(
-    path: Union[str, Any], t0: Optional[float] = None, top: int = 5
+    path: Union[str, Path], t0: Optional[float] = None, top: int = 5
 ) -> Dict[str, Any]:
     return analyze_trace(load_trace(path), t0=t0, top=top)
 

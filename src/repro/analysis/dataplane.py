@@ -21,35 +21,28 @@ packets are being dropped.
 The same shapes back three consumers: :meth:`DataPlaneTimeline.headline`
 is the flat dict stored on ``TrialResult.dataplane`` (JSON-safe, store
 round-trippable), :func:`analyze_dataplane_file` is the offline
-``repro-bgp dataplane report`` path over sink JSONL files, and the
-figure harness compares schemes on ``unreachable_seconds_total``.
+``repro-bgp dataplane report`` path, and the figure harness compares
+schemes on ``unreachable_seconds_total``.  Offline, the transitions are
+``dataplane`` trace records read by :func:`repro.sim.trace.load_trace`
+— from a ``--dataplane-out`` file, or from a ``--trace-out`` file of a
+``--dataplane`` run — each trial's behind its ``dataplane_trial``
+delimiter.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.dataplane import BLACKHOLE, DOWN, LOOP, OK
+from repro.obs.dataplane import BLACKHOLE, DOWN, LOOP, OK, Transition
 from repro.obs.probes import percentile
+from repro.sim.trace import TraceRecord, load_trace
 
 __all__ = [
     "DataPlaneTimeline",
     "PairStats",
-    "analyze_dataplane",
     "analyze_dataplane_file",
-    "load_dataplane_trials",
     "render_dataplane_report",
 ]
 
@@ -91,7 +84,7 @@ class PairStats:
 class DataPlaneTimeline:
     """Status segments per pair, clipped to an observation window.
 
-    Build with :meth:`from_transitions` (monitor tuples or sink dicts).
+    Build with :meth:`from_transitions` (monitor tuples).
     Transitions at or before ``t0`` establish each pair's initial state;
     segments are clipped to ``[t0, end]`` so warm-up churn never leaks
     into a trial's impact numbers.
@@ -112,24 +105,16 @@ class DataPlaneTimeline:
     @classmethod
     def from_transitions(
         cls,
-        transitions: Iterable[Any],
+        transitions: Iterable[Transition],
         t0: float = 0.0,
         end: Optional[float] = None,
     ) -> "DataPlaneTimeline":
-        """Build from monitor tuples or ``records()``/JSONL dicts."""
+        """Build from ``(time, node, dest, status, hops)`` tuples."""
         events: Dict[Tuple[int, int], List[Tuple[float, str, Optional[int]]]]
         events = {}
         max_time = t0
-        for item in transitions:
-            if isinstance(item, dict):
-                t = float(item["time"])
-                node = int(item["node"])
-                dest = int(item["dest"])
-                status = str(item["status"])
-                hops = item.get("hops")
-            else:
-                t, node, dest, status, hops = item
-                t = float(t)
+        for t, node, dest, status, hops in transitions:
+            t = float(t)
             events.setdefault((node, dest), []).append(
                 (t, status, None if hops is None else int(hops))
             )
@@ -276,92 +261,52 @@ class DataPlaneTimeline:
 
 
 # ----------------------------------------------------------------------
-# Offline analysis of sink JSONL files
+# The ``dataplane report`` report
 # ----------------------------------------------------------------------
-def load_dataplane_trials(
-    path: Union[str, Path]
-) -> List[Dict[str, Any]]:
-    """Split a data-plane sink JSONL file into per-trial record groups.
-
-    ``dataplane_trial`` meta records (written by
-    :meth:`TrialObserver.finish_dataplane`) delimit trials and carry
-    ``t0``/``end``/``trial``/``seed``; a file without them is treated
-    as a single anonymous trial.
-    """
-    path = Path(path)
-    trials: List[Dict[str, Any]] = []
-    current: Optional[Dict[str, Any]] = None
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{line_no}: invalid JSON line: {exc}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path}:{line_no}: expected an object, got "
-                    f"{type(record).__name__}"
-                )
-            kind = record.get("kind")
-            if kind == "dataplane_trial":
-                current = {
-                    "trial": record.get("trial"),
-                    "seed": record.get("seed"),
-                    "t0": record.get("t0"),
-                    "end": record.get("end"),
-                    "transitions": [],
-                }
-                trials.append(current)
-            elif kind == "dataplane":
-                if current is None:
-                    current = {
-                        "trial": None,
-                        "seed": None,
-                        "t0": None,
-                        "end": None,
-                        "transitions": [],
-                    }
-                    trials.append(current)
-                current["transitions"].append(record)
-            # Unknown kinds are skipped for forward compatibility.
-    return trials
-
-
-def analyze_dataplane(
-    trials: Sequence[Dict[str, Any]],
+def analyze_dataplane_file(
+    path: Union[str, Path],
     t0: Optional[float] = None,
     top: int = 5,
 ) -> Dict[str, Any]:
-    """Per-trial summaries + cross-trial aggregate from record groups."""
+    """Per-trial summaries + cross-trial aggregate of a trace file.
+
+    The file's ``dataplane`` records split into trials on their
+    ``dataplane_trial`` delimiters; a trial's number is its delimiter's
+    ordinal, and its window runs from the delimiter's time (or ``t0``,
+    when given) to its recorded end.  Other categories are skipped.  A
+    file without a delimiter holds no data-plane report, and a
+    ``dataplane`` record before the first delimiter is malformed: both
+    raise ``ValueError``.
+    """
+    trials: List[Tuple[TraceRecord, List[Transition]]] = []
+    for record in load_trace(path):
+        if record.category == "dataplane_trial":
+            trials.append((record, []))
+        elif record.category == "dataplane":
+            if not trials:
+                raise ValueError(
+                    f"{path}: a dataplane record before any "
+                    f"dataplane_trial record"
+                )
+            trials[-1][1].append((record.time, record.node, *record.detail))
+    if not trials:
+        raise ValueError(
+            f"{path}: no dataplane_trial record (a run without --dataplane?)"
+        )
     per_trial: List[Dict[str, Any]] = []
-    for index, trial in enumerate(trials):
-        trial_t0 = t0 if t0 is not None else trial.get("t0")
+    for number, (delimiter, transitions) in enumerate(trials):
+        seed, end = delimiter.detail
         timeline = DataPlaneTimeline.from_transitions(
-            trial["transitions"],
-            t0=float(trial_t0) if trial_t0 is not None else 0.0,
-            end=(
-                float(trial["end"]) if trial.get("end") is not None else None
-            ),
+            transitions, t0=delimiter.time if t0 is None else t0, end=end
         )
         summary = timeline.summary(top)
-        summary["trial"] = (
-            trial.get("trial") if trial.get("trial") is not None else index
-        )
-        if trial.get("seed") is not None:
-            summary["seed"] = trial["seed"]
+        summary.update(trial=number, seed=seed)
         per_trial.append(summary)
     totals = [t["unreachable_seconds_total"] for t in per_trial]
     aggregate = {
         "unreachable_seconds_total": round(sum(totals), 6),
-        "unreachable_seconds_mean": round(
-            sum(totals) / len(totals) if totals else 0.0, 6
-        ),
-        "unreachable_seconds_max": round(max(totals, default=0.0), 6),
+        "unreachable_seconds_mean": round(sum(totals) / len(totals), 6),
+        "unreachable_seconds_max": round(max(totals), 6),
         "loop_episodes": sum(t["loop_episodes"] for t in per_trial),
         "blackhole_episodes": sum(
             t["blackhole_episodes"] for t in per_trial
@@ -369,27 +314,14 @@ def analyze_dataplane(
         "pairs_never_recovered": sum(
             t["pairs_never_recovered"] for t in per_trial
         ),
-        "stretch_max": round(
-            max((t["stretch_max"] for t in per_trial), default=0.0), 6
-        ),
+        "stretch_max": round(max(t["stretch_max"] for t in per_trial), 6),
     }
     return {
         "trials": len(per_trial),
         "aggregate": aggregate,
         "per_trial": per_trial,
+        "path": str(path),
     }
-
-
-def analyze_dataplane_file(
-    path: Union[str, Path],
-    t0: Optional[float] = None,
-    top: int = 5,
-) -> Dict[str, Any]:
-    """Load a sink JSONL file and build the full report dict."""
-    trials = load_dataplane_trials(path)
-    report = analyze_dataplane(trials, t0=t0, top=top)
-    report["path"] = str(path)
-    return report
 
 
 def render_dataplane_report(report: Dict[str, Any]) -> str:

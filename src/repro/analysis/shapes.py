@@ -1,14 +1,14 @@
 """Curve-shape predicates.
 
 The reproduction targets *shapes*, not absolute numbers (our substrate is a
-simulator, not the authors' testbed): V-shaped delay-vs-MRAI curves, optima
-that move right with failure size, crossovers between schemes.  These
-helpers express those shapes as assertions the benchmark suite can check.
+simulator, not the authors' testbed): V-shaped delay-vs-MRAI curves and
+optima that move right with failure size.  These helpers express those
+shapes as assertions the benchmark suite can check.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def optimal_x(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -67,40 +67,3 @@ def monotone_increasing(
         running = max(running, y)
     return True
 
-
-def crossover_point(
-    xs: Sequence[float],
-    ys_a: Sequence[float],
-    ys_b: Sequence[float],
-) -> Optional[float]:
-    """Smallest x at which curve A stops beating curve B (None if never).
-
-    Used for statements like "low MRAI wins for small failures, loses for
-    large ones": the crossover is where the sign of (A - B) flips.
-    """
-    if not (len(xs) == len(ys_a) == len(ys_b)) or not xs:
-        raise ValueError("sequences must be equal-length and non-empty")
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    sign: Optional[bool] = None
-    for i in order:
-        a_wins = ys_a[i] < ys_b[i]
-        if sign is None:
-            sign = a_wins
-        elif a_wins != sign:
-            return xs[i]
-    return None
-
-
-def ratio_at(
-    xs: Sequence[float],
-    ys_num: Sequence[float],
-    ys_den: Sequence[float],
-    x: float,
-) -> float:
-    """ys_num / ys_den at a given x (for "factor of 3 or more" claims)."""
-    for i, xi in enumerate(xs):
-        if xi == x:
-            if ys_den[i] == 0:
-                raise ZeroDivisionError(f"denominator is zero at x={x}")
-            return ys_num[i] / ys_den[i]
-    raise KeyError(f"no point at x={x}")

@@ -101,12 +101,18 @@ def _make_obs_session(
 ):
     """An ObsSession when any observability flag is set, else None.
 
+    The session's one record stream goes to the files by category: the
+    data-plane records (``dataplane_trial``, ``dataplane``) to
+    ``--dataplane-out`` when given, everything else — and, with
+    ``--dataplane --trace-out`` alone, the data-plane records too — to
+    ``--trace-out``.  So a data-plane-only run traces nothing.
+
     Opens the sink files, so a command with a store opens it first: a
     store refused as unusable must leave ``--trace-out`` /
-    ``--dataplane-out`` untouched.  The trace sink (when ``--trace-out``
-    is given) is registered on ``stack`` so it is closed — and its final
-    line flushed — before the command returns, no matter how the run
-    ends; ``trace analyze`` must never see a truncated trailing record.
+    ``--dataplane-out`` untouched.  The files are registered on
+    ``stack`` so they are closed — and their final lines flushed —
+    before the command returns, no matter how the run ends; ``trace
+    analyze`` must never see a truncated trailing record.
     """
     trace_out = getattr(args, "trace_out", None)
     spans_out = getattr(args, "spans_out", None)
@@ -121,22 +127,28 @@ def _make_obs_session(
     )
     if not wants_obs:
         return None
-    from repro.obs.session import ObsSession
+    from repro.obs.session import DATAPLANE_CATEGORIES, ObsSession
     from repro.sim.trace import JsonlSink
 
-    trace_sink = None
-    if trace_out:
-        trace_sink = stack.enter_context(JsonlSink(trace_out))
-    dataplane_sink = None
+    sink = trace_file = (
+        stack.enter_context(JsonlSink(trace_out)) if trace_out else None
+    )
     if dataplane_out:
-        dataplane_sink = stack.enter_context(JsonlSink(dataplane_out))
+        dataplane_file = stack.enter_context(JsonlSink(dataplane_out))
+
+        def sink(record):
+            if record.category in DATAPLANE_CATEGORIES:
+                dataplane_file(record)
+            else:
+                trace_file(record)
+
     obs = ObsSession(
         sample_interval=args.sample_interval,
         profile=args.profile,
-        trace_sink=trace_sink,
+        trace=bool(trace_out),
         spans=bool(spans_out),
         dataplane=dataplane,
-        dataplane_sink=dataplane_sink,
+        sink=sink,
     )
     if obs.span_recorder is not None:
         # Install the recorder for the rest of the command so parent-side
@@ -919,7 +931,9 @@ def make_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             help=(
                 "write a causal trace (causality + route_change records) "
-                "as JSONL to PATH, for `repro-bgp trace analyze`"
+                "as JSONL to PATH, for `repro-bgp trace analyze`; with "
+                "--dataplane but no --dataplane-out it holds the "
+                "data-plane records too"
             ),
         )
         parser_.add_argument(

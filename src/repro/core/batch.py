@@ -137,9 +137,8 @@ def build_topology(
 ) -> Tuple[Any, str]:
     """Build one seed's topology and its content digest.
 
-    The one place a built topology is digested: every key, fingerprint
-    and pool cache entry of the trials that share it derives from this
-    value.
+    The one place a built topology is digested: every key and
+    fingerprint of the trials that share it derives from this value.
     """
     # Imported here: repro.store imports this module at its top.
     from repro.store.hashing import topology_digest

@@ -277,7 +277,7 @@ def run_experiment(
     """
     if obs is None:
         return simulate_trial(topology, spec, seed, scenario)
-    observer = TrialObserver(obs.worker_args(), trace_sink=obs.trace_sink)
+    observer = TrialObserver(obs.worker_args(), sink=obs.sink)
     result = simulate_trial(topology, spec, seed, scenario, observer)
     obs.absorb(observer.record(), spec=spec, topology=topology.summary())
     return result
@@ -361,7 +361,7 @@ def simulate_trial(
 
         diff = network.counters.diff(warmup_snapshot)
         dataplane_summary = (
-            observer.finish_dataplane(network, t0=t0)
+            observer.finish_dataplane(network, t0=t0, seed=seed)
             if observer is not None
             else None
         )

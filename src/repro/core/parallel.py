@@ -135,7 +135,7 @@ def execute_trial(
     an obs recipe, a :class:`~repro.obs.session.TrialObserver` built
     from it observes the run, and its observation record — metrics,
     phase timings, probe samples, profiler rows, the trial snapshot and
-    (when the session has sinks) the raw trace and data-plane records —
+    (when the session has a sink) the trial's raw trace records —
     is returned beside the result for the session to absorb.  The
     recipe is the only thing consulted, so a trial is observed the same
     way in this process as in a worker.

@@ -10,28 +10,18 @@ their own, so a trace contains the full cause *forest* of a run:
 
     failure ──> withdrawal at survivor A ──> re-advertisement at B ──> ...
 
-:class:`CausalGraph` rebuilds that forest from a record stream (in-memory
-``TraceRecord`` objects or dicts loaded from a JSONL trace) and answers the
-questions the paper's figures cannot: how deep do cascades run, which nodes
-amplify churn, and how many updates were wasted work (superseded by a later
-update for the same (sender, peer, destination) before convergence).
+:class:`CausalGraph` rebuilds that forest from a record stream (a tracer's
+records, or :func:`~repro.sim.trace.load_trace` of a JSONL trace) and
+answers the questions the paper's figures cannot: how deep do cascades
+run, which nodes amplify churn, and how many updates were wasted work
+(superseded by a later update for the same (sender, peer, destination)
+before convergence).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import TraceRecord
 
@@ -63,58 +53,6 @@ class CausalEvent:
         return self.kind == "send" and self.payload is None
 
 
-def _record_fields(record: Union[TraceRecord, Dict[str, Any]]):
-    """``(time, category, node, detail)`` from either record shape."""
-    if isinstance(record, dict):
-        return (
-            record["time"],
-            record["category"],
-            record.get("node"),
-            record.get("detail", ()),
-        )
-    return record.time, record.category, record.node, record.detail
-
-
-def _as_path(value: Any) -> Optional[Tuple[int, ...]]:
-    """Normalize a JSON-round-tripped AS path back to a tuple."""
-    if value is None:
-        return None
-    return tuple(value)
-
-
-def load_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load a JSONL trace written by :class:`~repro.sim.trace.JsonlSink`.
-
-    Blank lines are skipped; a malformed (e.g. truncated) line, or one
-    that is not a trace record, raises ``ValueError`` naming the line
-    number — with the CLI's deterministic sink flushing a malformed line
-    only happens for traces cut short externally.
-    """
-    records: List[Dict[str, Any]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: malformed trace line ({exc})"
-                ) from None
-            if not (
-                isinstance(record, dict)
-                and isinstance(record.get("time"), (int, float))
-                and isinstance(record.get("category"), str)
-            ):
-                raise ValueError(
-                    f"{path}:{lineno}: not a trace record (an object with "
-                    f"a numeric time and a category)"
-                )
-            records.append(record)
-    return records
-
-
 class CausalGraph:
     """The cause forest of one traced run.
 
@@ -138,26 +76,19 @@ class CausalGraph:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_records(
-        cls, records: Iterable[Union[TraceRecord, Dict[str, Any]]]
-    ) -> "CausalGraph":
+    def from_records(cls, records: Iterable[TraceRecord]) -> "CausalGraph":
         """Build from a trace stream, ignoring non-causality records."""
         events: List[CausalEvent] = []
         for record in records:
-            time, category, node, detail = _record_fields(record)
-            if category != "causality":
+            if record.category != "causality":
                 continue
-            kind, uid, cause_uid, dest, peer, payload = detail
-            if kind == "send":
-                payload = _as_path(payload)
-            elif payload is not None:
-                payload = tuple(payload)
+            kind, uid, cause_uid, dest, peer, payload = record.detail
             events.append(
                 CausalEvent(
                     uid=uid,
                     kind=kind,
-                    time=time,
-                    node=node,
+                    time=record.time,
+                    node=record.node,
                     cause_uid=cause_uid,
                     dest=dest,
                     peer=peer,

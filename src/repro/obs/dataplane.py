@@ -39,20 +39,13 @@ State *transitions* are appended to :attr:`DataPlaneMonitor.transitions`
 as ``(time, node, dest, status, hops)`` tuples;
 :class:`repro.analysis.dataplane.DataPlaneTimeline` turns them into
 unavailability windows, episode counts, and path-stretch statistics.
+A session with a sink receives them as ``dataplane`` trace records
+(:meth:`repro.obs.session.TrialObserver.finish_dataplane`).
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
@@ -174,23 +167,6 @@ class DataPlaneMonitor:
         if self._pending:
             self._flush()
         self.end_time = now
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def records(self) -> List[Dict[str, Any]]:
-        """Transitions as JSON-ready dicts (for sinks and trial records)."""
-        return [
-            {
-                "kind": "dataplane",
-                "time": t,
-                "node": node,
-                "dest": dest,
-                "status": status,
-                "hops": hops,
-            }
-            for t, node, dest, status, hops in self.transitions
-        ]
 
     # ------------------------------------------------------------------
     # Internals

@@ -12,8 +12,7 @@ Three metric kinds, Prometheus-flavoured but in-process only:
 * :class:`CounterMetric` — monotonically increasing totals;
 * :class:`Gauge` — instantaneous values (queue depth, in-flight updates);
 * :class:`Histogram` — fixed-bucket distributions (service times, batch
-  sizes) with cumulative-free per-bucket counts, a sum, and an approximate
-  percentile read-out.
+  sizes) with cumulative-free per-bucket counts and a sum.
 
 Hot-path discipline: callers cache the child object once (``child =
 registry.counter("updates_processed", node=7)``) and call ``child.inc()``
@@ -128,9 +127,7 @@ class Histogram(_Child):
     ``buckets`` are ascending upper bounds; an observation lands in the
     first bucket whose bound is >= the value, or in the implicit overflow
     bucket beyond the last bound.  Bucketing is exact, so trials' records
-    add bucket-wise (:meth:`MetricsRegistry.absorb_records`);
-    :meth:`percentile` is approximate (it answers with the upper bound of
-    the bucket containing the requested rank).
+    add bucket-wise (:meth:`MetricsRegistry.absorb_records`).
     """
 
     __slots__ = ("buckets", "counts", "sum", "count")
@@ -153,24 +150,6 @@ class Histogram(_Child):
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-
-    def percentile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q`` quantile (0..1).
-
-        Returns ``inf`` when the rank falls in the overflow bucket and 0.0
-        on an empty histogram.
-        """
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = max(1, int(q * self.count + 0.999999))
-        seen = 0
-        for bound, n in zip(self.buckets, self.counts):
-            seen += n
-            if seen >= rank:
-                return bound
-        return float("inf")
 
     def to_record(self) -> Dict[str, Any]:
         return {
@@ -311,18 +290,6 @@ class MetricsRegistry:
                 child.count += record["count"]
             # Unknown kinds (trial snapshots, profile rows) are not
             # registry state; ignore them rather than fail mid-merge.
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Flat ``{full_name: value}`` view (histograms report their mean)."""
-        out: Dict[str, Any] = {}
-        for child in self.children():
-            if isinstance(child, Histogram):
-                out[child.full_name] = (
-                    child.sum / child.count if child.count else 0.0
-                )
-            else:
-                out[child.full_name] = child.value
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

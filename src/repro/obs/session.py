@@ -9,7 +9,7 @@ Observation is split along the one line it has:
   takes the experiment layer's hooks, and returns one observation
   record (:meth:`TrialObserver.record`) of plain data.
 * :class:`ObsSession` owns everything that spans trials — the merged
-  registry and profiler, the sinks, the per-trial snapshots, phases and
+  registry and profiler, the sink, the per-trial snapshots, phases and
   probe samples, the final :class:`~repro.obs.manifest.RunManifest` —
   and :meth:`ObsSession.absorb` is the only way a trial's observations
   enter it.  A session cannot tell which process, or which entry point
@@ -34,17 +34,24 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Un
 from repro.obs.manifest import PhaseTiming, RunManifest, jsonable
 from repro.obs.profiling import EventLoopProfiler
 from repro.obs.spans import SpanRecorder, span
+from repro.sim.trace import TraceRecord, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
     from repro.core.experiment import TrialResult
     from repro.obs.dataplane import DataPlaneMonitor
     from repro.obs.probes import NetworkProbe, ProbeSamples
-    from repro.sim.trace import TraceRecord, Tracer
 
 #: Categories a session tracer records: exactly what the
 #: causal/convergence analysis consumes.
 TRACE_CATEGORIES = frozenset({"causality", "route_change"})
+
+#: Categories a monitored trial adds to its stream: one
+#: ``dataplane_trial`` delimiter, then its ``dataplane`` transitions.
+DATAPLANE_CATEGORIES = frozenset({"dataplane_trial", "dataplane"})
+
+#: A session's record channel (e.g. a :class:`~repro.sim.trace.JsonlSink`).
+Sink = Callable[[TraceRecord], None]
 
 
 class TrialObserver:
@@ -57,18 +64,17 @@ class TrialObserver:
     at the right points, and :meth:`record` is then everything observed,
     as plain picklable data for :meth:`ObsSession.absorb`.
 
-    ``trace_sink`` is the whole difference between in-process and worker
-    observation: given the session's own sink (``run_experiment(obs=)``),
-    trace records stream straight into it while the trial runs; without
-    it — a sink cannot cross the process boundary — they are buffered
-    into the record for ``absorb`` to replay, when the recipe says the
-    session has a sink at all.
+    A trial has one record channel, :attr:`sink`, for its trace and
+    data-plane records alike, and ``sink`` is the whole difference
+    between in-process and worker observation: given the session's own
+    sink (``run_experiment(obs=)``), records stream straight into it
+    while the trial runs; without it — a sink cannot cross the process
+    boundary — they are buffered into the record for ``absorb`` to
+    replay, when the recipe says the session has a sink at all.
     """
 
     def __init__(
-        self,
-        recipe: Dict[str, Any],
-        trace_sink: Optional[Callable[["TraceRecord"], None]] = None,
+        self, recipe: Dict[str, Any], sink: Optional[Sink] = None
     ) -> None:
         from repro.obs.metrics import MetricsRegistry
 
@@ -82,22 +88,22 @@ class TrialObserver:
         self.span_recorder: Optional[SpanRecorder] = (
             SpanRecorder() if recipe["spans"] else None
         )
-        self.tracer: Optional["Tracer"] = None
-        self._trace_records: Optional[List["TraceRecord"]] = None
-        if recipe["trace"]:
-            from repro.sim.trace import Tracer
-
-            if trace_sink is None and recipe["trace_sink"]:
-                self._trace_records = []
-                trace_sink = self._trace_records.append
-            self.tracer = Tracer(
-                categories=set(TRACE_CATEGORIES), sink=trace_sink
-            )
+        self._records: Optional[List[TraceRecord]] = None
+        if sink is None and recipe["sink"]:
+            self._records = []
+            sink = self._records.append
+        #: Where this trial's records go: the session's sink, the
+        #: buffer :meth:`record` ships, or nowhere.
+        self.sink = sink
+        self.tracer: Optional[Tracer] = (
+            Tracer(categories=set(TRACE_CATEGORIES), sink=sink)
+            if recipe["trace"]
+            else None
+        )
         self.probe: Optional[NetworkProbe] = None
         self.monitor: Optional["DataPlaneMonitor"] = None
         self._phases: List[Tuple[str, float, float, int]] = []
         self._snapshot: Dict[str, Any] = {}
-        self._dataplane_records: Optional[List[Dict[str, Any]]] = None
 
     def attach(self, network: "BGPNetwork") -> None:
         """Wire the recorders into the trial's freshly built network."""
@@ -130,17 +136,19 @@ class TrialObserver:
         self._phases.append((name, wall_seconds, sim_seconds, events))
 
     def finish_dataplane(
-        self, network: "BGPNetwork", t0: float
+        self, network: "BGPNetwork", t0: float, seed: int
     ) -> Optional[Dict[str, Any]]:
         """Finalize the data-plane monitor and fold its timeline.
 
         Called after convergence, before the :class:`TrialResult` is
         built.  Returns the headline summary (the
         ``TrialResult.dataplane`` payload) or None when monitors are
-        off.  When the session has a data-plane sink the transition
-        records join the observation record behind a ``dataplane_trial``
-        delimiter (:meth:`ObsSession.absorb` stamps it with the trial
-        index and seed), so offline reports can split multi-trial files.
+        off.  With a sink, the trial's channel then gets a
+        ``dataplane_trial`` delimiter (time ``t0``, detail ``(seed,
+        end)``) and one ``dataplane`` record per transition (detail
+        ``(dest, status, hops)``), so offline reports can split
+        multi-trial files.  They bypass the tracer, whose own records
+        stay what the convergence summary reads.
         """
         monitor = self.monitor
         if monitor is None:
@@ -152,9 +160,11 @@ class TrialObserver:
         timeline = DataPlaneTimeline.from_transitions(
             monitor.transitions, t0=t0, end=end
         )
-        if self.recipe["dataplane_sink"]:
-            meta = {"kind": "dataplane_trial", "t0": t0, "end": end}
-            self._dataplane_records = [meta, *monitor.records()]
+        sink = self.sink
+        if sink is not None:
+            sink(TraceRecord(t0, "dataplane_trial", None, (seed, end)))
+            for t, node, dest, status, hops in monitor.transitions:
+                sink(TraceRecord(t, "dataplane", node, (dest, status, hops)))
         network.dataplane = None
         return timeline.headline()
 
@@ -198,8 +208,7 @@ class TrialObserver:
             "snapshot": self._snapshot,
             "phases": self._phases,
             "metrics": self.registry.records(),
-            "trace_records": self._trace_records,
-            "dataplane_records": self._dataplane_records,
+            "records": self._records,
         }
         if self.profiler is not None:
             record["profile"] = self.profiler.records()
@@ -222,14 +231,10 @@ class ObsSession:
         When True, an :class:`EventLoopProfiler` is attached to every
         simulator; statistics accumulate across trials.
     trace:
-        When True, every trial runs with a causal tracer attached and
-        its path-exploration / settle-time summary is recorded alongside
-        the delay in the trial snapshot and manifest.
-    trace_sink:
-        Optional per-record callable (e.g. a
-        :class:`~repro.sim.trace.JsonlSink`) receiving every trial's
-        trace records, in trial order; implies ``trace``.  Trial tracers
-        record :data:`TRACE_CATEGORIES`.
+        When True, every trial runs with a causal tracer attached
+        (recording :data:`TRACE_CATEGORIES`) and its path-exploration /
+        settle-time summary is recorded alongside the delay in the trial
+        snapshot and manifest.
     spans:
         When True, the session owns a
         :class:`~repro.obs.spans.SpanRecorder`; installed by the caller
@@ -243,12 +248,13 @@ class ObsSession:
         unavailability summary lands on ``TrialResult.dataplane``, the
         trial snapshot, and the manifest rollup.  Trajectory-neutral
         (the monitor only reads simulator state).
-    dataplane_sink:
+    sink:
         Optional per-record callable (e.g. a
-        :class:`~repro.sim.trace.JsonlSink`) receiving
-        every transition record plus per-trial ``dataplane_trial``
-        delimiters, for offline ``dataplane report``; implies
-        ``dataplane``.
+        :class:`~repro.sim.trace.JsonlSink`) receiving every trial's
+        :class:`~repro.sim.trace.TraceRecord` stream, in trial order:
+        its trace records, then its ``dataplane_trial`` delimiter and
+        ``dataplane`` transitions.  A sink turns nothing on; ``trace``
+        and ``dataplane`` say what the stream holds.
     """
 
     def __init__(
@@ -256,10 +262,9 @@ class ObsSession:
         sample_interval: Optional[float] = None,
         profile: bool = False,
         trace: bool = False,
-        trace_sink: Optional[Callable[["TraceRecord"], None]] = None,
         spans: bool = False,
         dataplane: bool = False,
-        dataplane_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
+        sink: Optional[Sink] = None,
     ) -> None:
         from repro.obs.metrics import MetricsRegistry
 
@@ -268,8 +273,8 @@ class ObsSession:
         #: Metrics merged across trials.
         self.registry = MetricsRegistry()
         self.sample_interval = sample_interval
-        self.trace = bool(trace) or trace_sink is not None
-        self.trace_sink = trace_sink
+        self.trace = bool(trace)
+        self.sink = sink
         self.profiler: Optional[EventLoopProfiler] = (
             EventLoopProfiler() if profile else None
         )
@@ -289,8 +294,7 @@ class ObsSession:
         self.campaigns: List[Dict[str, Any]] = []
         self._last_spec: Any = None
         self._last_topology: str = ""
-        self.dataplane_enabled = bool(dataplane) or dataplane_sink is not None
-        self.dataplane_sink = dataplane_sink
+        self.dataplane_enabled = bool(dataplane)
 
     @property
     def probe(self) -> Optional[ProbeSamples]:
@@ -307,7 +311,7 @@ class ObsSession:
     def worker_args(self) -> Dict[str, Any]:
         """The picklable recipe a :class:`TrialObserver` is built from.
 
-        The constructor arguments as plain data, with each sink reduced
+        The constructor arguments as plain data, with the sink reduced
         to whether there is one: a sink cannot cross the process
         boundary, so an observer that is not handed it buffers the raw
         records for :meth:`absorb` to replay.
@@ -316,10 +320,9 @@ class ObsSession:
             "sample_interval": self.sample_interval,
             "profile": self.profiler is not None,
             "trace": self.trace,
-            "trace_sink": self.trace_sink is not None,
             "spans": self.span_recorder is not None,
             "dataplane": self.dataplane_enabled,
-            "dataplane_sink": self.dataplane_sink is not None,
+            "sink": self.sink is not None,
         }
 
     def absorb(self, record: Dict[str, Any], spec: Any, topology: str) -> None:
@@ -327,12 +330,14 @@ class ObsSession:
 
         The only way a trial's observations enter a session, whichever
         process or entry point ran it: trial numbering, phase labels,
-        snapshot and ``dataplane_trial`` stamping and sink replay happen
-        here and nowhere else.  Callers absorb in plan (seed) order, so
-        trial indices, gauge final values and sink sequences do not
-        depend on completion order.  ``spec`` and ``topology`` (its
-        summary line) are what the caller ran the trial with; the
-        manifest reports the last ones seen.
+        snapshots and sink replay happen here and nowhere else.  Records
+        replay as they are: a ``dataplane_trial`` delimiter carries its
+        own seed, and its ordinal in the sink is this trial's index,
+        since only executed trials are absorbed.  Callers absorb in plan
+        (seed) order, so trial indices, gauge final values and sink
+        sequences do not depend on completion order.  ``spec`` and
+        ``topology`` (its summary line) are what the caller ran the
+        trial with; the manifest reports the last ones seen.
         """
         index = len(self.trial_snapshots)
         snapshot = record["snapshot"]
@@ -351,22 +356,15 @@ class ObsSession:
             self.profiler.absorb_records(record.get("profile", ()))
         if "probe" in record:
             self.probes.append(record["probe"])
-        if self.trace_sink is not None:
-            for trace_record in record.get("trace_records", ()):
-                self.trace_sink(trace_record)
+        if self.sink is not None:
+            for trace_record in record.get("records", ()):
+                self.sink(trace_record)
         if self.span_recorder is not None:
             # Trial-local spans graft under "workers/" so the rollup
             # keeps orchestration time and trial busy time apart.
             self.span_recorder.absorb_records(
                 record.get("spans", ()), prefix="workers"
             )
-        if self.dataplane_sink is not None:
-            for dp_record in record.get("dataplane_records", ()):
-                if dp_record["kind"] == "dataplane_trial":
-                    dp_record = dict(
-                        dp_record, trial=index, seed=snapshot["seed"]
-                    )
-                self.dataplane_sink(dp_record)
 
     # ------------------------------------------------------------------
     # Finalization + export

@@ -61,16 +61,6 @@ class OnlineStats:
     def maximum(self) -> float:
         return self._max if self.n else 0.0
 
-    def confidence_interval95(self) -> Tuple[float, float]:
-        """Approximate 95% CI for the mean (normal approximation).
-
-        With n < 2 the interval degenerates to (mean, mean).
-        """
-        if self.n < 2:
-            return (self.mean, self.mean)
-        half = 1.96 * self.stdev / math.sqrt(self.n)
-        return (self.mean - half, self.mean + half)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OnlineStats(n={self.n}, mean={self.mean:.6g}, sd={self.stdev:.6g})"
 

@@ -46,12 +46,11 @@ class TraceRecord:
 class JsonlSink:
     """A record sink writing each record as one JSON line.
 
-    Takes :class:`TraceRecord` objects or plain dicts (the data-plane
-    monitor's records), so it serves as the ``sink=`` argument of
-    :class:`Tracer` and as either sink of an
-    :class:`~repro.obs.session.ObsSession`; ``trace analyze`` and
-    ``dataplane report`` read the files back.  Usable as a context
-    manager::
+    Takes :class:`TraceRecord` objects — it serves as the ``sink=``
+    argument of :class:`Tracer` and of an
+    :class:`~repro.obs.session.ObsSession`, and :func:`load_trace` reads
+    the file back for ``trace analyze`` and ``dataplane report`` — or
+    plain dicts (the metrics export).  Usable as a context manager::
 
         with JsonlSink("trace.jsonl") as sink:
             tracer = Tracer(sink=sink)
@@ -80,6 +79,54 @@ class JsonlSink:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
+    """Load a JSONL trace written by :class:`JsonlSink`.
+
+    The one reader of every trace-shaped file (``--trace-out``,
+    ``--dataplane-out``).  :meth:`TraceRecord.to_dict` wrote the detail
+    tuple and the tuples inside it as lists; they come back as tuples,
+    so a loaded record equals the one emitted.  Blank lines are skipped;
+    a malformed (e.g. truncated) line, or one that is not a trace
+    record, raises ``ValueError`` naming the line number — with the
+    CLI's deterministic sink flushing a malformed line only happens for
+    traces cut short externally.
+    """
+    records: List[TraceRecord] = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed trace line ({exc})"
+                ) from None
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("detail", []), list)
+                and isinstance(record.get("time"), (int, float))
+                and isinstance(record.get("category"), str)
+            ):
+                raise ValueError(
+                    f"{path}:{lineno}: not a trace record (an object with "
+                    f"a numeric time, a category and a detail list)"
+                )
+            records.append(
+                TraceRecord(
+                    record["time"],
+                    record["category"],
+                    record.get("node"),
+                    tuple(
+                        tuple(d) if isinstance(d, list) else d
+                        for d in record.get("detail", ())
+                    ),
+                )
+            )
+    return records
 
 
 class Tracer:

@@ -48,7 +48,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
     TypeVar,
     Union,
 )
@@ -374,16 +373,6 @@ class ResultStore(QueueOps):
             "wall_seconds": row[5],
             "fingerprint": json.loads(row[6]) if row[6] else None,
         }
-
-    def iter_trials(self) -> Iterator[Tuple[str, "TrialResult"]]:
-        """Every stored (key, trial), in key order."""
-        rows = self._read(
-            lambda conn: conn.execute(
-                "SELECT key, result FROM trials ORDER BY key"
-            ).fetchall()
-        )
-        for key, payload in rows:
-            yield key, trial_from_dict(json.loads(payload))
 
     def __len__(self) -> int:
         return int(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
+import sqlite3
+from contextlib import closing
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.bgp.routes import Path, prepend
 from repro.bgp.speaker import _NEVER_SENT, PeerState
 from repro.core.experiment import ExperimentResult
 from repro.store.campaign import Campaign, run_campaign
+from repro.store.result_store import ResultStore
 from repro.topology.graph import (
     DEFAULT_LINK_DELAY,
     GRID_SIZE,
@@ -129,6 +132,13 @@ def run_cell(
         seeds=list(seeds),
     )
     return run_campaign(campaign, **run).results[("cell", failure)]
+
+
+def stored_keys(store: ResultStore) -> List[str]:
+    """Every trial key banked in ``store``, in key order."""
+    with closing(sqlite3.connect(store.path)) as conn:
+        rows = conn.execute("SELECT key FROM trials ORDER BY key").fetchall()
+    return [key for (key,) in rows]
 
 
 def converged_network(

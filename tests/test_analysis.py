@@ -7,13 +7,7 @@ from repro.analysis.report import (
     format_series_table,
     series_to_rows,
 )
-from repro.analysis.shapes import (
-    crossover_point,
-    is_v_shaped,
-    monotone_increasing,
-    optimal_x,
-    ratio_at,
-)
+from repro.analysis.shapes import is_v_shaped, monotone_increasing, optimal_x
 from repro.core.sweep import Series
 
 
@@ -76,26 +70,6 @@ def test_monotone_increasing():
     assert not monotone_increasing([10, 5, 12], tolerance=0.1)
     with pytest.raises(ValueError):
         monotone_increasing([])
-
-
-def test_crossover_point():
-    xs = [1, 2, 3, 4]
-    a = [1, 2, 10, 20]
-    b = [5, 5, 5, 5]
-    assert crossover_point(xs, a, b) == 3
-    assert crossover_point(xs, b, a) == 3
-    assert crossover_point(xs, [1, 1, 1, 1], b) is None
-    with pytest.raises(ValueError):
-        crossover_point([], [], [])
-
-
-def test_ratio_at():
-    xs = [1, 2]
-    assert ratio_at(xs, [10, 20], [5, 4], 2) == 5.0
-    with pytest.raises(KeyError):
-        ratio_at(xs, [1, 2], [1, 2], 99)
-    with pytest.raises(ZeroDivisionError):
-        ratio_at(xs, [1, 2], [1, 0], 2)
 
 
 # ---------------------------------------------------------------------------

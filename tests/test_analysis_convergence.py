@@ -13,10 +13,9 @@ from repro.analysis.convergence import (
 )
 from repro.core.dynamic_mrai import DynamicMRAI
 from repro.core.experiment import ExperimentSpec, run_experiment
-from repro.obs.causality import load_trace
 from repro.obs.session import ObsSession
 from repro.sim.timers import Jitter
-from repro.sim.trace import JsonlSink, Tracer
+from repro.sim.trace import JsonlSink, Tracer, load_trace
 from repro.topology.skewed import skewed_topology
 from tests.conftest import (
     clique_topology,

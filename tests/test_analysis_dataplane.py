@@ -1,4 +1,4 @@
-"""DataPlaneTimeline analytics, JSONL loading, report CLI."""
+"""DataPlaneTimeline analytics, trace-file splitting, report CLI."""
 
 import json
 
@@ -7,10 +7,9 @@ import pytest
 from repro.analysis.dataplane import (
     DataPlaneTimeline,
     analyze_dataplane_file,
-    load_dataplane_trials,
     render_dataplane_report,
 )
-from repro.sim.trace import JsonlSink
+from repro.sim.trace import JsonlSink, TraceRecord
 
 
 def _timeline(transitions, t0=0.0, end=None):
@@ -109,78 +108,67 @@ def test_never_recovered_and_destination_percentiles():
     assert worst == [{"dest": 9, "unreachable_seconds": 12.0}]
 
 
-def test_dict_transitions_accepted():
-    tl = _timeline(
-        [
-            {"kind": "dataplane", "time": 0.0, "node": 1, "dest": 9,
-             "status": "loop", "hops": None},
-            {"kind": "dataplane", "time": 1.0, "node": 1, "dest": 9,
-             "status": "ok", "hops": 2},
-        ],
-        t0=0.0,
-    )
-    assert tl.headline()["loop_seconds"] == pytest.approx(1.0)
-
-
 # ----------------------------------------------------------------------
-# JSONL loading + file-level analysis
+# Trace-file splitting + file-level analysis
 # ----------------------------------------------------------------------
-def _write_sink(path, trials):
+def _write_sink(path, trials, interleave=()):
+    """One ``(seed, t0, end)`` delimiter and its transitions per trial,
+    each trial after the ``interleave`` records (another category)."""
     with JsonlSink(path) as sink:
-        for meta, transitions in trials:
-            sink(meta)
+        for (seed, t0, end), transitions in trials:
+            for record in interleave:
+                sink(record)
+            sink(TraceRecord(t0, "dataplane_trial", None, (seed, end)))
             for t, node, dest, status, hops in transitions:
-                sink({"kind": "dataplane", "time": t, "node": node,
-                      "dest": dest, "status": status, "hops": hops})
+                sink(TraceRecord(t, "dataplane", node, (dest, status, hops)))
     return path
 
 
-def test_load_dataplane_trials_split_and_anonymous(tmp_path):
-    path = _write_sink(
-        tmp_path / "dp.jsonl",
-        [
-            ({"kind": "dataplane_trial", "trial": 0, "seed": 1,
-              "t0": 1.0, "end": 3.0},
-             [(1.0, 1, 9, "blackhole", None), (2.0, 1, 9, "ok", 1)]),
-            ({"kind": "dataplane_trial", "trial": 1, "seed": 2,
-              "t0": 0.0, "end": 2.0},
-             [(0.0, 1, 9, "ok", 1)]),
-        ],
-    )
-    trials = load_dataplane_trials(path)
-    assert len(trials) == 2
-    assert trials[0]["seed"] == 1 and len(trials[0]["transitions"]) == 2
-    # No meta records at all: one anonymous trial.
-    bare = tmp_path / "bare.jsonl"
-    bare.write_text(
-        json.dumps({"kind": "dataplane", "time": 0.0, "node": 1,
-                    "dest": 9, "status": "ok", "hops": 1}) + "\n",
-        encoding="utf-8",
-    )
-    assert len(load_dataplane_trials(bare)) == 1
+def test_report_splits_trials_on_their_delimiters(tmp_path):
+    trials = [
+        ((1, 1.0, 3.0),
+         [(1.0, 1, 9, "blackhole", None), (2.0, 1, 9, "ok", 1)]),
+        ((2, 0.0, 2.0), [(0.0, 1, 9, "ok", 1)]),
+    ]
+    report = analyze_dataplane_file(_write_sink(tmp_path / "dp.jsonl", trials))
+    assert [(t["trial"], t["seed"]) for t in report["per_trial"]] == [
+        (0, 1),
+        (1, 2),
+    ]
+    assert [t["transitions"] for t in report["per_trial"]] == [2, 1]
+    # Trace records between the trials (a --dataplane --trace-out file)
+    # change nothing.
+    route_change = TraceRecord(0.5, "route_change", 1, (9, (1, 9)))
+    mixed = _write_sink(tmp_path / "mixed.jsonl", trials, [route_change])
+    assert analyze_dataplane_file(mixed) == dict(report, path=str(mixed))
 
 
 def test_load_rejects_malformed_lines(tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="invalid JSON"):
-        load_dataplane_trials(bad)
-    arr = tmp_path / "arr.jsonl"
-    arr.write_text("[1, 2]\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="expected an object"):
-        load_dataplane_trials(arr)
+    # load_trace's contract and wording, whichever verb reads the file.
+    cases = {
+        "not json": "malformed trace line",
+        "[1, 2]": "not a trace record",
+        '{"a": 1}': "not a trace record",
+        '{"time": 1.0, "category": "dataplane", "node": 1, '
+        '"detail": [9, "ok", 1]}': "before any dataplane_trial",
+        '{"time": 1.0, "category": "route_change", "node": 1, '
+        '"detail": [9, [1, 9]]}': "no dataplane_trial record",
+    }
+    for line, wording in cases.items():
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=wording):
+            analyze_dataplane_file(bad)
 
 
 def test_analyze_file_aggregate_and_render(tmp_path):
     path = _write_sink(
         tmp_path / "dp.jsonl",
         [
-            ({"kind": "dataplane_trial", "trial": 0, "seed": 1,
-              "t0": 0.0, "end": 4.0},
+            ((1, 0.0, 4.0),
              [(0.0, 1, 9, "blackhole", None), (1.0, 1, 9, "ok", 1),
               (0.0, 2, 9, "ok", 1)]),
-            ({"kind": "dataplane_trial", "trial": 1, "seed": 2,
-              "t0": 0.0, "end": 4.0},
+            ((2, 0.0, 4.0),
              [(0.0, 1, 9, "loop", None), (3.0, 1, 9, "ok", 2)]),
         ],
     )
@@ -208,8 +196,7 @@ def test_cli_dataplane_report(tmp_path, capsys):
 
     path = _write_sink(
         tmp_path / "dp.jsonl",
-        [({"kind": "dataplane_trial", "trial": 0, "seed": 1,
-           "t0": 0.0, "end": 2.0},
+        [((1, 0.0, 2.0),
           [(0.0, 1, 9, "blackhole", None), (1.0, 1, 9, "ok", 1)])],
     )
     out_path = tmp_path / "report.json"

@@ -198,8 +198,6 @@ def test_one_cell_campaign_aggregates():
     assert result.mean_delay > 0
     assert result.mean_messages > 0
     assert result.delay.n == 3
-    lo, hi = result.delay.confidence_interval95()
-    assert lo <= result.mean_delay <= hi
     assert "3 trials" in str(result)
 
 

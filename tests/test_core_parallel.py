@@ -5,6 +5,7 @@ The headline property under test: ``jobs=N`` is bit-identical to
 session records.
 """
 
+import itertools
 import multiprocessing
 import pickle
 from collections import deque
@@ -216,18 +217,19 @@ def test_progress_ticks_monotonic_and_complete():
 # Observability round-trip
 # ----------------------------------------------------------------------
 def observed_run(mode):
-    """SEEDS under every recorder and both sinks.
+    """SEEDS under every recorder, into one sink.
 
     ``mode`` is ``"inline"`` — a loop of ``run_experiment`` — or a
     ``jobs`` value for a one-cell campaign.
     """
-    trace, dataplane = [], []
+    records = []
     obs = ObsSession(
         sample_interval=0.25,
         profile=True,
-        trace_sink=trace.append,
+        trace=True,
         spans=True,
-        dataplane_sink=dataplane.append,
+        dataplane=True,
+        sink=records.append,
     )
     if mode == "inline":
         spec = spec_dynamic_batch()
@@ -240,10 +242,10 @@ def observed_run(mode):
         )
     else:
         result = run_cell(SCHEME_DYNAMIC_BATCH, SEEDS, obs=obs, jobs=mode)
-    return obs, result, trace, dataplane
+    return obs, result, records
 
 
-def observed_facts(obs, trace, dataplane):
+def observed_facts(obs, records):
     """Everything a session holds that is simulation state, by section."""
     walls = ("warmup_wall", "convergence_wall")
     return {
@@ -255,14 +257,13 @@ def observed_facts(obs, trace, dataplane):
         ],
         "probes": obs.probes,
         "profile": {r.category: r.events for r in obs.profiler.report()},
-        "trace_sink": trace,
-        "dataplane_sink": dataplane,
+        "sink": records,
     }
 
 
 def test_obs_aggregation_roundtrip():
-    serial_obs, serial_result, serial_trace, _ = observed_run(1)
-    parallel_obs, parallel_result, parallel_trace, _ = observed_run(2)
+    serial_obs, serial_result, serial_records = observed_run(1)
+    parallel_obs, parallel_result, parallel_records = observed_run(2)
 
     assert result_signature(serial_result) == result_signature(
         parallel_result
@@ -285,7 +286,7 @@ def test_obs_aggregation_roundtrip():
 
     # Metrics: both runs merge the same per-trial sums in seed order,
     # so counters, gauges and histogram means are all exact.
-    assert parallel_obs.registry.snapshot() == serial_obs.registry.snapshot()
+    assert parallel_obs.registry.records() == serial_obs.registry.records()
 
     # Profiler: identical event counts per run (wall time differs).
     assert (
@@ -293,20 +294,39 @@ def test_obs_aggregation_roundtrip():
         == serial_obs.profiler.total_events
     )
 
-    # Trace records survive the worker round-trip.
-    assert len(parallel_trace) == len(serial_trace)
-    assert [r.category for r in parallel_trace] == [
-        r.category for r in serial_trace
+    # The one record stream survives the worker round-trip: per trial,
+    # its trace records, then its delimiter and data-plane transitions.
+    assert len(parallel_records) == len(serial_records)
+    assert [r.category for r in parallel_records] == [
+        r.category for r in serial_records
     ]
+    layout = [
+        category
+        for category, _ in itertools.groupby(
+            r.category if r.category.startswith("dataplane") else "trace"
+            for r in parallel_records
+        )
+    ]
+    assert layout == ["trace", "dataplane_trial", "dataplane"] * len(SEEDS)
+    assert [
+        r.detail[0]
+        for r in parallel_records
+        if r.category == "dataplane_trial"
+    ] == list(SEEDS)
 
     # The contract: a session cannot tell which entry point, or which
     # process, ran a trial.
     expected = None
     for mode in ("inline", 1, 2):
-        obs, result, trace, dataplane = observed_run(mode)
-        facts = observed_facts(obs, trace, dataplane)
+        obs, result, records = observed_run(mode)
+        facts = observed_facts(obs, records)
         assert len(facts["probes"]) == len(SEEDS)
-        assert facts["trace_sink"] and facts["dataplane_sink"]
+        assert {r.category for r in facts["sink"]} == {
+            "causality",
+            "route_change",
+            "dataplane_trial",
+            "dataplane",
+        }
         if expected is None:
             expected = facts
         for section, value in facts.items():
@@ -350,13 +370,14 @@ RECORD_SIZE_CEILINGS = [
         154_427,
     ),
     (
-        "every recorder + both sinks",
+        "every recorder + a sink",
         {
             "sample_interval": 0.25,
             "profile": True,
-            "trace_sink": print,
+            "trace": True,
             "spans": True,
-            "dataplane_sink": print,
+            "dataplane": True,
+            "sink": print,
         },
         None,
     ),
@@ -376,8 +397,7 @@ def test_observation_record_is_plain_data_stating_each_fact_once():
         # the snapshot only; spec and topology are not shipped at all.
         assert not set(record["snapshot"]) & set(record)
         assert not {"spec", "topology"} & set(record)
-        assert ("trace_records" in record) == ("trace_sink" in config)
-        assert ("dataplane_records" in record) == ("dataplane_sink" in config)
+        assert ("records" in record) == ("sink" in config)
         if ceiling is not None:
             assert len(blob) <= ceiling, name
 

@@ -15,6 +15,7 @@ from repro.obs.session import ObsSession
 from repro.obs.spans import SpanRecorder, record_spans
 from repro.store import Campaign, ResultStore, run_campaign
 from repro.store.campaign import campaign_keys
+from tests.conftest import stored_keys
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -33,10 +34,6 @@ def tiny_profile(**overrides):
     )
     defaults.update(overrides)
     return ScaleProfile(**defaults)
-
-
-def banked_keys(store):
-    return sorted(key for key, _trial in store.iter_trials())
 
 
 def test_every_figure_grid_is_a_campaign_document(monkeypatch):
@@ -100,7 +97,7 @@ def test_figure_banks_into_whichever_store_it_is_handed(tmp_path):
         first = compute_figure("fig01", profile, store=a)
         second = compute_figure("fig01", profile, store=b)
         assert len(a) == len(b) == 6
-        assert banked_keys(a) == banked_keys(b)
+        assert stored_keys(a) == stored_keys(b)
     assert [s.delays for s in first.series] == [s.delays for s in second.series]
 
 

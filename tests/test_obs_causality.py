@@ -5,9 +5,9 @@ import pytest
 from repro.bgp.config import BGPConfig
 from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
-from repro.obs.causality import CausalGraph, load_trace
+from repro.obs.causality import CausalGraph
 from repro.sim.timers import Jitter
-from repro.sim.trace import JsonlSink, Tracer
+from repro.sim.trace import JsonlSink, Tracer, load_trace
 from tests.conftest import clique_topology, line_topology
 
 

@@ -149,6 +149,114 @@ def test_trace_analyze_refuses_a_line_that_is_no_trace_record(
 
 
 @pytest.mark.parametrize(
+    "line", ['{"a": 1}', "[1, 2]"], ids=["keyless-object", "list"]
+)
+def test_dataplane_report_refuses_a_line_that_is_no_trace_record(
+    line, tmp_path, capsys
+):
+    # One loader, one wording: what trace analyze says of the line.
+    path = tmp_path / "records.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert main(["dataplane", "report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"cannot analyze {path}: {path}:1: not a trace record"
+    )
+    assert len(err.splitlines()) == 1
+
+
+def test_dataplane_report_refuses_a_file_without_dataplane_records(
+    tmp_path, capsys
+):
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli(tmp_path, "--trace-out", str(trace)) == 0
+    capsys.readouterr()
+    assert main(["dataplane", "report", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"cannot analyze {trace}: {trace}: no dataplane_trial record "
+        "(a run without --dataplane?)"
+    ]
+
+
+def test_the_flags_route_one_stream_by_category(tmp_path, capsys):
+    alone, beside, mixed = (
+        tmp_path / f"{name}.jsonl" for name in ("alone", "beside", "mixed")
+    )
+    dataplane, metrics = tmp_path / "d.jsonl", tmp_path / "metrics"
+    assert run_cli(tmp_path, "--trace-out", str(alone)) == 0
+    assert run_cli(
+        tmp_path, "--trace-out", str(beside), "--dataplane-out", str(dataplane)
+    ) == 0
+    assert run_cli(tmp_path, "--dataplane", "--trace-out", str(mixed)) == 0
+    # The trace file keeps its bytes beside --dataplane-out.
+    assert beside.read_bytes() == alone.read_bytes()
+
+    def report(*argv):
+        capsys.readouterr()
+        assert main([*argv, "--json"]) == 0
+        return {**json.loads(capsys.readouterr().out), "path": None}
+
+    # Without --dataplane-out, --trace-out holds both, and each verb
+    # reads its part of it.
+    assert report("trace", "analyze", str(mixed)) == report(
+        "trace", "analyze", str(alone)
+    )
+    assert report("dataplane", "report", str(mixed)) == report(
+        "dataplane", "report", str(dataplane)
+    )
+    # A data-plane-only run traces nothing: no exploration summary.
+    assert run_cli(
+        tmp_path,
+        "--dataplane-out", str(dataplane),
+        "--metrics-out", str(metrics),
+    ) == 0
+    extra = json.loads((metrics / "manifest.json").read_text())["extra"]
+    assert "dataplane" in extra and "exploration" not in extra
+
+
+def test_pooled_campaign_report_numbers_trials_as_the_session(
+    tmp_path, capsys
+):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(
+        json.dumps(
+            {
+                "name": "cli-dataplane",
+                "topology": {"kind": "skewed", "nodes": 20},
+                "schemes": {"a": {"mrai": 0.5}},
+                "axis": {"name": "failure_fraction", "values": [0.1]},
+                "seeds": [1, 2, 3],
+            }
+        ),
+        encoding="utf-8",
+    )
+    dataplane, metrics = tmp_path / "d.jsonl", tmp_path / "metrics"
+    assert main(
+        [
+            "campaign", "run", str(campaign),
+            "--store", str(tmp_path / "s.db"),
+            "--jobs", "2",
+            "--dataplane-out", str(dataplane),
+            "--metrics-out", str(metrics),
+        ]
+    ) == 0
+    capsys.readouterr()
+    assert main(["dataplane", "report", str(dataplane), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    snapshots = [
+        json.loads(line)
+        for line in (metrics / "metrics.jsonl").read_text().splitlines()
+    ]
+    trials = [
+        (s["trial"], s["seed"]) for s in snapshots if s["kind"] == "trial"
+    ]
+    assert len(trials) == 3
+    assert [(t["trial"], t["seed"]) for t in report["per_trial"]] == trials
+
+
+@pytest.mark.parametrize(
     "verb",
     [["trace", "analyze"], ["dataplane", "report"]],
     ids=["trace-analyze", "dataplane-report"],

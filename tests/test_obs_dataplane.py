@@ -18,7 +18,7 @@ from repro.obs.dataplane import (
 )
 from repro.obs.session import ObsSession, TrialObserver
 from repro.sim.timers import Jitter
-from repro.sim.trace import JsonlSink
+from repro.sim.trace import JsonlSink, TraceRecord, load_trace
 from repro.store.result_store import trial_from_dict, trial_to_dict
 from repro.topology.graph import Router, Topology
 from repro.topology.skewed import skewed_topology
@@ -153,7 +153,7 @@ def test_destination_withdrawn_everywhere_is_all_blackhole():
     obs.attach(net)
     t0 = net.fail_nodes([2])
     net.run_until_quiet(max_time=3600)
-    summary = obs.finish_dataplane(net, t0=t0)
+    summary = obs.finish_dataplane(net, t0=t0, seed=1)
     # Dest 2's origin is gone: nodes 0 and 1 end the window blackholed.
     assert summary["pairs_never_recovered"] == 2
     assert summary["unreachable_seconds_total"] > 0.0
@@ -170,7 +170,7 @@ def test_single_node_topology():
     obs.attach(net)
     net.start()
     net.run_until_quiet(max_time=60)
-    summary = obs.finish_dataplane(net, t0=0.0)
+    summary = obs.finish_dataplane(net, t0=0.0, seed=1)
     # One origin pair, trivially ok forever: no unreachability at all.
     assert summary["pairs"] == 1
     assert summary["unreachable_seconds_total"] == 0.0
@@ -232,13 +232,11 @@ def test_dataplane_worker_round_trip_parallel():
     serial_obs = ObsSession(dataplane=True)
     serial = run_cell(**cell, jobs=1, obs=serial_obs)
     serial_records = []
-    sink_obs = ObsSession(dataplane=True, dataplane_sink=serial_records.append)
+    sink_obs = ObsSession(dataplane=True, sink=serial_records.append)
     run_cell(**cell, jobs=1, obs=sink_obs)
 
     parallel_records = []
-    par_obs = ObsSession(
-        dataplane=True, dataplane_sink=parallel_records.append
-    )
+    par_obs = ObsSession(dataplane=True, sink=parallel_records.append)
     parallel = run_cell(**cell, jobs=2, obs=par_obs)
 
     assert parallel.trials == serial.trials
@@ -247,8 +245,14 @@ def test_dataplane_worker_round_trip_parallel():
     ]
     serial_summaries = [s["dataplane"] for s in serial_obs.trial_snapshots]
     assert [s["dataplane"] for s in par_obs.trial_snapshots] == serial_summaries
-    # Sink replay (with parent-side trial renumbering) is bit-identical.
+    # Sink replay is bit-identical, and each trial's delimiter carries
+    # its own seed: the parent stamps nothing.
     assert parallel_records == serial_records
+    assert [
+        r.detail[0]
+        for r in parallel_records
+        if r.category == "dataplane_trial"
+    ] == seeds
     manifest = par_obs.finalize(command="test")
     agg = manifest.extra["dataplane"]
     assert agg["trials"] == len(seeds)
@@ -258,20 +262,29 @@ def test_dataplane_worker_round_trip_parallel():
 
 
 def test_worker_args_carry_dataplane_flags():
-    obs = ObsSession(dataplane=True, dataplane_sink=lambda r: None)
+    obs = ObsSession(dataplane=True, sink=lambda r: None)
     config = obs.worker_args()
     assert config["dataplane"] is True
-    assert config["dataplane_sink"] is True
+    assert config["sink"] is True
+    assert len(config) == 6
     # An observer built from the recipe monitors its trial and, the
-    # session having a sink it cannot reach, buffers the raw records.
+    # session having a sink it cannot reach, buffers the raw records —
+    # with no tracer, since the session does not trace.
     net = converged_network(line_topology(3))
     worker = TrialObserver(config)
+    assert worker.tracer is None
     worker.attach(net)
     assert net.dataplane is worker.monitor
-    worker.finish_dataplane(net, t0=net.fail_nodes([2]))
-    assert worker.record()["dataplane_records"][0]["kind"] == "dataplane_trial"
+    t0 = net.fail_nodes([2])
+    worker.finish_dataplane(net, t0=t0, seed=7)
+    delimiter, *transitions = worker.record()["records"]
+    assert delimiter.category == "dataplane_trial"
+    assert (delimiter.time, delimiter.node) == (t0, None)
+    assert delimiter.detail == (7, t0)  # (seed, end): nothing ran since
+    assert transitions
+    assert {r.category for r in transitions} == {"dataplane"}
     off = ObsSession().worker_args()
-    assert off["dataplane"] is False and off["dataplane_sink"] is False
+    assert off["dataplane"] is False and off["sink"] is False
 
 
 # ----------------------------------------------------------------------
@@ -301,11 +314,15 @@ def test_jsonl_sink_writes_trial_delimited_records(tmp_path):
     topo = skewed_topology(20, seed=1)
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
     with JsonlSink(path) as sink:
-        obs = ObsSession(dataplane_sink=sink)
-        assert obs.dataplane_enabled  # sink implies enable
-        run_experiment(topo, spec, seed=1, obs=obs)
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert lines[0]["kind"] == "dataplane_trial"
-    assert lines[0]["seed"] == 1
-    assert {l["kind"] for l in lines[1:]} == {"dataplane"}
-    assert sink.records_written == len(lines)
+        assert not ObsSession(sink=sink).dataplane_enabled  # turns nothing on
+        obs = ObsSession(dataplane=True, sink=sink)
+        result = run_experiment(topo, spec, seed=1, obs=obs)
+    records = load_trace(path)
+    assert records[0] == TraceRecord(
+        result.failure_time,
+        "dataplane_trial",
+        None,
+        (1, result.failure_time + result.convergence_delay),
+    )
+    assert {r.category for r in records[1:]} == {"dataplane"}
+    assert sink.records_written == len(records)

@@ -79,19 +79,6 @@ def test_records_deterministic_order():
     assert [r["name"] for r in reg.records()] == names
 
 
-def test_snapshot_flat_view():
-    reg = MetricsRegistry()
-    reg.counter("msgs").inc(4)
-    reg.gauge("depth", node=3).set(7)
-    h = reg.histogram("svc", buckets=(1.0, 2.0))
-    h.observe(1.0)
-    h.observe(2.0)
-    snap = reg.snapshot()
-    assert snap["msgs"] == 4
-    assert snap["depth{node=3}"] == 7
-    assert snap["svc"] == pytest.approx(1.5)  # histograms report their mean
-
-
 def test_format_metric_name():
     assert format_metric_name("plain", ()) == "plain"
     assert format_metric_name("m", (("a", 1), ("b", "x"))) == "m{a=1,b=x}"
@@ -143,25 +130,6 @@ def test_histogram_rejects_bad_buckets():
         Histogram("h", (), buckets=(2.0, 1.0))
     with pytest.raises(ValueError):
         Histogram("h", (), buckets=(1.0, 1.0, 2.0))
-
-
-def test_histogram_percentile_upper_bound_semantics():
-    h = Histogram("h", (), buckets=(1.0, 2.0, 4.0))
-    for v in (0.5, 0.6, 0.7, 1.5, 3.5):
-        h.observe(v)
-    assert h.percentile(0.0) == 1.0
-    assert h.percentile(0.5) == 1.0  # rank 3 of 5 still in first bucket
-    assert h.percentile(0.8) == 2.0
-    assert h.percentile(1.0) == 4.0
-
-
-def test_histogram_percentile_edge_cases():
-    h = Histogram("h", (), buckets=(1.0,))
-    assert h.percentile(0.5) == 0.0  # empty histogram
-    h.observe(99.0)  # overflow only
-    assert h.percentile(0.5) == float("inf")
-    with pytest.raises(ValueError):
-        h.percentile(1.5)
 
 
 def test_default_buckets_are_ascending():

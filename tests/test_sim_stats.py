@@ -38,19 +38,6 @@ def test_online_stats_matches_closed_form():
     assert stats.maximum == 9.0
 
 
-def test_confidence_interval_contains_mean():
-    stats = OnlineStats()
-    stats.extend([1.0, 2.0, 3.0, 4.0, 5.0])
-    lo, hi = stats.confidence_interval95()
-    assert lo < stats.mean < hi
-
-
-def test_confidence_interval_degenerate_below_two_points():
-    stats = OnlineStats()
-    stats.add(3.0)
-    assert stats.confidence_interval95() == (3.0, 3.0)
-
-
 def test_utilization_empty_is_zero():
     util = SlidingWindowUtilization(window=1.0)
     assert util.utilization(10.0) == 0.0

@@ -8,6 +8,7 @@ from repro.sim.trace import (
     NullTracer,
     Tracer,
     TraceRecord,
+    load_trace,
 )
 
 
@@ -112,18 +113,30 @@ def test_record_to_dict_json_ready():
 
 def test_jsonl_sink_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"
-    plain = {"kind": "dataplane", "time": 3.0, "node": 1, "hops": None}
+    plain = {"kind": "counter", "name": "updates_sent", "value": 3}
     with JsonlSink(path) as sink:
         tracer = Tracer(sink=sink)
         tracer.emit(1.0, "update_sent", 3, "dest", 7)
         tracer.emit(2.0, "route_change", 4)
-        sink(plain)  # data-plane records arrive as plain dicts
+        sink(plain)  # metrics records arrive as plain dicts
         assert sink.records_written == 3
     lines = path.read_text().splitlines()
     rows = [json.loads(line) for line in lines]
     assert [r["category"] for r in rows[:2]] == ["update_sent", "route_change"]
     assert rows[0]["detail"] == ["dest", 7]
     assert lines[2] == json.dumps(plain, sort_keys=True)
+
+
+def test_load_trace_returns_the_emitted_records(tmp_path):
+    # Nested tuples went out as lists and come back as tuples.
+    path = tmp_path / "trace.jsonl"
+    with JsonlSink(path) as sink:
+        tracer = Tracer(sink=sink)
+        tracer.emit(1.0, "causality", 3, "send", 1, -1, 9, 4, (3, 9))
+        tracer.emit(2.0, "route_change", 4, 9, None)
+        tracer.emit(3.0, "dataplane_trial", None, 1, 5.0)
+        tracer.emit(3.0, "dataplane", 4, 9, "ok", 2)
+    assert load_trace(path) == tracer.records
 
 
 def test_jsonl_sink_creates_parent_directories(tmp_path):

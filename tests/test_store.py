@@ -143,14 +143,6 @@ def test_git_revision_is_probed_outside_the_store_lock(store, monkeypatch):
     assert next(store.iter_campaigns("demo"))["git_rev"] == "f" * 40
 
 
-def test_iter_trials_yields_stored_rows(store):
-    trial = one_trial()
-    key = spec_hash(spec_05(), factory(1), 1)
-    store.put(key, trial)
-    rows = list(store.iter_trials())
-    assert rows == [(key, trial)]
-
-
 def test_reopen_persists(tmp_path):
     path = tmp_path / "store.db"
     trial = one_trial()
