@@ -31,6 +31,7 @@ delimiter.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -263,6 +264,46 @@ class DataPlaneTimeline:
 # ----------------------------------------------------------------------
 # The ``dataplane report`` report
 # ----------------------------------------------------------------------
+#: What the session writes, as ``dataplane report`` states it.
+_DELIMITER_SHAPE = "detail [seed, end]"
+_TRANSITION_SHAPE = "an integer node and detail [dest, status, hops]"
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_trial_delimiter(record: TraceRecord) -> bool:
+    """Whether the detail is ``(seed, end)`` as the session writes it."""
+    if len(record.detail) != 2:
+        return False
+    seed, end = record.detail
+    return _is_int(seed) and (_is_int(end) or isinstance(end, float))
+
+
+def _is_transition(record: TraceRecord) -> bool:
+    """Whether a ``dataplane`` record is a monitor transition: a node,
+    then ``(dest, status, hops)`` with ``hops`` an int or ``None``."""
+    if not _is_int(record.node) or len(record.detail) != 3:
+        return False
+    dest, status, hops = record.detail
+    return (
+        _is_int(dest)
+        and status in (OK, LOOP, BLACKHOLE, DOWN)
+        and (hops is None or _is_int(hops))
+    )
+
+
+def _malformed(
+    path: Union[str, Path], record: TraceRecord, shape: str
+) -> ValueError:
+    detail = json.dumps(record.to_dict()["detail"])
+    return ValueError(
+        f"{path}: a {record.category} record at time {record.time:g} has "
+        f"node {json.dumps(record.node)} and detail {detail}, not {shape}"
+    )
+
+
 def analyze_dataplane_file(
     path: Union[str, Path],
     t0: Optional[float] = None,
@@ -275,12 +316,15 @@ def analyze_dataplane_file(
     ordinal, and its window runs from the delimiter's time (or ``t0``,
     when given) to its recorded end.  Other categories are skipped.  A
     file without a delimiter holds no data-plane report, and a
-    ``dataplane`` record before the first delimiter is malformed: both
-    raise ``ValueError``.
+    ``dataplane`` record before the first delimiter, or either record
+    with a detail of the wrong shape, is malformed: all raise
+    ``ValueError``.
     """
     trials: List[Tuple[TraceRecord, List[Transition]]] = []
     for record in load_trace(path):
         if record.category == "dataplane_trial":
+            if not _is_trial_delimiter(record):
+                raise _malformed(path, record, _DELIMITER_SHAPE)
             trials.append((record, []))
         elif record.category == "dataplane":
             if not trials:
@@ -288,6 +332,8 @@ def analyze_dataplane_file(
                     f"{path}: a dataplane record before any "
                     f"dataplane_trial record"
                 )
+            if not _is_transition(record):
+                raise _malformed(path, record, _TRANSITION_SHAPE)
             trials[-1][1].append((record.time, record.node, *record.detail))
     if not trials:
         raise ValueError(

@@ -69,17 +69,6 @@ class MRAIPolicy:
     def controller_for(self, node_id: int, degree: int) -> MRAIController:
         raise NotImplementedError
 
-    # Policies are compared by configuration so that a spec deserialized
-    # from its declarative dict equals the spec it was built from
-    # (``build_spec(spec.to_dict()) == spec``).
-    def __eq__(self, other: object) -> bool:
-        if type(self) is not type(other):
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self) -> int:
-        return hash((type(self), getattr(self, "name", "")))
-
 
 class ConstantMRAI(MRAIPolicy):
     """Every node uses the same MRAI — the Internet's default configuration.

@@ -45,13 +45,9 @@ class BGPNetwork:
         self.config = config if config is not None else BGPConfig()
         self.sim = Simulator(seed=seed, tracer=tracer)
         #: Optional structured-metrics registry; when present speakers
-        #: record gauges/histograms into it.
+        #: record counters/histograms into it.
         self.metrics = metrics
         self.counters = Counter()
-        if metrics is not None:
-            self._g_in_flight = metrics.gauge("updates_in_flight")
-        else:
-            self._g_in_flight = None
         self.last_activity = 0.0
         #: Every AS originates one prefix, its AS number: per-destination
         #: RIB arrays are indexed ``0 .. prefix_count - 1``.  AS numbers
@@ -72,9 +68,6 @@ class BGPNetwork:
         #: Next provenance uid for causal tracing; advances only while a
         #: real tracer is attached (see :meth:`next_uid`).
         self._next_uid = 0
-        #: UPDATE messages currently on the wire (the ``updates_in_flight``
-        #: gauge; counted only while a metrics registry is attached).
-        self._in_flight_updates = 0
         self._build()
 
     # ------------------------------------------------------------------
@@ -136,15 +129,9 @@ class BGPNetwork:
                 None if msg.path is None else path_tuple(msg.path),
             )
         self.note_activity()
-        if self._g_in_flight is not None:
-            self._in_flight_updates += 1
-            self._g_in_flight.set(self._in_flight_updates)
         self.sim.schedule(delay, self._deliver, receiver_id, msg)
 
     def _deliver(self, receiver_id: int, msg: Update) -> None:
-        if self._g_in_flight is not None:
-            self._in_flight_updates -= 1
-            self._g_in_flight.set(self._in_flight_updates)
         speaker = self.speakers[receiver_id]
         if not speaker.alive:
             self.counters["updates_lost"] += 1

@@ -67,9 +67,6 @@ class ASRelationships:
         """
         return self._rel.get((local, neighbor), PEER)
 
-    def __len__(self) -> int:
-        return len(self._rel) // 2
-
     def items(self) -> List[Tuple[int, int, str]]:
         """Directed ``(local, neighbor, relation)`` triples, sorted.
 
@@ -92,14 +89,6 @@ class ASRelationships:
                 )
             rels._rel[(int(a), int(b))] = rel
         return rels
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ASRelationships):
-            return NotImplemented
-        return self._rel == other._rel
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._rel.items()))
 
 
 class RoutingPolicy:
@@ -125,16 +114,6 @@ class RoutingPolicy:
         """May a route learned from ``learned_from_asn`` (``None`` for
         locally originated) be advertised to ``to_asn``?"""
         raise NotImplementedError
-
-    # Value equality, like MRAIPolicy: two policies with identical
-    # configuration compare equal so spec round-trips hold.
-    def __eq__(self, other: object) -> bool:
-        if type(self) is not type(other):
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.name))
 
 
 class ShortestPathPolicy(RoutingPolicy):

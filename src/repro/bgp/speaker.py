@@ -142,7 +142,6 @@ class BGPSpeaker:
             self._m_processed = metrics.counter(
                 "updates_processed", node=node_id
             )
-            self._m_queue_depth = metrics.gauge("queue_depth", node=node_id)
             self._m_service = metrics.histogram(
                 "update_service_seconds", buckets=DEFAULT_TIME_BUCKETS
             )
@@ -151,7 +150,6 @@ class BGPSpeaker:
             )
         else:
             self._m_processed = None
-            self._m_queue_depth = None
             self._m_service = None
             self._m_batch = None
         #: Provenance context: uid of the event whose processing the
@@ -211,8 +209,6 @@ class BGPSpeaker:
         now = self.sim.now
         self.controller.on_update_received(now)
         self.controller.on_queue_sample(len(self.queue), now)
-        if self._m_queue_depth is not None:
-            self._m_queue_depth.set(len(self.queue))
         if not self._busy:
             self._begin_service()
 
@@ -260,7 +256,6 @@ class BGPSpeaker:
         self.controller.on_queue_sample(len(self.queue), now)
         if self._m_processed is not None:
             self._m_processed.inc(len(batch))
-            self._m_queue_depth.set(len(self.queue))
         self.network.note_activity()
         if len(self.queue):
             self._begin_service()

@@ -104,8 +104,8 @@ class ExperimentSpec:
     def to_dict(self) -> Dict[str, object]:
         """The fully explicit declarative scheme dict for this spec.
 
-        ``repro.specs.build_spec(spec.to_dict()) == spec`` for every
-        spec whose policies are registry-serializable; raises
+        ``build_spec(spec.to_dict()).to_dict() == spec.to_dict()`` for
+        every spec whose policies are registry-serializable; raises
         :class:`repro.specs.serialize.SpecSerializationError` otherwise.
         """
         from repro.specs.serialize import spec_to_dict
@@ -228,14 +228,6 @@ class Progress:
         if self.done == 0:
             return float("inf")
         return self.elapsed / self.done * (self.total - self.done)
-
-    def __str__(self) -> str:
-        eta = "?" if self.eta == float("inf") else f"{self.eta:.0f}s"
-        label = f" {self.label}" if self.label else ""
-        return (
-            f"[{self.done}/{self.total}]{label} "
-            f"elapsed {self.elapsed:.0f}s eta {eta}"
-        )
 
 
 #: Signature of the optional progress callback.

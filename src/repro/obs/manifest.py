@@ -1,15 +1,16 @@
 """Run manifests: what ran, where, with which knobs, how long each phase took.
 
 A manifest is the provenance record written next to every metrics export:
-enough to re-run the experiment (spec fields + seeds + package version) and
-enough to compare simulator *speed* across commits (wall-clock phase
-timings for warm-up / failure / convergence, host fingerprint).
+enough to re-run the experiment (the spec's declarative dict, which
+:func:`repro.specs.build_spec` turns back into the spec, + seeds + package
+version) and enough to compare simulator *speed* across commits
+(wall-clock phase timings for warm-up / failure / convergence, host
+fingerprint).
 :meth:`RunManifest.save` writes :meth:`RunManifest.to_dict` as JSON.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import platform
 import socket
@@ -18,22 +19,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
-
-
-def jsonable(value: Any) -> Any:
-    """Best-effort conversion of arbitrary config objects to JSON types."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    return repr(value)
 
 
 def host_fingerprint() -> Dict[str, str]:
@@ -87,7 +72,7 @@ class RunManifest:
         *,
         kind: str = "repro-run",
         command: str = "",
-        spec: Any = None,
+        spec: Optional[Dict[str, Any]] = None,
         seeds: Optional[List[int]] = None,
         topology: str = "",
         phases: Optional[List[PhaseTiming]] = None,
@@ -103,7 +88,7 @@ class RunManifest:
             package_version=__version__,
             host=host_fingerprint(),
             command=command,
-            spec=jsonable(spec) if spec is not None else {},
+            spec=dict(spec) if spec is not None else {},
             seeds=list(seeds) if seeds else [],
             topology=topology,
             phases=list(phases) if phases else [],

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 The experiment layer's historical observability surface was two scalars per
 run plus the ad-hoc :class:`repro.sim.trace.Counter`.  This module is the
@@ -7,10 +7,9 @@ metrics addressed by name and an optional label set, e.g.
 ``updates_processed{node=7}``, so a single run can expose per-node and
 network-wide views of the same signal side by side.
 
-Three metric kinds, Prometheus-flavoured but in-process only:
+Two metric kinds, Prometheus-flavoured but in-process only:
 
 * :class:`CounterMetric` — monotonically increasing totals;
-* :class:`Gauge` — instantaneous values (queue depth, in-flight updates);
 * :class:`Histogram` — fixed-bucket distributions (service times, batch
   sizes) with cumulative-free per-bucket counts and a sum.
 
@@ -87,30 +86,8 @@ class CounterMetric(_Child):
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
+            raise ValueError("counters only go up")
         self.value += amount
-
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "labels": self.label_dict(),
-            "value": self.value,
-        }
-
-
-class Gauge(_Child):
-    """An instantaneous value that can move in both directions."""
-
-    __slots__ = ("value",)
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelKey) -> None:
-        super().__init__(name, labels)
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
     def to_record(self) -> Dict[str, Any]:
         return {
@@ -180,7 +157,7 @@ class _Family:
 class MetricsRegistry:
     """Container and factory for every metric a run exposes.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: repeated
+    ``counter`` / ``histogram`` are get-or-create: repeated
     calls with the same name and labels return the same child object, so
     callers can safely cache at wiring time.  Registering the same name
     under a different kind (or a histogram under different buckets) is a
@@ -193,9 +170,6 @@ class MetricsRegistry:
     # -- factories -----------------------------------------------------
     def counter(self, name: str, **labels: Any) -> CounterMetric:
         return self._child(name, "counter", None, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._child(name, "gauge", None, labels)
 
     def histogram(
         self,
@@ -232,8 +206,6 @@ class MetricsRegistry:
         if child is None:
             if kind == "counter":
                 child = CounterMetric(name, key)
-            elif kind == "gauge":
-                child = Gauge(name, key)
             else:
                 assert buckets is not None
                 child = Histogram(name, key, buckets)
@@ -255,9 +227,6 @@ class MetricsRegistry:
             for key in sorted(family.children, key=repr):
                 yield family.children[key]
 
-    def __len__(self) -> int:
-        return sum(len(f.children) for f in self._families.values())
-
     def records(self) -> List[Dict[str, Any]]:
         """One export record per child, deterministically ordered."""
         return [child.to_record() for child in self.children()]
@@ -266,19 +235,15 @@ class MetricsRegistry:
         """Fold exported :meth:`records` rows into this registry.
 
         The merge discipline matches how a single registry accumulates
-        across trials: counters add, histograms merge bucket-wise, and
-        gauges take the incoming value (last write wins — callers absorb
-        in trial order, so the final value matches a serial run).  This
-        is how per-trial registries from worker processes aggregate into
-        the parent session's registry.
+        across trials: counters add and histograms merge bucket-wise.
+        This is how per-trial registries from worker processes aggregate
+        into the parent session's registry.
         """
         for record in records:
             kind = record.get("kind")
             labels = record.get("labels") or {}
             if kind == "counter":
                 self.counter(record["name"], **labels).inc(record["value"])
-            elif kind == "gauge":
-                self.gauge(record["name"], **labels).set(record["value"])
             elif kind == "histogram":
                 child = self.histogram(
                     record["name"], buckets=record["buckets"], **labels
@@ -292,7 +257,4 @@ class MetricsRegistry:
             # registry state; ignore them rather than fail mid-merge.
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<MetricsRegistry families={len(self._families)} "
-            f"children={len(self)}>"
-        )
+        return f"<MetricsRegistry families={len(self._families)}>"

@@ -31,7 +31,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.obs.manifest import PhaseTiming, RunManifest, jsonable
+from repro.obs.manifest import PhaseTiming, RunManifest
 from repro.obs.profiling import EventLoopProfiler
 from repro.obs.spans import SpanRecorder, span
 from repro.sim.trace import TraceRecord, Tracer
@@ -292,7 +292,7 @@ class ObsSession:
         self.manifest: Optional[RunManifest] = None
         #: Manifests of campaigns run under this session (name, payload).
         self.campaigns: List[Dict[str, Any]] = []
-        self._last_spec: Any = None
+        self._last_spec: Optional[Dict[str, Any]] = None
         self._last_topology: str = ""
         self.dataplane_enabled = bool(dataplane)
 
@@ -334,14 +334,19 @@ class ObsSession:
         replay as they are: a ``dataplane_trial`` delimiter carries its
         own seed, and its ordinal in the sink is this trial's index,
         since only executed trials are absorbed.  Callers absorb in plan
-        (seed) order, so trial indices, gauge final values and sink
-        sequences do not depend on completion order.  ``spec`` and
+        (seed) order, so trial indices and sink sequences do not depend
+        on completion order.  ``spec`` and
         ``topology`` (its summary line) are what the caller ran the
-        trial with; the manifest reports the last ones seen.
+        trial with; the manifest reports the last ones seen, the spec as
+        its declarative dict — so a spec with no declarative form raises
+        :class:`~repro.specs.serialize.SpecSerializationError` here,
+        before its first trial enters the session.
         """
+        from repro.specs.serialize import spec_to_dict
+
+        self._last_spec = spec_to_dict(spec)
         index = len(self.trial_snapshots)
         snapshot = record["snapshot"]
-        self._last_spec = spec
         self._last_topology = topology
         for name, wall, sim_seconds, events in record["phases"]:
             label = f"{name}[{index}]" if index else name
@@ -430,7 +435,7 @@ class ObsSession:
         if dataplanes:
             manifest.extra.setdefault("dataplane", _dataplane_rollup(dataplanes))
         if self.campaigns:
-            manifest.extra.setdefault("campaigns", jsonable(self.campaigns))
+            manifest.extra.setdefault("campaigns", list(self.campaigns))
         self.manifest = manifest
         return manifest
 

@@ -21,8 +21,9 @@ from repro.sim.events import Event
 class Jitter:
     """Multiplicative jitter: duration is scaled by Uniform(low, high).
 
-    The RFC-1771 default is ``Jitter(0.75, 1.0)``; ``Jitter.none()`` disables
-    jitter entirely (useful in unit tests that need exact expiry times).
+    The RFC-1771 default is ``Jitter(0.75, 1.0)``; ``Jitter(1.0, 1.0)``
+    disables jitter entirely (useful in unit tests that need exact expiry
+    times).
     """
 
     __slots__ = ("low", "high")
@@ -32,11 +33,6 @@ class Jitter:
             raise ValueError(f"invalid jitter range [{low}, {high}]")
         self.low = low
         self.high = high
-
-    @classmethod
-    def none(cls) -> "Jitter":
-        """A degenerate jitter that leaves durations unchanged."""
-        return cls(1.0, 1.0)
 
     def apply(self, duration: float, rng: random.Random) -> float:
         """Scale ``duration`` by a factor drawn from this jitter range."""

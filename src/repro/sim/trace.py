@@ -12,14 +12,16 @@ behaviour without parsing log text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One traced protocol event."""
+class TraceRecord(NamedTuple):
+    """One traced protocol event.
+
+    A named tuple, so a buffered record pickles as four values, not as
+    an object with its own state dict.
+    """
 
     time: float
     category: str

@@ -7,13 +7,15 @@ in.  :func:`build_spec` turns a (possibly sparse) scheme dict into an
 :class:`~repro.core.experiment.ExperimentSpec`; :func:`spec_to_dict`
 emits the fully explicit dict for a spec, such that
 
-    build_spec(spec.to_dict()) == spec
+    spec_to_dict(build_spec(spec_to_dict(spec))) == spec_to_dict(spec)
 
-holds for every spec whose policies have a serializer.  The
-explicit dict is also the canonical form the content-addressed store
-fingerprints (:mod:`repro.store.hashing`), so the manifest records the
-full declarative spec and two construction paths that mean the same
-experiment share cache entries.
+holds for every spec whose policies have a serializer.  The explicit
+dict is the one form in which a spec leaves the process: the
+content-addressed store fingerprints it (:mod:`repro.store.hashing`),
+so two construction paths that mean the same experiment share cache
+entries, and the run manifest records it, so ``build_spec`` of the
+manifest's ``spec`` re-runs the trial.  Spec identity is equality of
+this dict; policy objects do not compare by value.
 
 Validation is typo-rejecting at every level: unknown scheme keys,
 parameters that do not belong to the selected ``mrai_scheme``, malformed
@@ -53,9 +55,8 @@ class SpecSerializationError(ValueError):
     """A spec cannot be expressed as a declarative dict.
 
     Raised by :func:`spec_to_dict` when a policy object's class has no
-    serializer; the store then falls back to the structural object
-    encoding so such specs remain cacheable (under a key private to that
-    class) even though they cannot go in a campaign file.
+    serializer.  Such a spec runs, but it has no store key and no
+    manifest record: the store and observation refuse it.
     """
 
 
@@ -203,7 +204,7 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
 
     Every field is present (defaults included), so the dict doubles as
     the canonical fingerprint form for the content-addressed store —
-    and ``build_spec`` of the result reproduces an equal spec.
+    and ``build_spec`` of the result reproduces a spec with this dict.
     Raises :class:`SpecSerializationError` when the spec's MRAI or
     routing policy has no serializer.
     """

@@ -28,7 +28,7 @@ def traced_run(topology, fail_node):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     tracer = Tracer()
     net = BGPNetwork(topology, config, seed=1, tracer=tracer)
@@ -98,7 +98,7 @@ def test_timeline_jsonl_round_trip(tmp_path):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     with JsonlSink(path) as sink:
         tracer = Tracer(sink=sink)
@@ -156,7 +156,7 @@ def test_tracing_keeps_golden_counters_identical():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(1.0),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
 
     def outcome(tracer):

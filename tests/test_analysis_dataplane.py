@@ -153,12 +153,41 @@ def test_load_rejects_malformed_lines(tmp_path):
         '"detail": [9, "ok", 1]}': "before any dataplane_trial",
         '{"time": 1.0, "category": "route_change", "node": 1, '
         '"detail": [9, [1, 9]]}': "no dataplane_trial record",
+        '{"time": 0.0, "category": "dataplane_trial", "node": null, '
+        '"detail": [1]}': r"detail \[1\], not detail \[seed, end\]",
+        '{"time": 0.0, "category": "dataplane_trial", "node": null, '
+        '"detail": ["1", 2.0]}': r"not detail \[seed, end\]",
     }
     for line, wording in cases.items():
         bad = tmp_path / "bad.jsonl"
         bad.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=wording):
             analyze_dataplane_file(bad)
+
+
+@pytest.mark.parametrize(
+    "node, detail",
+    [
+        (1, [9, "ok", [2]]),
+        (1, [9, "ok"]),
+        (1, ["9", "ok", 2]),
+        (1, [9, "lost", 2]),
+        (None, [9, "ok", 2]),
+    ],
+    ids=["list-hops", "short", "string-dest", "unknown-status", "no-node"],
+)
+def test_load_rejects_a_transition_of_the_wrong_shape(node, detail, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    with JsonlSink(bad) as sink:
+        sink(TraceRecord(0.0, "dataplane_trial", None, (1, 2.0)))
+        sink({"time": 1.0, "category": "dataplane", "node": node,
+              "detail": detail})
+    with pytest.raises(
+        ValueError,
+        match=r"a dataplane record at time 1 has node .*, not an integer "
+        r"node and detail \[dest, status, hops\]",
+    ):
+        analyze_dataplane_file(bad)
 
 
 def test_analyze_file_aggregate_and_render(tmp_path):

@@ -86,7 +86,7 @@ def damped_network(topo, half_life=2.0, seed=1, damping=None):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
         damping=damping or DampingConfig(half_life=half_life),
     )
     net = BGPNetwork(topo, config, seed=seed)

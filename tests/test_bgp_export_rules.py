@@ -33,7 +33,7 @@ def make_speaker(policy=None, sender_side=True):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
         sender_side_loop_detection=sender_side,
         policy=policy,
     )

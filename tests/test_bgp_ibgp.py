@@ -37,7 +37,7 @@ def build(topo, seed=1):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     net = BGPNetwork(topo, config, seed=seed)
     net.start()

@@ -36,7 +36,7 @@ def test_relationship_declaration_and_lookup():
     assert rels.relation(3, 1) == PEER
     # Unlabeled adjacencies default to peering.
     assert rels.relation(7, 8) == PEER
-    assert len(rels) == 2
+    assert len(rels.items()) == 4  # two declarations, both directions
 
 
 def test_relationship_self_rejected():
@@ -163,7 +163,7 @@ def run_policy_network(topo, rels, seed=1):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
         policy=GaoRexfordPolicy(rels),
     )
     net = BGPNetwork(topo, config, seed=seed)
@@ -224,7 +224,7 @@ def test_policy_reduces_update_messages():
         config = BGPConfig(
             mrai_policy=ConstantMRAI(0.5),
             processing_delay_range=(0.0, 0.0),
-            mrai_jitter=Jitter.none(),
+            mrai_jitter=Jitter(1.0, 1.0),
             policy=policy,
         )
         net = BGPNetwork(topo, config, seed=1)

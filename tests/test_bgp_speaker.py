@@ -18,7 +18,7 @@ def exact_network(topo, mrai=1.0, **kwargs):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(mrai),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
         **kwargs,
     )
     return BGPNetwork(topo, config, seed=1)

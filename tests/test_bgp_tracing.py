@@ -12,7 +12,7 @@ def traced_network(categories=None):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     tracer = Tracer(categories=categories)
     net = BGPNetwork(line_topology(3), config, seed=1, tracer=tracer)
@@ -62,7 +62,7 @@ def test_default_null_tracer_records_nothing():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     net = BGPNetwork(line_topology(3), config, seed=1)
     net.start()
@@ -75,7 +75,7 @@ def test_tracing_does_not_change_outcomes():
         config = BGPConfig(
             mrai_policy=ConstantMRAI(0.5),
             processing_delay_range=(0.0, 0.0),
-            mrai_jitter=Jitter.none(),
+            mrai_jitter=Jitter(1.0, 1.0),
         )
         net = BGPNetwork(line_topology(4), config, seed=1, tracer=tracer)
         net.start()

@@ -31,7 +31,7 @@ def clique_withdrawal_delay(
     config = BGPConfig(
         mrai_policy=ConstantMRAI(mrai),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
         withdrawal_rate_limiting=rate_limit_withdrawals,
     )
     net = BGPNetwork(clique_topology(n), config, seed=seed)
@@ -74,7 +74,7 @@ def test_clique_exploration_generates_many_messages():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(1.0),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
         withdrawal_rate_limiting=True,
     )
     net = BGPNetwork(clique_topology(7), config, seed=1)

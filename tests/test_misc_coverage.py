@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from repro.bgp.config import BGPConfig
 from repro.bgp.messages import Update
 from repro.bgp.mrai import ConstantMRAI
-from repro.bgp.network import BGPNetwork
 from repro.bgp.queues import WithdrawalFirstBatchQueue
 from repro.cli import main
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
-from tests.conftest import as_path, line_topology
 
 
 # ---------------------------------------------------------------------------
@@ -26,24 +23,6 @@ def test_pending_events_counts_live_only():
     sim.schedule(2.0, lambda: None)
     sim.cancel(event)
     assert sim.pending_events == 1
-
-
-# ---------------------------------------------------------------------------
-# Network internals
-# ---------------------------------------------------------------------------
-def test_in_flight_update_accounting():
-    metrics = MetricsRegistry()
-    config = BGPConfig(mrai_policy=ConstantMRAI(0.5))
-    net = BGPNetwork(line_topology(3), config, seed=1, metrics=metrics)
-    net.start()
-    net.run_until_quiet()
-    gauge = metrics.gauge("updates_in_flight")
-    assert gauge.value == 0
-    net.transmit(0, 1, Update(0, as_path(0), 0), 0.025)
-    assert gauge.value == 1
-    net.run_until_quiet()
-    assert gauge.value == 0
-    assert isinstance(gauge.value, int)
 
 
 # ---------------------------------------------------------------------------

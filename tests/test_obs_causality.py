@@ -16,7 +16,7 @@ def traced_run(topology, fail_node, mrai=0.5):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(mrai),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     tracer = Tracer()
     net = BGPNetwork(topology, config, seed=1, tracer=tracer)
@@ -138,7 +138,7 @@ def test_jsonl_round_trip_preserves_the_graph(tmp_path):
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     with JsonlSink(path) as sink:
         tracer = Tracer(sink=sink)
@@ -167,7 +167,7 @@ def test_untraced_messages_carry_no_uids():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     seen = []
     net = BGPNetwork(line_topology(3), config, seed=1)

@@ -165,6 +165,54 @@ def test_dataplane_report_refuses_a_line_that_is_no_trace_record(
     assert len(err.splitlines()) == 1
 
 
+def test_manifest_spec_rebuilds_the_run(tmp_path, capsys):
+    from repro.cli import build_topology, make_parser
+    from repro.core.experiment import ExperimentSpec, run_experiment
+    from repro.specs import build_mrai, build_spec, spec_to_dict
+
+    out = tmp_path / "out"
+    argv = ["run", "--nodes", "20", "--failure", "0.1", "--seed", "1"]
+    assert main([*argv, "--metrics-out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    args = make_parser().parse_args(argv)
+    topology = build_topology(args)
+    spec = ExperimentSpec(
+        mrai=build_mrai({"mrai": args.mrai}), failure_fraction=0.1
+    )
+    # The manifest's spec is the run's declarative dict (not a repr
+    # string), and building it re-runs the very trial.
+    assert manifest["spec"] == spec_to_dict(spec)
+    rebuilt = build_spec(manifest["spec"])
+    assert run_experiment(topology, rebuilt, seed=1) == run_experiment(
+        topology, spec, seed=1
+    )
+
+
+def test_dataplane_report_refuses_a_transition_of_the_wrong_shape(
+    tmp_path, capsys
+):
+    # A hops list where an int belongs must not reach the timeline
+    # (a TypeError there): the shape is checked where records become
+    # transitions.
+    path = tmp_path / "records.jsonl"
+    path.write_text(
+        '{"time": 0.0, "category": "dataplane_trial", "node": null, '
+        '"detail": [1, 2.0]}\n'
+        '{"time": 1.0, "category": "dataplane", "node": 1, '
+        '"detail": [9, "ok", [2]]}\n',
+        encoding="utf-8",
+    )
+    assert main(["dataplane", "report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"cannot analyze {path}: {path}: a dataplane record at time 1 has "
+        'node 1 and detail [9, "ok", [2]], not an integer node and detail '
+        "[dest, status, hops]"
+    ]
+
+
 def test_dataplane_report_refuses_a_file_without_dataplane_records(
     tmp_path, capsys
 ):

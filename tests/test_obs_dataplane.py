@@ -202,7 +202,7 @@ def test_monitor_is_trajectory_neutral_golden():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(1.0),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     net = BGPNetwork(clique_topology(5), config, seed=1)
     DataPlaneMonitor().attach(net)

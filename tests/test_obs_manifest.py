@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from repro.bgp.mrai import ConstantMRAI
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.obs.export import (
@@ -14,33 +16,12 @@ from repro.obs.manifest import (
     PhaseTiming,
     RunManifest,
     host_fingerprint,
-    jsonable,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.session import ObsSession
+from repro.specs import build_spec, spec_to_dict
+from repro.specs.serialize import SpecSerializationError
 from repro.topology.skewed import skewed_topology
-
-
-# ----------------------------------------------------------------------
-# jsonable
-# ----------------------------------------------------------------------
-def test_jsonable_passthrough_and_containers():
-    assert jsonable(None) is None
-    assert jsonable(3) == 3
-    assert jsonable("x") == "x"
-    assert jsonable((1, 2)) == [1, 2]
-    assert jsonable({"a": (1,)}) == {"a": [1]}
-    assert sorted(jsonable({1, 2})) == [1, 2]
-
-
-def test_jsonable_dataclass_and_fallback():
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
-    data = jsonable(spec)
-    assert data["failure_fraction"] == 0.1
-    assert data["queue_discipline"] == "fifo"
-    # Non-JSON leaves degrade to repr, never raise.
-    assert isinstance(jsonable(object()), str)
-    json.dumps(data)  # the whole tree must serialize
 
 
 def test_host_fingerprint_keys():
@@ -67,7 +48,7 @@ def test_manifest_round_trip(tmp_path):
     manifest = RunManifest.create(
         kind="repro-run",
         command="run --nodes 30",
-        spec=spec,
+        spec=spec_to_dict(spec),
         seeds=[1, 2],
         topology="skewed(30)",
         phases=[
@@ -84,7 +65,7 @@ def test_manifest_round_trip(tmp_path):
     assert loaded["phases"][1]["events"] == 700
     assert loaded["package_version"]
     assert loaded["created_utc"]
-    assert loaded["spec"]["failure_fraction"] == 0.1
+    assert loaded["spec"] == spec_to_dict(spec)
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +117,16 @@ def test_session_export_writes_all_artifacts(tmp_path):
     assert manifest["extra"]["trials"] == 1
     assert manifest["extra"]["profiled_events"] > 0
     assert manifest["counters"]["updates_sent"] > 0
+    # The spec is its declarative dict, which builds the spec again.
+    assert manifest["spec"] == spec_to_dict(spec)
+    assert spec_to_dict(build_spec(manifest["spec"])) == manifest["spec"]
 
     rows = [
         json.loads(line)
         for line in (tmp_path / "metrics.jsonl").read_text().splitlines()
     ]
     kinds = {row["kind"] for row in rows}
-    assert {"counter", "gauge", "histogram", "trial", "profile"} <= kinds
+    assert {"counter", "histogram", "trial", "profile"} <= kinds
 
     with (tmp_path / "timeseries.csv").open() as fh:
         ts = list(csv.reader(fh))
@@ -178,3 +162,16 @@ def test_session_phase_labels_multi_trial():
     assert labels[:3] == ["warmup", "failure", "convergence"]
     assert labels[3:] == ["warmup[1]", "failure[1]", "convergence[1]"]
     assert [s["trial"] for s in obs.trial_snapshots] == [0, 1]
+
+
+def test_session_refuses_a_spec_with_no_declarative_form():
+    # Refused at its first absorbed trial: the manifest could only record
+    # such a spec as a string that no build_spec reads back.
+    class OddMRAI(ConstantMRAI):
+        pass
+
+    obs = ObsSession()
+    spec = ExperimentSpec(mrai=OddMRAI(0.5), failure_fraction=0.1)
+    with pytest.raises(SpecSerializationError, match="OddMRAI"):
+        run_experiment(skewed_topology(12, seed=1), spec, seed=1, obs=obs)
+    assert obs.trial_snapshots == []

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry (counters, gauges, histograms)."""
+"""Unit tests for the metrics registry (counters, histograms)."""
 
 import pytest
 
@@ -33,21 +33,19 @@ def test_labels_distinguish_children():
     reg.counter("updates_processed", node=2).inc(5)
     assert reg.get("updates_processed", node=1).value == 3
     assert reg.get("updates_processed", node=2).value == 5
-    assert len(reg) == 2
+    assert len(reg.records()) == 2
 
 
 def test_label_order_does_not_matter():
     reg = MetricsRegistry()
-    a = reg.gauge("depth", node=1, link=2)
-    b = reg.gauge("depth", link=2, node=1)
+    a = reg.counter("depth", node=1, link=2)
+    b = reg.counter("depth", link=2, node=1)
     assert a is b
 
 
 def test_kind_conflict_raises():
     reg = MetricsRegistry()
     reg.counter("x")
-    with pytest.raises(ValueError):
-        reg.gauge("x")
     with pytest.raises(ValueError):
         reg.histogram("x")
 
@@ -65,7 +63,7 @@ def test_get_never_creates():
     reg = MetricsRegistry()
     assert reg.get("nope") is None
     assert reg.get("nope", node=1) is None
-    assert len(reg) == 0
+    assert reg.records() == []
 
 
 def test_records_deterministic_order():
@@ -95,18 +93,6 @@ def test_counter_rejects_negative():
     c.inc(0)
     c.inc(5)
     assert c.value == 5
-
-
-# ----------------------------------------------------------------------
-# Gauge
-# ----------------------------------------------------------------------
-def test_gauge_moves_both_ways():
-    reg = MetricsRegistry()
-    g = reg.gauge("g")
-    g.set(10)
-    assert g.value == 10
-    g.set(-3)
-    assert g.value == -3
 
 
 # ----------------------------------------------------------------------

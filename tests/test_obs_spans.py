@@ -145,7 +145,7 @@ def test_spans_are_trajectory_neutral_golden():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(1.0),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     with record_spans():
         with span("test.harness"):

@@ -23,7 +23,7 @@ def test_golden_deterministic_protocol_outcome():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(1.0),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
     )
     net = BGPNetwork(clique_topology(5), config, seed=1)
     net.start()
@@ -61,7 +61,7 @@ def test_golden_labovitz_exactness():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(1.0),
         processing_delay_range=(0.0, 0.0),
-        mrai_jitter=Jitter.none(),
+        mrai_jitter=Jitter(1.0, 1.0),
         withdrawal_rate_limiting=True,
     )
     net = BGPNetwork(clique_topology(6), config, seed=1)

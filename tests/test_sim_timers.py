@@ -10,7 +10,7 @@ def make_timer(sim, fired, jitter=None):
     return Timer(
         sim,
         lambda: fired.append(sim.now),
-        jitter=jitter or Jitter.none(),
+        jitter=jitter or Jitter(1.0, 1.0),
         rng=sim.rng.get("t"),
     )
 
@@ -64,7 +64,7 @@ def test_timer_can_be_restarted_from_callback():
         if len(fired) < 3:
             timer.start(1.0)
 
-    timer = Timer(sim, on_fire, jitter=Jitter.none())
+    timer = Timer(sim, on_fire, jitter=Jitter(1.0, 1.0))
     timer.start(1.0)
     sim.run()
     assert fired == [1.0, 2.0, 3.0]
@@ -95,7 +95,7 @@ def test_rfc1771_jitter_reduces_by_up_to_25_percent():
 
 def test_jitter_none_is_exact():
     sim = Simulator()
-    timer = Timer(sim, lambda: None, jitter=Jitter.none())
+    timer = Timer(sim, lambda: None, jitter=Jitter(1.0, 1.0))
     assert timer.start(3.0) == 3.0
     timer.stop()
 
@@ -124,7 +124,11 @@ def test_callback_args_passed_through():
     sim = Simulator()
     received = []
     timer = Timer(
-        sim, lambda a, b: received.append((a, b)), "x", 2, jitter=Jitter.none()
+        sim,
+        lambda a, b: received.append((a, b)),
+        "x",
+        2,
+        jitter=Jitter(1.0, 1.0),
     )
     timer.start(1.0)
     sim.run()

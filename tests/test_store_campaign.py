@@ -20,7 +20,7 @@ from repro.core.sweep import point_spec
 from repro.figures import FIGURES
 from repro.figures.common import QUICK
 from repro.obs.session import ObsSession
-from repro.specs import build_spec
+from repro.specs import build_spec, spec_to_dict
 from repro.store import (
     Campaign,
     ResultStore,
@@ -393,12 +393,13 @@ def test_campaign_matches_uncached_sweep(tmp_path):
 def test_every_driver_derives_a_point_the_same_way(axis, x):
     # A campaign file, a /submit body and a figure grid are all one
     # Campaign: its cells, and the plan run_campaign and the service
-    # run, hold point_spec's spec for every point.
+    # run, hold point_spec's spec for every point (spec identity is
+    # equality of the declarative dict).
     from repro.service.submission import submission_campaign
 
     scheme = {"mrai": 0.5, "failure_fraction": 0.1, "queue": "dest_batch"}
-    expected = point_spec(build_spec(scheme), axis, x)
-    assert expected != build_spec(scheme)
+    expected = spec_to_dict(point_spec(build_spec(scheme), axis, x))
+    assert expected != spec_to_dict(build_spec(scheme))
     document = dict(
         CAMPAIGN, schemes={"s": scheme}, axis={"name": axis, "values": [x]}
     )
@@ -406,10 +407,13 @@ def test_every_driver_derives_a_point_the_same_way(axis, x):
         Campaign.from_dict(document),
         submission_campaign(document),
     ):
-        assert campaign.cells() == [("s", x, expected)]
-        assert [t.spec for t in campaign_keys(campaign)] == [expected] * 2
+        [(label, cell_x, spec)] = campaign.cells()
+        assert (label, cell_x, spec_to_dict(spec)) == ("s", x, expected)
+        assert [
+            spec_to_dict(t.spec) for t in campaign_keys(campaign)
+        ] == [expected] * 2
     with pytest.raises(ValueError, match="unknown axis"):
-        point_spec(expected, "bogus", x)
+        point_spec(build_spec(scheme), "bogus", x)
 
 
 def test_parallel_campaign_matches_serial(tmp_path):
