@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.causality import ROOT_KIND, CausalGraph
 from repro.obs.probes import percentile
-from repro.sim.trace import TraceRecord, load_trace
+from repro.sim.trace import TraceRecord, load_trace, malformed_record
 
 
 @dataclass
@@ -218,10 +218,32 @@ def analyze_trace(
     return report
 
 
+#: What a speaker writes, as ``trace analyze`` states it.
+_ROUTE_CHANGE_SHAPE = "an integer node and detail [dest, null or [asn, ...]]"
+
+
+def _is_route_change(record: TraceRecord) -> bool:
+    """Whether a ``route_change`` record is a best-route change: a node,
+    then ``(dest, path)`` with ``path`` a tuple of ASNs or ``None``."""
+    if type(record.node) is not int or len(record.detail) != 2:
+        return False
+    dest, path = record.detail
+    return type(dest) is int and (
+        path is None
+        or (isinstance(path, tuple) and all(type(a) is int for a in path))
+    )
+
+
 def analyze_trace_file(
     path: Union[str, Path], t0: Optional[float] = None, top: int = 5
 ) -> Dict[str, Any]:
-    return analyze_trace(load_trace(path), t0=t0, top=top)
+    """:func:`analyze_trace` of a JSONL trace file; a ``route_change``
+    record of the wrong shape raises ``ValueError``."""
+    records = load_trace(path)
+    for record in records:
+        if record.category == "route_change" and not _is_route_change(record):
+            raise malformed_record(path, record, _ROUTE_CHANGE_SHAPE)
+    return analyze_trace(records, t0=t0, top=top)
 
 
 def _format_chain(chain: List[Dict[str, Any]]) -> str:

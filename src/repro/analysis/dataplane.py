@@ -31,14 +31,13 @@ delimiter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.dataplane import BLACKHOLE, DOWN, LOOP, OK, Transition
 from repro.obs.probes import percentile
-from repro.sim.trace import TraceRecord, load_trace
+from repro.sim.trace import TraceRecord, load_trace, malformed_record
 
 __all__ = [
     "DataPlaneTimeline",
@@ -294,16 +293,6 @@ def _is_transition(record: TraceRecord) -> bool:
     )
 
 
-def _malformed(
-    path: Union[str, Path], record: TraceRecord, shape: str
-) -> ValueError:
-    detail = json.dumps(record.to_dict()["detail"])
-    return ValueError(
-        f"{path}: a {record.category} record at time {record.time:g} has "
-        f"node {json.dumps(record.node)} and detail {detail}, not {shape}"
-    )
-
-
 def analyze_dataplane_file(
     path: Union[str, Path],
     t0: Optional[float] = None,
@@ -324,7 +313,7 @@ def analyze_dataplane_file(
     for record in load_trace(path):
         if record.category == "dataplane_trial":
             if not _is_trial_delimiter(record):
-                raise _malformed(path, record, _DELIMITER_SHAPE)
+                raise malformed_record(path, record, _DELIMITER_SHAPE)
             trials.append((record, []))
         elif record.category == "dataplane":
             if not trials:
@@ -333,7 +322,7 @@ def analyze_dataplane_file(
                     f"dataplane_trial record"
                 )
             if not _is_transition(record):
-                raise _malformed(path, record, _TRANSITION_SHAPE)
+                raise malformed_record(path, record, _TRANSITION_SHAPE)
             trials[-1][1].append((record.time, record.node, *record.detail))
     if not trials:
         raise ValueError(

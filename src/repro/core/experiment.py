@@ -269,6 +269,11 @@ def run_experiment(
     """
     if obs is None:
         return simulate_trial(topology, spec, seed, scenario)
+    from repro.specs.serialize import spec_to_dict
+
+    # The session records the spec as its declarative dict: a spec with
+    # none is refused before it is simulated, not after.
+    spec_to_dict(spec)
     observer = TrialObserver(obs.worker_args(), sink=obs.sink)
     result = simulate_trial(topology, spec, seed, scenario, observer)
     obs.absorb(observer.record(), spec=spec, topology=topology.summary())

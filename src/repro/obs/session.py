@@ -340,7 +340,9 @@ class ObsSession:
         trial with; the manifest reports the last ones seen, the spec as
         its declarative dict — so a spec with no declarative form raises
         :class:`~repro.specs.serialize.SpecSerializationError` here,
-        before its first trial enters the session.
+        before its first trial enters the session.  Both callers refuse
+        such a spec before simulating it: the batch planner keys every
+        trial, and ``run_experiment(obs=)`` converts the spec first.
         """
         from repro.specs.serialize import spec_to_dict
 

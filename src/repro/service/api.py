@@ -19,11 +19,11 @@ GET       ``/trial/<key>``       One banked trial + provenance — the
                                  instant content-hash lookup path
 ========  =====================  ==========================================
 
-Handlers run on :class:`http.server.ThreadingHTTPServer` threads and
-touch shared state only through the backend (internally locked) and the
-daemon's thread-safe telemetry snapshots, so no handler-side locking is
-needed.  Responses are always JSON; errors carry ``{"error": ...}`` and
-a meaningful status code.
+Handlers run on the daemon's :class:`socketserver.ThreadingTCPServer`
+threads, one per connection, and touch shared state only through the
+backend (internally locked) and the daemon's thread-safe telemetry
+snapshots, so no handler-side locking is needed.  Responses are always
+JSON; errors carry ``{"error": ...}`` and a meaningful status code.
 """
 
 from __future__ import annotations

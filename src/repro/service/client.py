@@ -5,9 +5,13 @@
 >>> status = client.wait(receipt["ticket"])
 >>> series = client.result(receipt["ticket"])["series"]
 
-No third-party dependencies: ``urllib.request`` underneath, JSON in
-and out, API errors raised as :class:`ServiceError` carrying the HTTP
-status and the server's ``error`` message.
+No third-party dependencies: one :mod:`http.client` connection per
+request (``Connection: close``), JSON in and out.  A daemon's error
+answer raises :class:`ServiceError` carrying the HTTP status and the
+server's ``error`` message; a URL the client cannot use, or a daemon it
+cannot reach or that does not answer within ``timeout``, raises one
+with status 0.  The client talks to the daemon directly: proxy
+variables such as ``http_proxy`` are not read.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import time
 from typing import Any, Dict, Optional
+from urllib.parse import urlsplit
 
 
 class ServiceError(RuntimeError):
@@ -32,8 +37,36 @@ class ServiceClient:
     """Typed access to one campaign-service daemon."""
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
+        import http.client
+
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        try:
+            parts = urlsplit(self.base_url)
+            if parts.scheme not in ("http", "https"):
+                raise ValueError("scheme is not http(s)")
+            if not parts.hostname:
+                raise ValueError("no host")
+            self._connection_class = (
+                http.client.HTTPSConnection
+                if parts.scheme == "https"
+                else http.client.HTTPConnection
+            )
+            # The port is explicit, so an IPv6 host is never split at its
+            # last colon.
+            self._address = (
+                parts.hostname,
+                parts.port
+                if parts.port is not None
+                else self._connection_class.default_port,
+            )
+            # Checks the host; a connection opens nothing until used.
+            self._connection_class(*self._address)
+        except (ValueError, http.client.InvalidURL) as exc:
+            raise ServiceError(
+                0, f"bad service URL {base_url!r}: {exc}"
+            ) from None
+        self._prefix = parts.path
 
     # -- transport -----------------------------------------------------
     def _request(
@@ -42,31 +75,40 @@ class ServiceClient:
         path: str,
         body: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        import urllib.error
-        import urllib.request
+        import http.client
 
         data = (
             json.dumps(body).encode("utf-8") if body is not None else None
         )
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
+        connection = self._connection_class(
+            *self._address, timeout=self.timeout
         )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            try:
-                message = json.loads(exc.read()).get("error", str(exc))
-            except ValueError:
-                message = str(exc)
-            raise ServiceError(exc.code, message) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(0, f"cannot reach service: {exc.reason}")
+            connection.request(
+                method,
+                self._prefix + path,
+                body=data,
+                headers={
+                    "Content-Type": "application/json",
+                    "Connection": "close",
+                },
+            )
+            response = connection.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServiceError(0, f"cannot reach service: {exc}") from exc
+        finally:
+            connection.close()
+        if 200 <= response.status < 300:
+            return json.loads(payload)
+        message = f"HTTP Error {response.status}: {response.reason}"
+        try:
+            document = json.loads(payload)
+        except ValueError:
+            document = None
+        if isinstance(document, dict):
+            message = document.get("error", message)
+        raise ServiceError(response.status, message)
 
     # -- endpoints -----------------------------------------------------
     def health(self) -> Dict[str, Any]:

@@ -12,8 +12,10 @@
 * a :class:`~repro.service.executor.QueueExecutor` on a daemon thread,
   feeding a :class:`~repro.obs.live.LiveMonitor` whose busy-seconds ETA
   backs the ``/status`` and ``/queue`` endpoints;
-* an :class:`http.server.ThreadingHTTPServer` running
-  :mod:`repro.service.api`.
+* a :class:`socketserver.ThreadingTCPServer` (daemon threads, address
+  reuse) whose handler is :mod:`repro.service.api`'s.  It binds without
+  :class:`http.server.HTTPServer`'s reverse lookup of the bound address
+  (``socket.getfqdn``), whose ``server_name`` no handler reads.
 
 Shutdown (SIGTERM/SIGINT, or :meth:`request_shutdown`) is a *drain*:
 new submissions start returning 503, the executor finishes its
@@ -41,7 +43,7 @@ from repro.service.submission import SubmissionReceipt
 from repro.store.result_store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from http.server import ThreadingHTTPServer
+    from socketserver import ThreadingTCPServer
 
 
 @dataclass
@@ -103,7 +105,7 @@ class CampaignService:
         self.executor = QueueExecutor(
             self.backend, config, monitor=self.monitor
         )
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[ThreadingTCPServer] = None
         self._server_thread: Optional[threading.Thread] = None
         self._executor_thread: Optional[threading.Thread] = None
         self._shutdown_done = False
@@ -126,18 +128,21 @@ class CampaignService:
 
     def start(self) -> None:
         """Boot: prewarm pool, start executor thread, bind HTTP server."""
-        from http.server import ThreadingHTTPServer
+        from socketserver import ThreadingTCPServer
 
         from repro.service.api import make_handler
+
+        class Server(ThreadingTCPServer):
+            allow_reuse_address = True
+            daemon_threads = True
 
         # Fork the pool workers while this process is still effectively
         # single-threaded; everything after this line may thread freely.
         if self.config.jobs > 1:
             get_worker_pool().prewarm(self.config.jobs)
-        self._server = ThreadingHTTPServer(
+        self._server = Server(
             (self.config.host, self.config.port), make_handler(self)
         )
-        self._server.daemon_threads = True
         self._executor_thread = threading.Thread(
             target=self.executor.drain,
             kwargs={"stop": self.stop_event},

@@ -131,6 +131,22 @@ def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
     return records
 
 
+def malformed_record(
+    path: Union[str, Path], record: TraceRecord, shape: str
+) -> ValueError:
+    """The refusal of a loaded record whose fields are not ``shape``.
+
+    :func:`load_trace` checks only a record's outer shape; each reader
+    checks the details of the categories it reads and words its refusal
+    with this, so every offline report says it the same way.
+    """
+    detail = json.dumps(record.to_dict()["detail"])
+    return ValueError(
+        f"{path}: a {record.category} record at time {record.time:g} has "
+        f"node {json.dumps(record.node)} and detail {detail}, not {shape}"
+    )
+
+
 class Tracer:
     """Collects :class:`TraceRecord` objects, optionally filtered by category.
 

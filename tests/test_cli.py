@@ -343,6 +343,31 @@ def test_cli_client_verbs_report_an_unusable_ready_file(
 
 
 @pytest.mark.parametrize(
+    "url",
+    [
+        "http://[::1",
+        "http://127.0.0.1:notaport",
+        "http://127.0.0.1:70000",
+        "127.0.0.1:8351",
+        "ftp://127.0.0.1:8351",
+        "http://:8351",
+        "http://a b:8351",
+    ],
+    ids=[
+        "ipv6", "port", "port-range", "no-scheme", "scheme", "no-host", "host"
+    ],
+)
+def test_cli_client_verbs_report_a_malformed_url(url, tmp_path, capsys):
+    # Refused before any request: one stderr line naming the URL.
+    cfile = write_campaign(tmp_path)
+    for verb in (["queue", "status"], ["result", "t1"], ["submit", str(cfile)]):
+        assert main([*verb, "--url", url]) == 1
+        err = capsys.readouterr().err
+        assert f"bad service URL {url!r}" in err
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "content", [None, "not json"], ids=["missing", "unparsable"]
 )
 def test_cli_submit_rejects_an_unreadable_file(content, tmp_path, capsys):

@@ -608,6 +608,53 @@ def test_serial_import_closure():
     assert report["pool_loads_multiprocessing"]
 
 
+SERVICE_ROUND_TRIP_SCRIPT = """
+import json, socket, sys, tempfile
+from pathlib import Path
+
+lookups = []
+real_getfqdn = socket.getfqdn
+
+
+def counted(*args):
+    lookups.append(args)
+    return real_getfqdn(*args)
+
+
+socket.getfqdn = counted
+from repro.service import CampaignService, ServiceClient, ServiceConfig
+
+with tempfile.TemporaryDirectory() as tmp:
+    service = CampaignService(
+        ServiceConfig(store=str(Path(tmp) / "svc.db"), port=0, quiet=True)
+    )
+    service.start()
+    try:
+        start_lookups = len(lookups)
+        health = ServiceClient(f"http://127.0.0.1:{service.port}").health()
+    finally:
+        service.shutdown()
+print(json.dumps({
+    "getfqdn_calls": start_lookups,
+    "status": health["status"],
+    "urllib": [m for m in ("urllib.request", "urllib.error", "urllib.response")
+               if m in sys.modules],
+    "http_client": "http.client" in sys.modules,
+}))
+"""
+
+
+def test_service_round_trip_loads_one_http_stack():
+    """The daemon binds without a reverse lookup of its address, and a
+    client round trip runs on ``http.client`` alone: ``urllib``'s opener
+    stack stays out of the process."""
+    report = fresh_interpreter(SERVICE_ROUND_TRIP_SCRIPT)
+    assert report["status"] == "ok"
+    assert report["getfqdn_calls"] == 0
+    assert report["urllib"] == []
+    assert report["http_client"]
+
+
 #: What the paper's one trial (warm-up, geographic failure, convergence)
 #: does not run: the batch runner and pool, the store, service, specs
 #: and figure layers, the theory helpers, the routing validator, the

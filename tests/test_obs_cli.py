@@ -213,6 +213,32 @@ def test_dataplane_report_refuses_a_transition_of_the_wrong_shape(
     ]
 
 
+@pytest.mark.parametrize(
+    "detail",
+    ["[0, [[1]]]", "[9]", '[0, "1 2"]', "[0, [1, 2.5]]"],
+    ids=["nested-path", "no-path", "string-path", "float-asn"],
+)
+def test_trace_analyze_refuses_a_route_change_of_the_wrong_shape(
+    detail, tmp_path, capsys
+):
+    # A nested list in the path must not reach the exploration count
+    # (an unhashable TypeError there): the shape is checked on load.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        '{"category": "route_change", "detail": %s, "node": 0, '
+        '"time": 0.0}\n' % detail,
+        encoding="utf-8",
+    )
+    assert main(["trace", "analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"cannot analyze {path}: {path}: a route_change record at time 0 "
+        f"has node 0 and detail {detail}, not an integer node and detail "
+        "[dest, null or [asn, ...]]"
+    ]
+
+
 def test_dataplane_report_refuses_a_file_without_dataplane_records(
     tmp_path, capsys
 ):

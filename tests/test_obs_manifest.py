@@ -19,6 +19,7 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.session import ObsSession
+from repro.sim.engine import Simulator
 from repro.specs import build_spec, spec_to_dict
 from repro.specs.serialize import SpecSerializationError
 from repro.topology.skewed import skewed_topology
@@ -164,14 +165,26 @@ def test_session_phase_labels_multi_trial():
     assert [s["trial"] for s in obs.trial_snapshots] == [0, 1]
 
 
-def test_session_refuses_a_spec_with_no_declarative_form():
-    # Refused at its first absorbed trial: the manifest could only record
-    # such a spec as a string that no build_spec reads back.
+def test_session_refuses_a_spec_with_no_declarative_form(monkeypatch):
+    # Refused before its trial runs: the manifest could only record such
+    # a spec as a string that no build_spec reads back, and the refusal
+    # must not cost a simulation (no simulator executes an event).
     class OddMRAI(ConstantMRAI):
         pass
 
+    executed = []
+    real_run = Simulator.run
+
+    def counted(self, *args, **kwargs):
+        try:
+            return real_run(self, *args, **kwargs)
+        finally:
+            executed.append(self.events_executed)
+
+    monkeypatch.setattr(Simulator, "run", counted)
     obs = ObsSession()
     spec = ExperimentSpec(mrai=OddMRAI(0.5), failure_fraction=0.1)
     with pytest.raises(SpecSerializationError, match="OddMRAI"):
         run_experiment(skewed_topology(12, seed=1), spec, seed=1, obs=obs)
     assert obs.trial_snapshots == []
+    assert sum(executed) == 0

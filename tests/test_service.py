@@ -13,6 +13,7 @@ fold, then a warm resubmit answered entirely from the store.
 import http.client
 import json
 import os
+import socket
 import sqlite3
 import sys
 import threading
@@ -709,6 +710,68 @@ def test_service_rejects_submissions_while_draining(service):
         client.submit(CAMPAIGN)
     assert err.value.status == 503
     assert client.health()["status"] == "draining"
+
+
+@pytest.fixture()
+def bound_socket():
+    """A TCP socket bound to a free loopback port, not yet listening."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.bind(("127.0.0.1", 0))
+    try:
+        yield sock
+    finally:
+        sock.close()
+
+
+def test_client_maps_a_refused_connection(bound_socket):
+    # Bound but not listening: the connect is refused.
+    port = bound_socket.getsockname()[1]
+    with pytest.raises(ServiceError) as err:
+        ServiceClient(f"http://127.0.0.1:{port}", timeout=5).health()
+    assert err.value.status == 0
+    assert str(err.value).startswith("cannot reach service: [Errno 111] ")
+
+
+def test_client_maps_a_daemon_that_never_answers(bound_socket):
+    # The kernel completes the handshake from the backlog; nothing ever
+    # reads the request or answers it.
+    bound_socket.listen(1)
+    port = bound_socket.getsockname()[1]
+    with pytest.raises(ServiceError) as err:
+        ServiceClient(f"http://127.0.0.1:{port}", timeout=0.3).health()
+    assert (err.value.status, str(err.value)) == (
+        0,
+        "cannot reach service: timed out",
+    )
+
+
+def test_client_maps_an_error_without_a_json_body(bound_socket):
+    bound_socket.listen(1)
+    port = bound_socket.getsockname()[1]
+
+    def answer_once():
+        conn, _ = bound_socket.accept()
+        with conn:
+            request = b""
+            while b"\r\n\r\n" not in request:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                request += chunk
+            conn.sendall(
+                b"HTTP/1.1 502 Bad Gateway\r\nContent-Type: text/plain\r\n"
+                b"Content-Length: 5\r\nConnection: close\r\n\r\noops!"
+            )
+
+    server = threading.Thread(target=answer_once, daemon=True)
+    server.start()
+    with pytest.raises(ServiceError) as err:
+        ServiceClient(f"http://127.0.0.1:{port}", timeout=10).queue_status()
+    server.join(10)
+    assert (err.value.status, err.value.message) == (
+        502,
+        "HTTP Error 502: Bad Gateway",
+    )
 
 
 def test_cli_client_verbs_over_http(service, tmp_path, capsys):
