@@ -234,15 +234,47 @@ def _is_route_change(record: TraceRecord) -> bool:
     )
 
 
+#: What a speaker's send or a failure injection writes, as ``trace
+#: analyze`` states it.
+_CAUSALITY_SHAPE = (
+    "detail [kind, uid, cause, dest, peer, payload] with a string kind, "
+    "an integer uid, an integer or null cause, dest and peer, a list or "
+    "null payload, and an integer node on a send"
+)
+
+
+def _is_optional_int(value: Any) -> bool:
+    return value is None or type(value) is int
+
+
+def _is_causality(record: TraceRecord) -> bool:
+    """Whether a ``causality`` record can join the cause forest: its
+    uids key and link events, and a send's node, peer and dest key its
+    wasted-update triple."""
+    if len(record.detail) != 6:
+        return False
+    kind, uid, cause, dest, peer, payload = record.detail
+    return (
+        isinstance(kind, str)
+        and type(uid) is int
+        and all(_is_optional_int(v) for v in (cause, dest, peer))
+        and (payload is None or isinstance(payload, tuple))
+        and (type(record.node) is int if kind == "send" else
+             _is_optional_int(record.node))
+    )
+
+
 def analyze_trace_file(
     path: Union[str, Path], t0: Optional[float] = None, top: int = 5
 ) -> Dict[str, Any]:
-    """:func:`analyze_trace` of a JSONL trace file; a ``route_change``
-    record of the wrong shape raises ``ValueError``."""
+    """:func:`analyze_trace` of a JSONL trace file; a ``route_change`` or
+    ``causality`` record of the wrong shape raises ``ValueError``."""
     records = load_trace(path)
     for record in records:
         if record.category == "route_change" and not _is_route_change(record):
             raise malformed_record(path, record, _ROUTE_CHANGE_SHAPE)
+        if record.category == "causality" and not _is_causality(record):
+            raise malformed_record(path, record, _CAUSALITY_SHAPE)
     return analyze_trace(records, t0=t0, top=top)
 
 

@@ -15,7 +15,7 @@ of a results-serving backend.  This package assembles them into one:
 * :mod:`repro.service.daemon` — :class:`CampaignService`, wiring the
   HTTP API (:mod:`repro.service.api`), the executor thread and graceful
   SIGTERM/SIGINT drain together;
-* :mod:`repro.service.client` — a thin stdlib HTTP client
+* :mod:`repro.service.client` — a thin HTTP client on :mod:`socket`
   (:class:`ServiceClient`) mirroring the API 1:1.
 
 CLI entry points: ``repro-bgp serve`` / ``submit`` / ``result`` /

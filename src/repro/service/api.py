@@ -22,13 +22,26 @@ GET       ``/trial/<key>``       One banked trial + provenance — the
 Handlers run on the daemon's :class:`socketserver.ThreadingTCPServer`
 threads, one per connection, and touch shared state only through the
 backend (internally locked) and the daemon's thread-safe telemetry
-snapshots, so no handler-side locking is needed.  Responses are always
-JSON; errors carry ``{"error": ...}`` and a meaningful status code.
+snapshots, so no handler-side locking is needed.
+
+The handler is a :class:`socketserver.StreamRequestHandler` that reads
+and writes HTTP/1.1 itself: a request line and at most
+:data:`MAX_HEADERS` header lines of at most :data:`MAX_LINE_BYTES`
+each, then a ``Content-Length`` body of at most :data:`MAX_BODY_BYTES`
+(``Expect: 100-continue`` is answered before the body is read).  An
+HTTP/1.1 connection stays open until ``Connection: close``; an HTTP/1.0
+one closes after its answer.  Responses are always JSON, a request that
+does not parse included: errors carry ``{"error": ...}`` and a
+meaningful status code, and an error that leaves the request's bytes
+unread or untrusted closes the connection (``Connection: close``).
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
+import time
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Type
 
 from repro.store.result_store import trial_to_dict
@@ -41,7 +54,7 @@ from repro.service.submission import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from http.server import BaseHTTPRequestHandler
+    from socketserver import StreamRequestHandler
 
     from repro.service.daemon import CampaignService
 
@@ -54,70 +67,185 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: more body than it sends must not hold a thread forever.
 SOCKET_TIMEOUT_SECONDS = 30.0
 
+#: The longest request or header line (414 / 431 beyond it) and the most
+#: header lines (431 beyond it) a request may carry.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
+
+#: The ``Server`` header of every answer.
+SERVER = "repro-bgp-service/1 Python/" + sys.version.split()[0]
+
+#: Reason phrases of the statuses the handler answers.
+REASONS = {
+    200: "OK",
+    202: "Accepted",
+    400: "Bad Request",
+    404: "Not Found",
+    408: "Request Timeout",
+    409: "Conflict",
+    413: "Request Entity Too Large",
+    414: "Request-URI Too Long",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
+    501: "Not Implemented",
+    503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
+}
+
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
+
+def http_date(timestamp: Optional[float] = None) -> str:
+    """``timestamp`` (default: now) as an IMF-fixdate, the ``Date``
+    header's form, with English names whatever the locale."""
+    t = time.gmtime(timestamp)
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+        f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
+class Refusal(Exception):
+    """An error answer after which the connection closes: the request's
+    remaining bytes are unread, or cannot be trusted to frame the next
+    request."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
 
 def make_handler(
     service: "CampaignService",
-) -> Type[BaseHTTPRequestHandler]:
+) -> Type[StreamRequestHandler]:
     """Build the request-handler class bound to one daemon instance."""
     # Imported here, not at module level: importing repro.service must
-    # not load the HTTP stack for a process that serves nothing.
-    from http.server import BaseHTTPRequestHandler
+    # not load the server stack for a process that serves nothing.
+    from socketserver import StreamRequestHandler
 
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-bgp-service/1"
-        protocol_version = "HTTP/1.1"
+    class Handler(StreamRequestHandler):
         timeout = SOCKET_TIMEOUT_SECONDS
 
         # -- plumbing --------------------------------------------------
-        def log_message(self, fmt: str, *args: Any) -> None:
-            service.log_request_line(fmt % args)
+        def handle(self) -> None:
+            try:
+                while self._handle_one():
+                    pass
+            except OSError:
+                # The peer hung up, or sat silent past the timeout
+                # between requests: there is no one left to answer.
+                pass
+
+        def _handle_one(self) -> bool:
+            """Answer one request; whether the connection stays open."""
+            self.requestline = ""
+            self.close_connection = True
+            try:
+                line = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if not line:
+                    return False
+                if len(line) > MAX_LINE_BYTES:
+                    raise Refusal(414, "request line too long")
+                self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
+                method, self.path, self.http11 = self._parse_request_line()
+                self.headers = self._read_headers()
+                connection = self.headers.get("connection", "").lower()
+                self.close_connection = not self.http11 or "close" in (
+                    token.strip() for token in connection.split(",")
+                )
+                if method == "GET":
+                    self._get()
+                elif method == "POST":
+                    self._post()
+                else:
+                    raise Refusal(501, f"unsupported method {method!r}")
+            except Refusal as refusal:
+                self._send_json(
+                    refusal.status, {"error": str(refusal)}, close=True
+                )
+            return not self.close_connection
+
+        def _parse_request_line(self) -> Tuple[str, str, bool]:
+            """``(method, target, is HTTP/1.1)`` of the request line."""
+            words = self.requestline.split()
+            if len(words) != 3:
+                raise Refusal(400, f"bad request line {self.requestline!r}")
+            method, target, version = words
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                raise Refusal(400, f"bad HTTP version {version!r}")
+            if int(match[1]) != 1:
+                raise Refusal(505, f"HTTP version {version!r} not supported")
+            return method, target, int(match[2]) >= 1
+
+        def _read_headers(self) -> Dict[str, str]:
+            """The header lines, by lower-cased name (the first of a
+            repeated name wins)."""
+            headers: Dict[str, str] = {}
+            for _ in range(MAX_HEADERS + 1):
+                line = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if len(line) > MAX_LINE_BYTES:
+                    raise Refusal(431, "header line too long")
+                if line in (b"\r\n", b"\n", b""):
+                    return headers
+                name, colon, value = line.decode("iso-8859-1").partition(":")
+                if not colon or not name or name != name.strip():
+                    raise Refusal(400, f"bad header line {line!r}")
+                headers.setdefault(name.lower(), value.strip())
+            raise Refusal(431, f"more than {MAX_HEADERS} headers")
 
         def _send_json(
             self, status: int, payload: Dict[str, Any], close: bool = False
         ) -> None:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+            head = (
+                f"HTTP/1.1 {status} {REASONS[status]}\r\n"
+                f"Server: {SERVER}\r\n"
+                f"Date: {http_date()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
             if close:
-                # Also sets self.close_connection.
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+                head += "Connection: close\r\n"
+                self.close_connection = True
+            service.log_request_line(f'"{self.requestline}" {status} -')
+            self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
         def _error(self, status: int, message: str) -> None:
             self._send_json(status, {"error": message})
 
-        def _refuse(self, status: int, message: str) -> None:
-            """Answer an error and close the connection after it: where
-            the body is left unread, its bytes would otherwise parse as
-            the next request."""
-            self._send_json(status, {"error": message}, close=True)
-
         def _read_body(self) -> Optional[Dict[str, Any]]:
             try:
-                length = int(self.headers.get("Content-Length") or 0)
+                length = int(self.headers.get("content-length") or 0)
             except ValueError:
-                self._refuse(400, "Content-Length must be an integer")
-                return None
+                raise Refusal(400, "Content-Length must be an integer")
             if length <= 0:
-                self._refuse(400, "request body required")
-                return None
+                raise Refusal(400, "request body required")
             if length > MAX_BODY_BYTES:
-                self._refuse(413, "request body too large")
-                return None
+                raise Refusal(413, "request body too large")
+            expect = self.headers.get("expect", "").lower()
+            if self.http11 and expect == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             try:
-                data = json.loads(self.rfile.read(length))
+                raw = self.rfile.read(length)
             except TimeoutError:
-                self._refuse(408, "request body incomplete")
-                return None
+                raw = b""
+            if len(raw) < length:
+                # Timed out, or the peer hung up, short of Content-Length.
+                raise Refusal(408, "request body incomplete")
+            try:
+                data = json.loads(raw)
             except ValueError:
                 self._error(400, "request body is not valid JSON")
                 return None
             except RecursionError:
                 # Nested deeper than the parser's stack.
-                self._refuse(400, "request body is not valid JSON")
-                return None
+                raise Refusal(400, "request body is not valid JSON")
             if not isinstance(data, dict):
                 self._error(400, "request body must be a JSON object")
                 return None
@@ -130,7 +258,7 @@ def make_handler(
             return head, tail
 
         # -- GET -------------------------------------------------------
-        def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
+        def _get(self) -> None:
             head, tail = self._route(self.path)
             try:
                 if head == "health" and not tail:
@@ -171,14 +299,12 @@ def make_handler(
                 self._error(500, f"{type(exc).__name__}: {exc}")
 
         # -- POST ------------------------------------------------------
-        def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
+        def _post(self) -> None:
             head, tail = self._route(self.path)
             if head != "submit" or tail:
-                self._refuse(404, f"unknown endpoint {self.path!r}")
-                return
+                raise Refusal(404, f"unknown endpoint {self.path!r}")
             if service.stopping:
-                self._refuse(503, "service is draining for shutdown")
-                return
+                raise Refusal(503, "service is draining for shutdown")
             body = self._read_body()
             if body is None:
                 return

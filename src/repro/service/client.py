@@ -5,21 +5,32 @@
 >>> status = client.wait(receipt["ticket"])
 >>> series = client.result(receipt["ticket"])["series"]
 
-No third-party dependencies: one :mod:`http.client` connection per
-request (``Connection: close``), JSON in and out.  A daemon's error
-answer raises :class:`ServiceError` carrying the HTTP status and the
-server's ``error`` message; a URL the client cannot use, or a daemon it
-cannot reach or that does not answer within ``timeout``, raises one
-with status 0.  The client talks to the daemon directly: proxy
-variables such as ``http_proxy`` are not read.
+No third-party dependencies, and no HTTP library either: one
+:func:`socket.create_connection` per request (``Connection: close``),
+JSON in and out; the response is its status line, its headers and a
+body of ``Content-Length`` bytes (or up to EOF without one).  An ASCII
+host goes to the resolver as bytes, so no IDNA codec loads, and
+:mod:`ssl` loads only for an ``https://`` URL.  A daemon's error answer
+raises :class:`ServiceError` carrying the HTTP status and the server's
+``error`` message (``HTTP Error {status}: {reason}`` when the body is
+not a JSON object); a URL the client cannot use, or a daemon it cannot
+reach, that does not answer within ``timeout`` or whose answer does not
+parse, raises one with status 0.  The client talks to the daemon
+directly: proxy variables such as ``http_proxy`` are not read.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import time
-from typing import Any, Dict, Optional
+from typing import Any, BinaryIO, Dict, Optional, Tuple
 from urllib.parse import urlsplit
+
+#: The longest status or header line, and the most header lines, an
+#: answer may carry.
+_MAX_LINE_BYTES = 64 * 1024
+_MAX_HEADERS = 100
 
 
 class ServiceError(RuntimeError):
@@ -33,39 +44,85 @@ class ServiceError(RuntimeError):
         self.message = message
 
 
+def _has_control(text: str) -> bool:
+    """Whether ``text`` holds a space or control character, which would
+    split a request line or a header."""
+    return any(ch <= " " or ch == "\x7f" for ch in text)
+
+
+def _read_line(stream: BinaryIO) -> bytes:
+    line = stream.readline(_MAX_LINE_BYTES + 1)
+    if len(line) > _MAX_LINE_BYTES:
+        raise ValueError(f"answer line over {_MAX_LINE_BYTES} bytes")
+    return line
+
+
+def _read_response(stream: BinaryIO) -> Tuple[int, str, bytes]:
+    """``(status, reason, body)`` of one HTTP/1.x answer on ``stream``;
+    ``ValueError`` when it does not parse."""
+    line = _read_line(stream)
+    if not line:
+        raise ValueError("Remote end closed connection without response")
+    version, _, rest = line.decode("iso-8859-1").rstrip("\r\n").partition(" ")
+    code, _, reason = rest.partition(" ")
+    if not version.startswith("HTTP/1.") or not (
+        len(code) == 3 and code.isdigit()
+    ):
+        raise ValueError(f"bad status line {line[:80]!r}")
+    length = None
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(stream)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("iso-8859-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    else:
+        raise ValueError(f"more than {_MAX_HEADERS} header lines")
+    body = stream.read(length) if length is not None else stream.read()
+    if length is not None and len(body) < length:
+        raise ValueError(
+            f"answer body incomplete ({len(body)} of {length} bytes)"
+        )
+    return int(code), reason, body
+
+
 class ServiceClient:
     """Typed access to one campaign-service daemon."""
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
-        import http.client
-
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         try:
             parts = urlsplit(self.base_url)
             if parts.scheme not in ("http", "https"):
                 raise ValueError("scheme is not http(s)")
-            if not parts.hostname:
+            host = parts.hostname
+            if not host:
                 raise ValueError("no host")
-            self._connection_class = (
-                http.client.HTTPSConnection
-                if parts.scheme == "https"
-                else http.client.HTTPConnection
+            if _has_control(host):
+                raise ValueError(
+                    f"host {host!r} holds a space or control character"
+                )
+            default_port = 443 if parts.scheme == "https" else 80
+            port = parts.port if parts.port is not None else default_port
+            # Bytes, so that resolving an ASCII host loads no IDNA codec.
+            encoded = (
+                host.encode("ascii") if host.isascii() else host.encode("idna")
             )
-            # The port is explicit, so an IPv6 host is never split at its
-            # last colon.
-            self._address = (
-                parts.hostname,
-                parts.port
-                if parts.port is not None
-                else self._connection_class.default_port,
-            )
-            # Checks the host; a connection opens nothing until used.
-            self._connection_class(*self._address)
-        except (ValueError, http.client.InvalidURL) as exc:
+        except ValueError as exc:
             raise ServiceError(
                 0, f"bad service URL {base_url!r}: {exc}"
             ) from None
+        self._https = parts.scheme == "https"
+        self._hostname = host
+        self._address = (encoded, port)
+        host_header = encoded.decode("ascii")
+        if ":" in host_header:
+            host_header = f"[{host_header}]"
+        if port != default_port:
+            host_header += f":{port}"
+        self._host_header = host_header
         self._prefix = parts.path
 
     # -- transport -----------------------------------------------------
@@ -75,40 +132,44 @@ class ServiceClient:
         path: str,
         body: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        import http.client
-
-        data = (
-            json.dumps(body).encode("utf-8") if body is not None else None
-        )
-        connection = self._connection_class(
-            *self._address, timeout=self.timeout
-        )
-        try:
-            connection.request(
-                method,
-                self._prefix + path,
-                body=data,
-                headers={
-                    "Content-Type": "application/json",
-                    "Connection": "close",
-                },
+        target = self._prefix + path
+        if not target.isascii() or _has_control(target):
+            raise ServiceError(
+                0, f"cannot reach service: bad request path {target!r}"
             )
-            response = connection.getresponse()
-            payload = response.read()
-        except (OSError, http.client.HTTPException) as exc:
+        head = (
+            f"{method} {target} HTTP/1.1\r\n"
+            f"Host: {self._host_header}\r\n"
+            "Content-Type: application/json\r\n"
+            "Connection: close\r\n"
+        )
+        data = b""
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            head += f"Content-Length: {len(data)}\r\n"
+        try:
+            sock = socket.create_connection(self._address, self.timeout)
+            if self._https:
+                import ssl
+
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=self._hostname
+                )
+            with sock, sock.makefile("rb") as stream:
+                sock.sendall(head.encode("ascii") + b"\r\n" + data)
+                status, reason, payload = _read_response(stream)
+        except (OSError, ValueError) as exc:
             raise ServiceError(0, f"cannot reach service: {exc}") from exc
-        finally:
-            connection.close()
-        if 200 <= response.status < 300:
+        if 200 <= status < 300:
             return json.loads(payload)
-        message = f"HTTP Error {response.status}: {response.reason}"
+        message = f"HTTP Error {status}: {reason}"
         try:
             document = json.loads(payload)
         except ValueError:
             document = None
         if isinstance(document, dict):
             message = document.get("error", message)
-        raise ServiceError(response.status, message)
+        raise ServiceError(status, message)
 
     # -- endpoints -----------------------------------------------------
     def health(self) -> Dict[str, Any]:

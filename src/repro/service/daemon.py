@@ -13,9 +13,10 @@
   feeding a :class:`~repro.obs.live.LiveMonitor` whose busy-seconds ETA
   backs the ``/status`` and ``/queue`` endpoints;
 * a :class:`socketserver.ThreadingTCPServer` (daemon threads, address
-  reuse) whose handler is :mod:`repro.service.api`'s.  It binds without
-  :class:`http.server.HTTPServer`'s reverse lookup of the bound address
-  (``socket.getfqdn``), whose ``server_name`` no handler reads.
+  reuse) whose handler is :mod:`repro.service.api`'s, a
+  :class:`socketserver.StreamRequestHandler` that reads and writes the
+  HTTP itself: the daemon loads no :mod:`http.server`, and binding does
+  no reverse lookup of the bound address (``socket.getfqdn``).
 
 Shutdown (SIGTERM/SIGINT, or :meth:`request_shutdown`) is a *drain*:
 new submissions start returning 503, the executor finishes its

@@ -239,6 +239,45 @@ def test_trace_analyze_refuses_a_route_change_of_the_wrong_shape(
     ]
 
 
+@pytest.mark.parametrize(
+    "node, detail",
+    [
+        ("0", '["send", [[1]], null, 0, 1, null]'),
+        ("0", '[1, 2, null, 0, 1, null]'),
+        ("0", '["send", 2, 1.5, 0, 1, null]'),
+        ("0", '["send", 2, -1, 0, [1], null]'),
+        ("null", '["send", 2, -1, 0, 1, null]'),
+        ("0", '["send", 2, -1, 0, 1, 7]'),
+        ("null", '["failure", 2, -1, null, null]'),
+    ],
+    ids=[
+        "list-uid", "int-kind", "float-cause", "list-peer",
+        "send-without-node", "int-payload", "five-fields",
+    ],
+)
+def test_trace_analyze_refuses_a_causality_record_of_the_wrong_shape(
+    node, detail, tmp_path, capsys
+):
+    # An unhashable uid must not reach the cause forest (a TypeError
+    # there): the shape is checked on load.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        '{"category": "causality", "detail": %s, "node": %s, '
+        '"time": 0.0}\n' % (detail, node),
+        encoding="utf-8",
+    )
+    assert main(["trace", "analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"cannot analyze {path}: {path}: a causality record at time 0 "
+        f"has node {node} and detail {detail}, not detail [kind, uid, "
+        "cause, dest, peer, payload] with a string kind, an integer uid, "
+        "an integer or null cause, dest and peer, a list or null payload, "
+        "and an integer node on a send"
+    ]
+
+
 def test_dataplane_report_refuses_a_file_without_dataplane_records(
     tmp_path, capsys
 ):

@@ -13,6 +13,8 @@ fold, then a warm resubmit answered entirely from the store.
 import http.client
 import json
 import os
+import platform
+import re
 import socket
 import sqlite3
 import sys
@@ -703,6 +705,162 @@ def test_service_early_error_leaves_no_body_on_the_connection(service):
         conn.close()
 
 
+def read_answer(stream):
+    """``(status line, header lines, body)`` of one answer on a raw
+    socket's file, the body by its Content-Length."""
+    status_line = stream.readline().decode("latin-1").rstrip("\r\n")
+    headers = []
+    while True:
+        line = stream.readline().decode("latin-1").rstrip("\r\n")
+        if not line:
+            break
+        headers.append(line)
+    length = next(
+        int(h.split(":", 1)[1])
+        for h in headers
+        if h.lower().startswith("content-length:")
+    )
+    return status_line, headers, stream.read(length)
+
+
+def health_is_ok(port):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("GET", "/health")
+        response = conn.getresponse()
+        return response.status == 200 and (
+            json.loads(response.read())["status"] == "ok"
+        )
+    finally:
+        conn.close()
+
+
+LINE = 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (b"GET /" + b"a" * LINE + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * LINE + b"\r\n\r\n", 431),
+        (
+            b"GET /health HTTP/1.1\r\n"
+            + b"".join(b"X-%d: %d\r\n" % (i, i) for i in range(101))
+            + b"\r\n",
+            431,
+        ),
+        (b"GET /health HTTP/2.0\r\n\r\n", 505),
+        (b"garbage\r\n\r\n", 400),
+        (b"BREW /health HTTP/1.1\r\n\r\n", 501),
+    ],
+    ids=[
+        "long-request-line",
+        "long-header-line",
+        "101-headers",
+        "http-2",
+        "one-word",
+        "unknown-method",
+    ],
+)
+def test_service_hostile_request_gets_a_json_refusal(
+    service, request_bytes, status
+):
+    # A request the daemon cannot parse still gets a real status line
+    # and a JSON error, and its connection closes.
+    with socket.create_connection(("127.0.0.1", service.port), timeout=10) as sock:
+        sock.sendall(request_bytes)
+        with sock.makefile("rb") as stream:
+            status_line, headers, body = read_answer(stream)
+            assert stream.read() == b""
+    assert status_line.startswith(f"HTTP/1.1 {status} ")
+    assert "Content-Type: application/json" in headers
+    assert "Connection: close" in headers
+    assert set(json.loads(body)) == {"error"}
+    assert health_is_ok(service.port)
+
+
+def test_service_answers_expect_100_continue(service):
+    # curl's path for a body: it waits for the interim 100 before
+    # sending the body, then reads the final answer.
+    body = json.dumps(small_campaign(seeds=[1]).to_dict()).encode()
+    with socket.create_connection(("127.0.0.1", service.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /submit HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n" % len(body)
+        )
+        with sock.makefile("rb") as stream:
+            assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert stream.readline() == b"\r\n"
+            sock.sendall(body)
+            status_line, _, answer = read_answer(stream)
+    assert status_line == "HTTP/1.1 202 Accepted"
+    assert json.loads(answer)["total"] == 1
+
+
+def test_service_peer_hanging_up_mid_body_leaves_no_traceback(
+    tmp_path, capfd
+):
+    # Content-Length: 100 with 4 bytes sent, then the client is gone:
+    # the short read is an incomplete body, the answer to a dead peer is
+    # dropped, and the handler thread ends.
+    config = service_config(tmp_path)
+    config.quiet = False
+    svc = CampaignService(config)
+    svc.start()
+    try:
+        before = threading.active_count()
+        with socket.create_connection(("127.0.0.1", svc.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                b'{"na'
+            )
+        deadline = time.monotonic() + 10
+        while threading.active_count() > before:
+            assert time.monotonic() < deadline, threading.enumerate()
+            time.sleep(0.05)
+        assert health_is_ok(svc.port)
+    finally:
+        svc.shutdown()
+    err = capfd.readouterr().err
+    assert '"POST /submit HTTP/1.1" 408 -' in err
+    assert "Traceback" not in err
+
+
+def test_service_response_head_is_pinned(service):
+    # Status line, then Server, Date, Content-Type, Content-Length, in
+    # this order: the bytes of a successful answer's head, but for the
+    # Date value.
+    with socket.create_connection(("127.0.0.1", service.port), timeout=10) as sock:
+        sock.sendall(
+            b"GET /health HTTP/1.1\r\nHost: localhost\r\n"
+            b"Connection: close\r\n\r\n"
+        )
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[:2] == [
+        "HTTP/1.1 200 OK",
+        f"Server: repro-bgp-service/1 Python/{platform.python_version()}",
+    ]
+    assert re.fullmatch(
+        r"Date: (Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d "
+        r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} "
+        r"\d\d:\d\d:\d\d GMT",
+        lines[2],
+    )
+    assert lines[3:] == [
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+    ]
+    assert json.loads(body)["status"] == "ok"
+
+
 def test_service_rejects_submissions_while_draining(service):
     client = ServiceClient(f"http://127.0.0.1:{service.port}")
     service.request_shutdown()
@@ -772,6 +930,72 @@ def test_client_maps_an_error_without_a_json_body(bound_socket):
         502,
         "HTTP Error 502: Bad Gateway",
     )
+
+
+@pytest.mark.parametrize(
+    "answer, outcome",
+    [
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"
+            b'{"status": "ok"}',
+            {"status": "ok"},
+        ),
+        (b"", "Remote end closed connection without response"),
+        (b"SSH-2.0-OpenSSH\r\n\r\n", "bad status line b'SSH-2.0-OpenSSH\\r\\n'"),
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}",
+            "answer body incomplete (2 of 50 bytes)",
+        ),
+    ],
+    ids=["body-to-eof", "no-answer", "not-http", "short-body"],
+)
+def test_client_reads_an_answer_or_maps_it_to_status_0(
+    bound_socket, answer, outcome
+):
+    # Without Content-Length the body runs to EOF; an answer that does
+    # not parse is "cannot reach service", like a refused connection.
+    bound_socket.listen(1)
+    port = bound_socket.getsockname()[1]
+
+    def answer_once():
+        conn, _ = bound_socket.accept()
+        with conn:
+            request = b""
+            while b"\r\n\r\n" not in request:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                request += chunk
+            conn.sendall(answer)
+
+    server = threading.Thread(target=answer_once, daemon=True)
+    server.start()
+    client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10)
+    if isinstance(outcome, dict):
+        assert client.health() == outcome
+    else:
+        with pytest.raises(ServiceError) as err:
+            client.health()
+        assert (err.value.status, str(err.value)) == (
+            0,
+            f"cannot reach service: {outcome}",
+        )
+    server.join(10)
+
+
+def test_client_speaks_tls_only_to_an_https_url(service):
+    # The plain daemon cannot complete a TLS handshake: status 0.
+    with pytest.raises(ServiceError) as err:
+        ServiceClient(f"https://127.0.0.1:{service.port}", timeout=10).health()
+    assert err.value.status == 0
+    assert str(err.value).startswith("cannot reach service: ")
+
+
+def test_http_date_is_an_english_imf_fixdate():
+    from repro.service.api import http_date
+
+    assert http_date(0) == "Thu, 01 Jan 1970 00:00:00 GMT"
+    assert http_date(951_825_600) == "Tue, 29 Feb 2000 12:00:00 GMT"
 
 
 def test_cli_client_verbs_over_http(service, tmp_path, capsys):
