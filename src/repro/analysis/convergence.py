@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.causality import ROOT_KIND, CausalGraph
 from repro.obs.probes import percentile
-from repro.sim.trace import TraceRecord, load_trace, malformed_record
+from repro.sim.trace import TraceRecord, load_trace
 
 
 @dataclass
@@ -218,64 +218,14 @@ def analyze_trace(
     return report
 
 
-#: What a speaker writes, as ``trace analyze`` states it.
-_ROUTE_CHANGE_SHAPE = "an integer node and detail [dest, null or [asn, ...]]"
-
-
-def _is_route_change(record: TraceRecord) -> bool:
-    """Whether a ``route_change`` record is a best-route change: a node,
-    then ``(dest, path)`` with ``path`` a tuple of ASNs or ``None``."""
-    if type(record.node) is not int or len(record.detail) != 2:
-        return False
-    dest, path = record.detail
-    return type(dest) is int and (
-        path is None
-        or (isinstance(path, tuple) and all(type(a) is int for a in path))
-    )
-
-
-#: What a speaker's send or a failure injection writes, as ``trace
-#: analyze`` states it.
-_CAUSALITY_SHAPE = (
-    "detail [kind, uid, cause, dest, peer, payload] with a string kind, "
-    "an integer uid, an integer or null cause, dest and peer, a list or "
-    "null payload, and an integer node on a send"
-)
-
-
-def _is_optional_int(value: Any) -> bool:
-    return value is None or type(value) is int
-
-
-def _is_causality(record: TraceRecord) -> bool:
-    """Whether a ``causality`` record can join the cause forest: its
-    uids key and link events, and a send's node, peer and dest key its
-    wasted-update triple."""
-    if len(record.detail) != 6:
-        return False
-    kind, uid, cause, dest, peer, payload = record.detail
-    return (
-        isinstance(kind, str)
-        and type(uid) is int
-        and all(_is_optional_int(v) for v in (cause, dest, peer))
-        and (payload is None or isinstance(payload, tuple))
-        and (type(record.node) is int if kind == "send" else
-             _is_optional_int(record.node))
-    )
-
-
 def analyze_trace_file(
     path: Union[str, Path], t0: Optional[float] = None, top: int = 5
 ) -> Dict[str, Any]:
-    """:func:`analyze_trace` of a JSONL trace file; a ``route_change`` or
-    ``causality`` record of the wrong shape raises ``ValueError``."""
-    records = load_trace(path)
-    for record in records:
-        if record.category == "route_change" and not _is_route_change(record):
-            raise malformed_record(path, record, _ROUTE_CHANGE_SHAPE)
-        if record.category == "causality" and not _is_causality(record):
-            raise malformed_record(path, record, _CAUSALITY_SHAPE)
-    return analyze_trace(records, t0=t0, top=top)
+    """:func:`analyze_trace` of a JSONL trace file.  The report reads
+    ``causality`` and ``route_change`` records and skips the rest;
+    :func:`~repro.sim.trace.load_trace` refuses (``ValueError``) a record
+    of any declared category that is not its shape."""
+    return analyze_trace(load_trace(path), t0=t0, top=top)
 
 
 def _format_chain(chain: List[Dict[str, Any]]) -> str:

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.dataplane import BLACKHOLE, DOWN, LOOP, OK, Transition
+from repro.obs.dataplane import Transition
 from repro.obs.probes import percentile
-from repro.sim.trace import TraceRecord, load_trace, malformed_record
+from repro.sim.trace import BLACKHOLE, DOWN, LOOP, OK, TraceRecord, load_trace
 
 __all__ = [
     "DataPlaneTimeline",
@@ -263,36 +263,6 @@ class DataPlaneTimeline:
 # ----------------------------------------------------------------------
 # The ``dataplane report`` report
 # ----------------------------------------------------------------------
-#: What the session writes, as ``dataplane report`` states it.
-_DELIMITER_SHAPE = "detail [seed, end]"
-_TRANSITION_SHAPE = "an integer node and detail [dest, status, hops]"
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_trial_delimiter(record: TraceRecord) -> bool:
-    """Whether the detail is ``(seed, end)`` as the session writes it."""
-    if len(record.detail) != 2:
-        return False
-    seed, end = record.detail
-    return _is_int(seed) and (_is_int(end) or isinstance(end, float))
-
-
-def _is_transition(record: TraceRecord) -> bool:
-    """Whether a ``dataplane`` record is a monitor transition: a node,
-    then ``(dest, status, hops)`` with ``hops`` an int or ``None``."""
-    if not _is_int(record.node) or len(record.detail) != 3:
-        return False
-    dest, status, hops = record.detail
-    return (
-        _is_int(dest)
-        and status in (OK, LOOP, BLACKHOLE, DOWN)
-        and (hops is None or _is_int(hops))
-    )
-
-
 def analyze_dataplane_file(
     path: Union[str, Path],
     t0: Optional[float] = None,
@@ -303,17 +273,14 @@ def analyze_dataplane_file(
     The file's ``dataplane`` records split into trials on their
     ``dataplane_trial`` delimiters; a trial's number is its delimiter's
     ordinal, and its window runs from the delimiter's time (or ``t0``,
-    when given) to its recorded end.  Other categories are skipped.  A
-    file without a delimiter holds no data-plane report, and a
-    ``dataplane`` record before the first delimiter, or either record
-    with a detail of the wrong shape, is malformed: all raise
-    ``ValueError``.
+    when given) to its recorded end.  Other categories are skipped.
+    ``ValueError`` is raised for a record of a declared category not in
+    its shape (by :func:`~repro.sim.trace.load_trace`, read or not), a
+    file without a delimiter, or a ``dataplane`` record before the first.
     """
     trials: List[Tuple[TraceRecord, List[Transition]]] = []
     for record in load_trace(path):
         if record.category == "dataplane_trial":
-            if not _is_trial_delimiter(record):
-                raise malformed_record(path, record, _DELIMITER_SHAPE)
             trials.append((record, []))
         elif record.category == "dataplane":
             if not trials:
@@ -321,8 +288,6 @@ def analyze_dataplane_file(
                     f"{path}: a dataplane record before any "
                     f"dataplane_trial record"
                 )
-            if not _is_transition(record):
-                raise malformed_record(path, record, _TRANSITION_SHAPE)
             trials[-1][1].append((record.time, record.node, *record.detail))
     if not trials:
         raise ValueError(

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.messages import Update
-from repro.bgp.routes import path_tuple
 from repro.bgp.speaker import BGPSpeaker
 from repro.sim.engine import Simulator
 from repro.sim.trace import Counter, Tracer
@@ -119,15 +118,6 @@ class BGPNetwork:
         self.counters["updates_sent"] += 1
         if msg.is_withdrawal:
             self.counters["withdrawals_sent"] += 1
-        if self.sim.tracer.enabled:
-            self.sim.tracer.emit(
-                self.sim.now,
-                "withdraw_sent" if msg.is_withdrawal else "update_sent",
-                sender_id,
-                msg.dest,
-                receiver_id,
-                None if msg.path is None else path_tuple(msg.path),
-            )
         self.note_activity()
         self.sim.schedule(delay, self._deliver, receiver_id, msg)
 

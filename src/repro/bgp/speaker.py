@@ -40,8 +40,16 @@ from repro.sim.timers import Timer
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
 
-#: Sentinel distinguishing "never advertised" from "advertised a withdrawal".
-_NEVER_SENT = object()
+class _NeverSent:
+    """The Adj-RIB-Out mark of "never advertised", as opposed to an
+    advertised withdrawal (``None``).  There is one, tested with ``is``,
+    and it pickles by name, so a copied network still finds it."""
+
+    def __reduce__(self) -> str:
+        return "_NEVER_SENT"
+
+
+_NEVER_SENT = _NeverSent()
 
 #: Timer scope of per-peer MRAI: one timer governs every destination.  In
 #: per-destination mode the scope is the destination itself.
@@ -556,11 +564,7 @@ class BGPSpeaker:
         ps.session_up = False
         ps.release()
         self.network.counters["sessions_down"] += 1
-        if self.sim.tracer.enabled:
-            self._cause_uid = cause_uid
-            self.sim.tracer.emit(
-                self.sim.now, "peer_down", self.node_id, peer_id
-            )
+        self._cause_uid = cause_uid
         for dest in self.adj_rib_in.drop_peer(peer_id):
             if ps.ebgp and self.config.damping is not None:
                 # RFC 2439: route loss through a session reset is a

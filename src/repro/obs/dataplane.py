@@ -27,7 +27,8 @@ The forwarding model: each speaker forwards traffic for ``dest`` to the
 peer its current Loc-RIB best route came from (``Route.peer``); a
 locally-originated route (``Route.is_local``) terminates the walk.  Per
 destination this induces a functional graph over the alive nodes; every
-node is in exactly one state:
+node is in exactly one state
+(:data:`repro.sim.trace.DATAPLANE_STATUSES`):
 
 * ``ok`` — the walk reaches an origin (``hops`` = path length taken),
 * ``blackhole`` — the walk dies (no route, or next hop is dead),
@@ -47,23 +48,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.sim.trace import BLACKHOLE, DOWN, LOOP, OK
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bgp.network import BGPNetwork
     from repro.bgp.routes import Route
 
-__all__ = [
-    "BLACKHOLE",
-    "DOWN",
-    "DataPlaneMonitor",
-    "LOOP",
-    "OK",
-]
-
-#: Pair statuses (see module docstring).
-OK = "ok"
-LOOP = "loop"
-BLACKHOLE = "blackhole"
-DOWN = "down"
+__all__ = ["DataPlaneMonitor"]
 
 #: A recorded state change: (sim time, node, dest, status, hops-or-None).
 Transition = Tuple[float, int, int, str, Optional[int]]

@@ -42,10 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.dataplane import DataPlaneMonitor
     from repro.obs.probes import NetworkProbe, ProbeSamples
 
-#: Categories a session tracer records: exactly what the
-#: causal/convergence analysis consumes.
-TRACE_CATEGORIES = frozenset({"causality", "route_change"})
-
 #: Categories a monitored trial adds to its stream: one
 #: ``dataplane_trial`` delimiter, then its ``dataplane`` transitions.
 DATAPLANE_CATEGORIES = frozenset({"dataplane_trial", "dataplane"})
@@ -96,9 +92,7 @@ class TrialObserver:
         #: buffer :meth:`record` ships, or nowhere.
         self.sink = sink
         self.tracer: Optional[Tracer] = (
-            Tracer(categories=set(TRACE_CATEGORIES), sink=sink)
-            if recipe["trace"]
-            else None
+            Tracer(sink=sink) if recipe["trace"] else None
         )
         self.probe: Optional[NetworkProbe] = None
         self.monitor: Optional["DataPlaneMonitor"] = None
@@ -231,10 +225,10 @@ class ObsSession:
         When True, an :class:`EventLoopProfiler` is attached to every
         simulator; statistics accumulate across trials.
     trace:
-        When True, every trial runs with a causal tracer attached
-        (recording :data:`TRACE_CATEGORIES`) and its path-exploration /
-        settle-time summary is recorded alongside the delay in the trial
-        snapshot and manifest.
+        When True, every trial runs with a causal tracer attached (the
+        BGP layer emits ``causality`` and ``route_change`` records) and
+        its path-exploration / settle-time summary is recorded alongside
+        the delay in the trial snapshot and manifest.
     spans:
         When True, the session owns a
         :class:`~repro.obs.spans.SpanRecorder`; installed by the caller

@@ -6,7 +6,8 @@ records timestamped protocol events when enabled; :class:`Counter` is the
 always-on bag of named counters — a ``dict``, bumped with ``+=``.
 
 Tracing is structured (records, not strings) so tests can assert on protocol
-behaviour without parsing log text.
+behaviour without parsing log text.  Each category a run records declares
+its shape once, in :data:`RECORD_SHAPES`, and :func:`load_trace` checks it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,81 @@ class TraceRecord(NamedTuple):
                 list(d) if isinstance(d, tuple) else d for d in self.detail
             ],
         }
+
+
+#: The data-plane monitor's pair statuses (:mod:`repro.obs.dataplane`).
+OK, LOOP, BLACKHOLE, DOWN = "ok", "loop", "blackhole", "down"
+DATAPLANE_STATUSES = (OK, LOOP, BLACKHOLE, DOWN)
+
+
+def _int(value: Any) -> bool:
+    return type(value) is int
+
+
+def _optional_int(value: Any) -> bool:
+    return value is None or type(value) is int
+
+
+def _number(value: Any) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _path(value: Any) -> bool:
+    return value is None or (type(value) is tuple and all(map(_int, value)))
+
+
+def _fields(detail: Tuple[Any, ...], *checks: Callable[[Any], bool]) -> bool:
+    return len(detail) == len(checks) and all(
+        check(value) for check, value in zip(checks, detail)
+    )
+
+
+class RecordShape(NamedTuple):
+    """The declared shape of one record category: whether a record's
+    ``(node, detail)`` has it, and the words a refusal quotes."""
+
+    admits: Callable[[Any, Tuple[Any, ...]], bool]
+    sentence: str
+
+
+#: Every category a run records, with its shape.  :func:`load_trace`
+#: refuses a record of one of these that is not its shape; a category
+#: not declared here loads unchecked, and a reader skips what it does
+#: not read.  A causality record is a send, whose node, peer and dest
+#: key its wasted-update triple, or a failure injection, whose payload
+#: is its scope.
+RECORD_SHAPES: Dict[str, RecordShape] = {
+    "causality": RecordShape(
+        lambda node, detail: _fields(
+            detail,
+            lambda kind: type(kind) is str,
+            _int,
+            _optional_int,
+            _optional_int,
+            _optional_int,
+            lambda payload: payload is None or type(payload) is tuple,
+        )
+        and (_int if detail[0] == "send" else _optional_int)(node),
+        "detail [kind, uid, cause, dest, peer, payload] with a string kind, "
+        "an integer uid, an integer or null cause, dest and peer, a list or "
+        "null payload, and an integer node on a send",
+    ),
+    "route_change": RecordShape(
+        lambda node, detail: _int(node) and _fields(detail, _int, _path),
+        "an integer node and detail [dest, null or [asn, ...]]",
+    ),
+    "dataplane_trial": RecordShape(
+        lambda node, detail: _fields(detail, _int, _number),
+        "detail [seed, end]",
+    ),
+    "dataplane": RecordShape(
+        lambda node, detail: _int(node)
+        and _fields(
+            detail, _int, DATAPLANE_STATUSES.__contains__, _optional_int
+        ),
+        "an integer node and detail [dest, status, hops]",
+    ),
+}
 
 
 class JsonlSink:
@@ -93,7 +169,9 @@ def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
     a malformed (e.g. truncated) line, or one that is not a trace
     record, raises ``ValueError`` naming the line number — with the
     CLI's deterministic sink flushing a malformed line only happens for
-    traces cut short externally.
+    traces cut short externally.  A record of a category declared in
+    :data:`RECORD_SHAPES` but not in its shape is refused with
+    :func:`malformed_record`: this is the one shape check.
     """
     records: List[TraceRecord] = []
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -117,28 +195,32 @@ def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
                     f"{path}:{lineno}: not a trace record (an object with "
                     f"a numeric time, a category and a detail list)"
                 )
-            records.append(
-                TraceRecord(
-                    record["time"],
-                    record["category"],
-                    record.get("node"),
-                    tuple(
-                        tuple(d) if isinstance(d, list) else d
-                        for d in record.get("detail", ())
-                    ),
-                )
+            loaded = TraceRecord(
+                record["time"],
+                record["category"],
+                record.get("node"),
+                tuple(
+                    tuple(d) if isinstance(d, list) else d
+                    for d in record.get("detail", ())
+                ),
             )
+            shape = RECORD_SHAPES.get(loaded.category)
+            if shape is not None and not shape.admits(
+                loaded.node, loaded.detail
+            ):
+                raise malformed_record(path, loaded, shape.sentence)
+            records.append(loaded)
     return records
 
 
 def malformed_record(
     path: Union[str, Path], record: TraceRecord, shape: str
 ) -> ValueError:
-    """The refusal of a loaded record whose fields are not ``shape``.
+    """The refusal of a loaded record whose fields are not ``shape``,
+    the sentence its category's :class:`RecordShape` quotes.
 
-    :func:`load_trace` checks only a record's outer shape; each reader
-    checks the details of the categories it reads and words its refusal
-    with this, so every offline report says it the same way.
+    It names the record by its time, node and detail rather than by a
+    line number, so every offline report says it the same way.
     """
     detail = json.dumps(record.to_dict()["detail"])
     return ValueError(
@@ -148,16 +230,13 @@ def malformed_record(
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` objects, optionally filtered by category.
+    """Collects :class:`TraceRecord` objects.
 
     Parameters
     ----------
-    categories:
-        When given, only these categories are recorded; everything else is
-        dropped at emit time.
     sink:
-        Optional callable invoked with each accepted record (e.g. ``print``
-        or a file writer); records are retained in memory either way.
+        Optional callable invoked with each record (e.g. ``print`` or a
+        file writer); records are retained in memory either way.
     """
 
     #: Whether emitting is worth the caller's while; hot paths test this
@@ -165,11 +244,8 @@ class Tracer:
     enabled = True
 
     def __init__(
-        self,
-        categories: Optional[set[str]] = None,
-        sink: Optional[Callable[[TraceRecord], None]] = None,
+        self, sink: Optional[Callable[[TraceRecord], None]] = None
     ) -> None:
-        self.categories = categories
         self.sink = sink
         self.records: List[TraceRecord] = []
 
@@ -180,9 +256,7 @@ class Tracer:
         node: Optional[int] = None,
         *detail: Any,
     ) -> None:
-        """Record one event (subject to the category filter)."""
-        if self.categories is not None and category not in self.categories:
-            return
+        """Record one event."""
         record = TraceRecord(time, category, node, tuple(detail))
         self.records.append(record)
         if self.sink is not None:

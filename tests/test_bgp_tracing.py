@@ -8,15 +8,24 @@ from repro.sim.trace import Tracer
 from tests.conftest import line_topology
 
 
-def traced_network(categories=None):
+def traced_network():
     config = BGPConfig(
         mrai_policy=ConstantMRAI(0.5),
         processing_delay_range=(0.0, 0.0),
         mrai_jitter=Jitter(1.0, 1.0),
     )
-    tracer = Tracer(categories=categories)
+    tracer = Tracer()
     net = BGPNetwork(line_topology(3), config, seed=1, tracer=tracer)
     return net, tracer
+
+
+def sends(tracer):
+    """The payloads of the traced sends, one per UPDATE on the wire."""
+    return [
+        r.detail[5]
+        for r in tracer.records
+        if r.category == "causality" and r.detail[0] == "send"
+    ]
 
 
 def test_trace_records_protocol_events():
@@ -24,15 +33,9 @@ def test_trace_records_protocol_events():
     net.start()
     net.run_until_quiet()
     categories = {r.category for r in tracer.records}
-    assert "update_sent" in categories
-    assert "route_change" in categories
+    assert categories == {"causality", "route_change"}
     # Trace counts agree with counters.
-    sent_traced = sum(
-        1
-        for r in tracer.records
-        if r.category in ("update_sent", "withdraw_sent")
-    )
-    assert sent_traced == net.counters["updates_sent"]
+    assert len(sends(tracer)) == net.counters["updates_sent"]
 
 
 def test_trace_records_failures_and_withdrawals():
@@ -42,20 +45,13 @@ def test_trace_records_failures_and_withdrawals():
     tracer.records.clear()
     net.fail_nodes([2])
     net.run_until_quiet()
-    categories = {r.category for r in tracer.records}
-    assert "peer_down" in categories
-    assert "withdraw_sent" in categories
-
-
-def test_trace_category_filtering_at_source():
-    net, tracer = traced_network(categories={"peer_down"})
-    net.start()
-    net.run_until_quiet()
-    assert len(tracer.records) == 0
-    net.fail_nodes([2])
-    net.run_until_quiet()
-    assert all(r.category == "peer_down" for r in tracer.records)
-    assert len(tracer.records) == 1
+    roots = [
+        r.detail
+        for r in tracer.records
+        if r.category == "causality" and r.detail[0] == "failure"
+    ]
+    assert len(roots) == 1 and roots[0][5] == (2,)
+    assert None in sends(tracer)  # a withdrawal
 
 
 def test_default_null_tracer_records_nothing():

@@ -158,7 +158,10 @@ def test_jsonl_round_trip_preserves_the_graph(tmp_path):
 
 def test_load_trace_rejects_truncated_line(tmp_path):
     path = tmp_path / "broken.jsonl"
-    path.write_text('{"time": 1.0, "category": "causality"}\n{"time": 2.')
+    path.write_text(
+        '{"time": 1.0, "category": "causality", "node": null, '
+        '"detail": ["failure", 1, -1, null, null, [2]]}\n{"time": 2.'
+    )
     with pytest.raises(ValueError, match="malformed"):
         load_trace(path)
 

@@ -9,16 +9,18 @@ from repro.bgp.mrai import ConstantMRAI
 from repro.bgp.network import BGPNetwork
 from repro.bgp.routes import Route
 from repro.core.experiment import ExperimentSpec, run_experiment
-from repro.obs.dataplane import (
+from repro.obs.dataplane import DataPlaneMonitor
+from repro.obs.session import ObsSession, TrialObserver
+from repro.sim.timers import Jitter
+from repro.sim.trace import (
     BLACKHOLE,
     DOWN,
     LOOP,
     OK,
-    DataPlaneMonitor,
+    JsonlSink,
+    TraceRecord,
+    load_trace,
 )
-from repro.obs.session import ObsSession, TrialObserver
-from repro.sim.timers import Jitter
-from repro.sim.trace import JsonlSink, TraceRecord, load_trace
 from repro.store.result_store import trial_from_dict, trial_to_dict
 from repro.topology.graph import Router, Topology
 from repro.topology.skewed import skewed_topology

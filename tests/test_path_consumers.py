@@ -10,8 +10,6 @@ no path helper: the paths they plant are objects the network itself
 stored or exported.
 """
 
-from collections import defaultdict
-
 import pytest
 
 from repro.bgp.config import BGPConfig
@@ -201,9 +199,7 @@ def test_gao_rexford_filters_a_long_path_by_its_first_hop():
 def test_trace_records_carry_the_flat_paths_of_the_route_views():
     topology = skewed_topology(20, seed=1)
     spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.2)
-    tracer = Tracer(
-        categories={"route_change", "causality", "update_sent", "withdraw_sent"}
-    )
+    tracer = Tracer()
     net = BGPNetwork(topology, spec.to_bgp_config(), seed=1, tracer=tracer)
     net.start()
     net.run_until_quiet()
@@ -217,7 +213,6 @@ def test_trace_records_carry_the_flat_paths_of_the_route_views():
 
     selected = {}
     sent = {}
-    on_wire = defaultdict(list)
     for record in tracer.records:
         if record.category == "route_change":
             dest, path = record.detail
@@ -225,17 +220,10 @@ def test_trace_records_carry_the_flat_paths_of_the_route_views():
         elif record.category == "causality" and record.detail[0] == "send":
             __, __, __, dest, peer, path = record.detail
             sent[record.node, peer, dest] = path
-            on_wire[record.node, dest, peer].append(path)
-        elif record.category in ("update_sent", "withdraw_sent"):
-            dest, peer, path = record.detail
-            on_wire[record.node, dest, peer].append(path)
         else:
             continue
         assert flat(record.detail[-1]), record
     assert len(selected) > 100 and len(sent) > 100
-    # Each message is recorded twice (the send, the wire), alike.
-    for records in on_wire.values():
-        assert records[0::2] == records[1::2]
     for speaker in net.alive_speakers():
         for (node, dest), path in selected.items():
             if node != speaker.node_id:

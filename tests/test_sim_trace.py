@@ -20,13 +20,6 @@ def test_tracer_records_events():
     assert tracer.records[0] == TraceRecord(1.0, "update_sent", 3, ("dest", 7))
 
 
-def test_category_filter():
-    tracer = Tracer(categories={"update_sent"})
-    tracer.emit(1.0, "update_sent", 1)
-    tracer.emit(1.0, "route_change", 1)
-    assert [r.category for r in tracer.records] == ["update_sent"]
-
-
 def test_sink_is_invoked():
     seen = []
     tracer = Tracer(sink=seen.append)
