@@ -143,13 +143,6 @@ class TrialResult:
     #: is trajectory-neutral, so every compared field is unaffected).
     dataplane: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
-    def __str__(self) -> str:
-        return (
-            f"delay={self.convergence_delay:.2f}s msgs={self.messages_sent} "
-            f"(withdrawals {self.withdrawals_sent}, stale-dropped "
-            f"{self.stale_dropped}) failed={self.failure_size}"
-        )
-
 
 @dataclass
 class ExperimentResult:

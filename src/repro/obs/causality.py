@@ -119,34 +119,26 @@ class CausalGraph:
         return [e for e in self.roots if e.is_root_kind]
 
     def depths(self) -> Dict[int, int]:
-        """Depth of every event (computed once, iteratively)."""
+        """Depth of every event, computed once in one pass in ascending
+        uid order: a cause's uid is below its effect's (the ``causality``
+        shape :func:`~repro.sim.trace.load_trace` checks), so a traced
+        cause has its depth before any effect asks for it."""
         if self._depths is None:
             depths: Dict[int, int] = {}
-            for uid in self.events:
-                stack = []
-                cursor = uid
-                while cursor not in depths:
-                    stack.append(cursor)
-                    cause = self.events[cursor].cause_uid
-                    if cause not in self.events:
-                        depths[cursor] = 0
-                        stack.pop()
-                        break
-                    cursor = cause
-                for pending in reversed(stack):
-                    depths[pending] = depths[self.events[pending].cause_uid] + 1
+            for uid in sorted(self.events):
+                cause = self.events[uid].cause_uid
+                depths[uid] = depths[cause] + 1 if cause in depths else 0
             self._depths = depths
         return self._depths
 
     def chain(self, uid: int) -> List[CausalEvent]:
-        """The cause chain of ``uid``, root first."""
+        """The cause chain of ``uid``, root first; it ends because each
+        step goes to a lower uid."""
         chain: List[CausalEvent] = []
-        cursor: Optional[int] = uid
-        while cursor is not None and cursor in self.events:
-            event = self.events[cursor]
+        event = self.events.get(uid)
+        while event is not None:
             chain.append(event)
-            cause = event.cause_uid
-            cursor = cause if cause in self.events else None
+            event = self.events.get(event.cause_uid)
         chain.reverse()
         return chain
 

@@ -213,13 +213,6 @@ class MetricsRegistry:
         return child
 
     # -- introspection -------------------------------------------------
-    def get(self, name: str, **labels: Any) -> Optional[_Child]:
-        """An existing child, or ``None`` (never creates)."""
-        family = self._families.get(name)
-        if family is None:
-            return None
-        return family.children.get(_label_key(labels))
-
     def children(self) -> Iterable[_Child]:
         """Every child, ordered by (name, labels) for stable exports."""
         for name in sorted(self._families):

@@ -25,10 +25,11 @@ backend (internally locked) and the daemon's thread-safe telemetry
 snapshots, so no handler-side locking is needed.
 
 The handler is a :class:`socketserver.StreamRequestHandler` that reads
-and writes HTTP/1.1 itself: a request line and at most
-:data:`MAX_HEADERS` header lines of at most :data:`MAX_LINE_BYTES`
-each, then a ``Content-Length`` body of at most :data:`MAX_BODY_BYTES`
-(``Expect: 100-continue`` is answered before the body is read).  An
+and writes HTTP/1.1 itself: a request line and its headers, framed
+and bounded as the client frames an answer (:mod:`repro.service.client`
+holds both ends' readers), then a ``Content-Length`` body of at most
+:data:`MAX_BODY_BYTES` (``Expect: 100-continue`` is answered before the
+body is read).  An
 HTTP/1.1 connection stays open until ``Connection: close``; an HTTP/1.0
 one closes after its answer.  Responses are always JSON, a request that
 does not parse included: errors carry ``{"error": ...}`` and a
@@ -46,6 +47,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Type
 
 from repro.store.result_store import trial_to_dict
 
+from repro.service.client import Refusal, read_headers, read_line
 from repro.service.submission import (
     plan_submission,
     submission_campaign,
@@ -66,11 +68,6 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: before its handler thread gives up on it: a client that announces
 #: more body than it sends must not hold a thread forever.
 SOCKET_TIMEOUT_SECONDS = 30.0
-
-#: The longest request or header line (414 / 431 beyond it) and the most
-#: header lines (431 beyond it) a request may carry.
-MAX_LINE_BYTES = 64 * 1024
-MAX_HEADERS = 100
 
 #: The ``Server`` header of every answer.
 SERVER = "repro-bgp-service/1 Python/" + sys.version.split()[0]
@@ -110,16 +107,6 @@ def http_date(timestamp: Optional[float] = None) -> str:
     )
 
 
-class Refusal(Exception):
-    """An error answer after which the connection closes: the request's
-    remaining bytes are unread, or cannot be trusted to frame the next
-    request."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-
-
 def make_handler(
     service: "CampaignService",
 ) -> Type[StreamRequestHandler]:
@@ -146,14 +133,12 @@ def make_handler(
             self.requestline = ""
             self.close_connection = True
             try:
-                line = self.rfile.readline(MAX_LINE_BYTES + 1)
+                line = read_line(self.rfile)
                 if not line:
                     return False
-                if len(line) > MAX_LINE_BYTES:
-                    raise Refusal(414, "request line too long")
                 self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
                 method, self.path, self.http11 = self._parse_request_line()
-                self.headers = self._read_headers()
+                self.headers = read_headers(self.rfile)
                 connection = self.headers.get("connection", "").lower()
                 self.close_connection = not self.http11 or "close" in (
                     token.strip() for token in connection.split(",")
@@ -182,22 +167,6 @@ def make_handler(
             if int(match[1]) != 1:
                 raise Refusal(505, f"HTTP version {version!r} not supported")
             return method, target, int(match[2]) >= 1
-
-        def _read_headers(self) -> Dict[str, str]:
-            """The header lines, by lower-cased name (the first of a
-            repeated name wins)."""
-            headers: Dict[str, str] = {}
-            for _ in range(MAX_HEADERS + 1):
-                line = self.rfile.readline(MAX_LINE_BYTES + 1)
-                if len(line) > MAX_LINE_BYTES:
-                    raise Refusal(431, "header line too long")
-                if line in (b"\r\n", b"\n", b""):
-                    return headers
-                name, colon, value = line.decode("iso-8859-1").partition(":")
-                if not colon or not name or name != name.strip():
-                    raise Refusal(400, f"bad header line {line!r}")
-                headers.setdefault(name.lower(), value.strip())
-            raise Refusal(431, f"more than {MAX_HEADERS} headers")
 
         def _send_json(
             self, status: int, payload: Dict[str, Any], close: bool = False

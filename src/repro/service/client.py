@@ -10,13 +10,21 @@ No third-party dependencies, and no HTTP library either: one
 JSON in and out; the response is its status line, its headers and a
 body of ``Content-Length`` bytes (or up to EOF without one).  An ASCII
 host goes to the resolver as bytes, so no IDNA codec loads, and
-:mod:`ssl` loads only for an ``https://`` URL.  A daemon's error answer
-raises :class:`ServiceError` carrying the HTTP status and the server's
-``error`` message (``HTTP Error {status}: {reason}`` when the body is
-not a JSON object); a URL the client cannot use, or a daemon it cannot
-reach, that does not answer within ``timeout`` or whose answer does not
-parse, raises one with status 0.  The client talks to the daemon
-directly: proxy variables such as ``http_proxy`` are not read.
+:mod:`ssl` loads only for an ``https://`` URL.
+
+The HTTP/1.x framing both ends read lives here, and the daemon's
+handler (:mod:`repro.service.api`) imports it: :func:`read_line` and
+:func:`read_headers`, bounded by :data:`MAX_LINE_BYTES` and
+:data:`MAX_HEADERS`, refuse what does not frame with a :class:`Refusal`
+carrying the status a server answers it with.
+
+A daemon's error answer raises :class:`ServiceError` carrying the HTTP
+status and the server's ``error`` message (``HTTP Error {status}:
+{reason}`` when the body is not a JSON object).  Any other failure —
+an unusable URL, connect, send, a timeout, an answer that does not
+frame, a 2xx body that is not a JSON object — raises one with status 0.
+The client talks to the daemon directly: proxy variables such as
+``http_proxy`` are not read.
 """
 
 from __future__ import annotations
@@ -27,10 +35,10 @@ import time
 from typing import Any, BinaryIO, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
-#: The longest status or header line, and the most header lines, an
-#: answer may carry.
-_MAX_LINE_BYTES = 64 * 1024
-_MAX_HEADERS = 100
+#: The longest request, status or header line, and the most header
+#: lines, a message may carry, at either end of the service.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
 
 
 class ServiceError(RuntimeError):
@@ -44,23 +52,53 @@ class ServiceError(RuntimeError):
         self.message = message
 
 
+class Refusal(Exception):
+    """A message refused, with the status a server answers it with;
+    the connection then closes, as its remaining bytes are unread or
+    cannot be trusted to frame the next message."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 def _has_control(text: str) -> bool:
     """Whether ``text`` holds a space or control character, which would
     split a request line or a header."""
     return any(ch <= " " or ch == "\x7f" for ch in text)
 
 
-def _read_line(stream: BinaryIO) -> bytes:
-    line = stream.readline(_MAX_LINE_BYTES + 1)
-    if len(line) > _MAX_LINE_BYTES:
-        raise ValueError(f"answer line over {_MAX_LINE_BYTES} bytes")
+def read_line(stream: BinaryIO, status: int = 414) -> bytes:
+    """One line of ``stream`` (``b""`` at its end); a line over
+    :data:`MAX_LINE_BYTES` is a :class:`Refusal` with ``status`` (a
+    request line's 414 by default)."""
+    line = stream.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise Refusal(status, f"line over {MAX_LINE_BYTES} bytes")
     return line
+
+
+def read_headers(stream: BinaryIO) -> Dict[str, str]:
+    """The header lines of a message, up to its blank line, by
+    lower-cased name (the first of a repeated name wins).  A line over
+    the bound or more than :data:`MAX_HEADERS` lines is a 431, a line
+    without a colon or with a space-padded name a 400."""
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = read_line(stream, 431)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if not colon or not name or name != name.strip():
+            raise Refusal(400, f"bad header line {line[:80]!r}")
+        headers.setdefault(name.lower(), value.strip())
+    raise Refusal(431, f"more than {MAX_HEADERS} headers")
 
 
 def _read_response(stream: BinaryIO) -> Tuple[int, str, bytes]:
     """``(status, reason, body)`` of one HTTP/1.x answer on ``stream``;
-    ``ValueError`` when it does not parse."""
-    line = _read_line(stream)
+    ``ValueError`` or :class:`Refusal` when it does not parse."""
+    line = read_line(stream)
     if not line:
         raise ValueError("Remote end closed connection without response")
     version, _, rest = line.decode("iso-8859-1").rstrip("\r\n").partition(" ")
@@ -69,22 +107,27 @@ def _read_response(stream: BinaryIO) -> Tuple[int, str, bytes]:
         len(code) == 3 and code.isdigit()
     ):
         raise ValueError(f"bad status line {line[:80]!r}")
-    length = None
-    for _ in range(_MAX_HEADERS + 1):
-        line = _read_line(stream)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("iso-8859-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value)
-    else:
-        raise ValueError(f"more than {_MAX_HEADERS} header lines")
-    body = stream.read(length) if length is not None else stream.read()
-    if length is not None and len(body) < length:
+    length = read_headers(stream).get("content-length")
+    if length is None:
+        return int(code), reason, stream.read()
+    if not (length.isascii() and length.isdigit()):
+        raise ValueError(f"bad Content-Length {length[:80]!r}")
+    size = int(length)
+    body = stream.read(size)
+    if len(body) < size:
         raise ValueError(
-            f"answer body incomplete ({len(body)} of {length} bytes)"
+            f"answer body incomplete ({len(body)} of {size} bytes)"
         )
     return int(code), reason, body
+
+
+def _json_object(payload: bytes) -> Optional[Dict[str, Any]]:
+    """``payload`` as a JSON object, or ``None`` when it is not one."""
+    try:
+        document = json.loads(payload)
+    except (ValueError, RecursionError):
+        return None
+    return document if isinstance(document, dict) else None
 
 
 class ServiceClient:
@@ -158,16 +201,17 @@ class ServiceClient:
             with sock, sock.makefile("rb") as stream:
                 sock.sendall(head.encode("ascii") + b"\r\n" + data)
                 status, reason, payload = _read_response(stream)
-        except (OSError, ValueError) as exc:
+            document = _json_object(payload)
+            if 200 <= status < 300 and document is None:
+                raise ValueError(
+                    f"a {status} answer whose body is not a JSON object"
+                )
+        except (OSError, ValueError, Refusal) as exc:
             raise ServiceError(0, f"cannot reach service: {exc}") from exc
         if 200 <= status < 300:
-            return json.loads(payload)
+            return document
         message = f"HTTP Error {status}: {reason}"
-        try:
-            document = json.loads(payload)
-        except ValueError:
-            document = None
-        if isinstance(document, dict):
+        if document is not None:
             message = document.get("error", message)
         raise ServiceError(status, message)
 

@@ -86,7 +86,9 @@ class RecordShape(NamedTuple):
 #: not declared here loads unchecked, and a reader skips what it does
 #: not read.  A causality record is a send, whose node, peer and dest
 #: key its wasted-update triple, or a failure injection, whose payload
-#: is its scope.
+#: is its scope; every emitter allocates its uid after its cause (a
+#: root's cause is -1), so a cause below the uid keeps the cause forest
+#: acyclic.
 RECORD_SHAPES: Dict[str, RecordShape] = {
     "causality": RecordShape(
         lambda node, detail: _fields(
@@ -98,10 +100,12 @@ RECORD_SHAPES: Dict[str, RecordShape] = {
             _optional_int,
             lambda payload: payload is None or type(payload) is tuple,
         )
+        and (detail[2] is None or detail[2] < detail[1])
         and (_int if detail[0] == "send" else _optional_int)(node),
         "detail [kind, uid, cause, dest, peer, payload] with a string kind, "
-        "an integer uid, an integer or null cause, dest and peer, a list or "
-        "null payload, and an integer node on a send",
+        "an integer uid, an integer or null cause, dest and peer, the cause "
+        "below the uid, a list or null payload, and an integer node on a "
+        "send",
     ),
     "route_change": RecordShape(
         lambda node, detail: _int(node) and _fields(detail, _int, _path),

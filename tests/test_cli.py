@@ -367,6 +367,31 @@ def test_cli_client_verbs_report_a_malformed_url(url, tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_cli_client_verb_reports_a_non_json_answer(capsys):
+    # A stub answering 200 with HTML: one stderr line, exit 1, no
+    # traceback.
+    import socket
+    import threading
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+
+        def answer_once():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 200 OK\r\n\r\n<html>")
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        url = "http://127.0.0.1:%d" % server.getsockname()[1]
+        assert main(["queue", "status", "--url", url]) == 1
+        thread.join(10)
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "cannot reach service: a 200 answer whose body is not a JSON object"
+    ]
+
+
 @pytest.mark.parametrize(
     "content", [None, "not json"], ids=["missing", "unparsable"]
 )

@@ -210,14 +210,6 @@ def test_one_cell_campaign_fixed_topology():
     assert delays[0] != delays[1]
 
 
-def test_trial_result_str():
-    spec = ExperimentSpec(mrai=ConstantMRAI(0.5), failure_fraction=0.1)
-    result = run_experiment(small_topo(), spec, seed=1)
-    text = str(result)
-    assert "delay=" in text
-    assert "msgs=" in text
-
-
 def test_experiment_result_empty_stats():
     result = ExperimentResult(spec=ExperimentSpec())
     assert result.n == 0

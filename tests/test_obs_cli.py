@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -273,9 +278,46 @@ def test_trace_analyze_refuses_a_causality_record_of_the_wrong_shape(
         f"cannot analyze {path}: {path}: a causality record at time 0 "
         f"has node {node} and detail {detail}, not detail [kind, uid, "
         "cause, dest, peer, payload] with a string kind, an integer uid, "
-        "an integer or null cause, dest and peer, a list or null payload, "
-        "and an integer node on a send"
+        "an integer or null cause, dest and peer, the cause below the uid, "
+        "a list or null payload, and an integer node on a send"
     ]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [
+            '{"category":"causality","node":0,"time":0,'
+            '"detail":["send",1,2,0,1,null]}',
+            '{"category":"causality","node":0,"time":0,'
+            '"detail":["send",2,1,0,1,null]}',
+        ],
+        [
+            '{"category":"causality","node":0,"time":0,'
+            '"detail":["send",1,1,0,1,null]}',
+        ],
+    ],
+    ids=["two-line-cycle", "self-cause"],
+)
+def test_trace_analyze_refuses_a_causal_cycle(lines, tmp_path):
+    # A cause at or above its uid could close a cycle in the cause
+    # forest: refused on load, in a child process so that a reader that
+    # walks the cycle fails the timeout instead of hanging the suite.
+    path = tmp_path / "cycle.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "trace", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"cannot analyze {path}: {path}: a causality ")
+    assert line.endswith(", the cause below the uid, a list or null "
+                         "payload, and an integer node on a send")
 
 
 def test_dataplane_report_refuses_a_file_without_dataplane_records(

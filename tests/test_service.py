@@ -946,8 +946,25 @@ def test_client_maps_an_error_without_a_json_body(bound_socket):
             b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}",
             "answer body incomplete (2 of 50 bytes)",
         ),
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n<html>",
+            "a 200 answer whose body is not a JSON object",
+        ),
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 16\r\n"
+            b"Content-Length: 2\r\n\r\n"
+            b'{"status": "ok"}',
+            {"status": "ok"},
+        ),
+        (
+            b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n{}",
+            "bad header line b'no colon here\\r\\n'",
+        ),
     ],
-    ids=["body-to-eof", "no-answer", "not-http", "short-body"],
+    ids=[
+        "body-to-eof", "no-answer", "not-http", "short-body",
+        "html-200", "first-content-length-wins", "colon-less-header",
+    ],
 )
 def test_client_reads_an_answer_or_maps_it_to_status_0(
     bound_socket, answer, outcome
