@@ -729,7 +729,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         lease_seconds=args.lease,
         drain_timeout=args.drain_timeout,
         ready_file=args.ready_file,
-        heartbeat=args.heartbeat,
         quiet=args.quiet,
     )
     try:
@@ -1247,11 +1246,6 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write {host, port, pid, store} JSON once accepting "
         "(lets scripts use --port 0 without racing the boot)",
-    )
-    serve_p.add_argument(
-        "--heartbeat",
-        metavar="PATH",
-        help="append one JSON telemetry line per completed trial to PATH",
     )
     serve_p.add_argument(
         "--quiet", action="store_true", help="no stderr logging"

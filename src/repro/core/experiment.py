@@ -211,8 +211,7 @@ class Progress:
     #: Trials that have failed at least one attempt (campaign retries).
     failed: int = 0
     #: How many of ``done`` were served by this batch's store lookup
-    #: instead of executed (the service executor's ticks count executed
-    #: trials only, so theirs is 0).
+    #: instead of executed.
     cached: int = 0
 
     @property

@@ -25,7 +25,6 @@ the cold trials the way elapsed/done would).
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from pathlib import Path
@@ -34,7 +33,6 @@ from typing import (
     Any,
     Dict,
     IO,
-    List,
     Optional,
     Union,
 )
@@ -62,42 +60,33 @@ class LiveMonitor:
     jobs:
         Worker count of the run (for the utilization denominator).
     stream:
-        Where the status line goes (default ``sys.stderr``; pass None
-        for heartbeat-only monitoring with no terminal output).  On a
-        TTY the line redraws in place with ``\\r``; otherwise one line
-        per render.
+        Where the status line goes (None for heartbeat-only monitoring
+        with no terminal output).  On a TTY the line redraws in place
+        with ``\\r``; otherwise one line per render.
     heartbeat:
         Optional path: every render appends one JSON object line with
         the full telemetry snapshot (see :meth:`snapshot`).
     """
 
-    #: Default-stream sentinel: resolves to ``sys.stderr`` at call time
-    #: (not import time), so captured/redirected stderr is respected.
-    _DEFAULT_STREAM: Any = object()
-
     def __init__(
         self,
         *,
         jobs: int = 1,
-        stream: Any = _DEFAULT_STREAM,
+        stream: Optional[IO[str]],
         heartbeat: Optional[Union[str, Path]] = None,
-        label: str = "",
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.stream = (
-            sys.stderr if stream is LiveMonitor._DEFAULT_STREAM else stream
-        )
-        self.label = label
+        self.stream = stream
         self.last: Optional["Progress"] = None
         self.renders = 0
         self._heartbeat_path = Path(heartbeat) if heartbeat else None
         self._heartbeat_file: Optional[IO[str]] = None
         self._finished = False
-        # The campaign service reads snapshot() from HTTP handler
-        # threads while the executor thread ticks update(); a reentrant
-        # lock (render calls snapshot) keeps the telemetry consistent.
+        # snapshot() may be read from another thread than the one that
+        # ticks update(); a reentrant lock (render calls snapshot)
+        # keeps the telemetry consistent.
         self._mutex = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -165,7 +154,7 @@ class LiveMonitor:
         return {
             "kind": "heartbeat",
             "ts": time.time(),
-            "label": (progress.label if progress else "") or self.label,
+            "label": progress.label if progress else "",
             "done": progress.done if progress else 0,
             "total": progress.total if progress else 0,
             "cached": self.cached,
@@ -190,7 +179,7 @@ class LiveMonitor:
         eta_text = "?" if eta == float("inf") else f"{eta:.0f}s"
         parts = [
             f"[{progress.done}/{progress.total}]",
-            progress.label or self.label,
+            progress.label,
             f"cached {self.cached}",
         ]
         if self.failed:

@@ -8,7 +8,7 @@ Method    Path                   Meaning
 GET       ``/health``            Daemon liveness + store/pool/executor
                                  telemetry
 GET       ``/queue``             Queue depth per state + drain counters +
-                                 live ETA
+                                 ETA of the open trials
 POST      ``/submit``            Campaign grid or single spec; responds
                                  with a :class:`SubmissionReceipt` (fully
                                  cached submissions are complete instantly)
@@ -52,7 +52,6 @@ from repro.service.submission import (
     plan_submission,
     submission_campaign,
     ticket_results,
-    ticket_status,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -182,7 +181,7 @@ def make_handler(
             if close:
                 head += "Connection: close\r\n"
                 self.close_connection = True
-            service.log_request_line(f'"{self.requestline}" {status} -')
+            service.log(f'http "{self.requestline}" {status} -')
             self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
         def _error(self, status: int, message: str) -> None:
@@ -235,9 +234,7 @@ def make_handler(
                 elif head == "queue" and not tail:
                     self._send_json(200, service.queue_status())
                 elif head == "status" and tail:
-                    status = ticket_status(tail, service.backend)
-                    service.annotate_eta(status)
-                    self._send_json(200, status)
+                    self._send_json(200, service.ticket_status(tail))
                 elif head == "result" and tail:
                     self._send_json(
                         200, ticket_results(tail, service.backend)

@@ -10,8 +10,9 @@
   start method children must not be forked from a multi-threaded
   parent — so the first cold trial pays no spin-up;
 * a :class:`~repro.service.executor.QueueExecutor` on a daemon thread,
-  feeding a :class:`~repro.obs.live.LiveMonitor` whose busy-seconds ETA
-  backs the ``/status`` and ``/queue`` endpoints;
+  whose lifetime counters turn the queue's open trials into the ETA of
+  the ``/status`` and ``/queue`` endpoints
+  (:meth:`~repro.service.executor.QueueExecutor.eta_seconds`);
 * a :class:`socketserver.ThreadingTCPServer` (daemon threads, address
   reuse) whose handler is :mod:`repro.service.api`'s, a
   :class:`socketserver.StreamRequestHandler` that reads and writes the
@@ -40,11 +41,23 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.core.parallel import get_worker_pool, shutdown_worker_pool
-from repro.service.submission import SubmissionReceipt
+from repro.service.submission import SubmissionReceipt, ticket_status
 from repro.store.result_store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from socketserver import ThreadingTCPServer
+
+
+#: The longest ``[service]`` line the daemon writes, in characters; a
+#: longer one (a request line may be 64 KiB) is cut to end in ``_LOG_CUT``.
+MAX_LOG_LINE = 1024
+_LOG_CUT = "...[cut]"
+#: What the log escapes: C0 and C1 controls, DEL, the rest of Latin-1,
+#: and the backslash, so an escape in the log is never the client's.
+_LOG_ESCAPES = {
+    code: f"\\x{code:02x}" for code in (*range(0x20), *range(0x7F, 0x100))
+}
+_LOG_ESCAPES[ord("\\")] = "\\\\"
 
 
 @dataclass
@@ -66,9 +79,7 @@ class ServiceConfig:
     #: Written (JSON: host/port/pid/store) once the server is accepting —
     #: how scripts and CI learn the bound port without racing the boot.
     ready_file: Optional[str] = None
-    #: LiveMonitor heartbeat JSONL path (optional).
-    heartbeat: Optional[str] = None
-    #: Silence the status line (heartbeat/API telemetry still work).
+    #: Silence the ``[service]`` lines on stderr.
     quiet: bool = False
 
 
@@ -85,7 +96,6 @@ class CampaignService:
         config: ServiceConfig,
         backend: Optional[ResultStore] = None,
     ) -> None:
-        from repro.obs.live import LiveMonitor
         from repro.service.executor import QueueExecutor
 
         self.config = config
@@ -97,15 +107,7 @@ class CampaignService:
         self.submissions = 0
         #: Trials the store answered at submission time, over all receipts.
         self.served_cached = 0
-        self.monitor = LiveMonitor(
-            jobs=max(1, config.jobs),
-            stream=None if config.quiet else sys.stderr,
-            heartbeat=config.heartbeat,
-            label="service",
-        )
-        self.executor = QueueExecutor(
-            self.backend, config, monitor=self.monitor
-        )
+        self.executor = QueueExecutor(self.backend, config)
         self._server: Optional[ThreadingTCPServer] = None
         self._server_thread: Optional[threading.Thread] = None
         self._executor_thread: Optional[threading.Thread] = None
@@ -209,7 +211,6 @@ class CampaignService:
             self._server.server_close()
         if self._server_thread is not None:
             self._server_thread.join(2.0)
-        self.monitor.finish()
         try:
             self.backend.close()
         except Exception:  # noqa: BLE001 - shutdown must not throw
@@ -255,23 +256,31 @@ class CampaignService:
             "store": self.backend.stats(),
             "executor": self.executor.telemetry(),
             "pool": pool_stats(),
-            "live": self.monitor.snapshot(),
         }
 
     def queue_status(self) -> Dict[str, Any]:
-        status = {
-            "queue": self.backend.queue_counts(),
+        """Tasks per state, drain counters, and the ETA of the pending
+        and running tasks (failed ones are no remaining work)."""
+        queue = self.backend.queue_counts()
+        return {
+            "queue": queue,
             "executor": self.executor.telemetry(),
+            "eta_seconds": self.executor.eta_seconds(
+                queue["pending"] + queue["running"]
+            ),
         }
-        self.annotate_eta(status)
-        return status
 
-    def annotate_eta(self, payload: Dict[str, Any]) -> None:
-        """Attach the LiveMonitor's busy-seconds ETA to a response."""
-        eta = self.monitor.eta_seconds()
-        payload["eta_seconds"] = (
-            round(eta, 1) if eta != float("inf") else None
+    def ticket_status(self, ticket: str) -> Dict[str, Any]:
+        """One ticket's :func:`~repro.service.submission.ticket_status`
+        plus its ETA: 0.0 once none of its trials is pending or running,
+        else the whole queue's, which its open trials wait behind."""
+        status = ticket_status(ticket, self.backend)
+        status["eta_seconds"] = (
+            self.queue_status()["eta_seconds"]
+            if status["pending"] or status["running"]
+            else 0.0
         )
+        return status
 
     def note_submission(self, receipt: SubmissionReceipt) -> None:
         with self._counts_lock:
@@ -281,9 +290,12 @@ class CampaignService:
 
     # ------------------------------------------------------------------
     def log(self, message: str) -> None:
-        if not self.config.quiet:
-            print(f"[service] {message}", file=sys.stderr, flush=True)
-
-    def log_request_line(self, line: str) -> None:
-        if not self.config.quiet:
-            print(f"[service] http {line}", file=sys.stderr, flush=True)
+        """One ``[service]`` line on stderr, unless quiet: control and
+        non-ASCII characters escaped as ``\\xNN`` (a request line is the
+        client's bytes), and cut to :data:`MAX_LOG_LINE` characters."""
+        if self.config.quiet:
+            return
+        line = f"[service] {message}".translate(_LOG_ESCAPES)
+        if len(line) > MAX_LOG_LINE:
+            line = line[: MAX_LOG_LINE - len(_LOG_CUT)] + _LOG_CUT
+        print(line, file=sys.stderr, flush=True)

@@ -43,7 +43,6 @@ from repro.core.batch import (
     build_topology,
     run_batch,
 )
-from repro.core.experiment import Progress
 from repro.specs.serialize import build_spec
 from repro.specs.topology import topology_factory
 from repro.store.hashing import trial_key
@@ -72,22 +71,14 @@ class QueueExecutor:
     ``poll_interval`` from the daemon's ``config``
     (:class:`~repro.service.daemon.ServiceConfig`) and leases as
     :attr:`owner`, a fresh :func:`default_owner`.  Its trials run
-    unobserved; ``monitor`` (a :class:`~repro.obs.live.LiveMonitor`)
-    receives one progress tick per trial outcome, which is what feeds
-    the service's ETA endpoint.
+    unobserved; its lifetime counters are what :meth:`eta_seconds`
+    extrapolates the service's ETA from.
     """
 
-    def __init__(
-        self,
-        backend: ResultStore,
-        config: "ServiceConfig",
-        monitor: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, backend: ResultStore, config: "ServiceConfig") -> None:
         self.backend = backend
         self.config = config
         self.owner = default_owner()
-        self.monitor = monitor
-        self.started = time.perf_counter()
         #: Lifetime counters (exposed via :meth:`telemetry`).
         self.executed = 0
         self.failed_attempts = 0
@@ -168,7 +159,6 @@ class QueueExecutor:
         if not planned:
             return len(batch)
 
-        total_hint = self._total_hint(len(planned))
         outstanding = {task.id for task in leased}
         executions: Counter = Counter()
         last_beat = time.monotonic()
@@ -193,17 +183,6 @@ class QueueExecutor:
                         outcome.trial.warmup_wall
                         + outcome.trial.convergence_wall
                     )
-            if self.monitor is not None:
-                self.monitor(
-                    Progress(
-                        done=self.executed,
-                        total=max(total_hint, self.executed),
-                        elapsed=time.perf_counter() - self.started,
-                        label="service",
-                        busy_seconds=self.busy_seconds,
-                        failed=self.failed_terminal,
-                    )
-                )
             if not outstanding:
                 return
             if stop is not None and stop.is_set():
@@ -262,11 +241,19 @@ class QueueExecutor:
                 time.sleep(self.config.poll_interval)
 
     # ------------------------------------------------------------------
-    def _total_hint(self, batch_len: int) -> int:
-        """A moving 'total' for progress ticks: work done + work known."""
-        counts = self.backend.queue_counts()
-        done_so_far = self.executed + self.failed_terminal
-        return done_so_far + batch_len + counts.get("pending", 0)
+    def eta_seconds(self, open_trials: int) -> Optional[float]:
+        """Wall seconds to run ``open_trials`` more trials: the mean
+        executed trial's wall time x ``open_trials`` / ``jobs``, to 0.1 s.
+
+        0.0 when nothing is open; None while work is open but no trial
+        has executed yet (there is no wall time to extrapolate from).
+        """
+        if open_trials <= 0:
+            return 0.0
+        if not self.executed:
+            return None
+        mean = self.busy_seconds / self.executed
+        return round(open_trials * mean / max(1, self.config.jobs), 1)
 
     def telemetry(self) -> Dict[str, Any]:
         """Lifetime drain counters for ``/health`` and ``queue status``."""

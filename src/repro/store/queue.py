@@ -82,6 +82,17 @@ _TASK_COLUMNS = (
 )
 
 
+def count_queue_states(conn: Any) -> Dict[str, int]:
+    """Tasks per state on ``conn``, zero-filled over :data:`QUEUE_STATES`
+    (one query, so a caller can make it part of a larger read)."""
+    counts = dict.fromkeys(QUEUE_STATES, 0)
+    for state, count in conn.execute(
+        "SELECT state, COUNT(*) FROM queue GROUP BY state"
+    ):
+        counts[state] = int(count)
+    return counts
+
+
 @dataclass(frozen=True)
 class QueueTask:
     """One queued trial: content key plus the declarative recipe to run it.
@@ -320,17 +331,7 @@ class QueueOps:
     # ------------------------------------------------------------------
     def queue_counts(self) -> Dict[str, int]:
         """Tasks per state, zero-filled over :data:`QUEUE_STATES`."""
-
-        def op(conn):
-            rows = conn.execute(
-                "SELECT state, COUNT(*) FROM queue GROUP BY state"
-            ).fetchall()
-            counts = {state: 0 for state in QUEUE_STATES}
-            for state, count in rows:
-                counts[state] = int(count)
-            return counts
-
-        return self._read(op)
+        return self._read(count_queue_states)
 
     def queue_states_for(
         self, keys: Sequence[str]

@@ -54,7 +54,7 @@ from typing import (
 
 from repro.obs.spans import span
 from repro.store.hashing import SCHEMA_VERSION
-from repro.store.queue import QUEUE_SCHEMA, QueueOps
+from repro.store.queue import QUEUE_SCHEMA, QueueOps, count_queue_states
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import sqlite3
@@ -405,20 +405,12 @@ class ResultStore(QueueOps):
             tickets = int(
                 conn.execute("SELECT COUNT(*) FROM tickets").fetchone()[0]
             )
-            queue = {
-                state: 0
-                for state in ("pending", "running", "done", "failed")
-            }
-            for state, count in conn.execute(
-                "SELECT state, COUNT(*) FROM queue GROUP BY state"
-            ):
-                queue[state] = int(count)
             return {
                 "trials": trials,
                 "banked_wall_seconds": banked,
                 "campaigns": campaigns,
                 "tickets": tickets,
-                "queue": queue,
+                "queue": count_queue_states(conn),
             }
 
         stats = self._read(op)

@@ -600,9 +600,8 @@ def test_serial_import_closure():
     assert "repro.topology.internet" in report["campaign_keys_loads"]
     assert "repro.topology.internet" not in report["from_dict_loads"]
     assert report["store_loads_sqlite3"]
-    assert {"repro.service.executor", "repro.obs.live"} <= set(
-        report["service_loads"]
-    )
+    assert "repro.service.executor" in report["service_loads"]
+    assert "repro.obs.live" not in report["service_loads"]
     assert "repro.service.api" not in report["service_loads"]
     assert {"repro.service.api", "socketserver"} <= set(report["handler_loads"])
     assert "http.server" not in report["handler_loads"]

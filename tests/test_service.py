@@ -10,6 +10,7 @@ and the daemon serves the whole cycle over HTTP — cold submit, poll,
 fold, then a warm resubmit answered entirely from the store.
 """
 
+import dataclasses
 import http.client
 import json
 import os
@@ -319,13 +320,18 @@ def test_executor_completes_an_already_banked_task_without_rerunning(
 
 
 def test_drain_once_stops_after_the_current_outcome_and_releases_the_rest(
-    store,
+    store, monkeypatch
 ):
     plan_submission(small_campaign(seeds=[1, 2, 3]), store)
     stop = threading.Event()
-    executor = executor_for(
-        store, monitor=lambda tick: stop.set()  # ticks once per outcome
-    )
+    real = batch_mod.execute_trial
+
+    def run_then_stop(*trial):
+        stop.set()
+        return real(*trial)
+
+    monkeypatch.setattr(batch_mod, "execute_trial", run_then_stop)
+    executor = executor_for(store)
     assert executor.drain_once(stop=stop) == 1
     assert executor.executed == 1
     counts = store.queue_counts()
@@ -335,12 +341,14 @@ def test_drain_once_stops_after_the_current_outcome_and_releases_the_rest(
 def test_drain_once_releases_a_trial_between_attempts(store, monkeypatch):
     plan_submission(small_campaign(seeds=[1]), store)
 
+    stop = threading.Event()
+
     def always_fails(*trial):
+        stop.set()
         raise RuntimeError("injected")
 
     monkeypatch.setattr(batch_mod, "execute_trial", always_fails)
-    stop = threading.Event()
-    executor = executor_for(store, monitor=lambda tick: stop.set())
+    executor = executor_for(store)
     assert executor.drain_once(stop=stop) == 0
     assert executor.failed_attempts == 1 and executor.failed_terminal == 0
     counts = store.queue_counts()
@@ -859,6 +867,147 @@ def test_service_response_head_is_pinned(service):
         f"Content-Length: {len(body)}",
     ]
     assert json.loads(body)["status"] == "ok"
+
+
+def test_service_logs_request_lines_escaped_and_bounded(
+    tmp_path, capfdbinary
+):
+    # A request line is the client's bytes: in the log its control and
+    # non-ASCII bytes are escapes and its length is bounded, so no
+    # request can drive the operator's terminal or flood the log.
+    from repro.service.daemon import MAX_LOG_LINE
+
+    config = service_config(tmp_path)
+    config.quiet = False
+    svc = CampaignService(config)
+    svc.start()
+    try:
+        for target in (
+            b"/\x1b[2J\x1b]0;pwned\x07",
+            b"/" + b"a" * 60_000,
+            b"/\xe9\\x41",
+        ):
+            with socket.create_connection(
+                ("127.0.0.1", svc.port), timeout=10
+            ) as sock:
+                sock.sendall(b"GET " + target + b" HTTP/1.1\r\n\r\n")
+                with sock.makefile("rb") as stream:
+                    status_line, _, _ = read_answer(stream)
+            assert status_line.startswith("HTTP/1.1 404 ")
+    finally:
+        svc.shutdown()
+    err = capfdbinary.readouterr().err
+    assert [b for b in err if b < 0x20 and b != 0x0A] == []
+    lines = err.splitlines()
+    assert max(len(line) for line in lines) <= MAX_LOG_LINE
+    assert b'http "GET /\\x1b[2J\\x1b]0;pwned\\x07 HTTP/1.1" 404 -' in lines[0]
+    assert lines[1].startswith(b'[service] http "GET /aaa')
+    assert lines[1].endswith(b"...[cut]") and len(lines[1]) == MAX_LOG_LINE
+    # The client's own backslash is doubled, so it never reads as an
+    # escape of the log's.
+    assert b'"GET /\\xe9\\\\x41 HTTP/1.1" 404 -' in lines[2]
+
+
+# ----------------------------------------------------------------------
+# ETA: the queue's open trials at the mean executed trial's wall time
+# ----------------------------------------------------------------------
+def test_executor_eta_is_open_trials_at_the_mean_executed_wall(store):
+    executor = executor_for(store, jobs=2)
+    assert executor.eta_seconds(0) == 0.0
+    assert executor.eta_seconds(3) is None  # nothing executed yet
+    executor.executed, executor.busy_seconds = 4, 9.0
+    assert executor.eta_seconds(3) == 3.4  # 3 x 2.25 s / 2 jobs
+    assert executor.eta_seconds(0) == 0.0
+
+
+def slow_walls(monkeypatch, seconds=4.0):
+    """Every executed trial reports ``seconds`` more warm-up wall time,
+    so the ETA does not hang on how fast the host simulates."""
+    real = batch_mod.execute_trial
+
+    def slow(*trial):
+        result, record = real(*trial)
+        wall = result.warmup_wall + seconds
+        return dataclasses.replace(result, warmup_wall=wall), record
+
+    monkeypatch.setattr(batch_mod, "execute_trial", slow)
+
+
+@pytest.fixture()
+def hand_driven(tmp_path, monkeypatch):
+    """A started daemon whose executor thread returns at once: the test
+    drains the queue itself, with ``service.executor.drain_once()``."""
+    svc = CampaignService(service_config(tmp_path))
+    monkeypatch.setattr(svc.executor, "drain", lambda stop=None: None)
+    svc.start()
+    try:
+        yield svc
+    finally:
+        svc.shutdown()
+
+
+def test_a_finished_ticket_has_no_eta_while_another_is_open(
+    hand_driven, monkeypatch
+):
+    slow_walls(monkeypatch)
+    hand_driven.config.batch_size = 1
+    client = ServiceClient(f"http://127.0.0.1:{hand_driven.port}")
+    first = client.submit(small_campaign(seeds=[1]).to_dict())
+    second = client.submit(small_campaign(seeds=list(range(2, 14))).to_dict())
+    assert hand_driven.executor.drain_once() == 1  # the first ticket's
+    status = client.status(first["ticket"])
+    assert (status["state"], status["eta_seconds"]) == ("done", 0.0)
+    queue = client.queue_status()
+    assert (queue["queue"]["pending"], queue["queue"]["running"]) == (12, 0)
+    assert queue["eta_seconds"] == hand_driven.executor.eta_seconds(12)
+    assert queue["eta_seconds"] >= 12 * 4.0
+    assert client.status(second["ticket"])["eta_seconds"] == (
+        queue["eta_seconds"]
+    )
+
+
+def test_a_terminally_failed_task_is_no_remaining_work(
+    hand_driven, monkeypatch
+):
+    slow_walls(monkeypatch)
+    client = ServiceClient(f"http://127.0.0.1:{hand_driven.port}")
+    receipt = client.submit(small_campaign(seeds=[1, 2]).to_dict())
+    # One payload rebuilds to another key, so its task fails for good.
+    conn = sqlite3.connect(hand_driven.config.store)
+    [(task_id, raw)] = conn.execute(
+        "SELECT id, payload FROM queue ORDER BY id LIMIT 1"
+    ).fetchall()
+    payload = json.loads(raw)
+    payload["seed"] += 100
+    conn.execute(
+        "UPDATE queue SET payload=? WHERE id=?",
+        (json.dumps(payload), task_id),
+    )
+    conn.commit()
+    conn.close()
+    assert hand_driven.executor.drain_once() == 2
+    queue = client.queue_status()
+    assert queue["queue"] == {
+        "pending": 0, "running": 0, "done": 1, "failed": 1,
+    }
+    assert queue["eta_seconds"] == 0.0
+    status = client.status(receipt["ticket"])
+    assert (status["state"], status["eta_seconds"]) == ("failed", 0.0)
+
+
+def test_eta_is_null_while_work_is_open_and_none_has_executed(hand_driven):
+    client = ServiceClient(f"http://127.0.0.1:{hand_driven.port}")
+    receipt = client.submit(small_campaign(seeds=[1]).to_dict())
+    assert client.queue_status()["eta_seconds"] is None
+    assert client.status(receipt["ticket"])["eta_seconds"] is None
+
+
+def test_health_has_no_live_block(service):
+    health = ServiceClient(f"http://127.0.0.1:{service.port}").health()
+    assert set(health) == {
+        "status", "uptime_seconds", "submissions", "served_cached",
+        "store", "executor", "pool",
+    }
 
 
 def test_service_rejects_submissions_while_draining(service):
