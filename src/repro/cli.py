@@ -182,13 +182,17 @@ def _finish_obs(obs, args: argparse.Namespace, command: str) -> None:
 
 
 def _make_live_monitor(
-    args: argparse.Namespace, stack: contextlib.ExitStack, jobs: int
+    args: argparse.Namespace,
+    stack: contextlib.ExitStack,
+    total: int,
+    label: str,
 ):
-    """A LiveMonitor to pass as ``progress=`` when asked, else None.
+    """A LiveMonitor to pass as ``on_outcome=`` when asked, else None.
 
     ``--progress`` renders the status line; ``--heartbeat PATH`` streams
-    one JSON line per tick (either flag alone activates the monitor —
-    heartbeat-only runs stay silent on the terminal).
+    one JSON line per render (either flag alone activates the monitor —
+    heartbeat-only runs stay silent on the terminal).  ``total`` is the
+    trial count of the whole run and ``label`` names it.
     """
     progress = getattr(args, "progress", False)
     heartbeat = getattr(args, "heartbeat", None)
@@ -197,9 +201,11 @@ def _make_live_monitor(
     from repro.obs.live import LiveMonitor
 
     monitor = LiveMonitor(
-        jobs=jobs,
+        total=total,
+        jobs=args.jobs,
         stream=sys.stderr if progress else None,
         heartbeat=heartbeat,
+        label=label,
     )
     return stack.enter_context(monitor)
 
@@ -309,7 +315,7 @@ def _warn_truncated(series) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Imported lazily: the figure registry lives with the benchmarks.
-    from repro.figures import FIGURES, compute_figure
+    from repro.figures import FIGURES, compute_figure, resolve_profile
     from repro.obs.spans import span
 
     if args.figure not in FIGURES:
@@ -318,9 +324,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{', '.join(sorted(FIGURES))}",
             file=sys.stderr,
         )
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be a positive integer", file=sys.stderr)
         return 2
     if args.resume and not args.store:
         print("--resume requires --store PATH", file=sys.stderr)
@@ -349,7 +352,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 print(exc, file=sys.stderr)
                 return 2
         obs = _make_obs_session(args, stack)
-        monitor = _make_live_monitor(args, stack, jobs=args.jobs)
+        grids = FIGURES[args.figure].grids(resolve_profile(args.scale))
+        monitor = _make_live_monitor(
+            args,
+            stack,
+            sum(grid.total_trials for grid in grids),
+            args.figure,
+        )
         with span("sweep.figure", figure=args.figure, scale=args.scale):
             output = compute_figure(
                 args.figure,
@@ -357,7 +366,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 jobs=args.jobs,
                 store=store,
                 obs=obs,
-                progress=monitor,
+                on_outcome=monitor,
             )
         if obs is not None:
             obs.finalize(
@@ -508,17 +517,16 @@ def cmd_campaign_run(args: argparse.Namespace, campaign, store_path) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs < 1:
-        print("--jobs must be a positive integer", file=sys.stderr)
-        return 2
     _check_sample_interval(args)
     with contextlib.ExitStack() as stack:
         store = stack.enter_context(ResultStore(store_path))
         obs = _make_obs_session(args, stack)
-        monitor = _make_live_monitor(args, stack, jobs=args.jobs)
+        monitor = _make_live_monitor(
+            args, stack, campaign.total_trials, campaign.name
+        )
         try:
             result = run_campaign(
-                campaign, store, jobs=args.jobs, obs=obs, progress=monitor
+                campaign, store, jobs=args.jobs, obs=obs, on_outcome=monitor
             )
         except CampaignError as exc:
             print(f"campaign failed: {exc}", file=sys.stderr)
@@ -1022,7 +1030,7 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--figure", required=True)
     sweep_p.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="worker processes for trial execution (default 1 = serial; "
@@ -1094,7 +1102,7 @@ def make_parser() -> argparse.ArgumentParser:
         add_campaign_common(runner_p)
         runner_p.add_argument(
             "--jobs",
-            type=int,
+            type=positive_int,
             default=1,
             metavar="N",
             help="worker processes for missing trials (default 1)",

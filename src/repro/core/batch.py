@@ -24,15 +24,18 @@ module is that loop, once:
   included, so a retry of a trial that just killed its worker never runs
   inside the parent;
 * :func:`run_batch` — lookup, execute misses, bank, retry, absorb,
-  progress, with one :data:`MAX_ATTEMPTS` budget for every batch.  The
-  callers differ only in the store and the per-outcome hook
-  (``run_campaign``: none, and exhausted trials raise ``CampaignError``;
-  the service: it completes queue rows).
+  with one :data:`MAX_ATTEMPTS` budget for every batch and one
+  per-trial hook, ``on_outcome``, that sees each settled trial as a
+  :class:`BatchOutcome`.  The callers differ only in the store and that
+  hook (``run_campaign``: the caller's, e.g. the CLI's
+  :class:`~repro.obs.live.LiveMonitor`, and exhausted trials raise
+  ``CampaignError``; the service: it completes queue rows);
+* :func:`eta_seconds` — the one remaining-time rule both of those hooks
+  report.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from typing import (
@@ -49,8 +52,6 @@ from typing import (
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
-    Progress,
-    ProgressFn,
     TrialResult,
 )
 from repro.core.parallel import execute_trial, get_worker_pool
@@ -203,16 +204,36 @@ def fold_grid(
 class BatchOutcome:
     """One settled trial, as the per-outcome hook sees it.
 
-    ``index`` is the trial's position in the planned sequence.  Exactly
-    one of ``trial`` / ``error`` is set; ``cached`` marks a trial served
-    by the store lookup instead of an execution.  A successful trial is
-    already banked when the hook runs.
+    ``index`` is the trial's position in its own batch's planned
+    sequence, so a hook that sees several batches (a figure's grids)
+    must not key on it.  Exactly one of ``trial`` / ``error`` is set;
+    ``cached`` marks a trial served by the store lookup instead of an
+    execution.  A successful trial is already banked when the hook runs.
     """
 
     index: int
     trial: Optional[TrialResult] = None
     error: Optional[str] = None
     cached: bool = False
+
+
+def eta_seconds(
+    open_trials: int, busy_seconds: float, executed: int, jobs: int
+) -> Optional[float]:
+    """Wall seconds to run ``open_trials`` more trials: the mean
+    executed trial's wall time (``busy_seconds / executed``) x
+    ``open_trials`` / ``jobs``, to 0.1 s.
+
+    0.0 when nothing is open; None while work is open but no trial has
+    executed yet — store hits carry no wall time to extrapolate from,
+    so a cached prefix never projects lookup speed onto cold trials.
+    """
+    if open_trials <= 0:
+        return 0.0
+    if not executed:
+        return None
+    mean = busy_seconds / executed
+    return round(open_trials * mean / max(1, jobs), 1)
 
 
 @dataclass
@@ -239,8 +260,6 @@ def run_batch(
     store: Optional[Any] = None,
     obs: Optional[ObsSession] = None,
     on_outcome: Optional[Callable[[BatchOutcome], None]] = None,
-    progress: Optional[ProgressFn] = None,
-    label: str = "",
     attempt_span: Optional[str] = None,
 ) -> BatchResult:
     """Look up, execute the misses, bank, absorb — the shared loop.
@@ -268,8 +287,6 @@ def run_batch(
     Observation records are absorbed into ``obs`` in plan order once
     execution is over, whatever order the trials completed in, each
     beside the spec and topology summary it was planned with.
-    ``progress`` receives one tick for the cached trials and one per
-    executed outcome, every one carrying the batch's own cached count;
     ``attempt_span`` names a span opened around each execution round.
     """
     obs_config = obs.worker_args() if obs is not None else None
@@ -278,7 +295,6 @@ def run_batch(
     if store is not None:
         from repro.store.hashing import trial_fingerprint
 
-    start = time.perf_counter()
     total = len(planned)
     trials: List[Optional[TrialResult]] = [None] * total
     pending: List[int] = []
@@ -295,25 +311,6 @@ def run_batch(
         if on_outcome is not None:
             on_outcome(BatchOutcome(index, trial=cached, cached=True))
     result = BatchResult(trials=trials, hits=total - len(pending))
-    busy = 0.0
-
-    def tick(tick_label: str) -> None:
-        if progress is not None:
-            progress(
-                Progress(
-                    done=result.hits + result.executed,
-                    total=total,
-                    elapsed=time.perf_counter() - start,
-                    label=tick_label,
-                    busy_seconds=busy,
-                    failed=len(result.failures),
-                    cached=result.hits,
-                )
-            )
-
-    if result.hits:
-        tick(f"{label} (cached)")
-
     payloads: Dict[int, Dict[str, Any]] = {}
     attempt = 1
     while pending:
@@ -343,12 +340,10 @@ def run_batch(
                     if payload is not None:
                         payloads[index] = payload
                     result.executed += 1
-                    busy += trial.warmup_wall + trial.convergence_wall
                 else:
                     result.failures[index] = error
                 if on_outcome is not None:
                     on_outcome(BatchOutcome(index, trial=trial, error=error))
-                tick(label)
         if not result.failures or attempt >= MAX_ATTEMPTS:
             break
         attempt += 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.session import ObsSession, TrialObserver
 from repro.obs.spans import span
@@ -194,36 +194,6 @@ class ExperimentResult:
             f"{self.n} trials: delay {d.mean:.2f}s (+/-{d.stdev:.2f}), "
             f"messages {m.mean:.0f} (+/-{m.stdev:.0f})"
         )
-
-
-@dataclass(frozen=True)
-class Progress:
-    """One progress tick of a multi-trial run or sweep."""
-
-    done: int
-    total: int
-    elapsed: float
-    label: str = ""
-    #: Cumulative simulation wall seconds of the trials completed so far
-    #: (what the workers were actually busy with) — the live monitor's
-    #: worker-utilization numerator and wall-time-based ETA input.
-    busy_seconds: float = 0.0
-    #: Trials that have failed at least one attempt (campaign retries).
-    failed: int = 0
-    #: How many of ``done`` were served by this batch's store lookup
-    #: instead of executed.
-    cached: int = 0
-
-    @property
-    def eta(self) -> float:
-        """Estimated remaining wall-clock seconds (inf before any data)."""
-        if self.done == 0:
-            return float("inf")
-        return self.elapsed / self.done * (self.total - self.done)
-
-
-#: Signature of the optional progress callback.
-ProgressFn = Callable[[Progress], None]
 
 
 def build_scenario(

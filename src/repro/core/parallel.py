@@ -40,7 +40,7 @@ once per chunk of trials, not once per trial:
   ``_MAX_INFLIGHT_CHUNKS`` chunks in flight (:func:`free_worker`).
 * **Streamed, compact results.**  After its ``ready`` handshake a
   worker sends one message per finished trial and nothing else
-  (progress ticks stream; a chunk is over when its last outcome lands),
+  (outcomes stream; a chunk is over when its last outcome lands),
   and an observed trial's record states each fact once and omits what
   no recorder filled (:meth:`repro.obs.session.TrialObserver.record`).
 

@@ -14,9 +14,8 @@ through its keywords.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from repro.core.experiment import ProgressFn
 from repro.core.sweep import Series
 from repro.figures import ablations, paper
 from repro.figures.common import (
@@ -32,6 +31,9 @@ from repro.figures.common import (
 from repro.obs.session import ObsSession
 from repro.store.campaign import run_campaign
 from repro.store.result_store import ResultStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.batch import BatchOutcome
 
 #: Every declared figure by id: the paper's in figure order, then the
 #: ablations (the section order of EXPERIMENTS.md).
@@ -50,7 +52,7 @@ def compute_figure(
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     obs: Optional[ObsSession] = None,
-    progress: Optional[ProgressFn] = None,
+    on_outcome: Optional[Callable[[BatchOutcome], None]] = None,
 ) -> FigureOutput:
     """Run one figure's grids and evaluate the paper's claims on them.
 
@@ -60,6 +62,8 @@ def compute_figure(
     handed through, so figures that share trials (Figs 1/2, 10/11, every
     constant-0.5 column) share them through ``store``, which also gets
     one campaign row per grid; without a store the grids run storeless.
+    Every grid's outcomes reach the one ``on_outcome`` hook, so a
+    monitor sees the whole figure as one run.
 
     A figure that plots data-plane unreachability needs a session that
     monitors the data plane: the caller's when it does (so its sink sees
@@ -80,7 +84,7 @@ def compute_figure(
     series: List[Series] = []
     for campaign in figure.grids(profile):
         series += run_campaign(
-            campaign, store, jobs=jobs, obs=obs, progress=progress
+            campaign, store, jobs=jobs, obs=obs, on_outcome=on_outcome
         ).series
     return FigureOutput(
         figure_id=figure_id,

@@ -1,25 +1,24 @@
 """Live campaign/sweep telemetry: status line, heartbeat stream, watch.
 
-Long grids used to run dark: the only signals were per-trial
-:class:`~repro.core.experiment.Progress` ticks a caller had to wire up
-itself, and the store's counters after the fact.  This module adds the
-operator-facing layer:
+Long grids would otherwise run dark until the store's counters can be
+read after the fact.  This module is the operator-facing layer:
 
-* :class:`LiveMonitor` — a :data:`~repro.core.experiment.ProgressFn`
-  that renders a terminal status line (trials done/cached/failed, store
-  hit rate, worker utilization, ETA extrapolated from completed-trial
-  wall times) and optionally appends one JSON line per tick to a
-  *heartbeat* file other processes can tail; hand it to a driver as
-  ``progress=monitor``;
+* :class:`LiveMonitor` — a fold of the
+  :class:`~repro.core.batch.BatchOutcome` stream a run's per-trial hook
+  sees (hand it to a driver as ``on_outcome=monitor``; a figure's grids
+  all reach the same monitor, so it reports the whole run): it renders
+  a terminal status line (trials done/cached/failed, store hit rate,
+  worker utilization, ETA) and optionally appends one JSON line per
+  render to a *heartbeat* file other processes can tail;
 * :func:`watch_campaign` — the render behind ``repro-bgp campaign
   watch``: per-cell cached/missing/failed counts against the store plus
   the latest heartbeat, re-renderable until the grid completes.
 
-The ETA here is *wall-time based*: completed trials report their
-simulation wall seconds through :attr:`Progress.busy_seconds`, so the
-estimate is ``remaining x mean-trial-wall / jobs`` — robust to cached
-prefixes (a 90%-cached resume doesn't project the cache-hit rate onto
-the cold trials the way elapsed/done would).
+The ETA is :func:`repro.core.batch.eta_seconds`, the rule the service
+executor reports too: executed trials' simulation wall seconds
+extrapolated over the open trials and the workers.  Store hits carry no
+wall time, so a cached prefix leaves the ETA unknown until a trial has
+executed instead of projecting lookup speed onto the cold trials.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.experiment import Progress
+    from repro.core.batch import BatchOutcome
     from repro.store.campaign import Campaign
     from repro.store.result_store import ResultStore
 
@@ -49,16 +48,23 @@ __all__ = [
 ]
 
 class LiveMonitor:
-    """Terminal status line + heartbeat JSONL from progress ticks.
+    """Terminal status line + heartbeat JSONL from settled trials.
 
-    Call the monitor as a progress function (it *is* one); call
-    :meth:`finish` when the run ends to terminate the status line and
-    flush/close the heartbeat file.
+    Call the monitor with each :class:`~repro.core.batch.BatchOutcome`
+    (it *is* a per-outcome hook); call :meth:`finish` when the run ends
+    to render what is still unrendered, terminate the status line and
+    close the heartbeat file.  An executed or failed outcome renders at
+    once; a store hit only joins the counters, so a cached prefix shows
+    up in the next render (or in :meth:`finish`'s) rather than one line
+    per hit.
 
     Parameters
     ----------
+    total:
+        Trials the whole run settles (every grid of a figure).
     jobs:
-        Worker count of the run (for the utilization denominator).
+        Worker count of the run (for the utilization and ETA
+        denominators).
     stream:
         Where the status line goes (None for heartbeat-only monitoring
         with no terminal output).  On a TTY the line redraws in place
@@ -66,131 +72,126 @@ class LiveMonitor:
     heartbeat:
         Optional path: every render appends one JSON object line with
         the full telemetry snapshot (see :meth:`snapshot`).
+    label:
+        What the run is (a campaign name, a figure id).
     """
 
     def __init__(
         self,
         *,
+        total: int,
         jobs: int = 1,
         stream: Optional[IO[str]],
         heartbeat: Optional[Union[str, Path]] = None,
+        label: str = "",
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.total = total
         self.jobs = jobs
         self.stream = stream
-        self.last: Optional["Progress"] = None
+        self.label = label
+        self.done = 0
+        self.cached = 0
+        #: Failed executions, retried ones included.
+        self.failed = 0
+        #: Simulation wall seconds of the executed trials.
+        self.busy_seconds = 0.0
         self.renders = 0
+        self._start = time.perf_counter()
+        self._unrendered = False
         self._heartbeat_path = Path(heartbeat) if heartbeat else None
         self._heartbeat_file: Optional[IO[str]] = None
         self._finished = False
         # snapshot() may be read from another thread than the one that
-        # ticks update(); a reentrant lock (render calls snapshot)
-        # keeps the telemetry consistent.
+        # folds outcomes; a reentrant lock (render calls snapshot) keeps
+        # the counters and the record rendered from them consistent.
         self._mutex = threading.RLock()
 
     # ------------------------------------------------------------------
-    def __call__(self, progress: "Progress") -> None:
-        self.update(progress)
-
-    def update(self, progress: "Progress") -> None:
-        """Fold one progress tick and render it."""
+    def __call__(self, outcome: "BatchOutcome") -> None:
+        """Fold one settled trial; render unless it was a store hit."""
         with self._mutex:
-            self.last = progress
+            if outcome.error is not None:
+                self.failed += 1
+            else:
+                self.done += 1
+                if outcome.cached:
+                    self.cached += 1
+                    self._unrendered = True
+                    return
+                trial = outcome.trial
+                self.busy_seconds += trial.warmup_wall + trial.convergence_wall
             self.render()
 
     # -- derived telemetry ---------------------------------------------
-    @property
-    def cached(self) -> int:
-        return self.last.cached if self.last is not None else 0
-
-    @property
-    def failed(self) -> int:
-        return self.last.failed if self.last is not None else 0
+    def elapsed(self) -> float:
+        """Wall seconds since the monitor was built."""
+        return time.perf_counter() - self._start
 
     def hit_rate(self) -> float:
-        """The tick's share of done trials the store served."""
-        if self.last is None or self.last.done <= 0:
-            return 0.0
-        return self.cached / self.last.done
+        """The share of done trials the store served."""
+        return self.cached / self.done if self.done else 0.0
 
-    def utilization(self) -> float:
+    def utilization(self, elapsed: float) -> float:
         """Fraction of worker capacity spent simulating (busy / jobs x
         elapsed)."""
-        if self.last is None or self.last.elapsed <= 0:
+        if elapsed <= 0:
             return 0.0
-        return min(
-            1.0, self.last.busy_seconds / (self.last.elapsed * self.jobs)
+        return min(1.0, self.busy_seconds / (elapsed * self.jobs))
+
+    def eta_seconds(self) -> Optional[float]:
+        """:func:`repro.core.batch.eta_seconds` of the trials still open;
+        None until a trial has executed."""
+        # Imported here: `campaign watch` loads this module, not the
+        # batch runner.
+        from repro.core.batch import eta_seconds
+
+        return eta_seconds(
+            self.total - self.done,
+            self.busy_seconds,
+            self.done - self.cached,
+            self.jobs,
         )
-
-    def eta_seconds(self) -> float:
-        """Remaining wall-clock estimate from completed-trial wall times.
-
-        Falls back to the tick's elapsed/done extrapolation when no
-        trial wall times have been reported (e.g. an all-cached run).
-        """
-        if self.last is None:
-            return float("inf")
-        remaining = self.last.total - self.last.done
-        if remaining <= 0:
-            return 0.0
-        executed = self.last.done - self.cached
-        if self.last.busy_seconds > 0 and executed > 0:
-            return remaining * (self.last.busy_seconds / executed) / self.jobs
-        if self.last.done > 0 and self.last.elapsed > 0:
-            return self.last.eta
-        # First heartbeat (nothing completed yet, or only cached hits
-        # with no wall times): no basis for an estimate.
-        return float("inf")
 
     def snapshot(self) -> Dict[str, Any]:
         """The full telemetry record (one heartbeat line's payload)."""
         with self._mutex:
-            return self._snapshot_locked()
-
-    def _snapshot_locked(self) -> Dict[str, Any]:
-        progress = self.last
-        eta = self.eta_seconds()
-        return {
-            "kind": "heartbeat",
-            "ts": time.time(),
-            "label": progress.label if progress else "",
-            "done": progress.done if progress else 0,
-            "total": progress.total if progress else 0,
-            "cached": self.cached,
-            "failed": self.failed,
-            "hit_rate": round(self.hit_rate(), 4),
-            "elapsed_seconds": round(progress.elapsed, 3) if progress else 0.0,
-            "busy_seconds": (
-                round(progress.busy_seconds, 3) if progress else 0.0
-            ),
-            "jobs": self.jobs,
-            "utilization": round(self.utilization(), 4),
-            "eta_seconds": (
-                round(eta, 1) if eta != float("inf") else None
-            ),
-        }
+            elapsed = self.elapsed()
+            return {
+                "kind": "heartbeat",
+                "ts": time.time(),
+                "label": self.label,
+                "done": self.done,
+                "total": self.total,
+                "cached": self.cached,
+                "failed": self.failed,
+                "hit_rate": round(self.hit_rate(), 4),
+                "elapsed_seconds": round(elapsed, 3),
+                "busy_seconds": round(self.busy_seconds, 3),
+                "jobs": self.jobs,
+                "utilization": round(self.utilization(elapsed), 4),
+                "eta_seconds": self.eta_seconds(),
+            }
 
     def status_line(self) -> str:
-        progress = self.last
-        if progress is None:
-            return "waiting for first trial..."
-        eta = self.eta_seconds()
-        eta_text = "?" if eta == float("inf") else f"{eta:.0f}s"
-        parts = [
-            f"[{progress.done}/{progress.total}]",
-            progress.label,
-            f"cached {self.cached}",
-        ]
-        if self.failed:
-            parts.append(f"failed {self.failed}")
-        if self.cached:
-            parts.append(f"hit {self.hit_rate():.0%}")
-        if self.jobs > 1:
-            parts.append(f"util {self.utilization():.0%}")
-        parts.append(f"elapsed {progress.elapsed:.0f}s")
-        parts.append(f"eta {eta_text}")
-        return " ".join(p for p in parts if p)
+        with self._mutex:
+            elapsed = self.elapsed()
+            eta = self.eta_seconds()
+            parts = [
+                f"[{self.done}/{self.total}]",
+                self.label,
+                f"cached {self.cached}",
+            ]
+            if self.failed:
+                parts.append(f"failed {self.failed}")
+            if self.cached:
+                parts.append(f"hit {self.hit_rate():.0%}")
+            if self.jobs > 1:
+                parts.append(f"util {self.utilization(elapsed):.0%}")
+            parts.append(f"elapsed {elapsed:.0f}s")
+            parts.append("eta ?" if eta is None else f"eta {eta:.0f}s")
+            return " ".join(p for p in parts if p)
 
     # ------------------------------------------------------------------
     def render(self) -> None:
@@ -204,6 +205,7 @@ class LiveMonitor:
                 self.stream.flush()
             self._write_heartbeat()
             self.renders += 1
+            self._unrendered = False
 
     def _write_heartbeat(self) -> None:
         if self._heartbeat_path is None:
@@ -217,17 +219,20 @@ class LiveMonitor:
                 "a", encoding="utf-8"
             )
         self._heartbeat_file.write(
-            json.dumps(self._snapshot_locked(), sort_keys=True) + "\n"
+            json.dumps(self.snapshot(), sort_keys=True) + "\n"
         )
         self._heartbeat_file.flush()
 
     def finish(self) -> None:
-        """Terminate the status line and close the heartbeat file."""
+        """Render folded store hits no render has shown yet, terminate
+        the status line and close the heartbeat file."""
         with self._mutex:
             if self._finished:
                 return
             self._finished = True
-            if self.last is not None and self.stream is not None:
+            if self._unrendered:
+                self.render()
+            if self.renders and self.stream is not None:
                 if self.stream.isatty():
                     self.stream.write("\n")
                 self.stream.flush()

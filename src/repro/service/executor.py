@@ -41,6 +41,7 @@ from repro.core.batch import (
     BatchOutcome,
     PlannedTrial,
     build_topology,
+    eta_seconds,
     run_batch,
 )
 from repro.specs.serialize import build_spec
@@ -242,18 +243,11 @@ class QueueExecutor:
 
     # ------------------------------------------------------------------
     def eta_seconds(self, open_trials: int) -> Optional[float]:
-        """Wall seconds to run ``open_trials`` more trials: the mean
-        executed trial's wall time x ``open_trials`` / ``jobs``, to 0.1 s.
-
-        0.0 when nothing is open; None while work is open but no trial
-        has executed yet (there is no wall time to extrapolate from).
-        """
-        if open_trials <= 0:
-            return 0.0
-        if not self.executed:
-            return None
-        mean = self.busy_seconds / self.executed
-        return round(open_trials * mean / max(1, self.config.jobs), 1)
+        """:func:`repro.core.batch.eta_seconds` of ``open_trials`` over
+        this executor's lifetime counters."""
+        return eta_seconds(
+            open_trials, self.busy_seconds, self.executed, self.config.jobs
+        )
 
     def telemetry(self) -> Dict[str, Any]:
         """Lifetime drain counters for ``/health`` and ``queue status``."""

@@ -43,7 +43,6 @@ from typing import (
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
-    ProgressFn,
     TrialResult,
 )
 from repro.core.parallel import derive_trial_seeds
@@ -65,7 +64,7 @@ from repro.store.result_store import ResultStore
 from repro.topology.graph import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.batch import GridCell, PlannedTrial
+    from repro.core.batch import BatchOutcome, GridCell, PlannedTrial
     from repro.core.sweep import Series
 
 __all__ = [
@@ -456,7 +455,7 @@ def run_campaign(
     store: Optional[ResultStore] = None,
     *,
     jobs: int = 1,
-    progress: Optional[ProgressFn] = None,
+    on_outcome: Optional[Callable[[BatchOutcome], None]] = None,
     obs: Optional[ObsSession] = None,
 ) -> CampaignResult:
     """Run (or resume) a campaign against its store.
@@ -471,6 +470,9 @@ def run_campaign(
     batch, up to :data:`~repro.core.batch.MAX_ATTEMPTS` executions;
     trials that exhaust them raise :class:`CampaignError` (the completed
     ones are already stored, so the re-run is incremental).
+    ``on_outcome`` is :func:`~repro.core.batch.run_batch`'s per-trial
+    hook: it sees every settled trial, store hits and failed attempts
+    included, as a :class:`~repro.core.batch.BatchOutcome`.
 
     Every trial enters its point's :class:`ExperimentResult` in seed
     order, cached and fresh alike — the folded series equal an uncached
@@ -486,7 +488,7 @@ def run_campaign(
                 campaign,
                 own_store,
                 jobs=jobs,
-                progress=progress,
+                on_outcome=on_outcome,
                 obs=obs,
             )
     start = time.perf_counter()
@@ -503,8 +505,7 @@ def run_campaign(
             jobs=jobs,
             store=store,
             obs=obs,
-            progress=progress,
-            label=campaign.name,
+            on_outcome=on_outcome,
             attempt_span="campaign.attempt",
         )
         manifest = {

@@ -118,7 +118,7 @@ def run_cell(
     Every seed builds its own ``nodes``-node skewed topology, unless
     ``pin`` names the one topology seed all trials share.  ``run`` is
     passed to :func:`run_campaign` (``store``, ``jobs``, ``obs``,
-    ``progress``).
+    ``on_outcome``).
     """
     topology: Dict[str, Any] = {"kind": "skewed", "nodes": nodes}
     if pin is not None:

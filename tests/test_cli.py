@@ -441,8 +441,16 @@ def test_cli_run_and_topo_reject_out_of_range_values(argv, reason, capsys):
         ["serve", "--store", "x.db", "--batch-size", "0"],
         ["serve", "--store", "x.db", "--jobs", "0"],
         ["campaign", "watch", "c.json", "--follow", "--interval", "-1"],
+        ["sweep", "--figure", "fig01", "--jobs", "0"],
+        ["campaign", "run", "c.json", "--jobs", "0"],
     ],
-    ids=["serve-batch-size", "serve-jobs", "watch-interval"],
+    ids=[
+        "serve-batch-size",
+        "serve-jobs",
+        "watch-interval",
+        "sweep-jobs",
+        "campaign-run-jobs",
+    ],
 )
 def test_cli_rejects_non_positive_numbers_at_parse_time(argv, tmp_path, capsys):
     argv = [str(tmp_path / a) if a.endswith((".db", ".json")) else a

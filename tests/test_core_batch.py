@@ -11,6 +11,7 @@ import repro.core.batch as batch_mod
 from repro.core.batch import (
     BatchOutcome,
     PlannedTrial,
+    eta_seconds,
     plan_grid,
     run_batch,
     run_tasks,
@@ -102,19 +103,19 @@ def test_hits_are_skipped_and_every_lookup_counted_once(monkeypatch):
     rounds = scripted(monkeypatch)
     store = StubStore([("key-2", fake_trial(2))])
     seen = []
-    ticks = []
     result = run_batch(
         plan([1, 2, 3]),
         jobs=1,
         store=store,
         obs=StubObs(),
         on_outcome=seen.append,
-        progress=ticks.append,
     )
     assert rounds == [[0, 2]]  # the hit never reaches execution
     assert store.lookups == [False, True, False]
-    # Every tick says how many of its ``done`` the lookup served.
-    assert [(t.done, t.cached) for t in ticks] == [(1, 1), (2, 1), (3, 1)]
+    # Every trial settles once, and the outcomes mark what the lookup
+    # served.
+    assert sorted(o.index for o in seen) == [0, 1, 2]
+    assert sum(o.cached for o in seen) == result.hits == 1
     assert (result.hits, result.executed, result.retried) == (1, 2, 0)
     assert [t.seed for t in result.trials] == [1, 2, 3]
     assert seen[0] == BatchOutcome(1, trial=fake_trial(2), cached=True)
@@ -151,20 +152,27 @@ def test_success_is_banked_before_the_next_outcome_is_consumed(monkeypatch):
 def test_failures_are_returned_not_raised_and_retried_to_budget(monkeypatch):
     rounds = scripted(monkeypatch, order=list, errors={1})
     store = StubStore()
-    ticks = []
+    seen = []
     result = run_batch(
         plan([1, 2, 3]),
         jobs=1,
         store=store,
-        progress=ticks.append,
+        on_outcome=seen.append,
     )
     assert rounds == [[0, 1, 2], [1], [1]]  # only the failure re-runs
     assert result.failures == {1: "RuntimeError: scripted"}
     assert result.trials[1] is None
     assert (result.executed, result.retried) == (2, 2)
     assert sorted(store.rows) == ["key-1", "key-3"]
-    assert [t.done for t in ticks] == [1, 1, 2, 2, 2]
-    assert [t.failed for t in ticks] == [0, 1, 1, 1, 1]
+    # Every attempt settles once: the two successes, then the failure
+    # at each of its three attempts.
+    assert [(o.index, o.error) for o in seen] == [
+        (0, None),
+        (1, "RuntimeError: scripted"),
+        (2, None),
+        (1, "RuntimeError: scripted"),
+        (1, "RuntimeError: scripted"),
+    ]
 
 
 def test_hook_exception_abandons_the_batch(monkeypatch):
@@ -183,11 +191,24 @@ def test_hook_exception_abandons_the_batch(monkeypatch):
 def test_payloads_absorbed_in_plan_order_not_completion_order(monkeypatch):
     scripted(monkeypatch, order=reversed)
     obs = StubObs()
-    ticks = []
-    run_batch(plan([1, 2, 3]), jobs=2, obs=obs, progress=ticks.append)
+    seen = []
+    run_batch(plan([1, 2, 3]), jobs=2, obs=obs, on_outcome=seen.append)
     assert obs.absorbed == [{"from": 0}, {"from": 1}, {"from": 2}]
-    assert [t.done for t in ticks] == [1, 2, 3]
-    assert ticks[-1].busy_seconds == pytest.approx(2.25)
+    # The hook sees completion order, each trial with its wall times.
+    assert [o.index for o in seen] == [2, 1, 0]
+    assert sum(
+        o.trial.warmup_wall + o.trial.convergence_wall for o in seen
+    ) == pytest.approx(2.25)
+
+
+def test_eta_is_unknown_before_an_execution_and_zero_when_nothing_is_open():
+    assert eta_seconds(0, 0.0, 0, 1) == 0.0
+    assert eta_seconds(-1, 5.0, 2, 2) == 0.0
+    # Store hits carry no wall time: no execution, no estimate.
+    assert eta_seconds(3, 0.0, 0, 2) is None
+    # 3 open x (5 s / 2 executed) / 2 jobs = 3.75 -> 3.8 (0.1 s steps).
+    assert eta_seconds(3, 5.0, 2, 2) == 3.8
+    assert eta_seconds(3, 5.0, 2, 0) == 7.5  # jobs floor at one worker
 
 
 @pytest.mark.parametrize("kind", sorted(TOPOLOGY_KINDS))

@@ -233,7 +233,11 @@ def test_experiment_result_wall_clock_aggregates():
 
 
 def test_one_cell_campaign_progress_callback():
-    ticks = []
-    run_cell({"mrai": 0.5}, (1, 2), nodes=30, progress=ticks.append)
-    assert [(p.done, p.total) for p in ticks] == [(1, 2), (2, 2)]
-    assert ticks[0].eta >= 0.0
+    seen = []
+    run_cell({"mrai": 0.5}, (1, 2), nodes=30, on_outcome=seen.append)
+    assert [(o.index, o.cached, o.error) for o in seen] == [
+        (0, False, None),
+        (1, False, None),
+    ]
+    assert [o.trial.seed for o in seen] == [1, 2]
+    assert all(o.trial.convergence_wall > 0.0 for o in seen)
