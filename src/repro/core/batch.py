@@ -26,12 +26,14 @@ module is that loop, once:
 * :func:`run_batch` — lookup, execute misses, bank, retry, absorb,
   with one :data:`MAX_ATTEMPTS` budget for every batch and one
   per-trial hook, ``on_outcome``, that sees each settled trial as a
-  :class:`BatchOutcome`.  The callers differ only in the store and that
-  hook (``run_campaign``: the caller's, e.g. the CLI's
-  :class:`~repro.obs.live.LiveMonitor`, and exhausted trials raise
-  ``CampaignError``; the service: it completes queue rows);
-* :func:`eta_seconds` — the one remaining-time rule both of those hooks
-  report.
+  :class:`BatchOutcome` carrying its attempt number.  The callers
+  differ only in the store and that hook (``run_campaign``: the
+  caller's, e.g. the CLI's :class:`~repro.obs.live.LiveMonitor`, and
+  exhausted trials raise ``CampaignError``; the service: it completes
+  and fails queue rows);
+* :class:`Tally` — the one fold of outcomes into counts, held by
+  :class:`BatchResult`, the live monitor and the service executor; it
+  alone decides what is still open and the ETA all of them report.
 """
 
 from __future__ import annotations
@@ -208,32 +210,75 @@ class BatchOutcome:
     sequence, so a hook that sees several batches (a figure's grids)
     must not key on it.  Exactly one of ``trial`` / ``error`` is set;
     ``cached`` marks a trial served by the store lookup instead of an
-    execution.  A successful trial is already banked when the hook runs.
+    execution, and ``attempt`` counts the executions this one closes
+    (1 for a store hit).  A successful trial is already banked when the
+    hook runs.
     """
 
     index: int
     trial: Optional[TrialResult] = None
     error: Optional[str] = None
     cached: bool = False
+    attempt: int = 1
+
+    @property
+    def final(self) -> bool:
+        """An error that spent the last attempt: the trial stays failed."""
+        return self.error is not None and self.attempt >= MAX_ATTEMPTS
 
 
-def eta_seconds(
-    open_trials: int, busy_seconds: float, executed: int, jobs: int
-) -> Optional[float]:
-    """Wall seconds to run ``open_trials`` more trials: the mean
-    executed trial's wall time (``busy_seconds / executed``) x
-    ``open_trials`` / ``jobs``, to 0.1 s.
+@dataclass
+class Tally:
+    """Counts folded from settled trials (call it with each
+    :class:`BatchOutcome`).
 
-    0.0 when nothing is open; None while work is open but no trial has
-    executed yet — store hits carry no wall time to extrapolate from,
-    so a cached prefix never projects lookup speed onto cold trials.
+    A trial is open until it is cached, executed or failed for good.
+    ``failed_attempts`` counts failed executions, and ``retried`` those
+    that were not final.
     """
-    if open_trials <= 0:
-        return 0.0
-    if not executed:
-        return None
-    mean = busy_seconds / executed
-    return round(open_trials * mean / max(1, jobs), 1)
+
+    cached: int = 0
+    executed: int = 0
+    failed_attempts: int = 0
+    failed_terminal: int = 0
+    retried: int = 0
+    #: Simulation wall seconds of the executed trials.
+    busy_seconds: float = 0.0
+
+    def __call__(self, outcome: BatchOutcome) -> None:
+        if outcome.error is not None:
+            self.failed_attempts += 1
+            if outcome.final:
+                self.failed_terminal += 1
+            else:
+                self.retried += 1
+        elif outcome.cached:
+            self.cached += 1
+        else:
+            self.executed += 1
+            trial = outcome.trial
+            self.busy_seconds += trial.warmup_wall + trial.convergence_wall
+
+    def open(self, total: int) -> int:
+        """Trials of ``total`` not yet settled."""
+        return total - self.cached - self.executed - self.failed_terminal
+
+    def eta_seconds(self, open_trials: int, jobs: int) -> Optional[float]:
+        """Wall seconds to run ``open_trials`` more trials: the mean
+        executed trial's wall time (``busy_seconds / executed``) x
+        ``open_trials`` / ``jobs``, to 0.1 s.
+
+        0.0 when nothing is open; None while work is open but no trial
+        has executed yet — store hits carry no wall time to extrapolate
+        from, so a cached prefix never projects lookup speed onto cold
+        trials.
+        """
+        if open_trials <= 0:
+            return 0.0
+        if not self.executed:
+            return None
+        mean = self.busy_seconds / self.executed
+        return round(open_trials * mean / max(1, jobs), 1)
 
 
 @dataclass
@@ -243,12 +288,8 @@ class BatchResult:
     #: One slot per planned trial, in plan order; None where the trial
     #: failed every attempt.
     trials: List[Optional[TrialResult]]
-    #: Trials served by the store lookup.
-    hits: int = 0
-    #: Trials executed successfully.
-    executed: int = 0
-    #: Failed executions that were given another attempt.
-    retried: int = 0
+    #: Every outcome the batch emitted, folded.
+    tally: Tally = field(default_factory=Tally)
     #: Plan index -> last error of each trial that exhausted its attempts.
     failures: Dict[int, str] = field(default_factory=dict)
 
@@ -280,8 +321,9 @@ def run_batch(
     fails is returned in :attr:`BatchResult.failures`, never raised.
 
     ``on_outcome`` sees every settled trial — store hits during lookup,
-    then executions in completion order, after banking.  An exception it
-    raises propagates and abandons the rest of the batch (that is the
+    then executions in completion order, after banking and after
+    :attr:`BatchResult.tally` has folded it.  An exception it raises
+    propagates and abandons the rest of the batch (that is the
     service's graceful stop).
 
     Observation records are absorbed into ``obs`` in plan order once
@@ -295,8 +337,14 @@ def run_batch(
     if store is not None:
         from repro.store.hashing import trial_fingerprint
 
-    total = len(planned)
-    trials: List[Optional[TrialResult]] = [None] * total
+    trials: List[Optional[TrialResult]] = [None] * len(planned)
+    result = BatchResult(trials=trials)
+
+    def settle(outcome: BatchOutcome) -> None:
+        result.tally(outcome)
+        if on_outcome is not None:
+            on_outcome(outcome)
+
     pending: List[int] = []
     monitored = bool(obs_config and obs_config.get("dataplane"))
     lookup = {"dataplane": True} if monitored else {}
@@ -308,9 +356,7 @@ def run_batch(
             pending.append(index)
             continue
         trials[index] = cached
-        if on_outcome is not None:
-            on_outcome(BatchOutcome(index, trial=cached, cached=True))
-    result = BatchResult(trials=trials, hits=total - len(pending))
+        settle(BatchOutcome(index, trial=cached, cached=True))
     payloads: Dict[int, Dict[str, Any]] = {}
     attempt = 1
     while pending:
@@ -339,15 +385,12 @@ def run_batch(
                     trials[index] = trial
                     if payload is not None:
                         payloads[index] = payload
-                    result.executed += 1
                 else:
                     result.failures[index] = error
-                if on_outcome is not None:
-                    on_outcome(BatchOutcome(index, trial=trial, error=error))
+                settle(BatchOutcome(index, trial, error, attempt=attempt))
         if not result.failures or attempt >= MAX_ATTEMPTS:
             break
         attempt += 1
-        result.retried += len(result.failures)
         pending = list(result.failures)
 
     if obs is not None and payloads:

@@ -14,11 +14,13 @@ read after the fact.  This module is the operator-facing layer:
   watch``: per-cell cached/missing/failed counts against the store plus
   the latest heartbeat, re-renderable until the grid completes.
 
-The ETA is :func:`repro.core.batch.eta_seconds`, the rule the service
-executor reports too: executed trials' simulation wall seconds
-extrapolated over the open trials and the workers.  Store hits carry no
-wall time, so a cached prefix leaves the ETA unknown until a trial has
-executed instead of projecting lookup speed onto the cold trials.
+The monitor's counts are a :class:`repro.core.batch.Tally`, the fold
+the service executor holds too, and so is its ETA: executed trials'
+simulation wall seconds extrapolated over the open trials — those
+neither executed, cached nor failed for good — and the workers.  Store
+hits carry no wall time, so a cached prefix leaves the ETA unknown
+until a trial has executed instead of projecting lookup speed onto the
+cold trials.
 """
 
 from __future__ import annotations
@@ -91,12 +93,11 @@ class LiveMonitor:
         self.jobs = jobs
         self.stream = stream
         self.label = label
-        self.done = 0
-        self.cached = 0
-        #: Failed executions, retried ones included.
-        self.failed = 0
-        #: Simulation wall seconds of the executed trials.
-        self.busy_seconds = 0.0
+        # Imported here: `campaign watch` loads this module, not the
+        # batch runner.
+        from repro.core.batch import Tally
+
+        self.tally = Tally()
         self.renders = 0
         self._start = time.perf_counter()
         self._unrendered = False
@@ -112,86 +113,61 @@ class LiveMonitor:
     def __call__(self, outcome: "BatchOutcome") -> None:
         """Fold one settled trial; render unless it was a store hit."""
         with self._mutex:
-            if outcome.error is not None:
-                self.failed += 1
-            else:
-                self.done += 1
-                if outcome.cached:
-                    self.cached += 1
-                    self._unrendered = True
-                    return
-                trial = outcome.trial
-                self.busy_seconds += trial.warmup_wall + trial.convergence_wall
+            self.tally(outcome)
+            if outcome.cached:
+                self._unrendered = True
+                return
             self.render()
 
     # -- derived telemetry ---------------------------------------------
-    def elapsed(self) -> float:
-        """Wall seconds since the monitor was built."""
-        return time.perf_counter() - self._start
-
-    def hit_rate(self) -> float:
-        """The share of done trials the store served."""
-        return self.cached / self.done if self.done else 0.0
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of worker capacity spent simulating (busy / jobs x
-        elapsed)."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (elapsed * self.jobs))
-
-    def eta_seconds(self) -> Optional[float]:
-        """:func:`repro.core.batch.eta_seconds` of the trials still open;
-        None until a trial has executed."""
-        # Imported here: `campaign watch` loads this module, not the
-        # batch runner.
-        from repro.core.batch import eta_seconds
-
-        return eta_seconds(
-            self.total - self.done,
-            self.busy_seconds,
-            self.done - self.cached,
-            self.jobs,
-        )
-
     def snapshot(self) -> Dict[str, Any]:
-        """The full telemetry record (one heartbeat line's payload)."""
+        """The full telemetry record (one heartbeat line's payload):
+        ``done`` is executed + cached, ``hit_rate`` cached / done,
+        ``utilization`` the share of worker capacity spent simulating
+        (busy / jobs x elapsed) and ``eta_seconds`` the tally's ETA of
+        the trials still open."""
         with self._mutex:
-            elapsed = self.elapsed()
+            tally = self.tally
+            elapsed = time.perf_counter() - self._start
+            done = tally.executed + tally.cached
+            busy = tally.busy_seconds
+            util = busy / (elapsed * self.jobs) if elapsed > 0 else 0.0
             return {
                 "kind": "heartbeat",
                 "ts": time.time(),
                 "label": self.label,
-                "done": self.done,
+                "done": done,
                 "total": self.total,
-                "cached": self.cached,
-                "failed": self.failed,
-                "hit_rate": round(self.hit_rate(), 4),
+                "cached": tally.cached,
+                "failed": tally.failed_attempts,
+                "hit_rate": round(tally.cached / done if done else 0.0, 4),
                 "elapsed_seconds": round(elapsed, 3),
-                "busy_seconds": round(self.busy_seconds, 3),
+                "busy_seconds": round(busy, 3),
                 "jobs": self.jobs,
-                "utilization": round(self.utilization(elapsed), 4),
-                "eta_seconds": self.eta_seconds(),
+                "utilization": round(min(1.0, util), 4),
+                "eta_seconds": tally.eta_seconds(
+                    tally.open(self.total), self.jobs
+                ),
             }
 
     def status_line(self) -> str:
-        with self._mutex:
-            elapsed = self.elapsed()
-            eta = self.eta_seconds()
-            parts = [
-                f"[{self.done}/{self.total}]",
-                self.label,
-                f"cached {self.cached}",
-            ]
-            if self.failed:
-                parts.append(f"failed {self.failed}")
-            if self.cached:
-                parts.append(f"hit {self.hit_rate():.0%}")
-            if self.jobs > 1:
-                parts.append(f"util {self.utilization(elapsed):.0%}")
-            parts.append(f"elapsed {elapsed:.0f}s")
-            parts.append("eta ?" if eta is None else f"eta {eta:.0f}s")
-            return " ".join(p for p in parts if p)
+        """One line rendered from :meth:`snapshot`."""
+        record = self.snapshot()
+        eta = record["eta_seconds"]
+        parts = [
+            f"[{record['done']}/{self.total}]",
+            self.label,
+            f"cached {record['cached']}",
+        ]
+        if record["failed"]:
+            parts.append(f"failed {record['failed']}")
+        if record["cached"]:
+            parts.append(f"hit {record['hit_rate']:.0%}")
+        if self.jobs > 1:
+            parts.append(f"util {record['utilization']:.0%}")
+        parts.append(f"elapsed {record['elapsed_seconds']:.0f}s")
+        parts.append("eta ?" if eta is None else f"eta {eta:.0f}s")
+        return " ".join(p for p in parts if p)
 
     # ------------------------------------------------------------------
     def render(self) -> None:

@@ -10,9 +10,8 @@
   start method children must not be forked from a multi-threaded
   parent — so the first cold trial pays no spin-up;
 * a :class:`~repro.service.executor.QueueExecutor` on a daemon thread,
-  whose lifetime counters turn the queue's open trials into the ETA of
-  the ``/status`` and ``/queue`` endpoints
-  (:meth:`~repro.service.executor.QueueExecutor.eta_seconds`);
+  whose lifetime :class:`~repro.core.batch.Tally` turns the queue's open
+  trials into the ETA of the ``/status`` and ``/queue`` endpoints;
 * a :class:`socketserver.ThreadingTCPServer` (daemon threads, address
   reuse) whose handler is :mod:`repro.service.api`'s, a
   :class:`socketserver.StreamRequestHandler` that reads and writes the
@@ -265,8 +264,8 @@ class CampaignService:
         return {
             "queue": queue,
             "executor": self.executor.telemetry(),
-            "eta_seconds": self.executor.eta_seconds(
-                queue["pending"] + queue["running"]
+            "eta_seconds": self.executor.tally.eta_seconds(
+                queue["pending"] + queue["running"], self.config.jobs
             ),
         }
 

@@ -23,8 +23,10 @@ per batch, like a planned grid's — and compared to its queue key; a
 mismatch — wrong code version, corrupted payload — fails the task
 permanently rather than banking a result under a key it doesn't match.
 A failing trial is retried inside its batch, like a campaign's, up to
-:data:`~repro.core.batch.MAX_ATTEMPTS` executions; what exhausts them
-parks as ``failed`` for operators.
+:data:`~repro.core.batch.MAX_ATTEMPTS` executions; the outcome that
+exhausts them parks its task as ``failed`` at once, so a graceful stop
+never hands a final failure back.  The executor counts what it settles
+in one :class:`~repro.core.batch.Tally`, as a campaign's batch does.
 """
 
 from __future__ import annotations
@@ -34,14 +36,13 @@ import os
 import socket
 import threading
 import time
-from collections import Counter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.batch import (
     BatchOutcome,
     PlannedTrial,
+    Tally,
     build_topology,
-    eta_seconds,
     run_batch,
 )
 from repro.specs.serialize import build_spec
@@ -72,20 +73,17 @@ class QueueExecutor:
     ``poll_interval`` from the daemon's ``config``
     (:class:`~repro.service.daemon.ServiceConfig`) and leases as
     :attr:`owner`, a fresh :func:`default_owner`.  Its trials run
-    unobserved; its lifetime counters are what :meth:`eta_seconds`
-    extrapolates the service's ETA from.
+    unobserved; its lifetime :attr:`tally` is what the service's ETA
+    extrapolates from.
     """
 
     def __init__(self, backend: ResultStore, config: "ServiceConfig") -> None:
         self.backend = backend
         self.config = config
         self.owner = default_owner()
-        #: Lifetime counters (exposed via :meth:`telemetry`).
-        self.executed = 0
-        self.failed_attempts = 0
-        self.failed_terminal = 0
-        self.retried = 0
-        self.busy_seconds = 0.0
+        #: Every outcome settled in this executor's lifetime, folded;
+        #: a task that fails to materialize counts as failed for good.
+        self.tally = Tally()
         self.batches = 0
 
     # ------------------------------------------------------------------
@@ -132,10 +130,11 @@ class QueueExecutor:
         Zero means the queue had nothing runnable.  Results are banked
         (and tasks completed) one by one as they stream back, so a crash
         mid-batch loses only in-flight trials — and even those only
-        until the lease expires.  Tasks still failing after the batch's
-        retries park as ``failed``.  When ``stop`` is set the batch ends
-        after the outcome being settled and the unfinished tasks — a
-        trial between attempts included — go straight back to pending.
+        until the lease expires.  A task parks as ``failed`` on the
+        outcome that spends its last attempt.  When ``stop`` is set the
+        batch ends after the outcome being settled and the unfinished
+        tasks — a trial between attempts included — go straight back to
+        pending.
         """
         cfg = self.config
         batch = self.backend.lease_tasks(
@@ -154,36 +153,32 @@ class QueueExecutor:
                 self.backend.fail_task(
                     task.id, f"materialize: {type(exc).__name__}: {exc}"
                 )
-                self.failed_terminal += 1
+                self.tally.failed_terminal += 1
             else:
                 leased.append(task)
         if not planned:
             return len(batch)
 
         outstanding = {task.id for task in leased}
-        executions: Counter = Counter()
         last_beat = time.monotonic()
         beat_every = max(1.0, cfg.lease_seconds / 3.0)
 
         def settle(outcome: BatchOutcome) -> None:
             nonlocal last_beat
-            if outcome.error is not None:
-                self.failed_attempts += 1
-                executions[outcome.index] += 1
-            else:
+            self.tally(outcome)
+            task_id = leased[outcome.index].id
+            if outcome.error is None:
                 # The trial was banked before this hook ran; the queue
                 # row flips second, so a crash between the two leaves a
                 # banked trial behind a live lease — the next claimant's
                 # lookup finds it and only completes the row.
-                task_id = leased[outcome.index].id
                 self.backend.complete_task(task_id)
                 outstanding.discard(task_id)
-                if not outcome.cached:
-                    self.executed += 1
-                    self.busy_seconds += (
-                        outcome.trial.warmup_wall
-                        + outcome.trial.convergence_wall
-                    )
+            elif outcome.final:
+                self.backend.fail_task(
+                    task_id, outcome.error, attempts=outcome.attempt
+                )
+                outstanding.discard(task_id)
             if not outstanding:
                 return
             if stop is not None and stop.is_set():
@@ -196,23 +191,14 @@ class QueueExecutor:
                 last_beat = now
 
         try:
-            result = run_batch(
-                planned,
-                jobs=cfg.jobs,
-                store=self.backend,
-                on_outcome=settle,
+            run_batch(
+                planned, jobs=cfg.jobs, store=self.backend, on_outcome=settle
             )
         except _DrainStopped:
             # Graceful drain: hand unfinished tasks straight back
             # instead of making the next claimant wait out our lease.
             released = self.backend.release_tasks(self.owner, outstanding)
             return len(batch) - released
-        self.retried += result.retried
-        for index, error in result.failures.items():
-            self.backend.fail_task(
-                leased[index].id, error, attempts=executions[index]
-            )
-            self.failed_terminal += 1
         return len(batch)
 
     def drain(
@@ -242,22 +228,15 @@ class QueueExecutor:
                 time.sleep(self.config.poll_interval)
 
     # ------------------------------------------------------------------
-    def eta_seconds(self, open_trials: int) -> Optional[float]:
-        """:func:`repro.core.batch.eta_seconds` of ``open_trials`` over
-        this executor's lifetime counters."""
-        return eta_seconds(
-            open_trials, self.busy_seconds, self.executed, self.config.jobs
-        )
-
     def telemetry(self) -> Dict[str, Any]:
         """Lifetime drain counters for ``/health`` and ``queue status``."""
         return {
             "owner": self.owner,
             "jobs": self.config.jobs,
-            "executed": self.executed,
-            "failed_attempts": self.failed_attempts,
-            "failed_terminal": self.failed_terminal,
-            "retried": self.retried,
-            "busy_seconds": round(self.busy_seconds, 3),
+            "executed": self.tally.executed,
+            "failed_attempts": self.tally.failed_attempts,
+            "failed_terminal": self.tally.failed_terminal,
+            "retried": self.tally.retried,
+            "busy_seconds": round(self.tally.busy_seconds, 3),
             "batches": self.batches,
         }

@@ -511,9 +511,9 @@ def run_campaign(
         manifest = {
             "campaign": campaign.to_dict(),
             "total_trials": total,
-            "cache_hits": batch.hits,
-            "executed": batch.executed,
-            "retried": batch.retried,
+            "cache_hits": batch.tally.cached,
+            "executed": batch.tally.executed,
+            "retried": batch.tally.retried,
             "jobs": jobs,
         }
         if batch.failures:
@@ -558,10 +558,10 @@ def run_campaign(
             campaign=campaign,
             series=series_list,
             results=point_results,
-            cache_hits=batch.hits,
-            cache_misses=total - batch.hits,
-            executed=batch.executed,
-            retried=batch.retried,
+            cache_hits=batch.tally.cached,
+            cache_misses=total - batch.tally.cached,
+            executed=batch.tally.executed,
+            retried=batch.tally.retried,
             wall_seconds=wall,
         )
 

@@ -6,12 +6,15 @@ a scripted outcome stream, so ordering guarantees can be pinned exactly.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.batch as batch_mod
 from repro.core.batch import (
+    MAX_ATTEMPTS,
     BatchOutcome,
     PlannedTrial,
-    eta_seconds,
+    Tally,
     plan_grid,
     run_batch,
     run_tasks,
@@ -82,13 +85,16 @@ class StubObs:
 
 def scripted(monkeypatch, order=reversed, errors=()):
     """Replace run_tasks with a stream completing in ``order``; returns
-    the list of index batches it was asked to run."""
+    the list of index batches it was asked to run.  An index in
+    ``errors`` fails every attempt, an ``(index, attempt)`` pair only
+    that one."""
     rounds = []
 
     def stream(planned, indices, jobs, obs_config):
         rounds.append(list(indices))
+        attempt = len(rounds)
         for index in order(indices):
-            if index in errors:
+            if index in errors or (index, attempt) in errors:
                 yield index, None, None, "RuntimeError: scripted"
             else:
                 yield index, fake_trial(planned[index].seed), {
@@ -115,8 +121,9 @@ def test_hits_are_skipped_and_every_lookup_counted_once(monkeypatch):
     # Every trial settles once, and the outcomes mark what the lookup
     # served.
     assert sorted(o.index for o in seen) == [0, 1, 2]
-    assert sum(o.cached for o in seen) == result.hits == 1
-    assert (result.hits, result.executed, result.retried) == (1, 2, 0)
+    tally = result.tally
+    assert sum(o.cached for o in seen) == tally.cached == 1
+    assert (tally.cached, tally.executed, tally.retried) == (1, 2, 0)
     assert [t.seed for t in result.trials] == [1, 2, 3]
     assert seen[0] == BatchOutcome(1, trial=fake_trial(2), cached=True)
     assert [(o.index, o.cached) for o in seen[1:]] == [(2, False), (0, False)]
@@ -162,7 +169,7 @@ def test_failures_are_returned_not_raised_and_retried_to_budget(monkeypatch):
     assert rounds == [[0, 1, 2], [1], [1]]  # only the failure re-runs
     assert result.failures == {1: "RuntimeError: scripted"}
     assert result.trials[1] is None
-    assert (result.executed, result.retried) == (2, 2)
+    assert (result.tally.executed, result.tally.retried) == (2, 2)
     assert sorted(store.rows) == ["key-1", "key-3"]
     # Every attempt settles once: the two successes, then the failure
     # at each of its three attempts.
@@ -173,6 +180,54 @@ def test_failures_are_returned_not_raised_and_retried_to_budget(monkeypatch):
         (1, "RuntimeError: scripted"),
         (1, "RuntimeError: scripted"),
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_tally_settles_every_trial_of_a_batch(data):
+    total = data.draw(st.integers(0, 6), label="total")
+    seeds = list(range(1, total + 1))
+    hits = data.draw(st.sets(st.sampled_from(seeds or [0])), label="hits")
+    errors = data.draw(
+        st.sets(
+            st.tuples(
+                st.integers(0, max(total - 1, 0)),
+                st.integers(1, MAX_ATTEMPTS),
+            )
+        ),
+        label="errors",
+    )
+    order = data.draw(st.sampled_from([list, reversed]), label="order")
+    store = StubStore([(f"key-{s}", fake_trial(s)) for s in hits])
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        scripted(mp, order=order, errors=errors)
+        result = run_batch(
+            plan(seeds), jobs=1, store=store, on_outcome=seen.append
+        )
+    # The batch's tally is the fold of exactly what the hook saw.
+    replay = Tally()
+    for outcome in seen:
+        replay(outcome)
+    tally = result.tally
+    assert tally == replay
+    assert tally.cached + tally.executed + tally.failed_terminal == total
+    assert tally.open(total) == 0
+    assert tally.retried == tally.failed_attempts - tally.failed_terminal
+    # Each trial's attempts run 1, 2, ...; only its last can be final,
+    # and a failure is final exactly when it spent the budget.
+    attempts = {}
+    for outcome in seen:
+        attempts.setdefault(outcome.index, []).append(outcome)
+    for trail in attempts.values():
+        assert [o.attempt for o in trail] == list(range(1, len(trail) + 1))
+        assert not any(o.final for o in trail[:-1])
+    assert set(result.failures) == {
+        index for index, trail in attempts.items() if trail[-1].final
+    }
+    for outcome in seen:
+        if outcome.error is not None:
+            assert outcome.final == (outcome.attempt == MAX_ATTEMPTS)
 
 
 def test_hook_exception_abandons_the_batch(monkeypatch):
@@ -202,6 +257,10 @@ def test_payloads_absorbed_in_plan_order_not_completion_order(monkeypatch):
 
 
 def test_eta_is_unknown_before_an_execution_and_zero_when_nothing_is_open():
+    def eta_seconds(open_trials, busy_seconds, executed, jobs):
+        tally = Tally(executed=executed, busy_seconds=busy_seconds)
+        return tally.eta_seconds(open_trials, jobs)
+
     assert eta_seconds(0, 0.0, 0, 1) == 0.0
     assert eta_seconds(-1, 5.0, 2, 2) == 0.0
     # Store hits carry no wall time: no execution, no estimate.

@@ -1,12 +1,14 @@
 """Live telemetry: monitor, heartbeat stream, campaign watch."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
+import repro.core.batch as batch_mod
 import repro.obs.live as live_mod
-from repro.core.batch import BatchOutcome
+from repro.core.batch import MAX_ATTEMPTS, BatchOutcome
 from repro.core.experiment import TrialResult
 from repro.obs.live import LiveMonitor, last_heartbeat, watch_campaign
 
@@ -89,10 +91,9 @@ def test_monitor_eta_uses_trial_wall_times(clock):
     # workers halve it: 6 * 2 / 2 = 6s.
     for _ in range(4):
         mon(_ran(2.0))
-    assert mon.eta_seconds() == 6.0
+    assert mon.snapshot()["eta_seconds"] == 6.0
     # Elapsed time plays no part: there is no elapsed/done fallback.
     clock.now = 1000.0
-    assert mon.eta_seconds() == 6.0
     assert mon.snapshot()["eta_seconds"] == 6.0
 
 
@@ -100,9 +101,8 @@ def test_monitor_eta_first_heartbeat_has_no_estimate():
     """No executed trial — nothing settled yet, or only a failure — must
     not divide by zero or fabricate an ETA."""
     mon = LiveMonitor(total=10, jobs=2, stream=None)
-    assert mon.eta_seconds() is None
+    assert mon.snapshot()["eta_seconds"] is None
     mon(_failed())
-    assert mon.eta_seconds() is None
     assert mon.snapshot()["eta_seconds"] is None
     assert "eta ?" in mon.status_line()
 
@@ -111,11 +111,11 @@ def test_monitor_eta_finished_run_is_zero():
     mon = LiveMonitor(total=2, jobs=2, stream=None)
     mon(_ran(4.0))
     mon(_ran(4.0))
-    assert mon.eta_seconds() == 0.0
+    assert mon.snapshot()["eta_seconds"] == 0.0
     cached = LiveMonitor(total=2, jobs=2, stream=None)
     cached(_hit())
     cached(_hit())
-    assert cached.eta_seconds() == 0.0
+    assert cached.snapshot()["eta_seconds"] == 0.0
 
 
 def test_monitor_eta_all_cached_with_stray_busy_seconds(clock):
@@ -127,8 +127,7 @@ def test_monitor_eta_all_cached_with_stray_busy_seconds(clock):
     for _ in range(3):
         mon(_hit())
     clock.now = 1.0
-    assert mon.busy_seconds == 0.0
-    assert mon.eta_seconds() is None
+    assert mon.tally.busy_seconds == 0.0
     assert mon.snapshot()["eta_seconds"] is None
     assert "cached 3" in mon.status_line()
     assert "eta ?" in mon.status_line()
@@ -143,7 +142,7 @@ def test_monitor_eta_and_hit_rate_read_only_the_tick(clock):
     for _ in range(36):
         mon(_ran(1.0))
     clock.now = 1000.0
-    assert mon.eta_seconds() == 18.0  # 36 left x 1 s / 2 jobs
+    assert mon.snapshot()["eta_seconds"] == 18.0  # 36 left x 1 s / 2 jobs
     assert mon.snapshot()["cached"] == 0
     assert mon.snapshot()["hit_rate"] == 0.0
     assert "hit" not in mon.status_line()
@@ -152,7 +151,7 @@ def test_monitor_eta_and_hit_rate_read_only_the_tick(clock):
         warm(_hit())
     for _ in range(2):
         warm(_ran(1.0))
-    assert warm.eta_seconds() == 1.0  # 2 left x 1 s / 2 jobs
+    assert warm.snapshot()["eta_seconds"] == 1.0  # 2 left x 1 s / 2 jobs
     assert warm.snapshot()["hit_rate"] == 0.75
     assert "hit 75%" in warm.status_line()
 
@@ -170,7 +169,8 @@ def test_monitor_cached_prefix_is_folded_not_rendered_and_has_no_eta(
         for _ in range(9):
             mon(_hit())
         assert mon.renders == 0
-        assert (mon.done, mon.cached, mon.busy_seconds) == (9, 9, 0.0)
+        assert (mon.tally.cached, mon.tally.busy_seconds) == (9, 0.0)
+        assert mon.snapshot()["done"] == 9
         assert mon.snapshot()["eta_seconds"] is None
         assert "hit 100%" in mon.status_line()
         mon(_ran(2.0))  # 2 left x 2 s / 2 jobs
@@ -199,9 +199,54 @@ def test_monitor_failed_and_no_stream():
     mon = LiveMonitor(total=5, jobs=1, stream=None)
     for _ in range(3):
         mon(_failed())
-    assert (mon.failed, mon.done, mon.renders) == (3, 0, 3)
+    assert (mon.tally.failed_attempts, mon.renders) == (3, 3)
+    assert mon.snapshot()["done"] == 0
     assert "failed 3" in mon.status_line()
     mon.finish()  # no stream: must not raise
+
+
+def test_a_trial_that_failed_every_attempt_is_no_open_work(clock):
+    """One trial executed in 1 s, the other failed all its attempts:
+    once the last attempt has failed nothing is open, so the run ends
+    at eta 0, with the failure shown."""
+    out = io.StringIO()
+    mon = LiveMonitor(total=2, jobs=1, stream=out)
+    mon(_ran(1.0))
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        # Between attempts the failing trial is still open work.
+        assert mon.snapshot()["eta_seconds"] == 1.0
+        mon(BatchOutcome(1, error="RuntimeError: boom", attempt=attempt))
+    mon.finish()
+    assert mon.snapshot()["eta_seconds"] == 0.0
+    line = out.getvalue().splitlines()[-1]
+    assert line == "[1/2] cached 0 failed 3 elapsed 0s eta 0s"
+
+
+def test_a_failed_campaign_ends_its_heartbeat_at_eta_zero(
+    tmp_path, monkeypatch
+):
+    from repro.store.campaign import CampaignError, run_campaign
+
+    real = batch_mod.execute_trial
+
+    def seed_2_raises(index, topology, spec, seed, obs_config):
+        # Seed 1 reports a second more wall time, so a trial wrongly
+        # left open would show as a nonzero ETA.
+        if seed == 2:
+            raise RuntimeError("injected")
+        result, record = real(index, topology, spec, seed, obs_config)
+        wall = result.warmup_wall + 1.0
+        return dataclasses.replace(result, warmup_wall=wall), record
+
+    monkeypatch.setattr(batch_mod, "execute_trial", seed_2_raises)
+    campaign = _campaign(tmp_path / "store.db", seeds=[1, 2])
+    hb = tmp_path / "hb.jsonl"
+    with LiveMonitor(total=2, stream=None, heartbeat=hb) as mon:
+        with pytest.raises(CampaignError):
+            run_campaign(campaign, jobs=1, on_outcome=mon)
+    last = last_heartbeat(hb)
+    assert (last["done"], last["failed"]) == (1, 3)
+    assert last["eta_seconds"] == 0.0
 
 
 def test_monitor_heartbeat_jsonl(tmp_path, clock):
@@ -250,9 +295,9 @@ def test_batch_progress_ticks_carry_busy_seconds():
 
     mon = LiveMonitor(total=2, stream=None)
     run_cell({"mrai": 0.5}, [1, 2], nodes=10, failure=0.2, on_outcome=mon)
-    assert (mon.done, mon.cached, mon.renders) == (2, 0, 2)
-    assert mon.busy_seconds > 0.0
-    assert mon.eta_seconds() == 0.0
+    assert (mon.tally.executed, mon.tally.cached, mon.renders) == (2, 0, 2)
+    assert mon.tally.busy_seconds > 0.0
+    assert mon.snapshot()["eta_seconds"] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +417,6 @@ def test_cli_sweep_heartbeat_is_one_run_over_every_grid(
     """fig05 runs two grids; its heartbeat counts the figure's trials as
     one run, and a warm re-run of it is one record.  The quick profile
     shrinks to 24 nodes so the sweep runs in about a second."""
-    import dataclasses
 
     from repro.cli import main
     from repro.figures import FIGURES, PROFILES, QUICK

@@ -282,7 +282,7 @@ def test_executor_banks_bit_identical_to_run_experiment(store):
     receipt = plan_submission(campaign, store)
     executor = executor_for(store)
     drain_fully(executor)
-    assert executor.executed == receipt.total == 2
+    assert executor.tally.executed == receipt.total == 2
     assert ticket_status(receipt.ticket, store)["state"] == "done"
 
     # The exact trials a plain run_experiment loop produces for the cell.
@@ -315,7 +315,8 @@ def test_executor_completes_an_already_banked_task_without_rerunning(
     monkeypatch.setattr(batch_mod, "execute_trial", must_not_run)
     executor = executor_for(store)
     drain_fully(executor)
-    assert executor.executed == 0 and executor.failed_attempts == 0
+    tally = executor.tally
+    assert tally.executed == 0 and tally.failed_attempts == 0
     assert ticket_status(receipt.ticket, store)["state"] == "done"
 
 
@@ -333,7 +334,7 @@ def test_drain_once_stops_after_the_current_outcome_and_releases_the_rest(
     monkeypatch.setattr(batch_mod, "execute_trial", run_then_stop)
     executor = executor_for(store)
     assert executor.drain_once(stop=stop) == 1
-    assert executor.executed == 1
+    assert executor.tally.executed == 1
     counts = store.queue_counts()
     assert (counts["done"], counts["pending"], counts["running"]) == (1, 2, 0)
 
@@ -350,10 +351,39 @@ def test_drain_once_releases_a_trial_between_attempts(store, monkeypatch):
     monkeypatch.setattr(batch_mod, "execute_trial", always_fails)
     executor = executor_for(store)
     assert executor.drain_once(stop=stop) == 0
-    assert executor.failed_attempts == 1 and executor.failed_terminal == 0
+    tally = executor.tally
+    assert tally.failed_attempts == 1 and tally.failed_terminal == 0
+    # The released task runs again, so its failed attempt was retried.
+    assert tally.retried == 1
     counts = store.queue_counts()
     assert (counts["pending"], counts["running"], counts["failed"]) == (
         1, 0, 0,
+    )
+
+
+def test_a_final_failure_stays_failed_when_the_drain_stops(
+    store, monkeypatch
+):
+    plan_submission(small_campaign(seeds=[1, 2, 3]), store)
+    stop = threading.Event()
+    real = batch_mod.execute_trial
+    calls = []
+
+    def first_fails_then_stop(*trial):
+        calls.append(trial)
+        if len(calls) == 1:
+            stop.set()
+            raise RuntimeError("injected")
+        return real(*trial)
+
+    monkeypatch.setattr(batch_mod, "MAX_ATTEMPTS", 1)
+    monkeypatch.setattr(batch_mod, "execute_trial", first_fails_then_stop)
+    executor = executor_for(store)
+    assert executor.drain_once(stop=stop) == 1
+    assert executor.tally.failed_terminal == 1
+    counts = store.queue_counts()
+    assert (counts["failed"], counts["pending"], counts["running"]) == (
+        1, 2, 0,
     )
 
 
@@ -371,10 +401,10 @@ def test_executor_retries_in_batch_then_succeeds(store, monkeypatch):
     monkeypatch.setattr(batch_mod, "execute_trial", flaky)
     executor = executor_for(store)
     assert executor.drain_once() == 2  # the retry runs inside the batch
-    assert executor.retried == 1
-    assert executor.failed_attempts == 1
-    assert executor.executed == 2
-    assert executor.failed_terminal == 0
+    assert executor.tally.retried == 1
+    assert executor.tally.failed_attempts == 1
+    assert executor.tally.executed == 2
+    assert executor.tally.failed_terminal == 0
     assert ticket_status(receipt.ticket, store)["state"] == "done"
     assert store.queue_counts()["done"] == 2
 
@@ -409,7 +439,7 @@ def test_executor_retries_a_worker_killing_trial_on_the_pool(
         assert executor.drain_once() == 2
     finally:
         parallel_mod.shutdown_worker_pool()
-    assert executor.retried == 1
+    assert executor.tally.retried == 1
     assert ticket_status(receipt.ticket, store)["state"] == "done"
     counts = store.queue_counts()
     assert (counts["done"], counts["running"], counts["pending"]) == (
@@ -428,9 +458,9 @@ def test_executor_parks_task_after_max_attempts(store, monkeypatch):
     monkeypatch.setattr(batch_mod, "execute_trial", always_fails)
     executor = executor_for(store)
     drain_fully(executor)
-    assert executor.executed == 0
-    assert executor.failed_attempts == 2 * MAX_ATTEMPTS
-    assert executor.failed_terminal == 2
+    assert executor.tally.executed == 0
+    assert executor.tally.failed_attempts == 2 * MAX_ATTEMPTS
+    assert executor.tally.failed_terminal == 2
     assert store.queue_counts()["failed"] == 2
     status = ticket_status(receipt.ticket, store)
     assert status["state"] == "failed"
@@ -455,8 +485,10 @@ def test_executor_fails_permanently_on_key_drift(store):
 
     executor = executor_for(store)
     drain_fully(executor)
-    assert executor.executed == 0
-    assert executor.failed_terminal == 1
+    assert executor.tally.executed == 0
+    assert executor.tally.failed_terminal == 1
+    # It never executed, so no attempt failed.
+    assert executor.tally.failed_attempts == 0
     status = ticket_status(receipt.ticket, store)
     assert status["state"] == "failed"
     assert "materialize" in status["failures"][0]["error"]
@@ -550,7 +582,7 @@ def test_a_service_trial_runs_unobserved(tmp_path, monkeypatch):
     finally:
         service.shutdown()
     assert recipes == [None]
-    assert service.executor.executed == 1
+    assert service.executor.tally.executed == 1
 
 
 def test_note_submission_loses_no_count_under_contention(tmp_path):
@@ -913,11 +945,12 @@ def test_service_logs_request_lines_escaped_and_bounded(
 # ----------------------------------------------------------------------
 def test_executor_eta_is_open_trials_at_the_mean_executed_wall(store):
     executor = executor_for(store, jobs=2)
-    assert executor.eta_seconds(0) == 0.0
-    assert executor.eta_seconds(3) is None  # nothing executed yet
-    executor.executed, executor.busy_seconds = 4, 9.0
-    assert executor.eta_seconds(3) == 3.4  # 3 x 2.25 s / 2 jobs
-    assert executor.eta_seconds(0) == 0.0
+    tally, jobs = executor.tally, executor.config.jobs
+    assert tally.eta_seconds(0, jobs) == 0.0
+    assert tally.eta_seconds(3, jobs) is None  # nothing executed yet
+    tally.executed, tally.busy_seconds = 4, 9.0
+    assert tally.eta_seconds(3, jobs) == 3.4  # 3 x 2.25 s / 2 jobs
+    assert tally.eta_seconds(0, jobs) == 0.0
 
 
 def slow_walls(monkeypatch, seconds=4.0):
@@ -959,7 +992,9 @@ def test_a_finished_ticket_has_no_eta_while_another_is_open(
     assert (status["state"], status["eta_seconds"]) == ("done", 0.0)
     queue = client.queue_status()
     assert (queue["queue"]["pending"], queue["queue"]["running"]) == (12, 0)
-    assert queue["eta_seconds"] == hand_driven.executor.eta_seconds(12)
+    assert queue["eta_seconds"] == hand_driven.executor.tally.eta_seconds(
+        12, hand_driven.config.jobs
+    )
     assert queue["eta_seconds"] >= 12 * 4.0
     assert client.status(second["ticket"])["eta_seconds"] == (
         queue["eta_seconds"]

@@ -75,7 +75,11 @@ def _drain(path, counters, batch_size, lease_seconds):
         )
         executor.drain(idle_timeout=1.0)
         counters.put(
-            (executor.owner, executor.executed, executor.failed_terminal)
+            (
+                executor.owner,
+                executor.tally.executed,
+                executor.tally.failed_terminal,
+            )
         )
 
 
@@ -155,7 +159,7 @@ def test_dead_claimants_leases_expire_and_campaign_completes(tmp_path):
         assert executor.drain_once() == 0
         # After they lapse, the tasks re-dispatch to this executor.
         executor.drain(idle_timeout=2.0)
-        assert executor.executed == 4
+        assert executor.tally.executed == 4
         status = ticket_status(receipt.ticket, store)
         assert status["state"] == "done"
         assert store.queue_counts()["failed"] == 0
